@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FieldTooLarge
+from .errors import FieldTooLarge, MotzetaError
 from .gf import get_field, splitting_field
 from .poly import Poly, parse_poly
 
@@ -265,7 +265,9 @@ def _prepare(gs, q, twist_exp_fn, meter):
     t_i = zeta_K^{e_i}, K = N (q - 1).
     """
     N = gs.action_order
-    if N == 1:
+    K = N * (q - 1)
+    # Untwisted (every t_i = 1): the points are F_q-points, whatever N is.
+    if all(twist_exp_fn(i) % K == 0 for i in range(len(gs.coords))):
         field = get_field(q)
         base = [field.from_int(k) for k in range(1, q)]
         candidates = {}
@@ -275,7 +277,11 @@ def _prepare(gs, q, twist_exp_fn, meter):
                 cand = [field.zero] + cand
             candidates[i] = cand
         return field, candidates
-    K = N * (q - 1)
+    if N % q == 0:
+        raise MotzetaError(
+            "twisted count at q=%d needs the N=%d-th roots of unity, "
+            "which do not exist in characteristic %d" % (q, N, q)
+        )
     field = splitting_field(q, K)
     if field.order > 10**12:
         raise FieldTooLarge(

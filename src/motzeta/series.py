@@ -38,14 +38,6 @@ from .locring import L_MINUS_1, LocRat, parse_locrat
 from .motclass import Atom, ConvNode, SymbolicClass, augment, conv, conv0, conv1
 from .realize import count_realization, symbolic_realization
 
-# Default total-degree truncation bounds by variable count.
-DEFAULT_BOUNDS = {1: 12, 2: 8, 3: 6}
-
-
-def default_bound(nvars):
-    return DEFAULT_BOUNDS.get(nvars, 6)
-
-
 def _L_pow(real, e):
     """Scalar image of the Tate power L^e (q^e under counting)."""
     return real.scalars.from_locrat(LocRat.L(e))

@@ -13,10 +13,13 @@ weight j on the t^j jet coefficient.  This module provides
 
   * jet_set: the locus as a GeomSet (equations + action data), suitable
     for twisted point counts and symbolic invariance checks;
-  * three independent counting routes - honest enumeration over F_q,
-    a vectorized histogram of packed value digits, and closed forms for
-    recognized shapes (monomials x^a, sums of distinct linear variables) -
-    kept separate so the test suite can compare them on overlap;
+  * independent counting routes, kept separate so the test suite can
+    compare them on overlap: honest enumeration over F_q (the oracle),
+    closed forms for recognized shapes (monomials x^a, sums of distinct
+    linear variables), a prefix-pruned jet sweep for per-axis counts of
+    any other germ (AxisCounts; its cost follows the size of the loci,
+    not of the jet space), and vectorized histograms of packed value
+    digits for the pair joins of a direct sum (JetTable);
   * generating series: zeta_trunc / zeta_closed for one function,
     multizeta_trunc / multizeta_separable for an ordered family with
     order conditions on the trailing functions, sum_zeta_pullback for a
@@ -54,9 +57,10 @@ from .poly import Poly, parse_poly
 from .series import ClosedSeries, Slot, SeparableSeries, Strand, TruncSeries, lim_infty
 from .egseq import EGSeq
 
-# Enumeration guards: candidates for one direct count, rows for one
-# histogram table.  Overridable per call; the defaults keep q=13 level-6
-# tables (4.8M rows) legal and q^10-style enumerations illegal.
+# Enumeration guards: candidates for one direct count; rows for one
+# histogram table, and candidate jets for one step of a jet sweep.
+# Overridable per call; the defaults keep q=13 level-6 tables (4.8M rows)
+# legal and q^10-style enumerations illegal.
 DIRECT_BUDGET = 2_000_000
 HIST_BUDGET = 6_000_000
 
@@ -228,6 +232,23 @@ def jet_count_direct(f, n, q, level=None, target="exact", budget=None):
 # ---------------------------------------------------------------------------
 
 
+def _mul_trunc(a, b, q):
+    """Product mod t^len(a), mod q, of two coefficient lists of equal
+    length (None marks a zero coefficient; those of b are arrays)."""
+    out = [None] * len(a)
+    for i, x in enumerate(a):
+        if x is None:
+            continue
+        for k, y in enumerate(b[: len(a) - i]):
+            if y is None:
+                continue
+            if out[i + k] is None:
+                out[i + k] = x * y
+            else:
+                out[i + k] += x * y
+    return [None if v is None else np.remainder(v, q, out=v) for v in out]
+
+
 class JetTable:
     """Histogram of the value digits of f over all level-`level` jets.
 
@@ -282,36 +303,22 @@ class JetTable:
 
     def _chunk_keys(self, idx, places):
         q, level = self.q, self.level
-        digits = {
-            vj: ((idx // place) % q).astype(np.int64) for vj, place in places.items()
+        series = {
+            v: [None] + [(idx // places[(v, j)]) % q for j in range(1, level + 1)]
+            for v in self.f.vars
         }
-        acc = [None] * (level + 1)
+        acc = [0] * (level + 1)
         for e, c in self.f.terms.items():
-            term = [None] * (level + 1)
-            term[0] = np.full(idx.shape, c % q, dtype=np.int64)
+            term = [np.int64(c % q)] + [None] * level
             for v, x in zip(self.f.vars, e):
                 for _ in range(x):
-                    new = [None] * (level + 1)
-                    for i in range(level + 1):
-                        if term[i] is None:
-                            continue
-                        for j in range(1, level + 1 - i):
-                            prod = (term[i] * digits[(v, j)]) % q
-                            if new[i + j] is None:
-                                new[i + j] = prod
-                            else:
-                                new[i + j] = (new[i + j] + prod) % q
-                    term = new
-            for m in range(level + 1):
-                if term[m] is not None:
-                    if acc[m] is None:
-                        acc[m] = term[m].copy()
-                    else:
-                        acc[m] = (acc[m] + term[m]) % q
+                    term = _mul_trunc(term, series[v], q)
+            for j, t in enumerate(term):
+                if t is not None:
+                    acc[j] = acc[j] + t
         keys = np.zeros(idx.shape, dtype=np.int64)
         for j in range(1, level + 1):
-            if acc[j] is not None:
-                keys += acc[j] * (q ** (level - j))
+            keys += (acc[j] % q) * q ** (level - j)
         return keys
 
     # -- queries --------------------------------------------------------------
@@ -555,10 +562,19 @@ def monomial_pair_counts(a, b, n, q):
 class AxisCounts:
     """Exact-hit and order-beyond counts for one function at one prime.
 
-    Routes: "closed" (recognized shapes), "hist", "direct", or "auto"
-    (closed if available, else the cheapest enumeration within budget).
-    Counts at a level above the constrained depth append free digits, one
-    factor q per free coordinate.
+    Routes: "closed" (recognized shapes), "sweep", "direct" (brute-force
+    oracle), or "auto" (closed if available, else the sweep).  Counts at a
+    level above the constrained depth append free digits, one factor q per
+    free coordinate.
+
+    The sweep is one resumable prefix-pruned enumeration.  The t^j digit
+    c_j of f(phi) depends only on jet coordinates of index <= j, so the
+    frontier at level j is the set of level-j jets with c_0 = .. = c_j = 0,
+    kept as an int64 digit array of shape (rows, j, dim).  One step extends
+    every frontier row by the q^dim new digits and reads c_{j+1}: the rows
+    with c_{j+1} = 1 are the exact hits at j+1, those with c_{j+1} = 0 the
+    order-beyond jets and the next frontier.  A step whose candidate rows
+    exceed the budget (default HIST_BUDGET) raises BudgetExceeded.
     """
 
     def __init__(self, f, q, budget=None):
@@ -574,7 +590,15 @@ class AxisCounts:
             c % q == 0 for c in self.shape[1]
         ):
             self.shape = ("generic", None)
-        self._tables = {}
+        self._linear = [0] * self.dim
+        for e, c in self.f.terms.items():
+            if sum(e) == 1:
+                self._linear[e.index(1)] = c % q
+        # sweep state: frontier at level len(_exact) - 1, counts by level
+        live = self.f.constant_term() % q == 0
+        self._frontier = np.zeros((1 if live else 0, 0, self.dim), dtype=np.int64)
+        self._exact = [0]
+        self._ordgt = [int(live)]
 
     def _closed(self, kind, n, level):
         tag = self.shape[0]
@@ -589,12 +613,48 @@ class AxisCounts:
             return self.q ** (self.dim * level - n)
         return None
 
-    def _table(self, level):
-        t = self._tables.get(level)
-        if t is None:
-            t = JetTable(self.f, level, self.q, budget=self.budget)
-            self._tables[level] = t
-        return t
+    def _nonlinear_digit(self, frontier):
+        """Digit c_{j+1} of the terms of degree >= 2 of f at each frontier
+        row (level j).  Such a term never reaches t^{j+1} through a
+        coordinate of index j+1, so the frontier digits determine it."""
+        q = self.q
+        m = frontier.shape[1] + 1
+        out = np.zeros(frontier.shape[0], dtype=np.int64)
+        series = [
+            [None] + [frontier[:, k, i] for k in range(m - 1)] + [None]
+            for i in range(self.dim)
+        ]
+        for e, c in self.f.terms.items():
+            if sum(e) < 2 or c % q == 0:
+                continue
+            prod = [np.int64(c % q)] + [None] * m
+            for i, x in enumerate(e):
+                for _ in range(x):
+                    prod = _mul_trunc(prod, series[i], q)
+            if prod[m] is not None:
+                out += prod[m]
+        return out % q
+
+    def _step(self):
+        """Extend the sweep frontier by one level."""
+        q, d = self.q, self.dim
+        frontier = self._frontier
+        cap = self.budget if self.budget is not None else HIST_BUDGET
+        cand = frontier.shape[0] * q**d
+        if cand > cap:
+            raise BudgetExceeded(
+                "jet sweep to level %d: %d candidates exceed the budget"
+                % (frontier.shape[1] + 1, cand)
+            )
+        new = (np.arange(q**d, dtype=np.int64)[:, None] // q ** np.arange(d)) % q
+        lin = new @ np.array(self._linear, dtype=np.int64) % q
+        digit = (self._nonlinear_digit(frontier)[:, None] + lin) % q
+        rows, ext = np.nonzero(digit == 0)
+        self._exact.append(int(np.count_nonzero(digit == 1)))
+        self._ordgt.append(len(rows))
+        self._frontier = np.concatenate(
+            (frontier[rows], new[ext][:, None, :]), axis=1
+        )
 
     def _count(self, kind, n, level, route):
         if level is None:
@@ -608,20 +668,18 @@ class AxisCounts:
                 return c
             if route == "closed":
                 raise FitFailed("no closed count for this shape")
+        elif route not in ("sweep", "direct"):
+            raise ValueError("route must be closed|sweep|direct|auto")
         pad = self.q ** (self.dim * (level - n)) if level > n else 1
-        cost = self.q ** (self.dim * n)
-        cap_h = self.budget if self.budget is not None else HIST_BUDGET
-        cap_d = self.budget if self.budget is not None else DIRECT_BUDGET
-        if route == "hist" or (route == "auto" and cost <= cap_h):
-            t = self._table(n)
-            base = t.exact_count(n) if kind == "exact" else t.ordgt_count(n)
-            return base * pad
-        if route == "direct" or (route == "auto" and cost <= cap_d):
+        if route == "direct":
             base = jet_count_direct(
                 self.f, n, self.q, target=kind, budget=self.budget
             )
             return base * pad
-        raise BudgetExceeded("no counting route fits the budget at n=%d" % n)
+        while len(self._exact) <= n:
+            self._step()
+        base = self._exact[n] if kind == "exact" else self._ordgt[n]
+        return base * pad
 
     def exact(self, n, level=None, route="auto"):
         return self._count("exact", n, level, route)
@@ -662,15 +720,6 @@ def _exact_class(f, n):
             else SymbolicClass.unit()
         )
         return cls.scale(LocRat.L(-(n // a)))
-    if shape[0] == "linsum":
-        return SymbolicClass.unit().scale(LocRat.L(-n))
-    raise FitFailed("no symbolic stream for shape %r" % (shape[0],))
-
-
-def _ordgt_class(f, n):
-    shape = classify_shape(_as_poly(f))
-    if shape[0] == "monomial":
-        return SymbolicClass.unit().scale(LocRat.L(-(n // shape[2])))
     if shape[0] == "linsum":
         return SymbolicClass.unit().scale(LocRat.L(-n))
     raise FitFailed("no symbolic stream for shape %r" % (shape[0],))

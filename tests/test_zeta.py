@@ -71,6 +71,14 @@ def test_jet_count_linear_is_one():
         assert jet_count(X, n, 5) == 1
 
 
+def test_untwisted_counts_at_levels_divisible_by_q():
+    # the s=0 sector needs no roots of unity, even when q divides the level
+    assert jet_count(X, 7, 7) == 1
+    assert jet_count(parse_poly("x^2 + x^3"), 14, 7) == 2 * 7**7
+    with pytest.raises(MotzetaError, match="q=7.*N=7"):
+        jet_count(X2, 7, 7, s=1)
+
+
 def test_jet_count_square():
     # phi^2 = t^2 exactly at level 2: c1^2 = 1, c2 free.
     assert jet_count(X2, 2, 5) == 10
@@ -290,8 +298,50 @@ def test_axis_routes_agree():
         for n in ns:
             closed = ax.exact(n, route="auto")
             assert ax.exact(n, route="direct") == closed
-            assert ax.exact(n, route="hist") == closed
+            assert ax.exact(n, route="sweep") == closed
             assert ax.ordgt(n, route="direct") == ax.ordgt(n, route="auto")
+
+
+@pytest.mark.parametrize(
+    "f, q, level",
+    [
+        ("x + y^2", 5, 3),  # linear terms: every new digit moves c_{j+1}
+        ("1 + x^2", 5, 4),  # nonzero constant term: every count is 0
+        ("x^3", 3, 6),  # exponent divisible by q
+        ("x^2 + y^3 + x*y^2", 3, 4),
+    ],
+)
+def test_axis_sweep_matches_direct_and_table(f, q, level):
+    f = parse_poly(f)
+    ax = AxisCounts(f, q)
+    tab = JetTable(f, level, q)
+    for n in range(1, level + 1):
+        assert ax.exact(n, route="sweep") == jet_count_direct(f, n, q)
+        assert ax.ordgt(n, route="sweep") == jet_count_direct(
+            f, n, q, target="ordgt"
+        )
+        assert ax.exact(n, level=level, route="sweep") == tab.exact_count(n)
+        assert ax.ordgt(n, level=level, route="sweep") == tab.ordgt_count(n)
+
+
+def test_axis_sweep_resumes():
+    f = parse_poly("x^2 + y^3 + x*y^2")
+    ax = AxisCounts(f, 3)
+    got = (ax.ordgt(3), ax.exact(6), ax.exact(2))
+    want = (
+        AxisCounts(f, 3).ordgt(3),
+        AxisCounts(f, 3).exact(6),
+        AxisCounts(f, 3).exact(2),
+    )
+    assert got == want
+
+
+def test_axis_sweep_budget_guard():
+    # x^2 + x^3 at q=5: 25 frontier jets at level 3, 125 candidates for level 4
+    ax = AxisCounts("x^2 + x^3", 5, budget=100)
+    assert ax.exact(2) == 2 * 5
+    with pytest.raises(BudgetExceeded, match="level 4"):
+        ax.exact(8)
 
 
 def test_axis_generic_demotion():
@@ -313,6 +363,14 @@ def test_zeta_trunc_counts():
     assert z.support() == [(2,), (4,), (6,), (8,)]
     for k in (1, 2, 3, 4):
         assert z.coeff((2 * k,)) == Fraction(2, 7**k)
+
+
+def test_zeta_trunc_reaches_past_the_jet_space_budget():
+    # 5^12 level-12 jets exceed HIST_BUDGET; the locus has 2*5^6 points.
+    z = zeta_trunc("x^2 + x^3", 12, count_realization(5))
+    for n in range(1, 13):
+        want = Fraction(2 * 5 ** (n // 2), 5**n) if n % 2 == 0 else 0
+        assert z.coeff((n,)) == want
 
 
 def test_zeta_symbolic_realizes_to_counts():
