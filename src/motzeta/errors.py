@@ -13,12 +13,8 @@ class DenominatorVanishes(MotzetaError, ZeroDivisionError):
     """Evaluation point makes a denominator factor vanish."""
 
 
-class FieldTooLarge(MotzetaError):
-    """A point-count enumeration would exceed its candidate budget."""
-
-
 class BudgetExceeded(MotzetaError):
-    """A requested computation provably exceeds the work budget."""
+    """A computation exceeds its work budget (candidates, rows or jets)."""
 
 
 class UnboundAtom(MotzetaError):
@@ -39,10 +35,6 @@ class NotLimitNormal(MotzetaError):
 
 class TailNotSummable(MotzetaError):
     """A tail sum diverges (some geometric ratio is 1 or larger)."""
-
-
-class NotIntegrable(MotzetaError):
-    """A series operation requires integrability that the input lacks."""
 
 
 class FitFailed(MotzetaError):

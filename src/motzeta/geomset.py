@@ -5,12 +5,20 @@ constrained nonzero, integer polynomial equations, and a diagonal action of
 the group of N-th roots of unity given by a weight per coordinate
 (xi . x_i = xi^{w_i} x_i).
 
-Counting is exact over F_q (q prime).  The twisted count of a GeomSet against
-a group element xi^s is the number of solutions x over the algebraic closure
-with Frob_q(x) = xi^{-s} . x; coordinatewise this pins x_i to zero or to the
-coset t_i F_q^* inside F_{q^M}, where t_i is a fixed (q-1)N-th root of unity
-power.  Quotient counts follow by averaging twisted counts over the group
-(Burnside-Frobenius; all quotients taken here are by free actions).
+Counting is exact over F_q (q prime), in int arithmetic mod q.  The twisted
+count of a GeomSet against a group element xi^s is the number of solutions x
+over the algebraic closure with Frob_q(x) = xi^{-s} . x.  Coordinatewise this
+pins x_i to zero or to t_i F_q^*, with t_i = zeta_K^{e_i} a power of one fixed
+primitive K-th root of unity, K = N (q - 1).  Writing x_i = t_i u_i with u_i
+in F_q, a monomial x^a becomes zeta_K^{E(a)} u^a, E(a) = sum a_i e_i.  On a
+semi-invariant equation E(a) mod N is one residue r on every non-constant
+monomial (r = 0 if there is a constant term), so dividing by zeta_K^r leaves
+an equation over F_q in the u_i with coefficients c_a g^{(E(a) - r)/N}, where
+g = zeta_K^N.  zeta_K is fixed by taking g to be the least primitive root mod
+q; individual twisted counts depend on that choice, Burnside sums do not.
+Untwisted coordinates (e_i = 0 mod K) are plain F_q coordinates.  Quotient
+counts follow by averaging twisted counts over the group (Burnside-Frobenius;
+all quotients taken here are by free actions).
 
 Enumeration is a depth-first search over per-coordinate candidate sets with
 partial evaluation of the equations, pruning of contradictions, and dynamic
@@ -21,13 +29,44 @@ tried costs one unit against a budget, default 10^8.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import FieldTooLarge, MotzetaError
-from .gf import get_field, splitting_field
+from .errors import BudgetExceeded, MotzetaError
 from .poly import Poly, parse_poly
 
 DEFAULT_BUDGET = 10**8
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for p in range(2, int(math.isqrt(n)) + 1):
+        if n % p == 0:
+            return False
+    return True
+
+
+def _require_prime(q, who):
+    if not _is_prime(q):
+        raise MotzetaError("%s needs a prime q, got %d" % (who, q))
+
+
+def _primitive_root(q):
+    """The least primitive root mod the prime q."""
+    m, primes, p = q - 1, [], 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return next(
+        g for g in range(1, q)
+        if all(pow(g, (q - 1) // p, q) != 1 for p in primes)
+    )
 
 
 class WorkMeter:
@@ -42,7 +81,7 @@ class WorkMeter:
     def spend(self, units=1):
         self.spent += units
         if self.spent > self.budget:
-            raise FieldTooLarge(
+            raise BudgetExceeded(
                 "enumeration exceeded budget of %d candidates" % self.budget
             )
 
@@ -144,81 +183,71 @@ class GeomSet:
         )
 
 
-# --- equation reduction ------------------------------------------------------
+# --- reduction to F_q ----------------------------------------------------------
 
 
-def _compile_equation(eq, coord_index, field):
-    """Poly -> (const, {monomial: coeff}) with field coefficients.
+def _compile_equation(eq, coord_index, exps, N, q, g):
+    """Poly -> (const, {monomial: coeff}) over F_q in the coordinates u_i of
+    x_i = zeta_K^{exps[i]} u_i, divided by zeta_K^r (see the module docstring).
 
-    A monomial is a sorted tuple of (coordinate index, exponent).
+    A monomial is a sorted tuple of (coordinate index, exponent).  Raises
+    MotzetaError if the equation is not semi-invariant under the twist.
     """
-    const = field.zero
+    const = 0
     terms = {}
+    r = None
     for e, c in eq.terms.items():
-        cf = field.from_int(c)
-        mono = tuple(
-            (coord_index[v], x) for v, x in zip(eq.vars, e) if x
-        )
-        mono = tuple(sorted(mono))
+        if c % q == 0:
+            continue
+        mono = tuple(sorted((coord_index[v], x) for v, x in zip(eq.vars, e) if x))
         if not mono:
-            const = field.add(const, cf)
-        else:
-            prev = terms.get(mono, field.zero)
-            s = field.add(prev, cf)
-            if field.is_zero(s):
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
+            const = c % q
+            continue
+        E = sum(x * exps[i] for i, x in mono)
+        if r is None:
+            r = E % N
+        elif E % N != r:
+            raise MotzetaError(
+                "equation %s is not semi-invariant under the twist" % eq.render()
+            )
+        terms[mono] = c * pow(g, (E - r) // N, q) % q
+    if const and r:
+        raise MotzetaError(
+            "equation %s is not semi-invariant under the twist" % eq.render()
+        )
     return const, terms
 
 
-def _specialize(eq, i, value, field):
+def _specialize(eq, i, value, q):
     """Substitute coordinate i = value into a compiled equation."""
     const, terms = eq
     new_terms = {}
-    zero_val = field.is_zero(value)
     for mono, coeff in terms.items():
-        hit = None
         for k, (j, x) in enumerate(mono):
             if j == i:
-                hit = k
+                coeff = coeff * pow(value, x, q) % q
+                mono = mono[:k] + mono[k + 1 :]
                 break
-        if hit is None:
-            prev = new_terms.get(mono, field.zero)
-            s = field.add(prev, coeff)
-            if field.is_zero(s):
-                new_terms.pop(mono, None)
-            else:
-                new_terms[mono] = s
+        if not coeff:
             continue
-        if zero_val:
-            continue
-        j, x = mono[hit]
-        coeff = field.mul(coeff, field.pow(value, x))
-        rest = mono[:hit] + mono[hit + 1 :]
-        if rest:
-            prev = new_terms.get(rest, field.zero)
-            s = field.add(prev, coeff)
-            if field.is_zero(s):
-                new_terms.pop(rest, None)
-            else:
-                new_terms[rest] = s
+        if mono:
+            new_terms[mono] = new_terms.get(mono, 0) + coeff
         else:
-            const = field.add(const, coeff)
-    return const, new_terms
+            const += coeff
+    return const % q, {m: c % q for m, c in new_terms.items() if c % q}
 
 
-def _count_reduced(eqs, unassigned, candidates, field, meter):
+def _count_reduced(eqs, unassigned, candidates, q, meter):
     """DFS point count.
 
     eqs: compiled equations, already specialized in assigned coordinates.
     unassigned: list of coordinate indices still free, in preference order.
-    candidates: dict index -> list of field values.
+    candidates: per coordinate index, the list of values in F_q.
     """
     live = []
     for const, terms in eqs:
         if not terms:
-            if not field.is_zero(const):
+            if const:
                 return 0
         else:
             live.append((const, terms))
@@ -250,74 +279,56 @@ def _count_reduced(eqs, unassigned, candidates, field, meter):
     total = 0
     for value in candidates[pivot]:
         meter.spend()
-        next_eqs = [_specialize(eq, pivot, value, field) for eq in live]
-        sub = _count_reduced(next_eqs, rest, candidates, field, meter)
-        total += sub
+        next_eqs = [_specialize(eq, pivot, value, q) for eq in live]
+        total += _count_reduced(next_eqs, rest, candidates, q, meter)
     return multiplier * total
 
 
-def _prepare(gs, q, twist_exp_fn, meter):
-    """Common setup: field, per-coordinate candidate sets.
+def _prepare(gs, q, exps):
+    """Reduce a twisted count of gs to an F_q count.
 
-    twist_exp_fn(i) gives the exponent e_i with condition
-    x_i^q = zeta_K^{e_i (order/N ... already scaled)} x_i expressed directly:
-    candidates are {0} (unless nonzero) plus t_i F_q^* with
-    t_i = zeta_K^{e_i}, K = N (q - 1).
+    exps[i] is the twist exponent e_i of coordinate i: the twisted points
+    have x_i = t_i u_i with t_i = zeta_K^{e_i}, K = N (q - 1), and u_i in
+    F_q (nonzero where x_i is constrained nonzero).  zeta_K is fixed by
+    zeta_K^N = g, g the least primitive root mod q.  Returns the equations in
+    the u_i, compiled and rescaled over F_q, and the candidate values of each
+    u_i.
     """
+    _require_prime(q, "twisted count")
     N = gs.action_order
     K = N * (q - 1)
-    # Untwisted (every t_i = 1): the points are F_q-points, whatever N is.
-    if all(twist_exp_fn(i) % K == 0 for i in range(len(gs.coords))):
-        field = get_field(q)
-        base = [field.from_int(k) for k in range(1, q)]
-        candidates = {}
-        for i, c in enumerate(gs.coords):
-            cand = list(base)
-            if c not in gs.nonzero:
-                cand = [field.zero] + cand
-            candidates[i] = cand
-        return field, candidates
-    if N % q == 0:
+    exps = [e % K for e in exps]
+    if N % q == 0 and any(exps):
         raise MotzetaError(
             "twisted count at q=%d needs the N=%d-th roots of unity, "
             "which do not exist in characteristic %d" % (q, N, q)
         )
-    field = splitting_field(q, K)
-    if field.order > 10**12:
-        raise FieldTooLarge(
-            "splitting field F_%d^%d too large" % (q, field.m)
-        )
-    zK = field.root_of_unity(K)
-    units = [field.from_int(k) for k in range(1, q)]
-    candidates = {}
-    for i, c in enumerate(gs.coords):
-        e = twist_exp_fn(i) % K
-        t = field.pow(zK, e)
-        cand = [field.mul(t, u) for u in units]
-        if c not in gs.nonzero:
-            cand = [field.zero] + cand
-        candidates[i] = cand
-    return field, candidates
+    g = _primitive_root(q)
+    coord_index = {c: i for i, c in enumerate(gs.coords)}
+    eqs = [_compile_equation(eq, coord_index, exps, N, q, g) for eq in gs.equations]
+    units = list(range(1, q))
+    with_zero = [0] + units
+    candidates = [units if c in gs.nonzero else with_zero for c in gs.coords]
+    return eqs, candidates
+
+
+def _sector_exps(gs, g_exp):
+    # x_i^{q-1} = zeta_N^{-g w_i} = zeta_K^{-(q-1) g w_i}; a solution
+    # generator is t_i = zeta_K^{-g w_i}.
+    return [-g_exp * w for w in gs.weights]
 
 
 def twisted_count(gs, q, g_exp=0, budget=None, meter=None):
     """#{x : equations, nonzero, Frob_q(x) = xi^{-g_exp} . x}.
 
-    xi is the fixed primitive N-th root of unity (N = gs.action_order);
-    the coordinatewise condition is x_i^q = xi^{-g_exp * w_i} x_i.
+    xi = zeta_K^{q-1} is the fixed primitive N-th root of unity
+    (N = gs.action_order); the coordinatewise condition is
+    x_i^q = xi^{-g_exp * w_i} x_i.
     """
     if meter is None:
         meter = WorkMeter(budget)
-    N = gs.action_order
-    # x^{q-1} = zeta_N^{-g w_i} = zeta_K^{-(q-1) g w_i}; a solution generator
-    # is t_i = zeta_K^{-g w_i}.
-    field, candidates = _prepare(
-        gs, q, lambda i: (-g_exp * gs.weights[i]) % (N * (q - 1)), meter
-    )
-    coord_index = {c: i for i, c in enumerate(gs.coords)}
-    eqs = [_compile_equation(eq, coord_index, field) for eq in gs.equations]
-    order = list(range(len(gs.coords)))
-    return _count_reduced(eqs, order, candidates, field, meter)
+    eqs, candidates = _prepare(gs, q, _sector_exps(gs, g_exp))
+    return _count_reduced(eqs, list(range(len(gs.coords))), candidates, q, meter)
 
 
 def quotient_count(gs, q, budget=None, meter=None):
@@ -331,38 +342,27 @@ def quotient_count(gs, q, budget=None, meter=None):
 
 
 def enumerate_points(gs, q, g_exp=0, budget=None, limit=200000):
-    """All twisted points, as coordinate tuples (for spot checks)."""
+    """All twisted points, as tuples (u_1, .., u_d) of F_q values with
+    x_i = t_i u_i (see _prepare); at g_exp = 0 these are the F_q-points."""
     meter = WorkMeter(budget)
-    N = gs.action_order
-    field, candidates = _prepare(
-        gs, q, lambda i: (-g_exp * gs.weights[i]) % (N * (q - 1)), meter
-    )
-    coord_index = {c: i for i, c in enumerate(gs.coords)}
-    eqs = [_compile_equation(eq, coord_index, field) for eq in gs.equations]
+    eqs, candidates = _prepare(gs, q, _sector_exps(gs, g_exp))
     out = []
 
     def rec(i, assignment, current):
         if len(out) > limit:
-            raise FieldTooLarge("point enumeration exceeded limit")
+            raise BudgetExceeded("point enumeration exceeded limit of %d" % limit)
         if i == len(gs.coords):
-            for const, terms in current:
-                if terms or not field.is_zero(const):
-                    return
-            out.append(tuple(assignment))
+            if not any(const for const, _ in current):
+                out.append(tuple(assignment))
             return
         for value in candidates[i]:
             meter.spend()
-            nxt = [_specialize(eq, i, value, field) for eq in current]
-            bad = False
-            for const, terms in nxt:
-                if not terms and not field.is_zero(const):
-                    bad = True
-                    break
-            if not bad:
+            nxt = [_specialize(eq, i, value, q) for eq in current]
+            if not any(const and not terms for const, terms in nxt):
                 rec(i + 1, assignment + [value], nxt)
 
     rec(0, [], eqs)
-    return field, out
+    return out
 
 
 # --- stock presentations -----------------------------------------------------
@@ -410,10 +410,6 @@ def fermat_twisted_count(kind, N, q, e_u, e_v, meter=None):
     if meter is None:
         meter = WorkMeter()
     gs = fermat_pair(kind, N)
-    K = N * (q - 1)
     # x^{q-1} = zeta_N^e = zeta_K^{e(q-1)} has solution generator zeta_K^e.
-    exps = {0: e_u % K, 1: e_v % K}
-    field, candidates = _prepare(gs, q, lambda i: exps[i], meter)
-    coord_index = {c: i for i, c in enumerate(gs.coords)}
-    eqs = [_compile_equation(eq, coord_index, field) for eq in gs.equations]
-    return _count_reduced(eqs, [0, 1], candidates, field, meter)
+    eqs, candidates = _prepare(gs, q, (e_u, e_v))
+    return _count_reduced(eqs, [0, 1], candidates, q, meter)

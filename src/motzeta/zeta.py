@@ -50,7 +50,15 @@ from .errors import (
     NotLimitNormal,
     VariableMismatch,
 )
-from .geomset import GeomSet, mu_n, point, torus, twisted_count
+from .geomset import (
+    GeomSet,
+    _is_prime,
+    _require_prime,
+    mu_n,
+    point,
+    torus,
+    twisted_count,
+)
 from .locring import L_MINUS_1, LocRat
 from .motclass import Atom, SymbolicClass
 from .poly import Poly, parse_poly
@@ -71,20 +79,6 @@ def _as_poly(f):
     if isinstance(f, Poly):
         return f
     return parse_poly(f)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in range(2, int(math.isqrt(n)) + 1):
-        if n % p == 0:
-            return False
-    return True
-
-
-def _require_prime(q, who):
-    if not _is_prime(q):
-        raise MotzetaError("%s needs a prime q, got %d" % (who, q))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +264,8 @@ class JetTable:
         cap = budget if budget is not None else HIST_BUDGET
         if total > cap:
             raise BudgetExceeded(
-                "histogram of %d^%d jets exceeds the budget" % (q, d * level)
+                "histogram of %d^%d jets at level %d exceeds the budget"
+                % (q, d * level, level)
             )
         self.f = f
         self.q = q
@@ -1034,6 +1029,10 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     leading orders: A1 (both orders n), A2 (orders differ), A3 (common
     order below n), and Bpair (opposite exact hits), all normalized the
     same way.
+
+    mode picks how each level is counted: "strata" (closed counts, monomial
+    pairs only), "hist" (the JetTable pair join), "direct" (brute force) or
+    "auto" (strata where it applies, else hist).
     """
     f, g = _as_poly(f), _as_poly(g)
     if set(f.vars) & set(g.vars):
@@ -1056,18 +1055,11 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     for n in range(1, D + 1):
         use = mode
         if use == "auto":
-            cap = budget if budget is not None else HIST_BUDGET
-            cost = max(q ** (len(f.vars) * n), q ** (len(g.vars) * n))
-            if (
-                sf[0] == "monomial"
-                and sg[0] == "monomial"
-                and math.gcd(sf[2] * sg[2], q) == 1
-            ):
+            monomials = sf[0] == "monomial" and sg[0] == "monomial"
+            if monomials and math.gcd(sf[2] * sg[2], q) == 1:
                 use = "strata"
-            elif cost <= cap:
-                use = "hist"
             else:
-                use = "direct"
+                use = "hist"
         if use == "strata":
             c = monomial_pair_counts(sf[2], sg[2], n, q)
         elif use == "hist":

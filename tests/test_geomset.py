@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from motzeta.errors import FieldTooLarge
+from motzeta.errors import BudgetExceeded, MotzetaError
 from motzeta.geomset import (
     GeomSet,
     WorkMeter,
@@ -73,7 +73,7 @@ def test_dynamic_free_detection():
 
 def test_budget_exceeded():
     gs = GeomSet(tuple("abcdefgh"), (parse_poly("a + b + c + d + e + f + g + h"),))
-    with pytest.raises(FieldTooLarge):
+    with pytest.raises(BudgetExceeded):
         twisted_count(gs, 13, budget=1000)
 
 
@@ -112,15 +112,29 @@ def test_equivariance_symbolic_check():
     assert not bad.check_action_invariance()
 
 
+def test_twisted_count_refuses_non_semi_invariant_sectors():
+    # u + v^2 with weights (1, 1): the twist scales u and v^2 differently
+    bad = GeomSet(("u", "v"), (parse_poly("u + v^2"),), (), 2, (1, 1))
+    assert twisted_count(bad, 5, 0) == 5
+    with pytest.raises(MotzetaError, match=r"v\^2 \+ u is not semi-invariant"):
+        twisted_count(bad, 5, 1)
+
+
+def test_twisted_count_needs_prime_q():
+    with pytest.raises(MotzetaError, match="prime"):
+        twisted_count(torus(), 4)
+
+
 def test_enumerate_points_spot_equivariance():
     # Applying the action generator to every solution lands on a solution.
     gs = fermat_pair(1, 2)
-    field, pts = enumerate_points(gs, 5, 0)
-    assert len(pts) == twisted_count(gs, 5, 0)
-    z = field.root_of_unity(2)
+    q = 5
+    pts = enumerate_points(gs, q, 0)
+    assert len(pts) == twisted_count(gs, q, 0)
+    z = q - 1  # the primitive square root of unity in F_q
     ptset = set(pts)
     for u, v in pts:
-        assert (field.mul(z, u), field.mul(z, v)) in ptset
+        assert (z * u % q, z * v % q) in ptset
 
 
 def test_serialization_roundtrip():

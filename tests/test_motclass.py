@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motzeta.errors import UnboundAtom
 from motzeta.geomset import GeomSet, mu_n, point, torus
@@ -20,6 +22,7 @@ from motzeta.motclass import (
     conv1,
     external_mul,
 )
+from motzeta.zeta import fermat_affine_counts
 
 UNIT = SymbolicClass.unit()
 
@@ -219,3 +222,37 @@ def test_twist_component_realization():
         == bind_and_count(aug_a, binding, s=1)
         == 1
     )
+
+
+def _fermat_diff(a, b, q):
+    f0, f1, _ = fermat_affine_counts(a, b, q)
+    return f0 - f1
+
+
+@st.composite
+def _burnside_cases(draw):
+    a = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    primes = [p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) if (a * b) % p]
+    return a, b, k, m, draw(st.sampled_from(primes))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_burnside_cases())
+@example((2, 5, 1, 1, 31))
+@example((3, 4, 1, 1, 13))
+def test_burnside_sum_matches_bilinear_fermat_expansion(case):
+    # conv is bilinear, conv(mu_a, mu_b) counts as #{u^a + v^b = 0} -
+    # #{u^a + v^b = 1} over (F_q^*)^2, and mu_1 is the point
+    a, b, k, m, q = case
+    c = conv(atom("mu%d" % a, a) - UNIT.scale(k), atom("mu%d" % b, b) - UNIT.scale(m))
+    table = {"mu%d" % a: mu_n(a), "mu%d" % b: mu_n(b)}
+    expect = (
+        _fermat_diff(a, b, q)
+        - m * _fermat_diff(a, 1, q)
+        - k * _fermat_diff(1, b, q)
+        + k * m * _fermat_diff(1, 1, q)
+    )
+    assert bind_and_count(c, table, q) == expect

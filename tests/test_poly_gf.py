@@ -1,11 +1,8 @@
-"""Polynomials, the expression grammar, jet composition, finite fields."""
-
-import random
+"""Polynomials, the expression grammar, jet composition."""
 
 import pytest
 
 from motzeta.errors import ParseError, VariableMismatch
-from motzeta.gf import get_field, multiplicative_order, splitting_field
 from motzeta.poly import Poly, parse_poly
 
 
@@ -65,47 +62,3 @@ def test_compose_jet_sum_of_squares():
     f = parse_poly("x^2 + y^2")
     coeffs = f.compose_jet(2)
     assert coeffs[2] == Poly.var("x_1") ** 2 + Poly.var("y_1") ** 2
-
-
-def test_prime_field_basics():
-    F = get_field(7)
-    assert F.add(3, 5) == 1
-    assert F.mul(3, 5) == 1
-    assert F.inv(3) == 5
-    g = F.generator()
-    seen = {F.pow(g, i) for i in range(6)}
-    assert len(seen) == 6
-    z = F.root_of_unity(3)
-    assert F.pow(z, 3) == 1 and z != 1
-
-
-def test_extension_field():
-    F = get_field(5, 2)
-    assert F.order == 25
-    # Field axioms on sampled elements.
-    rng = random.Random(7)
-    els = F.elements()
-    assert len(els) == 25
-    for _ in range(40):
-        a, b, c = (rng.choice(els) for _ in range(3))
-        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-        assert F.mul(a, b) == F.mul(b, a)
-    for a in els:
-        if a != F.zero:
-            assert F.mul(a, F.inv(a)) == F.one
-    # x^25 = x for all elements (Frobenius fixes nothing extra).
-    for a in els:
-        assert F.pow(a, 25) == a
-    # mu_8 lives in F_25 since 8 | 24.
-    z = F.root_of_unity(8)
-    assert F.pow(z, 8) == F.one
-    assert all(F.pow(z, k) != F.one for k in range(1, 8))
-
-
-def test_multiplicative_order_and_splitting():
-    assert multiplicative_order(7, 3) == 1          # 7 = 1 mod 3
-    assert multiplicative_order(5, 2) == 1
-    assert multiplicative_order(5, 3) == 2          # 25 = 1 mod 3
-    F = splitting_field(5, 3)
-    assert F.order == 25
-    assert splitting_field(7, 6).order == 7

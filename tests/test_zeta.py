@@ -9,7 +9,6 @@ from motzeta.egseq import EGSeq
 from motzeta.errors import (
     BudgetExceeded,
     ConeNotDecomposed,
-    FieldTooLarge,
     FitFailed,
     MotzetaError,
 )
@@ -117,8 +116,8 @@ def test_linear_sum_jets_are_sector_blind():
 
 def test_jet_sets_carry_good_actions():
     for f, n in [(X, 3), (X2, 2), (X2, 4), (XY, 2), (X3, 3)]:
-        jet_set(f, n).check_action_invariance()
-        jet_set(f, n, exact=False).check_action_invariance()
+        assert jet_set(f, n).check_action_invariance()
+        assert jet_set(f, n, exact=False).check_action_invariance()
 
 
 def test_classify_shape():
@@ -234,6 +233,8 @@ LEMMA_CASES = [
     (2, 2, 13, 2),
     (2, 3, 7, 6),
     (3, 3, 7, 3),
+    # order-12 action at q=13: twist exponents modulo K = 144
+    (2, 3, 13, 12),
 ]
 
 
@@ -245,15 +246,6 @@ def test_convolutions_match_fermat_counts(a, b, q, n):
     f0, f1, _ = fermat_affine_counts(a, b, q)
     assert bind_and_count(conv0(A, B), table, q) == f0
     assert bind_and_count(conv1(A, B), table, q) == f1
-
-
-def test_convolution_binding_field_guard():
-    # an order-12 action at q=13 would need the 144th cyclotomic splitting
-    # field F_13^12, past the enumeration cutoff
-    A, gs_a = _leading_locus("lf", 2, 12)
-    B, gs_b = _leading_locus("lg", 3, 12)
-    with pytest.raises(FieldTooLarge):
-        bind_and_count(conv0(A, B), {"lf": gs_a, "lg": gs_b}, 13)
 
 
 def _tail_stream(real, deg, q):
@@ -475,6 +467,14 @@ def test_pullback_split_sums_to_total():
     acc = parts["A1"].add(parts["A2"]).add(parts["A3"])
     assert acc == total
     assert not parts["Bpair"].is_zero()
+
+
+def test_pullback_auto_budget_names_the_level():
+    # generic pair: auto takes the histogram; 5^3 jets at level 3 exceed 100
+    with pytest.raises(BudgetExceeded, match="level 3"):
+        sum_zeta_pullback(
+            "x^2+x^3", "y^2+y^3", 4, count_realization(5), budget=100
+        )
 
 
 def test_pullback_requires_disjoint_variables():
