@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import FitFailed, TailNotSummable
-
 
 def _stirling2_row(j):
     """Row j of the Stirling partition triangle: S(j, 0..j)."""
@@ -471,106 +469,3 @@ class EGSeq:
         lifted = self.mul_geometric(sigma)
         summed = lifted.prefix_sum()
         return summed.mul_geometric(S.invert(sigma))
-
-    # ----- fitting -----
-
-    @classmethod
-    def fit(cls, real, samples, ratios, period=1, max_deg=3, dom_min=1, stable_from=None):
-        """Fit an EGSeq to exact sample values over a ratio basis.
-
-        Model per residue r mod period: value(period*t + r) =
-        sum_{rho, e} c_{rho,e} t^e rho^t.  Coefficients are solved by exact
-        elimination and the result must reproduce EVERY supplied sample.
-        """
-        S, V = real.scalars, real.coeffs
-        if real.tag != "count":
-            raise FitFailed("fitting runs over the count realization only")
-        ns = sorted(samples)
-        if not ns:
-            raise FitFailed("no samples supplied")
-        if stable_from is None:
-            stable_from = dom_min
-        dedup = []
-        for rho in ratios:
-            if not any(S.eq(rho, r2) for r2 in dedup):
-                dedup.append(rho)
-        ratios = dedup
-        stable_ns = [n for n in ns if n >= stable_from]
-        if not stable_ns:
-            raise FitFailed("no samples at or beyond the stable threshold")
-        exc = {n: samples[n] for n in ns if n < stable_from}
-        last_err = "model space exhausted"
-        for deg in range(max_deg + 1):
-            unknowns = len(ratios) * (deg + 1)
-            modes = [[] for _ in range(period)]
-            feasible = True
-            for r in range(period):
-                pts = [n for n in stable_ns if n % period == r]
-                if len(pts) < unknowns + 1:
-                    feasible = False
-                    last_err = (
-                        "residue %d has %d stable samples; need %d plus validation headroom"
-                        % (r, len(pts), unknowns)
-                    )
-                    break
-                rows = []
-                rhs = []
-                for n in pts[: unknowns]:
-                    t = n // period
-                    row = []
-                    for rho in ratios:
-                        rt = rho**t
-                        for e in range(deg + 1):
-                            row.append(rt * Fraction(t**e))
-                    rows.append(row)
-                    rhs.append(samples[n])
-                sol = _solve_exact(rows, rhs)
-                if sol is None:
-                    feasible = False
-                    last_err = "inconsistent linear system at degree %d" % deg
-                    break
-                for i, rho in enumerate(ratios):
-                    coeffs = tuple(sol[i * (deg + 1) + e] for e in range(deg + 1))
-                    modes[r].append((rho, coeffs))
-            if not feasible:
-                continue
-            cand = cls(real, period, modes, exc, dom_min, stable_from)
-            if all(V.eq(cand.value(n), samples[n]) for n in ns if n >= dom_min):
-                return cand
-            last_err = "degree-%d model failed validation on held-out samples" % deg
-        raise FitFailed(last_err)
-
-
-def _solve_exact(rows, rhs):
-    """Particular solution of rows * x = rhs over Fractions, or None."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for i in range(row, m):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
-    return sol

@@ -5,7 +5,9 @@ total-degree-truncated table of exponent -> coefficient entries; a
 ClosedSeries is a finite sum of strands, each a coefficient times a
 monomial times a product of open geometric factors
 L^m X^n / (1 - L^m X^n).  Expansion converts closed to truncated exactly;
-closed_from_fit recovers a validated closed form from counted samples.
+strand_fit finds the minimal recurrence of each residue of a counted stream
+(Berlekamp-Massey) and closed_from_fit reads the closed form off one exact
+solve for its numerator over the q-power denominator the fit fixes.
 
 On top of the two shapes sit the operations the zeta machinery needs:
 Hadamard products (coefficientwise, external or convolution flavored, and
@@ -22,10 +24,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from fractions import Fraction
 
-from .egseq import EGSeq, _solve_exact
+from .egseq import EGSeq
 from .errors import (
     BaseMismatch,
     FitFailed,
@@ -758,178 +761,241 @@ def lim_infty(a):
 # ---------------------------------------------------------------------------
 
 
-def strand_fit(real, samples, ratios=None, period=1, max_deg=3, dom_min=1, stable_from=None):
-    """Exact per-residue exponential-polynomial fit of a coefficient
-    stream; every supplied sample must be reproduced (FitFailed if not).
+def _q_valuation(q, n):
+    k = 0
+    while n % q == 0:
+        n //= q
+        k += 1
+    return k
 
-    The default ratio menu is nonpositive q-powers, widening with the
-    per-residue sample budget up to q^0 .. q^-8 (the fit keeps at least
-    one held-out sample per residue beyond the unknowns it solves for).
+
+def _q_log(q, x):
+    """The integer k with x == q^k, or None when x is not a power of q."""
+    x = Fraction(x)
+    if x <= 0:
+        return None
+    k = _q_valuation(q, x.numerator) - _q_valuation(q, x.denominator)
+    return k if x == Fraction(q) ** k else None
+
+
+def _berlekamp_massey(s):
+    """Shortest linear recurrence of the Fraction sequence s.
+
+    Returns (C, L) with C = [1, c_1, .., c_L] such that
+    s_n + c_1 s_{n-1} + .. + c_L s_{n-L} = 0 for every L <= n < len(s).
     """
-    if ratios is None:
-        if real.tag != "count":
-            raise FitFailed("the default ratio menu needs a counted realization")
-        q = Fraction(real.q)
-        counts = {}
-        for n in samples:
-            counts[n % period] = counts.get(n % period, 0) + 1
-        per_res = min(counts.get(r, 0) for r in range(period))
-        span = max(1, min(8, per_res - 2))
-        ratios = [q**j for j in range(0, -span - 1, -1)]
-    return EGSeq.fit(
-        real,
-        samples,
-        ratios,
-        period=period,
-        max_deg=max_deg,
-        dom_min=dom_min,
-        stable_from=stable_from,
-    )
+    C, B = [Fraction(1)], [Fraction(1)]
+    L, shift, b = 0, 1, Fraction(1)
+    for n in range(len(s)):
+        d = s[n] + sum(C[i] * s[n - i] for i in range(1, L + 1))
+        if d == 0:
+            shift += 1
+            continue
+        prev = list(C)
+        C += [Fraction(0)] * (len(B) + shift - len(C))
+        for i, x in enumerate(B):
+            C[i + shift] -= d / b * x
+        if 2 * L <= n:
+            L, B, b, shift = n + 1 - L, prev, d, 1
+        else:
+            shift += 1
+        C += [Fraction(0)] * (L + 1 - len(C))
+    return C[: L + 1], L
 
 
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _q_power_roots(q, charpoly):
+    """Roots q^k of a monic polynomial (highest coefficient first).
+
+    Returns ({k: multiplicity}, cofactor left after dividing them out).
+    Once denominators are cleared, the rational-root theorem bounds k
+    between -v_q(leading coefficient) and v_q(lowest nonzero coefficient).
+    """
+    den = math.lcm(*(c.denominator for c in charpoly))
+    ints = [int(c * den) for c in charpoly if c]
+    roots = {}
+    poly = list(charpoly)
+    for k in range(-_q_valuation(q, ints[0]), _q_valuation(q, ints[-1]) + 1):
+        rho = Fraction(q) ** k
+        while len(poly) > 1:
+            quo = [poly[0]]
+            for c in poly[1:]:
+                quo.append(c + rho * quo[-1])
+            if quo.pop():
+                break
+            poly = quo
+            roots[k] = roots.get(k, 0) + 1
+    return roots, poly
 
 
-def _single_candidate_modes(q, Q, m, N):
-    """Period-Q mode table of L^m T^N/(1 - L^m T^N) under counting."""
-    modes = [[] for _ in range(Q)]
-    for r in range(0, Q, N):
-        modes[r] = [(q ** (m * Q // N), (q ** (m * r // N),))]
-    return modes
+def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
+    """Exact per-residue exponential-polynomial fit of a counted stream.
+
+    For each residue r mod period, Berlekamp-Massey over Q finds the minimal
+    linear recurrence of the stable samples (n >= stable_from, consecutive);
+    a recurrence of order L needs at least 2L+1 of them.  The roots of its
+    characteristic polynomial must be powers of q, as the zeta series are
+    rational with q-power poles: a root q^k of multiplicity d gives the mode
+    ratio q^k with a t-polynomial of degree < d, and the L coefficients are
+    solved from the first L samples.  Every supplied sample must be
+    reproduced.  Otherwise FitFailed names the residue and what fell short.
+    """
+    if real.tag != "count":
+        raise FitFailed("fitting runs over the count realization only")
+    if stable_from is None:
+        stable_from = dom_min
+    q = real.q
+    modes = []
+    for r in range(period):
+        ts = sorted(n // period for n in samples if n >= stable_from and n % period == r)
+        if ts and ts[-1] - ts[0] + 1 != len(ts):
+            raise FitFailed("residue %d: stable samples are not consecutive" % r)
+        vals = [Fraction(samples[period * t + r]) for t in ts]
+        conn, order = _berlekamp_massey(vals)
+        if len(vals) < 2 * order + 1:
+            raise FitFailed(
+                "residue %d: recurrence of order %d needs %d stable samples, has %d"
+                % (r, order, 2 * order + 1, len(vals))
+            )
+        roots, rest = _q_power_roots(q, conn)
+        if len(rest) > 1:
+            terms = ("(%s)z^%d" % (c, order - i) for i, c in enumerate(conn) if c)
+            raise FitFailed(
+                "residue %d: characteristic polynomial %s has roots that are not powers of q=%d"
+                % (r, " + ".join(terms), q)
+            )
+        basis = [(Fraction(q) ** k, e) for k, d in sorted(roots.items()) for e in range(d)]
+        sol = _solve_exact([[rho**t * t**e for rho, e in basis] for t in ts[:order]], vals[:order])
+        res_modes = {}
+        for (rho, e), c in zip(basis, sol):
+            res_modes.setdefault(rho, []).append(c)
+        modes.append(list(res_modes.items()))
+    exc = {n: v for n, v in samples.items() if n < stable_from}
+    fitted = EGSeq(real, period, modes, exc, dom_min, stable_from)
+    for n in sorted(samples):
+        if n >= dom_min and fitted.value(n) != samples[n]:
+            raise FitFailed("the fit disagrees with the sample at n=%d" % n)
+    return fitted
 
 
-def _pair_candidate(real, Q, f1, f2, hi):
-    """Counted expansion of a two-factor strand, refit as a period-Q
-    sequence (exact, validated on every sample)."""
-    q = Fraction(real.q)
-    (m1, N1), (m2, N2) = f1, f2
-    vals = {n: Fraction(0) for n in range(1, hi + 1)}
-    k1 = 1
-    while N1 * k1 + N2 <= hi:
-        base = q ** (m1 * k1)
-        k2 = 1
-        while N1 * k1 + N2 * k2 <= hi:
-            vals[N1 * k1 + N2 * k2] += base * q ** (m2 * k2)
-            k2 += 1
-        k1 += 1
-    ratios = [q ** (m1 * Q // N1)]
-    r2 = q ** (m2 * Q // N2)
-    if r2 not in ratios:
-        ratios.append(r2)
-    return EGSeq.fit(real, vals, ratios, period=Q, max_deg=2, dom_min=1, stable_from=1)
+def _pmul(a, b):
+    """Product of polynomials given lowest coefficient first."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def closed_from_fit(seq, var="T", steps=None, m_span=8):
+def _pquo(a, b):
+    """Exact quotient a / b (b[0] == 1), or None when b does not divide a.
+
+    The power series a / b is a polynomial of degree len(a) - len(b) iff its
+    next len(b) - 1 coefficients vanish.
+    """
+    terms = [(j, c) for j, c in enumerate(b) if j and c]
+    quo = []
+    for i, x in enumerate(a):
+        quo.append(x - sum(c * quo[i - j] for j, c in terms if j <= i))
+    deg = len(a) - len(b) + 1
+    return quo[:deg] if deg > 0 and not any(quo[deg:]) else None
+
+
+def closed_from_fit(seq, var="T"):
     """Recover a validated closed form from a fitted counted stream.
 
-    Solves for the stream as an exact combination of expansions of
-    strands with one or two open factors L^m T^N/(1 - L^m T^N), N running
-    over the divisors of the stream's period and -m_span <= m <= -1.  The
-    reconstruction is validated against the stream well past its stable
-    threshold; failure to represent raises FitFailed.
+    Every mode ratio must be a power q^mu.  With k_mu its largest
+    multiplicity (t-degree + 1) over the residues and Q the period, the
+    stream is P(T)/B(T) with B = prod (1 - q^mu T^Q)^{k_mu}.  The open
+    factors L^m T^N/(1 - L^m T^N) are fixed by the data: N | Q and
+    m = mu N/Q.  The candidate strands are each such factor and each pair
+    whose denominator divides B exactly; each candidate's numerator
+    B * prod x/(1-x) is an exact polynomial of degree <= deg B, and one
+    exact solve matches them against (sum a_n T^n) * B truncated at deg B.
+    The reconstruction is validated against the stream well past its stable
+    threshold; FitFailed lists the candidate strands it solved over.
     """
     real = seq.real
     if real.tag != "count":
         raise FitFailed("closed-form recovery runs over the count realization")
-    q = Fraction(real.q)
+    if seq.dom_min > 1:
+        raise FitFailed("closed-form recovery needs the stream from n=1, not n=%d" % seq.dom_min)
+    q = real.q
     Q = seq.period
-    if steps is None:
-        steps = _divisors(Q)
-    for N in steps:
-        if Q % N:
-            raise ValueError("steps must divide the stream period")
-
-    target_ratios = set()
+    mult = {}
     for r in range(Q):
         for ratio, coeffs in seq.modes[r]:
-            if any(c != 0 for c in coeffs):
-                target_ratios.add(ratio)
+            mu = _q_log(q, ratio)
+            if mu is None:
+                raise FitFailed("mode ratio %s is not a power of q=%d" % (ratio, q))
+            mult[mu] = max(mult.get(mu, 0), len(coeffs))
 
-    singles = []
-    for N in steps:
-        for m in range(-m_span, 0):
-            singles.append((m, N))
-    pairs = []
-    for i in range(len(singles)):
-        for j in range(i, len(singles)):
-            pairs.append((singles[i], singles[j]))
+    def denom(factors):
+        out = [Fraction(1)]
+        for m, N in factors:
+            out = _pmul(out, [Fraction(1)] + [Fraction(0)] * (N - 1) + [-Fraction(q) ** m])
+        return out
 
-    def single_ok(mN):
-        m, N = mN
-        return q ** (m * Q // N) in target_ratios
+    B = denom([(mu, Q) for mu, k in mult.items() for _ in range(k)])
+    steps = [N for N in range(1, Q + 1) if Q % N == 0]
+    factors = sorted({(mu * N // Q, N) for mu in mult for N in steps if mu * N % Q == 0})
+    shapes = [(f,) for f in factors]
+    shapes += [(f1, f2) for i, f1 in enumerate(factors) for f2 in factors[i:]]
+    cands = []
+    for shape in shapes:
+        quo = _pquo(B, denom(shape))
+        if quo is not None:
+            scale = Fraction(q) ** sum(m for m, _ in shape)
+            cands.append((shape, [Fraction(0)] * sum(N for _, N in shape) + [scale * c for c in quo]))
+    tried = "; ".join("x".join("(%d, %d)" % f for f in shape) for shape, _ in cands)
 
+    stream = [Fraction(0)] + [seq.value(n) for n in range(1, len(B))]
+    target = _pmul(stream, B)[: len(B)]
+    sol = _solve_exact([[num[j] for _, num in cands] for j in range(len(B))], target)
+    if sol is None:
+        raise FitFailed(
+            "stream numerator is not a combination of the candidate strands (m, N): %s" % tried
+        )
+    closed = ClosedSeries(
+        real,
+        (var,),
+        [Strand(c, (0,), [(m, (N,)) for m, N in shape]) for c, (shape, _) in zip(sol, cands) if c],
+    )
     hi = max(8 * Q, seq.stable_start + 4 * Q, 16)
-
-    def assemble(use_singles, use_pairs):
-        cands = []
-        for m, N in use_singles:
-            cands.append((("single", m, N), _single_candidate_modes(q, Q, m, N)))
-        for f1, f2 in use_pairs:
-            fitted = _pair_candidate(real, Q, f1, f2, hi)
-            cands.append((("pair", f1, f2), fitted.modes))
-        return cands
-
-    def solve(cands):
-        coords = {}
-        for _, modes in cands:
-            for r in range(Q):
-                for ratio, coeffs in modes[r]:
-                    for e, c in enumerate(coeffs):
-                        if c != 0:
-                            coords.setdefault((r, ratio, e), len(coords))
-        for r in range(Q):
-            for ratio, coeffs in seq.modes[r]:
-                for e, c in enumerate(coeffs):
-                    if c != 0:
-                        coords.setdefault((r, ratio, e), len(coords))
-        if not coords:
-            return []
-        rows = [[Fraction(0)] * len(cands) for _ in coords]
-        rhs = [Fraction(0)] * len(coords)
-        for col, (_, modes) in enumerate(cands):
-            for r in range(Q):
-                for ratio, coeffs in modes[r]:
-                    for e, c in enumerate(coeffs):
-                        if c != 0:
-                            rows[coords[(r, ratio, e)]][col] += c
-        for r in range(Q):
-            for ratio, coeffs in seq.modes[r]:
-                for e, c in enumerate(coeffs):
-                    if c != 0:
-                        rhs[coords[(r, ratio, e)]] += c
-        return _solve_exact(rows, rhs)
-
-    pruned_singles = [s for s in singles if single_ok(s)]
-    pruned_pairs = [(f1, f2) for f1, f2 in pairs if single_ok(f1) and single_ok(f2)]
-    cands = assemble(pruned_singles, pruned_pairs)
-    sol = solve(cands)
-    if sol is None:
-        cands = assemble(singles, pairs)
-        sol = solve(cands)
-    if sol is None:
-        raise FitFailed("stream is not in the one/two-factor dictionary")
-
-    strands = []
-    for alpha, (tag, *rest) in zip(sol, (k for k, _ in cands)):
-        if alpha == 0:
-            continue
-        if tag == "single":
-            m, N = rest
-            strands.append(Strand(alpha, (0,), [(m, (N,))]))
-        else:
-            f1, f2 = rest
-            strands.append(Strand(alpha, (0,), [(f1[0], (f1[1],)), (f2[0], (f2[1],))]))
-    closed = ClosedSeries(real, (var,), strands)
-
-    lo = max(1, seq.dom_min)
     table = closed.expand(hi)
-    for n in range(lo, hi + 1):
+    for n in range(1, hi + 1):
         if table.coeff((n,)) != seq.value(n):
             raise FitFailed(
-                "dictionary reconstruction disagrees with the stream at n=%d" % n
+                "reconstruction over the candidate strands (m, N) %s disagrees "
+                "with the stream at n=%d" % (tried, n)
             )
     return closed
+
+
+def _solve_exact(rows, rhs):
+    """Particular solution of rows * x = rhs over Fractions, or None."""
+    n = len(rows[0]) if rows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        pv = aug[r][col]
+        aug[r] = [x / pv for x in aug[r]]
+        for i, row in enumerate(aug):
+            if i != r and row[col] != 0:
+                f = row[col]
+                aug[i] = [x - f * y for x, y in zip(row, aug[r])]
+        pivots.append(col)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        sol[col] = aug[i][n]
+    return sol
 
 
 # ---------------------------------------------------------------------------

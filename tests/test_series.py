@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motzeta.egseq import EGSeq
 from motzeta.errors import (
@@ -479,7 +481,11 @@ def test_strand_fit_period_two_stream():
 
 def test_strand_fit_rejects_non_stream():
     samples = {n: Fraction(1, n) for n in range(1, 15)}
-    with pytest.raises(FitFailed):
+    with pytest.raises(FitFailed, match="residue 0: recurrence of order 7 needs 15 stable samples, has 14"):
+        strand_fit(COUNT, samples)
+    # an exact recurrence whose root 2/7 is not a power of q
+    samples = {n: Fraction(2, Q) ** n + Fraction(1, Q**2) ** n for n in range(1, 15)}
+    with pytest.raises(FitFailed, match=r"polynomial \(1\)z\^2 \+ \(-15/49\)z\^1 \+ \(2/343\)z\^0 has"):
         strand_fit(COUNT, samples)
 
 
@@ -511,8 +517,56 @@ def test_closed_from_fit_rejects_foreign_streams():
     samples = {n: q**-n if n >= 3 else Fraction(0) for n in range(1, 25)}
     samples[2] = Fraction(5)
     seq = strand_fit(COUNT, samples, stable_from=3)
-    with pytest.raises(FitFailed):
+    with pytest.raises(FitFailed, match=r"candidate strands \(m, N\) \(-1, 1\) disagrees .* n=2"):
         closed_from_fit(seq)
+    # a ratio that is not a power of q has no candidate strands at all
+    seq = EGSeq.single_residue(COUNT, 1, 0, Fraction(2), Fraction(1))
+    with pytest.raises(FitFailed, match="mode ratio 2 is not a power of q=7"):
+        closed_from_fit(seq)
+
+
+@st.composite
+def _strand_sums(draw):
+    Q = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    factor = st.tuples(st.integers(-8, -1), st.sampled_from([N for N in (1, 2, 3, 4, 6) if Q % N == 0]))
+    shapes = draw(
+        st.lists(
+            st.lists(factor, min_size=1, max_size=2).map(lambda fs: tuple(sorted(fs))),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(shapes), max_size=len(shapes)))
+    return draw(st.sampled_from((3, 5, 7, 11, 13))), Q, list(zip(coeffs, shapes))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_strand_sums())
+def test_fit_recovers_random_strand_sums(case):
+    q, Q, terms = case
+    real = count_realization(q)
+    target = ClosedSeries(
+        real, ("T",), [Strand(Fraction(c), (0,), [(m, (N,)) for m, N in shape]) for c, shape in terms]
+    )
+    # the stream's denominator is prod (1 - q^mu T^Q)^k, mu = m Q / N, with
+    # k the most factors one strand has with that mu: each residue mod Q
+    # satisfies a recurrence of order at most L = sum k
+    mult = {}
+    for _, shape in terms:
+        per = {}
+        for m, N in shape:
+            per[m * Q // N] = per.get(m * Q // N, 0) + 1
+        for mu, k in per.items():
+            mult[mu] = max(mult.get(mu, 0), k)
+    D = Q * (2 * sum(mult.values()) + 1)
+    table = target.expand(max(D, 8 * Q))
+    seq = strand_fit(real, {n: table.coeff((n,)) for n in range(1, D + 1)}, period=Q)
+    closed = closed_from_fit(seq)
+    rec = closed.expand(8 * Q)
+    for n in range(1, 8 * Q + 1):
+        assert rec.coeff((n,)) == table.coeff((n,))
+    assert lim_infty(closed) == lim_infty(target)
 
 
 # ---------------------------------------------------------------------------
