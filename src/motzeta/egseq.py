@@ -90,10 +90,10 @@ def _merge_modes(S, V, modes):
     return tuple((r, tuple(c)) for r, c in out)
 
 
-def _eval_modes(S, V, modes_for_residue, t):
+def _eval_modes(S, V, modes_for_residue, powers, t):
+    """Stable value at n = Q*t + r; powers[i] is mode i's ratio^t."""
     val = V.zero
-    for ratio, coeffs in modes_for_residue:
-        rt = S.pow(ratio, t)
+    for (_, coeffs), rt in zip(modes_for_residue, powers):
         for e, c in enumerate(coeffs):
             if V.is_zero(c):
                 continue
@@ -154,16 +154,30 @@ class EGSeq:
     # ----- basic access -----
 
     def value(self, n):
-        if n < self.dom_min:
-            raise ValueError("sequence not defined at n=%d (domain starts at %d)" % (n, self.dom_min))
-        V = self.real.coeffs
-        if n < self.stable_start:
-            return self.exceptional.get(n, V.zero)
-        t, r = divmod(n, self.period)
-        return _eval_modes(self.real.scalars, V, self.modes[r], t)
+        return self.values(n, n)[0]
 
     def values(self, lo, hi):
-        return [self.value(n) for n in range(lo, hi + 1)]
+        """[value(n) for n in lo..hi]: each residue steps its ratio powers
+        by one multiplication per period instead of raising them afresh."""
+        if lo <= hi and lo < self.dom_min:
+            raise ValueError("sequence not defined at n=%d (domain starts at %d)" % (lo, self.dom_min))
+        S, V = self.real.scalars, self.real.coeffs
+        powers = {}  # residue -> ratio^t of its modes at the last t visited
+        out = []
+        for n in range(lo, hi + 1):
+            if n < self.stable_start:
+                out.append(self.exceptional.get(n, V.zero))
+                continue
+            t, r = divmod(n, self.period)
+            modes = self.modes[r]
+            pw = powers.get(r)
+            if pw is None:
+                pw = [S.pow(ratio, t) for ratio, _ in modes]
+            else:
+                pw = [S.mul(p, ratio) for p, (ratio, _) in zip(pw, modes)]
+            powers[r] = pw
+            out.append(_eval_modes(S, V, modes, pw, t))
+        return out
 
     def agrees_with(self, other, lo, hi):
         V = self.real.coeffs

@@ -546,12 +546,14 @@ def parse_locrat(src):
         num_src, den_src = src.split("/", 1)
     else:
         num_src, den_src = src, ""
+    num_off = len(num_src) - len(num_src.lstrip())  # offsets index src
     num_src = num_src.strip()
     if num_src.startswith("(") and num_src.endswith(")"):
         num_src = num_src[1:-1]
-    num = parse_laurent(num_src)
+        num_off += 1
+    num = parse_laurent(num_src, num_off)
     den = []
-    rest = den_src.strip()
+    rest = den_src
     base = len(src) - len(den_src)
     i = 0
     while i < len(rest):

@@ -374,17 +374,16 @@ def v_hadamard(a, b):
     )
     bound = min(a.bound, b.bound)
     V = a.real.coeffs
+    b_by_key = {}
+    for eb, vb in b.entries.items():
+        key = tuple(eb[i] for i in b_shared)
+        b_by_key.setdefault(key, []).append((tuple(eb[i] for i in b_only), vb))
     ent = {}
     for ea, va in a.entries.items():
         key_a = tuple(ea[i] for i in a_shared)
-        for eb, vb in b.entries.items():
-            if tuple(eb[i] for i in b_shared) != key_a:
-                continue
-            exp = (
-                tuple(ea[i] for i in a_only)
-                + tuple(eb[i] for i in b_only)
-                + key_a
-            )
+        head = tuple(ea[i] for i in a_only)
+        for tail, vb in b_by_key.get(key_a, ()):
+            exp = head + tail + key_a
             if sum(exp) > bound:
                 continue
             v = V.mul(va, vb)
@@ -688,9 +687,10 @@ class ClosedSeries:
 
     def expand(self, bound):
         V = self.real.coeffs
+        powers = {}  # mtot -> scalar of L^mtot, shared by the strands
         ent = {}
         for s in self.strands:
-            for exp, val in _strand_terms(self.real, s, bound):
+            for exp, val in _strand_terms(self.real, s, bound, powers):
                 ent[exp] = V.add(ent[exp], val) if exp in ent else val
         return TruncSeries(self.real, self.vars, bound, ent)
 
@@ -701,7 +701,9 @@ class ClosedSeries:
         return "ClosedSeries(vars=%s, %d strands)" % (list(self.vars), len(self.strands))
 
 
-def _strand_terms(real, strand, bound):
+def _strand_terms(real, strand, bound, powers):
+    """Terms (exp, value) of one strand up to total degree bound; powers
+    memoizes the scalars of L^mtot by mtot."""
     V = real.coeffs
     out = []
     factors = strand.factors
@@ -711,7 +713,10 @@ def _strand_terms(real, strand, bound):
             return
         if i == len(factors):
             if strand.admits(exp):
-                out.append((exp, V.scale(_L_pow(real, mtot), strand.coeff)))
+                p = powers.get(mtot)
+                if p is None:
+                    p = powers[mtot] = _L_pow(real, mtot)
+                out.append((exp, V.scale(p, strand.coeff)))
             return
         m, nv = factors[i]
         k = 1
@@ -871,9 +876,12 @@ def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
         modes.append(list(res_modes.items()))
     exc = {n: v for n, v in samples.items() if n < stable_from}
     fitted = EGSeq(real, period, modes, exc, dom_min, stable_from)
-    for n in sorted(samples):
-        if n >= dom_min and fitted.value(n) != samples[n]:
-            raise FitFailed("the fit disagrees with the sample at n=%d" % n)
+    checked = sorted(n for n in samples if n >= dom_min)
+    if checked:
+        values = fitted.values(checked[0], checked[-1])
+        for n in checked:
+            if values[n - checked[0]] != samples[n]:
+                raise FitFailed("the fit disagrees with the sample at n=%d" % n)
     return fitted
 
 
@@ -949,8 +957,9 @@ def closed_from_fit(seq, var="T"):
             cands.append((shape, [Fraction(0)] * sum(N for _, N in shape) + [scale * c for c in quo]))
     tried = "; ".join("x".join("(%d, %d)" % f for f in shape) for shape, _ in cands)
 
-    stream = [Fraction(0)] + [seq.value(n) for n in range(1, len(B))]
-    target = _pmul(stream, B)[: len(B)]
+    hi = max(8 * Q, seq.stable_start + 4 * Q, 16)
+    values = seq.values(1, max(hi, len(B) - 1))  # values[n - 1] is a_n
+    target = _pmul([Fraction(0)] + values[: len(B) - 1], B)[: len(B)]
     sol = _solve_exact([[num[j] for _, num in cands] for j in range(len(B))], target)
     if sol is None:
         raise FitFailed(
@@ -961,10 +970,9 @@ def closed_from_fit(seq, var="T"):
         (var,),
         [Strand(c, (0,), [(m, (N,)) for m, N in shape]) for c, (shape, _) in zip(sol, cands) if c],
     )
-    hi = max(8 * Q, seq.stable_start + 4 * Q, 16)
     table = closed.expand(hi)
     for n in range(1, hi + 1):
-        if table.coeff((n,)) != seq.value(n):
+        if table.coeff((n,)) != values[n - 1]:
             raise FitFailed(
                 "reconstruction over the candidate strands (m, N) %s disagrees "
                 "with the stream at n=%d" % (tried, n)
@@ -1069,9 +1077,18 @@ class SeparableSeries:
         return out
 
     def expand(self, bound):
+        """Truncated table of the block through total degree bound.
+
+        The admissible points are walked axis by axis.  A stream's value at
+        w does not depend on the chain prefix, so each axis stream is
+        evaluated once per (axis, w), into tables local to this call, and a
+        zero value skips the whole subtree below it: every product there
+        is zero.
+        """
         V = self.real.coeffs
         eta = len(self.slots)
         weights = [sum(m) for m in self.masks]
+        tables = [{} for _ in range(eta)]
         ent = {}
 
         def future_min(j, w):
@@ -1083,7 +1100,8 @@ class SeparableSeries:
             if j == eta:
                 ent[exp] = V.add(ent[exp], val) if exp in ent else val
                 return
-            lo = max(self.slots[j].seq.dom_min, 1)
+            seq, table = self.slots[j].seq, tables[j]
+            lo = max(seq.dom_min, 1)
             if self.region == "chain" and j > 0:
                 lo = max(lo, wprev + 1)
             w = lo
@@ -1091,9 +1109,11 @@ class SeparableSeries:
                 exp2 = tuple(e + w * x for e, x in zip(exp, self.masks[j]))
                 if sum(exp2) + future_min(j, w) > bound:
                     break
-                v = self.slots[j].seq.value(w)
-                val2 = v if val is None else V.mul(val, v)
-                rec(j + 1, w, exp2, val2)
+                v = table.get(w)
+                if v is None:
+                    v = table[w] = seq.value(w)
+                if not V.is_zero(v):
+                    rec(j + 1, w, exp2, v if val is None else V.mul(val, v))
                 w += 1
 
         rec(0, 0, (0,) * len(self.vars), None)

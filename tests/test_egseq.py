@@ -7,6 +7,8 @@ sums) and frozen as exact Fractions.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motzeta.egseq import EGSeq
 from motzeta.errors import FitFailed, NotInvertible, TailNotSummable
@@ -249,3 +251,35 @@ def test_stretch_moves_values_to_multiples():
         elif n >= st.dom_min:
             assert st.value(n) == 0
     assert st.dom_min == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(("count", "symbolic")),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(-2, 1), st.integers(1, 3), st.integers(0, 1)), min_size=1, max_size=6),
+    st.integers(-3, 2),
+    st.integers(0, 3),
+)
+def test_values_match_value_pointwise(tag, period, raw_modes, shift, n_exc):
+    """values(lo, hi), which steps ratio powers, equals value(n) at every n,
+    across residues, exceptional values, t-polynomial modes and a domain
+    that starts at or below zero (negative t)."""
+    if tag == "count":
+        real = count_realization(5)
+        ratio, coeff = (lambda k: Fraction(5) ** k), Fraction
+    else:
+        real = symbolic_realization()
+        V = real.coeffs
+        ratio, coeff = LocRat.L, (lambda c: V.scale(LocRat.from_int(c), V.one))
+    modes = [[] for _ in range(period)]
+    for i, (k, c, deg) in enumerate(raw_modes):
+        modes[i % period].append((ratio(k), (coeff(c),) * (deg + 1)))
+    exc = {n: coeff(n + 7) for n in range(1, 1 + n_exc)}
+    seq = EGSeq(real, period, modes, exc, dom_min=1).shift(shift)
+    lo, hi = seq.dom_min, seq.dom_min + 4 * period + 6
+    assert seq.values(lo, hi) == [seq.value(n) for n in range(lo, hi + 1)]
+    assert seq.values(lo + 3, hi) == [seq.value(n) for n in range(lo + 3, hi + 1)]
+    assert seq.values(hi, lo) == []
+    with pytest.raises(ValueError):
+        seq.values(lo - 1, hi)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from motzeta.errors import DenominatorVanishes, NotInvertible
+from motzeta.errors import DenominatorVanishes, NotInvertible, ParseError, UnknownToken
 from motzeta.locring import (
     L,
     ONE,
@@ -162,6 +162,21 @@ def test_render_and_parse_roundtrip():
         assert back == r
     assert parse_locrat("(2 + L) / (1-L^2)") == LocRat(LaurentPoly({0: 2, 1: 1}), (2,))
     assert parse_laurent("-L^-1 + 3*L^2 - 4") == LaurentPoly({-1: -1, 2: 3, 0: -4})
+
+
+def test_parse_errors_report_offsets_into_the_source():
+    # numerators in parentheses or after blanks, and blanks before the
+    # denominator, keep the offsets pointing into the text as given
+    for src, pos in (("2 + $", 4), ("(2 + $) / (1-L)", 5), ("  3*L + ?", 8), ("L^-1 + x", 7)):
+        with pytest.raises(UnknownToken) as ei:
+            parse_locrat(src)
+        assert ei.value.position == pos
+    with pytest.raises(UnknownToken) as ei:
+        parse_laurent("L + #", offset=10)
+    assert ei.value.position == 14
+    with pytest.raises(ParseError) as ei:
+        parse_locrat("1 + L /  (1-L^2)(1-%)")
+    assert ei.value.position == 16 and not isinstance(ei.value, UnknownToken)
 
 
 def test_pow_including_negative():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from motzeta.errors import ParseError, VariableMismatch
+from motzeta.errors import ParseError, UnknownToken, VariableMismatch
 from motzeta.poly import Poly, parse_poly
 
 
@@ -37,6 +37,14 @@ def test_parse_error_positions():
     assert ei.value.position == 2
     with pytest.raises(ParseError):
         parse_poly("(x + 1")
+
+
+def test_unknown_token_reports_its_offset():
+    for src, pos in (("x + y # z", 6), ("2*x^2 + Y", 8), ("  x!", 3)):
+        with pytest.raises(UnknownToken) as ei:
+            parse_poly(src)
+        assert ei.value.position == pos
+        assert "at position %d" % pos in str(ei.value)
 
 
 def test_direct_sum_disjointness():

@@ -1,11 +1,12 @@
 """Series layer: truncations, closed forms, limits, cells, chain transforms."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motzeta.egseq import EGSeq
@@ -14,6 +15,7 @@ from motzeta.errors import (
     FitFailed,
     NotLimitNormal,
     ParseError,
+    SupportViolation,
     TailNotSummable,
     VariableMismatch,
 )
@@ -269,6 +271,54 @@ def test_v_hadamard_matches_constant_extension_route():
     assert joint == hadamard_ext(a_ext, b_ext)
 
 
+def _v_hadamard_oracle(a, b):
+    """Nested loop over entry pairs, matching shared variables by name."""
+    shared = [v for v in a.vars if v in b.vars]
+    vars2 = [v for v in a.vars if v not in shared] + [v for v in b.vars if v not in shared] + shared
+    bound = min(a.bound, b.bound)
+    out = {}
+    for ea, va in a.entries.items():
+        da = dict(zip(a.vars, ea))
+        for eb, vb in b.entries.items():
+            db = dict(zip(b.vars, eb))
+            if all(da[v] == db[v] for v in shared):
+                exp = tuple({**da, **db}[v] for v in vars2)
+                if sum(exp) <= bound:
+                    out[exp] = out.get(exp, 0) + va * vb
+    return TruncSeries(COUNT, vars2, bound, out)
+
+
+@st.composite
+def _v_hadamard_operands(draw):
+    names = draw(st.permutations("TUVWX"))
+    na = draw(st.integers(1, 3))
+    a_vars = names[:na]
+    # b shares none, some or all of a's variables, in a's order
+    share = draw(st.sampled_from(("none", "some", "all")))
+    if share == "some":
+        shared = [v for v in a_vars if draw(st.booleans())]
+    else:
+        shared = list(a_vars) if share == "all" else []
+    b_vars = list(shared)
+    for v in names[na : na + draw(st.integers(0 if shared else 1, 2))]:
+        b_vars.insert(draw(st.integers(0, len(b_vars))), v)
+
+    def series(vars):
+        bound = draw(st.integers(2, 6))
+        exps = st.tuples(*[st.integers(0, 2)] * len(vars))
+        ent = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool).map(Fraction), min_size=1, max_size=12))
+        return TruncSeries(COUNT, vars, bound, ent)
+
+    return series(a_vars), series(b_vars)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_v_hadamard_operands())
+def test_v_hadamard_matches_nested_loop_oracle(ab):
+    a, b = ab
+    assert v_hadamard(a, b) == _v_hadamard_oracle(a, b)
+
+
 def test_v_hadamard_rejects_reordered_shared_block():
     a = TruncSeries(COUNT, ("T", "U"), 4, {(1, 1): Fraction(1)})
     b = TruncSeries(COUNT, ("U", "T"), 4, {(1, 1): Fraction(1)})
@@ -423,6 +473,83 @@ def test_inverse_transform_needs_decay():
     )
     with pytest.raises(TailNotSummable):
         s.phi_inv()
+
+
+def test_chain_transforms_refuse_an_orthant():
+    rng = random.Random(3)
+    slots = (_count_slot(rng), _count_slot(rng))
+    s = SeparableSeries(COUNT, ("T", "U"), ((1, 0), (0, 1)), slots, "orthant")
+    with pytest.raises(SupportViolation, match="chain region"):
+        s.phi()
+    with pytest.raises(SupportViolation, match="chain region"):
+        s.phi_inv()
+
+
+@st.composite
+def _axis_stream(draw, real):
+    """A random axis stream: either zero off one residue (the shape of a
+    lead mu_a stream) or random modes per residue, some of them empty,
+    with optional exceptional values."""
+    if real.tag == "count":
+        ratios = [Fraction(Q) ** -j for j in (1, 2)] + [Fraction(1, 2)]
+        coeff = st.integers(-3, 3).filter(bool).map(Fraction)
+    else:
+        ratios = [LocRat.L(-j) for j in (1, 2)]
+        coeff = st.sampled_from((MU2, MU3, UNIT, UNIT.scale(LocRat.L(-1)), MU2.scale(LocRat.from_int(-2))))
+    dom_min = draw(st.integers(0, 2))
+    period = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        residue = draw(st.integers(0, period - 1))
+        return EGSeq.single_residue(real, period, residue, draw(st.sampled_from(ratios)), draw(coeff), dom_min)
+    mode = st.tuples(st.sampled_from(ratios), st.lists(coeff, min_size=1, max_size=2).map(tuple))
+    modes = [draw(st.lists(mode, min_size=1, max_size=2)) for _ in range(period)]
+    exc = draw(st.dictionaries(st.integers(dom_min, dom_min + 2), coeff, max_size=2))
+    return EGSeq(real, period, modes, exc, dom_min)
+
+
+@st.composite
+def _separable_blocks(draw):
+    real = draw(st.sampled_from((COUNT, SYM)))
+    nvars = draw(st.integers(1, 3))
+    eta = draw(st.integers(1, 3))
+    mask = st.lists(st.integers(0, 1), min_size=nvars, max_size=nvars).filter(any).map(tuple)
+    masks = tuple(draw(mask) for _ in range(eta))
+    slots = []
+    for _ in range(eta):
+        seq = draw(_axis_stream(real))
+        slots.append(Slot(seq, seq) if real.tag == "count" else Slot(seq))
+    region = draw(st.sampled_from(("chain", "orthant")))
+    # the least total degree of a point, plus some room
+    weights = [sum(m) for m in masks]
+    least = sum(wt * (j + 1 if region == "chain" else 1) for j, wt in enumerate(weights))
+    bound = least + draw(st.integers(0, 5 if real.tag == "count" else 3))
+    return SeparableSeries(real, tuple("TUV"[:nvars]), masks, tuple(slots), region), bound
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_separable_blocks())
+@example((SeparableSeries(
+    COUNT, ("T", "U"), ((1, 1), (1, 1)),
+    tuple(Slot(sq, sq) for sq in (EGSeq.single_residue(COUNT, 2, 0, Fraction(1, 7), Fraction(2)),
+                                  EGSeq.constant(COUNT, Fraction(3)))),
+    "chain"), 12))
+def test_separable_expand_matches_brute_force(case):
+    s, bound = case
+    V = s.real.coeffs
+    ent = {}
+    for w in itertools.product(range(1, bound + 1), repeat=len(s.slots)):
+        if s.region == "chain" and any(x >= y for x, y in zip(w, w[1:])):
+            continue
+        if any(wj < slot.seq.dom_min for wj, slot in zip(w, s.slots)):
+            continue
+        exp = tuple(sum(wj * m[i] for wj, m in zip(w, s.masks)) for i in range(len(s.vars)))
+        if sum(exp) > bound:
+            continue
+        val = s.slots[0].seq.value(w[0])
+        for wj, slot in zip(w[1:], s.slots[1:]):
+            val = V.mul(val, slot.seq.value(wj))
+        ent[exp] = V.add(ent[exp], val) if exp in ent else val
+    assert s.expand(bound) == TruncSeries(s.real, s.vars, bound, ent)
 
 
 def test_separable_expand_merges_masked_axes():
