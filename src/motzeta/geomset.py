@@ -23,8 +23,15 @@ all quotients taken here are by free actions).
 Enumeration is a depth-first search over per-coordinate candidate sets with
 partial evaluation of the equations, pruning of contradictions, and dynamic
 detection of coordinates no remaining equation mentions (those contribute a
-multiplicative factor without branching).  Work is metered: every candidate
-tried costs one unit against a budget, default 10^8.
+multiplicative factor without branching).  Before it branches it solves what
+it can (see _count_reduced): it eliminates a coordinate that ranges over F_q
+and occurs only as c x_j, c constant, in just one equation; it counts the
+roots of a binomial c v^k + d in a coordinate found nowhere else in closed
+form; it branches only over the roots of any other one-coordinate equation;
+and it pivots on a coordinate that leaves the chosen equation linear.  Work is
+metered against a budget, default 10^8: one unit is one candidate value
+tried, either a value the pivot takes in a branch or a candidate at which a
+one-coordinate equation is evaluated.
 """
 
 from __future__ import annotations
@@ -237,12 +244,60 @@ def _specialize(eq, i, value, q):
     return const % q, {m: c % q for m, c in new_terms.items() if c % q}
 
 
+def _root_count(k, t, q):
+    """#{v in F_q^* : v^k = t} for t != 0: gcd(k, q - 1) if t is a gcd-th
+    power, else 0."""
+    d = math.gcd(k, q - 1)
+    return d if pow(t, (q - 1) // d, q) == 1 else 0
+
+
+def _solve_alone(eq, uses, candidates, q):
+    """(j, n) when the equation leaves n values of a coordinate j, which no
+    other monomial of the system mentions, for every value of the rest;
+    else None.  uses[j] counts the monomials of the live equations that
+    mention j."""
+    const, terms = eq
+    if len(terms) == 1:
+        ((mono, c),) = terms.items()
+        if len(mono) == 1 and uses[mono[0][0]] == 1:
+            j, k = mono[0]
+            if const:  # c v^k + d with d != 0: v^k = -d/c
+                return j, _root_count(k, -const * pow(c, q - 2, q) % q, q)
+            return j, int(len(candidates[j]) == q)  # c v^k = 0: v = 0
+    for mono in terms:
+        j, x = mono[0]
+        if len(mono) == 1 and x == 1 and uses[j] == 1 and len(candidates[j]) == q:
+            return j, 1  # c x_j + rest = 0 has one root x_j over F_q
+    return None
+
+
 def _count_reduced(eqs, unassigned, candidates, q, meter):
     """DFS point count.
 
     eqs: compiled equations, already specialized in assigned coordinates.
     unassigned: list of coordinate indices still free, in preference order.
     candidates: per coordinate index, the list of values in F_q.
+
+    Before it branches, the search applies three rules:
+
+    1. Elimination: an equation in which a coordinate x_j occurs only as the
+       monomial c x_j, when no other equation mentions x_j and x_j ranges
+       over all of F_q, fixes x_j for every value of the rest.  The
+       equation and x_j are dropped with factor 1.
+    2. Univariate roots: an equation c v^k + d in a coordinate v that no
+       other equation mentions is dropped with its root count: gcd(k, q - 1)
+       if -d/c is a gcd-th power and d != 0, else 0; and 1 (v = 0) or 0 if
+       d = 0.  When the equation with the fewest coordinates is some other
+       univariate equation, the search branches only over its roots among
+       the candidates: the one root of a linear equation, else the
+       candidates at which the equation alone evaluates to zero.
+    3. Pivot choice: otherwise the pivot is a coordinate of that equation
+       that does not occur in it only as c x_j, so the equation ends linear
+       and rule 2 solves it.
+
+    One meter unit is one candidate value tried: a value the pivot takes in
+    a branch, or a candidate at which a univariate equation is evaluated.
+    Dropped equations and coordinates no equation mentions cost nothing.
     """
     live = []
     for const, terms in eqs:
@@ -251,34 +306,70 @@ def _count_reduced(eqs, unassigned, candidates, q, meter):
                 return 0
         else:
             live.append((const, terms))
-    if not live:
-        total = 1
-        for i in unassigned:
-            total *= len(candidates[i])
-        return total
-    occurring = set()
+    uses = {}
     for _, terms in live:
         for mono in terms:
             for j, _x in mono:
-                occurring.add(j)
+                uses[j] = uses.get(j, 0) + 1
     multiplier = 1
+    solved = set()
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for eq in live:
+            hit = _solve_alone(eq, uses, candidates, q)
+            if hit is None:
+                kept.append(eq)
+                continue
+            j, n = hit
+            if not n:
+                return 0
+            multiplier *= n
+            solved.add(j)
+            for mono in eq[1]:
+                for i, _x in mono:
+                    uses[i] -= 1
+            changed = True
+        live = kept
     branching = []
     for i in unassigned:
-        if i in occurring:
+        if uses.get(i):
             branching.append(i)
-        else:
+        elif i not in solved:
             multiplier *= len(candidates[i])
-    # Pivot: a variable from an equation with the fewest distinct variables,
-    # so triangular systems resolve level by level.
-    best_eq = min(
-        live, key=lambda e: len({j for mono in e[1] for j, _ in mono})
-    )
-    eq_vars = {j for mono in best_eq[1] for j, _ in mono}
-    pivot = next(i for i in branching if i in eq_vars)
+    if not live:
+        return multiplier
+    # The equation with the fewest distinct coordinates, so triangular
+    # systems resolve level by level.
+    const, terms = min(live, key=lambda e: len({j for mono in e[1] for j, _ in mono}))
+    eq_vars = {j for mono in terms for j, _ in mono}
+    if len(eq_vars) == 1:
+        (pivot,) = eq_vars
+        c = terms.get(((pivot, 1),))
+        if len(terms) == 1 and c is not None:
+            meter.spend()
+            root = -const * pow(c, q - 2, q) % q
+            values = [root] if root or len(candidates[pivot]) == q else []
+        else:
+            meter.spend(len(candidates[pivot]))
+            powers = [(c, mono[0][1]) for mono, c in terms.items()]
+            values = [
+                v for v in candidates[pivot]
+                if (const + sum(c * pow(v, k, q) for c, k in powers)) % q == 0
+            ]
+    else:
+        alone = {mono[0][0] for mono in terms if len(mono) == 1 and mono[0][1] == 1}
+        for mono in terms:
+            if len(mono) > 1 or mono[0][1] > 1:
+                alone.difference_update(j for j, _x in mono)
+        in_eq = [i for i in branching if i in eq_vars]
+        pivot = next((i for i in in_eq if i not in alone), in_eq[0])
+        values = candidates[pivot]
+        meter.spend(len(values))
     rest = [i for i in branching if i != pivot]
     total = 0
-    for value in candidates[pivot]:
-        meter.spend()
+    for value in values:
         next_eqs = [_specialize(eq, pivot, value, q) for eq in live]
         total += _count_reduced(next_eqs, rest, candidates, q, meter)
     return multiplier * total

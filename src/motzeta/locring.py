@@ -540,13 +540,14 @@ def parse_laurent(src, offset=0):
     return total
 
 
-def parse_locrat(src):
-    """Parse 'P(L) / (1-L^a)(1-L^b)...' (the render format)."""
+def parse_locrat(src, offset=0):
+    """Parse 'P(L) / (1-L^a)(1-L^b)...' (the render format).  Error
+    positions are offsets into src plus offset."""
     if "/" in src:
         num_src, den_src = src.split("/", 1)
     else:
         num_src, den_src = src, ""
-    num_off = len(num_src) - len(num_src.lstrip())  # offsets index src
+    num_off = offset + len(num_src) - len(num_src.lstrip())
     num_src = num_src.strip()
     if num_src.startswith("(") and num_src.endswith(")"):
         num_src = num_src[1:-1]
@@ -554,7 +555,7 @@ def parse_locrat(src):
     num = parse_laurent(num_src, num_off)
     den = []
     rest = den_src
-    base = len(src) - len(den_src)
+    base = offset + len(src) - len(den_src)
     i = 0
     while i < len(rest):
         if rest[i].isspace():

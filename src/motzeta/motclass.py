@@ -377,6 +377,7 @@ class Binding:
         self.q = q
         self.meter = WorkMeter(budget)
         self._atom_cache = {}
+        self._fermat_cache = {}
 
     def geomset_for(self, atom):
         gs = self.table.get(atom.name)
@@ -399,6 +400,16 @@ class Binding:
                 gs, self.q, s % n, meter=self.meter
             )
         return self._atom_cache[key]
+
+    def fermat_twisted(self, kind, N, e_u, e_v):
+        """Twisted count of the Fermat pair F_kind^N; it depends on each
+        twist only mod N."""
+        key = (kind, N, e_u % N, e_v % N)
+        if key not in self._fermat_cache:
+            self._fermat_cache[key] = fermat_twisted_count(
+                kind, N, self.q, e_u, e_v, meter=self.meter
+            )
+        return self._fermat_cache[key]
 
 
 def _factor_value(binding, f, s):
@@ -430,7 +441,6 @@ def _operand_value(binding, factors, s):
 
 def _conv_value(binding, node, s, N):
     """Burnside realization of a convolution node at group exponent s."""
-    q = binding.q
     total = Fraction(0)
     for alpha in range(N):
         va = _operand_value(binding, node.left, alpha)
@@ -440,9 +450,7 @@ def _conv_value(binding, node, s, N):
             vb = _operand_value(binding, node.right, beta)
             if vb == 0:
                 continue
-            fcount = fermat_twisted_count(
-                node.kind, N, q, alpha - s, beta - s, meter=binding.meter
-            )
+            fcount = binding.fermat_twisted(node.kind, N, alpha - s, beta - s)
             total += Fraction(fcount) * va * vb
     return total / (N * N)
 

@@ -1283,12 +1283,12 @@ def parse_class(text, atoms=None, base="pt"):
     over the class base.  Round-trips with SymbolicClass.render given the
     table the serializer writes alongside.
     """
-    src = text.strip()
-    if src == "0":
+    src = text.rstrip()  # error positions index text
+    i = len(src) - len(src.lstrip())
+    if src[i:] == "0":
         return SymbolicClass.zero(base)
     reg = _norm_atom_table(atoms)
     terms = []
-    i = 0
     n = len(src)
     while True:
         if i >= n or src[i] != "[":
@@ -1297,7 +1297,7 @@ def parse_class(text, atoms=None, base="pt"):
             j = src.index("]", i + 1)
         except ValueError:
             raise ParseError("unterminated coefficient", position=i)
-        coeff = parse_locrat(src[i + 1 : j])
+        coeff = parse_locrat(src[i + 1 : j], i + 1)
         if j + 1 >= n or src[j + 1] != "*":
             raise ParseError("expected '*' after the coefficient", position=j + 1)
         k = j + 2

@@ -1,13 +1,18 @@
 """Point counting: twisted counts, quotients, Fermat pairs, the DFS engine."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motzeta.errors import BudgetExceeded, MotzetaError
 from motzeta.geomset import (
     GeomSet,
     WorkMeter,
+    _count_reduced,
     enumerate_points,
     fermat_pair,
     fermat_twisted_count,
@@ -17,6 +22,7 @@ from motzeta.geomset import (
     twisted_count,
 )
 from motzeta.poly import Poly, parse_poly
+from motzeta.zeta import jet_set
 
 
 def test_torus_count():
@@ -72,9 +78,92 @@ def test_dynamic_free_detection():
 
 
 def test_budget_exceeded():
-    gs = GeomSet(tuple("abcdefgh"), (parse_poly("a + b + c + d + e + f + g + h"),))
+    # No coordinate is linear or alone, so the search has to branch.
+    gs = GeomSet(
+        tuple("abcdefgh"), (parse_poly("a^2 + b^2 + c^2 + d^2 + e^2 + f^2 + g^2 + h^2"),)
+    )
     with pytest.raises(BudgetExceeded):
         twisted_count(gs, 13, budget=1000)
+
+
+def test_linear_hyperplane_is_eliminated():
+    gs = GeomSet(tuple("abcdefgh"), (parse_poly("a + b + c + d + e + f + g + h"),))
+    meter = WorkMeter()
+    assert twisted_count(gs, 13, meter=meter) == 13**7
+    assert meter.spent == 0
+
+
+def test_solving_pins_the_work():
+    meter = WorkMeter()
+    assert twisted_count(jet_set(parse_poly("x^2+y^2"), 6), 5, meter=meter) == 5 * 4 * 5**6
+    assert meter.spent <= 100
+    for e in range(30):
+        meter = WorkMeter()
+        fermat_twisted_count(1, 30, 31, e, e, meter=meter)
+        assert meter.spent <= 31
+
+
+@st.composite
+def _compiled_systems(draw):
+    """Compiled equations over F_q in up to four coordinates: general
+    monomials, linear terms c x_j and binomials c v^k + d, with constants and
+    random nonzero constraints."""
+    q = draw(st.sampled_from((3, 5, 7)))
+    d = draw(st.integers(1, 4))
+    coord = st.integers(0, d - 1)
+    coeff = st.integers(1, q - 1)
+
+    def monomial():
+        idx = draw(st.lists(coord, min_size=1, max_size=2, unique=True))
+        return tuple(sorted((i, draw(st.integers(1, 3))) for i in idx))
+
+    eqs = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(("general", "linear", "binomial")))
+        if shape == "binomial":
+            terms = {((draw(coord), draw(st.integers(1, 4))),): draw(coeff)}
+        else:
+            terms = {monomial(): draw(coeff) for _ in range(draw(st.integers(0, 2)))}
+            if shape == "linear" or not terms:
+                terms[((draw(coord), 1),)] = draw(coeff)
+        eqs.append((draw(st.integers(0, q - 1)), terms))
+    nonzero = draw(st.sets(coord))
+    return q, d, eqs, nonzero
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_compiled_systems())
+def test_dfs_rules_match_brute_force(system):
+    q, d, eqs, nonzero = system
+    candidates = [list(range(1 if i in nonzero else 0, q)) for i in range(d)]
+    brute = sum(
+        all(
+            (const + sum(c * math.prod(pt[i] ** x for i, x in mono) for mono, c in terms.items()))
+            % q == 0
+            for const, terms in eqs
+        )
+        for pt in itertools.product(*candidates)
+    )
+    assert _count_reduced(eqs, list(range(d)), candidates, q, WorkMeter()) == brute
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((("x^2+%d*x^3", 2), ("x^3+%d*x^4", 3))),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from((5, 7)),
+)
+def test_jet_loci_match_closed_forms(germ, c, k, q):
+    # the benchmark's jet loci: mu_a x A^(n - n/a), with mu_n transitive on
+    # the mu_a factor; every twisted form of affine space has q^dim points
+    f, a = germ
+    n = a * k
+    gs = jet_set(parse_poly(f % c), n)
+    if n % q:
+        assert quotient_count(gs, q) == q ** (n - k)
+    # over F_q itself: leading coefficient u with u^a = 1
+    assert twisted_count(gs, q) == math.gcd(a, q - 1) * q ** (n - k)
 
 
 def test_fermat_twisted_counts_match_direct():

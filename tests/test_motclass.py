@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from motzeta import motclass
 from motzeta.errors import UnboundAtom
-from motzeta.geomset import GeomSet, mu_n, point, torus
+from motzeta.geomset import GeomSet, fermat_twisted_count, mu_n, point, torus
 from motzeta.locring import L, L_MINUS_1, LocRat, ONE
 from motzeta.motclass import (
     Atom,
@@ -222,6 +223,21 @@ def test_twist_component_realization():
         == bind_and_count(aug_a, binding, s=1)
         == 1
     )
+
+
+def test_nested_conv_counts_each_fermat_pair_once(monkeypatch):
+    # a Fermat count depends on each twist only mod N, so one Binding
+    # makes it once per (kind, N, e_u mod N, e_v mod N)
+    keys = []
+
+    def counted(kind, N, q, e_u, e_v, meter=None):
+        keys.append((kind, N, e_u % N, e_v % N))
+        return fermat_twisted_count(kind, N, q, e_u, e_v, meter=meter)
+
+    monkeypatch.setattr(motclass, "fermat_twisted_count", counted)
+    c = conv(atom("mu2", 2) - UNIT, conv(atom("mu3", 3) - UNIT, atom("mu2", 2) - UNIT))
+    assert bind_and_count(c, {"mu2": mu_n(2), "mu3": mu_n(3)}, 13) == 26
+    assert keys and len(keys) == len(set(keys))
 
 
 def _fermat_diff(a, b, q):

@@ -17,6 +17,7 @@ from motzeta.errors import (
     ParseError,
     SupportViolation,
     TailNotSummable,
+    UnknownToken,
     VariableMismatch,
 )
 from motzeta.locring import LocRat, ONE
@@ -725,6 +726,19 @@ def test_parse_class_errors():
         parse_class("[1]*((mu2)")
     with pytest.raises(ParseError):
         parse_class("[1]*mu2 Y mu3")
+
+
+def test_parse_class_coefficient_errors_report_offsets_into_the_text():
+    # a coefficient's error position counts from the class text, not from
+    # its bracket, in any term and after leading blanks
+    for text, pos, kind in (
+        ("[1 + $]*mu2", 5, UnknownToken),
+        ("  [1 + $]*mu2", 7, UnknownToken),
+        ("[1]*mu2 + [2 + L/ (1-Z)]*mu3", 18, ParseError),
+    ):
+        with pytest.raises(kind) as ei:
+            parse_class(text)
+        assert ei.value.position == pos
 
 
 def test_trunc_serialization_roundtrip_symbolic():
