@@ -27,7 +27,7 @@ weight j on the t^j jet coefficient.  This module provides
     each coefficient by the two leading orders;
   * evaluators for user-supplied resolution data (dl_eval, cone sums,
     cone_euler, validate_cone) and nearby_cycles as minus the limit of a
-    diagonal substitution.
+    diagonal substitution, or of a form P(T)/B(T) fitted to counts.
 
 Counting here is exact integer arithmetic throughout; normalized series
 coefficients are Fractions (count realization) or classes with localized
@@ -62,7 +62,15 @@ from .geomset import (
 from .locring import L_MINUS_1, LocRat
 from .motclass import Atom, SymbolicClass
 from .poly import Poly, parse_poly
-from .series import ClosedSeries, Slot, SeparableSeries, Strand, TruncSeries, lim_infty
+from .series import (
+    ClosedSeries,
+    RationalSeries,
+    Slot,
+    SeparableSeries,
+    Strand,
+    TruncSeries,
+    lim_infty,
+)
 from .egseq import EGSeq
 
 # Enumeration guards: candidates for one direct count; rows for one
@@ -145,10 +153,11 @@ def jet_set(f, n, exact=True, action_order=None, base="origin"):
 
 
 def jet_count(f, n, q, s=0, budget=None):
-    """Twisted point count of the exact-hit jet locus; the honest oracle.
+    """Twisted point count (twist s) of the exact-hit jet locus.
 
-    Enumerates the GeomSet presentation coordinatewise (cost up to q^{dn}
-    candidates), so it is only for desk-scale cross-checks.
+    Runs the F_q DFS of twisted_count on the GeomSet presentation, which
+    solves what it can before it branches; budget caps the candidates it
+    tries.  It shares nothing with the jet sweep, so it serves as an oracle.
     """
     f = _as_poly(f)
     gs = jet_set(f, n)
@@ -806,6 +815,8 @@ def _default_vars(r):
 def zeta_trunc(f, D, real, var="T", mode="auto", base="origin", budget=None):
     """Truncated zeta series: coefficient at n is the exact-hit class of
     level-n jets normalized by L^{-nd}, through degree D."""
+    if base not in ("origin", "global"):
+        raise MotzetaError("zeta base must be 'origin' or 'global', not %r" % (base,))
     f = _as_poly(f)
     d = len(f.vars)
     ent = {}
@@ -1495,13 +1506,15 @@ def diagonal_closed(s, var="T"):
 
 
 def nearby_cycles(s, var="T"):
-    """Minus the limit of the diagonal substitution; closed input only."""
-    if not isinstance(s, ClosedSeries):
+    """Minus the limit at infinity: of the diagonal substitution of a closed
+    series, or of a fitted form P(T)/B(T) as it stands."""
+    if isinstance(s, ClosedSeries):
+        s = diagonal_closed(s, var)
+    elif not isinstance(s, RationalSeries):
         raise NotLimitNormal(
             "nearby cycles need a closed series; fit a closed form first"
         )
-    val = lim_infty(diagonal_closed(s, var))
-    return s.real.coeffs.neg(val)
+    return s.real.coeffs.neg(lim_infty(s))
 
 
 # ---------------------------------------------------------------------------
