@@ -6,8 +6,8 @@ ClosedSeries is a finite sum of strands, each a coefficient times a
 monomial times a product of open geometric factors
 L^m X^n / (1 - L^m X^n).  Expansion converts closed to truncated exactly;
 strand_fit finds the minimal recurrence of each residue of a counted stream
-(Berlekamp-Massey) and closed_from_fit reads it as P(T)/B(T): B is the q-power
-denominator the fit fixes and P, the stream times B, ends at a known degree.
+(Berlekamp-Massey) and closed_from_fit reads the closed form off one exact
+solve for its numerator over the q-power denominator the fit fixes.
 
 On top of the two shapes sit the operations the zeta machinery needs:
 Hadamard products (coefficientwise, external or convolution flavored, and
@@ -739,12 +739,10 @@ def classify(s):
 def lim_infty(a):
     """Value at infinity of a closed form along every variable at once.
 
-    Defined on fitted forms P/B of degree <= 0 and on sums of monomial-free
-    unrestricted strands, where each open factor contributes -1; linear; a
-    strand with a leftover monomial or a lattice restriction has no limit.
+    Defined on sums of monomial-free unrestricted strands, where each
+    open factor contributes -1; linear; a strand with a leftover monomial
+    or a lattice restriction has no limit in this calculus.
     """
-    if isinstance(a, RationalSeries):
-        return a.lim_infty()
     if not isinstance(a, ClosedSeries):
         raise NotLimitNormal("the limit functional is defined on closed forms")
     V = a.real.coeffs
@@ -887,67 +885,43 @@ def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
     return fitted
 
 
-def _denominator(q, factors):
-    """Coefficients of B = prod (1 - q^mu T^Q)^k, lowest first."""
-    out = [Fraction(1)] + [Fraction(0)] * sum(Q * k for _, Q, k in factors)
-    for mu, Q, k in factors:
-        for _ in range(k):
-            for i in range(len(out) - 1, Q - 1, -1):
-                out[i] -= Fraction(q) ** mu * out[i - Q]
+def _pmul(a, b):
+    """Product of polynomials given lowest coefficient first."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
-class RationalSeries:
-    """One-variable counted series P(T)/B(T), as read off a fitted stream:
-    num holds P lowest coefficient first, factors the (mu, Q, k) of
-    B = prod (1 - q^mu T^Q)^k and den its coefficients, lowest first.
-    P/B need not be reduced."""
+def _pquo(a, b):
+    """Exact quotient a / b (b[0] == 1), or None when b does not divide a.
 
-    __slots__ = ("real", "vars", "num", "factors", "den")
-
-    def __init__(self, real, var, num, factors):
-        num = list(num)
-        while num and not num[-1]:
-            num.pop()
-        self.real = real
-        self.vars = (var,)
-        self.num = tuple(num)
-        self.factors = tuple(sorted(factors))
-        self.den = _denominator(real.q, self.factors)
-
-    def expand(self, bound):
-        """Coefficients through T^bound by the recurrence B * A = P."""
-        steps = [(j, c) for j, c in enumerate(self.den) if j and c]
-        a = list(self.num[: bound + 1]) + [Fraction(0)] * (bound + 1 - len(self.num))
-        for n in range(bound + 1):
-            a[n] -= sum(c * a[n - j] for j, c in steps if j <= n)
-        return TruncSeries(self.real, self.vars, bound, {(n,): c for n, c in enumerate(a)})
-
-    def lim_infty(self):
-        """P_d / B_d at d = deg B, or 0 when deg P < deg B."""
-        d = len(self.den) - 1
-        if len(self.num) - 1 > d:
-            raise NotLimitNormal("numerator degree exceeds the denominator's: %r" % (self,))
-        return self.num[d] / self.den[d] if len(self.num) - 1 == d else Fraction(0)
-
-    def classify(self):
-        """int / ssr / sr by the largest pole exponent mu."""
-        top = max((mu for mu, _, _ in self.factors), default=-1)
-        return "sr" if top > 0 else "ssr" if top == 0 else "int"
-
-    def __repr__(self):
-        return "RationalSeries(num=%s, factors=%s)" % ([str(c) for c in self.num], list(self.factors))
+    The power series a / b is a polynomial of degree len(a) - len(b) iff its
+    next len(b) - 1 coefficients vanish.
+    """
+    terms = [(j, c) for j, c in enumerate(b) if j and c]
+    quo = []
+    for i, x in enumerate(a):
+        quo.append(x - sum(c * quo[i - j] for j, c in terms if j <= i))
+    deg = len(a) - len(b) + 1
+    return quo[:deg] if deg > 0 and not any(quo[deg:]) else None
 
 
 def closed_from_fit(seq, var="T"):
-    """Read the rational form P(T)/B(T) off a fitted counted stream.
+    """Recover a validated closed form from a fitted counted stream.
 
     Every mode ratio must be a power q^mu.  With k_mu its largest
-    multiplicity (t-degree + 1) over the residues and Q the period, B =
-    prod (1 - q^mu T^Q)^{k_mu} annihilates the stable part of each residue,
-    so P = (sum a_n T^n) * B ends below degree deg B + stable_start and is
-    read there.  The expansion of P/B is checked against the stream well
-    past its stable threshold.
+    multiplicity (t-degree + 1) over the residues and Q the period, the
+    stream is P(T)/B(T) with B = prod (1 - q^mu T^Q)^{k_mu}.  The open
+    factors L^m T^N/(1 - L^m T^N) are fixed by the data: N | Q and
+    m = mu N/Q.  The candidate strands are each such factor and each pair
+    whose denominator divides B exactly; each candidate's numerator
+    B * prod x/(1-x) is an exact polynomial of degree <= deg B, and one
+    exact solve matches them against (sum a_n T^n) * B truncated at deg B.
+    The reconstruction is validated against the stream well past its stable
+    threshold; FitFailed lists the candidate strands it solved over.
     """
     real = seq.real
     if real.tag != "count":
@@ -963,18 +937,47 @@ def closed_from_fit(seq, var="T"):
             if mu is None:
                 raise FitFailed("mode ratio %s is not a power of q=%d" % (ratio, q))
             mult[mu] = max(mult.get(mu, 0), len(coeffs))
-    factors = [(mu, Q, k) for mu, k in mult.items()]
-    B = _denominator(q, factors)
-    top = len(B) - 1 + seq.stable_start
+
+    def denom(factors):
+        out = [Fraction(1)]
+        for m, N in factors:
+            out = _pmul(out, [Fraction(1)] + [Fraction(0)] * (N - 1) + [-Fraction(q) ** m])
+        return out
+
+    B = denom([(mu, Q) for mu, k in mult.items() for _ in range(k)])
+    steps = [N for N in range(1, Q + 1) if Q % N == 0]
+    factors = sorted({(mu * N // Q, N) for mu in mult for N in steps if mu * N % Q == 0})
+    shapes = [(f,) for f in factors]
+    shapes += [(f1, f2) for i, f1 in enumerate(factors) for f2 in factors[i:]]
+    cands = []
+    for shape in shapes:
+        quo = _pquo(B, denom(shape))
+        if quo is not None:
+            scale = Fraction(q) ** sum(m for m, _ in shape)
+            cands.append((shape, [Fraction(0)] * sum(N for _, N in shape) + [scale * c for c in quo]))
+    tried = "; ".join("x".join("(%d, %d)" % f for f in shape) for shape, _ in cands)
+
     hi = max(8 * Q, seq.stable_start + 4 * Q, 16)
-    values = [Fraction(0)] + seq.values(1, max(hi, top))  # values[n] is a_n
-    num = [sum(B[j] * values[n - j] for j in range(min(n + 1, len(B)))) for n in range(top)]
-    form = RationalSeries(real, var, num, factors)
-    table = form.expand(hi)
+    values = seq.values(1, max(hi, len(B) - 1))  # values[n - 1] is a_n
+    target = _pmul([Fraction(0)] + values[: len(B) - 1], B)[: len(B)]
+    sol = _solve_exact([[num[j] for _, num in cands] for j in range(len(B))], target)
+    if sol is None:
+        raise FitFailed(
+            "stream numerator is not a combination of the candidate strands (m, N): %s" % tried
+        )
+    closed = ClosedSeries(
+        real,
+        (var,),
+        [Strand(c, (0,), [(m, (N,)) for m, N in shape]) for c, (shape, _) in zip(sol, cands) if c],
+    )
+    table = closed.expand(hi)
     for n in range(1, hi + 1):
-        if table.coeff((n,)) != values[n]:
-            raise FitFailed("the rational form %r disagrees with the stream at n=%d" % (form, n))
-    return form
+        if table.coeff((n,)) != values[n - 1]:
+            raise FitFailed(
+                "reconstruction over the candidate strands (m, N) %s disagrees "
+                "with the stream at n=%d" % (tried, n)
+            )
+    return closed
 
 
 def _solve_exact(rows, rhs):
@@ -1361,8 +1364,6 @@ def _collect_atoms(values):
 
 
 def series_to_dict(s):
-    if isinstance(s, RationalSeries):
-        raise TypeError("fitted rational forms are not serialized; expand them first")
     d = {
         "vars": list(s.vars),
         "realization": _real_to_dict(s.real),

@@ -27,7 +27,7 @@ weight j on the t^j jet coefficient.  This module provides
     each coefficient by the two leading orders;
   * evaluators for user-supplied resolution data (dl_eval, cone sums,
     cone_euler, validate_cone) and nearby_cycles as minus the limit of a
-    diagonal substitution, or of a form P(T)/B(T) fitted to counts.
+    diagonal substitution.
 
 Counting here is exact integer arithmetic throughout; normalized series
 coefficients are Fractions (count realization) or classes with localized
@@ -62,15 +62,7 @@ from .geomset import (
 from .locring import L_MINUS_1, LocRat
 from .motclass import Atom, SymbolicClass
 from .poly import Poly, parse_poly
-from .series import (
-    ClosedSeries,
-    RationalSeries,
-    Slot,
-    SeparableSeries,
-    Strand,
-    TruncSeries,
-    lim_infty,
-)
+from .series import ClosedSeries, Slot, SeparableSeries, Strand, TruncSeries, lim_infty
 from .egseq import EGSeq
 
 # Enumeration guards: candidates for one direct count; rows for one
@@ -1506,15 +1498,13 @@ def diagonal_closed(s, var="T"):
 
 
 def nearby_cycles(s, var="T"):
-    """Minus the limit at infinity: of the diagonal substitution of a closed
-    series, or of a fitted form P(T)/B(T) as it stands."""
-    if isinstance(s, ClosedSeries):
-        s = diagonal_closed(s, var)
-    elif not isinstance(s, RationalSeries):
+    """Minus the limit of the diagonal substitution; closed input only."""
+    if not isinstance(s, ClosedSeries):
         raise NotLimitNormal(
             "nearby cycles need a closed series; fit a closed form first"
         )
-    return s.real.coeffs.neg(lim_infty(s))
+    val = lim_infty(diagonal_closed(s, var))
+    return s.real.coeffs.neg(val)
 
 
 # ---------------------------------------------------------------------------

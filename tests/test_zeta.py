@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from motzeta.egseq import EGSeq
 from motzeta.errors import (
@@ -652,14 +654,9 @@ def test_diagonal_collapses_variables():
             assert expanded.coeff((k,)) == v
 
 
-# Depth at which the pullback stream of (x^a, y^b) fits at every prime
-# q <= 31 with lcm(a, b) | q - 1, on the rung ladder 8, 16, 24, ...  No
-# such prime exists for (4, 5).
-FIT_DEPTH = {
-    (2, 2): 16, (2, 3): 32, (2, 4): 24, (2, 5): 56, (3, 3): 16,
-    (3, 4): 64, (3, 5): 80, (4, 4): 24, (5, 5): 32,
-}
-PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# Depth at which the pullback stream of (x^a, y^b) first fits, on the rung
+# ladder 8, 16, 24, ...; the rung below it is refused.
+FIT_DEPTH = {(2, 2): 16, (2, 3): 32, (3, 3): 16, (2, 4): 24}
 
 
 def _fit_pullback(s, D, period):
@@ -667,45 +664,50 @@ def _fit_pullback(s, D, period):
     return closed_from_fit(strand_fit(s.real, samples, period=period))
 
 
-def _first_rung(a, b, q):
-    """Whether FIT_DEPTH is the first rung that fits: the rung below is
-    refused for (2, 3), (3, 3), (2, 4), and (2, 2) at q = 1 mod 4."""
-    return (a, b) in ((2, 3), (3, 3), (2, 4)) or ((a, b) == (2, 2) and q % 4 == 1)
+@st.composite
+def _thom_sebastiani_cases(draw):
+    a, b = draw(st.sampled_from(sorted(FIT_DEPTH)))
+    # mu_a and mu_b need a, b | q - 1; (2, 2) takes q = 1 mod 4
+    need = 4 if (a, b) == (2, 2) else math.lcm(a, b)
+    primes = [p for p in (5, 7, 11, 13, 17, 19, 23, 29, 31) if (p - 1) % need == 0]
+    return a, b, draw(st.sampled_from(primes)), draw(st.booleans())
 
 
-def test_thom_sebastiani_from_counts():
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_thom_sebastiani_cases())
+@example((2, 2, 5, False))
+@example((2, 3, 7, False))
+def test_thom_sebastiani_from_counts(case):
     # count -> fit -> closed form -> nearby cycles, against the Burnside sum:
-    # 1 - psi_{x^a + y^b} = [conv(mu_a - 1, mu_b - 1)], in either order
+    # 1 - psi_{x^a + y^b} = [conv(mu_a - 1, mu_b - 1)]
+    a, b, q, swap = case
+    D = FIT_DEPTH[(a, b)]
+    if swap:
+        a, b = b, a
+    s = sum_zeta_pullback(parse_poly("x^%d" % a), parse_poly("y^%d" % b), D, count_realization(q))
+    with pytest.raises(FitFailed):
+        _fit_pullback(s, D - 8, math.lcm(a, b))
+    psi = nearby_cycles(_fit_pullback(s, D, math.lcm(a, b)))
     one = SymbolicClass.unit()
-    for (a, b), D in sorted(FIT_DEPTH.items()):
-        period = math.lcm(a, b)
-        mu_a = SymbolicClass.from_atom(Atom("mu%d" % a, a))
-        mu_b = SymbolicClass.from_atom(Atom("mu%d" % b, b))
-        table = standard_atom_sets(("mu%d" % a, "mu%d" % b))
-        for q in (p for p in PRIMES if (p - 1) % period == 0):
-            want = bind_and_count(conv(mu_a - one, mu_b - one), table, q)
-            for f, g in {(a, b), (b, a)}:
-                s = sum_zeta_pullback(parse_poly("x^%d" % f), parse_poly("y^%d" % g), D, count_realization(q))
-                if _first_rung(a, b, q):
-                    with pytest.raises(FitFailed):
-                        _fit_pullback(s, D - 8, period)
-                assert 1 - nearby_cycles(_fit_pullback(s, D, period)) == want, (f, g, q)
+    mu_a = SymbolicClass.from_atom(Atom("mu%d" % a, a))
+    mu_b = SymbolicClass.from_atom(Atom("mu%d" % b, b))
+    table = standard_atom_sets(("mu%d" % a, "mu%d" % b))
+    assert 1 - psi == bind_and_count(conv(mu_a - one, mu_b - one), table, q)
 
 
 def test_pullback_2_5_extrapolates_past_its_samples():
     # (x^2, y^5) at q=11: one recurrence of order 2 per residue mod 10 with
-    # roots q^-10 and q^-7, found from D=64; the expansion of its form
-    # P(T)/B(T) matches the counts to D=128, and psi = -3.
+    # roots q^-10 and q^-7, found from D=64; its values match the counts to
+    # D=128.  The closed form is outside the one/two-factor strands.
     q = 11
     s = sum_zeta_pullback(X2, parse_poly("y^5"), 128, count_realization(q))
     seq = strand_fit(s.real, {n: s.coeff((n,)) for n in range(1, 65)}, period=10)
     for modes in seq.modes:
         assert sorted(ratio for ratio, _ in modes) == [Fraction(1, q**10), Fraction(1, q**7)]
-    form = closed_from_fit(seq)
-    table = form.expand(128)
-    for n in range(1, 129):
-        assert table.coeff((n,)) == s.coeff((n,))
-    assert nearby_cycles(form) == -3
+    for n in range(65, 129):
+        assert seq.value(n) == s.coeff((n,))
+    with pytest.raises(FitFailed, match="candidate strands"):
+        closed_from_fit(seq)
 
 
 # ---------------------------------------------------------------------------
