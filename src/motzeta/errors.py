@@ -41,10 +41,6 @@ class FitFailed(MotzetaError):
     """No exponential-polynomial closed form matches the given terms."""
 
 
-class SupportViolation(MotzetaError):
-    """A coefficient lies outside the series' declared support."""
-
-
 class ConeNotDecomposed(MotzetaError):
     """A cone evaluation was requested without a unimodular decomposition."""
 

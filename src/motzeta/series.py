@@ -34,7 +34,6 @@ from .errors import (
     FitFailed,
     NotLimitNormal,
     ParseError,
-    SupportViolation,
     VariableMismatch,
 )
 from .locring import L_MINUS_1, LocRat, parse_locrat
@@ -1034,23 +1033,21 @@ class Slot:
 
 
 class SeparableSeries:
-    """Sum-free separable block: the coefficient at an admissible exponent
-    is the ordered external product of one stream value per axis.
+    """Sum-free separable block over a chain: the coefficient at an
+    admissible exponent is the ordered external product of one stream
+    value per axis.
 
-    region "chain": the axis values are strictly increasing positive
-    integers; region "orthant": independent positive integers.  masks[j]
-    converts axis value w_j into output exponents: the exponent of a point
-    (w_1, .., w_eta) is sum_j w_j * masks[j].
+    The axis values (w_1, .., w_eta) are strictly increasing positive
+    integers.  masks[j] converts axis value w_j into output exponents: the
+    exponent of a point is sum_j w_j * masks[j].
     """
 
-    __slots__ = ("real", "vars", "masks", "slots", "region")
+    __slots__ = ("real", "vars", "masks", "slots")
 
-    def __init__(self, real, vars, masks, slots, region="chain"):
+    def __init__(self, real, vars, masks, slots):
         vars = tuple(vars)
         masks = tuple(tuple(int(x) for x in m) for m in masks)
         slots = tuple(slots)
-        if region not in ("chain", "orthant"):
-            raise ValueError("region must be 'chain' or 'orthant'")
         if not slots or len(masks) != len(slots):
             raise ValueError("need one mask per slot, at least one slot")
         for m in masks:
@@ -1062,11 +1059,10 @@ class SeparableSeries:
         self.vars = vars
         self.masks = masks
         self.slots = slots
-        self.region = region
 
     def value(self, w):
         """Coefficient at the axis point w (admissibility is the caller's
-        concern; reading off the region is meaningful and used)."""
+        concern; reading off the chain is meaningful and used)."""
         if len(w) != len(self.slots):
             raise VariableMismatch("need one value per axis")
         V = self.real.coeffs
@@ -1092,9 +1088,7 @@ class SeparableSeries:
         ent = {}
 
         def future_min(j, w):
-            if self.region == "chain":
-                return sum(weights[i] * (w + (i - j)) for i in range(j + 1, eta))
-            return sum(weights[i] for i in range(j + 1, eta))
+            return sum(weights[i] * (w + (i - j)) for i in range(j + 1, eta))
 
         def rec(j, wprev, exp, val):
             if j == eta:
@@ -1102,7 +1096,7 @@ class SeparableSeries:
                 return
             seq, table = self.slots[j].seq, tables[j]
             lo = max(seq.dom_min, 1)
-            if self.region == "chain" and j > 0:
+            if j > 0:
                 lo = max(lo, wprev + 1)
             w = lo
             while True:
@@ -1121,7 +1115,7 @@ class SeparableSeries:
 
     def scale(self, s):
         slots = (self.slots[0].scale(s),) + self.slots[1:]
-        return SeparableSeries(self.real, self.vars, self.masks, slots, self.region)
+        return SeparableSeries(self.real, self.vars, self.masks, slots)
 
     def phi(self):
         """Forward chain transform, normalizing a strict chain into
@@ -1131,45 +1125,31 @@ class SeparableSeries:
         eta = len(self.slots)
         if eta == 1:
             return self
-        if self.region != "chain":
-            raise SupportViolation("the chain transform needs a chain region")
         first = self.slots[0].scale(_Lm1_pow(self.real, 1 - eta))
         rest = []
         for slot in self.slots[1:]:
             d = slot.aug.shift(-1).sub(slot.aug)
             rest.append(Slot(d, d) if self.real.tag == "count" else Slot(d))
-        return SeparableSeries(self.real, self.vars, self.masks, (first,) + tuple(rest), "chain")
+        return SeparableSeries(self.real, self.vars, self.masks, (first,) + tuple(rest))
 
-    def phi_inv(self, tail_shift=0):
+    def phi_inv(self):
         """Inverse chain transform: the first axis is rescaled by
         (L-1)^(eta-1) and every later axis becomes the open tail sum of
         its action-forgetting companion.  Inverts phi on chains whose
         later-axis companions decay (no ratio-1 part); a non-decaying
-        companion raises TailNotSummable.
-
-        tail_shift moves the tail start: 0 sums the companion over
-        l > w, k over l > w + k in general.  Nonzero shifts exist solely
-        so callers can demonstrate that only shift 0 inverts phi."""
+        companion raises TailNotSummable."""
         eta = len(self.slots)
         if eta == 1:
             return self
-        if self.region != "chain":
-            raise SupportViolation("the chain transform needs a chain region")
         first = self.slots[0].scale(_Lm1_pow(self.real, eta - 1))
         rest = []
         for slot in self.slots[1:]:
             t = slot.aug.tail_sum()
-            if tail_shift:
-                t = t.shift(tail_shift)
             rest.append(Slot(t, t) if self.real.tag == "count" else Slot(t))
-        return SeparableSeries(self.real, self.vars, self.masks, (first,) + tuple(rest), "chain")
+        return SeparableSeries(self.real, self.vars, self.masks, (first,) + tuple(rest))
 
     def __repr__(self):
-        return "SeparableSeries(vars=%s, axes=%d, region=%s)" % (
-            list(self.vars),
-            len(self.slots),
-            self.region,
-        )
+        return "SeparableSeries(vars=%s, axes=%d)" % (list(self.vars), len(self.slots))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ weight j on the t^j jet coefficient.  This module provides
   * jet_set: the locus as a GeomSet (equations + action data), suitable
     for twisted point counts and symbolic invariance checks;
   * independent counting routes, kept separate so the test suite can
-    compare them on overlap: honest enumeration over F_q (the oracle),
-    closed forms for recognized shapes (monomials x^a, sums of distinct
-    linear variables), a prefix-pruned jet sweep for per-axis counts of
-    any other germ (AxisCounts; its cost follows the size of the loci,
-    not of the jet space), and vectorized histograms of packed value
-    digits for the pair joins of a direct sum (JetTable);
+    compare them on overlap (and against the brute-force enumeration in
+    tests/brute.py): closed forms for recognized shapes (monomials x^a,
+    sums of distinct linear variables), a prefix-pruned jet sweep for
+    per-axis counts of any other germ (AxisCounts; its cost follows the
+    size of the loci, not of the jet space), and vectorized histograms of
+    packed value digits for the pair joins of a direct sum (JetTable);
   * generating series: zeta_trunc / zeta_closed for one function,
     multizeta_trunc / multizeta_separable for an ordered family with
     order conditions on the trailing functions, sum_zeta_pullback for a
@@ -65,11 +65,9 @@ from .poly import Poly, parse_poly
 from .series import ClosedSeries, Slot, SeparableSeries, Strand, TruncSeries, lim_infty
 from .egseq import EGSeq
 
-# Enumeration guards: candidates for one direct count; rows for one
-# histogram table, and candidate jets for one step of a jet sweep.
-# Overridable per call; the defaults keep q=13 level-6 tables (4.8M rows)
-# legal and q^10-style enumerations illegal.
-DIRECT_BUDGET = 2_000_000
+# Enumeration guard: rows for one histogram table, and candidate jets for
+# one step of a jet sweep.  Overridable per call; the default keeps q=13
+# level-6 tables (4.8M rows) legal and q^10-style enumerations illegal.
 HIST_BUDGET = 6_000_000
 
 _CHUNK = 1 << 19
@@ -79,6 +77,14 @@ def _as_poly(f):
     if isinstance(f, Poly):
         return f
     return parse_poly(f)
+
+
+def _choice(param, value, allowed):
+    """Refuse an argument outside its accepted values, naming both."""
+    if value not in allowed:
+        names = [repr(a) for a in allowed]
+        listed = ", ".join(names[:-1]) + " or " + names[-1]
+        raise MotzetaError("%s must be %s, not %r" % (param, listed, value))
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +113,8 @@ def jet_set(f, n, exact=True, action_order=None, base="origin"):
     """
     f = _as_poly(f)
     if n < 1:
-        raise ValueError("jet order must be >= 1")
-    if base not in ("origin", "free"):
-        raise ValueError("base must be 'origin' or 'free'")
+        raise MotzetaError("jet order n must be >= 1, not %r" % (n,))
+    _choice("base", base, ("origin", "free"))
     with_base = base == "free"
     cs = jet_coeff_polys(f, n, with_base=with_base)
     coords = []
@@ -154,72 +159,6 @@ def jet_count(f, n, q, s=0, budget=None):
     f = _as_poly(f)
     gs = jet_set(f, n)
     return twisted_count(gs, q, g_exp=s, budget=budget)
-
-
-# ---------------------------------------------------------------------------
-# direct counting over prime fields (independent of the GeomSet machinery)
-# ---------------------------------------------------------------------------
-
-
-def _value_digits(f, jets, n, q):
-    """Digits c_0..c_n of f(phi) mod t^{n+1} mod q.
-
-    jets: var -> list of level coefficients (c_1.., ints mod q).
-    """
-    out = [0] * (n + 1)
-    for e, c in f.terms.items():
-        term = [0] * (n + 1)
-        term[0] = c % q
-        for v, x in zip(f.vars, e):
-            js = jets[v]
-            for _ in range(x):
-                new = [0] * (n + 1)
-                for i in range(n + 1):
-                    if term[i] == 0:
-                        continue
-                    for j in range(1, min(len(js), n - i) + 1):
-                        if js[j - 1]:
-                            new[i + j] = (new[i + j] + term[i] * js[j - 1]) % q
-                term = new
-        for m in range(n + 1):
-            out[m] = (out[m] + term[m]) % q
-    if not f.vars and f.terms:
-        out[0] = f.constant_term() % q
-    return out
-
-
-def jet_count_direct(f, n, q, level=None, target="exact", budget=None):
-    """Brute-force jet count over F_q (q prime), no GeomSet involved.
-
-    target "exact": f(phi) = t^n mod t^{n+1}; "ordgt": ord f(phi) > n.
-    Level defaults to n; larger levels enumerate the extra free digits.
-    """
-    f = _as_poly(f)
-    _require_prime(q, "jet_count_direct")
-    if level is None:
-        level = n
-    if level < n:
-        raise ValueError("level must be at least the jet order")
-    d = len(f.vars)
-    cap = budget if budget is not None else DIRECT_BUDGET
-    if q ** (d * level) > cap:
-        raise BudgetExceeded(
-            "direct enumeration of %d^%d jets exceeds the budget" % (q, d * level)
-        )
-    want = [0] * (n + 1)
-    if target == "exact":
-        want[n] = 1
-    elif target != "ordgt":
-        raise ValueError("target must be 'exact' or 'ordgt'")
-    count = 0
-    vars_ = sorted(f.vars)
-    for flat in itertools.product(range(q), repeat=d * level):
-        jets = {
-            v: list(flat[i * level : (i + 1) * level]) for i, v in enumerate(vars_)
-        }
-        if _value_digits(f, jets, n, q) == want:
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -408,59 +347,6 @@ def histogram_pair_counts(f, g, n, q, budget=None):
     return out
 
 
-def direct_pair_counts(f, g, n, q, budget=None):
-    """Pure-Python counterpart of histogram_pair_counts (bucket join over
-    explicit jet enumeration); same return shape."""
-    f, g = _as_poly(f), _as_poly(g)
-    _require_prime(q, "direct_pair_counts")
-    cap = budget if budget is not None else DIRECT_BUDGET
-    if q ** (len(f.vars) * n) + q ** (len(g.vars) * n) > cap:
-        raise BudgetExceeded("direct pair enumeration exceeds the budget")
-
-    def buckets(h):
-        vars_ = sorted(h.vars)
-        d = len(vars_)
-        out = {}
-        for flat in itertools.product(range(q), repeat=d * n):
-            jets = {v: list(flat[i * n : (i + 1) * n]) for i, v in enumerate(vars_)}
-            digs = _value_digits(h, jets, n, q)
-            if digs[0] != 0:
-                return {}
-            key = tuple(digs[1:])
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    bf = buckets(f)
-    bg = buckets(g)
-    out = {"total": 0, "A1": 0, "A2": 0, "A3": 0, "A3_by_l": {}, "Bpair": 0}
-
-    def lead(key):
-        for i, dig in enumerate(key, start=1):
-            if dig:
-                return i
-        return n + 1
-
-    target = (0,) * (n - 1) + (1,)
-    for key, cf in bf.items():
-        comp = tuple((t - k) % q for t, k in zip(target, key))
-        cg = bg.get(comp)
-        if not cg:
-            continue
-        pairs = cf * cg
-        out["total"] += pairs
-        lf, lg = lead(key), lead(comp)
-        if lf == n and lg == n:
-            out["A1"] += pairs
-        elif lf != lg:
-            out["A2"] += pairs
-        else:
-            out["A3"] += pairs
-            out["A3_by_l"][lf] = out["A3_by_l"].get(lf, 0) + pairs
-    neg = (0,) * (n - 1) + ((-1) % q,)
-    out["Bpair"] = bf.get(target, 0) * bg.get(neg, 0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-form counting for recognized shapes
 # ---------------------------------------------------------------------------
@@ -558,10 +444,13 @@ def monomial_pair_counts(a, b, n, q):
 class AxisCounts:
     """Exact-hit and order-beyond counts for one function at one prime.
 
-    Routes: "closed" (recognized shapes), "sweep", "direct" (brute-force
-    oracle), or "auto" (closed if available, else the sweep).  Counts at a
-    level above the constrained depth append free digits, one factor q per
-    free coordinate.
+    Routes: "auto" (the closed form of a recognized shape, else the
+    sweep) or "sweep" (always the sweep; the seam the tests use to compare
+    the two, and both against the brute-force counts of tests/brute.py).
+    A monomial whose exponent shares a factor with q, or a linear sum with
+    a coefficient divisible by q, has no closed form and is swept.  Counts
+    at a level above the constrained depth append free digits, one factor
+    q per free coordinate; a level below n raises VariableMismatch.
 
     The sweep is one resumable prefix-pruned enumeration.  The t^j digit
     c_j of f(phi) depends only on jet coordinates of index <= j, so the
@@ -604,8 +493,6 @@ class AxisCounts:
                 return mono_exact_count(a, n, self.q, level)
             return mono_ordgt_count(a, n, self.q, level)
         if tag == "linsum":
-            if level < n:
-                raise ValueError("level must be >= n")
             return self.q ** (self.dim * level - n)
         return None
 
@@ -653,29 +540,22 @@ class AxisCounts:
         )
 
     def _count(self, kind, n, level, route):
+        _choice("route", route, ("auto", "sweep"))
         if level is None:
             level = n
-        if route in ("auto", "closed"):
-            try:
-                c = self._closed(kind, n, level)
-            except ValueError:
-                c = None
+        if level < n:
+            raise VariableMismatch(
+                "level=%d is below n=%d: level-%d jets have no t^%d digit"
+                % (level, n, level, n)
+            )
+        if route == "auto":
+            c = self._closed(kind, n, level)
             if c is not None:
                 return c
-            if route == "closed":
-                raise FitFailed("no closed count for this shape")
-        elif route not in ("sweep", "direct"):
-            raise ValueError("route must be closed|sweep|direct|auto")
-        pad = self.q ** (self.dim * (level - n)) if level > n else 1
-        if route == "direct":
-            base = jet_count_direct(
-                self.f, n, self.q, target=kind, budget=self.budget
-            )
-            return base * pad
         while len(self._exact) <= n:
             self._step()
         base = self._exact[n] if kind == "exact" else self._ordgt[n]
-        return base * pad
+        return base * self.q ** (self.dim * (level - n))
 
     def exact(self, n, level=None, route="auto"):
         return self._count("exact", n, level, route)
@@ -726,7 +606,8 @@ def _lead_slot(f, real):
 
     Monomial x^a: value(a*t) = [leading locus] * L^{-t}; linear sums have
     period 1 with the unit class.  Normalizing at the own level makes the
-    trailing-level padding cancel (validated against the direct route).
+    trailing-level padding cancel (the tests check this against the
+    brute-force family counts of tests/brute.py).
     """
     f = _as_poly(f)
     shape = classify_shape(f)
@@ -804,11 +685,10 @@ def _default_vars(r):
     return tuple("TUV"[:r]) if r <= 3 else tuple("T%d" % i for i in range(1, r + 1))
 
 
-def zeta_trunc(f, D, real, var="T", mode="auto", base="origin", budget=None):
+def zeta_trunc(f, D, real, var="T", base="origin", budget=None):
     """Truncated zeta series: coefficient at n is the exact-hit class of
     level-n jets normalized by L^{-nd}, through degree D."""
-    if base not in ("origin", "global"):
-        raise MotzetaError("zeta base must be 'origin' or 'global', not %r" % (base,))
+    _choice("base", base, ("origin", "global"))
     f = _as_poly(f)
     d = len(f.vars)
     ent = {}
@@ -830,15 +710,14 @@ def zeta_trunc(f, D, real, var="T", mode="auto", base="origin", budget=None):
             fb = _shift_poly(f, dict(zip(sorted(f.vars), b)))
             ax = AxisCounts(fb, q, budget=budget)
             for n in range(1, D + 1):
-                total[n] = total.get(n, 0) + ax.exact(n, route=mode)
+                total[n] = total.get(n, 0) + ax.exact(n)
         for n, c in sorted(total.items()):
             if c:
                 ent[(n,)] = Fraction(c, q ** (d * n))
         return TruncSeries(real, (var,), D, ent)
     ax = AxisCounts(f, q, budget=budget)
-    route = mode
     for n in range(1, D + 1):
-        c = ax.exact(n, route=route)
+        c = ax.exact(n)
         if c:
             ent[(n,)] = Fraction(c, q ** (d * n))
     return TruncSeries(real, (var,), D, ent)
@@ -905,10 +784,11 @@ def multizeta_separable(fs, real, vars=None):
     """The ordered-family zeta as a separable chain block: first axis the
     exact-hit stream, trailing axes the order-beyond streams (all
     normalized at their own level; level padding cancels against the
-    normalization, which the direct route validates)."""
+    normalization, which the tests check against the brute-force family
+    counts of tests/brute.py)."""
     fs = tuple(_as_poly(f) for f in fs)
     if not fs:
-        raise ValueError("need at least one function")
+        raise MotzetaError("the family fs needs at least one function")
     r = len(fs)
     if vars is None:
         vars = _default_vars(r)
@@ -918,7 +798,7 @@ def multizeta_separable(fs, real, vars=None):
     masks = tuple(
         tuple(1 if j == i else 0 for j in range(r)) for i in range(r)
     )
-    return SeparableSeries(real, tuple(vars), masks, tuple(slots), region="chain")
+    return SeparableSeries(real, tuple(vars), masks, tuple(slots))
 
 
 def multizeta_trunc(fs, D, real, vars=None, mode="auto", budget=None):
@@ -930,9 +810,8 @@ def multizeta_trunc(fs, D, real, vars=None, mode="auto", budget=None):
     if vars is None:
         vars = _default_vars(r)
     if r == 0:
-        raise ValueError("need at least one function")
-    if mode not in ("auto", "separable", "axes"):
-        raise ValueError("mode must be auto|separable|axes")
+        raise MotzetaError("the family fs needs at least one function")
+    _choice("mode", mode, ("auto", "separable", "axes"))
     if mode in ("auto", "separable"):
         try:
             return multizeta_separable(fs, real, vars).expand(D)
@@ -968,61 +847,6 @@ def multizeta_trunc(fs, D, real, vars=None, mode="auto", budget=None):
     return TruncSeries(real, tuple(vars), D, ent)
 
 
-def multizeta_direct(fs, D, real, vars=None, budget=None):
-    """Definitional route: enumerate the full product of level-|n| jets
-    and test the family conditions jointly.  Exponential; oracle only."""
-    fs = tuple(_as_poly(f) for f in fs)
-    r = len(fs)
-    if vars is None:
-        vars = _default_vars(r)
-    q = real.q
-    _require_prime(q, "multizeta_direct")
-    dims = [len(f.vars) for f in fs]
-    dtot = sum(dims)
-    cap = budget if budget is not None else DIRECT_BUDGET
-    ent = {}
-
-    def count_chain(exps):
-        lvl = sum(exps)
-        if q ** (dtot * lvl) > cap:
-            raise BudgetExceeded("family enumeration exceeds the budget")
-        cnt = 0
-        for flat in itertools.product(range(q), repeat=dtot * lvl):
-            ok = True
-            off = 0
-            for i, f in enumerate(fs):
-                vars_ = sorted(f.vars)
-                jets = {
-                    v: list(flat[off + k * lvl : off + (k + 1) * lvl])
-                    for k, v in enumerate(vars_)
-                }
-                off += dims[i] * lvl
-                digs = _value_digits(f, jets, exps[i], q)
-                want = [0] * (exps[i] + 1)
-                if i == 0:
-                    want[exps[0]] = 1
-                if digs != want:
-                    ok = False
-                    break
-            if ok:
-                cnt += 1
-        return cnt
-
-    def rec(i, prev, used, exps):
-        if i == r:
-            c = count_chain(exps)
-            if c:
-                ent[tuple(exps)] = Fraction(c, q ** (dtot * used))
-            return
-        n = prev + 1
-        while used + n + sum(n + j + 1 for j in range(r - i - 1)) <= D:
-            rec(i + 1, n, used + n, exps + [n])
-            n += 1
-
-    rec(0, 0, 0, [])
-    return TruncSeries(real, tuple(vars), D, ent)
-
-
 def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=None):
     """Zeta series of the direct sum f(x) + g(y) restricted to the product
     base point, in one variable; the caller substitutes the variable by a
@@ -1034,9 +858,10 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     same way.
 
     mode picks how each level is counted: "strata" (closed counts, monomial
-    pairs only), "hist" (the JetTable pair join), "direct" (brute force) or
-    "auto" (strata where it applies, else hist).
+    pairs only), "hist" (the JetTable pair join) or "auto" (strata where it
+    applies, else hist).
     """
+    _choice("mode", mode, ("auto", "strata", "hist"))
     f, g = _as_poly(f), _as_poly(g)
     if set(f.vars) & set(g.vars):
         raise VariableMismatch("summands must use disjoint variables")
@@ -1065,12 +890,8 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
                 use = "hist"
         if use == "strata":
             c = monomial_pair_counts(sf[2], sg[2], n, q)
-        elif use == "hist":
-            c = histogram_pair_counts(f, g, n, q, budget=budget)
-        elif use == "direct":
-            c = direct_pair_counts(f, g, n, q, budget=budget)
         else:
-            raise ValueError("mode must be auto|strata|hist|direct")
+            c = histogram_pair_counts(f, g, n, q, budget=budget)
         den = q ** (dtot * n)
         if c["total"]:
             ent[(n,)] = Fraction(c["total"], den)
@@ -1253,13 +1074,14 @@ class ConePieces:
 def dl_eval(res, real, mode="closed", vars=None, D=None, cone=None, binding=None):
     """Evaluate supplied resolution data to a zeta series.
 
-    Without a cone the lattice sum runs over the full positive orthant of
-    each stratum and closes into one product of geometric factors per
+    Without a cone the lattice sum runs over all positive integer vectors
+    of each stratum and closes into one product of geometric factors per
     stratum (mode "closed"), or a truncated lattice sum (mode "trunc",
     needs D).  With a cone the sum runs over the supplied pieces; closed
     mode requires an explicit decomposition and raises ConeNotDecomposed
     otherwise.
     """
+    _choice("mode", mode, ("closed", "trunc"))
     if not isinstance(res, ResolutionData):
         res = parse_resolution(res)
     r = res.width
@@ -1305,10 +1127,8 @@ def dl_eval(res, real, mode="closed", vars=None, D=None, cone=None, binding=None
             if pieces.origin:
                 strands.append(Strand(coeff, (0,) * r, ()))
         return ClosedSeries(real, tuple(vars), tuple(strands))
-    if mode != "trunc":
-        raise ValueError("mode must be 'closed' or 'trunc'")
     if D is None:
-        raise ValueError("trunc mode needs a degree bound D")
+        raise MotzetaError("trunc mode needs a degree bound D")
     V = real.coeffs
     S = real.scalars
     ent = {}

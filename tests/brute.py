@@ -1,0 +1,188 @@
+"""Brute-force jet counters over F_q: the test suite's reference.
+
+Each counter enumerates every jet explicitly and evaluates f(phi) digit by
+digit in pure Python, sharing nothing with the library's counting routes
+(the closed forms, the jet sweep, the JetTable histograms, the F_q DFS).
+The cost is q^(d*level) per count, so DIRECT_BUDGET keeps them to small
+cases; they exist only to check the library's routes on overlap.
+"""
+
+import itertools
+from fractions import Fraction
+
+from motzeta.errors import BudgetExceeded
+from motzeta.geomset import _require_prime
+from motzeta.series import TruncSeries
+from motzeta.zeta import _as_poly, _default_vars
+
+# candidates for one brute-force count
+DIRECT_BUDGET = 2_000_000
+
+
+def _value_digits(f, jets, n, q):
+    """Digits c_0..c_n of f(phi) mod t^{n+1} mod q.
+
+    jets: var -> list of level coefficients (c_1.., ints mod q).
+    """
+    out = [0] * (n + 1)
+    for e, c in f.terms.items():
+        term = [0] * (n + 1)
+        term[0] = c % q
+        for v, x in zip(f.vars, e):
+            js = jets[v]
+            for _ in range(x):
+                new = [0] * (n + 1)
+                for i in range(n + 1):
+                    if term[i] == 0:
+                        continue
+                    for j in range(1, min(len(js), n - i) + 1):
+                        if js[j - 1]:
+                            new[i + j] = (new[i + j] + term[i] * js[j - 1]) % q
+                term = new
+        for m in range(n + 1):
+            out[m] = (out[m] + term[m]) % q
+    if not f.vars and f.terms:
+        out[0] = f.constant_term() % q
+    return out
+
+
+def jet_count_direct(f, n, q, level=None, target="exact", budget=None):
+    """Brute-force jet count over F_q (q prime), no GeomSet involved.
+
+    target "exact": f(phi) = t^n mod t^{n+1}; "ordgt": ord f(phi) > n.
+    Level defaults to n; larger levels enumerate the extra free digits.
+    """
+    f = _as_poly(f)
+    _require_prime(q, "jet_count_direct")
+    if level is None:
+        level = n
+    if level < n:
+        raise ValueError("level must be at least the jet order")
+    d = len(f.vars)
+    cap = budget if budget is not None else DIRECT_BUDGET
+    if q ** (d * level) > cap:
+        raise BudgetExceeded(
+            "direct enumeration of %d^%d jets exceeds the budget" % (q, d * level)
+        )
+    want = [0] * (n + 1)
+    if target == "exact":
+        want[n] = 1
+    elif target != "ordgt":
+        raise ValueError("target must be 'exact' or 'ordgt'")
+    count = 0
+    vars_ = sorted(f.vars)
+    for flat in itertools.product(range(q), repeat=d * level):
+        jets = {
+            v: list(flat[i * level : (i + 1) * level]) for i, v in enumerate(vars_)
+        }
+        if _value_digits(f, jets, n, q) == want:
+            count += 1
+    return count
+
+
+def direct_pair_counts(f, g, n, q, budget=None):
+    """Pure-Python counterpart of histogram_pair_counts (bucket join over
+    explicit jet enumeration); same return shape."""
+    f, g = _as_poly(f), _as_poly(g)
+    _require_prime(q, "direct_pair_counts")
+    cap = budget if budget is not None else DIRECT_BUDGET
+    if q ** (len(f.vars) * n) + q ** (len(g.vars) * n) > cap:
+        raise BudgetExceeded("direct pair enumeration exceeds the budget")
+
+    def buckets(h):
+        vars_ = sorted(h.vars)
+        d = len(vars_)
+        out = {}
+        for flat in itertools.product(range(q), repeat=d * n):
+            jets = {v: list(flat[i * n : (i + 1) * n]) for i, v in enumerate(vars_)}
+            digs = _value_digits(h, jets, n, q)
+            if digs[0] != 0:
+                return {}
+            key = tuple(digs[1:])
+            out[key] = out.get(key, 0) + 1
+        return out
+
+    bf = buckets(f)
+    bg = buckets(g)
+    out = {"total": 0, "A1": 0, "A2": 0, "A3": 0, "A3_by_l": {}, "Bpair": 0}
+
+    def lead(key):
+        for i, dig in enumerate(key, start=1):
+            if dig:
+                return i
+        return n + 1
+
+    target = (0,) * (n - 1) + (1,)
+    for key, cf in bf.items():
+        comp = tuple((t - k) % q for t, k in zip(target, key))
+        cg = bg.get(comp)
+        if not cg:
+            continue
+        pairs = cf * cg
+        out["total"] += pairs
+        lf, lg = lead(key), lead(comp)
+        if lf == n and lg == n:
+            out["A1"] += pairs
+        elif lf != lg:
+            out["A2"] += pairs
+        else:
+            out["A3"] += pairs
+            out["A3_by_l"][lf] = out["A3_by_l"].get(lf, 0) + pairs
+    neg = (0,) * (n - 1) + ((-1) % q,)
+    out["Bpair"] = bf.get(target, 0) * bg.get(neg, 0)
+    return out
+
+
+def multizeta_direct(fs, D, real, vars=None, budget=None):
+    """Definitional route: enumerate the full product of level-|n| jets
+    and test the family conditions jointly.  Exponential; oracle only."""
+    fs = tuple(_as_poly(f) for f in fs)
+    r = len(fs)
+    if vars is None:
+        vars = _default_vars(r)
+    q = real.q
+    _require_prime(q, "multizeta_direct")
+    dims = [len(f.vars) for f in fs]
+    dtot = sum(dims)
+    cap = budget if budget is not None else DIRECT_BUDGET
+    ent = {}
+
+    def count_chain(exps):
+        lvl = sum(exps)
+        if q ** (dtot * lvl) > cap:
+            raise BudgetExceeded("family enumeration exceeds the budget")
+        cnt = 0
+        for flat in itertools.product(range(q), repeat=dtot * lvl):
+            ok = True
+            off = 0
+            for i, f in enumerate(fs):
+                vars_ = sorted(f.vars)
+                jets = {
+                    v: list(flat[off + k * lvl : off + (k + 1) * lvl])
+                    for k, v in enumerate(vars_)
+                }
+                off += dims[i] * lvl
+                digs = _value_digits(f, jets, exps[i], q)
+                want = [0] * (exps[i] + 1)
+                if i == 0:
+                    want[exps[0]] = 1
+                if digs != want:
+                    ok = False
+                    break
+            if ok:
+                cnt += 1
+        return cnt
+
+    def rec(i, prev, used, exps):
+        if i == r:
+            c = count_chain(exps)
+            if c:
+                ent[tuple(exps)] = Fraction(c, q ** (dtot * used))
+            return
+        n = prev + 1
+        while used + n + sum(n + j + 1 for j in range(r - i - 1)) <= D:
+            rec(i + 1, n, used + n, exps + [n])
+            n += 1
+
+    rec(0, 0, 0, [])
+    return TruncSeries(real, tuple(vars), D, ent)

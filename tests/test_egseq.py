@@ -1,7 +1,7 @@
-"""Exact-summation sequence engine: closed-form tails, prefixes, fitting.
+"""Exact-summation sequence engine: closed-form tails, shifts, fitting.
 
-Oracle values are computed independently (geometric series sums, Faulhaber
-sums) and frozen as exact Fractions.
+Oracle values are computed independently (geometric series sums) and
+frozen as exact Fractions.
 """
 
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzeta.egseq import EGSeq
-from motzeta.errors import FitFailed, NotInvertible, TailNotSummable
+from motzeta.errors import FitFailed, TailNotSummable
 from motzeta.locring import LocRat, ONE as LR_ONE
 from motzeta.realize import (
     RationalScalars,
@@ -69,60 +69,6 @@ def test_tail_not_summable():
             v.tail_sum()
 
 
-def test_prefix_constant_counts():
-    real = count_realization(5)
-    v = EGSeq.constant(real, Fraction(1))
-    p = v.prefix_sum()
-    for n in range(0, 11):
-        assert p.value(n) == Fraction(n)
-
-
-def test_prefix_linear_counts():
-    real = count_realization(5)
-    v = EGSeq(real, 1, [[(Fraction(1), (Fraction(0), Fraction(1)))]], dom_min=0, stable_start=0)
-    p = v.prefix_sum()
-    for n in range(0, 13):
-        assert p.value(n) == Fraction(n * (n + 1), 2)
-
-
-def test_prefix_linear_symbolic_not_representable():
-    real = symbolic_realization()
-    V = real.coeffs
-    v = EGSeq(real, 1, [[(LR_ONE, (V.zero, V.one))]], dom_min=0, stable_start=0)
-    with pytest.raises(NotInvertible):
-        v.prefix_sum()
-
-
-def test_geometric_prefix_symbolic():
-    real = symbolic_realization()
-    V = real.coeffs
-    v = EGSeq.single_residue(real, 1, 0, LocRat.L(-1), V.one)
-    p = v.prefix_sum()
-    acc = V.zero
-    assert V.eq(p.value(0), V.zero)
-    for n in range(1, 11):
-        acc = V.add(acc, v.value(n))
-        assert V.eq(p.value(n), acc)
-
-
-def test_weighted_prefix():
-    realc = count_realization(5)
-    v = EGSeq.constant(realc, Fraction(1))
-    w = v.weighted_prefix(Fraction(5))
-    for n in range(1, 9):
-        direct = sum(Fraction(5) ** (l - n) for l in range(1, n + 1))
-        assert w.value(n) == direct
-    reals = symbolic_realization()
-    V = reals.coeffs
-    u = EGSeq.single_residue(reals, 1, 0, LocRat.L(-1), V.one)
-    wu = u.weighted_prefix(LocRat.L(1))
-    for n in range(1, 8):
-        direct = V.zero
-        for l in range(1, n + 1):
-            direct = V.add(direct, V.scale(LocRat.L(l - n), u.value(l)))
-        assert V.eq(wu.value(n), direct)
-
-
 def test_mixed_period_add():
     real = count_realization(7)
     v1 = EGSeq.single_residue(real, 2, 1, Fraction(3), Fraction(1))
@@ -148,15 +94,6 @@ def test_shift_both_directions():
         assert V.eq(back.value(n), u.value(n - 1))
 
 
-def test_pointwise_mul():
-    real = count_realization(7)
-    v = EGSeq.single_residue(real, 1, 0, Fraction(2), Fraction(3), dom_min=0)
-    w = EGSeq(real, 1, [[(Fraction(1, 2), (Fraction(1), Fraction(1)))]], dom_min=0, stable_start=0)
-    prod = v.mul(w)
-    for n in range(0, 9):
-        assert prod.value(n) == v.value(n) * w.value(n)
-
-
 def test_re_period_preserves_values():
     real = count_realization(7)
     v = EGSeq(
@@ -165,14 +102,6 @@ def test_re_period_preserves_values():
         dom_min=0, stable_start=0,
     )
     assert v.re_period(6).agrees_with(v, 0, 18)
-
-
-def test_mul_geometric():
-    real = count_realization(7)
-    v = EGSeq.single_residue(real, 2, 1, Fraction(3), Fraction(1), dom_min=0)
-    u = v.mul_geometric(Fraction(2))
-    for n in range(0, 11):
-        assert u.value(n) == Fraction(2) ** n * v.value(n)
 
 
 def test_fit_geometric():
@@ -206,6 +135,7 @@ def test_fit_validation_failure():
 
 
 def test_exceptional_tail_and_prefix():
+    # tail sums reach back through the exceptional prefix n < stable_start
     real = count_realization(7)
     v = EGSeq(
         real, 1,
@@ -217,40 +147,6 @@ def test_exceptional_tail_and_prefix():
     assert t.value(2) == Fraction(1, 6 * 7**2)
     assert t.value(1) == Fraction(-4) + Fraction(1, 6 * 7**2)
     assert t.value(0) == Fraction(95) + Fraction(1, 6 * 7**2)
-    p = v.prefix_sum()
-    assert p.value(0) == 0
-    assert p.value(1) == 99
-    assert p.value(2) == 95
-    for n in range(3, 9):
-        assert p.value(n) == 95 + sum(Fraction(1, 7**l) for l in range(3, n + 1))
-
-
-def test_bilinear_pointwise_symbolic():
-    from motzeta.motclass import Atom, SymbolicClass, conv0
-
-    real = symbolic_realization()
-    mu2 = SymbolicClass.from_atom(Atom("a", order=2))
-    mu3 = SymbolicClass.from_atom(Atom("b", order=3))
-    a = EGSeq.single_residue(real, 1, 0, LocRat.L(-1), mu2)
-    b = EGSeq.single_residue(real, 1, 0, LocRat.L(-2), mu3)
-    c = a.pointwise(b, conv0)
-    for n in range(1, 5):
-        assert c.value(n) == conv0(a.value(n), b.value(n))
-
-
-def test_stretch_moves_values_to_multiples():
-    real = count_realization(5)
-    q = Fraction(5)
-    seq = EGSeq(real, 2, [[(q**-1, (Fraction(3),))], []], exceptional={1: Fraction(7)}, dom_min=1, stable_start=2)
-    st = seq.stretch(3)
-    assert st.period == 6
-    assert st.value(3) == Fraction(7)
-    for n in range(2, 30):
-        if n % 3 == 0:
-            assert st.value(n) == seq.value(n // 3)
-        elif n >= st.dom_min:
-            assert st.value(n) == 0
-    assert st.dom_min == 1
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -15,7 +15,6 @@ from motzeta.errors import (
     FitFailed,
     NotLimitNormal,
     ParseError,
-    SupportViolation,
     TailNotSummable,
     UnknownToken,
     VariableMismatch,
@@ -435,7 +434,7 @@ def test_chain_transforms_invert_on_counted_chains():
         vars = tuple("TUV"[:eta])
         masks = tuple(tuple(1 if j == i else 0 for j in range(eta)) for i in range(eta))
         slots = tuple(_count_slot(rng) for _ in range(eta))
-        s = SeparableSeries(COUNT, vars, masks, slots, "chain")
+        s = SeparableSeries(COUNT, vars, masks, slots)
         bound = 10
         base = s.expand(bound)
         assert s.phi().phi_inv().expand(bound) == base
@@ -448,7 +447,7 @@ def test_chain_transforms_invert_on_class_chains():
     trail_val = augment(MU2)
     trail = EGSeq(SYM, 1, [[(LocRat.L(-2), (trail_val,))]], dom_min=0)
     s = SeparableSeries(
-        SYM, ("T", "U"), ((1, 0), (0, 1)), (Slot(lead), Slot(trail)), "chain"
+        SYM, ("T", "U"), ((1, 0), (0, 1)), (Slot(lead), Slot(trail))
     )
     base = s.expand(8)
     assert s.phi().phi_inv().expand(8) == base
@@ -461,7 +460,7 @@ def test_chain_transforms_invert_on_class_chains():
 
 def test_chain_transform_univariate_is_identity():
     slot = _count_slot(random.Random(1))
-    s = SeparableSeries(COUNT, ("T",), ((1,),), (slot,), "chain")
+    s = SeparableSeries(COUNT, ("T",), ((1,),), (slot,))
     assert s.phi() is s and s.phi_inv() is s
 
 
@@ -470,19 +469,9 @@ def test_inverse_transform_needs_decay():
     lead = _count_slot(rng)
     flat = EGSeq(COUNT, 1, [[(Fraction(1), (Fraction(3),))]], dom_min=0)
     s = SeparableSeries(
-        COUNT, ("T", "U"), ((1, 0), (0, 1)), (lead, Slot(flat, flat)), "chain"
+        COUNT, ("T", "U"), ((1, 0), (0, 1)), (lead, Slot(flat, flat))
     )
     with pytest.raises(TailNotSummable):
-        s.phi_inv()
-
-
-def test_chain_transforms_refuse_an_orthant():
-    rng = random.Random(3)
-    slots = (_count_slot(rng), _count_slot(rng))
-    s = SeparableSeries(COUNT, ("T", "U"), ((1, 0), (0, 1)), slots, "orthant")
-    with pytest.raises(SupportViolation, match="chain region"):
-        s.phi()
-    with pytest.raises(SupportViolation, match="chain region"):
         s.phi_inv()
 
 
@@ -519,12 +508,11 @@ def _separable_blocks(draw):
     for _ in range(eta):
         seq = draw(_axis_stream(real))
         slots.append(Slot(seq, seq) if real.tag == "count" else Slot(seq))
-    region = draw(st.sampled_from(("chain", "orthant")))
     # the least total degree of a point, plus some room
     weights = [sum(m) for m in masks]
-    least = sum(wt * (j + 1 if region == "chain" else 1) for j, wt in enumerate(weights))
+    least = sum(wt * (j + 1) for j, wt in enumerate(weights))
     bound = least + draw(st.integers(0, 5 if real.tag == "count" else 3))
-    return SeparableSeries(real, tuple("TUV"[:nvars]), masks, tuple(slots), region), bound
+    return SeparableSeries(real, tuple("TUV"[:nvars]), masks, tuple(slots)), bound
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -532,14 +520,13 @@ def _separable_blocks(draw):
 @example((SeparableSeries(
     COUNT, ("T", "U"), ((1, 1), (1, 1)),
     tuple(Slot(sq, sq) for sq in (EGSeq.single_residue(COUNT, 2, 0, Fraction(1, 7), Fraction(2)),
-                                  EGSeq.constant(COUNT, Fraction(3)))),
-    "chain"), 12))
+                                  EGSeq.constant(COUNT, Fraction(3))))), 12))
 def test_separable_expand_matches_brute_force(case):
     s, bound = case
     V = s.real.coeffs
     ent = {}
     for w in itertools.product(range(1, bound + 1), repeat=len(s.slots)):
-        if s.region == "chain" and any(x >= y for x, y in zip(w, w[1:])):
+        if any(x >= y for x, y in zip(w, w[1:])):
             continue
         if any(wj < slot.seq.dom_min for wj, slot in zip(w, s.slots)):
             continue
@@ -556,7 +543,7 @@ def test_separable_expand_matches_brute_force(case):
 def test_separable_expand_merges_masked_axes():
     q = Fraction(Q)
     one = EGSeq(COUNT, 1, [[(q**-1, (Fraction(1),))]], dom_min=0)
-    s = SeparableSeries(COUNT, ("T", "U"), ((1, 1),), (Slot(one, one),), "chain")
+    s = SeparableSeries(COUNT, ("T", "U"), ((1, 1),), (Slot(one, one),))
     t = s.expand(8)
     assert t.support() == [(w, w) for w in range(1, 5)]
     assert t.coeff((3, 3)) == q**-3

@@ -1,12 +1,14 @@
 """Jet loci and zeta series: counting routes, splits, resolution evaluators."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brute import direct_pair_counts, jet_count_direct, multizeta_direct
 from motzeta.egseq import EGSeq
 from motzeta.errors import (
     BudgetExceeded,
@@ -20,7 +22,13 @@ from motzeta.locring import LocRat
 from motzeta.motclass import Atom, SymbolicClass, bind_and_count, conv, conv0, conv1
 from motzeta.poly import Poly, parse_poly
 from motzeta.realize import count_realization, symbolic_realization
-from motzeta.series import closed_from_fit, series_from_json, series_to_json, strand_fit
+from motzeta.series import (
+    TruncSeries,
+    closed_from_fit,
+    series_from_json,
+    series_to_json,
+    strand_fit,
+)
 from motzeta.zeta import (
     AxisCounts,
     ConePieces,
@@ -31,17 +39,15 @@ from motzeta.zeta import (
     cone_euler,
     default_q,
     diagonal_closed,
-    direct_pair_counts,
     dl_eval,
     fermat_affine_counts,
     histogram_pair_counts,
     jet_count,
-    jet_count_direct,
     jet_set,
     mono_exact_count,
     mono_ordgt_count,
     monomial_pair_counts,
-    multizeta_direct,
+    multizeta_separable,
     multizeta_trunc,
     nearby_cycles,
     parse_resolution,
@@ -289,7 +295,7 @@ def test_order_beyond_mass_closes():
 
 def test_axis_routes_agree():
     # oracle: the untwisted F_q DFS over the jet locus, independent of the
-    # sweep; route="direct" is checked in test_axis_generic_demotion
+    # sweep; the brute-force counts are checked in test_axis_generic_demotion
     for f, q, ns in [(X2, 5, range(1, 7)), (X3, 7, range(1, 7)), (XY, 5, range(1, 5))]:
         ax = AxisCounts(f, q)
         for n in ns:
@@ -343,12 +349,25 @@ def test_axis_sweep_budget_guard():
 
 
 def test_axis_generic_demotion():
-    # exponent sharing a factor with q falls back to enumeration
+    # an exponent sharing a factor with q has no closed form: auto sweeps
     ax = AxisCounts(X3, 3)
     assert ax.shape[0] == "generic"
-    assert ax.exact(3, route="direct") == jet_count_direct(X3, 3, 3)
-    with pytest.raises(BudgetExceeded):
-        AxisCounts(X2, 7, budget=10).exact(8, route="direct")
+    for n in range(1, 7):
+        want = jet_count_direct(X3, n, 3)
+        assert ax.exact(n) == ax.exact(n, route="sweep") == want
+        want = jet_count_direct(X3, n, 3, target="ordgt")
+        assert ax.ordgt(n) == ax.ordgt(n, route="sweep") == want
+
+
+@pytest.mark.parametrize("f, q", [(X2, 5), ("x^2 + x^3", 5)])
+def test_axis_level_below_n_is_a_variable_mismatch(f, q):
+    # a level-2 jet has no t^4 digit: there is no count to pad
+    ax = AxisCounts(f, q)
+    for kind in (ax.exact, ax.ordgt):
+        with pytest.raises(VariableMismatch, match="level=2 is below n=4"):
+            kind(4, level=2)
+        with pytest.raises(VariableMismatch, match="level=1 is below n=4"):
+            kind(4, level=1, route="sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +385,38 @@ def test_zeta_trunc_counts():
 def test_zeta_trunc_rejects_unknown_base():
     with pytest.raises(MotzetaError, match="'origin' or 'global', not 'free'"):
         zeta_trunc(X2, 8, count_realization(7), base="free")
+
+
+R7 = count_realization(7)
+RES = [{"I": ["E"], "atom": "mu2", "N": [[2]], "nu": [1]}]
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        pytest.param(lambda: AxisCounts(X2, 7).exact(2, route="direct"),
+                     "route must be 'auto' or 'sweep', not 'direct'", id="exact-route"),
+        pytest.param(lambda: AxisCounts(X2, 7).ordgt(2, route="closed"),
+                     "route must be 'auto' or 'sweep', not 'closed'", id="ordgt-route"),
+        pytest.param(lambda: multizeta_trunc((X2, Y3), 4, R7, mode="bogus"),
+                     "mode must be 'auto', 'separable' or 'axes', not 'bogus'", id="multizeta-mode"),
+        pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, mode="direct"),
+                     "mode must be 'auto', 'strata' or 'hist', not 'direct'", id="pullback-mode"),
+        pytest.param(lambda: dl_eval(RES, R7, mode="bogus"),
+                     "mode must be 'closed' or 'trunc', not 'bogus'", id="dl-mode"),
+        pytest.param(lambda: jet_set(X2, 0), "jet order n must be >= 1, not 0", id="jet-order"),
+        pytest.param(lambda: jet_set(X2, 2, base="global"),
+                     "base must be 'origin' or 'free', not 'global'", id="jet-base"),
+        pytest.param(lambda: multizeta_trunc((), 4, R7),
+                     "the family fs needs at least one function", id="multizeta-empty"),
+        pytest.param(lambda: multizeta_separable((), R7),
+                     "the family fs needs at least one function", id="separable-empty"),
+    ],
+)
+def test_argument_errors_name_the_parameter(run, message):
+    with pytest.raises(MotzetaError, match=re.escape(message)) as err:
+        run()
+    assert not isinstance(err.value, ValueError)
 
 
 def test_negative_bound_is_a_variable_mismatch():
@@ -479,9 +530,12 @@ def test_pullback_routes_agree():
     hist = sum_zeta_pullback(X2, Y3, 6, r7, mode="hist")
     assert strata == hist
     r5 = count_realization(5)
-    assert sum_zeta_pullback(X2, Y3, 5, r5, mode="hist") == sum_zeta_pullback(
-        X2, Y3, 5, r5, mode="direct"
-    )
+    direct = {
+        (n,): Fraction(direct_pair_counts(X2, Y3, n, 5)["total"], 5 ** (2 * n))
+        for n in range(1, 6)
+    }
+    want = TruncSeries(r5, ("S",), 5, direct)
+    assert sum_zeta_pullback(X2, Y3, 5, r5, mode="hist") == want
 
 
 def test_pullback_split_sums_to_total():
