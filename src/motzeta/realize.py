@@ -31,20 +31,8 @@ class SymbolicScalars:
         return c
 
     @staticmethod
-    def from_fraction(fr):
-        if fr.denominator == 1:
-            return LocRat.from_int(fr.numerator)
-        raise NotInvertible(
-            "scalar %s is not integral and has no symbolic image" % fr
-        )
-
-    @staticmethod
     def add(a, b):
         return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
 
     @staticmethod
     def mul(a, b):
@@ -63,16 +51,8 @@ class SymbolicScalars:
         return a.is_zero()
 
     @staticmethod
-    def is_one(a):
-        return a.is_one()
-
-    @staticmethod
     def pow(a, e):
         return a**e
-
-    @staticmethod
-    def invert(a):
-        return a.inverse()
 
     @staticmethod
     def inv_one_minus(a):
@@ -109,16 +89,8 @@ class RationalScalars:
         return c.eval_at(self.q)
 
     @staticmethod
-    def from_fraction(fr):
-        return fr
-
-    @staticmethod
     def add(a, b):
         return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
 
     @staticmethod
     def mul(a, b):
@@ -137,18 +109,8 @@ class RationalScalars:
         return a == 0
 
     @staticmethod
-    def is_one(a):
-        return a == 1
-
-    @staticmethod
     def pow(a, e):
         return a**e
-
-    @staticmethod
-    def invert(a):
-        if a == 0:
-            raise NotInvertible("inverse of zero")
-        return 1 / a
 
     @staticmethod
     def inv_one_minus(a):
@@ -177,10 +139,6 @@ class SymbolicCoeffs:
     @staticmethod
     def neg(a):
         return -a
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
 
     @staticmethod
     def scale(s, v):
@@ -217,10 +175,6 @@ class RationalCoeffs:
     @staticmethod
     def neg(a):
         return -a
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
 
     @staticmethod
     def scale(s, v):

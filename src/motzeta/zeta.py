@@ -15,19 +15,25 @@ weight j on the t^j jet coefficient.  This module provides
     for twisted point counts and symbolic invariance checks;
   * independent counting routes, kept separate so the test suite can
     compare them on overlap (and against the brute-force enumeration in
-    tests/brute.py): closed forms for recognized shapes (monomials x^a,
-    sums of distinct linear variables), a prefix-pruned jet sweep for
-    per-axis counts of any other germ (AxisCounts; its cost follows the
-    size of the loci, not of the jet space), and vectorized histograms of
-    packed value digits for the pair joins of a direct sum (JetTable);
+    tests/brute.py): closed forms for recognized shapes, a prefix-pruned
+    jet sweep for per-axis counts of any other germ (AxisCounts; its cost
+    follows the size of the loci, not of the jet space), and vectorized
+    histograms of packed value digits for the pair joins of a direct sum
+    (JetTable).  A recognized shape is decided in one place,
+    shape_exponent: x^a and a sum of distinct linear variables (a = 1)
+    have the one strand [mu_a] L^{-k} T^{ak}, and every closed count,
+    stream and series of such a shape is read off a and its leading
+    coefficient;
   * generating series: zeta_trunc / zeta_closed for one function,
     multizeta_trunc / multizeta_separable for an ordered family with
     order conditions on the trailing functions, sum_zeta_pullback for a
     direct sum f(x) + g(y) on a product space, with diagnostic splits of
-    each coefficient by the two leading orders;
-  * evaluators for user-supplied resolution data (dl_eval, cone sums,
-    cone_euler, validate_cone) and nearby_cycles as minus the limit of a
-    diagonal substitution.
+    each coefficient by the two leading orders; a symbolic truncation is
+    the expansion of the closed form;
+  * evaluators for user-supplied resolution data (dl_eval returns the
+    closed series of a resolution, over the full orthant or supplied cone
+    pieces; cone_euler, validate_cone) and nearby_cycles as minus the
+    limit of a diagonal substitution.
 
 Counting here is exact integer arithmetic throughout; normalized series
 coefficients are Fractions (count realization) or classes with localized
@@ -92,16 +98,6 @@ def _choice(param, value, allowed):
 # ---------------------------------------------------------------------------
 
 
-def jet_coeff_polys(f, n, with_base=False):
-    """Coefficient polynomials c_0..c_n of f(phi(t)) mod t^{n+1}.
-
-    Jet coordinates are named v_j for variable v; with_base adds the free
-    constant coordinate v_0.
-    """
-    f = _as_poly(f)
-    return f.compose_jet(n, with_base=with_base)
-
-
 def jet_set(f, n, exact=True, action_order=None, base="origin"):
     """The level-n jet locus of f as a GeomSet.
 
@@ -116,7 +112,7 @@ def jet_set(f, n, exact=True, action_order=None, base="origin"):
         raise MotzetaError("jet order n must be >= 1, not %r" % (n,))
     _choice("base", base, ("origin", "free"))
     with_base = base == "free"
-    cs = jet_coeff_polys(f, n, with_base=with_base)
+    cs = f.compose_jet(n, with_base=with_base)
     coords = []
     weights = []
     base_coords = []
@@ -352,31 +348,50 @@ def histogram_pair_counts(f, g, n, q, budget=None):
 # ---------------------------------------------------------------------------
 
 
-def classify_shape(f):
-    """("monomial", var, a) for a monic one-variable power; ("linsum",
-    coeff tuple) for a sum of distinct degree-one variables; else
-    ("generic", None)."""
+def shape_exponent(f, q=None):
+    """The exponent a of a recognized shape's one strand [mu_a] L^{-k} T^{ak}:
+    a for a monic x^a, 1 for a sum of distinct linear variables (c*x among
+    them), None for any other germ.  At a prime q (None: symbolic) it is
+    also None when q shares a factor with a or divides a linear
+    coefficient, since the closed counts need both invertible mod q."""
     f = _as_poly(f)
     mono = f.as_monomial()
-    if mono is not None:
-        c, v, e = mono
-        if c == 1 and e >= 1:
-            return ("monomial", v, e)
-    if f.vars and f.terms and len(f.terms) == len(f.vars):
-        coeffs = []
-        seen = set()
-        for e, c in sorted(f.terms.items()):
-            if sum(e) != 1 or c == 0:
-                break
-            i = next(i for i, x in enumerate(e) if x)
-            if i in seen:
-                break
-            seen.add(i)
-            coeffs.append(c)
-        else:
-            if len(seen) == len(f.vars):
-                return ("linsum", tuple(coeffs))
-    return ("generic", None)
+    if mono is not None and mono[0] == 1 and mono[2] >= 1:
+        a = mono[2]
+        return a if q is None or math.gcd(a, q) == 1 else None
+    # degree-one exponent vectors are unit vectors: distinct keys, one per
+    # variable, make a sum of distinct linear variables
+    if not f.vars or len(f.terms) != len(f.vars):
+        return None
+    if any(sum(e) != 1 for e in f.terms):
+        return None
+    if q is not None and any(c % q == 0 for c in f.terms.values()):
+        return None
+    return 1
+
+
+def _lead_coeff(a, real):
+    """Class of the leading locus of the exponent-a strand: [mu_a] (the unit
+    for a = 1), or its point count gcd(a, q - 1) when counting."""
+    if real.tag == "symbolic":
+        if a == 1:
+            return SymbolicClass.unit()
+        return SymbolicClass.from_atom(Atom("mu%d" % a, a), base="pt")
+    return Fraction(math.gcd(a, real.q - 1))
+
+
+def _strand_exponent(f, real):
+    """shape_exponent at the realization's prime; FitFailed when f has no
+    closed strand there."""
+    a = shape_exponent(f, real.q)
+    if a is None:
+        at = "" if real.q is None else " at q=%d" % real.q
+        raise FitFailed(
+            "no closed form for %s%s: not x^a or a sum of distinct linear "
+            "variables with a and the coefficients prime to q"
+            % (_as_poly(f).render(), at)
+        )
+    return a
 
 
 def mono_exact_count(a, n, q, level):
@@ -447,8 +462,9 @@ class AxisCounts:
     Routes: "auto" (the closed form of a recognized shape, else the
     sweep) or "sweep" (always the sweep; the seam the tests use to compare
     the two, and both against the brute-force counts of tests/brute.py).
-    A monomial whose exponent shares a factor with q, or a linear sum with
-    a coefficient divisible by q, has no closed form and is swept.  Counts
+    The closed form is read off a = shape_exponent(f, q), kept as self.a:
+    a monomial whose exponent shares a factor with q, or a linear sum with
+    a coefficient divisible by q, has a = None and is swept.  Counts
     at a level above the constrained depth append free digits, one factor
     q per free coordinate; a level below n raises VariableMismatch.
 
@@ -468,13 +484,7 @@ class AxisCounts:
         self.q = q
         self.dim = len(self.f.vars)
         self.budget = budget
-        self.shape = classify_shape(self.f)
-        if self.shape[0] == "monomial" and math.gcd(self.shape[2], q) != 1:
-            self.shape = ("generic", None)
-        if self.shape[0] == "linsum" and any(
-            c % q == 0 for c in self.shape[1]
-        ):
-            self.shape = ("generic", None)
+        self.a = shape_exponent(self.f, q)
         self._linear = [0] * self.dim
         for e, c in self.f.terms.items():
             if sum(e) == 1:
@@ -486,15 +496,12 @@ class AxisCounts:
         self._ordgt = [int(live)]
 
     def _closed(self, kind, n, level):
-        tag = self.shape[0]
-        if tag == "monomial":
-            a = self.shape[2]
-            if kind == "exact":
-                return mono_exact_count(a, n, self.q, level)
-            return mono_ordgt_count(a, n, self.q, level)
-        if tag == "linsum":
-            return self.q ** (self.dim * level - n)
-        return None
+        """The count of x^a, with one free factor q^level per further
+        variable of a linear sum (a = 1); None without a closed form."""
+        if self.a is None:
+            return None
+        count = mono_exact_count if kind == "exact" else mono_ordgt_count
+        return count(self.a, n, self.q, level) * self.q ** ((self.dim - 1) * level)
 
     def _nonlinear_digit(self, frontier):
         """Digit c_{j+1} of the terms of degree >= 2 of f at each frontier
@@ -565,115 +572,34 @@ class AxisCounts:
 
 
 # ---------------------------------------------------------------------------
-# symbolic per-axis data
+# per-axis streams
 # ---------------------------------------------------------------------------
 
 
-def shape_atom(f):
-    """The leading-locus atom of a recognized shape: mu_a for x^a (a > 1),
-    the unit class otherwise; None for unrecognized shapes."""
-    shape = classify_shape(_as_poly(f))
-    if shape[0] == "monomial":
-        a = shape[2]
-        if a > 1:
-            return Atom("mu%d" % a, a)
-        return None
-    if shape[0] == "linsum":
-        return None
-    raise FitFailed("no symbolic stream for shape %r" % (shape[0],))
-
-
-def _exact_class(f, n):
-    """Normalized exact-hit class at level n: count class times L^{-n d}."""
-    shape = classify_shape(_as_poly(f))
-    if shape[0] == "monomial":
-        a = shape[2]
-        if n % a:
-            return SymbolicClass.zero()
-        cls = (
-            SymbolicClass.from_atom(Atom("mu%d" % a, a), base="pt")
-            if a > 1
-            else SymbolicClass.unit()
-        )
-        return cls.scale(LocRat.L(-(n // a)))
-    if shape[0] == "linsum":
-        return SymbolicClass.unit().scale(LocRat.L(-n))
-    raise FitFailed("no symbolic stream for shape %r" % (shape[0],))
-
-
 def _lead_slot(f, real):
-    """Slot for the exact-hit stream of f, normalized by L^{-nd}.
-
-    Monomial x^a: value(a*t) = [leading locus] * L^{-t}; linear sums have
-    period 1 with the unit class.  Normalizing at the own level makes the
-    trailing-level padding cancel (the tests check this against the
-    brute-force family counts of tests/brute.py).
-    """
-    f = _as_poly(f)
-    shape = classify_shape(f)
-    S = real.scalars
+    """Slot for the exact-hit stream of f, normalized by L^{-nd}: for the
+    exponent-a strand, value(a*t) = [leading locus] * L^{-t}, zero off the
+    multiples of a.  Normalizing at the own level makes the trailing-level
+    padding cancel (the tests check this against the brute-force family
+    counts of tests/brute.py).  Counted values carry no action, so the
+    companion stream has the unit for the leading locus."""
+    a = _strand_exponent(f, real)
+    ratio = real.scalars.from_locrat(LocRat.L(-1))
+    seq = EGSeq.single_residue(real, a, 0, ratio, _lead_coeff(a, real))
     if real.tag == "symbolic":
-        if shape[0] == "monomial":
-            a = shape[2]
-            ratio = S.from_locrat(LocRat.L(-1))
-            atom = shape_atom(f)
-            cls = (
-                SymbolicClass.from_atom(atom, base="pt")
-                if atom is not None
-                else SymbolicClass.unit()
-            )
-            return Slot(EGSeq.single_residue(real, a, 0, ratio, cls))
-        if shape[0] == "linsum":
-            ratio = S.from_locrat(LocRat.L(-1))
-            return Slot(
-                EGSeq.single_residue(real, 1, 0, ratio, SymbolicClass.unit())
-            )
-        raise FitFailed("no symbolic stream for shape %r" % (shape[0],))
-    q = real.q
-    ratio = Fraction(1, q)
-    if shape[0] == "monomial":
-        a = shape[2]
-        if math.gcd(a, q) != 1:
-            raise FitFailed("exponent shares a factor with q")
-        g = Fraction(math.gcd(a, q - 1))
-        seq = EGSeq.single_residue(real, a, 0, ratio, g)
-        aug = EGSeq.single_residue(real, a, 0, ratio, Fraction(1))
-        return Slot(seq, aug)
-    if shape[0] == "linsum":
-        seq = EGSeq.single_residue(real, 1, 0, ratio, Fraction(1))
-        return Slot(seq, seq)
-    raise FitFailed("no count stream for shape %r" % (shape[0],))
+        return Slot(seq)
+    return Slot(seq, EGSeq.single_residue(real, a, 0, ratio, _lead_coeff(1, real)))
 
 
 def _trail_slot(f, real):
     """Slot for the order-beyond stream of f, normalized by L^{-nd}:
-    value(n) = L^{-floor(n/a)} for x^a, L^{-n} for linear sums.  The
-    companion stream equals the value stream (the trailing conditions do
-    not see the action on the first factor)."""
-    f = _as_poly(f)
-    shape = classify_shape(f)
-    S = real.scalars
-    if shape[0] == "monomial":
-        a = shape[2]
-        if real.tag == "symbolic":
-            ratio = S.from_locrat(LocRat.L(-1))
-            one = SymbolicClass.unit()
-            seq = EGSeq(real, a, [[(ratio, (one,))] for _ in range(a)])
-            return Slot(seq)
-        if math.gcd(a, real.q) != 1:
-            raise FitFailed("exponent shares a factor with q")
-        ratio = Fraction(1, real.q)
-        seq = EGSeq(real, a, [[(ratio, (Fraction(1),))] for _ in range(a)])
-        return Slot(seq, seq)
-    if shape[0] == "linsum":
-        if real.tag == "symbolic":
-            ratio = S.from_locrat(LocRat.L(-1))
-            seq = EGSeq.single_residue(real, 1, 0, ratio, SymbolicClass.unit())
-            return Slot(seq)
-        ratio = Fraction(1, real.q)
-        seq = EGSeq.single_residue(real, 1, 0, ratio, Fraction(1))
-        return Slot(seq, seq)
-    raise FitFailed("no order-beyond stream for shape %r" % (shape[0],))
+    value(n) = L^{-floor(n/a)} for the exponent-a strand.  The companion
+    stream equals the value stream (the trailing conditions do not see the
+    action on the first factor)."""
+    a = _strand_exponent(f, real)
+    ratio = real.scalars.from_locrat(LocRat.L(-1))
+    seq = EGSeq(real, a, [[(ratio, (_lead_coeff(1, real),))] for _ in range(a)])
+    return Slot(seq) if real.tag == "symbolic" else Slot(seq, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +621,7 @@ def zeta_trunc(f, D, real, var="T", base="origin", budget=None):
     if real.tag == "symbolic":
         if base != "origin":
             raise MotzetaError("symbolic zeta is local at the origin")
-        for n in range(1, D + 1):
-            c = _exact_class(f, n)
-            if not c.is_zero():
-                ent[(n,)] = c
-        return TruncSeries(real, (var,), D, ent)
+        return zeta_closed(f, real, var).expand(D)
     q = real.q
     if base == "global":
         _require_prime(q, "global zeta")
@@ -749,35 +671,14 @@ def _shift_poly(f, shift):
 def zeta_closed(f, real, var="T"):
     """Closed zeta series for recognized shapes.
 
-    x^a contributes one strand: leading-locus class times
-    L^{-k} T^{a k} summed over k >= 1; a sum of distinct linear variables
-    behaves like x^1.  Unrecognized shapes raise FitFailed (fit a
+    The exponent-a strand (see shape_exponent) is the leading-locus class
+    times L^{-k} T^{a k} summed over k >= 1.  Any other germ, or one
+    whose a or linear coefficients q divides, raises FitFailed (fit a
     truncation instead).
     """
-    f = _as_poly(f)
-    shape = classify_shape(f)
-    if shape[0] == "monomial":
-        a = shape[2]
-    elif shape[0] == "linsum":
-        a = 1
-    else:
-        raise FitFailed("no closed zeta for shape %r" % (shape[0],))
-    if real.tag == "symbolic":
-        atom = shape_atom(f)
-        coeff = (
-            SymbolicClass.from_atom(atom, base="pt")
-            if atom is not None
-            else SymbolicClass.unit()
-        )
-    else:
-        q = real.q
-        if shape[0] == "monomial":
-            if math.gcd(a, q) != 1:
-                raise MotzetaError("exponent shares a factor with q")
-            coeff = Fraction(math.gcd(a, q - 1))
-        else:
-            coeff = Fraction(1)
-    return ClosedSeries(real, (var,), (Strand(coeff, (0,), ((-1, (a,)),)),))
+    a = _strand_exponent(f, real)
+    strand = Strand(_lead_coeff(a, real), (0,), ((-1, (a,)),))
+    return ClosedSeries(real, (var,), (strand,))
 
 
 def multizeta_separable(fs, real, vars=None):
@@ -857,39 +758,35 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     order below n), and Bpair (opposite exact hits), all normalized the
     same way.
 
-    mode picks how each level is counted: "strata" (closed counts, monomial
-    pairs only), "hist" (the JetTable pair join) or "auto" (strata where it
-    applies, else hist).
+    mode picks how each level is counted: "strata" (closed counts of the
+    pair x^a, y^b, or c*x for either, with a, b prime to q), "hist" (the
+    JetTable pair join) or "auto" (strata where it applies, else hist).
+    c*x counts as x: u -> c*u permutes the jets of each order.
     """
     _choice("mode", mode, ("auto", "strata", "hist"))
     f, g = _as_poly(f), _as_poly(g)
     if set(f.vars) & set(g.vars):
         raise VariableMismatch("summands must use disjoint variables")
-    dtot = len(f.vars) + len(g.vars)
     if real.tag == "symbolic":
         if split:
             raise MotzetaError("symbolic splits are not provided")
-        h = f.direct_sum(g)
-        ent = {}
-        for n in range(1, D + 1):
-            c = _exact_class(h, n)
-            if not c.is_zero():
-                ent[(n,)] = c
-        return TruncSeries(real, (var,), D, ent)
+        return zeta_trunc(f.direct_sum(g), D, real, var)
     q = real.q
-    sf, sg = classify_shape(f), classify_shape(g)
+    dtot = len(f.vars) + len(g.vars)
+    exps = [shape_exponent(h, q) if len(h.vars) == 1 else None for h in (f, g)]
+    if mode == "auto":
+        mode = "hist" if None in exps else "strata"
+    elif mode == "strata" and None in exps:
+        h = (f, g)[exps.index(None)]
+        raise MotzetaError(
+            "strata mode counts x^a or c*x with a prime to q; summand %s "
+            "is not one at q=%d" % (h.render(), q)
+        )
     ent = {}
     splits = {"A1": {}, "A2": {}, "A3": {}, "Bpair": {}}
     for n in range(1, D + 1):
-        use = mode
-        if use == "auto":
-            monomials = sf[0] == "monomial" and sg[0] == "monomial"
-            if monomials and math.gcd(sf[2] * sg[2], q) == 1:
-                use = "strata"
-            else:
-                use = "hist"
-        if use == "strata":
-            c = monomial_pair_counts(sf[2], sg[2], n, q)
+        if mode == "strata":
+            c = monomial_pair_counts(exps[0], exps[1], n, q)
         else:
             c = histogram_pair_counts(f, g, n, q, budget=budget)
         den = q ** (dtot * n)
@@ -924,20 +821,22 @@ class Stratum:
         self.N = tuple(tuple(int(x) for x in row) for row in N)
         self.nu = tuple(int(x) for x in nu)
         k = len(self.labels)
-        if len(self.N) != k or len(self.nu) != k:
-            raise ValueError("need one multiplicity row and twist per member")
         if k == 0:
-            raise ValueError("empty stratum")
+            raise MotzetaError("Stratum labels: empty stratum")
+        if len(self.N) != k:
+            raise MotzetaError("Stratum N: need one multiplicity row per member")
+        if len(self.nu) != k:
+            raise MotzetaError("Stratum nu: need one twist per member")
         width = len(self.N[0])
         for row in self.N:
             if len(row) != width:
-                raise ValueError("ragged multiplicity rows")
+                raise MotzetaError("Stratum N: ragged multiplicity rows")
             if any(x < 0 for x in row):
-                raise ValueError("multiplicities must be >= 0")
+                raise MotzetaError("Stratum N: multiplicities must be >= 0")
             if not any(row):
-                raise ValueError("every member needs a positive multiplicity")
+                raise MotzetaError("Stratum N: every member needs a positive multiplicity")
         if any(v < 1 for v in self.nu):
-            raise ValueError("twists must be >= 1")
+            raise MotzetaError("Stratum nu: twists must be >= 1")
 
     @property
     def width(self):
@@ -950,10 +849,10 @@ class ResolutionData:
     def __init__(self, strata):
         self.strata = tuple(strata)
         if not self.strata:
-            raise ValueError("need at least one stratum")
+            raise MotzetaError("ResolutionData strata: need at least one stratum")
         w = self.strata[0].width
         if any(s.width != w for s in self.strata):
-            raise ValueError("strata disagree on the output arity")
+            raise MotzetaError("ResolutionData strata: strata disagree on the output arity")
 
     @property
     def width(self):
@@ -1019,14 +918,16 @@ def _stratum_coeff(st, real, binding):
     return base * Fraction(q - 1) ** kexp
 
 
-def _cone_for(stratum_index, cone, k):
-    if cone is None:
-        return None
-    if isinstance(cone, ConePieces):
-        return cone
+def _cone_for(stratum_index, cone):
+    """The cone pieces of one stratum (None: the full orthant)."""
     if isinstance(cone, (list, tuple)):
-        return cone[stratum_index]
-    raise ValueError("cone must be a ConePieces or a per-stratum list")
+        cone = cone[stratum_index]
+    if cone is None or isinstance(cone, ConePieces):
+        return cone
+    raise ConeNotDecomposed(
+        "cone must be a ConePieces or a per-stratum list of them, not %r"
+        % (cone,)
+    )
 
 
 class ConePieces:
@@ -1071,151 +972,56 @@ class ConePieces:
         }
 
 
-def dl_eval(res, real, mode="closed", vars=None, D=None, cone=None, binding=None):
-    """Evaluate supplied resolution data to a zeta series.
+def dl_eval(res, real, vars=None, cone=None, binding=None):
+    """Evaluate supplied resolution data to its closed zeta series; expand
+    the result for a truncation.
 
     Without a cone the lattice sum runs over all positive integer vectors
     of each stratum and closes into one product of geometric factors per
-    stratum (mode "closed"), or a truncated lattice sum (mode "trunc",
-    needs D).  With a cone the sum runs over the supplied pieces; closed
-    mode requires an explicit decomposition and raises ConeNotDecomposed
-    otherwise.
+    stratum.  With a cone the sum runs over the supplied pieces, given as
+    a ConePieces or a per-stratum list of them; anything else raises
+    ConeNotDecomposed.
     """
-    _choice("mode", mode, ("closed", "trunc"))
     if not isinstance(res, ResolutionData):
         res = parse_resolution(res)
     r = res.width
     if vars is None:
         vars = _default_vars(r)
-    if mode == "closed":
-        strands = []
-        for si, st in enumerate(res.strata):
-            coeff = _stratum_coeff(st, real, binding)
-            pieces = _cone_for(si, cone, len(st.labels))
-            if pieces is None:
-                factors = tuple(
-                    (-st.nu[i], st.N[i]) for i in range(len(st.labels))
-                )
-                strands.append(Strand(coeff, (0,) * r, factors))
-                continue
-            if not isinstance(pieces, ConePieces):
-                raise ConeNotDecomposed(
-                    "closed mode needs an explicit piece decomposition"
-                )
-            for gens, flags in pieces.pieces:
-                open_idx = [i for i, b in enumerate(flags) if b]
-                closed_idx = [i for i, b in enumerate(flags) if not b]
-                for sub in itertools.chain.from_iterable(
-                    itertools.combinations(closed_idx, k)
-                    for k in range(len(closed_idx) + 1)
-                ):
-                    chosen = sorted(open_idx + list(sub))
-                    factors = []
-                    for gi in chosen:
-                        g = gens[gi]
-                        nv = tuple(
-                            sum(g[i] * st.N[i][j] for i in range(len(g)))
-                            for j in range(r)
-                        )
-                        mv = -sum(g[i] * st.nu[i] for i in range(len(g)))
-                        if not any(nv):
-                            raise ConeNotDecomposed(
-                                "a generator maps to exponent zero"
-                            )
-                        factors.append((mv, nv))
-                    strands.append(Strand(coeff, (0,) * r, tuple(factors)))
-            if pieces.origin:
-                strands.append(Strand(coeff, (0,) * r, ()))
-        return ClosedSeries(real, tuple(vars), tuple(strands))
-    if D is None:
-        raise MotzetaError("trunc mode needs a degree bound D")
-    V = real.coeffs
-    S = real.scalars
-    ent = {}
-
-    def add(exp, val):
-        if sum(exp) > D:
-            return
-        ent[exp] = V.add(ent[exp], val) if exp in ent else val
-
+    if isinstance(cone, (list, tuple)) and len(cone) != len(res.strata):
+        raise ConeNotDecomposed(
+            "cone lists %d strata for %d" % (len(cone), len(res.strata))
+        )
+    strands = []
     for si, st in enumerate(res.strata):
         coeff = _stratum_coeff(st, real, binding)
-        k = len(st.labels)
-
-        def emit(kvec):
-            exp = tuple(
-                sum(kvec[i] * st.N[i][j] for i in range(k)) for j in range(r)
-            )
-            if sum(exp) > D:
-                return False
-            tw = -sum(kvec[i] * st.nu[i] for i in range(k))
-            scal = S.from_locrat(LocRat.L(tw)) if real.tag == "symbolic" else Fraction(real.q) ** tw
-            add(exp, V.scale(scal, coeff))
-
-        pieces = _cone_for(si, cone, k)
+        pieces = _cone_for(si, cone)
         if pieces is None:
-
-            def rec(i, kvec):
-                if i == k:
-                    emit(tuple(kvec))
-                    return
-                c = 1
-                while True:
-                    kvec.append(c)
-                    exp_min = sum(
-                        kvec[t] * sum(st.N[t]) for t in range(len(kvec))
-                    ) + sum(sum(st.N[t]) for t in range(len(kvec), k))
-                    if exp_min > D:
-                        kvec.pop()
-                        break
-                    rec(i + 1, kvec)
-                    kvec.pop()
-                    c += 1
-
-            rec(0, [])
-        else:
-            if not isinstance(pieces, ConePieces):
-                raise ValueError("trunc mode needs ConePieces as well")
-            for gens, flags in pieces.pieces:
-                m = len(gens)
-
-                def recp(i, cvec):
-                    if i == m:
-                        kvec = tuple(
-                            sum(cvec[t] * gens[t][i2] for t in range(m))
-                            for i2 in range(len(gens[0]))
-                        )
-                        emit(kvec)
-                        return
-                    c = 1 if flags[i] else 0
-                    while True:
-                        cvec.append(c)
-                        kmin = [
-                            sum(
-                                cvec[t] * gens[t][i2]
-                                for t in range(len(cvec))
-                            )
-                            + sum(
-                                (1 if flags[t] else 0) * gens[t][i2]
-                                for t in range(len(cvec), m)
-                            )
-                            for i2 in range(len(gens[0]))
-                        ]
-                        dmin = sum(
-                            kmin[i2] * sum(st.N[i2][j] for j in range(r))
-                            for i2 in range(len(kmin))
-                        )
-                        if dmin > D:
-                            cvec.pop()
-                            break
-                        recp(i + 1, cvec)
-                        cvec.pop()
-                        c += 1
-
-                recp(0, [])
-            if pieces.origin:
-                add((0,) * r, V.scale(S.one, coeff))
-    return TruncSeries(real, tuple(vars), D, ent)
+            factors = tuple((-st.nu[i], st.N[i]) for i in range(len(st.labels)))
+            strands.append(Strand(coeff, (0,) * r, factors))
+            continue
+        for gens, flags in pieces.pieces:
+            open_idx = [i for i, b in enumerate(flags) if b]
+            closed_idx = [i for i, b in enumerate(flags) if not b]
+            for sub in itertools.chain.from_iterable(
+                itertools.combinations(closed_idx, k)
+                for k in range(len(closed_idx) + 1)
+            ):
+                chosen = sorted(open_idx + list(sub))
+                factors = []
+                for gi in chosen:
+                    g = gens[gi]
+                    nv = tuple(
+                        sum(g[i] * st.N[i][j] for i in range(len(g)))
+                        for j in range(r)
+                    )
+                    mv = -sum(g[i] * st.nu[i] for i in range(len(g)))
+                    if not any(nv):
+                        raise ConeNotDecomposed("a generator maps to exponent zero")
+                    factors.append((mv, nv))
+                strands.append(Strand(coeff, (0,) * r, tuple(factors)))
+        if pieces.origin:
+            strands.append(Strand(coeff, (0,) * r, ()))
+    return ClosedSeries(real, tuple(vars), tuple(strands))
 
 
 def cone_euler(spec):
@@ -1350,22 +1156,14 @@ def default_q(orders=(), avoid=()):
 
 
 def required_orders(fs):
-    """Action orders and characteristic exclusions for a family of
-    recognized shapes (used for automatic prime selection)."""
+    """Action orders and characteristic exclusions for a family (used for
+    automatic prime selection): every term's degree is an order to split
+    and, with every coefficient, a factor to keep prime to q."""
     orders = set()
     avoid = set()
     for f in fs:
-        f = _as_poly(f)
-        shape = classify_shape(f)
-        if shape[0] == "monomial":
-            orders.add(shape[2])
-            avoid.add(shape[2])
-        elif shape[0] == "linsum":
-            for c in shape[1]:
-                avoid.add(abs(c))
-        else:
-            for e, c in f.terms.items():
-                avoid.add(abs(c))
-                orders.add(max(sum(e), 1))
-                avoid.add(max(sum(e), 1))
+        for e, c in _as_poly(f).terms.items():
+            avoid.add(abs(c))
+            orders.add(max(sum(e), 1))
+            avoid.add(max(sum(e), 1))
     return sorted(orders), sorted(avoid)

@@ -1,10 +1,13 @@
-"""Brute-force jet counters over F_q: the test suite's reference.
+"""Brute-force jet counters over F_q and the lattice sum of resolution
+data: the test suite's reference.
 
 Each counter enumerates every jet explicitly and evaluates f(phi) digit by
 digit in pure Python, sharing nothing with the library's counting routes
 (the closed forms, the jet sweep, the JetTable histograms, the F_q DFS).
 The cost is q^(d*level) per count, so DIRECT_BUDGET keeps them to small
 cases; they exist only to check the library's routes on overlap.
+lattice_sum likewise adds up resolution data one lattice point at a time,
+the reference for the closed strands of dl_eval.
 """
 
 import itertools
@@ -12,8 +15,16 @@ from fractions import Fraction
 
 from motzeta.errors import BudgetExceeded
 from motzeta.geomset import _require_prime
+from motzeta.locring import LocRat
 from motzeta.series import TruncSeries
-from motzeta.zeta import _as_poly, _default_vars
+from motzeta.zeta import (
+    ResolutionData,
+    _as_poly,
+    _cone_for,
+    _default_vars,
+    _stratum_coeff,
+    parse_resolution,
+)
 
 # candidates for one brute-force count
 DIRECT_BUDGET = 2_000_000
@@ -186,3 +197,102 @@ def multizeta_direct(fs, D, real, vars=None, budget=None):
 
     rec(0, 0, 0, [])
     return TruncSeries(real, tuple(vars), D, ent)
+
+
+def lattice_sum(res, real, D, vars=None, cone=None, binding=None):
+    """Definitional route for resolution data: the lattice sum of each
+    stratum over the positive integer vectors (or the points of the
+    supplied cone pieces), term by term through total degree D.  The
+    closed strands of dl_eval are checked against it."""
+    if not isinstance(res, ResolutionData):
+        res = parse_resolution(res)
+    r = res.width
+    if vars is None:
+        vars = _default_vars(r)
+    V = real.coeffs
+    S = real.scalars
+    ent = {}
+
+    def add(exp, val):
+        if sum(exp) > D:
+            return
+        ent[exp] = V.add(ent[exp], val) if exp in ent else val
+
+    for si, st in enumerate(res.strata):
+        coeff = _stratum_coeff(st, real, binding)
+        k = len(st.labels)
+
+        def emit(kvec):
+            exp = tuple(
+                sum(kvec[i] * st.N[i][j] for i in range(k)) for j in range(r)
+            )
+            if sum(exp) > D:
+                return False
+            tw = -sum(kvec[i] * st.nu[i] for i in range(k))
+            scal = S.from_locrat(LocRat.L(tw)) if real.tag == "symbolic" else Fraction(real.q) ** tw
+            add(exp, V.scale(scal, coeff))
+
+        pieces = _cone_for(si, cone)
+        if pieces is None:
+
+            def rec(i, kvec):
+                if i == k:
+                    emit(tuple(kvec))
+                    return
+                c = 1
+                while True:
+                    kvec.append(c)
+                    exp_min = sum(
+                        kvec[t] * sum(st.N[t]) for t in range(len(kvec))
+                    ) + sum(sum(st.N[t]) for t in range(len(kvec), k))
+                    if exp_min > D:
+                        kvec.pop()
+                        break
+                    rec(i + 1, kvec)
+                    kvec.pop()
+                    c += 1
+
+            rec(0, [])
+        else:
+            for gens, flags in pieces.pieces:
+                m = len(gens)
+
+                def recp(i, cvec):
+                    if i == m:
+                        kvec = tuple(
+                            sum(cvec[t] * gens[t][i2] for t in range(m))
+                            for i2 in range(len(gens[0]))
+                        )
+                        emit(kvec)
+                        return
+                    c = 1 if flags[i] else 0
+                    while True:
+                        cvec.append(c)
+                        kmin = [
+                            sum(
+                                cvec[t] * gens[t][i2]
+                                for t in range(len(cvec))
+                            )
+                            + sum(
+                                (1 if flags[t] else 0) * gens[t][i2]
+                                for t in range(len(cvec), m)
+                            )
+                            for i2 in range(len(gens[0]))
+                        ]
+                        dmin = sum(
+                            kmin[i2] * sum(st.N[i2][j] for j in range(r))
+                            for i2 in range(len(kmin))
+                        )
+                        if dmin > D:
+                            cvec.pop()
+                            break
+                        recp(i + 1, cvec)
+                        cvec.pop()
+                        c += 1
+
+                recp(0, [])
+            if pieces.origin:
+                add((0,) * r, V.scale(S.one, coeff))
+    return TruncSeries(real, tuple(vars), D, ent)
+
+

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import direct_pair_counts, jet_count_direct, multizeta_direct
+from brute import direct_pair_counts, jet_count_direct, lattice_sum, multizeta_direct
 from motzeta.egseq import EGSeq
 from motzeta.errors import (
     BudgetExceeded,
@@ -35,7 +35,6 @@ from motzeta.zeta import (
     JetTable,
     ResolutionData,
     Stratum,
-    classify_shape,
     cone_euler,
     default_q,
     diagonal_closed,
@@ -52,6 +51,7 @@ from motzeta.zeta import (
     nearby_cycles,
     parse_resolution,
     required_orders,
+    shape_exponent,
     standard_atom_sets,
     sum_zeta_pullback,
     validate_cone,
@@ -129,12 +129,19 @@ def test_jet_sets_carry_good_actions():
         assert jet_set(f, n, exact=False).check_action_invariance()
 
 
-def test_classify_shape():
-    assert classify_shape(X2) == ("monomial", "x", 2)
-    assert classify_shape(X) == ("monomial", "x", 1)
-    assert classify_shape(XY) == ("linsum", (1, 1))
-    assert classify_shape(parse_poly("x^2 + x^3")) == ("generic", None)
-    assert classify_shape(parse_poly("x + y^2")) == ("generic", None)
+def test_shape_exponent():
+    assert shape_exponent(X2) == 2
+    assert shape_exponent(X) == 1
+    assert shape_exponent(XY) == 1
+    assert shape_exponent("3*x") == 1
+    assert shape_exponent("2*x + 3*y + z") == 1
+    for f in ("x^2 + x^3", "x + y^2", "2*x^2", "x*y", "x + x^2"):
+        assert shape_exponent(f) is None, f
+    # a prime dividing the exponent or a linear coefficient has no strand
+    assert shape_exponent(X3, 3) is None
+    assert shape_exponent(X3, 5) == 3
+    assert shape_exponent("5*x + 5*y", 5) is None
+    assert shape_exponent("5*x + 5*y", 7) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +358,7 @@ def test_axis_sweep_budget_guard():
 def test_axis_generic_demotion():
     # an exponent sharing a factor with q has no closed form: auto sweeps
     ax = AxisCounts(X3, 3)
-    assert ax.shape[0] == "generic"
+    assert ax.a is None
     for n in range(1, 7):
         want = jet_count_direct(X3, n, 3)
         assert ax.exact(n) == ax.exact(n, route="sweep") == want
@@ -402,8 +409,20 @@ RES = [{"I": ["E"], "atom": "mu2", "N": [[2]], "nu": [1]}]
                      "mode must be 'auto', 'separable' or 'axes', not 'bogus'", id="multizeta-mode"),
         pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, mode="direct"),
                      "mode must be 'auto', 'strata' or 'hist', not 'direct'", id="pullback-mode"),
-        pytest.param(lambda: dl_eval(RES, R7, mode="bogus"),
-                     "mode must be 'closed' or 'trunc', not 'bogus'", id="dl-mode"),
+        pytest.param(lambda: sum_zeta_pullback("x^2+x^3", "y^2", 2, count_realization(5), mode="strata"),
+                     "summand x^3 + x^2 is not one at q=5", id="pullback-strata-generic"),
+        pytest.param(lambda: sum_zeta_pullback("x^3", "y^2", 3, count_realization(3), mode="strata"),
+                     "summand x^3 is not one at q=3", id="pullback-strata-exponent"),
+        pytest.param(lambda: dl_eval(RES, R7, cone=5),
+                     "cone must be a ConePieces or a per-stratum list of them, not 5", id="dl-cone"),
+        pytest.param(lambda: dl_eval(RES, R7, cone=[None, None]),
+                     "cone lists 2 strata for 1", id="dl-cone-strata"),
+        pytest.param(lambda: Stratum(("E",), None, ((0,),), (1,)),
+                     "Stratum N: every member needs a positive multiplicity", id="stratum-N"),
+        pytest.param(lambda: Stratum(("E",), None, ((1,),), (0,)),
+                     "Stratum nu: twists must be >= 1", id="stratum-nu"),
+        pytest.param(lambda: ResolutionData([]),
+                     "ResolutionData strata: need at least one stratum", id="resolution-strata"),
         pytest.param(lambda: jet_set(X2, 0), "jet order n must be >= 1, not 0", id="jet-order"),
         pytest.param(lambda: jet_set(X2, 2, base="global"),
                      "base must be 'origin' or 'free', not 'global'", id="jet-base"),
@@ -438,26 +457,73 @@ def test_zeta_trunc_reaches_past_the_jet_space_budget():
         assert z.coeff((n,)) == want
 
 
+# recognized shapes: (text, exponent a, linear coefficients)
+SHAPES = [("x^%d" % a, a, ()) for a in range(2, 6)] + [
+    ("x", 1, (1,)),
+    ("3*x", 1, (3,)),
+    ("x + y", 1, (1, 1)),
+    ("2*x + 3*y + z", 1, (2, 3, 1)),
+]
+CLOSED_CASES = [
+    pytest.param(f, q, id="%s-q%d" % (f.replace(" ", ""), q))
+    for f, a, coeffs in SHAPES
+    for q in (2, 3, 5, 7, 11, 13)
+    if math.gcd(a, q) == 1 and all(c % q for c in coeffs)
+]
+
+
+@pytest.mark.parametrize("f, q", CLOSED_CASES)
+def test_zeta_closed_matches_trunc(f, q):
+    # against the sweep's counts; each sweep step stays under 400k candidate
+    # rows, which ends the comparison before n=8 for linear sums in several
+    # variables at the larger q
+    f = parse_poly(f)
+    a = shape_exponent(f)
+    d = len(f.vars)
+    ax = AxisCounts(f, q, budget=400_000)
+    want = {}
+    D = 0
+    for n in range(1, 9):
+        try:
+            c = ax.exact(n, route="sweep")
+        except BudgetExceeded:
+            break
+        D = n
+        if c:
+            want[(n,)] = Fraction(c, q ** (d * n))
+    assert D >= a + 1
+    real = count_realization(q)
+    assert zeta_closed(f, real).expand(D) == TruncSeries(real, ("T",), D, want)
+
+
 def test_zeta_symbolic_realizes_to_counts():
-    zs = zeta_trunc(X2, 8, symbolic_realization())
-    zc = zeta_trunc(X2, 8, count_realization(7))
-    table = standard_atom_sets(("mu2",))
-    assert zs.support() == zc.support()
-    for e in zs.support():
-        assert bind_and_count(zs.coeff(e), table, 7) == zc.coeff(e)
-
-
-def test_zeta_closed_matches_trunc():
-    for f, q in [(X2, 5), (X3, 7), (X, 7)]:
-        closed = zeta_closed(f, count_realization(q))
-        assert closed.expand(9) == zeta_trunc(f, 9, count_realization(q))
-    sym = zeta_closed(X3, symbolic_realization())
-    assert sym.expand(9) == zeta_trunc(X3, 9, symbolic_realization())
+    for f, a, _ in SHAPES:
+        zs = zeta_trunc(f, 8, symbolic_realization())
+        table = standard_atom_sets(("mu%d" % a,)) if a > 1 else {}
+        for q in (7, 11, 13):
+            zc = zeta_trunc(f, 8, count_realization(q))
+            assert zs.support() == zc.support()
+            for e in zs.support():
+                assert bind_and_count(zs.coeff(e), table, q) == zc.coeff(e)
 
 
 def test_zeta_closed_rejects_generic():
     with pytest.raises(FitFailed):
         zeta_closed(parse_poly("x^2 + x^3"), symbolic_realization())
+    with pytest.raises(FitFailed, match="x\\^3 at q=3"):
+        zeta_closed(X3, count_realization(3))
+
+
+def test_linear_sum_with_coefficients_divisible_by_q():
+    # 5x + 5y vanishes identically mod 5: no jet hits t^n, so the closed
+    # strand of x + y does not apply and the sweep's zero series stands
+    r5 = count_realization(5)
+    with pytest.raises(FitFailed):
+        zeta_closed("5*x+5*y", r5)
+    assert zeta_trunc("5*x+5*y", 3, r5).is_zero()
+    auto = multizeta_trunc(("5*z+5*w", "y"), 5, r5)
+    assert auto == multizeta_trunc(("5*z+5*w", "y"), 5, r5, mode="axes")
+    assert auto.is_zero()
 
 
 def test_zeta_global_base_sums_local_contributions():
@@ -536,6 +602,12 @@ def test_pullback_routes_agree():
     }
     want = TruncSeries(r5, ("S",), 5, direct)
     assert sum_zeta_pullback(X2, Y3, 5, r5, mode="hist") == want
+    # c*x counts as x: u -> c*u permutes the jets of each order
+    for q in (5, 7, 13):
+        rq = count_realization(q)
+        hist = sum_zeta_pullback("3*x", "y^2", 4, rq, mode="hist")
+        assert sum_zeta_pullback("3*x", "y^2", 4, rq, mode="strata") == hist
+        assert sum_zeta_pullback("3*x", "y^2", 4, rq) == hist
 
 
 def test_pullback_split_sums_to_total():
@@ -584,9 +656,9 @@ def test_dl_single_stratum_matches_jet_series():
 def test_dl_trunc_matches_closed():
     res = _mono_resolution(3)
     r7 = count_realization(7)
-    assert dl_eval(res, r7, mode="trunc", D=9) == dl_eval(res, r7).expand(9)
+    assert lattice_sum(res, r7, 9) == dl_eval(res, r7).expand(9)
     rs = symbolic_realization()
-    assert dl_eval(res, rs, mode="trunc", D=9) == dl_eval(res, rs).expand(9)
+    assert lattice_sum(res, rs, 9) == dl_eval(res, rs).expand(9)
 
 
 def test_dl_two_strata():
@@ -600,7 +672,8 @@ def test_dl_two_strata():
         ]
     )
     r7 = count_realization(7)
-    out = dl_eval(res, r7, mode="trunc", D=3, vars=("T", "U"))
+    out = lattice_sum(res, r7, 3, vars=("T", "U"))
+    assert out == dl_eval(res, r7, vars=("T", "U")).expand(3)
     q = Fraction(7)
     assert out.coeff((1, 0)) == 1 / q
     assert out.coeff((0, 1)) == 1 / q
@@ -612,9 +685,9 @@ def test_parse_resolution_round_trip():
     rs = symbolic_realization()
     parsed = parse_resolution([{"I": ["E"], "atom": "mu3", "N": [[3]], "nu": [1]}])
     assert dl_eval(parsed, rs) == zeta_closed(X3, rs)
-    with pytest.raises(ValueError):
+    with pytest.raises(MotzetaError, match="Stratum N"):
         Stratum(("E",), None, ((0,),), (1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(MotzetaError, match="Stratum nu"):
         Stratum(("E",), None, ((1,),), (0,))
 
 
@@ -660,13 +733,13 @@ def test_cone_trunc_matches_closed():
     r7 = count_realization(7)
     quad = _quadrant()
     closed = dl_eval(res, r7, cone=quad)
-    trunc = dl_eval(res, r7, mode="trunc", D=5, cone=quad)
+    trunc = lattice_sum(res, r7, 5, cone=quad)
     assert trunc == closed.expand(5)
     chain = ConePieces(
         ((((1, 1),), (True,)), (((1, 1), (0, 1)), (True, True))),
     )
     closed2 = dl_eval(res, r7, cone=chain)
-    trunc2 = dl_eval(res, r7, mode="trunc", D=6, cone=chain)
+    trunc2 = lattice_sum(res, r7, 6, cone=chain)
     assert trunc2 == closed2.expand(6)
     validate_cone(chain, lambda p: 1 <= p[0] <= p[1], 6, dim=2)
 
@@ -698,7 +771,7 @@ def test_diagonal_collapses_variables():
     r7 = count_realization(7)
     diag = diagonal_closed(dl_eval(res, r7, vars=("T", "U")))
     assert diag.vars == ("T",)
-    two_var = dl_eval(res, r7, mode="trunc", D=8, vars=("T", "U"))
+    two_var = lattice_sum(res, r7, 8, vars=("T", "U"))
     folded = {}
     for e in two_var.support():
         folded[e[0] + e[1]] = folded.get(e[0] + e[1], Fraction(0)) + two_var.coeff(e)
