@@ -17,9 +17,9 @@ weight j on the t^j jet coefficient.  This module provides
     compare them on overlap (and against the brute-force enumeration in
     tests/brute.py): closed forms for recognized shapes, a prefix-pruned
     jet sweep for per-axis counts of any other germ (AxisCounts; its cost
-    follows the size of the loci, not of the jet space), and vectorized
-    histograms of packed value digits for the pair joins of a direct sum
-    (JetTable).  A recognized shape is decided in one place,
+    follows the size of the loci, not of the jet space), and the F_q DFS
+    of twisted_count on jet loci for the pair splits of a direct sum
+    (histogram_pair_counts).  A recognized shape is decided in one place,
     shape_exponent: x^a and a sum of distinct linear variables (a = 1)
     have the one strand [mu_a] L^{-k} T^{ak}, and every closed count,
     stream and series of such a shape is read off a and its leading
@@ -58,6 +58,7 @@ from .errors import (
 )
 from .geomset import (
     GeomSet,
+    WorkMeter,
     _is_prime,
     _require_prime,
     mu_n,
@@ -71,12 +72,10 @@ from .poly import Poly, parse_poly
 from .series import ClosedSeries, Slot, SeparableSeries, Strand, TruncSeries, lim_infty
 from .egseq import EGSeq
 
-# Enumeration guard: rows for one histogram table, and candidate jets for
-# one step of a jet sweep.  Overridable per call; the default keeps q=13
-# level-6 tables (4.8M rows) legal and q^10-style enumerations illegal.
+# Enumeration guard: candidate jets for one step of a jet sweep.
+# Overridable per call; the default admits 13^6 (4.8M) candidates in one
+# step and refuses q^10-style enumerations.
 HIST_BUDGET = 6_000_000
-
-_CHUNK = 1 << 19
 
 
 def _as_poly(f):
@@ -158,142 +157,8 @@ def jet_count(f, n, q, s=0, budget=None):
 
 
 # ---------------------------------------------------------------------------
-# histogram tables (vectorized route)
+# pair splits of a direct sum
 # ---------------------------------------------------------------------------
-
-
-def _mul_trunc(a, b, q):
-    """Product mod t^len(a), mod q, of two coefficient lists of equal
-    length (None marks a zero coefficient; those of b are arrays)."""
-    out = [None] * len(a)
-    for i, x in enumerate(a):
-        if x is None:
-            continue
-        for k, y in enumerate(b[: len(a) - i]):
-            if y is None:
-                continue
-            if out[i + k] is None:
-                out[i + k] = x * y
-            else:
-                out[i + k] += x * y
-    return [None if v is None else np.remainder(v, q, out=v) for v in out]
-
-
-class JetTable:
-    """Histogram of the value digits of f over all level-`level` jets.
-
-    Keys pack the digits (c_1, .., c_level) of f(phi) with digit j at
-    place level-j, so prescribing a prefix c_1..c_j is one contiguous key
-    range.  q must be prime; the constant digit c_0 is stored separately
-    (it is the same for every jet).
-    """
-
-    __slots__ = ("f", "q", "level", "dim", "const", "ukeys", "counts")
-
-    def __init__(self, f, level, q, budget=None):
-        f = _as_poly(f)
-        _require_prime(q, "JetTable")
-        d = len(f.vars)
-        if d == 0:
-            raise ValueError("need at least one variable")
-        total = q ** (d * level)
-        cap = budget if budget is not None else HIST_BUDGET
-        if total > cap:
-            raise BudgetExceeded(
-                "histogram of %d^%d jets at level %d exceeds the budget"
-                % (q, d * level, level)
-            )
-        self.f = f
-        self.q = q
-        self.level = level
-        self.dim = d
-        self.const = f.constant_term() % q
-        vars_ = sorted(f.vars)
-        places = {}
-        for i, v in enumerate(vars_):
-            for j in range(1, level + 1):
-                # digit of coordinate (v, j) sits at index-place i*level+(j-1)
-                places[(v, j)] = q ** (i * level + (j - 1))
-        pieces_k = []
-        pieces_c = []
-        for lo in range(0, total, _CHUNK):
-            idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-            keys = self._chunk_keys(idx, places)
-            uk, uc = np.unique(keys, return_counts=True)
-            pieces_k.append(uk)
-            pieces_c.append(uc)
-        allk = np.concatenate(pieces_k)
-        allc = np.concatenate(pieces_c)
-        order = np.argsort(allk, kind="stable")
-        allk = allk[order]
-        allc = allc[order]
-        uk, start = np.unique(allk, return_index=True)
-        sums = np.add.reduceat(allc, start)
-        self.ukeys = uk
-        self.counts = sums.astype(np.int64)
-
-    def _chunk_keys(self, idx, places):
-        q, level = self.q, self.level
-        series = {
-            v: [None] + [(idx // places[(v, j)]) % q for j in range(1, level + 1)]
-            for v in self.f.vars
-        }
-        acc = [0] * (level + 1)
-        for e, c in self.f.terms.items():
-            term = [np.int64(c % q)] + [None] * level
-            for v, x in zip(self.f.vars, e):
-                for _ in range(x):
-                    term = _mul_trunc(term, series[v], q)
-            for j, t in enumerate(term):
-                if t is not None:
-                    acc[j] = acc[j] + t
-        keys = np.zeros(idx.shape, dtype=np.int64)
-        for j in range(1, level + 1):
-            keys += (acc[j] % q) * q ** (level - j)
-        return keys
-
-    # -- queries --------------------------------------------------------------
-
-    def _range_total(self, lo, hi):
-        a = np.searchsorted(self.ukeys, lo, side="left")
-        b = np.searchsorted(self.ukeys, hi, side="left")
-        return int(self.counts[a:b].sum())
-
-    def prefix_count(self, digits):
-        """Jets whose value has the prescribed digits c_1..c_j (c_0 must
-        vanish for the prescription to be consistent with a jet hit)."""
-        j = len(digits)
-        if j > self.level:
-            raise ValueError("prefix longer than the table level")
-        if self.const != 0:
-            return 0
-        lo = 0
-        for i, dig in enumerate(digits, start=1):
-            lo += (dig % self.q) * (self.q ** (self.level - i))
-        return self._range_total(lo, lo + self.q ** (self.level - j))
-
-    def exact_count(self, n):
-        return self.prefix_count((0,) * (n - 1) + (1,))
-
-    def ordgt_count(self, n):
-        return self.prefix_count((0,) * n)
-
-
-def _pack_complement(table, target_digits):
-    """Keys of (target - value) digitwise mod q over the table's unique
-    keys, plus the leading-order index of each unique value (level+1 for
-    the zero value)."""
-    q, level = table.q, table.level
-    keys = table.ukeys
-    comp = np.zeros(keys.shape, dtype=np.int64)
-    lead = np.full(keys.shape, level + 1, dtype=np.int64)
-    for j in range(1, level + 1):
-        place = q ** (level - j)
-        dig = (keys // place) % q
-        comp += ((target_digits[j - 1] - dig) % q) * place
-        first = (dig != 0) & (lead == level + 1)
-        lead[first] = j
-    return comp, lead
 
 
 def histogram_pair_counts(f, g, n, q, budget=None):
@@ -305,42 +170,42 @@ def histogram_pair_counts(f, g, n, q, budget=None):
       A2    - orders differ (one exact hit, one beyond n),
       A3    - common order l < n (A3_by_l gives each l),
       Bpair - pairs with f(phi) = t^n and g(psi) = -t^n exactly.
+
+    Every number is an F_q DFS count of a jet locus.  Orders are read from
+    the t^1 digit up, so the constant digit enters only the hit equation.
+    Below n the digits of f and g cancel on a hit, so f's leading order
+    l < n is g's too: with N(l) the hits whose f-digits below l vanish,
+    A3_by_l[l] = N(l) - N(l+1), and A2 counts the hits with all of f's or
+    all of g's digits through t^n zero.  budget caps the candidates of all
+    the counts at level n together.
     """
     f, g = _as_poly(f), _as_poly(g)
-    tf = JetTable(f, n, q, budget=budget)
-    tg = JetTable(g, n, q, budget=budget)
-    out = {"total": 0, "A1": 0, "A2": 0, "A3": 0, "A3_by_l": {}, "Bpair": 0}
-    if (tf.const + tg.const) % q == 0 and len(tg.ukeys):
-        target = [0] * n
-        target[n - 1] = 1
-        comp, lead_f = _pack_complement(tf, target)
-        pos = np.searchsorted(tg.ukeys, comp)
-        clip = np.minimum(pos, len(tg.ukeys) - 1)
-        ok = (pos < len(tg.ukeys)) & (tg.ukeys[clip] == comp)
-        pos = clip
-        if ok.any():
-            _, lead_g_all = _pack_complement(tg, [0] * n)
-            pairs = tf.counts[ok] * tg.counts[pos[ok]]
-            lf = lead_f[ok]
-            lg = lead_g_all[pos[ok]]
-            total = int(pairs.sum())
-            a1 = int(pairs[(lf == n) & (lg == n)].sum())
-            a2 = int(pairs[(lf != lg)].sum())
-            a3 = 0
-            by_l = {}
-            for l in range(1, n):
-                cl = int(pairs[(lf == l) & (lg == l)].sum())
-                if cl:
-                    by_l[l] = cl
-                    a3 += cl
-            # the three cases are exhaustive for a sum hitting t^n exactly
-            assert total == a1 + a2 + a3
-            out.update(total=total, A1=a1, A2=a2, A3=a3, A3_by_l=by_l)
-    if tf.const % q == 0 and tg.const % q == 0:
-        bf = tf.exact_count(n)
-        bg = tg.prefix_count((0,) * (n - 1) + ((-1) % q,))
-        out["Bpair"] = bf * bg
-    return out
+    meter = WorkMeter(budget)
+    hit = jet_set(f.direct_sum(g), n, action_order=1)
+    cf, cg = f.compose_jet(n), g.compose_jet(n)
+
+    def count(gs, *extra):
+        eqs = gs.equations + tuple(c for c in extra if not c.is_zero())
+        return twisted_count(GeomSet(gs.coords, eqs), q, meter=meter)
+
+    try:
+        N = [None] + [count(hit, *cf[1:l]) for l in range(1, n + 1)]
+        a2 = count(hit, *cf[1 : n + 1]) + count(hit, *cg[1 : n + 1])
+        bpair = count(jet_set(f, n)) * count(jet_set(-g, n))
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(
+            "pair counts at level %d exceed the budget of %d candidates"
+            % (n, meter.budget)
+        ) from exc
+    by_l = {l: N[l] - N[l + 1] for l in range(1, n) if N[l] != N[l + 1]}
+    return {
+        "total": N[1],
+        "A1": N[n] - a2,
+        "A2": a2,
+        "A3": N[1] - N[n],
+        "A3_by_l": by_l,
+        "Bpair": bpair,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +259,27 @@ def _strand_exponent(f, real):
     return a
 
 
+def _require_prime_to(q, **exponents):
+    """Refuse an exponent that shares a factor with q, naming it."""
+    for name, a in exponents.items():
+        if math.gcd(a, q) != 1:
+            raise MotzetaError(
+                "exponent %s=%d must be prime to q=%d" % (name, a, q)
+            )
+
+
+def _require_level(level, name, need):
+    if level < need:
+        raise VariableMismatch(
+            "level=%d is below %s=%d: level-%d jets have no t^%d digit"
+            % (level, name, need, level, need)
+        )
+
+
 def mono_exact_count(a, n, q, level):
     """Level-`level` jets phi with phi^a = t^n mod t^{n+1}; prime-to-q a."""
-    if level < n or math.gcd(a, q) != 1:
-        raise ValueError("need level >= n and a invertible mod q")
+    _require_prime_to(q, a=a)
+    _require_level(level, "n", n)
     if n % a:
         return 0
     return math.gcd(a, q - 1) * q ** (level - n // a)
@@ -405,10 +287,9 @@ def mono_exact_count(a, n, q, level):
 
 def mono_ordgt_count(a, n, q, level):
     """Level-`level` jets phi with ord phi^a > n."""
-    need = n // a
-    if level < need or math.gcd(a, q) != 1:
-        raise ValueError("level too small or a not invertible mod q")
-    return q ** (level - need)
+    _require_prime_to(q, a=a)
+    _require_level(level, "n//a", n // a)
+    return q ** (level - n // a)
 
 
 def fermat_affine_counts(a, b, q):
@@ -428,8 +309,7 @@ def monomial_pair_counts(a, b, n, q):
     counts, and every condition above the leading position is linear in a
     fresh coordinate pair and contributes a factor q."""
     _require_prime(q, "monomial_pair_counts")
-    if math.gcd(a * b, q) != 1:
-        raise ValueError("exponents must be invertible mod q")
+    _require_prime_to(q, a=a, b=b)
     f0, f1, negb = fermat_affine_counts(a, b, q)
     ga = math.gcd(a, q - 1)
     gb = math.gcd(b, q - 1)
@@ -454,6 +334,23 @@ def monomial_pair_counts(a, b, n, q):
 # ---------------------------------------------------------------------------
 # per-axis counters with route selection
 # ---------------------------------------------------------------------------
+
+
+def _mul_trunc(a, b, q):
+    """Product mod t^len(a), mod q, of two coefficient lists of equal
+    length (None marks a zero coefficient; those of b are arrays)."""
+    out = [None] * len(a)
+    for i, x in enumerate(a):
+        if x is None:
+            continue
+        for k, y in enumerate(b[: len(a) - i]):
+            if y is None:
+                continue
+            if out[i + k] is None:
+                out[i + k] = x * y
+            else:
+                out[i + k] += x * y
+    return [None if v is None else np.remainder(v, q, out=v) for v in out]
 
 
 class AxisCounts:
@@ -550,11 +447,7 @@ class AxisCounts:
         _choice("route", route, ("auto", "sweep"))
         if level is None:
             level = n
-        if level < n:
-            raise VariableMismatch(
-                "level=%d is below n=%d: level-%d jets have no t^%d digit"
-                % (level, n, level, n)
-            )
+        _require_level(level, "n", n)
         if route == "auto":
             c = self._closed(kind, n, level)
             if c is not None:
@@ -760,8 +653,10 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
 
     mode picks how each level is counted: "strata" (closed counts of the
     pair x^a, y^b, or c*x for either, with a, b prime to q), "hist" (the
-    JetTable pair join) or "auto" (strata where it applies, else hist).
-    c*x counts as x: u -> c*u permutes the jets of each order.
+    split by leading order, histogram_pair_counts, whose F_q DFS counts
+    any pair; budget caps its candidates per level) or "auto" (strata
+    where it applies, else hist).  c*x counts as x: u -> c*u permutes the
+    jets of each order.
     """
     _choice("mode", mode, ("auto", "strata", "hist"))
     f, g = _as_poly(f), _as_poly(g)
@@ -818,8 +713,15 @@ class Stratum:
     def __init__(self, labels, atom, N, nu):
         self.labels = tuple(str(x) for x in labels)
         self.atom = atom
-        self.N = tuple(tuple(int(x) for x in row) for row in N)
-        self.nu = tuple(int(x) for x in nu)
+
+        def ints(field, row):
+            try:
+                return tuple(int(x) for x in row)
+            except (TypeError, ValueError):
+                raise MotzetaError("Stratum %s: entries must be integers, not %r" % (field, row)) from None
+
+        self.N = tuple(ints("N", row) for row in N)
+        self.nu = ints("nu", nu)
         k = len(self.labels)
         if k == 0:
             raise MotzetaError("Stratum labels: empty stratum")
@@ -864,7 +766,10 @@ def parse_resolution(obj):
     {"I": [...labels], "atom": {"name":…, "order":…} | "unit" | null,
      "N": [[...]], "nu": [...]}."""
     strata = []
-    for d in obj:
+    for i, d in enumerate(obj):
+        missing = [k for k in ("I", "N", "nu") if k not in d]
+        if missing:
+            raise MotzetaError("parse_resolution: stratum %d has no %r" % (i, missing[0]))
         spec = d.get("atom")
         if spec in (None, "unit", "pt"):
             atom = None
@@ -1000,6 +905,11 @@ def dl_eval(res, real, vars=None, cone=None, binding=None):
             strands.append(Strand(coeff, (0,) * r, factors))
             continue
         for gens, flags in pieces.pieces:
+            if any(len(g) != len(st.labels) for g in gens):
+                raise ConeNotDecomposed(
+                    "stratum %d (%s): generators need one entry per member, %d, not %r"
+                    % (si, ",".join(st.labels), len(st.labels), gens)
+                )
             open_idx = [i for i, b in enumerate(flags) if b]
             closed_idx = [i for i, b in enumerate(flags) if not b]
             for sub in itertools.chain.from_iterable(
@@ -1088,7 +998,7 @@ def validate_cone(spec, member, bound, dim=None):
         spec = ConePieces.from_json(spec)
     if dim is None:
         if not spec.pieces:
-            raise ValueError("dim is needed when there are no pieces")
+            raise MotzetaError("dim is needed when there are no pieces")
         dim = len(spec.pieces[0][0][0])
     for pt in itertools.product(range(bound + 1), repeat=dim):
         hits = 0

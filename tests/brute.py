@@ -3,7 +3,8 @@ data: the test suite's reference.
 
 Each counter enumerates every jet explicitly and evaluates f(phi) digit by
 digit in pure Python, sharing nothing with the library's counting routes
-(the closed forms, the jet sweep, the JetTable histograms, the F_q DFS).
+(the closed forms, the jet sweep, and the F_q DFS, which also counts the
+pair splits of a direct sum).
 The cost is q^(d*level) per count, so DIRECT_BUDGET keeps them to small
 cases; they exist only to check the library's routes on overlap.
 lattice_sum likewise adds up resolution data one lattice point at a time,
@@ -93,7 +94,8 @@ def jet_count_direct(f, n, q, level=None, target="exact", budget=None):
 
 def direct_pair_counts(f, g, n, q, budget=None):
     """Pure-Python counterpart of histogram_pair_counts (bucket join over
-    explicit jet enumeration); same return shape."""
+    explicit jet enumeration, where the library counts jet loci with the
+    F_q DFS); same return shape."""
     f, g = _as_poly(f), _as_poly(g)
     _require_prime(q, "direct_pair_counts")
     cap = budget if budget is not None else DIRECT_BUDGET

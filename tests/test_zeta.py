@@ -32,7 +32,6 @@ from motzeta.series import (
 from motzeta.zeta import (
     AxisCounts,
     ConePieces,
-    JetTable,
     ResolutionData,
     Stratum,
     cone_euler,
@@ -145,23 +144,11 @@ def test_shape_exponent():
 
 
 # ---------------------------------------------------------------------------
-# digit tables
+# the brute-force oracle
 # ---------------------------------------------------------------------------
 
 
-def test_jet_table_matches_direct_counts():
-    for f, level, q in [(X2, 4, 5), (X3, 6, 5), (parse_poly("x^2 + x^3"), 5, 5)]:
-        tab = JetTable(f, level, q)
-        for n in range(1, level + 1):
-            assert tab.exact_count(n) == jet_count_direct(f, n, q, level=level)
-            assert tab.ordgt_count(n) == jet_count_direct(
-                f, n, q, level=level, target="ordgt"
-            )
-
-
 def test_jet_table_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        JetTable(X2, 9, 7, budget=1000)
     with pytest.raises(BudgetExceeded):
         jet_count_direct(X2, 8, 7, budget=100)
 
@@ -182,30 +169,34 @@ PAIR_CASES = [
     (3, 3, 3, 7),
     (3, 3, 6, 5),
 ]
+# past the brute-force oracle's jet space: checked against the closed counts
+DEEP_PAIR_CASES = [(2, 3, 12, 7), (2, 2, 10, 5), (3, 3, 9, 7)]
 
 
 def _pair_polys(a, b):
     return Poly.var("x", a), Poly.var("y", b)
 
 
-@pytest.mark.parametrize("a,b,n,q", PAIR_CASES)
+@pytest.mark.parametrize("a,b,n,q", PAIR_CASES + DEEP_PAIR_CASES)
 def test_pair_routes_agree(a, b, n, q):
     f, g = _pair_polys(a, b)
     hist = histogram_pair_counts(f, g, n, q)
-    direct = direct_pair_counts(f, g, n, q)
-    closed = monomial_pair_counts(a, b, n, q)
+    routes = [monomial_pair_counts(a, b, n, q)]
+    if (a, b, n, q) in PAIR_CASES:
+        routes.append(direct_pair_counts(f, g, n, q))
     for key in ("total", "A1", "A2", "A3", "A3_by_l", "Bpair"):
-        assert hist[key] == direct[key], (key, a, b, n, q)
-        assert hist[key] == closed[key], (key, a, b, n, q)
+        for other in routes:
+            assert hist[key] == other[key], (key, a, b, n, q)
     assert hist["total"] == hist["A1"] + hist["A2"] + hist["A3"]
 
 
 def test_pair_routes_agree_generic_shape():
     f = parse_poly("x^2 + x^3")
-    for n in (2, 3, 4):
-        hist = histogram_pair_counts(f, Y3, n, 5)
-        direct = direct_pair_counts(f, Y3, n, 5)
-        assert hist == direct
+    for g, ns in ((Y3, (2, 3, 4)), (parse_poly("3*y*z"), (1, 2, 3))):
+        for n in ns:
+            hist = histogram_pair_counts(f, g, n, 5)
+            direct = direct_pair_counts(f, g, n, 5)
+            assert hist == direct, (g, n)
 
 
 def test_split_values_square_pair():
@@ -325,14 +316,17 @@ def test_axis_routes_agree():
 def test_axis_sweep_matches_direct_and_table(f, q, level):
     f = parse_poly(f)
     ax = AxisCounts(f, q)
-    tab = JetTable(f, level, q)
     for n in range(1, level + 1):
         assert ax.exact(n, route="sweep") == jet_count_direct(f, n, q)
         assert ax.ordgt(n, route="sweep") == jet_count_direct(
             f, n, q, target="ordgt"
         )
-        assert ax.exact(n, level=level, route="sweep") == tab.exact_count(n)
-        assert ax.ordgt(n, level=level, route="sweep") == tab.ordgt_count(n)
+        assert ax.exact(n, level=level, route="sweep") == jet_count_direct(
+            f, n, q, level=level
+        )
+        assert ax.ordgt(n, level=level, route="sweep") == jet_count_direct(
+            f, n, q, level=level, target="ordgt"
+        )
 
 
 def test_axis_sweep_resumes():
@@ -396,6 +390,7 @@ def test_zeta_trunc_rejects_unknown_base():
 
 R7 = count_realization(7)
 RES = [{"I": ["E"], "atom": "mu2", "N": [[2]], "nu": [1]}]
+RES2 = [{"I": ["E1"], "N": [[1, 0]], "nu": [1]}, {"I": ["E2"], "N": [[0, 1]], "nu": [1]}]
 
 
 @pytest.mark.parametrize(
@@ -430,6 +425,24 @@ RES = [{"I": ["E"], "atom": "mu2", "N": [[2]], "nu": [1]}]
                      "the family fs needs at least one function", id="multizeta-empty"),
         pytest.param(lambda: multizeta_separable((), R7),
                      "the family fs needs at least one function", id="separable-empty"),
+        pytest.param(lambda: monomial_pair_counts(3, 2, 3, 3),
+                     "exponent a=3 must be prime to q=3", id="pair-exponent"),
+        pytest.param(lambda: mono_exact_count(3, 3, 3, 3),
+                     "exponent a=3 must be prime to q=3", id="exact-exponent"),
+        pytest.param(lambda: mono_ordgt_count(3, 3, 3, 3),
+                     "exponent a=3 must be prime to q=3", id="ordgt-exponent"),
+        pytest.param(lambda: mono_exact_count(2, 4, 5, 3),
+                     "level=3 is below n=4", id="exact-level"),
+        pytest.param(lambda: validate_cone(ConePieces(()), lambda p: False, 3),
+                     "dim is needed when there are no pieces", id="validate-dim"),
+        pytest.param(lambda: dl_eval(RES2, R7, cone=ConePieces(((((1, 0, 0),), (True,)),))),
+                     "stratum 0 (E1): generators need one entry per member, 1", id="dl-cone-width"),
+        pytest.param(lambda: parse_resolution([{"I": ["E"], "N": [[1]]}]),
+                     "parse_resolution: stratum 0 has no 'nu'", id="resolution-key"),
+        pytest.param(lambda: Stratum(("E",), None, (("a",),), (1,)),
+                     "Stratum N: entries must be integers", id="stratum-N-int"),
+        pytest.param(lambda: Stratum(("E",), None, ((1,),), ("b",)),
+                     "Stratum nu: entries must be integers", id="stratum-nu-int"),
     ],
 )
 def test_argument_errors_name_the_parameter(run, message):
@@ -615,13 +628,24 @@ def test_pullback_split_sums_to_total():
     acc = parts["A1"].add(parts["A2"]).add(parts["A3"])
     assert acc == total
     assert not parts["Bpair"].is_zero()
+    # a generic pair past the 5^12 level-6 jets of y*z
+    total, parts = sum_zeta_pullback(
+        "x^2+x^3", "y*z", 6, count_realization(5), mode="hist", split=True
+    )
+    assert parts["A1"].add(parts["A2"]).add(parts["A3"]) == total
+    assert not total.is_zero()
 
 
 def test_pullback_auto_budget_names_the_level():
-    # generic pair: auto takes the histogram; 5^3 jets at level 3 exceed 100
-    with pytest.raises(BudgetExceeded, match="level 3"):
+    # generic pair: auto takes the split by leading order, whose DFS counts
+    # spend 20, 55, 100 and 150 candidates at levels 2-5
+    with pytest.raises(BudgetExceeded, match="level 2 exceed the budget of 10 "):
         sum_zeta_pullback(
-            "x^2+x^3", "y^2+y^3", 4, count_realization(5), budget=100
+            "x^2+x^3", "y^2+y^3", 4, count_realization(5), budget=10
+        )
+    with pytest.raises(BudgetExceeded, match="level 5 exceed the budget of 100 "):
+        sum_zeta_pullback(
+            "x^2+x^3", "y^2+y^3", 5, count_realization(5), budget=100
         )
 
 
