@@ -194,39 +194,81 @@ class Poly:
         named namer(v, j) (default "v_j").  with_base adds a free constant
         coefficient v_0 to every jet (jets based at a variable point).
         """
-        if namer is None:
-            namer = lambda v, j: "%s_%d" % (v, j)
+        return JetExpansion(self, namer, with_base).digits(depth)
 
-        def series_mul(a, b):
-            out = [Poly.const(0)] * (depth + 1)
-            for i in range(depth + 1):
-                if a[i].is_zero():
-                    continue
-                for j in range(depth + 1 - i):
-                    if b[j].is_zero():
-                        continue
-                    out[i + j] = out[i + j] + a[i] * b[j]
-            return out
 
-        jets = {}
-        for v in self.vars:
-            s = [Poly.const(0)] * (depth + 1)
-            if with_base:
-                s[0] = Poly.var(namer(v, 0))
-            for j in range(1, depth + 1):
-                s[j] = Poly.var(namer(v, j))
-            jets[v] = s
+def _jet_name(v, j):
+    return "%s_%d" % (v, j)
 
-        total = [Poly.const(0)] * (depth + 1)
-        for e, c in self.terms.items():
-            term = [Poly.const(0)] * (depth + 1)
-            term[0] = Poly.const(c)
-            for v, x in zip(self.vars, e):
-                for _ in range(x):
-                    term = series_mul(term, jets[v])
-            for m in range(depth + 1):
-                total[m] = total[m] + term[m]
-        return total
+
+class JetExpansion:
+    """The digits of f(phi(t)) for a generic jet phi, each computed once.
+
+    Digit m (the coefficient of t^m) involves only the jet coordinates v_j
+    with j <= m, so a deeper expansion extends a shallower one: digits(n)
+    computes the digits still missing and returns digits 0..n, as
+    f.compose_jet(n) does.  The series phi^e of every exponent vector on
+    the way to a term of f is built from a shorter one times one phi_i, on
+    sparse polynomials: dicts from monomials, sorted tuples of coordinate
+    ids with one entry per factor (v_j of the i-th variable has id
+    j * len(f.vars) + i), to integer coefficients.
+    """
+
+    def __init__(self, f, namer=None, with_base=False):
+        self.f = f
+        self._namer = namer or _jet_name
+        self._lo = 0 if with_base else 1
+        # e -> (e lowered by one at its last nonzero index i, i)
+        steps = {}
+        for e in f.terms:
+            while any(e):
+                i = max(k for k, x in enumerate(e) if x)
+                prev = e[:i] + (e[i] - 1,) + e[i + 1 :]
+                steps[e] = (prev, i)
+                e = prev
+        self._steps = sorted(steps.items(), key=lambda s: sum(s[0]))
+        self._series = {(0,) * len(f.vars): []}  # e -> digits of phi^e
+        self._digits = []
+
+    def digits(self, n):
+        while len(self._digits) <= n:
+            self._extend()
+        return self._digits[: n + 1]
+
+    def _extend(self):
+        """Compute digit m of every phi^e from the digits below it."""
+        m, k = len(self._digits), len(self.f.vars)
+        self._series[(0,) * k].append({(): 1} if m == 0 else {})
+        for e, (prev, i) in self._steps:
+            # phi^e = phi^prev * sum_j v_j t^j
+            out = {}
+            for j in range(self._lo, m + 1):
+                v = (j * k + i,)
+                for mono, c in self._series[prev][m - j].items():
+                    key = tuple(sorted(mono + v))
+                    out[key] = out.get(key, 0) + c
+            self._series.setdefault(e, []).append(out)
+        total = {}
+        for e, c in self.f.terms.items():
+            for mono, v in self._series[e][m].items():
+                total[mono] = total.get(mono, 0) + c * v
+        self._digits.append(self._to_poly(total))
+
+    def _to_poly(self, digit):
+        vars_, k = self.f.vars, len(self.f.vars)
+        name = {
+            v: self._namer(vars_[v % k], v // k)
+            for v in {v for mono in digit for v in mono}
+        }
+        ids = sorted(name, key=name.get)
+        pos = {v: i for i, v in enumerate(ids)}
+        terms = {}
+        for mono, c in digit.items():
+            e = [0] * len(ids)
+            for v in mono:
+                e[pos[v]] += 1
+            terms[tuple(e)] = c
+        return Poly(tuple(name[v] for v in ids), terms)
 
 
 # --- parsing (the CLI expression grammar) ------------------------------------

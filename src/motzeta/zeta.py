@@ -13,13 +13,13 @@ weight j on the t^j jet coefficient.  This module provides
 
   * jet_set: the locus as a GeomSet (equations + action data), suitable
     for twisted point counts and symbolic invariance checks;
-  * independent counting routes, kept separate so the test suite can
-    compare them on overlap (and against the brute-force enumeration in
-    tests/brute.py): closed forms for recognized shapes, a prefix-pruned
-    jet sweep for per-axis counts of any other germ (AxisCounts; its cost
-    follows the size of the loci, not of the jet space), and the F_q DFS
-    of twisted_count on jet loci for the pair splits of a direct sum
-    (histogram_pair_counts).  A recognized shape is decided in one place,
+  * two counting routes, checked against each other and against the
+    brute-force enumeration in tests/brute.py: closed forms for recognized
+    shapes, and the F_q DFS of twisted_count on jet loci for everything
+    else, the per-axis counts of any other germ (AxisCounts) and the pair
+    splits of a direct sum (histogram_pair_counts) alike.  The loci of one
+    function are built from one expansion of f(phi) (poly.JetExpansion),
+    sliced per level.  A recognized shape is decided in one place,
     shape_exponent: x^a and a sum of distinct linear variables (a = 1)
     have the one strand [mu_a] L^{-k} T^{ak}, and every closed count,
     stream and series of such a shape is read off a and its leading
@@ -46,8 +46,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     BudgetExceeded,
     ConeNotDecomposed,
@@ -68,15 +66,9 @@ from .geomset import (
 )
 from .locring import L_MINUS_1, LocRat
 from .motclass import Atom, SymbolicClass
-from .poly import Poly, parse_poly
+from .poly import JetExpansion, Poly, parse_poly
 from .series import ClosedSeries, Slot, SeparableSeries, Strand, TruncSeries, lim_infty
 from .egseq import EGSeq
-
-# Enumeration guard: candidate jets for one step of a jet sweep.
-# Overridable per call; the default admits 13^6 (4.8M) candidates in one
-# step and refuses q^10-style enumerations.
-HIST_BUDGET = 6_000_000
-
 
 def _as_poly(f):
     if isinstance(f, Poly):
@@ -107,16 +99,23 @@ def jet_set(f, n, exact=True, action_order=None, base="origin"):
     adds the constant coefficients as weight-0 coordinates.
     """
     f = _as_poly(f)
-    if n < 1:
-        raise MotzetaError("jet order n must be >= 1, not %r" % (n,))
     _choice("base", base, ("origin", "free"))
     with_base = base == "free"
-    cs = f.compose_jet(n, with_base=with_base)
+    return _jet_locus(
+        f.vars, f.compose_jet(n, with_base=with_base), n, exact, action_order, with_base
+    )
+
+
+def _jet_locus(vars, cs, n, exact=True, action_order=None, with_base=False):
+    """jet_set from the digits cs of f(phi) (cs[j] the t^j digit; digits
+    past t^n are not read) in the jet coordinates of the variables vars."""
+    if n < 1:
+        raise MotzetaError("jet order n must be >= 1, not %r" % (n,))
     coords = []
     weights = []
     base_coords = []
-    for v in sorted(f.vars):
-        lo = 0 if with_base else 1
+    lo = 0 if with_base else 1
+    for v in vars:
         for j in range(lo, n + 1):
             name = "%s_%d" % (v, j)
             coords.append(name)
@@ -149,7 +148,8 @@ def jet_count(f, n, q, s=0, budget=None):
 
     Runs the F_q DFS of twisted_count on the GeomSet presentation, which
     solves what it can before it branches; budget caps the candidates it
-    tries.  It shares nothing with the jet sweep, so it serves as an oracle.
+    tries.  At s=0 this is the count AxisCounts takes for a germ without a
+    closed form.
     """
     f = _as_poly(f)
     gs = jet_set(f, n)
@@ -171,7 +171,9 @@ def histogram_pair_counts(f, g, n, q, budget=None):
       A3    - common order l < n (A3_by_l gives each l),
       Bpair - pairs with f(phi) = t^n and g(psi) = -t^n exactly.
 
-    Every number is an F_q DFS count of a jet locus.  Orders are read from
+    Every number is an F_q DFS count of a jet locus, and every locus is
+    read off one expansion each of f and g: the digits of f + g are their
+    sums, those of -g their negatives.  Orders are read from
     the t^1 digit up, so the constant digit enters only the hit equation.
     Below n the digits of f and g cancel on a hit, so f's leading order
     l < n is g's too: with N(l) the hits whose f-digits below l vanish,
@@ -181,8 +183,10 @@ def histogram_pair_counts(f, g, n, q, budget=None):
     """
     f, g = _as_poly(f), _as_poly(g)
     meter = WorkMeter(budget)
-    hit = jet_set(f.direct_sum(g), n, action_order=1)
     cf, cg = f.compose_jet(n), g.compose_jet(n)
+    hit = _jet_locus(
+        f.direct_sum(g).vars, [a + b for a, b in zip(cf, cg)], n, action_order=1
+    )
 
     def count(gs, *extra):
         eqs = gs.equations + tuple(c for c in extra if not c.is_zero())
@@ -191,7 +195,9 @@ def histogram_pair_counts(f, g, n, q, budget=None):
     try:
         N = [None] + [count(hit, *cf[1:l]) for l in range(1, n + 1)]
         a2 = count(hit, *cf[1 : n + 1]) + count(hit, *cg[1 : n + 1])
-        bpair = count(jet_set(f, n)) * count(jet_set(-g, n))
+        bpair = count(_jet_locus(f.vars, cf, n)) * count(
+            _jet_locus(g.vars, [-c for c in cg], n)
+        )
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             "pair counts at level %d exceed the budget of %d candidates"
@@ -332,47 +338,24 @@ def monomial_pair_counts(a, b, n, q):
 
 
 # ---------------------------------------------------------------------------
-# per-axis counters with route selection
+# per-axis counters
 # ---------------------------------------------------------------------------
-
-
-def _mul_trunc(a, b, q):
-    """Product mod t^len(a), mod q, of two coefficient lists of equal
-    length (None marks a zero coefficient; those of b are arrays)."""
-    out = [None] * len(a)
-    for i, x in enumerate(a):
-        if x is None:
-            continue
-        for k, y in enumerate(b[: len(a) - i]):
-            if y is None:
-                continue
-            if out[i + k] is None:
-                out[i + k] = x * y
-            else:
-                out[i + k] += x * y
-    return [None if v is None else np.remainder(v, q, out=v) for v in out]
 
 
 class AxisCounts:
     """Exact-hit and order-beyond counts for one function at one prime.
 
-    Routes: "auto" (the closed form of a recognized shape, else the
-    sweep) or "sweep" (always the sweep; the seam the tests use to compare
-    the two, and both against the brute-force counts of tests/brute.py).
-    The closed form is read off a = shape_exponent(f, q), kept as self.a:
-    a monomial whose exponent shares a factor with q, or a linear sum with
-    a coefficient divisible by q, has a = None and is swept.  Counts
-    at a level above the constrained depth append free digits, one factor
-    q per free coordinate; a level below n raises VariableMismatch.
-
-    The sweep is one resumable prefix-pruned enumeration.  The t^j digit
-    c_j of f(phi) depends only on jet coordinates of index <= j, so the
-    frontier at level j is the set of level-j jets with c_0 = .. = c_j = 0,
-    kept as an int64 digit array of shape (rows, j, dim).  One step extends
-    every frontier row by the q^dim new digits and reads c_{j+1}: the rows
-    with c_{j+1} = 1 are the exact hits at j+1, those with c_{j+1} = 0 the
-    order-beyond jets and the next frontier.  A step whose candidate rows
-    exceed the budget (default HIST_BUDGET) raises BudgetExceeded.
+    A recognized shape takes its closed form, read off a =
+    shape_exponent(f, q) and kept as self.a.  Any other germ (a = None:
+    also a monomial whose exponent shares a factor with q, or a linear sum
+    with a coefficient divisible by q) is counted by the F_q DFS of
+    twisted_count on its level-n jet locus, built from one expansion of f
+    that grows with the deepest level asked; the count at each (kind, n) is
+    kept.  One WorkMeter caps the DFS candidates of all counts together
+    (budget; default geomset.DEFAULT_BUDGET), and BudgetExceeded names the
+    level that exceeded it.  Counts at a level above the constrained depth
+    append free digits, one factor q per free coordinate; a level below n
+    raises VariableMismatch.
     """
 
     def __init__(self, f, q, budget=None):
@@ -380,17 +363,10 @@ class AxisCounts:
         _require_prime(q, "AxisCounts")
         self.q = q
         self.dim = len(self.f.vars)
-        self.budget = budget
         self.a = shape_exponent(self.f, q)
-        self._linear = [0] * self.dim
-        for e, c in self.f.terms.items():
-            if sum(e) == 1:
-                self._linear[e.index(1)] = c % q
-        # sweep state: frontier at level len(_exact) - 1, counts by level
-        live = self.f.constant_term() % q == 0
-        self._frontier = np.zeros((1 if live else 0, 0, self.dim), dtype=np.int64)
-        self._exact = [0]
-        self._ordgt = [int(live)]
+        self.meter = WorkMeter(budget)
+        self._jets = JetExpansion(self.f)
+        self._counts = {}
 
     def _closed(self, kind, n, level):
         """The count of x^a, with one free factor q^level per further
@@ -400,68 +376,31 @@ class AxisCounts:
         count = mono_exact_count if kind == "exact" else mono_ordgt_count
         return count(self.a, n, self.q, level) * self.q ** ((self.dim - 1) * level)
 
-    def _nonlinear_digit(self, frontier):
-        """Digit c_{j+1} of the terms of degree >= 2 of f at each frontier
-        row (level j).  Such a term never reaches t^{j+1} through a
-        coordinate of index j+1, so the frontier digits determine it."""
-        q = self.q
-        m = frontier.shape[1] + 1
-        out = np.zeros(frontier.shape[0], dtype=np.int64)
-        series = [
-            [None] + [frontier[:, k, i] for k in range(m - 1)] + [None]
-            for i in range(self.dim)
-        ]
-        for e, c in self.f.terms.items():
-            if sum(e) < 2 or c % q == 0:
-                continue
-            prod = [np.int64(c % q)] + [None] * m
-            for i, x in enumerate(e):
-                for _ in range(x):
-                    prod = _mul_trunc(prod, series[i], q)
-            if prod[m] is not None:
-                out += prod[m]
-        return out % q
-
-    def _step(self):
-        """Extend the sweep frontier by one level."""
-        q, d = self.q, self.dim
-        frontier = self._frontier
-        cap = self.budget if self.budget is not None else HIST_BUDGET
-        cand = frontier.shape[0] * q**d
-        if cand > cap:
-            raise BudgetExceeded(
-                "jet sweep to level %d: %d candidates exceed the budget"
-                % (frontier.shape[1] + 1, cand)
-            )
-        new = (np.arange(q**d, dtype=np.int64)[:, None] // q ** np.arange(d)) % q
-        lin = new @ np.array(self._linear, dtype=np.int64) % q
-        digit = (self._nonlinear_digit(frontier)[:, None] + lin) % q
-        rows, ext = np.nonzero(digit == 0)
-        self._exact.append(int(np.count_nonzero(digit == 1)))
-        self._ordgt.append(len(rows))
-        self._frontier = np.concatenate(
-            (frontier[rows], new[ext][:, None, :]), axis=1
-        )
-
-    def _count(self, kind, n, level, route):
-        _choice("route", route, ("auto", "sweep"))
+    def _count(self, kind, n, level):
         if level is None:
             level = n
         _require_level(level, "n", n)
-        if route == "auto":
-            c = self._closed(kind, n, level)
-            if c is not None:
-                return c
-        while len(self._exact) <= n:
-            self._step()
-        base = self._exact[n] if kind == "exact" else self._ordgt[n]
-        return base * self.q ** (self.dim * (level - n))
+        c = self._closed(kind, n, level)
+        if c is not None:
+            return c
+        if (kind, n) not in self._counts:
+            locus = _jet_locus(
+                self.f.vars, self._jets.digits(n), n, kind == "exact", action_order=1
+            )
+            try:
+                self._counts[kind, n] = twisted_count(locus, self.q, meter=self.meter)
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(
+                    "jet counts of %s at level %d exceed the budget of %d candidates"
+                    % (self.f.render(), n, self.meter.budget)
+                ) from exc
+        return self._counts[kind, n] * self.q ** (self.dim * (level - n))
 
-    def exact(self, n, level=None, route="auto"):
-        return self._count("exact", n, level, route)
+    def exact(self, n, level=None):
+        return self._count("exact", n, level)
 
-    def ordgt(self, n, level=None, route="auto"):
-        return self._count("ordgt", n, level, route)
+    def ordgt(self, n, level=None):
+        return self._count("ordgt", n, level)
 
 
 # ---------------------------------------------------------------------------

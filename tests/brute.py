@@ -3,8 +3,9 @@ data: the test suite's reference.
 
 Each counter enumerates every jet explicitly and evaluates f(phi) digit by
 digit in pure Python, sharing nothing with the library's counting routes
-(the closed forms, the jet sweep, and the F_q DFS, which also counts the
-pair splits of a direct sum).
+(the closed forms of recognized shapes, and the F_q DFS on jet loci, which
+counts the per-axis jets of every other germ and the pair splits of a
+direct sum).
 The cost is q^(d*level) per count, so DIRECT_BUDGET keeps them to small
 cases; they exist only to check the library's routes on overlap.
 lattice_sum likewise adds up resolution data one lattice point at a time,
@@ -31,10 +32,11 @@ from motzeta.zeta import (
 DIRECT_BUDGET = 2_000_000
 
 
-def _value_digits(f, jets, n, q):
+def _value_digits(f, jets, n, q, base=None):
     """Digits c_0..c_n of f(phi) mod t^{n+1} mod q.
 
-    jets: var -> list of level coefficients (c_1.., ints mod q).
+    jets: var -> list of level coefficients (c_1.., ints mod q); base: var ->
+    constant coefficient c_0 (default 0, jets at the origin).
     """
     out = [0] * (n + 1)
     for e, c in f.terms.items():
@@ -42,11 +44,13 @@ def _value_digits(f, jets, n, q):
         term[0] = c % q
         for v, x in zip(f.vars, e):
             js = jets[v]
+            c0 = (base or {}).get(v, 0)
             for _ in range(x):
                 new = [0] * (n + 1)
                 for i in range(n + 1):
                     if term[i] == 0:
                         continue
+                    new[i] = (new[i] + term[i] * c0) % q
                     for j in range(1, min(len(js), n - i) + 1):
                         if js[j - 1]:
                             new[i + j] = (new[i + j] + term[i] * js[j - 1]) % q
@@ -95,7 +99,9 @@ def jet_count_direct(f, n, q, level=None, target="exact", budget=None):
 def direct_pair_counts(f, g, n, q, budget=None):
     """Pure-Python counterpart of histogram_pair_counts (bucket join over
     explicit jet enumeration, where the library counts jet loci with the
-    F_q DFS); same return shape."""
+    F_q DFS); same return shape.  Buckets are keyed on all digits c_0..c_n,
+    so constant terms that cancel mod q pair up; orders are read from the
+    t^1 digit up, as in histogram_pair_counts."""
     f, g = _as_poly(f), _as_poly(g)
     _require_prime(q, "direct_pair_counts")
     cap = budget if budget is not None else DIRECT_BUDGET
@@ -108,10 +114,7 @@ def direct_pair_counts(f, g, n, q, budget=None):
         out = {}
         for flat in itertools.product(range(q), repeat=d * n):
             jets = {v: list(flat[i * n : (i + 1) * n]) for i, v in enumerate(vars_)}
-            digs = _value_digits(h, jets, n, q)
-            if digs[0] != 0:
-                return {}
-            key = tuple(digs[1:])
+            key = tuple(_value_digits(h, jets, n, q))
             out[key] = out.get(key, 0) + 1
         return out
 
@@ -120,12 +123,12 @@ def direct_pair_counts(f, g, n, q, budget=None):
     out = {"total": 0, "A1": 0, "A2": 0, "A3": 0, "A3_by_l": {}, "Bpair": 0}
 
     def lead(key):
-        for i, dig in enumerate(key, start=1):
+        for i, dig in enumerate(key[1:], start=1):
             if dig:
                 return i
         return n + 1
 
-    target = (0,) * (n - 1) + (1,)
+    target = (0,) * n + (1,)
     for key, cf in bf.items():
         comp = tuple((t - k) % q for t, k in zip(target, key))
         cg = bg.get(comp)
@@ -141,7 +144,7 @@ def direct_pair_counts(f, g, n, q, budget=None):
         else:
             out["A3"] += pairs
             out["A3_by_l"][lf] = out["A3_by_l"].get(lf, 0) + pairs
-    neg = (0,) * (n - 1) + ((-1) % q,)
+    neg = (0,) * n + ((-1) % q,)
     out["Bpair"] = bf.get(target, 0) * bg.get(neg, 0)
     return out
 

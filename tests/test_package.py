@@ -1,0 +1,25 @@
+"""The package as installed: its modules and their dependencies."""
+
+import os
+import pkgutil
+import subprocess
+import sys
+
+import motzeta
+
+
+def test_modules_import_without_numpy():
+    # numpy is not a dependency: every module imports with it blocked
+    names = sorted(m.name for m in pkgutil.iter_modules(motzeta.__path__, "motzeta."))
+    assert "motzeta.zeta" in names
+    code = (
+        "import importlib, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "for name in %r:\n"
+        "    importlib.import_module(name)\n" % names
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(motzeta.__path__[0])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr

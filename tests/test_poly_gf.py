@@ -1,7 +1,10 @@
 """Polynomials, the expression grammar, jet composition."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute import _value_digits
 from motzeta.errors import ParseError, UnknownToken, VariableMismatch
 from motzeta.poly import Poly, parse_poly
 
@@ -70,3 +73,50 @@ def test_compose_jet_sum_of_squares():
     f = parse_poly("x^2 + y^2")
     coeffs = f.compose_jet(2)
     assert coeffs[2] == Poly.var("x_1") ** 2 + Poly.var("y_1") ** 2
+
+
+@st.composite
+def _germs(draw):
+    """Integer polynomials in at most 3 variables with at most 4 terms."""
+    vars_ = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3, unique=True))
+    exps = st.tuples(*[st.integers(0, 3)] * len(vars_))
+    terms = draw(st.lists(st.tuples(st.integers(-3, 3), exps), min_size=1, max_size=4))
+    f = Poly.const(0)
+    for c, e in terms:
+        term = Poly.const(c)
+        for v, x in zip(vars_, e):
+            term = term * Poly.var(v, x)
+        f = f + term
+    return f
+
+
+def _eval_mod(p, values, q):
+    total = 0
+    for e, c in p.terms.items():
+        for v, x in zip(p.vars, e):
+            c *= values[v] ** x
+        total += c
+    return total % q
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_germs(), st.integers(0, 5), st.booleans())
+def test_compose_jet_deeper_expansion_extends_shallower(f, depth, with_base):
+    # digit j involves only jet coordinates of index <= j
+    full = f.compose_jet(depth, with_base=with_base)
+    assert len(full) == depth + 1
+    for n in range(depth + 1):
+        assert full[: n + 1] == f.compose_jet(n, with_base=with_base)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_germs(), st.integers(1, 5), st.booleans(), st.sampled_from((2, 3, 5, 7)), st.randoms())
+def test_compose_jet_digits_evaluate_to_the_brute_digits(f, n, with_base, q, rng):
+    jets = {v: [rng.randrange(q) for _ in range(n)] for v in f.vars}
+    base = {v: rng.randrange(q) for v in f.vars} if with_base else None
+    values = {"%s_%d" % (v, j): c for v in f.vars for j, c in enumerate(jets[v], 1)}
+    for v, c in (base or {}).items():
+        values["%s_0" % v] = c
+    digits = f.compose_jet(n, with_base=with_base)
+    got = [_eval_mod(d, values, q) for d in digits]
+    assert got == _value_digits(f, jets, n, q, base)

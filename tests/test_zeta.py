@@ -191,12 +191,22 @@ def test_pair_routes_agree(a, b, n, q):
 
 
 def test_pair_routes_agree_generic_shape():
-    f = parse_poly("x^2 + x^3")
-    for g, ns in ((Y3, (2, 3, 4)), (parse_poly("3*y*z"), (1, 2, 3))):
+    cases = [
+        ("x^2 + x^3", "y^3", (2, 3, 4)),
+        ("x^2 + x^3", "3*y*z", (1, 2, 3)),
+        # constants that cancel mod 5: the sum is x^2 + y^2
+        ("1 + x^2", "4 + y^2", (1, 2, 3, 4)),
+        # constants that do not: no pair hits t^n
+        ("1 + x^2", "1 + y^2", (1, 2, 3, 4)),
+    ]
+    for f, g, ns in cases:
         for n in ns:
             hist = histogram_pair_counts(f, g, n, 5)
             direct = direct_pair_counts(f, g, n, 5)
-            assert hist == direct, (g, n)
+            assert hist == direct, (f, g, n)
+            if g == "1 + y^2":
+                assert not any(hist.values()), n
+    assert histogram_pair_counts("1 + x^2", "4 + y^2", 4, 5)["total"] == 7500
 
 
 def test_split_values_square_pair():
@@ -287,21 +297,48 @@ def test_order_beyond_mass_closes():
 
 
 # ---------------------------------------------------------------------------
-# per-axis route selection
+# per-axis counts
 # ---------------------------------------------------------------------------
 
 
+def _xy_counts(n, q):
+    """Closed counts of x*y at level n: (exact hits, order beyond n).  A jet
+    of order i <= n takes (q-1) q^(n-i) values, the zero jet (order n+1)
+    one; a hit pairs orders i + j = n with leading coefficients of product 1."""
+    by_order = [(q - 1) * q ** (n - i) for i in range(1, n + 1)] + [1]
+    ordgt = sum(
+        ci * cj
+        for i, ci in enumerate(by_order, 1)
+        for j, cj in enumerate(by_order, 1)
+        if i + j > n
+    )
+    return (n - 1) * (q - 1) * q**n, ordgt
+
+
 def test_axis_routes_agree():
-    # oracle: the untwisted F_q DFS over the jet locus, independent of the
-    # sweep; the brute-force counts are checked in test_axis_generic_demotion
-    for f, q, ns in [(X2, 5, range(1, 7)), (X3, 7, range(1, 7)), (XY, 5, range(1, 5))]:
+    # the closed forms of recognized shapes and the DFS counts of other
+    # germs against the brute-force enumeration of tests/brute.py
+    cases = [
+        (X2, 5, 5, 2),
+        (X3, 7, 4, 3),
+        (XY, 5, 3, 1),
+        (parse_poly("x^2 + x^3"), 5, 5, None),
+        (parse_poly("x*y"), 3, 4, None),
+    ]
+    for f, q, top, a in cases:
         ax = AxisCounts(f, q)
-        for n in ns:
-            exact = twisted_count(jet_set(f, n, action_order=1), q)
-            ordgt = twisted_count(jet_set(f, n, exact=False, action_order=1), q)
-            for route in ("auto", "sweep"):
-                assert ax.exact(n, route=route) == exact
-                assert ax.ordgt(n, route=route) == ordgt
+        assert ax.a == a
+        for n in range(1, top + 1):
+            assert ax.exact(n) == jet_count_direct(f, n, q), (f, n)
+            assert ax.ordgt(n) == jet_count_direct(f, n, q, target="ordgt"), (f, n)
+    # past the oracle's jet space, DFS counts against closed forms: x^2 + x^3
+    # is x^2 after the change of coordinate x -> x (1 + x)^(1/2)
+    ax = AxisCounts("x^2 + x^3", 7)
+    xy = AxisCounts("x*y", 5)
+    for n in range(1, 13):
+        assert ax.exact(n) == mono_exact_count(2, n, 7, n)
+        assert ax.ordgt(n) == mono_ordgt_count(2, n, 7, n)
+        assert (xy.exact(n), xy.ordgt(n)) == _xy_counts(n, 5)
 
 
 @pytest.mark.parametrize(
@@ -314,50 +351,45 @@ def test_axis_routes_agree():
     ],
 )
 def test_axis_sweep_matches_direct_and_table(f, q, level):
+    # DFS counts, at their own level and padded to `level`, against the
+    # brute-force enumeration
     f = parse_poly(f)
     ax = AxisCounts(f, q)
     for n in range(1, level + 1):
-        assert ax.exact(n, route="sweep") == jet_count_direct(f, n, q)
-        assert ax.ordgt(n, route="sweep") == jet_count_direct(
-            f, n, q, target="ordgt"
-        )
-        assert ax.exact(n, level=level, route="sweep") == jet_count_direct(
-            f, n, q, level=level
-        )
-        assert ax.ordgt(n, level=level, route="sweep") == jet_count_direct(
+        assert ax.exact(n) == jet_count_direct(f, n, q)
+        assert ax.ordgt(n) == jet_count_direct(f, n, q, target="ordgt")
+        assert ax.exact(n, level=level) == jet_count_direct(f, n, q, level=level)
+        assert ax.ordgt(n, level=level) == jet_count_direct(
             f, n, q, level=level, target="ordgt"
         )
 
 
 def test_axis_sweep_resumes():
+    # the expansion grows with the deepest level asked and counts are kept
+    # per (kind, n): the order of the queries does not change a count
     f = parse_poly("x^2 + y^3 + x*y^2")
     ax = AxisCounts(f, 3)
-    got = (ax.ordgt(3), ax.exact(6), ax.exact(2))
-    want = (
-        AxisCounts(f, 3).ordgt(3),
-        AxisCounts(f, 3).exact(6),
-        AxisCounts(f, 3).exact(2),
-    )
-    assert got == want
+    for kind, n in (("ordgt", 3), ("exact", 4), ("exact", 2), ("ordgt", 1), ("exact", 4)):
+        assert getattr(ax, kind)(n) == jet_count_direct(f, n, 3, target=kind), (kind, n)
 
 
 def test_axis_sweep_budget_guard():
-    # x^2 + x^3 at q=5: 25 frontier jets at level 3, 125 candidates for level 4
-    ax = AxisCounts("x^2 + x^3", 5, budget=100)
-    assert ax.exact(2) == 2 * 5
-    with pytest.raises(BudgetExceeded, match="level 4"):
+    # x^2 + x^3 at q=5: the DFS spends no candidate at levels 1-2, 5 at
+    # level 4 and 15 at level 8, against one budget for the whole object
+    ax = AxisCounts("x^2 + x^3", 5, budget=10)
+    assert ax.exact(2) == mono_exact_count(2, 2, 5, 2)
+    assert ax.exact(4) == mono_exact_count(2, 4, 5, 4)
+    with pytest.raises(BudgetExceeded, match="level 8 exceed the budget of 10 candidates"):
         ax.exact(8)
 
 
 def test_axis_generic_demotion():
-    # an exponent sharing a factor with q has no closed form: auto sweeps
+    # an exponent sharing a factor with q has no closed form: the DFS counts it
     ax = AxisCounts(X3, 3)
     assert ax.a is None
     for n in range(1, 7):
-        want = jet_count_direct(X3, n, 3)
-        assert ax.exact(n) == ax.exact(n, route="sweep") == want
-        want = jet_count_direct(X3, n, 3, target="ordgt")
-        assert ax.ordgt(n) == ax.ordgt(n, route="sweep") == want
+        assert ax.exact(n) == jet_count_direct(X3, n, 3)
+        assert ax.ordgt(n) == jet_count_direct(X3, n, 3, target="ordgt")
 
 
 @pytest.mark.parametrize("f, q", [(X2, 5), ("x^2 + x^3", 5)])
@@ -368,7 +400,7 @@ def test_axis_level_below_n_is_a_variable_mismatch(f, q):
         with pytest.raises(VariableMismatch, match="level=2 is below n=4"):
             kind(4, level=2)
         with pytest.raises(VariableMismatch, match="level=1 is below n=4"):
-            kind(4, level=1, route="sweep")
+            kind(4, level=1)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +428,6 @@ RES2 = [{"I": ["E1"], "N": [[1, 0]], "nu": [1]}, {"I": ["E2"], "N": [[0, 1]], "n
 @pytest.mark.parametrize(
     "run, message",
     [
-        pytest.param(lambda: AxisCounts(X2, 7).exact(2, route="direct"),
-                     "route must be 'auto' or 'sweep', not 'direct'", id="exact-route"),
-        pytest.param(lambda: AxisCounts(X2, 7).ordgt(2, route="closed"),
-                     "route must be 'auto' or 'sweep', not 'closed'", id="ordgt-route"),
         pytest.param(lambda: multizeta_trunc((X2, Y3), 4, R7, mode="bogus"),
                      "mode must be 'auto', 'separable' or 'axes', not 'bogus'", id="multizeta-mode"),
         pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, mode="direct"),
@@ -463,11 +491,22 @@ def test_negative_bound_is_a_variable_mismatch():
 
 
 def test_zeta_trunc_reaches_past_the_jet_space_budget():
-    # 5^12 level-12 jets exceed HIST_BUDGET; the locus has 2*5^6 points.
+    # the DFS counts the locus (2*5^6 points) without enumerating the 5^12
+    # level-12 jets
     z = zeta_trunc("x^2 + x^3", 12, count_realization(5))
     for n in range(1, 13):
         want = Fraction(2 * 5 ** (n // 2), 5**n) if n % 2 == 0 else 0
         assert z.coeff((n,)) == want
+
+
+def test_zeta_trunc_slices_one_expansion():
+    # zeta_trunc reads every level off one expansion of f to D=20; each
+    # coefficient equals the DFS count of a locus expanded at its own level
+    f = parse_poly("x^2 + y^3 + x*y^2")
+    z = zeta_trunc(f, 20, count_realization(5))
+    for n in range(1, 21):
+        c = twisted_count(jet_set(f, n, action_order=1), 5)
+        assert z.coeff((n,)) == Fraction(c, 5 ** (2 * n)), n
 
 
 # recognized shapes: (text, exponent a, linear coefficients)
@@ -487,24 +526,15 @@ CLOSED_CASES = [
 
 @pytest.mark.parametrize("f, q", CLOSED_CASES)
 def test_zeta_closed_matches_trunc(f, q):
-    # against the sweep's counts; each sweep step stays under 400k candidate
-    # rows, which ends the comparison before n=8 for linear sums in several
-    # variables at the larger q
+    # the closed form against DFS counts of the exact-hit jet loci
     f = parse_poly(f)
-    a = shape_exponent(f)
     d = len(f.vars)
-    ax = AxisCounts(f, q, budget=400_000)
+    D = 8
     want = {}
-    D = 0
-    for n in range(1, 9):
-        try:
-            c = ax.exact(n, route="sweep")
-        except BudgetExceeded:
-            break
-        D = n
+    for n in range(1, D + 1):
+        c = twisted_count(jet_set(f, n, action_order=1), q)
         if c:
             want[(n,)] = Fraction(c, q ** (d * n))
-    assert D >= a + 1
     real = count_realization(q)
     assert zeta_closed(f, real).expand(D) == TruncSeries(real, ("T",), D, want)
 
@@ -529,7 +559,7 @@ def test_zeta_closed_rejects_generic():
 
 def test_linear_sum_with_coefficients_divisible_by_q():
     # 5x + 5y vanishes identically mod 5: no jet hits t^n, so the closed
-    # strand of x + y does not apply and the sweep's zero series stands
+    # strand of x + y does not apply and the DFS's zero series stands
     r5 = count_realization(5)
     with pytest.raises(FitFailed):
         zeta_closed("5*x+5*y", r5)
