@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import BaseMismatch
+
 
 def _stirling2_row(j):
     """Row j of the Stirling partition triangle: S(j, 0..j)."""
@@ -181,7 +183,7 @@ class EGSeq:
 
     def add(self, other):
         if self.real.tag != other.real.tag or self.real.q != other.real.q:
-            raise ValueError("sequences live over different realizations")
+            raise BaseMismatch("sequences live over different realizations")
         P = self.period * other.period // math.gcd(self.period, other.period)
         a, b = self.re_period(P), other.re_period(P)
         V = self.real.coeffs

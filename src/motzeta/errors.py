@@ -26,7 +26,8 @@ class VariableMismatch(MotzetaError):
 
 
 class BaseMismatch(MotzetaError):
-    """Series operands disagree on their base decoration."""
+    """Operands disagree on their base decoration or on their realization
+    (symbolic, or counting at a different prime)."""
 
 
 class NotLimitNormal(MotzetaError):

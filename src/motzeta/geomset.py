@@ -96,24 +96,9 @@ class WorkMeter:
 class GeomSet:
     """Equivariant affine presentation; immutable by convention."""
 
-    __slots__ = (
-        "coords",
-        "equations",
-        "nonzero",
-        "action_order",
-        "weights",
-        "base_coords",
-    )
+    __slots__ = ("coords", "equations", "nonzero", "action_order", "weights")
 
-    def __init__(
-        self,
-        coords,
-        equations=(),
-        nonzero=(),
-        action_order=1,
-        weights=None,
-        base_coords=(),
-    ):
+    def __init__(self, coords, equations=(), nonzero=(), action_order=1, weights=None):
         self.coords = tuple(coords)
         self.equations = tuple(equations)
         self.nonzero = frozenset(nonzero)
@@ -121,7 +106,6 @@ class GeomSet:
         if weights is None:
             weights = (0,) * len(self.coords)
         self.weights = tuple(w % self.action_order for w in weights)
-        self.base_coords = frozenset(base_coords)
         if len(self.weights) != len(self.coords):
             raise ValueError("weights and coords length mismatch")
         unknown = set()
@@ -167,7 +151,6 @@ class GeomSet:
             "nonzero": sorted(self.coords.index(c) for c in self.nonzero),
             "order": self.action_order,
             "weights": list(self.weights),
-            "base_coords": sorted(self.coords.index(c) for c in self.base_coords),
         }
 
     @classmethod
@@ -179,7 +162,6 @@ class GeomSet:
             frozenset(coords[i] for i in d["nonzero"]),
             d["order"],
             tuple(d["weights"]),
-            frozenset(coords[i] for i in d["base_coords"]),
         )
 
     def __repr__(self):
@@ -409,27 +391,27 @@ def _sector_exps(gs, g_exp):
     return [-g_exp * w for w in gs.weights]
 
 
-def twisted_count(gs, q, g_exp=0, budget=None, meter=None):
+def twisted_count(gs, q, g_exp=0, meter=None):
     """#{x : equations, nonzero, Frob_q(x) = xi^{-g_exp} . x}.
 
     xi = zeta_K^{q-1} is the fixed primitive N-th root of unity
     (N = gs.action_order); the coordinatewise condition is
-    x_i^q = xi^{-g_exp * w_i} x_i.
+    x_i^q = xi^{-g_exp * w_i} x_i.  meter (default: a fresh WorkMeter with
+    DEFAULT_BUDGET) is charged for the candidates tried.
     """
     if meter is None:
-        meter = WorkMeter(budget)
+        meter = WorkMeter()
     eqs, candidates = _prepare(gs, q, _sector_exps(gs, g_exp))
     return _count_reduced(eqs, list(range(len(gs.coords))), candidates, q, meter)
 
 
-def quotient_count(gs, q, budget=None, meter=None):
-    """Number of F_q-points of the free quotient by the full mu_N action."""
+def quotient_count(gs, q, meter=None):
+    """Number of F_q-points of the free quotient by the full mu_N action;
+    one meter (default as in twisted_count) caps all N twisted counts."""
     if meter is None:
-        meter = WorkMeter(budget)
+        meter = WorkMeter()
     N = gs.action_order
-    total = sum(twisted_count(gs, q, s, meter=meter) for s in range(N))
-    out = Fraction(total, N)
-    return out
+    return Fraction(sum(twisted_count(gs, q, s, meter=meter) for s in range(N)), N)
 
 
 def enumerate_points(gs, q, g_exp=0, budget=None, limit=200000):

@@ -370,7 +370,9 @@ def conv(a, b, base=None):
 
 
 class Binding:
-    """Maps atom names to GeomSet presentations for counting."""
+    """Maps atom names to GeomSet presentations for counting at the prime
+    q.  One WorkMeter (budget) caps every count the binding makes, and the
+    binding caches each atom and Fermat-pair count it has made."""
 
     def __init__(self, table, q, budget=None):
         self.table = dict(table)
@@ -441,13 +443,13 @@ def _operand_value(binding, factors, s):
 
 def _conv_value(binding, node, s, N):
     """Burnside realization of a convolution node at group exponent s."""
+    right = [_operand_value(binding, node.right, beta) for beta in range(N)]
     total = Fraction(0)
     for alpha in range(N):
         va = _operand_value(binding, node.left, alpha)
         if va == 0:
             continue
-        for beta in range(N):
-            vb = _operand_value(binding, node.right, beta)
+        for beta, vb in enumerate(right):
             if vb == 0:
                 continue
             fcount = binding.fermat_twisted(node.kind, N, alpha - s, beta - s)
@@ -455,17 +457,14 @@ def _conv_value(binding, node, s, N):
     return total / (N * N)
 
 
-def bind_and_count(c, binding_or_table, q=None, s=0, budget=None):
-    """Exact rational realization of a symbolic class.
+def bind_and_count(c, binding, s=0):
+    """Exact rational realization of a symbolic class against a Binding.
 
-    L evaluates to q; atoms to twisted counts of their bound geometry;
-    convolutions to the double Burnside sum; augmented parts to plain
-    group averages.  s picks the group-twist component (0 = plain counts).
+    L evaluates to binding.q; atoms to twisted counts of their bound
+    geometry; convolutions to the double Burnside sum; augmented parts to
+    plain group averages.  s picks the group-twist component (0 = plain
+    counts).
     """
-    if isinstance(binding_or_table, Binding):
-        binding = binding_or_table
-    else:
-        binding = Binding(binding_or_table, q, budget)
     total = Fraction(0)
     for factors, aug_term, coeff in c.terms:
         cval = coeff.eval_at(binding.q)

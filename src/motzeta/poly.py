@@ -185,20 +185,15 @@ class Poly:
 
     # -- composition with jet expansions -------------------------------------
 
-    def compose_jet(self, depth, namer=None, with_base=False):
+    def compose_jet(self, depth):
         """Coefficients of f(phi(t)) mod t^{depth+1} for generic jets.
 
         Each variable v is replaced by v_1*t + v_2*t^2 + ... + v_depth*t^depth
         (jet based at the origin).  Returns a list of Poly of length depth+1:
         entry m is the coefficient of t^m, a polynomial in the jet variables
-        named namer(v, j) (default "v_j").  with_base adds a free constant
-        coefficient v_0 to every jet (jets based at a variable point).
+        named "v_j".
         """
-        return JetExpansion(self, namer, with_base).digits(depth)
-
-
-def _jet_name(v, j):
-    return "%s_%d" % (v, j)
+        return JetExpansion(self).digits(depth)
 
 
 class JetExpansion:
@@ -214,10 +209,8 @@ class JetExpansion:
     j * len(f.vars) + i), to integer coefficients.
     """
 
-    def __init__(self, f, namer=None, with_base=False):
+    def __init__(self, f):
         self.f = f
-        self._namer = namer or _jet_name
-        self._lo = 0 if with_base else 1
         # e -> (e lowered by one at its last nonzero index i, i)
         steps = {}
         for e in f.terms:
@@ -242,7 +235,7 @@ class JetExpansion:
         for e, (prev, i) in self._steps:
             # phi^e = phi^prev * sum_j v_j t^j
             out = {}
-            for j in range(self._lo, m + 1):
+            for j in range(1, m + 1):
                 v = (j * k + i,)
                 for mono, c in self._series[prev][m - j].items():
                     key = tuple(sorted(mono + v))
@@ -257,7 +250,7 @@ class JetExpansion:
     def _to_poly(self, digit):
         vars_, k = self.f.vars, len(self.f.vars)
         name = {
-            v: self._namer(vars_[v % k], v // k)
+            v: "%s_%d" % (vars_[v % k], v // k)
             for v in {v for mono in digit for v in mono}
         }
         ids = sorted(name, key=name.get)

@@ -49,13 +49,24 @@ def _Lm1_pow(real, e):
     return real.scalars.pow(real.scalars.from_locrat(L_MINUS_1), e)
 
 
+def _check_same_real(a, b):
+    if a.real.tag != b.real.tag or a.real.q != b.real.q:
+        raise BaseMismatch(
+            "operands live over different realizations: %s vs %s"
+            % (_real_name(a.real), _real_name(b.real))
+        )
+
+
+def _real_name(real):
+    return real.tag if real.q is None else "%s at q=%d" % (real.tag, real.q)
+
+
 def _check_same_shape(a, b):
     if a.vars != b.vars:
         raise VariableMismatch(
             "variable lists differ: %s vs %s" % (list(a.vars), list(b.vars))
         )
-    if a.real.tag != b.real.tag or a.real.q != b.real.q:
-        raise ValueError("operands live over different realizations")
+    _check_same_real(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +277,7 @@ def hadamard_ext(a, b):
     where the product is again such a strand (or zero when the two ray
     supports only share the origin).
     """
-    if isinstance(a, ClosedSeries) and isinstance(b, ClosedSeries):
-        return _closed_hadamard(a, b, a.real.coeffs.mul)
-    if isinstance(a, ClosedSeries) or isinstance(b, ClosedSeries):
-        raise TypeError("mixed closed/truncated Hadamard operands; expand first")
-    _check_same_shape(a, b)
-    bound = min(a.bound, b.bound)
-    V = a.real.coeffs
-    ent = {}
-    for e, va in a.entries.items():
-        if sum(e) > bound:
-            continue
-        vb = b.entries.get(e)
-        if vb is not None:
-            ent[e] = V.mul(va, vb)
-    return TruncSeries(a.real, a.vars, bound, ent)
+    return _hadamard(a, b, a.real.coeffs.mul)
 
 
 def hadamard_conv(a, b, kind=None):
@@ -291,14 +288,19 @@ def hadamard_conv(a, b, kind=None):
     forgotten the action data a convolution depends on.
     """
     fn = {None: conv, 0: conv0, 1: conv1}[kind]
-    if isinstance(a, ClosedSeries) and isinstance(b, ClosedSeries):
-        if a.real.tag != "symbolic":
-            raise TypeError("convolution products need class coefficients")
-        return _closed_hadamard(a, b, fn)
-    if isinstance(a, ClosedSeries) or isinstance(b, ClosedSeries):
-        raise TypeError("mixed closed/truncated Hadamard operands; expand first")
     if a.real.tag != "symbolic":
         raise TypeError("convolution products need class coefficients")
+    return _hadamard(a, b, fn)
+
+
+def _hadamard(a, b, mulfn):
+    """Coefficientwise product with mulfn on coefficients: entrywise down
+    to the smaller bound for truncated operands, by strands for closed
+    ones (_closed_hadamard)."""
+    if isinstance(a, ClosedSeries) and isinstance(b, ClosedSeries):
+        return _closed_hadamard(a, b, mulfn)
+    if isinstance(a, ClosedSeries) or isinstance(b, ClosedSeries):
+        raise TypeError("mixed closed/truncated Hadamard operands; expand first")
     _check_same_shape(a, b)
     bound = min(a.bound, b.bound)
     ent = {}
@@ -307,7 +309,7 @@ def hadamard_conv(a, b, kind=None):
             continue
         vb = b.entries.get(e)
         if vb is not None:
-            ent[e] = fn(va, vb)
+            ent[e] = mulfn(va, vb)
     return TruncSeries(a.real, a.vars, bound, ent)
 
 
@@ -355,8 +357,7 @@ def v_hadamard(a, b):
     With no shared names this is the external product of series; with all
     names shared it is the full Hadamard product.
     """
-    if a.real.tag != b.real.tag or a.real.q != b.real.q:
-        raise ValueError("operands live over different realizations")
+    _check_same_real(a, b)
     shared = tuple(v for v in a.vars if v in set(b.vars))
     if tuple(v for v in b.vars if v in set(a.vars)) != shared:
         raise VariableMismatch(

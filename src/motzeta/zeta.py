@@ -1,9 +1,9 @@
 """Jet loci of polynomial germs, their counting routes, and the series
 built from them.
 
-A level-n jet of a polynomial f is a tuple of truncated power series (one
-per variable, vanishing at the origin unless a free base point is asked
-for); the objects of interest are the loci
+A level-n jet of a polynomial f is a tuple of truncated power series
+vanishing at the origin, one per variable; the objects of interest are
+the loci
 
     exact hit:    f(phi(t)) = t^n  mod t^{n+1}
     order beyond: ord f(phi(t)) > n
@@ -28,8 +28,10 @@ weight j on the t^j jet coefficient.  This module provides
     multizeta_trunc / multizeta_separable for an ordered family with
     order conditions on the trailing functions, sum_zeta_pullback for a
     direct sum f(x) + g(y) on a product space, with diagnostic splits of
-    each coefficient by the two leading orders; a symbolic truncation is
-    the expansion of the closed form;
+    each coefficient by the two leading orders.  The realization picks the
+    route: a symbolic truncation is the expansion of the closed form (a
+    germ without one raises FitFailed), and a counted truncation reads
+    each coefficient off AxisCounts or the pair splits;
   * evaluators for user-supplied resolution data (dl_eval returns the
     closed series of a resolution, over the full orthant or supplied cone
     pieces; cone_euler, validate_cone) and nearby_cycles as minus the
@@ -89,43 +91,27 @@ def _choice(param, value, allowed):
 # ---------------------------------------------------------------------------
 
 
-def jet_set(f, n, exact=True, action_order=None, base="origin"):
-    """The level-n jet locus of f as a GeomSet.
+def jet_set(f, n, exact=True, action_order=None):
+    """The level-n jet locus of f, jets based at the origin, as a GeomSet.
 
     exact=True carves out f(phi) = t^n mod t^{n+1}; exact=False carves out
     ord f(phi) > n.  The action has order n for exact loci (weight j on
     the t^j coefficient) and is trivial for order-beyond loci unless
-    action_order overrides.  base "origin" pins jets at 0; base "free"
-    adds the constant coefficients as weight-0 coordinates.
+    action_order overrides.  The global zeta function sums these loci
+    over the zeros of f instead (zeta_trunc with base="global").
     """
     f = _as_poly(f)
-    _choice("base", base, ("origin", "free"))
-    with_base = base == "free"
-    return _jet_locus(
-        f.vars, f.compose_jet(n, with_base=with_base), n, exact, action_order, with_base
-    )
+    return _jet_locus(f.vars, f.compose_jet(n), n, exact, action_order)
 
 
-def _jet_locus(vars, cs, n, exact=True, action_order=None, with_base=False):
+def _jet_locus(vars, cs, n, exact=True, action_order=None):
     """jet_set from the digits cs of f(phi) (cs[j] the t^j digit; digits
     past t^n are not read) in the jet coordinates of the variables vars."""
     if n < 1:
         raise MotzetaError("jet order n must be >= 1, not %r" % (n,))
-    coords = []
-    weights = []
-    base_coords = []
-    lo = 0 if with_base else 1
-    for v in vars:
-        for j in range(lo, n + 1):
-            name = "%s_%d" % (v, j)
-            coords.append(name)
-            weights.append(j)
-            if j == 0:
-                base_coords.append(name)
-    eqs = []
-    for j in range(0, n):
-        if not cs[j].is_zero():
-            eqs.append(cs[j])
+    coords = tuple("%s_%d" % (v, j) for v in vars for j in range(1, n + 1))
+    weights = tuple(j for _ in vars for j in range(1, n + 1))
+    eqs = [c for c in cs[:n] if not c.is_zero()]
     if exact:
         eqs.append(cs[n] - 1)
         order = n if action_order is None else action_order
@@ -133,27 +119,7 @@ def _jet_locus(vars, cs, n, exact=True, action_order=None, with_base=False):
         if not cs[n].is_zero():
             eqs.append(cs[n])
         order = 1 if action_order is None else action_order
-    return GeomSet(
-        tuple(coords),
-        tuple(eqs),
-        (),
-        order,
-        tuple(weights),
-        base_coords=tuple(base_coords),
-    )
-
-
-def jet_count(f, n, q, s=0, budget=None):
-    """Twisted point count (twist s) of the exact-hit jet locus.
-
-    Runs the F_q DFS of twisted_count on the GeomSet presentation, which
-    solves what it can before it branches; budget caps the candidates it
-    tries.  At s=0 this is the count AxisCounts takes for a germ without a
-    closed form.
-    """
-    f = _as_poly(f)
-    gs = jet_set(f, n)
-    return twisted_count(gs, q, g_exp=s, budget=budget)
+    return GeomSet(coords, tuple(eqs), (), order, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -534,25 +500,25 @@ def multizeta_separable(fs, real, vars=None):
     return SeparableSeries(real, tuple(vars), masks, tuple(slots))
 
 
-def multizeta_trunc(fs, D, real, vars=None, mode="auto", budget=None):
+def multizeta_trunc(fs, D, real, vars=None, budget=None):
     """Truncated ordered-family zeta: coefficient at a strict chain
     n_1 < .. < n_r is the class of the family locus at level |n|,
-    normalized by L^{-|n| d}."""
+    normalized by L^{-|n| d}.
+
+    The realization picks the route.  A symbolic truncation is the
+    expansion of multizeta_separable (FitFailed for a germ without a
+    closed form).  A counted one walks the chains with one AxisCounts per
+    function, which takes the closed count of a recognized shape and the
+    F_q DFS for any other germ; budget caps the DFS candidates of each.
+    """
     fs = tuple(_as_poly(f) for f in fs)
     r = len(fs)
     if vars is None:
         vars = _default_vars(r)
     if r == 0:
         raise MotzetaError("the family fs needs at least one function")
-    _choice("mode", mode, ("auto", "separable", "axes"))
-    if mode in ("auto", "separable"):
-        try:
-            return multizeta_separable(fs, real, vars).expand(D)
-        except FitFailed:
-            if mode == "separable":
-                raise
     if real.tag == "symbolic":
-        raise FitFailed("no symbolic streams for these shapes")
+        return multizeta_separable(fs, real, vars).expand(D)
     q = real.q
     axes = [AxisCounts(f, q, budget=budget) for f in fs]
     dtot = sum(ax.dim for ax in axes)

@@ -32,11 +32,10 @@ from motzeta.zeta import (
 DIRECT_BUDGET = 2_000_000
 
 
-def _value_digits(f, jets, n, q, base=None):
-    """Digits c_0..c_n of f(phi) mod t^{n+1} mod q.
+def _value_digits(f, jets, n, q):
+    """Digits c_0..c_n of f(phi) mod t^{n+1} mod q, jets at the origin.
 
-    jets: var -> list of level coefficients (c_1.., ints mod q); base: var ->
-    constant coefficient c_0 (default 0, jets at the origin).
+    jets: var -> list of level coefficients (c_1.., ints mod q).
     """
     out = [0] * (n + 1)
     for e, c in f.terms.items():
@@ -44,13 +43,11 @@ def _value_digits(f, jets, n, q, base=None):
         term[0] = c % q
         for v, x in zip(f.vars, e):
             js = jets[v]
-            c0 = (base or {}).get(v, 0)
             for _ in range(x):
                 new = [0] * (n + 1)
                 for i in range(n + 1):
                     if term[i] == 0:
                         continue
-                    new[i] = (new[i] + term[i] * c0) % q
                     for j in range(1, min(len(js), n - i) + 1):
                         if js[j - 1]:
                             new[i + j] = (new[i + j] + term[i] * js[j - 1]) % q

@@ -83,7 +83,7 @@ def test_budget_exceeded():
         tuple("abcdefgh"), (parse_poly("a^2 + b^2 + c^2 + d^2 + e^2 + f^2 + g^2 + h^2"),)
     )
     with pytest.raises(BudgetExceeded):
-        twisted_count(gs, 13, budget=1000)
+        twisted_count(gs, 13, meter=WorkMeter(1000))
 
 
 def test_linear_hyperplane_is_eliminated():

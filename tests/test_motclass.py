@@ -235,9 +235,12 @@ def test_nested_conv_counts_each_fermat_pair_once(monkeypatch):
         return fermat_twisted_count(kind, N, q, e_u, e_v, meter=meter)
 
     monkeypatch.setattr(motclass, "fermat_twisted_count", counted)
-    c = conv(atom("mu2", 2) - UNIT, conv(atom("mu3", 3) - UNIT, atom("mu2", 2) - UNIT))
-    assert bind_and_count(c, {"mu2": mu_n(2), "mu3": mu_n(3)}, 13) == 26
-    assert keys and len(keys) == len(set(keys))
+    mu2, mu3 = atom("mu2", 2) - UNIT, atom("mu3", 3) - UNIT
+    # both bracketings of the triple (mu2, mu3, mu2), inner node either side
+    for c in (conv(mu2, conv(mu3, mu2)), conv(conv(mu2, mu3), mu2)):
+        keys.clear()
+        assert bind_and_count(c, Binding({"mu2": mu_n(2), "mu3": mu_n(3)}, 13)) == 26
+        assert keys and len(keys) == len(set(keys))
 
 
 def _fermat_diff(a, b, q):
@@ -271,4 +274,4 @@ def test_burnside_sum_matches_bilinear_fermat_expansion(case):
         - k * _fermat_diff(1, b, q)
         + k * m * _fermat_diff(1, 1, q)
     )
-    assert bind_and_count(c, table, q) == expect
+    assert bind_and_count(c, Binding(table, q)) == expect

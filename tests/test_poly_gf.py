@@ -100,23 +100,20 @@ def _eval_mod(p, values, q):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_germs(), st.integers(0, 5), st.booleans())
-def test_compose_jet_deeper_expansion_extends_shallower(f, depth, with_base):
+@given(_germs(), st.integers(0, 5))
+def test_compose_jet_deeper_expansion_extends_shallower(f, depth):
     # digit j involves only jet coordinates of index <= j
-    full = f.compose_jet(depth, with_base=with_base)
+    full = f.compose_jet(depth)
     assert len(full) == depth + 1
     for n in range(depth + 1):
-        assert full[: n + 1] == f.compose_jet(n, with_base=with_base)
+        assert full[: n + 1] == f.compose_jet(n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_germs(), st.integers(1, 5), st.booleans(), st.sampled_from((2, 3, 5, 7)), st.randoms())
-def test_compose_jet_digits_evaluate_to_the_brute_digits(f, n, with_base, q, rng):
+@given(_germs(), st.integers(1, 5), st.sampled_from((2, 3, 5, 7)), st.randoms())
+def test_compose_jet_digits_evaluate_to_the_brute_digits(f, n, q, rng):
     jets = {v: [rng.randrange(q) for _ in range(n)] for v in f.vars}
-    base = {v: rng.randrange(q) for v in f.vars} if with_base else None
     values = {"%s_%d" % (v, j): c for v in f.vars for j, c in enumerate(jets[v], 1)}
-    for v, c in (base or {}).items():
-        values["%s_0" % v] = c
-    digits = f.compose_jet(n, with_base=with_base)
+    digits = f.compose_jet(n)
     got = [_eval_mod(d, values, q) for d in digits]
-    assert got == _value_digits(f, jets, n, q, base)
+    assert got == _value_digits(f, jets, n, q)

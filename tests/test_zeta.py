@@ -19,7 +19,7 @@ from motzeta.errors import (
 )
 from motzeta.geomset import GeomSet, twisted_count
 from motzeta.locring import LocRat
-from motzeta.motclass import Atom, SymbolicClass, bind_and_count, conv, conv0, conv1
+from motzeta.motclass import Atom, Binding, SymbolicClass, bind_and_count, conv, conv0, conv1
 from motzeta.poly import Poly, parse_poly
 from motzeta.realize import count_realization, symbolic_realization
 from motzeta.series import (
@@ -28,6 +28,7 @@ from motzeta.series import (
     series_from_json,
     series_to_json,
     strand_fit,
+    v_hadamard,
 )
 from motzeta.zeta import (
     AxisCounts,
@@ -40,7 +41,6 @@ from motzeta.zeta import (
     dl_eval,
     fermat_affine_counts,
     histogram_pair_counts,
-    jet_count,
     jet_set,
     mono_exact_count,
     mono_ordgt_count,
@@ -74,32 +74,32 @@ XY = parse_poly("x + y")
 def test_jet_count_linear_is_one():
     # phi = c1 t + ... + cn t^n with phi = t^n exactly: all digits pinned.
     for n in (1, 2, 3, 4):
-        assert jet_count(X, n, 7) == 1
-        assert jet_count(X, n, 5) == 1
+        assert twisted_count(jet_set(X, n), 7) == 1
+        assert twisted_count(jet_set(X, n), 5) == 1
 
 
 def test_untwisted_counts_at_levels_divisible_by_q():
     # the s=0 sector needs no roots of unity, even when q divides the level
-    assert jet_count(X, 7, 7) == 1
-    assert jet_count(parse_poly("x^2 + x^3"), 14, 7) == 2 * 7**7
+    assert twisted_count(jet_set(X, 7), 7) == 1
+    assert twisted_count(jet_set(parse_poly("x^2 + x^3"), 14), 7) == 2 * 7**7
     with pytest.raises(MotzetaError, match="q=7.*N=7"):
-        jet_count(X2, 7, 7, s=1)
+        twisted_count(jet_set(X2, 7), 7, g_exp=1)
 
 
 def test_jet_count_square():
     # phi^2 = t^2 exactly at level 2: c1^2 = 1, c2 free.
-    assert jet_count(X2, 2, 5) == 10
-    assert jet_count(X2, 2, 7) == 14
+    assert twisted_count(jet_set(X2, 2), 5) == 10
+    assert twisted_count(jet_set(X2, 2), 7) == 14
     # odd target order is unreachable for a square
-    assert jet_count(X2, 3, 5) == 0
-    assert jet_count(X2, 3, 7) == 0
+    assert twisted_count(jet_set(X2, 3), 5) == 0
+    assert twisted_count(jet_set(X2, 3), 7) == 0
 
 
 def test_jet_closed_forms_match_enumeration():
     for a, n, q in [(1, 3, 5), (2, 2, 5), (2, 4, 5), (3, 3, 7), (2, 3, 7), (3, 6, 7)]:
         f = Poly.var("x", a)
         want = mono_exact_count(a, n, q, n)
-        assert jet_count(f, n, q) == want
+        assert twisted_count(jet_set(f, n), q) == want
         assert jet_count_direct(f, n, q) == want
         assert jet_count_direct(f, n, q, target="ordgt") == mono_ordgt_count(a, n, q, n)
 
@@ -259,10 +259,10 @@ LEMMA_CASES = [
 def test_convolutions_match_fermat_counts(a, b, q, n):
     A, gs_a = _leading_locus("lf", a, n)
     B, gs_b = _leading_locus("lg", b, n)
-    table = {"lf": gs_a, "lg": gs_b}
+    binding = Binding({"lf": gs_a, "lg": gs_b}, q)
     f0, f1, _ = fermat_affine_counts(a, b, q)
-    assert bind_and_count(conv0(A, B), table, q) == f0
-    assert bind_and_count(conv1(A, B), table, q) == f1
+    assert bind_and_count(conv0(A, B), binding) == f0
+    assert bind_and_count(conv1(A, B), binding) == f1
 
 
 def _tail_stream(real, deg, q):
@@ -428,8 +428,6 @@ RES2 = [{"I": ["E1"], "N": [[1, 0]], "nu": [1]}, {"I": ["E2"], "N": [[0, 1]], "n
 @pytest.mark.parametrize(
     "run, message",
     [
-        pytest.param(lambda: multizeta_trunc((X2, Y3), 4, R7, mode="bogus"),
-                     "mode must be 'auto', 'separable' or 'axes', not 'bogus'", id="multizeta-mode"),
         pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, mode="direct"),
                      "mode must be 'auto', 'strata' or 'hist', not 'direct'", id="pullback-mode"),
         pytest.param(lambda: sum_zeta_pullback("x^2+x^3", "y^2", 2, count_realization(5), mode="strata"),
@@ -447,8 +445,6 @@ RES2 = [{"I": ["E1"], "N": [[1, 0]], "nu": [1]}, {"I": ["E2"], "N": [[0, 1]], "n
         pytest.param(lambda: ResolutionData([]),
                      "ResolutionData strata: need at least one stratum", id="resolution-strata"),
         pytest.param(lambda: jet_set(X2, 0), "jet order n must be >= 1, not 0", id="jet-order"),
-        pytest.param(lambda: jet_set(X2, 2, base="global"),
-                     "base must be 'origin' or 'free', not 'global'", id="jet-base"),
         pytest.param(lambda: multizeta_trunc((), 4, R7),
                      "the family fs needs at least one function", id="multizeta-empty"),
         pytest.param(lambda: multizeta_separable((), R7),
@@ -471,6 +467,15 @@ RES2 = [{"I": ["E1"], "N": [[1, 0]], "nu": [1]}, {"I": ["E2"], "N": [[0, 1]], "n
                      "Stratum N: entries must be integers", id="stratum-N-int"),
         pytest.param(lambda: Stratum(("E",), None, ((1,),), ("b",)),
                      "Stratum nu: entries must be integers", id="stratum-nu-int"),
+        pytest.param(lambda: zeta_trunc(X2, 4, count_realization(5)).add(zeta_trunc(X2, 4, R7)),
+                     "operands live over different realizations: count at q=5 vs count at q=7",
+                     id="add-realization"),
+        pytest.param(lambda: v_hadamard(zeta_trunc(X2, 4, count_realization(5)), zeta_trunc(Y3, 4, R7)),
+                     "operands live over different realizations: count at q=5 vs count at q=7",
+                     id="v-hadamard-realization"),
+        pytest.param(lambda: EGSeq.single_residue(count_realization(5), 1, 0, Fraction(1, 5), Fraction(1))
+                     .add(EGSeq.single_residue(R7, 1, 0, Fraction(1, 7), Fraction(1))),
+                     "sequences live over different realizations", id="egseq-add-realization"),
     ],
 )
 def test_argument_errors_name_the_parameter(run, message):
@@ -545,9 +550,10 @@ def test_zeta_symbolic_realizes_to_counts():
         table = standard_atom_sets(("mu%d" % a,)) if a > 1 else {}
         for q in (7, 11, 13):
             zc = zeta_trunc(f, 8, count_realization(q))
+            binding = Binding(table, q)
             assert zs.support() == zc.support()
             for e in zs.support():
-                assert bind_and_count(zs.coeff(e), table, q) == zc.coeff(e)
+                assert bind_and_count(zs.coeff(e), binding) == zc.coeff(e)
 
 
 def test_zeta_closed_rejects_generic():
@@ -564,9 +570,9 @@ def test_linear_sum_with_coefficients_divisible_by_q():
     with pytest.raises(FitFailed):
         zeta_closed("5*x+5*y", r5)
     assert zeta_trunc("5*x+5*y", 3, r5).is_zero()
-    auto = multizeta_trunc(("5*z+5*w", "y"), 5, r5)
-    assert auto == multizeta_trunc(("5*z+5*w", "y"), 5, r5, mode="axes")
-    assert auto.is_zero()
+    with pytest.raises(FitFailed):
+        multizeta_separable(("5*z+5*w", "y"), r5)
+    assert multizeta_trunc(("5*z+5*w", "y"), 5, r5).is_zero()
 
 
 def test_zeta_global_base_sums_local_contributions():
@@ -583,17 +589,29 @@ def test_zeta_global_base_sums_local_contributions():
 
 
 def test_multizeta_routes_agree_small():
+    # a counted multizeta_trunc walks the chains with AxisCounts; the
+    # expanded chain block and the brute-force family count must agree
     r5 = count_realization(5)
     for fs, D in [((X, Y), 4), ((X2, Y), 4)]:
-        sep = multizeta_trunc(fs, D, r5, mode="separable")
-        axes = multizeta_trunc(fs, D, r5, mode="axes")
+        sep = multizeta_separable(fs, r5).expand(D)
+        axes = multizeta_trunc(fs, D, r5)
         direct = multizeta_direct(fs, D, r5)
         assert sep == axes == direct
 
 
+def test_multizeta_counted_chains_match_the_chain_block_deep():
+    # recognized families: the counted chain walk and the expanded
+    # separable block agree far past the brute-force oracle's reach
+    for fs, D, q in [((X2, Y3), 40, 7), ((X2, Y3, "z^5"), 45, 31), ((X, "y^2"), 30, 5)]:
+        real = count_realization(q)
+        counted = multizeta_trunc(fs, D, real)
+        assert counted == multizeta_separable(fs, real).expand(D)
+        assert not counted.is_zero()
+
+
 def test_multizeta_definitional_check_at_q3():
     r3 = count_realization(3)
-    axes = multizeta_trunc((X2, Y3), 5, r3, mode="axes")
+    axes = multizeta_trunc((X2, Y3), 5, r3)
     direct = multizeta_direct((X2, Y3), 5, r3)
     assert axes == direct
     assert axes.support() == [(2, 3)]
@@ -613,10 +631,10 @@ def test_multizeta_chain_support_and_values():
 def test_multizeta_symbolic_realizes_to_counts():
     ms = multizeta_trunc((X2, Y3), 8, symbolic_realization())
     mc = multizeta_trunc((X2, Y3), 8, count_realization(7))
-    table = standard_atom_sets(("mu2", "mu3"))
+    binding = Binding(standard_atom_sets(("mu2", "mu3")), 7)
     assert ms.support() == mc.support()
     for e in ms.support():
-        assert bind_and_count(ms.coeff(e), table, 7) == mc.coeff(e)
+        assert bind_and_count(ms.coeff(e), binding) == mc.coeff(e)
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +890,8 @@ def test_thom_sebastiani_from_counts(case):
     one = SymbolicClass.unit()
     mu_a = SymbolicClass.from_atom(Atom("mu%d" % a, a))
     mu_b = SymbolicClass.from_atom(Atom("mu%d" % b, b))
-    table = standard_atom_sets(("mu%d" % a, "mu%d" % b))
-    assert 1 - psi == bind_and_count(conv(mu_a - one, mu_b - one), table, q)
+    binding = Binding(standard_atom_sets(("mu%d" % a, "mu%d" % b)), q)
+    assert 1 - psi == bind_and_count(conv(mu_a - one, mu_b - one), binding)
 
 
 def test_pullback_2_5_extrapolates_past_its_samples():
