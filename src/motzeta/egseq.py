@@ -19,8 +19,10 @@ with S(j,i) the Stirling partition numbers.
 from __future__ import annotations
 
 import math
+import operator
 
-from .errors import BaseMismatch
+from .errors import BaseMismatch, MotzetaError, NotInvertible, TailNotSummable
+from .locring import ONE
 
 
 def _stirling2_row(j):
@@ -36,23 +38,23 @@ def _stirling2_row(j):
     return row
 
 
-def _merge_modes(S, V, modes):
+def _merge_modes(zero, modes):
     """Combine modes with equal ratios, strip zero coefficients."""
     out = []
     for ratio, coeffs in modes:
         cs = list(coeffs)
-        while cs and V.is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         if not cs:
             continue
         for idx, (r2, c2) in enumerate(out):
-            if S.eq(ratio, r2):
+            if ratio == r2:
                 merged = list(c2)
                 if len(cs) > len(merged):
-                    merged.extend([V.zero] * (len(cs) - len(merged)))
+                    merged.extend([zero] * (len(cs) - len(merged)))
                 for e, c in enumerate(cs):
-                    merged[e] = V.add(merged[e], c)
-                while merged and V.is_zero(merged[-1]):
+                    merged[e] = merged[e] + c
+                while merged and not merged[-1]:
                     merged.pop()
                 if merged:
                     out[idx] = (r2, merged)
@@ -64,14 +66,13 @@ def _merge_modes(S, V, modes):
     return tuple((r, tuple(c)) for r, c in out)
 
 
-def _eval_modes(S, V, modes_for_residue, powers, t):
+def _eval_modes(zero, modes_for_residue, powers, t):
     """Stable value at n = Q*t + r; powers[i] is mode i's ratio^t."""
-    val = V.zero
+    val = zero
     for (_, coeffs), rt in zip(modes_for_residue, powers):
         for e, c in enumerate(coeffs):
-            if V.is_zero(c):
-                continue
-            val = V.add(val, V.scale(S.mul(rt, S.from_int(t**e)), c))
+            if c:
+                val = val + (rt * t**e) * c
     return val
 
 
@@ -82,16 +83,15 @@ class EGSeq:
 
     def __init__(self, real, period, modes, exceptional=None, dom_min=1, stable_start=None):
         if period < 1:
-            raise ValueError("period must be >= 1")
-        S, V = real.scalars, real.coeffs
+            raise MotzetaError("EGSeq period must be >= 1, not %r" % (period,))
         self.real = real
         self.period = period
-        self.modes = tuple(_merge_modes(S, V, modes[r]) for r in range(period))
+        self.modes = tuple(_merge_modes(real.zero, modes[r]) for r in range(period))
         exc = dict(exceptional or {})
         if stable_start is None:
             stable_start = max(exc) + 1 if exc else dom_min
         self.exceptional = {
-            n: v for n, v in exc.items() if dom_min <= n < stable_start and not V.is_zero(v)
+            n: v for n, v in exc.items() if dom_min <= n < stable_start and v
         }
         self.dom_min = dom_min
         self.stable_start = stable_start
@@ -104,7 +104,7 @@ class EGSeq:
 
     @classmethod
     def constant(cls, real, v, dom_min=1):
-        return cls(real, 1, [[(real.scalars.one, (v,))]], dom_min=dom_min)
+        return cls(real, 1, [[(real.from_locrat(ONE), (v,))]], dom_min=dom_min)
 
     @classmethod
     def single_residue(cls, real, period, residue, ratio, coeff, dom_min=1):
@@ -122,28 +122,27 @@ class EGSeq:
         """[value(n) for n in lo..hi]: each residue steps its ratio powers
         by one multiplication per period instead of raising them afresh."""
         if lo <= hi and lo < self.dom_min:
-            raise ValueError("sequence not defined at n=%d (domain starts at %d)" % (lo, self.dom_min))
-        S, V = self.real.scalars, self.real.coeffs
+            raise MotzetaError("EGSeq values: n=%d is below the domain start dom_min=%d" % (lo, self.dom_min))
+        zero = self.real.zero
         powers = {}  # residue -> ratio^t of its modes at the last t visited
         out = []
         for n in range(lo, hi + 1):
             if n < self.stable_start:
-                out.append(self.exceptional.get(n, V.zero))
+                out.append(self.exceptional.get(n, zero))
                 continue
             t, r = divmod(n, self.period)
             modes = self.modes[r]
             pw = powers.get(r)
             if pw is None:
-                pw = [S.pow(ratio, t) for ratio, _ in modes]
+                pw = [ratio**t for ratio, _ in modes]
             else:
-                pw = [S.mul(p, ratio) for p, (ratio, _) in zip(pw, modes)]
+                pw = [p * ratio for p, (ratio, _) in zip(pw, modes)]
             powers[r] = pw
-            out.append(_eval_modes(S, V, modes, pw, t))
+            out.append(_eval_modes(zero, modes, pw, t))
         return out
 
     def agrees_with(self, other, lo, hi):
-        V = self.real.coeffs
-        return all(V.eq(self.value(n), other.value(n)) for n in range(lo, hi + 1))
+        return all(self.value(n) == other.value(n) for n in range(lo, hi + 1))
 
     # ----- structural -----
 
@@ -151,29 +150,29 @@ class EGSeq:
         """Re-express with a period that is a multiple of the current one."""
         Q = self.period
         if new_period % Q != 0:
-            raise ValueError("new period must be a multiple of the old one")
+            raise MotzetaError(
+                "EGSeq re_period: new_period=%d is not a multiple of the period %d" % (new_period, Q)
+            )
         k = new_period // Q
         if k == 1:
             return self
-        S, V = self.real.scalars, self.real.coeffs
+        zero = self.real.zero
         new_modes = [[] for _ in range(new_period)]
         for rho_res in range(new_period):
             r = rho_res % Q
             delta = (rho_res - r) // Q
             for ratio, coeffs in self.modes[r]:
                 deg = len(coeffs) - 1
-                ratio_delta = S.pow(ratio, delta)
-                out = [V.zero] * (deg + 1)
+                ratio_delta = ratio**delta
+                out = [zero] * (deg + 1)
                 for e, c in enumerate(coeffs):
-                    if V.is_zero(c):
+                    if not c:
                         continue
                     for j in range(e + 1):
                         w = math.comb(e, j) * (k**j) * (delta ** (e - j))
-                        if w == 0:
-                            continue
-                        sc = S.mul(ratio_delta, S.from_int(w))
-                        out[j] = V.add(out[j], V.scale(sc, c))
-                new_modes[rho_res].append((S.pow(ratio, k), tuple(out)))
+                        if w:
+                            out[j] = out[j] + (ratio_delta * w) * c
+                new_modes[rho_res].append((ratio**k, tuple(out)))
         return EGSeq(
             self.real, new_period, new_modes, self.exceptional,
             self.dom_min, self.stable_start,
@@ -186,22 +185,20 @@ class EGSeq:
             raise BaseMismatch("sequences live over different realizations")
         P = self.period * other.period // math.gcd(self.period, other.period)
         a, b = self.re_period(P), other.re_period(P)
-        V = self.real.coeffs
         dom = max(a.dom_min, b.dom_min)
         stable = max(a.stable_start, b.stable_start, dom)
-        exc = {n: V.add(a.value(n), b.value(n)) for n in range(dom, stable)}
+        exc = {n: a.value(n) + b.value(n) for n in range(dom, stable)}
         modes = [list(a.modes[r]) + list(b.modes[r]) for r in range(P)]
         return EGSeq(self.real, P, modes, exc, dom, stable)
 
     def neg(self):
-        return self.map_values(self.real.coeffs.neg)
+        return self.map_values(operator.neg)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, s):
-        V = self.real.coeffs
-        return self.map_values(lambda v: V.scale(s, v))
+        return self.map_values(lambda v: s * v)
 
     def map_values(self, fn):
         """Apply a scalar-linear map to every value."""
@@ -214,7 +211,7 @@ class EGSeq:
 
     def shift(self, d):
         """New sequence n -> value(n + d)."""
-        S, V = self.real.scalars, self.real.coeffs
+        zero = self.real.zero
         Q = self.period
         dom = self.dom_min - d
         stable = self.stable_start - d
@@ -224,16 +221,15 @@ class EGSeq:
             m = (r + d - r2) // Q
             for ratio, coeffs in self.modes[r2]:
                 deg = len(coeffs) - 1
-                ratio_m = S.pow(ratio, m)
-                out = [V.zero] * (deg + 1)
+                ratio_m = ratio**m
+                out = [zero] * (deg + 1)
                 for e, c in enumerate(coeffs):
-                    if V.is_zero(c):
+                    if not c:
                         continue
                     for j in range(e + 1):
                         w = math.comb(e, j) * (m ** (e - j))
-                        if w == 0:
-                            continue
-                        out[j] = V.add(out[j], V.scale(S.mul(ratio_m, S.from_int(w)), c))
+                        if w:
+                            out[j] = out[j] + (ratio_m * w) * c
                 modes[r].append((ratio, tuple(out)))
         exc = {n - d: v for n, v in self.exceptional.items()}
         return EGSeq(self.real, Q, modes, exc, dom, stable)
@@ -241,24 +237,23 @@ class EGSeq:
     # ----- summation -----
 
     def _mode_tail_table(self, rho, deg):
-        """M_j = sum_{u>=0} u^j rho^u for j = 0..deg; raises if rho = 1."""
-        S = self.real.scalars
-        inv = S.inv_one_minus(rho)
-        out = []
-        for j in range(deg + 1):
-            row = _stirling2_row(j)
-            acc = S.zero
-            for i in range(j + 1):
-                if row[i] == 0:
-                    continue
-                term = S.mul(S.pow(rho, i), S.pow(inv, i + 1))
-                acc = S.add(acc, S.mul(S.from_int(row[i] * math.factorial(i)), term))
-            out.append(acc)
-        return out
+        """M_j = sum_{u>=0} u^j rho^u for j = 0..deg; raises TailNotSummable
+        when 1 - rho is zero or not a unit."""
+        one_minus = 1 - rho
+        if not one_minus:
+            raise TailNotSummable("geometric ratio 1 has no summable tail")
+        try:
+            inv = one_minus**-1
+        except NotInvertible:
+            raise TailNotSummable("1 - ratio is not invertible: %s" % one_minus) from None
+        return [
+            sum(c * math.factorial(i) * rho**i * inv ** (i + 1) for i, c in enumerate(row) if c)
+            for row in map(_stirling2_row, range(deg + 1))
+        ]
 
     def tail_sum(self):
         """New sequence n -> sum_{l > n} value(l).  Exact; needs all ratios != 1."""
-        S, V = self.real.scalars, self.real.coeffs
+        zero = self.real.zero
         Q = self.period
         s0 = self.stable_start
         dom2 = self.dom_min - 1
@@ -270,10 +265,10 @@ class EGSeq:
                 for rho, coeffs in self.modes[r2]:
                     deg = len(coeffs) - 1
                     Ms = self._mode_tail_table(rho, deg)
-                    rho_theta = S.pow(rho, theta)
-                    out = [V.zero] * (deg + 1)
+                    rho_theta = rho**theta
+                    out = [zero] * (deg + 1)
                     for e, c in enumerate(coeffs):
-                        if V.is_zero(c):
+                        if not c:
                             continue
                         for j in range(e + 1):
                             for w in range(e - j + 1):
@@ -281,8 +276,7 @@ class EGSeq:
                                 if tp == 0:
                                     continue
                                 k = math.comb(e, j) * math.comb(e - j, w) * tp
-                                sc = S.mul(rho_theta, S.mul(S.from_int(k), Ms[j]))
-                                out[w] = V.add(out[w], V.scale(sc, c))
+                                out[w] = out[w] + (rho_theta * (k * Ms[j])) * c
                     acc.append((rho, tuple(out)))
             new_modes[r] = acc
         s0p = max(s0 - 1, dom2)
@@ -291,7 +285,7 @@ class EGSeq:
             exc = {}
             cur = result.value(s0p)
             for n in range(s0p - 1, dom2 - 1, -1):
-                cur = V.add(cur, self.value(n + 1))
+                cur = cur + self.value(n + 1)
                 exc[n] = cur
             result = EGSeq(self.real, Q, new_modes, exc, dom2, s0p)
         return result

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BudgetExceeded, MotzetaError
+from .errors import BudgetExceeded, MotzetaError, VariableMismatch
 from .poly import Poly, parse_poly
 
 DEFAULT_BUDGET = 10**8
@@ -107,14 +107,18 @@ class GeomSet:
             weights = (0,) * len(self.coords)
         self.weights = tuple(w % self.action_order for w in weights)
         if len(self.weights) != len(self.coords):
-            raise ValueError("weights and coords length mismatch")
+            raise VariableMismatch(
+                "GeomSet weights: %d weights for %d coords" % (len(self.weights), len(self.coords))
+            )
         unknown = set()
         for eq in self.equations:
             unknown |= set(eq.vars) - set(self.coords)
         if unknown:
-            raise ValueError("equations mention unknown coordinates: %s" % unknown)
+            raise VariableMismatch("GeomSet equations mention unknown coords %s" % sorted(unknown))
         if not (self.nonzero <= set(self.coords)):
-            raise ValueError("nonzero constraint on unknown coordinate")
+            raise VariableMismatch(
+                "GeomSet nonzero names unknown coords %s" % sorted(self.nonzero - set(self.coords))
+            )
 
     @property
     def dim(self):
@@ -155,6 +159,9 @@ class GeomSet:
 
     @classmethod
     def from_json_dict(cls, d):
+        missing = [k for k in ("coords", "equations", "nonzero", "order", "weights") if k not in d]
+        if missing:
+            raise MotzetaError("GeomSet.from_json_dict: the dict has no %r" % missing[0])
         coords = tuple(d["coords"])
         return cls(
             coords,
@@ -414,16 +421,17 @@ def quotient_count(gs, q, meter=None):
     return Fraction(sum(twisted_count(gs, q, s, meter=meter) for s in range(N)), N)
 
 
-def enumerate_points(gs, q, g_exp=0, budget=None, limit=200000):
+def enumerate_points(gs, q, g_exp=0, meter=None):
     """All twisted points, as tuples (u_1, .., u_d) of F_q values with
-    x_i = t_i u_i (see _prepare); at g_exp = 0 these are the F_q-points."""
-    meter = WorkMeter(budget)
+    x_i = t_i u_i (see _prepare); at g_exp = 0 these are the F_q-points.
+    meter (default as in twisted_count) is charged one unit per candidate
+    value, so each point costs at least one unit per coordinate."""
+    if meter is None:
+        meter = WorkMeter()
     eqs, candidates = _prepare(gs, q, _sector_exps(gs, g_exp))
     out = []
 
     def rec(i, assignment, current):
-        if len(out) > limit:
-            raise BudgetExceeded("point enumeration exceeded limit of %d" % limit)
         if i == len(gs.coords):
             if not any(const for const, _ in current):
                 out.append(tuple(assignment))

@@ -333,6 +333,8 @@ class LocRat:
     def __mul__(self, other):
         if isinstance(other, int):
             return LocRat(self.num * other, self.den)
+        if not isinstance(other, LocRat):
+            return NotImplemented
         return LocRat(self.num * other.num, self.den + other.den)
 
     __rmul__ = __mul__
@@ -433,6 +435,8 @@ class LocRat:
         if len(self.num.c) > 1:
             num = "(%s)" % num
         return "%s / %s" % (num, den)
+
+    __str__ = render
 
     def __repr__(self):
         return "LocRat(%s)" % self.render()

@@ -240,6 +240,9 @@ class SymbolicClass:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __eq__(self, other):
         if not isinstance(other, SymbolicClass):
             return NotImplemented
@@ -276,6 +279,14 @@ class SymbolicClass:
             tuple((f, a, coeff * c) for f, a, coeff in self.terms), self.base
         )
 
+    __rmul__ = scale
+
+    def __mul__(self, other):
+        """External product with a class, scalar action otherwise."""
+        if isinstance(other, SymbolicClass):
+            return external_mul(self, other)
+        return self.scale(other)
+
     def render(self):
         if not self.terms:
             return "0"
@@ -286,6 +297,8 @@ class SymbolicClass:
                 body = "(%s)'" % body
             parts.append("[%s]*%s" % (coeff.render(), body))
         return " + ".join(parts)
+
+    __str__ = render
 
     def __repr__(self):
         return "SymbolicClass(%s)" % self.render()

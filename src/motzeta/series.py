@@ -17,6 +17,13 @@ coefficient-base projection, and separable chain series carrying one
 coefficient sequence per axis together with the forward and inverse chain
 transforms that exchange strict-chain generating series with their
 compressed normal forms.
+
+Coefficients are the values of a Realization (realize.py): SymbolicClass
+over LocRat scalars, or Fraction over Fraction.  The code here touches them
+only through their shared operators: + and - add, scalar * value is the
+scalar action, value * value the external product, bool is false exactly on
+zero (zero entries and strands are never stored) and str renders the text
+that JSON and CSV carry.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import csv
 import io
 import json
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -42,11 +50,11 @@ from .realize import count_realization, symbolic_realization
 
 def _L_pow(real, e):
     """Scalar image of the Tate power L^e (q^e under counting)."""
-    return real.scalars.from_locrat(LocRat.L(e))
+    return real.from_locrat(LocRat.L(e))
 
 
 def _Lm1_pow(real, e):
-    return real.scalars.pow(real.scalars.from_locrat(L_MINUS_1), e)
+    return real.from_locrat(L_MINUS_1) ** e
 
 
 def _check_same_real(a, b):
@@ -91,7 +99,6 @@ class TruncSeries:
         bound = int(bound)
         if bound < 0:
             raise VariableMismatch("truncation bound must be >= 0, not %d" % bound)
-        V = real.coeffs
         items = entries.items() if isinstance(entries, dict) else entries
         merged = {}
         for exp, val in items:
@@ -101,17 +108,14 @@ class TruncSeries:
                     "exponent %s does not match %d variables" % (list(exp), len(vars))
                 )
             if any(e < 0 for e in exp):
-                raise ValueError("negative exponent %s" % (exp,))
+                raise VariableMismatch("TruncSeries entries: exponent %s is negative" % (list(exp),))
             if sum(exp) > bound:
                 continue
-            if exp in merged:
-                merged[exp] = V.add(merged[exp], val)
-            else:
-                merged[exp] = val
+            merged[exp] = merged[exp] + val if exp in merged else val
         self.real = real
         self.vars = vars
         self.bound = bound
-        self.entries = {e: v for e, v in merged.items() if not V.is_zero(v)}
+        self.entries = {e: v for e, v in merged.items() if v}
 
     @classmethod
     def zero(cls, real, vars, bound):
@@ -121,7 +125,7 @@ class TruncSeries:
         exp = tuple(int(e) for e in exp)
         if len(exp) != len(self.vars):
             raise VariableMismatch("exponent arity %d, series arity %d" % (len(exp), len(self.vars)))
-        return self.entries.get(exp, self.real.coeffs.zero)
+        return self.entries.get(exp, self.real.zero)
 
     def support(self):
         return sorted(self.entries)
@@ -133,20 +137,18 @@ class TruncSeries:
         _check_same_shape(self, other)
         bound = min(self.bound, other.bound)
         out = dict(self.entries)
-        V = self.real.coeffs
         for e, v in other.entries.items():
-            out[e] = V.add(out[e], v) if e in out else v
+            out[e] = out[e] + v if e in out else v
         return TruncSeries(self.real, self.vars, bound, out)
 
     def neg(self):
-        return self.map_coeffs(self.real.coeffs.neg)
+        return self.map_coeffs(operator.neg)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, s):
-        V = self.real.coeffs
-        return self.map_coeffs(lambda v: V.scale(s, v))
+        return self.map_coeffs(lambda v: s * v)
 
     def map_coeffs(self, fn):
         return TruncSeries(
@@ -184,8 +186,7 @@ class TruncSeries:
             return False
         if set(self.entries) != set(other.entries):
             return False
-        V = self.real.coeffs
-        return all(V.eq(v, other.entries[e]) for e, v in self.entries.items())
+        return all(v == other.entries[e] for e, v in self.entries.items())
 
     def agrees_with(self, other, through=None):
         """Entrywise equality up to total degree `through` (default: the
@@ -193,10 +194,9 @@ class TruncSeries:
         _check_same_shape(self, other)
         if through is None:
             through = min(self.bound, other.bound)
-        V = self.real.coeffs
         keys = {e for e in self.entries if sum(e) <= through}
         keys |= {e for e in other.entries if sum(e) <= through}
-        return all(V.eq(self.coeff(e), other.coeff(e)) for e in keys)
+        return all(self.coeff(e) == other.coeff(e) for e in keys)
 
     def __repr__(self):
         return "TruncSeries(vars=%s, bound=%d, %d entries)" % (
@@ -250,7 +250,6 @@ def monomial_substitute(a, new_vars, images, bound=None):
             raise VariableMismatch("image arity does not match the new variables")
     if bound is None:
         bound = a.bound
-    V = a.real.coeffs
     ent = {}
     for e, v in a.entries.items():
         out = [0] * len(new_vars)
@@ -260,7 +259,7 @@ def monomial_substitute(a, new_vars, images, bound=None):
         key = tuple(out)
         if sum(key) > bound:
             continue
-        ent[key] = V.add(ent[key], v) if key in ent else v
+        ent[key] = ent[key] + v if key in ent else v
     return TruncSeries(a.real, new_vars, bound, ent)
 
 
@@ -277,7 +276,7 @@ def hadamard_ext(a, b):
     where the product is again such a strand (or zero when the two ray
     supports only share the origin).
     """
-    return _hadamard(a, b, a.real.coeffs.mul)
+    return _hadamard(a, b, operator.mul)
 
 
 def hadamard_conv(a, b, kind=None):
@@ -289,7 +288,9 @@ def hadamard_conv(a, b, kind=None):
     """
     fn = {None: conv, 0: conv0, 1: conv1}[kind]
     if a.real.tag != "symbolic":
-        raise TypeError("convolution products need class coefficients")
+        raise BaseMismatch(
+            "hadamard_conv operands must have class coefficients, not %s" % _real_name(a.real)
+        )
     return _hadamard(a, b, fn)
 
 
@@ -300,7 +301,10 @@ def _hadamard(a, b, mulfn):
     if isinstance(a, ClosedSeries) and isinstance(b, ClosedSeries):
         return _closed_hadamard(a, b, mulfn)
     if isinstance(a, ClosedSeries) or isinstance(b, ClosedSeries):
-        raise TypeError("mixed closed/truncated Hadamard operands; expand first")
+        raise VariableMismatch(
+            "Hadamard operands must both be closed or both truncated, not %s and %s; expand first"
+            % (type(a).__name__, type(b).__name__)
+        )
     _check_same_shape(a, b)
     bound = min(a.bound, b.bound)
     ent = {}
@@ -373,7 +377,6 @@ def v_hadamard(a, b):
         + shared
     )
     bound = min(a.bound, b.bound)
-    V = a.real.coeffs
     b_by_key = {}
     for eb, vb in b.entries.items():
         key = tuple(eb[i] for i in b_shared)
@@ -386,8 +389,8 @@ def v_hadamard(a, b):
             exp = head + tail + key_a
             if sum(exp) > bound:
                 continue
-            v = V.mul(va, vb)
-            ent[exp] = V.add(ent[exp], v) if exp in ent else v
+            v = va * vb
+            ent[exp] = ent[exp] + v if exp in ent else v
     return TruncSeries(a.real, vars2, bound, ent)
 
 
@@ -501,7 +504,7 @@ def project(a, i):
     """
     if a.real.tag == "count":
         return a
-    base = a.real.coeffs.zero.base
+    base = a.real.zero.base
     parts = base.split("*")
     if not (0 <= i < len(parts)):
         raise BaseMismatch("base %r has no factor %d" % (base, i))
@@ -608,20 +611,16 @@ class ClosedSeries:
         vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise VariableMismatch("duplicate variable names: %s" % list(vars))
-        V = real.coeffs
         merged = {}
         for s in strands:
             if len(s.b) != len(vars):
                 raise VariableMismatch("strand arity differs from the variable list")
             k = s.key()
-            if k in merged:
-                merged[k] = V.add(merged[k], s.coeff)
-            else:
-                merged[k] = s.coeff
+            merged[k] = merged[k] + s.coeff if k in merged else s.coeff
         out = []
         for k in sorted(merged):
             c = merged[k]
-            if not V.is_zero(c):
+            if c:
                 out.append(Strand(c, k[0], k[1], k[2]))
         self.real = real
         self.vars = vars
@@ -635,22 +634,20 @@ class ClosedSeries:
         return ClosedSeries(self.real, self.vars, self.strands + other.strands)
 
     def neg(self):
-        V = self.real.coeffs
         return ClosedSeries(
             self.real,
             self.vars,
-            [Strand(V.neg(s.coeff), s.b, s.factors, s.support) for s in self.strands],
+            [Strand(-s.coeff, s.b, s.factors, s.support) for s in self.strands],
         )
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, sc):
-        V = self.real.coeffs
         return ClosedSeries(
             self.real,
             self.vars,
-            [Strand(V.scale(sc, s.coeff), s.b, s.factors, s.support) for s in self.strands],
+            [Strand(sc * s.coeff, s.b, s.factors, s.support) for s in self.strands],
         )
 
     def __eq__(self, other):
@@ -663,9 +660,8 @@ class ClosedSeries:
             or len(self.strands) != len(other.strands)
         ):
             return False
-        V = self.real.coeffs
         return all(
-            sa.key() == sb.key() and V.eq(sa.coeff, sb.coeff)
+            sa.key() == sb.key() and sa.coeff == sb.coeff
             for sa, sb in zip(self.strands, other.strands)
         )
 
@@ -686,12 +682,11 @@ class ClosedSeries:
         return "int"
 
     def expand(self, bound):
-        V = self.real.coeffs
         powers = {}  # mtot -> scalar of L^mtot, shared by the strands
         ent = {}
         for s in self.strands:
             for exp, val in _strand_terms(self.real, s, bound, powers):
-                ent[exp] = V.add(ent[exp], val) if exp in ent else val
+                ent[exp] = ent[exp] + val if exp in ent else val
         return TruncSeries(self.real, self.vars, bound, ent)
 
     def lim_infty(self):
@@ -704,7 +699,6 @@ class ClosedSeries:
 def _strand_terms(real, strand, bound, powers):
     """Terms (exp, value) of one strand up to total degree bound; powers
     memoizes the scalars of L^mtot by mtot."""
-    V = real.coeffs
     out = []
     factors = strand.factors
 
@@ -716,7 +710,7 @@ def _strand_terms(real, strand, bound, powers):
                 p = powers.get(mtot)
                 if p is None:
                     p = powers[mtot] = _L_pow(real, mtot)
-                out.append((exp, V.scale(p, strand.coeff)))
+                out.append((exp, p * strand.coeff))
             return
         m, nv = factors[i]
         k = 1
@@ -745,8 +739,7 @@ def lim_infty(a):
     """
     if not isinstance(a, ClosedSeries):
         raise NotLimitNormal("the limit functional is defined on closed forms")
-    V = a.real.coeffs
-    total = V.zero
+    total = a.real.zero
     for s in a.strands:
         if s.support is not None:
             raise NotLimitNormal("restricted strand has no limit: %r" % (s,))
@@ -756,8 +749,7 @@ def lim_infty(a):
             raise NotLimitNormal("strand with a leftover monomial has no limit: %r" % (s,))
         if num < den:
             continue
-        val = s.coeff if len(s.factors) % 2 == 0 else V.neg(s.coeff)
-        total = V.add(total, val)
+        total = total + (s.coeff if len(s.factors) % 2 == 0 else -s.coeff)
     return total
 
 
@@ -1066,11 +1058,10 @@ class SeparableSeries:
         concern; reading off the chain is meaningful and used)."""
         if len(w) != len(self.slots):
             raise VariableMismatch("need one value per axis")
-        V = self.real.coeffs
         out = None
         for wj, slot in zip(w, self.slots):
             v = slot.seq.value(wj)
-            out = v if out is None else V.mul(out, v)
+            out = v if out is None else out * v
         return out
 
     def expand(self, bound):
@@ -1082,7 +1073,6 @@ class SeparableSeries:
         zero value skips the whole subtree below it: every product there
         is zero.
         """
-        V = self.real.coeffs
         eta = len(self.slots)
         weights = [sum(m) for m in self.masks]
         tables = [{} for _ in range(eta)]
@@ -1093,7 +1083,7 @@ class SeparableSeries:
 
         def rec(j, wprev, exp, val):
             if j == eta:
-                ent[exp] = V.add(ent[exp], val) if exp in ent else val
+                ent[exp] = ent[exp] + val if exp in ent else val
                 return
             seq, table = self.slots[j].seq, tables[j]
             lo = max(seq.dom_min, 1)
@@ -1107,8 +1097,8 @@ class SeparableSeries:
                 v = table.get(w)
                 if v is None:
                     v = table[w] = seq.value(w)
-                if not V.is_zero(v):
-                    rec(j + 1, w, exp2, v if val is None else V.mul(val, v))
+                if v:
+                    rec(j + 1, w, exp2, v if val is None else val * v)
                 w += 1
 
         rec(0, 0, (0,) * len(self.vars), None)
@@ -1311,7 +1301,7 @@ def parse_class(text, atoms=None, base="pt"):
 def _real_to_dict(real):
     if real.tag == "count":
         return {"tag": "count", "q": real.q}
-    return {"tag": "symbolic", "base": real.coeffs.zero.base}
+    return {"tag": "symbolic", "base": real.zero.base}
 
 
 def _real_from_dict(d):
@@ -1349,12 +1339,11 @@ def series_to_dict(s):
         "vars": list(s.vars),
         "realization": _real_to_dict(s.real),
     }
-    V = s.real.coeffs
     if isinstance(s, TruncSeries):
         d["mode"] = "trunc"
         d["bound"] = s.bound
         d["entries"] = [
-            {"exp": list(e), "coeff": V.render(s.entries[e])} for e in sorted(s.entries)
+            {"exp": list(e), "coeff": str(s.entries[e])} for e in sorted(s.entries)
         ]
         if s.real.tag == "symbolic":
             d["atoms"] = _collect_atoms(s.entries.values())
@@ -1363,7 +1352,7 @@ def series_to_dict(s):
         d["mode"] = "closed"
         d["strands"] = [
             {
-                "coeff": V.render(st.coeff),
+                "coeff": str(st.coeff),
                 "b": list(st.b),
                 "factors": [{"m": m, "n": list(n)} for m, n in st.factors],
                 "support": (
@@ -1387,7 +1376,7 @@ def series_from_dict(d):
         def parse_coeff(text):
             return Fraction(text)
     else:
-        base = real.coeffs.zero.base
+        base = real.zero.base
         table = {a["name"]: (a["order"], a["base"]) for a in d.get("atoms", [])}
 
         def parse_coeff(text):
@@ -1425,10 +1414,9 @@ def series_to_csv(s):
     the rendered coefficient.  Closed forms should be expanded first."""
     if not isinstance(s, TruncSeries):
         raise TypeError("CSV export covers truncated series; expand closed forms first")
-    V = s.real.coeffs
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(list(s.vars) + ["coeff"])
     for e in sorted(s.entries):
-        w.writerow(list(e) + [V.render(s.entries[e])])
+        w.writerow(list(e) + [str(s.entries[e])])
     return buf.getvalue()

@@ -382,7 +382,7 @@ def _lead_slot(f, real):
     counts of tests/brute.py).  Counted values carry no action, so the
     companion stream has the unit for the leading locus."""
     a = _strand_exponent(f, real)
-    ratio = real.scalars.from_locrat(LocRat.L(-1))
+    ratio = real.from_locrat(LocRat.L(-1))
     seq = EGSeq.single_residue(real, a, 0, ratio, _lead_coeff(a, real))
     if real.tag == "symbolic":
         return Slot(seq)
@@ -395,7 +395,7 @@ def _trail_slot(f, real):
     stream equals the value stream (the trailing conditions do not see the
     action on the first factor)."""
     a = _strand_exponent(f, real)
-    ratio = real.scalars.from_locrat(LocRat.L(-1))
+    ratio = real.from_locrat(LocRat.L(-1))
     seq = EGSeq(real, a, [[(ratio, (_lead_coeff(1, real),))] for _ in range(a)])
     return Slot(seq) if real.tag == "symbolic" else Slot(seq, seq)
 
@@ -945,7 +945,7 @@ def nearby_cycles(s, var="T"):
             "nearby cycles need a closed series; fit a closed form first"
         )
     val = lim_infty(diagonal_closed(s, var))
-    return s.real.coeffs.neg(val)
+    return -val
 
 
 # ---------------------------------------------------------------------------

@@ -211,14 +211,12 @@ def lattice_sum(res, real, D, vars=None, cone=None, binding=None):
     r = res.width
     if vars is None:
         vars = _default_vars(r)
-    V = real.coeffs
-    S = real.scalars
     ent = {}
 
     def add(exp, val):
         if sum(exp) > D:
             return
-        ent[exp] = V.add(ent[exp], val) if exp in ent else val
+        ent[exp] = ent[exp] + val if exp in ent else val
 
     for si, st in enumerate(res.strata):
         coeff = _stratum_coeff(st, real, binding)
@@ -231,8 +229,8 @@ def lattice_sum(res, real, D, vars=None, cone=None, binding=None):
             if sum(exp) > D:
                 return False
             tw = -sum(kvec[i] * st.nu[i] for i in range(k))
-            scal = S.from_locrat(LocRat.L(tw)) if real.tag == "symbolic" else Fraction(real.q) ** tw
-            add(exp, V.scale(scal, coeff))
+            scal = LocRat.L(tw) if real.tag == "symbolic" else Fraction(real.q) ** tw
+            add(exp, scal * coeff)
 
         pieces = _cone_for(si, cone)
         if pieces is None:
@@ -294,7 +292,7 @@ def lattice_sum(res, real, D, vars=None, cone=None, binding=None):
 
                 recp(0, [])
             if pieces.origin:
-                add((0,) * r, V.scale(S.one, coeff))
+                add((0,) * r, coeff)
     return TruncSeries(real, tuple(vars), D, ent)
 
 

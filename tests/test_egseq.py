@@ -11,35 +11,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzeta.egseq import EGSeq
-from motzeta.errors import FitFailed, TailNotSummable
+from motzeta.errors import FitFailed, MotzetaError, TailNotSummable
 from motzeta.locring import LocRat, ONE as LR_ONE
-from motzeta.realize import (
-    RationalScalars,
-    SymbolicScalars,
-    count_realization,
-    symbolic_realization,
-)
+from motzeta.realize import count_realization, symbolic_realization
 from motzeta.series import strand_fit
 
 
 def test_scalar_adapters():
-    sym = SymbolicScalars()
-    # 1/(1 - L^2) stays in the localized ring
-    inv = sym.inv_one_minus(LocRat.L(2))
-    assert inv.eval_at(3) == Fraction(-1, 8)
-    # 1/(1 - L^-1) = -L/(1-L)
-    inv2 = sym.inv_one_minus(LocRat.L(-1))
-    assert inv2.eval_at(3) == Fraction(3, 2)
-    # 1/(1 + L) is a cyclotomic unit inverse
-    inv3 = sym.inv_one_minus(-LocRat.L(1))
-    assert inv3.eval_at(3) == Fraction(1, 4)
+    # sum_{l>0} ratio^l = 1/(1 - ratio) - 1 through the scalars of each
+    # realization: the tail at n=0 of the stream n -> ratio^n
+    def geometric_sum(real, ratio):
+        return EGSeq.single_residue(real, 1, 0, ratio, real.one).tail_sum().value(0)
+
+    sym = symbolic_realization()
+    for ratio, inv_at_3 in (
+        (LocRat.L(2), Fraction(-1, 8)),  # 1/(1 - L^2) stays in the localized ring
+        (LocRat.L(-1), Fraction(3, 2)),  # 1/(1 - L^-1) = -L/(1-L)
+        (-LocRat.L(1), Fraction(1, 4)),  # 1/(1 + L) is a cyclotomic unit inverse
+    ):
+        ((factors, _, total),) = geometric_sum(sym, ratio).terms  # a scalar class
+        assert factors == () and total.eval_at(3) == inv_at_3 - 1
+        assert geometric_sum(count_realization(3), ratio.eval_at(3)) == inv_at_3 - 1
     with pytest.raises(TailNotSummable):
-        sym.inv_one_minus(LR_ONE)
-    rat = RationalScalars(7)
+        geometric_sum(sym, LR_ONE)
+    rat = count_realization(7)
     assert rat.from_locrat(LocRat.L(-2)) == Fraction(1, 49)
-    assert rat.inv_one_minus(Fraction(1, 7)) == Fraction(7, 6)
+    assert geometric_sum(rat, Fraction(1, 7)) == Fraction(7, 6) - 1
     with pytest.raises(TailNotSummable):
-        rat.inv_one_minus(Fraction(1))
+        geometric_sum(rat, Fraction(1))
 
 
 def test_geometric_tail_counts():
@@ -52,19 +51,18 @@ def test_geometric_tail_counts():
 
 def test_tail_telescoping_symbolic():
     real = symbolic_realization()
-    V = real.coeffs
-    v = EGSeq.single_residue(real, 1, 0, LocRat.L(-1), V.one)
+    v = EGSeq.single_residue(real, 1, 0, LocRat.L(-1), real.one)
     t = v.tail_sum()
     for n, m in [(0, 3), (2, 6), (5, 9)]:
-        acc = V.zero
+        acc = real.zero
         for l in range(n + 1, m + 1):
-            acc = V.add(acc, v.value(l))
-        assert V.eq(t.value(n), V.add(t.value(m), acc))
+            acc = acc + v.value(l)
+        assert t.value(n) == t.value(m) + acc
 
 
 def test_tail_not_summable():
     for real in (count_realization(5), symbolic_realization()):
-        v = EGSeq.constant(real, real.coeffs.one)
+        v = EGSeq.constant(real, real.one)
         with pytest.raises(TailNotSummable):
             v.tail_sum()
 
@@ -86,12 +84,11 @@ def test_shift_both_directions():
     for n in range(0, 10):
         assert fwd.value(n) == v.value(n + 3)
     reals = symbolic_realization()
-    V = reals.coeffs
-    u = EGSeq.single_residue(reals, 1, 0, LocRat.L(-1), V.one)
+    u = EGSeq.single_residue(reals, 1, 0, LocRat.L(-1), reals.one)
     back = u.shift(-1)
     assert back.dom_min == 2
     for n in range(2, 9):
-        assert V.eq(back.value(n), u.value(n - 1))
+        assert back.value(n) == u.value(n - 1)
 
 
 def test_re_period_preserves_values():
@@ -166,8 +163,7 @@ def test_values_match_value_pointwise(tag, period, raw_modes, shift, n_exc):
         ratio, coeff = (lambda k: Fraction(5) ** k), Fraction
     else:
         real = symbolic_realization()
-        V = real.coeffs
-        ratio, coeff = LocRat.L, (lambda c: V.scale(LocRat.from_int(c), V.one))
+        ratio, coeff = LocRat.L, (lambda c: LocRat.from_int(c) * real.one)
     modes = [[] for _ in range(period)]
     for i, (k, c, deg) in enumerate(raw_modes):
         modes[i % period].append((ratio(k), (coeff(c),) * (deg + 1)))
@@ -177,5 +173,5 @@ def test_values_match_value_pointwise(tag, period, raw_modes, shift, n_exc):
     assert seq.values(lo, hi) == [seq.value(n) for n in range(lo, hi + 1)]
     assert seq.values(lo + 3, hi) == [seq.value(n) for n in range(lo + 3, hi + 1)]
     assert seq.values(hi, lo) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(MotzetaError, match="below the domain start dom_min=%d" % lo):
         seq.values(lo - 1, hi)

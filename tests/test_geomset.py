@@ -218,12 +218,17 @@ def test_enumerate_points_spot_equivariance():
     # Applying the action generator to every solution lands on a solution.
     gs = fermat_pair(1, 2)
     q = 5
-    pts = enumerate_points(gs, q, 0)
+    meter = WorkMeter()
+    pts = enumerate_points(gs, q, 0, meter=meter)
     assert len(pts) == twisted_count(gs, q, 0)
     z = q - 1  # the primitive square root of unity in F_q
     ptset = set(pts)
     for u, v in pts:
         assert (z * u % q, z * v % q) in ptset
+    # the meter bounds the list: each point costs a candidate per coordinate
+    assert meter.spent >= len(pts) * len(gs.coords)
+    with pytest.raises(BudgetExceeded):
+        enumerate_points(gs, q, 0, meter=WorkMeter(len(pts)))
 
 
 def test_serialization_roundtrip():

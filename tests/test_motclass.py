@@ -194,12 +194,27 @@ def test_bind_homomorphism_random():
             total = total + p
         return total
 
+    def rand_scalar():
+        c = LocRat.from_int(rng.randint(-3, 3)) * L ** rng.randint(-2, 2)
+        return c * LocRat(1, (rng.randint(1, 3),)) if rng.random() < 0.5 else c
+
     for _ in range(25):
         a, b = rand_simple(), rand_simple()
         va = bind_and_count(a, binding)
         vb = bind_and_count(b, binding)
         assert bind_and_count(a + b, binding) == va + vb
         assert bind_and_count(external_mul(a, b), binding) == va * vb
+        # the operator protocol: * is the external product between classes
+        # and the scalar action otherwise; bool and str follow is_zero/render
+        assert bind_and_count(a * b, binding) == va * vb
+        s = rand_scalar()
+        assert bind_and_count(s * a, binding) == s.eval_at(5) * va
+        assert bind_and_count(a * s, binding) == s.eval_at(5) * va
+        assert bind_and_count(2 * a, binding) == 2 * va
+        for c in (a, b, a - a):
+            assert bool(c) == (not c.is_zero())
+            assert str(c) == c.render()
+        assert str(s) == s.render()
 
 
 def test_conv_value_example():

@@ -23,8 +23,11 @@ from motzeta.motclass import Atom, Binding, SymbolicClass, bind_and_count, conv,
 from motzeta.poly import Poly, parse_poly
 from motzeta.realize import count_realization, symbolic_realization
 from motzeta.series import (
+    ClosedSeries,
     TruncSeries,
     closed_from_fit,
+    hadamard_conv,
+    hadamard_ext,
     series_from_json,
     series_to_json,
     strand_fit,
@@ -476,6 +479,27 @@ RES2 = [{"I": ["E1"], "N": [[1, 0]], "nu": [1]}, {"I": ["E2"], "N": [[0, 1]], "n
         pytest.param(lambda: EGSeq.single_residue(count_realization(5), 1, 0, Fraction(1, 5), Fraction(1))
                      .add(EGSeq.single_residue(R7, 1, 0, Fraction(1, 7), Fraction(1))),
                      "sequences live over different realizations", id="egseq-add-realization"),
+        pytest.param(lambda: GeomSet(("x",), weights=(1, 2)),
+                     "GeomSet weights: 2 weights for 1 coords", id="geomset-weights"),
+        pytest.param(lambda: GeomSet(("x",), (parse_poly("x*y"),)),
+                     "GeomSet equations mention unknown coords ['y']", id="geomset-equations"),
+        pytest.param(lambda: GeomSet(("x",), (), ("z",)),
+                     "GeomSet nonzero names unknown coords ['z']", id="geomset-nonzero"),
+        pytest.param(lambda: GeomSet.from_json_dict({"coords": ["x"], "equations": [], "nonzero": [], "order": 1}),
+                     "GeomSet.from_json_dict: the dict has no 'weights'", id="geomset-json-key"),
+        pytest.param(lambda: TruncSeries(R7, ("T",), 3, {(-1,): Fraction(1)}),
+                     "TruncSeries entries: exponent [-1] is negative", id="trunc-negative-exponent"),
+        pytest.param(lambda: hadamard_conv(zeta_trunc(X2, 4, R7), zeta_trunc(X2, 4, R7)),
+                     "hadamard_conv operands must have class coefficients, not count at q=7",
+                     id="hadamard-conv-counted"),
+        pytest.param(lambda: hadamard_ext(ClosedSeries(R7, ("T",)), TruncSeries(R7, ("T",), 3)),
+                     "Hadamard operands must both be closed or both truncated, not ClosedSeries and TruncSeries",
+                     id="hadamard-mixed"),
+        pytest.param(lambda: EGSeq(R7, 0, []), "EGSeq period must be >= 1, not 0", id="egseq-period"),
+        pytest.param(lambda: EGSeq.constant(R7, Fraction(1)).value(0),
+                     "EGSeq values: n=0 is below the domain start dom_min=1", id="egseq-domain"),
+        pytest.param(lambda: EGSeq.single_residue(R7, 2, 0, Fraction(1, 7), Fraction(1)).re_period(3),
+                     "EGSeq re_period: new_period=3 is not a multiple of the period 2", id="egseq-re-period"),
     ],
 )
 def test_argument_errors_name_the_parameter(run, message):
