@@ -12,8 +12,12 @@ denominator stays homogeneous in (1 - L^n) factors.
 
 Equality is decided exactly by cross-multiplication of Laurent polynomials.
 Normalization is lazy: a denominator factor is cancelled only when it divides
-the numerator exactly.  Evaluation at L = q gives exact rationals and fails
-with DenominatorVanishes when some q^n = 1.
+the numerator exactly, so every stored element keeps the invariant that no
+stored denominator factor divides its numerator.  A product by a monomial
+c*L^k (c != 0) relies on it: 1 - L^n is primitive and prime to L, so it divides
+c*L^k*num exactly when it divides num, and the product only shifts and scales
+the numerator.  Evaluation at L = q gives exact rationals and fails with
+DenominatorVanishes when some q^n = 1.
 """
 
 from __future__ import annotations
@@ -252,7 +256,11 @@ def _factor_cyclotomic(p):
 
 
 class LocRat:
-    """Element of Z[L, L^-1, (1-L^n)^-1], as num / prod (1-L^n)."""
+    """Element of Z[L, L^-1, (1-L^n)^-1], as num / prod (1-L^n).
+
+    Invariant: den is sorted, is empty when num is zero, and none of its
+    factors (1 - L^n) divides num.
+    """
 
     __slots__ = ("num", "den")
 
@@ -332,12 +340,28 @@ class LocRat:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LocRat(self.num * other, self.den)
+            return self._times_monomial(other, 0)
         if not isinstance(other, LocRat):
             return NotImplemented
+        if not other.den and len(other.num.c) == 1:
+            ((k, c),) = other.num.c.items()
+            return self._times_monomial(c, k)
+        if not self.den and len(self.num.c) == 1:
+            ((k, c),) = self.num.c.items()
+            return other._times_monomial(c, k)
         return LocRat(self.num * other.num, self.den + other.den)
 
     __rmul__ = __mul__
+
+    def _times_monomial(self, c, k):
+        """self * c*L^k.  A nonzero c keeps the class invariant (see the
+        module docstring), so the denominator is kept as it is."""
+        if not c:
+            return LocRat(ZERO_P)
+        out = LocRat.__new__(LocRat)
+        out.num = LaurentPoly({e + k: v * c for e, v in self.num.c.items()})
+        out.den = self.den
+        return out
 
     def __pow__(self, k):
         if k < 0:

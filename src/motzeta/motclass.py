@@ -21,6 +21,12 @@ Rewrites applied at construction, to fixpoint:
 Equality of classes is syntactic equality of normal forms; it is sound but
 not complete for the underlying ring.
 
+Scaling by a nonzero scalar keeps the normal form: it changes no term's
+factors or marks, hence no key and no sort order, and in the integral domain
+of scalars it makes no coefficient zero.  So scale, and an external product
+with a pure scalar class (the unit times a scalar), reuse the term layout
+instead of normalizing again.
+
 The count realization maps a class to exact rationals: L goes to q, an atom
 goes to a twisted point count of a bound GeomSet, a convolution goes to the
 double Burnside sum over the two lifted group actions with a Fermat-pair
@@ -275,9 +281,7 @@ class SymbolicClass:
     def scale(self, c):
         if isinstance(c, int):
             c = LocRat.from_int(c)
-        return SymbolicClass(
-            tuple((f, a, coeff * c) for f, a, coeff in self.terms), self.base
-        )
+        return _scaled(self, c, self.base)
 
     __rmul__ = scale
 
@@ -304,6 +308,23 @@ class SymbolicClass:
         return "SymbolicClass(%s)" % self.render()
 
 
+def _scaled(a, c, base):
+    """a scaled by the scalar c, over base, in normal form without
+    renormalizing (see the module docstring); c = 0 gives the zero class."""
+    out = SymbolicClass.__new__(SymbolicClass)
+    out.terms = tuple((f, x, coeff * c) for f, x, coeff in a.terms) if c else ()
+    out.base = base
+    return out
+
+
+def _scalar_of(a):
+    """The coefficient of a pure scalar class (one term, no factors), else
+    None."""
+    if len(a.terms) == 1 and not a.terms[0][0]:
+        return a.terms[0][2]
+    return None
+
+
 def external_mul(a, b, base=None):
     """External product; bilinear, commutative, unit = scalar 1."""
     if base is None:
@@ -311,6 +332,13 @@ def external_mul(a, b, base=None):
             base = a.base
         else:
             base = "%s*%s" % (a.base, b.base)
+    c = _scalar_of(b)
+    if c is not None:
+        return _scaled(a, c, base)
+    c = _scalar_of(a)
+    if c is not None:
+        return _scaled(b, c, base)
+
     def side(factors, aug_term):
         if not aug_term:
             return factors

@@ -40,6 +40,7 @@ from .egseq import EGSeq
 from .errors import (
     BaseMismatch,
     FitFailed,
+    MotzetaError,
     NotLimitNormal,
     ParseError,
     VariableMismatch,
@@ -415,13 +416,22 @@ class CellSpec:
         self.order = tuple(order)
         self.breaks = tuple(breaks)
         if sorted(self.order) != list(range(len(self.order))):
-            raise ValueError("order must be a permutation of the axes")
+            raise MotzetaError(
+                "CellSpec order: %s is not a permutation of the axes"
+                % list(self.order)
+            )
         if not self.breaks or self.breaks[-1] != len(self.order):
-            raise ValueError("breaks must end at the axis count")
+            raise MotzetaError(
+                "CellSpec breaks: %s must end at the axis count %d"
+                % (list(self.breaks), len(self.order))
+            )
         prev = 0
         for b in self.breaks:
             if b <= prev:
-                raise ValueError("breaks must be strictly increasing")
+                raise MotzetaError(
+                    "CellSpec breaks: %s must be strictly increasing"
+                    % list(self.breaks)
+                )
             prev = b
 
     @classmethod
@@ -545,16 +555,17 @@ class Strand:
     def __init__(self, coeff, b, factors, support=None):
         b = tuple(int(x) for x in b)
         if any(x < 0 for x in b):
-            raise ValueError("monomial exponent must be nonnegative")
+            raise MotzetaError("Strand b: monomial exponent %s is negative" % list(b))
         fs = []
         for m, nv in factors:
             nv = tuple(int(x) for x in nv)
             if len(nv) != len(b):
                 raise VariableMismatch("factor exponent arity differs from the monomial")
-            if any(x < 0 for x in nv):
-                raise ValueError("factor exponents must be nonnegative")
-            if not any(nv):
-                raise ValueError("open factor needs a nonzero exponent vector")
+            if any(x < 0 for x in nv) or not any(nv):
+                raise MotzetaError(
+                    "Strand factors: exponent vector %s must be nonzero and "
+                    "nonnegative" % list(nv)
+                )
             fs.append((int(m), nv))
         fs.sort(key=lambda f: (f[1], f[0]))
         if support is not None:
@@ -564,12 +575,17 @@ class Strand:
             if len(period) != len(b) or len(residue) != len(b):
                 raise VariableMismatch("support arity differs from the monomial")
             if any(p < 0 for p in period):
-                raise ValueError("support periods must be >= 0")
+                raise MotzetaError(
+                    "Strand support: periods %s must be >= 0" % list(period)
+                )
             residue = tuple(
                 r % p if p > 0 else r for p, r in zip(period, residue)
             )
             if any(r < 0 for r in residue):
-                raise ValueError("pinned support residues must be >= 0")
+                raise MotzetaError(
+                    "Strand support: pinned residues %s must be >= 0"
+                    % list(residue)
+                )
             if all(p == 1 for p in period):
                 support = None
             else:
@@ -1016,7 +1032,9 @@ class Slot:
     def __init__(self, seq, aug=None):
         if aug is None:
             if seq.real.tag != "symbolic":
-                raise ValueError("counted slots need an explicit companion stream")
+                raise MotzetaError(
+                    "Slot aug: a counted stream needs an explicit companion"
+                )
             aug = seq.map_values(augment)
         self.seq = seq
         self.aug = aug
@@ -1041,13 +1059,21 @@ class SeparableSeries:
         vars = tuple(vars)
         masks = tuple(tuple(int(x) for x in m) for m in masks)
         slots = tuple(slots)
-        if not slots or len(masks) != len(slots):
-            raise ValueError("need one mask per slot, at least one slot")
+        if not slots:
+            raise MotzetaError("SeparableSeries slots: need at least one slot")
+        if len(masks) != len(slots):
+            raise MotzetaError(
+                "SeparableSeries masks: %d masks for %d slots"
+                % (len(masks), len(slots))
+            )
         for m in masks:
             if len(m) != len(vars):
                 raise VariableMismatch("mask arity differs from the variable list")
             if not any(m) or any(x < 0 for x in m):
-                raise ValueError("masks must be nonzero and nonnegative")
+                raise MotzetaError(
+                    "SeparableSeries masks: %s must be nonzero and nonnegative"
+                    % list(m)
+                )
         self.real = real
         self.vars = vars
         self.masks = masks
@@ -1304,9 +1330,25 @@ def _real_to_dict(real):
     return {"tag": "symbolic", "base": real.zero.base}
 
 
+def _require_keys(d, where, *keys):
+    """Refuse a serialized dict that lacks one of keys, naming it."""
+    if not isinstance(d, dict):
+        raise MotzetaError("%s: expected a dict, not %r" % (where, d))
+    for k in keys:
+        if k not in d:
+            raise MotzetaError("%s: the dict has no %r" % (where, k))
+
+
 def _real_from_dict(d):
+    _require_keys(d, "series_from_dict realization", "tag")
     if d["tag"] == "count":
+        _require_keys(d, "series_from_dict realization", "q")
         return count_realization(d["q"])
+    if d["tag"] != "symbolic":
+        raise MotzetaError(
+            "series_from_dict realization: tag must be 'count' or 'symbolic', "
+            "not %r" % d["tag"]
+        )
     return symbolic_realization(d.get("base", "pt"))
 
 
@@ -1370,6 +1412,11 @@ def series_to_dict(s):
 
 
 def series_from_dict(d):
+    _require_keys(d, "series_from_dict", "realization", "vars", "mode")
+    if d["mode"] not in ("trunc", "closed"):
+        raise MotzetaError(
+            "series_from_dict mode: must be 'trunc' or 'closed', not %r" % d["mode"]
+        )
     real = _real_from_dict(d["realization"])
     vars = tuple(d["vars"])
     if real.tag == "count":
@@ -1377,28 +1424,39 @@ def series_from_dict(d):
             return Fraction(text)
     else:
         base = real.zero.base
-        table = {a["name"]: (a["order"], a["base"]) for a in d.get("atoms", [])}
+        table = {}
+        for a in d.get("atoms", []):
+            _require_keys(a, "series_from_dict atoms", "name", "order", "base")
+            table[a["name"]] = (a["order"], a["base"])
 
         def parse_coeff(text):
             return parse_class(text, table, base)
 
     if d["mode"] == "trunc":
-        entries = {tuple(e["exp"]): parse_coeff(e["coeff"]) for e in d["entries"]}
+        _require_keys(d, "series_from_dict", "bound", "entries")
+        entries = {}
+        for e in d["entries"]:
+            _require_keys(e, "series_from_dict entries", "exp", "coeff")
+            entries[tuple(e["exp"])] = parse_coeff(e["coeff"])
         return TruncSeries(real, vars, d["bound"], entries)
-    if d["mode"] == "closed":
-        strands = []
-        for st in d["strands"]:
-            sup = st.get("support")
-            strands.append(
-                Strand(
-                    parse_coeff(st["coeff"]),
-                    tuple(st["b"]),
-                    [(f["m"], tuple(f["n"])) for f in st["factors"]],
-                    None if sup is None else (tuple(sup["period"]), tuple(sup["residue"])),
-                )
+    _require_keys(d, "series_from_dict", "strands")
+    strands = []
+    for st in d["strands"]:
+        _require_keys(st, "series_from_dict strands", "coeff", "b", "factors")
+        for f in st["factors"]:
+            _require_keys(f, "series_from_dict factors", "m", "n")
+        sup = st.get("support")
+        if sup is not None:
+            _require_keys(sup, "series_from_dict support", "period", "residue")
+        strands.append(
+            Strand(
+                parse_coeff(st["coeff"]),
+                tuple(st["b"]),
+                [(f["m"], tuple(f["n"])) for f in st["factors"]],
+                None if sup is None else (tuple(sup["period"]), tuple(sup["residue"])),
             )
-        return ClosedSeries(real, vars, strands)
-    raise ValueError("unknown series mode %r" % d.get("mode"))
+        )
+    return ClosedSeries(real, vars, strands)
 
 
 def series_to_json(s):

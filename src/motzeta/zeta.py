@@ -44,6 +44,7 @@ scalars (symbolic realization).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -211,9 +212,10 @@ def _lead_coeff(a, real):
     """Class of the leading locus of the exponent-a strand: [mu_a] (the unit
     for a = 1), or its point count gcd(a, q - 1) when counting."""
     if real.tag == "symbolic":
+        base = real.zero.base
         if a == 1:
-            return SymbolicClass.unit()
-        return SymbolicClass.from_atom(Atom("mu%d" % a, a), base="pt")
+            return SymbolicClass.unit(base)
+        return SymbolicClass.from_atom(Atom("mu%d" % a, a), base=base)
     return Fraction(math.gcd(a, real.q - 1))
 
 
@@ -264,9 +266,11 @@ def mono_ordgt_count(a, n, q, level):
     return q ** (level - n // a)
 
 
+@functools.cache
 def fermat_affine_counts(a, b, q):
     """(#{u^a + v^b = 0}, #{u^a + v^b = 1}, #{v^b = -1}) over (F_q^*)^2,
-    resp. F_q^* for the last; by direct enumeration."""
+    resp. F_q^* for the last; by direct enumeration, once per (a, b, q)
+    (monomial_pair_counts asks the same triple at every level)."""
     pow_a = [pow(u, a, q) for u in range(1, q)]
     pow_b = [pow(v, b, q) for v in range(1, q)]
     f0 = sum(1 for x in pow_a for y in pow_b if (x + y) % q == 0)
@@ -707,10 +711,11 @@ def standard_atom_sets(names):
 def _stratum_coeff(st, real, binding):
     kexp = len(st.labels) - 1
     if real.tag == "symbolic":
+        base = real.zero.base
         cls = (
-            SymbolicClass.from_atom(st.atom, base="pt")
+            SymbolicClass.from_atom(st.atom, base=base)
             if st.atom is not None
-            else SymbolicClass.unit()
+            else SymbolicClass.unit(base)
         )
         scal = LocRat.from_int(1)
         for _ in range(kexp):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motzeta.errors import DenominatorVanishes, NotInvertible, ParseError, UnknownToken
 from motzeta.locring import (
@@ -117,6 +119,38 @@ def _random_locrat(rng):
     )
     den = tuple(rng.choice([1, 1, 2, 3]) for _ in range(rng.randint(0, 2)))
     return LocRat(num, den)
+
+
+@st.composite
+def locrats(draw):
+    """Normalized LocRats, some of whose numerators carry (1 - L^n) factors
+    that the constructor cancels."""
+    num = LaurentPoly(
+        draw(st.dictionaries(st.integers(-3, 4), st.integers(-9, 9), max_size=4))
+    )
+    for n in draw(st.lists(st.sampled_from([1, 2, 3]), max_size=2)):
+        num = num * one_minus_L(n)
+    return LocRat(num, tuple(draw(st.lists(st.sampled_from([1, 2, 3, 6]), max_size=3))))
+
+
+monomials = st.builds(
+    lambda c, k: LocRat(LaurentPoly.monomial(c, k)),
+    st.integers(-9, 9).filter(bool),
+    st.integers(-4, 4),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(locrats(), st.one_of(monomials, st.integers(-9, 9)))
+def test_product_by_a_monomial_is_the_normalized_product(a, m):
+    # the product by c*L^k shifts and scales the numerator and keeps the
+    # denominator; the normalizing constructor gives the same representation
+    mr = LocRat(m) if isinstance(m, int) else m
+    want = LocRat(a.num * mr.num, a.den + mr.den)
+    for got in (a * m, m * a):
+        assert got.num == want.num and got.den == want.den
+    if not m:
+        assert (a * m).num.is_zero() and (a * m).den == ()
 
 
 def test_ring_axioms_randomized():

@@ -264,6 +264,79 @@ def _fermat_diff(a, b, q):
 
 
 @st.composite
+def _classes(draw):
+    """Normalized classes: sums of products of atoms with or without marks,
+    jointly-augmented products and convolution nodes, with scalars as
+    coefficients."""
+    atoms = st.builds(Atom, st.sampled_from("abc"), st.integers(1, 3), st.just("pt"), st.booleans())
+    conv_nodes = st.builds(
+        ConvNode,
+        st.integers(0, 1),
+        st.lists(atoms, min_size=1, max_size=2),
+        st.lists(atoms, min_size=1, max_size=2),
+        st.booleans(),
+    )
+    coeffs = st.builds(
+        lambda c, k, den: LocRat(LocRat.L(k).num * c, den),
+        st.integers(-5, 5),
+        st.integers(-2, 3),
+        st.lists(st.sampled_from([1, 2, 3]), max_size=2).map(tuple),
+    )
+    term = st.tuples(
+        st.lists(st.one_of(atoms, conv_nodes), max_size=3).map(tuple),
+        st.booleans(),
+        coeffs,
+    )
+    return SymbolicClass(tuple(draw(st.lists(term, max_size=4))), draw(st.sampled_from(["pt", "X"])))
+
+
+def _layout(c):
+    """Terms with the exact scalar representation (stronger than ==)."""
+    return tuple((f, aug, x.num, x.den) for f, aug, x in c.terms)
+
+
+scalars = st.builds(
+    lambda c, k, den: LocRat(LocRat.L(k).num * c, den),
+    st.integers(-5, 5).filter(bool),
+    st.integers(-2, 2),
+    st.lists(st.sampled_from([1, 2, 4]), max_size=2).map(tuple),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_classes(), st.one_of(scalars, st.integers(-3, 3)))
+def test_scaling_keeps_the_normal_form(a, c):
+    # scale and an external product with a scalar class reuse the term
+    # layout; the normalizing constructor over the same scaled terms gives
+    # exactly the same terms
+    cl = LocRat(c) if isinstance(c, int) else c
+    want = SymbolicClass(
+        tuple((f, aug, LocRat(x.num * cl.num, x.den + cl.den)) for f, aug, x in a.terms),
+        a.base,
+    )
+    assert _layout(a.scale(c)) == _layout(want) and a.scale(c).base == a.base
+    if not c:
+        assert a.scale(c).terms == () and not (c * a)
+        return
+    s = SymbolicClass.scalar(c, a.base)
+    for got in (external_mul(a, s), external_mul(s, a), a * s, s * a):
+        assert _layout(got) == _layout(want) and got.base == a.base
+    assert external_mul(a, SymbolicClass.scalar(c, "Y")).base == "%s*Y" % a.base
+
+
+def test_scalar_times_jointly_augmented_class():
+    # a term marked as a whole over two live actions has no per-factor
+    # form, so only the external product with a non-scalar class refuses it
+    joint = SymbolicClass((((Atom("a", 2), Atom("b", 3)), True, ONE),))
+    assert joint.terms[0][1]
+    two_l = SymbolicClass.scalar(L * 2)
+    assert external_mul(two_l, joint) == joint.scale(L * 2)
+    assert external_mul(joint, two_l) == joint.scale(L * 2)
+    with pytest.raises(NotImplementedError):
+        external_mul(joint, atom("c", 2))
+
+
+@st.composite
 def _burnside_cases(draw):
     a = draw(st.integers(1, 5))
     b = draw(st.integers(1, 5))

@@ -23,11 +23,16 @@ from motzeta.motclass import Atom, Binding, SymbolicClass, bind_and_count, conv,
 from motzeta.poly import Poly, parse_poly
 from motzeta.realize import count_realization, symbolic_realization
 from motzeta.series import (
+    CellSpec,
     ClosedSeries,
+    SeparableSeries,
+    Slot,
+    Strand,
     TruncSeries,
     closed_from_fit,
     hadamard_conv,
     hadamard_ext,
+    series_from_dict,
     series_from_json,
     series_to_json,
     strand_fit,
@@ -426,6 +431,8 @@ def test_zeta_trunc_rejects_unknown_base():
 R7 = count_realization(7)
 RES = [{"I": ["E"], "atom": "mu2", "N": [[2]], "nu": [1]}]
 RES2 = [{"I": ["E1"], "N": [[1, 0]], "nu": [1]}, {"I": ["E2"], "N": [[0, 1]], "nu": [1]}]
+ONES7 = EGSeq.constant(R7, Fraction(1))
+COUNT7 = {"tag": "count", "q": 7}
 
 
 @pytest.mark.parametrize(
@@ -500,6 +507,40 @@ RES2 = [{"I": ["E1"], "N": [[1, 0]], "nu": [1]}, {"I": ["E2"], "N": [[0, 1]], "n
                      "EGSeq values: n=0 is below the domain start dom_min=1", id="egseq-domain"),
         pytest.param(lambda: EGSeq.single_residue(R7, 2, 0, Fraction(1, 7), Fraction(1)).re_period(3),
                      "EGSeq re_period: new_period=3 is not a multiple of the period 2", id="egseq-re-period"),
+        pytest.param(lambda: Strand(Fraction(1), (-1,), []),
+                     "Strand b: monomial exponent [-1] is negative", id="strand-b"),
+        pytest.param(lambda: Strand(Fraction(1), (0,), [(0, (0,))]),
+                     "Strand factors: exponent vector [0] must be nonzero and nonnegative", id="strand-factors"),
+        pytest.param(lambda: Strand(Fraction(1), (0,), [], ((-2,), (0,))),
+                     "Strand support: periods [-2] must be >= 0", id="strand-support"),
+        pytest.param(lambda: Slot(ONES7),
+                     "Slot aug: a counted stream needs an explicit companion", id="slot-aug"),
+        pytest.param(lambda: SeparableSeries(R7, ("x",), (), ()),
+                     "SeparableSeries slots: need at least one slot", id="separable-slots"),
+        pytest.param(lambda: SeparableSeries(R7, ("x",), ((0,),), (Slot(ONES7, ONES7),)),
+                     "SeparableSeries masks: [0] must be nonzero and nonnegative", id="separable-zero-mask"),
+        pytest.param(lambda: SeparableSeries(R7, ("x",), ((-1,),), (Slot(ONES7, ONES7),)),
+                     "SeparableSeries masks: [-1] must be nonzero and nonnegative", id="separable-negative-mask"),
+        pytest.param(lambda: CellSpec((0, 0), (2,)),
+                     "CellSpec order: [0, 0] is not a permutation of the axes", id="cellspec-order"),
+        pytest.param(lambda: CellSpec((0, 1), (1,)),
+                     "CellSpec breaks: [1] must end at the axis count 2", id="cellspec-breaks"),
+        pytest.param(lambda: series_from_dict({}),
+                     "series_from_dict: the dict has no 'realization'", id="from-dict-realization"),
+        pytest.param(lambda: series_from_dict({"realization": COUNT7, "mode": "trunc"}),
+                     "series_from_dict: the dict has no 'vars'", id="from-dict-vars"),
+        pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "open"}),
+                     "series_from_dict mode: must be 'trunc' or 'closed', not 'open'", id="from-dict-mode"),
+        pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "trunc", "bound": 2}),
+                     "series_from_dict: the dict has no 'entries'", id="from-dict-entries"),
+        pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "trunc",
+                                               "bound": 2, "entries": [5]}),
+                     "series_from_dict entries: expected a dict, not 5", id="from-dict-entry"),
+        pytest.param(lambda: series_from_dict({"realization": {"tag": "count"}, "vars": ["T"], "mode": "closed"}),
+                     "series_from_dict realization: the dict has no 'q'", id="from-dict-q"),
+        pytest.param(lambda: series_from_dict({"realization": {"tag": "p"}, "vars": ["T"], "mode": "closed"}),
+                     "series_from_dict realization: tag must be 'count' or 'symbolic', not 'p'",
+                     id="from-dict-tag"),
     ],
 )
 def test_argument_errors_name_the_parameter(run, message):
@@ -578,6 +619,18 @@ def test_zeta_symbolic_realizes_to_counts():
             assert zs.support() == zc.support()
             for e in zs.support():
                 assert bind_and_count(zs.coeff(e), binding) == zc.coeff(e)
+
+
+def test_leading_classes_live_over_the_realization_base():
+    rx = symbolic_realization("X")
+    for z in (
+        multizeta_separable((X2,), rx).expand(4),
+        zeta_trunc(X2, 4, rx),
+        zeta_trunc(X, 4, rx),
+        dl_eval(RES, rx).expand(4),
+    ):
+        assert z.support()
+        assert {z.coeff(e).base for e in z.support()} == {"X"}
 
 
 def test_zeta_closed_rejects_generic():
