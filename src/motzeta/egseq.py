@@ -76,6 +76,25 @@ def _eval_modes(zero, modes_for_residue, powers, t):
     return val
 
 
+def _substitute(zero, modes, k, delta):
+    """The modes of one residue under t -> k*t + delta: each mode
+    (ratio, c) becomes (ratio^k, c') with
+    sum_e c_e (k t + delta)^e ratio^(k t + delta) = sum_j c'_j t^j ratio^(k t)."""
+    out = []
+    for ratio, coeffs in modes:
+        ratio_delta = ratio**delta
+        new = [zero] * len(coeffs)
+        for e, c in enumerate(coeffs):
+            if not c:
+                continue
+            for j in range(e + 1):
+                w = math.comb(e, j) * k**j * delta ** (e - j)
+                if w:
+                    new[j] = new[j] + (ratio_delta * w) * c
+        out.append((ratio**k, tuple(new)))
+    return out
+
+
 class EGSeq:
     """Sequence with exponential-polynomial stable part, exact throughout."""
 
@@ -97,10 +116,6 @@ class EGSeq:
         self.stable_start = stable_start
 
     # ----- constructors -----
-
-    @classmethod
-    def zero(cls, real, period=1, dom_min=1):
-        return cls(real, period, [[] for _ in range(period)], dom_min=dom_min)
 
     @classmethod
     def constant(cls, real, v, dom_min=1):
@@ -157,22 +172,7 @@ class EGSeq:
         if k == 1:
             return self
         zero = self.real.zero
-        new_modes = [[] for _ in range(new_period)]
-        for rho_res in range(new_period):
-            r = rho_res % Q
-            delta = (rho_res - r) // Q
-            for ratio, coeffs in self.modes[r]:
-                deg = len(coeffs) - 1
-                ratio_delta = ratio**delta
-                out = [zero] * (deg + 1)
-                for e, c in enumerate(coeffs):
-                    if not c:
-                        continue
-                    for j in range(e + 1):
-                        w = math.comb(e, j) * (k**j) * (delta ** (e - j))
-                        if w:
-                            out[j] = out[j] + (ratio_delta * w) * c
-                new_modes[rho_res].append((ratio**k, tuple(out)))
+        new_modes = [_substitute(zero, self.modes[s % Q], k, s // Q) for s in range(new_period)]
         return EGSeq(
             self.real, new_period, new_modes, self.exceptional,
             self.dom_min, self.stable_start,
@@ -211,28 +211,10 @@ class EGSeq:
 
     def shift(self, d):
         """New sequence n -> value(n + d)."""
-        zero = self.real.zero
-        Q = self.period
-        dom = self.dom_min - d
-        stable = self.stable_start - d
-        modes = [[] for _ in range(Q)]
-        for r in range(Q):
-            r2 = (r + d) % Q
-            m = (r + d - r2) // Q
-            for ratio, coeffs in self.modes[r2]:
-                deg = len(coeffs) - 1
-                ratio_m = ratio**m
-                out = [zero] * (deg + 1)
-                for e, c in enumerate(coeffs):
-                    if not c:
-                        continue
-                    for j in range(e + 1):
-                        w = math.comb(e, j) * (m ** (e - j))
-                        if w:
-                            out[j] = out[j] + (ratio_m * w) * c
-                modes[r].append((ratio, tuple(out)))
+        Q, zero = self.period, self.real.zero
+        modes = [_substitute(zero, self.modes[(r + d) % Q], 1, (r + d) // Q) for r in range(Q)]
         exc = {n - d: v for n, v in self.exceptional.items()}
-        return EGSeq(self.real, Q, modes, exc, dom, stable)
+        return EGSeq(self.real, Q, modes, exc, self.dom_min - d, self.stable_start - d)
 
     # ----- summation -----
 

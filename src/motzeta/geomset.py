@@ -103,6 +103,8 @@ class GeomSet:
         self.equations = tuple(equations)
         self.nonzero = frozenset(nonzero)
         self.action_order = int(action_order)
+        if self.action_order < 1:
+            raise MotzetaError("GeomSet action_order must be >= 1, not %d" % self.action_order)
         if weights is None:
             weights = (0,) * len(self.coords)
         self.weights = tuple(w % self.action_order for w in weights)

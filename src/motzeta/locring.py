@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DenominatorVanishes, NotInvertible, ParseError, UnknownToken
+from .errors import DenominatorVanishes, MotzetaError, NotInvertible, ParseError, UnknownToken
 
 
 class LaurentPoly:
@@ -93,7 +93,7 @@ class LaurentPoly:
 
     def __pow__(self, k):
         if k < 0:
-            raise ValueError("negative power of a LaurentPoly")
+            raise MotzetaError("LaurentPoly power: exponent must be >= 0, not %d" % k)
         out = LaurentPoly.const(1)
         base = self
         while k:
@@ -269,7 +269,7 @@ class LocRat:
             num = LaurentPoly.const(num)
         den = tuple(sorted(den))
         if any(n < 1 for n in den):
-            raise ValueError("denominator entries must be >= 1")
+            raise MotzetaError("LocRat den: factors (1-L^n) need n >= 1, not %s" % list(den))
         if num.is_zero():
             den = ()
         else:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UnboundAtom
+from .errors import MotzetaError, UnboundAtom
 from .geomset import (  # noqa: F401  (re-exported: GeomSet lives with its counts)
     GeomSet,
     WorkMeter,
@@ -347,8 +347,9 @@ def external_mul(a, b, base=None):
             # A jointly-augmented product of several live actions cannot be
             # expressed by per-factor marks (the diagonal average differs
             # from independent averages); no pipeline here produces one.
-            raise NotImplementedError(
-                "external product with a jointly-augmented factor pair"
+            raise MotzetaError(
+                "external_mul: a term augmented jointly over %d live actions "
+                "has no per-factor form to multiply by a non-scalar class" % live
             )
         return tuple(f.with_aug(True) for f in factors)
 

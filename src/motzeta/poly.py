@@ -11,7 +11,7 @@ polynomials compare equal structurally.
 
 from __future__ import annotations
 
-from .errors import ParseError, UnknownToken, VariableMismatch
+from .errors import MotzetaError, ParseError, UnknownToken, VariableMismatch
 
 
 class Poly:
@@ -120,7 +120,7 @@ class Poly:
 
     def __pow__(self, k):
         if k < 0:
-            raise ValueError("negative polynomial power")
+            raise MotzetaError("Poly power: exponent must be >= 0, not %d" % k)
         out = Poly.const(1)
         base = self
         while k:
@@ -143,9 +143,6 @@ class Poly:
             return None
         (e,), c = next(iter(self.terms.items()))
         return (c, self.vars[0], e)
-
-    def rename(self, mapping):
-        return Poly(tuple(mapping.get(v, v) for v in self.vars), self.terms)
 
     def direct_sum(self, other):
         """f(x) + g(y) on disjoint variable sets."""

@@ -16,7 +16,9 @@ monomial-free strand forms, ordered-cell decomposition of exponent space,
 coefficient-base projection, and separable chain series carrying one
 coefficient sequence per axis together with the forward and inverse chain
 transforms that exchange strict-chain generating series with their
-compressed normal forms.
+compressed normal forms.  expand_chains is the one walk over strict
+chains: it expands a separable block, and every truncated zeta series of
+zeta.py is its expansion over per-axis streams.
 
 Coefficients are the values of a Realization (realize.py): SymbolicClass
 over LocRat scalars, or Fraction over Fraction.  The code here touches them
@@ -118,10 +120,6 @@ class TruncSeries:
         self.bound = bound
         self.entries = {e: v for e, v in merged.items() if v}
 
-    @classmethod
-    def zero(cls, real, vars, bound):
-        return cls(real, vars, bound, ())
-
     def coeff(self, exp):
         exp = tuple(int(e) for e in exp)
         if len(exp) != len(self.vars):
@@ -158,13 +156,6 @@ class TruncSeries:
 
     def truncate(self, bound):
         return TruncSeries(self.real, self.vars, bound, self.entries)
-
-    def with_vars(self, names):
-        """Relabel the variables (same arity, same exponents)."""
-        names = tuple(names)
-        if len(names) != len(self.vars):
-            raise VariableMismatch("relabel needs %d names" % len(self.vars))
-        return TruncSeries(self.real, names, self.bound, self.entries)
 
     def permuted(self, order):
         """Reorder variables: position i of the result is variable order[i]."""
@@ -287,7 +278,9 @@ def hadamard_conv(a, b, kind=None):
     one flavor.  Needs class coefficients: counted values have already
     forgotten the action data a convolution depends on.
     """
-    fn = {None: conv, 0: conv0, 1: conv1}[kind]
+    fn = {None: conv, 0: conv0, 1: conv1}.get(kind)
+    if fn is None:
+        raise MotzetaError("hadamard_conv kind must be None, 0 or 1, not %r" % (kind,))
     if a.real.tag != "symbolic":
         raise BaseMismatch(
             "hadamard_conv operands must have class coefficients, not %s" % _real_name(a.real)
@@ -336,9 +329,9 @@ def _closed_hadamard(a, b, mulfn):
         for sb in b.strands:
             for s in (sa, sb):
                 if any(s.b) or len(s.factors) != 1 or s.support is not None:
-                    raise NotImplementedError(
+                    raise MotzetaError(
                         "closed Hadamard products cover single-factor "
-                        "monomial-free unrestricted strands; expand instead"
+                        "monomial-free unrestricted strands, not %r; expand instead" % (s,)
                     )
             m1, n1 = sa.factors[0]
             m2, n2 = sb.factors[0]
@@ -512,6 +505,8 @@ def project(a, i):
     classes).  Counted coefficients already carry total masses, so the
     projection is the identity on values.
     """
+    if not isinstance(a, (TruncSeries, ClosedSeries)):
+        raise MotzetaError("project expects a TruncSeries or ClosedSeries, not %s" % type(a).__name__)
     if a.real.tag == "count":
         return a
     base = a.real.zero.base
@@ -525,13 +520,11 @@ def project(a, i):
 
     if isinstance(a, TruncSeries):
         return TruncSeries(real2, a.vars, a.bound, {e: retag(v) for e, v in a.entries.items()})
-    if isinstance(a, ClosedSeries):
-        return ClosedSeries(
-            real2,
-            a.vars,
-            [Strand(retag(s.coeff), s.b, s.factors, s.support) for s in a.strands],
-        )
-    raise TypeError("project expects a series")
+    return ClosedSeries(
+        real2,
+        a.vars,
+        [Strand(retag(s.coeff), s.b, s.factors, s.support) for s in a.strands],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1043,6 +1036,47 @@ class Slot:
         return Slot(self.seq.scale(s), self.aug.scale(s))
 
 
+def expand_chains(real, vars, masks, streams, bound):
+    """Truncated table through total degree bound of the chain series whose
+    coefficient at the strictly increasing axis values w_1 < .. < w_eta is
+    the ordered product of streams[j].value(w_j), at the exponent
+    sum_j w_j * masks[j].
+
+    A stream needs only value(w) and dom_min: an EGSeq, or a counted
+    stream.  The admissible points are walked axis by axis, from an
+    explicit stack (a self-recursive closure would be a reference cycle
+    that keeps the streams alive until the next garbage collection).  A
+    stream's value at w does not depend on the chain prefix, so each
+    stream is evaluated once per w, into tables local to this call, and a
+    zero value skips the whole subtree below it: every product there is
+    zero.
+    """
+    eta = len(streams)
+    weights = [sum(m) for m in masks]
+    tables = [{} for _ in range(eta)]
+    ent = {}
+    stack = [(0, 0, (0,) * len(vars), None)]
+    while stack:
+        j, wprev, exp, val = stack.pop()
+        if j == eta:
+            ent[exp] = ent[exp] + val if exp in ent else val
+            continue
+        stream, table = streams[j], tables[j]
+        w = max(stream.dom_min, wprev + 1)
+        while True:
+            exp2 = tuple(e + w * x for e, x in zip(exp, masks[j]))
+            # the cheapest completion: every later axis one step above the last
+            if sum(exp2) + sum(weights[i] * (w + i - j) for i in range(j + 1, eta)) > bound:
+                break
+            v = table.get(w)
+            if v is None:
+                v = table[w] = stream.value(w)
+            if v:
+                stack.append((j + 1, w, exp2, v if val is None else val * v))
+            w += 1
+    return TruncSeries(real, vars, bound, ent)
+
+
 class SeparableSeries:
     """Sum-free separable block over a chain: the coefficient at an
     admissible exponent is the ordered external product of one stream
@@ -1091,44 +1125,10 @@ class SeparableSeries:
         return out
 
     def expand(self, bound):
-        """Truncated table of the block through total degree bound.
-
-        The admissible points are walked axis by axis.  A stream's value at
-        w does not depend on the chain prefix, so each axis stream is
-        evaluated once per (axis, w), into tables local to this call, and a
-        zero value skips the whole subtree below it: every product there
-        is zero.
-        """
-        eta = len(self.slots)
-        weights = [sum(m) for m in self.masks]
-        tables = [{} for _ in range(eta)]
-        ent = {}
-
-        def future_min(j, w):
-            return sum(weights[i] * (w + (i - j)) for i in range(j + 1, eta))
-
-        def rec(j, wprev, exp, val):
-            if j == eta:
-                ent[exp] = ent[exp] + val if exp in ent else val
-                return
-            seq, table = self.slots[j].seq, tables[j]
-            lo = max(seq.dom_min, 1)
-            if j > 0:
-                lo = max(lo, wprev + 1)
-            w = lo
-            while True:
-                exp2 = tuple(e + w * x for e, x in zip(exp, self.masks[j]))
-                if sum(exp2) + future_min(j, w) > bound:
-                    break
-                v = table.get(w)
-                if v is None:
-                    v = table[w] = seq.value(w)
-                if v:
-                    rec(j + 1, w, exp2, v if val is None else val * v)
-                w += 1
-
-        rec(0, 0, (0,) * len(self.vars), None)
-        return TruncSeries(self.real, self.vars, bound, ent)
+        """Truncated table of the block through total degree bound."""
+        return expand_chains(
+            self.real, self.vars, self.masks, [slot.seq for slot in self.slots], bound
+        )
 
     def scale(self, s):
         slots = (self.slots[0].scale(s),) + self.slots[1:]
@@ -1363,7 +1363,9 @@ def _collect_atoms(values):
         prev = reg.get(f.name)
         cur = (f.order, f.base)
         if prev is not None and prev != cur:
-            raise ValueError("atom %r appears with conflicting data" % f.name)
+            raise MotzetaError(
+                "atom %r appears with conflicting (order, base): %r and %r" % (f.name, prev, cur)
+            )
         reg[f.name] = cur
 
     for c in values:
@@ -1377,6 +1379,8 @@ def _collect_atoms(values):
 
 
 def series_to_dict(s):
+    if not isinstance(s, (TruncSeries, ClosedSeries)):
+        raise MotzetaError("series_to_dict expects a TruncSeries or ClosedSeries, not %s" % type(s).__name__)
     d = {
         "vars": list(s.vars),
         "realization": _real_to_dict(s.real),
@@ -1390,25 +1394,23 @@ def series_to_dict(s):
         if s.real.tag == "symbolic":
             d["atoms"] = _collect_atoms(s.entries.values())
         return d
-    if isinstance(s, ClosedSeries):
-        d["mode"] = "closed"
-        d["strands"] = [
-            {
-                "coeff": str(st.coeff),
-                "b": list(st.b),
-                "factors": [{"m": m, "n": list(n)} for m, n in st.factors],
-                "support": (
-                    None
-                    if st.support is None
-                    else {"period": list(st.support[0]), "residue": list(st.support[1])}
-                ),
-            }
-            for st in s.strands
-        ]
-        if s.real.tag == "symbolic":
-            d["atoms"] = _collect_atoms(st.coeff for st in s.strands)
-        return d
-    raise TypeError("series_to_dict expects a series")
+    d["mode"] = "closed"
+    d["strands"] = [
+        {
+            "coeff": str(st.coeff),
+            "b": list(st.b),
+            "factors": [{"m": m, "n": list(n)} for m, n in st.factors],
+            "support": (
+                None
+                if st.support is None
+                else {"period": list(st.support[0]), "residue": list(st.support[1])}
+            ),
+        }
+        for st in s.strands
+    ]
+    if s.real.tag == "symbolic":
+        d["atoms"] = _collect_atoms(st.coeff for st in s.strands)
+    return d
 
 
 def series_from_dict(d):
@@ -1471,7 +1473,10 @@ def series_to_csv(s):
     """CSV table of a truncated series: one row per entry, exponents then
     the rendered coefficient.  Closed forms should be expanded first."""
     if not isinstance(s, TruncSeries):
-        raise TypeError("CSV export covers truncated series; expand closed forms first")
+        raise MotzetaError(
+            "series_to_csv covers truncated series, not %s; expand closed forms first"
+            % type(s).__name__
+        )
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(list(s.vars) + ["coeff"])

@@ -13,25 +13,25 @@ weight j on the t^j jet coefficient.  This module provides
 
   * jet_set: the locus as a GeomSet (equations + action data), suitable
     for twisted point counts and symbolic invariance checks;
-  * two counting routes, checked against each other and against the
-    brute-force enumeration in tests/brute.py: closed forms for recognized
-    shapes, and the F_q DFS of twisted_count on jet loci for everything
-    else, the per-axis counts of any other germ (AxisCounts) and the pair
-    splits of a direct sum (histogram_pair_counts) alike.  The loci of one
-    function are built from one expansion of f(phi) (poly.JetExpansion),
-    sliced per level.  A recognized shape is decided in one place,
-    shape_exponent: x^a and a sum of distinct linear variables (a = 1)
-    have the one strand [mu_a] L^{-k} T^{ak}, and every closed count,
-    stream and series of such a shape is read off a and its leading
-    coefficient;
+  * AxisCounts, the exact-hit and order-beyond counts of one function by
+    the F_q DFS of twisted_count on its jet loci, and the pair splits of a
+    direct sum (histogram_pair_counts) by the same DFS, both checked
+    against the brute-force enumeration in tests/brute.py.  The loci of
+    one function are built from one expansion of f(phi)
+    (poly.JetExpansion), sliced per level;
+  * per-axis streams, decided in one place (_axis_stream): a recognized
+    shape, found by shape_exponent (x^a, or a sum of distinct linear
+    variables with a = 1), has the one strand [mu_a] L^{-k} T^{ak} and
+    its closed stream, read off a and its leading coefficient; any other
+    germ has the stream of its AxisCounts counts when counting, and no
+    stream (FitFailed) symbolically;
   * generating series: zeta_trunc / zeta_closed for one function,
     multizeta_trunc / multizeta_separable for an ordered family with
     order conditions on the trailing functions, sum_zeta_pullback for a
     direct sum f(x) + g(y) on a product space, with diagnostic splits of
-    each coefficient by the two leading orders.  The realization picks the
-    route: a symbolic truncation is the expansion of the closed form (a
-    germ without one raises FitFailed), and a counted truncation reads
-    each coefficient off AxisCounts or the pair splits;
+    each coefficient by the two leading orders.  Every truncated family
+    series, one function included, is series.expand_chains over the
+    per-axis streams, in both realizations;
   * evaluators for user-supplied resolution data (dl_eval returns the
     closed series of a resolution, over the full orthant or supplied cone
     pieces; cone_euler, validate_cone) and nearby_cycles as minus the
@@ -70,7 +70,15 @@ from .geomset import (
 from .locring import L_MINUS_1, LocRat
 from .motclass import Atom, SymbolicClass
 from .poly import JetExpansion, Poly, parse_poly
-from .series import ClosedSeries, Slot, SeparableSeries, Strand, TruncSeries, lim_infty
+from .series import (
+    ClosedSeries,
+    Slot,
+    SeparableSeries,
+    Strand,
+    TruncSeries,
+    expand_chains,
+    lim_infty,
+)
 from .egseq import EGSeq
 
 def _as_poly(f):
@@ -191,7 +199,7 @@ def shape_exponent(f, q=None):
     a for a monic x^a, 1 for a sum of distinct linear variables (c*x among
     them), None for any other germ.  At a prime q (None: symbolic) it is
     also None when q shares a factor with a or divides a linear
-    coefficient, since the closed counts need both invertible mod q."""
+    coefficient, since the closed streams need both invertible mod q."""
     f = _as_poly(f)
     mono = f.as_monomial()
     if mono is not None and mono[0] == 1 and mono[2] >= 1:
@@ -211,11 +219,10 @@ def shape_exponent(f, q=None):
 def _lead_coeff(a, real):
     """Class of the leading locus of the exponent-a strand: [mu_a] (the unit
     for a = 1), or its point count gcd(a, q - 1) when counting."""
+    if a == 1:
+        return real.one
     if real.tag == "symbolic":
-        base = real.zero.base
-        if a == 1:
-            return SymbolicClass.unit(base)
-        return SymbolicClass.from_atom(Atom("mu%d" % a, a), base=base)
+        return SymbolicClass.from_atom(Atom("mu%d" % a, a), base=real.zero.base)
     return Fraction(math.gcd(a, real.q - 1))
 
 
@@ -240,30 +247,6 @@ def _require_prime_to(q, **exponents):
             raise MotzetaError(
                 "exponent %s=%d must be prime to q=%d" % (name, a, q)
             )
-
-
-def _require_level(level, name, need):
-    if level < need:
-        raise VariableMismatch(
-            "level=%d is below %s=%d: level-%d jets have no t^%d digit"
-            % (level, name, need, level, need)
-        )
-
-
-def mono_exact_count(a, n, q, level):
-    """Level-`level` jets phi with phi^a = t^n mod t^{n+1}; prime-to-q a."""
-    _require_prime_to(q, a=a)
-    _require_level(level, "n", n)
-    if n % a:
-        return 0
-    return math.gcd(a, q - 1) * q ** (level - n // a)
-
-
-def mono_ordgt_count(a, n, q, level):
-    """Level-`level` jets phi with ord phi^a > n."""
-    _require_prime_to(q, a=a)
-    _require_level(level, "n//a", n // a)
-    return q ** (level - n // a)
 
 
 @functools.cache
@@ -313,19 +296,14 @@ def monomial_pair_counts(a, b, n, q):
 
 
 class AxisCounts:
-    """Exact-hit and order-beyond counts for one function at one prime.
+    """Exact-hit and order-beyond counts of level-n jets of one function at
+    one prime, by the F_q DFS of twisted_count on the level-n jet locus.
 
-    A recognized shape takes its closed form, read off a =
-    shape_exponent(f, q) and kept as self.a.  Any other germ (a = None:
-    also a monomial whose exponent shares a factor with q, or a linear sum
-    with a coefficient divisible by q) is counted by the F_q DFS of
-    twisted_count on its level-n jet locus, built from one expansion of f
-    that grows with the deepest level asked; the count at each (kind, n) is
-    kept.  One WorkMeter caps the DFS candidates of all counts together
-    (budget; default geomset.DEFAULT_BUDGET), and BudgetExceeded names the
-    level that exceeded it.  Counts at a level above the constrained depth
-    append free digits, one factor q per free coordinate; a level below n
-    raises VariableMismatch.
+    The loci are built from one expansion of f that grows with the deepest
+    level asked; the count at each (kind, n) is kept.  One WorkMeter caps
+    the DFS candidates of all counts together (budget; default
+    geomset.DEFAULT_BUDGET), and BudgetExceeded names the level that
+    exceeded it.
     """
 
     def __init__(self, f, q, budget=None):
@@ -333,26 +311,11 @@ class AxisCounts:
         _require_prime(q, "AxisCounts")
         self.q = q
         self.dim = len(self.f.vars)
-        self.a = shape_exponent(self.f, q)
         self.meter = WorkMeter(budget)
         self._jets = JetExpansion(self.f)
         self._counts = {}
 
-    def _closed(self, kind, n, level):
-        """The count of x^a, with one free factor q^level per further
-        variable of a linear sum (a = 1); None without a closed form."""
-        if self.a is None:
-            return None
-        count = mono_exact_count if kind == "exact" else mono_ordgt_count
-        return count(self.a, n, self.q, level) * self.q ** ((self.dim - 1) * level)
-
-    def _count(self, kind, n, level):
-        if level is None:
-            level = n
-        _require_level(level, "n", n)
-        c = self._closed(kind, n, level)
-        if c is not None:
-            return c
+    def _count(self, kind, n):
         if (kind, n) not in self._counts:
             locus = _jet_locus(
                 self.f.vars, self._jets.digits(n), n, kind == "exact", action_order=1
@@ -364,13 +327,13 @@ class AxisCounts:
                     "jet counts of %s at level %d exceed the budget of %d candidates"
                     % (self.f.render(), n, self.meter.budget)
                 ) from exc
-        return self._counts[kind, n] * self.q ** (self.dim * (level - n))
+        return self._counts[kind, n]
 
-    def exact(self, n, level=None):
-        return self._count("exact", n, level)
+    def exact(self, n):
+        return self._count("exact", n)
 
-    def ordgt(self, n, level=None):
-        return self._count("ordgt", n, level)
+    def ordgt(self, n):
+        return self._count("ordgt", n)
 
 
 # ---------------------------------------------------------------------------
@@ -378,30 +341,51 @@ class AxisCounts:
 # ---------------------------------------------------------------------------
 
 
-def _lead_slot(f, real):
-    """Slot for the exact-hit stream of f, normalized by L^{-nd}: for the
-    exponent-a strand, value(a*t) = [leading locus] * L^{-t}, zero off the
-    multiples of a.  Normalizing at the own level makes the trailing-level
-    padding cancel (the tests check this against the brute-force family
-    counts of tests/brute.py).  Counted values carry no action, so the
-    companion stream has the unit for the leading locus."""
-    a = _strand_exponent(f, real)
-    ratio = real.from_locrat(LocRat.L(-1))
-    seq = EGSeq.single_residue(real, a, 0, ratio, _lead_coeff(a, real))
-    if real.tag == "symbolic":
-        return Slot(seq)
-    return Slot(seq, EGSeq.single_residue(real, a, 0, ratio, _lead_coeff(1, real)))
+class _CountedStream:
+    """n -> count(n) / scale^n: the per-axis stream of a germ without a
+    closed form, with count the exact or ordgt of its AxisCounts and
+    scale = q^d.  It offers only what expand_chains reads."""
+
+    __slots__ = ("count", "scale")
+    dom_min = 1
+
+    def __init__(self, count, scale):
+        self.count = count
+        self.scale = scale
+
+    def value(self, n):
+        return Fraction(self.count(n), self.scale**n)
 
 
-def _trail_slot(f, real):
-    """Slot for the order-beyond stream of f, normalized by L^{-nd}:
-    value(n) = L^{-floor(n/a)} for the exponent-a strand.  The companion
-    stream equals the value stream (the trailing conditions do not see the
-    action on the first factor)."""
-    a = _strand_exponent(f, real)
+def _axis_stream(f, real, kind, budget=None):
+    """The per-axis stream of f, for the exact-hit (kind "exact") or
+    order-beyond ("ordgt") loci, normalized by L^{-nd} at its own level.
+
+    A recognized shape (shape_exponent) has its closed stream.  Any other
+    germ is counted under the count realization, by the F_q DFS of one
+    AxisCounts whose candidates budget caps, and raises FitFailed under
+    the symbolic one.
+    """
+    if real.tag == "count":
+        _require_prime(real.q, "a counted zeta series")
+        if shape_exponent(f, real.q) is None:
+            ax = AxisCounts(f, real.q, budget=budget)
+            return _CountedStream(getattr(ax, kind), real.q**ax.dim)
+    return _closed_stream(_strand_exponent(f, real), real, kind)
+
+
+def _closed_stream(a, real, kind):
+    """The stream of the exponent-a strand as an EGSeq: the exact-hit value
+    at a*t is [leading locus] * L^{-t}, zero off the multiples of a; the
+    order-beyond value at n is L^{-floor(n/a)}."""
     ratio = real.from_locrat(LocRat.L(-1))
-    seq = EGSeq(real, a, [[(ratio, (_lead_coeff(1, real),))] for _ in range(a)])
-    return Slot(seq) if real.tag == "symbolic" else Slot(seq, seq)
+    if kind == "exact":
+        return EGSeq.single_residue(real, a, 0, ratio, _lead_coeff(a, real))
+    return EGSeq(real, a, [[(ratio, (real.one,))] for _ in range(a)])
+
+
+def _unit_masks(r):
+    return tuple(tuple(1 if j == i else 0 for j in range(r)) for i in range(r))
 
 
 # ---------------------------------------------------------------------------
@@ -414,37 +398,29 @@ def _default_vars(r):
 
 
 def zeta_trunc(f, D, real, var="T", base="origin", budget=None):
-    """Truncated zeta series: coefficient at n is the exact-hit class of
-    level-n jets normalized by L^{-nd}, through degree D."""
+    """Truncated zeta series through degree D: the coefficient at n is the
+    exact-hit class of level-n jets normalized by L^{-nd}.
+
+    At base="origin" it is the one-function family, multizeta_trunc((f,),
+    ..): the closed stream of a recognized shape, else the F_q DFS counts
+    of AxisCounts (budget caps their candidates), or FitFailed when
+    symbolic.  base="global" (counting only) sums the origin series of f
+    shifted to each F_q-zero of f.
+    """
     _choice("base", base, ("origin", "global"))
-    f = _as_poly(f)
-    d = len(f.vars)
-    ent = {}
+    if base == "origin":
+        return multizeta_trunc((f,), D, real, (var,), budget)
     if real.tag == "symbolic":
-        if base != "origin":
-            raise MotzetaError("symbolic zeta is local at the origin")
-        return zeta_closed(f, real, var).expand(D)
+        raise MotzetaError("symbolic zeta is local at the origin")
+    f = _as_poly(f)
     q = real.q
-    if base == "global":
-        _require_prime(q, "global zeta")
-        total = {}
-        for b in itertools.product(range(q), repeat=d):
-            if _eval_point(f, b, q) != 0:
-                continue
+    _require_prime(q, "global zeta")
+    out = TruncSeries(real, (var,), D)
+    for b in itertools.product(range(q), repeat=len(f.vars)):
+        if _eval_point(f, b, q) == 0:
             fb = _shift_poly(f, dict(zip(sorted(f.vars), b)))
-            ax = AxisCounts(fb, q, budget=budget)
-            for n in range(1, D + 1):
-                total[n] = total.get(n, 0) + ax.exact(n)
-        for n, c in sorted(total.items()):
-            if c:
-                ent[(n,)] = Fraction(c, q ** (d * n))
-        return TruncSeries(real, (var,), D, ent)
-    ax = AxisCounts(f, q, budget=budget)
-    for n in range(1, D + 1):
-        c = ax.exact(n)
-        if c:
-            ent[(n,)] = Fraction(c, q ** (d * n))
-    return TruncSeries(real, (var,), D, ent)
+            out = out.add(zeta_trunc(fb, D, real, var, budget=budget))
+    return out
 
 
 def _eval_point(f, b, q):
@@ -483,25 +459,33 @@ def zeta_closed(f, real, var="T"):
     return ClosedSeries(real, (var,), (strand,))
 
 
-def multizeta_separable(fs, real, vars=None):
-    """The ordered-family zeta as a separable chain block: first axis the
-    exact-hit stream, trailing axes the order-beyond streams (all
-    normalized at their own level; level padding cancels against the
-    normalization, which the tests check against the brute-force family
-    counts of tests/brute.py)."""
+def _family(fs, vars):
+    """The family as Polys and its variables (default _default_vars)."""
     fs = tuple(_as_poly(f) for f in fs)
     if not fs:
         raise MotzetaError("the family fs needs at least one function")
-    r = len(fs)
-    if vars is None:
-        vars = _default_vars(r)
-    slots = [_lead_slot(fs[0], real)]
-    for f in fs[1:]:
-        slots.append(_trail_slot(f, real))
-    masks = tuple(
-        tuple(1 if j == i else 0 for j in range(r)) for i in range(r)
-    )
-    return SeparableSeries(real, tuple(vars), masks, tuple(slots))
+    return fs, tuple(_default_vars(len(fs)) if vars is None else vars)
+
+
+def multizeta_separable(fs, real, vars=None):
+    """The ordered-family zeta as a separable chain block: first axis the
+    exact-hit stream, trailing axes the order-beyond streams, each
+    normalized at its own level (see multizeta_trunc).  Every function
+    needs a closed stream, since phi and phi_inv shift and tail-sum them:
+    a germ without one raises FitFailed, also when counting."""
+    fs, vars = _family(fs, vars)
+    slots = []
+    for i, f in enumerate(fs):
+        a = _strand_exponent(f, real)
+        seq = _closed_stream(a, real, "ordgt" if i else "exact")
+        if real.tag == "symbolic":
+            slots.append(Slot(seq))
+        else:
+            # counted values carry no action: the companion has the unit
+            # for the leading locus, and the trailing conditions do not see
+            # the action on the first factor
+            slots.append(Slot(seq, seq.scale(1 / _lead_coeff(a, real)) if i == 0 else seq))
+    return SeparableSeries(real, vars, _unit_masks(len(fs)), tuple(slots))
 
 
 def multizeta_trunc(fs, D, real, vars=None, budget=None):
@@ -509,45 +493,20 @@ def multizeta_trunc(fs, D, real, vars=None, budget=None):
     n_1 < .. < n_r is the class of the family locus at level |n|,
     normalized by L^{-|n| d}.
 
-    The realization picks the route.  A symbolic truncation is the
-    expansion of multizeta_separable (FitFailed for a germ without a
-    closed form).  A counted one walks the chains with one AxisCounts per
-    function, which takes the closed count of a recognized shape and the
-    F_q DFS for any other germ; budget caps the DFS candidates of each.
+    It is series.expand_chains over one stream per function: the exact-hit
+    stream of the first, the order-beyond streams of the others, each
+    normalized at its own level.  That is exact: at level |n| the count of
+    function i at n_i is padded by q^{d_i (|n| - n_i)}, one factor q per
+    free digit, and the family normalization divides by q^{d |n|}, so the
+    padding cancels axis by axis.  A recognized shape takes its closed
+    stream; any other germ is counted by one AxisCounts (budget caps its
+    DFS candidates), or raises FitFailed when symbolic.
     """
-    fs = tuple(_as_poly(f) for f in fs)
-    r = len(fs)
-    if vars is None:
-        vars = _default_vars(r)
-    if r == 0:
-        raise MotzetaError("the family fs needs at least one function")
-    if real.tag == "symbolic":
-        return multizeta_separable(fs, real, vars).expand(D)
-    q = real.q
-    axes = [AxisCounts(f, q, budget=budget) for f in fs]
-    dtot = sum(ax.dim for ax in axes)
-    ent = {}
-
-    def rec(i, prev, used, exps):
-        if i == r:
-            lvl = used
-            c = axes[0].exact(exps[0], level=lvl)
-            for ax, n in zip(axes[1:], exps[1:]):
-                c *= ax.ordgt(n, level=lvl)
-            if c:
-                ent[tuple(exps)] = Fraction(c, q ** (dtot * lvl))
-            return
-        lo = prev + 1
-        n = lo
-        while used + n + _chain_min(r - i - 1, n) <= D:
-            rec(i + 1, n, used + n, exps + [n])
-            n += 1
-
-    def _chain_min(k, n):
-        return sum(n + j + 1 for j in range(k))
-
-    rec(0, 0, 0, [])
-    return TruncSeries(real, tuple(vars), D, ent)
+    fs, vars = _family(fs, vars)
+    streams = [
+        _axis_stream(f, real, "ordgt" if i else "exact", budget) for i, f in enumerate(fs)
+    ]
+    return expand_chains(real, vars, _unit_masks(len(fs)), streams, D)
 
 
 def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=None):
@@ -771,10 +730,11 @@ class ConePieces:
 
     @classmethod
     def from_json(cls, obj):
-        pieces = [
-            (p["gens"], p.get("open", [True] * len(p["gens"])))
-            for p in obj.get("pieces", [])
-        ]
+        pieces = []
+        for i, p in enumerate(obj.get("pieces", [])):
+            if "gens" not in p:
+                raise ConeNotDecomposed("ConePieces.from_json: piece %d has no 'gens'" % i)
+            pieces.append((p["gens"], p.get("open", [True] * len(p["gens"]))))
         return cls(pieces, origin=obj.get("origin", False))
 
     def to_json(self):
@@ -963,6 +923,8 @@ def default_q(orders=(), avoid=()):
     coprime to every listed integer."""
     need = 1
     for o in orders:
+        if o < 1:
+            raise MotzetaError("default_q orders must be >= 1, not %r" % (o,))
         need = need * o // math.gcd(need, o)
     q = 2
     while True:

@@ -3,16 +3,19 @@ data: the test suite's reference.
 
 Each counter enumerates every jet explicitly and evaluates f(phi) digit by
 digit in pure Python, sharing nothing with the library's counting routes
-(the closed forms of recognized shapes, and the F_q DFS on jet loci, which
+(the closed streams of recognized shapes, and the F_q DFS on jet loci, which
 counts the per-axis jets of every other germ and the pair splits of a
 direct sum).
 The cost is q^(d*level) per count, so DIRECT_BUDGET keeps them to small
 cases; they exist only to check the library's routes on overlap.
+mono_exact_count and mono_ordgt_count are the closed jet counts of x^a at
+any level, the oracles for x^a past the counters' reach.
 lattice_sum likewise adds up resolution data one lattice point at a time,
 the reference for the closed strands of dl_eval.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from motzeta.errors import BudgetExceeded
@@ -91,6 +94,25 @@ def jet_count_direct(f, n, q, level=None, target="exact", budget=None):
         if _value_digits(f, jets, n, q) == want:
             count += 1
     return count
+
+
+def mono_exact_count(a, n, q, level):
+    """Closed count of level-`level` jets phi with phi^a = t^n mod
+    t^{n+1}, a prime to q: gcd(a, q-1) leading digits, the digits past
+    n/a free."""
+    if math.gcd(a, q) != 1 or level < n:
+        raise ValueError("need a prime to q and level >= n")
+    if n % a:
+        return 0
+    return math.gcd(a, q - 1) * q ** (level - n // a)
+
+
+def mono_ordgt_count(a, n, q, level):
+    """Closed count of level-`level` jets phi with ord phi^a > n: the
+    digits through n/a vanish, the others are free."""
+    if math.gcd(a, q) != 1 or level < n // a:
+        raise ValueError("need a prime to q and level >= n//a")
+    return q ** (level - n // a)
 
 
 def direct_pair_counts(f, g, n, q, budget=None):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from motzeta import motclass
-from motzeta.errors import UnboundAtom
+from motzeta.errors import MotzetaError, UnboundAtom
 from motzeta.geomset import GeomSet, fermat_twisted_count, mu_n, point, torus
 from motzeta.locring import L, L_MINUS_1, LocRat, ONE
 from motzeta.motclass import (
@@ -332,8 +332,9 @@ def test_scalar_times_jointly_augmented_class():
     two_l = SymbolicClass.scalar(L * 2)
     assert external_mul(two_l, joint) == joint.scale(L * 2)
     assert external_mul(joint, two_l) == joint.scale(L * 2)
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(MotzetaError, match="augmented jointly over 2 live actions") as err:
         external_mul(joint, atom("c", 2))
+    assert not isinstance(err.value, NotImplementedError)
 
 
 @st.composite

@@ -13,6 +13,7 @@ from motzeta.egseq import EGSeq
 from motzeta.errors import (
     BaseMismatch,
     FitFailed,
+    MotzetaError,
     NotLimitNormal,
     ParseError,
     TailNotSummable,
@@ -770,8 +771,9 @@ def test_csv_export_shape():
     assert lines[0] == "T,U,coeff"
     assert lines[1] == "0,1,2"
     assert lines[2] == "1,2,5/3"
-    with pytest.raises(TypeError):
+    with pytest.raises(MotzetaError, match="series_to_csv covers truncated series, not ClosedSeries") as err:
         series_to_csv(ClosedSeries(COUNT, ("T",)))
+    assert not isinstance(err.value, TypeError)
 
 
 # ---------------------------------------------------------------------------

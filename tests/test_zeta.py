@@ -1,5 +1,6 @@
 """Jet loci and zeta series: counting routes, splits, resolution evaluators."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import direct_pair_counts, jet_count_direct, lattice_sum, multizeta_direct
+from brute import (
+    direct_pair_counts,
+    jet_count_direct,
+    lattice_sum,
+    mono_exact_count,
+    mono_ordgt_count,
+    multizeta_direct,
+)
 from motzeta.egseq import EGSeq
 from motzeta.errors import (
     BudgetExceeded,
@@ -18,7 +26,7 @@ from motzeta.errors import (
     VariableMismatch,
 )
 from motzeta.geomset import GeomSet, twisted_count
-from motzeta.locring import LocRat
+from motzeta.locring import LaurentPoly, LocRat
 from motzeta.motclass import Atom, Binding, SymbolicClass, bind_and_count, conv, conv0, conv1
 from motzeta.poly import Poly, parse_poly
 from motzeta.realize import count_realization, symbolic_realization
@@ -32,8 +40,10 @@ from motzeta.series import (
     closed_from_fit,
     hadamard_conv,
     hadamard_ext,
+    project,
     series_from_dict,
     series_from_json,
+    series_to_dict,
     series_to_json,
     strand_fit,
     v_hadamard,
@@ -50,8 +60,6 @@ from motzeta.zeta import (
     fermat_affine_counts,
     histogram_pair_counts,
     jet_set,
-    mono_exact_count,
-    mono_ordgt_count,
     monomial_pair_counts,
     multizeta_separable,
     multizeta_trunc,
@@ -113,11 +121,18 @@ def test_jet_closed_forms_match_enumeration():
 
 
 def test_jet_level_padding():
-    # one free coordinate per level above the constrained depth
-    assert jet_count_direct(X2, 2, 5, level=4) == 10 * 25
-    ax = AxisCounts(X2, 5)
-    assert ax.exact(2, level=4) == 10 * 25
-    assert ax.ordgt(2, level=4) == mono_ordgt_count(2, 2, 5, 2) * 25
+    # one free coordinate per level above the constrained depth: a count at
+    # level m is the own-level count times q^(d(m-n)), which is why each
+    # axis of a family can be normalized at its own level
+    assert jet_count_direct(X2, 2, 5, level=4) == 10 * 25 == mono_exact_count(2, 2, 5, 4)
+    assert jet_count_direct(X2, 2, 5, level=4, target="ordgt") == mono_ordgt_count(2, 2, 5, 4)
+    f = parse_poly("x^2 + x*y")
+    ax = AxisCounts(f, 3)
+    for n, level in ((1, 3), (2, 3), (2, 4)):
+        assert jet_count_direct(f, n, 3, level=level) == ax.exact(n) * 3 ** (2 * (level - n))
+        assert jet_count_direct(f, n, 3, level=level, target="ordgt") == ax.ordgt(n) * 3 ** (
+            2 * (level - n)
+        )
 
 
 def test_linear_sum_jets_are_sector_blind():
@@ -324,8 +339,8 @@ def _xy_counts(n, q):
 
 
 def test_axis_routes_agree():
-    # the closed forms of recognized shapes and the DFS counts of other
-    # germs against the brute-force enumeration of tests/brute.py
+    # the DFS counts of recognized shapes and of other germs against the
+    # brute-force enumeration of tests/brute.py
     cases = [
         (X2, 5, 5, 2),
         (X3, 7, 4, 3),
@@ -334,8 +349,8 @@ def test_axis_routes_agree():
         (parse_poly("x*y"), 3, 4, None),
     ]
     for f, q, top, a in cases:
+        assert shape_exponent(f, q) == a
         ax = AxisCounts(f, q)
-        assert ax.a == a
         for n in range(1, top + 1):
             assert ax.exact(n) == jet_count_direct(f, n, q), (f, n)
             assert ax.ordgt(n) == jet_count_direct(f, n, q, target="ordgt"), (f, n)
@@ -359,17 +374,16 @@ def test_axis_routes_agree():
     ],
 )
 def test_axis_sweep_matches_direct_and_table(f, q, level):
-    # DFS counts, at their own level and padded to `level`, against the
-    # brute-force enumeration
+    # DFS counts, at their own level and padded by one factor q per free
+    # digit up to `level`, against the brute-force enumeration
     f = parse_poly(f)
     ax = AxisCounts(f, q)
+    pad = lambda n: q ** (len(f.vars) * (level - n))
     for n in range(1, level + 1):
         assert ax.exact(n) == jet_count_direct(f, n, q)
         assert ax.ordgt(n) == jet_count_direct(f, n, q, target="ordgt")
-        assert ax.exact(n, level=level) == jet_count_direct(f, n, q, level=level)
-        assert ax.ordgt(n, level=level) == jet_count_direct(
-            f, n, q, level=level, target="ordgt"
-        )
+        assert ax.exact(n) * pad(n) == jet_count_direct(f, n, q, level=level)
+        assert ax.ordgt(n) * pad(n) == jet_count_direct(f, n, q, level=level, target="ordgt")
 
 
 def test_axis_sweep_resumes():
@@ -393,22 +407,11 @@ def test_axis_sweep_budget_guard():
 
 def test_axis_generic_demotion():
     # an exponent sharing a factor with q has no closed form: the DFS counts it
+    assert shape_exponent(X3, 3) is None
     ax = AxisCounts(X3, 3)
-    assert ax.a is None
     for n in range(1, 7):
         assert ax.exact(n) == jet_count_direct(X3, n, 3)
         assert ax.ordgt(n) == jet_count_direct(X3, n, 3, target="ordgt")
-
-
-@pytest.mark.parametrize("f, q", [(X2, 5), ("x^2 + x^3", 5)])
-def test_axis_level_below_n_is_a_variable_mismatch(f, q):
-    # a level-2 jet has no t^4 digit: there is no count to pad
-    ax = AxisCounts(f, q)
-    for kind in (ax.exact, ax.ordgt):
-        with pytest.raises(VariableMismatch, match="level=2 is below n=4"):
-            kind(4, level=2)
-        with pytest.raises(VariableMismatch, match="level=1 is below n=4"):
-            kind(4, level=1)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +436,13 @@ RES = [{"I": ["E"], "atom": "mu2", "N": [[2]], "nu": [1]}]
 RES2 = [{"I": ["E1"], "N": [[1, 0]], "nu": [1]}, {"I": ["E2"], "N": [[0, 1]], "nu": [1]}]
 ONES7 = EGSeq.constant(R7, Fraction(1))
 COUNT7 = {"tag": "count", "q": 7}
+TWO_FACTORS7 = ClosedSeries(R7, ("T",), [Strand(Fraction(1), (0,), [(-1, (1,)), (-1, (2,))])])
+A2_A3 = TruncSeries(
+    symbolic_realization(),
+    ("T",),
+    3,
+    {(1,): SymbolicClass.from_atom(Atom("a", 2)), (2,): SymbolicClass.from_atom(Atom("a", 3))},
+)
 
 
 @pytest.mark.parametrize(
@@ -461,12 +471,6 @@ COUNT7 = {"tag": "count", "q": 7}
                      "the family fs needs at least one function", id="separable-empty"),
         pytest.param(lambda: monomial_pair_counts(3, 2, 3, 3),
                      "exponent a=3 must be prime to q=3", id="pair-exponent"),
-        pytest.param(lambda: mono_exact_count(3, 3, 3, 3),
-                     "exponent a=3 must be prime to q=3", id="exact-exponent"),
-        pytest.param(lambda: mono_ordgt_count(3, 3, 3, 3),
-                     "exponent a=3 must be prime to q=3", id="ordgt-exponent"),
-        pytest.param(lambda: mono_exact_count(2, 4, 5, 3),
-                     "level=3 is below n=4", id="exact-level"),
         pytest.param(lambda: validate_cone(ConePieces(()), lambda p: False, 3),
                      "dim is needed when there are no pieces", id="validate-dim"),
         pytest.param(lambda: dl_eval(RES2, R7, cone=ConePieces(((((1, 0, 0),), (True,)),))),
@@ -541,6 +545,30 @@ COUNT7 = {"tag": "count", "q": 7}
         pytest.param(lambda: series_from_dict({"realization": {"tag": "p"}, "vars": ["T"], "mode": "closed"}),
                      "series_from_dict realization: tag must be 'count' or 'symbolic', not 'p'",
                      id="from-dict-tag"),
+        pytest.param(lambda: LocRat(1, (0,)), "LocRat den: factors (1-L^n) need n >= 1, not [0]",
+                     id="locrat-den"),
+        pytest.param(lambda: LaurentPoly.const(2) ** -1, "LaurentPoly power: exponent must be >= 0, not -1",
+                     id="laurent-power"),
+        pytest.param(lambda: X2 ** -1, "Poly power: exponent must be >= 0, not -1", id="poly-power"),
+        pytest.param(lambda: hadamard_ext(TWO_FACTORS7, TWO_FACTORS7),
+                     "closed Hadamard products cover single-factor monomial-free unrestricted strands",
+                     id="closed-hadamard"),
+        pytest.param(lambda: hadamard_conv(A2_A3, A2_A3, kind=5),
+                     "hadamard_conv kind must be None, 0 or 1, not 5", id="hadamard-conv-kind"),
+        pytest.param(lambda: project(ONES7, 0), "project expects a TruncSeries or ClosedSeries, not EGSeq",
+                     id="project-type"),
+        pytest.param(lambda: series_to_dict(1), "series_to_dict expects a TruncSeries or ClosedSeries, not int",
+                     id="to-dict-type"),
+        pytest.param(lambda: series_to_json(A2_A3),
+                     "atom 'a' appears with conflicting (order, base): (2, 'pt') and (3, 'pt')",
+                     id="atom-conflict"),
+        pytest.param(lambda: standard_atom_sets(["mu0"]), "GeomSet action_order must be >= 1, not 0",
+                     id="atom-mu0"),
+        pytest.param(lambda: default_q((0,)), "default_q orders must be >= 1, not 0", id="default-q-order"),
+        pytest.param(lambda: zeta_trunc(X2, 4, count_realization(4)),
+                     "a counted zeta series needs a prime q, got 4", id="zeta-prime"),
+        pytest.param(lambda: ConePieces.from_json({"pieces": [{}]}),
+                     "ConePieces.from_json: piece 0 has no 'gens'", id="cone-json-gens"),
     ],
 )
 def test_argument_errors_name_the_parameter(run, message):
@@ -676,14 +704,92 @@ def test_multizeta_routes_agree_small():
         assert sep == axes == direct
 
 
+def _chains(r, D):
+    """Strict chains n_1 < .. < n_r of positive integers with |n| <= D."""
+    return [ns for ns in itertools.combinations(range(1, D + 1), r) if sum(ns) <= D]
+
+
 def test_multizeta_counted_chains_match_the_chain_block_deep():
-    # recognized families: the counted chain walk and the expanded
-    # separable block agree far past the brute-force oracle's reach
-    for fs, D, q in [((X2, Y3), 40, 7), ((X2, Y3, "z^5"), 45, 31), ((X, "y^2"), 30, 5)]:
+    # the one chain walk against the product, at level |n|, of the closed
+    # x^a jet counts of tests/brute.py (the oracle pads every axis to the
+    # family level, the walk normalizes each at its own level), far past
+    # the brute-force enumeration's reach.  x^2 + x^3 is x^2 after the
+    # change of coordinate x -> x (1 + x)^(1/2), so its DFS stream meets
+    # the same oracle, as a leading or as a trailing axis.
+    cases = [
+        ((X2, Y3), (2, 3), 40, 7),
+        ((X2, Y3, "z^5"), (2, 3, 5), 45, 31),
+        ((X, "y^2"), (1, 2), 30, 5),
+        (("x^2 + x^3", Y3), (2, 3), 30, 7),
+        ((X, "y^2 + y^3", "z^3"), (1, 2, 3), 30, 7),
+    ]
+    for fs, exps, D, q in cases:
         real = count_realization(q)
+        want = {}
+        for ns in _chains(len(fs), D):
+            level = sum(ns)
+            c = mono_exact_count(exps[0], ns[0], q, level)
+            for a, n in zip(exps[1:], ns[1:]):
+                c *= mono_ordgt_count(a, n, q, level)
+            want[ns] = Fraction(c, q ** (len(fs) * level))
         counted = multizeta_trunc(fs, D, real)
-        assert counted == multizeta_separable(fs, real).expand(D)
+        assert counted == TruncSeries(real, counted.vars, D, want)
         assert not counted.is_zero()
+        if all(shape_exponent(f, q) for f in fs):
+            assert counted == multizeta_separable(fs, real).expand(D)
+
+
+# germs for the family property: recognized shapes (closed streams) and
+# other germs (DFS streams), among them a constant term and x^3 at q=3
+FAMILY_POOL = [
+    "x", "2*x", "x^2", "x^3", "x + y",
+    "x^2 + x^3", "x*y", "x^3 + x^4", "1 + x", "x^2 - x", "x - x^3",
+]
+FAMILY_JETS = 3**9  # brute-force jets per chain
+
+
+@st.composite
+def _families(draw):
+    # q and D reach the first chain (level r(r+1)/2) whenever the jet cap
+    # allows it
+    fs = tuple(parse_poly(f) for f in draw(st.lists(st.sampled_from(FAMILY_POOL), min_size=1, max_size=3)))
+    r, dtot = len(fs), sum(len(f.vars) for f in fs)
+    first = r * (r + 1) // 2
+    qs = [q for q in (3, 5, 7) if q ** (dtot * first) <= FAMILY_JETS] or [3, 5, 7]
+    q = draw(st.sampled_from(qs))
+    top = max(D for D in range(1, 7) if D == 1 or q ** (dtot * D) <= FAMILY_JETS)
+    return fs, draw(st.integers(min(top, first), top)), q
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_families())
+@example(((parse_poly("x^2 - x"), parse_poly("x^2 + x^3")), 4, 3))
+@example(((X, X3), 4, 3))
+@example(((parse_poly("2*x"), parse_poly("x*y")), 3, 3))
+def test_counted_family_walk_matches_the_definition(case):
+    # one walk over mixed closed and DFS streams against the definitional
+    # enumeration of the family locus; D is capped so the enumeration stays
+    # small, which leaves three-germ families (first chain at level 6) only
+    # their empty truncations
+    fs, D, q = case
+    real = count_realization(q)
+    assert multizeta_trunc(fs, D, real) == multizeta_direct(fs, D, real)
+    for f in fs:
+        assert zeta_trunc(f, D, real) == multizeta_trunc((f,), D, real, ("T",))
+
+
+@pytest.mark.parametrize("f, q", [(X2, 7), (XY, 5), (X3, 7)])
+def test_closed_streams_match_the_dfs_at_depth(f, q):
+    # the closed exact-hit and order-beyond streams of a recognized shape
+    # against the DFS counts of AxisCounts
+    real = count_realization(q)
+    d = len(f.vars)
+    ax = AxisCounts(f, q)
+    lead = multizeta_separable((f,), real).slots[0].seq
+    trail = multizeta_separable((X, f), real).slots[1].seq
+    for n in range(1, 31):
+        assert lead.value(n) == Fraction(ax.exact(n), q ** (d * n)), n
+        assert trail.value(n) == Fraction(ax.ordgt(n), q ** (d * n)), n
 
 
 def test_multizeta_definitional_check_at_q3():
