@@ -432,19 +432,23 @@ def enumerate_points(gs, q, g_exp=0, meter=None):
         meter = WorkMeter()
     eqs, candidates = _prepare(gs, q, _sector_exps(gs, g_exp))
     out = []
-
-    def rec(i, assignment, current):
+    # depth first from an explicit stack, children pushed in reverse so
+    # the points come out in the order of the candidate lists
+    stack = [((), eqs)]
+    while stack:
+        assignment, current = stack.pop()
+        i = len(assignment)
         if i == len(gs.coords):
             if not any(const for const, _ in current):
-                out.append(tuple(assignment))
-            return
+                out.append(assignment)
+            continue
+        children = []
         for value in candidates[i]:
             meter.spend()
             nxt = [_specialize(eq, i, value, q) for eq in current]
             if not any(const and not terms for const, terms in nxt):
-                rec(i + 1, assignment + [value], nxt)
-
-    rec(0, [], eqs)
+                children.append((assignment + (value,), nxt))
+        stack.extend(reversed(children))
     return out
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DenominatorVanishes, MotzetaError, NotInvertible, ParseError, UnknownToken
+from .errors import DenominatorVanishes, MotzetaError, NotInvertible
 
 
 class LaurentPoly:
@@ -471,139 +471,3 @@ ONE = LocRat.from_int(1)
 L = LocRat.L(1)
 L_MINUS_1 = L - ONE
 
-
-# --- text parsing -----------------------------------------------------------
-
-
-def _tokenize_poly(src, offset=0):
-    tokens = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(("int", int(src[i:j]), offset + i))
-            i = j
-        elif ch == "L":
-            tokens.append(("L", "L", offset + i))
-            i += 1
-        elif ch in "+-*^()":
-            tokens.append((ch, ch, offset + i))
-            i += 1
-        else:
-            raise UnknownToken("unknown character %r" % ch, offset + i)
-    return tokens
-
-
-def parse_laurent(src, offset=0):
-    """Parse a Laurent polynomial in L: terms like '3*L^2 - L + 4 + L^-1'."""
-    tokens = _tokenize_poly(src, offset)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", None, offset + len(src))
-
-    def take(kind):
-        nonlocal pos
-        tok = peek()
-        if tok[0] != kind:
-            raise ParseError("expected %s, found %r" % (kind, tok[1]), tok[2])
-        pos += 1
-        return tok
-
-    def parse_exponent():
-        tok = peek()
-        sign = 1
-        if tok[0] == "-":
-            take("-")
-            sign = -1
-        elif tok[0] == "+":
-            take("+")
-        v = take("int")[1]
-        return sign * v
-
-    def parse_term():
-        # [int] [* ] [L [^ exp]]
-        coeff = None
-        tok = peek()
-        if tok[0] == "int":
-            coeff = take("int")[1]
-            if peek()[0] == "*":
-                take("*")
-        exp = 0
-        tok = peek()
-        if tok[0] == "L":
-            take("L")
-            exp = 1
-            if peek()[0] == "^":
-                take("^")
-                exp = parse_exponent()
-        elif coeff is None:
-            raise ParseError("expected a term, found %r" % tok[1], tok[2])
-        if coeff is None:
-            coeff = 1
-        return LaurentPoly({exp: coeff})
-
-    total = ZERO_P
-    sign = 1
-    tok = peek()
-    if tok[0] == "-":
-        take("-")
-        sign = -1
-    elif tok[0] == "+":
-        take("+")
-    total = total + sign * parse_term()
-    while peek()[0] in ("+", "-"):
-        op = take(peek()[0])[0]
-        term = parse_term()
-        total = total + (term if op == "+" else -term)
-    if peek()[0] != "end":
-        tok = peek()
-        raise ParseError("unexpected %r" % tok[1], tok[2])
-    return total
-
-
-def parse_locrat(src, offset=0):
-    """Parse 'P(L) / (1-L^a)(1-L^b)...' (the render format).  Error
-    positions are offsets into src plus offset."""
-    if "/" in src:
-        num_src, den_src = src.split("/", 1)
-    else:
-        num_src, den_src = src, ""
-    num_off = offset + len(num_src) - len(num_src.lstrip())
-    num_src = num_src.strip()
-    if num_src.startswith("(") and num_src.endswith(")"):
-        num_src = num_src[1:-1]
-        num_off += 1
-    num = parse_laurent(num_src, num_off)
-    den = []
-    rest = den_src
-    base = offset + len(src) - len(den_src)
-    i = 0
-    while i < len(rest):
-        if rest[i].isspace():
-            i += 1
-            continue
-        if rest[i] != "(":
-            raise ParseError("expected '(' in denominator", base + i)
-        j = rest.find(")", i)
-        if j < 0:
-            raise ParseError("unclosed denominator factor", base + i)
-        inner = rest[i + 1 : j].replace(" ", "")
-        if inner == "1-L":
-            den.append(1)
-        elif inner.startswith("1-L^"):
-            try:
-                n = int(inner[4:])
-            except ValueError:
-                raise ParseError("bad denominator factor %r" % inner, base + i)
-            den.append(n)
-        else:
-            raise ParseError("bad denominator factor %r" % inner, base + i)
-        i = j + 1
-    return LocRat(num, tuple(den))

@@ -300,94 +300,96 @@ def parse_poly(src):
     ^ binding tightest and right-associative, and parentheses.  Raises
     ParseError carrying the offending position.
     """
-    tokens = _tokenize(src)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def expect(kind):
-        tok = peek()
-        if tok[0] != kind:
-            raise ParseError("expected %s, found %r" % (kind, tok[1]), tok[2])
-        return advance()
-
-    def parse_atom():
-        tok = peek()
-        if tok[0] == "int":
-            advance()
-            return Poly.const(tok[1])
-        if tok[0] == "ident":
-            advance()
-            return Poly.var(tok[1])
-        if tok[0] == "(":
-            advance()
-            inner = parse_expr()
-            expect(")")
-            return inner
-        raise ParseError("expected a value, found %r" % (tok[1],), tok[2])
-
-    def parse_power():
-        base = parse_atom()
-        if peek()[0] == "^":
-            op = advance()
-            tok = peek()
-            if tok[0] != "int":
-                raise ParseError(
-                    "expected an integer exponent after '^', found %r" % (tok[1],),
-                    tok[2],
-                )
-            # Right-associative exponent chains fold in the integers.
-            exps = [advance()[1]]
-            while peek()[0] == "^":
-                advance()
-                t2 = peek()
-                if t2[0] != "int":
-                    raise ParseError(
-                        "expected an integer exponent after '^', found %r"
-                        % (t2[1],),
-                        t2[2],
-                    )
-                exps.append(advance()[1])
-            e = exps[-1]
-            for x in reversed(exps[:-1]):
-                e = x**e
-            del op
-            return base**e
-        return base
-
-    def parse_unary():
-        neg = False
-        while peek()[0] in ("+", "-"):
-            if advance()[0] == "-":
-                neg = not neg
-        p = parse_power()
-        return -p if neg else p
-
-    def parse_term():
-        p = parse_unary()
-        while peek()[0] == "*":
-            advance()
-            p = p * parse_unary()
-        return p
-
-    def parse_expr():
-        p = parse_term()
-        while peek()[0] in ("+", "-"):
-            if advance()[0] == "+":
-                p = p + parse_term()
-            else:
-                p = p - parse_term()
-        return p
-
-    out = parse_expr()
-    tok = peek()
+    parser = _Parser(_tokenize(src))
+    out = parser.expr()
+    tok = parser.peek()
     if tok[0] != "end":
         raise ParseError("unexpected %r" % (tok[1],), tok[2])
     return out
+
+
+class _Parser:
+    """Recursive descent over a token list.  The rules are methods, so
+    their mutual recursion goes through the class, not through closures
+    that would reach each other in a reference cycle."""
+
+    __slots__ = ("tokens", "pos")
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError("expected %s, found %r" % (kind, tok[1]), tok[2])
+        return self.advance()
+
+    def exponent(self):
+        tok = self.peek()
+        if tok[0] != "int":
+            raise ParseError(
+                "expected an integer exponent after '^', found %r" % (tok[1],), tok[2]
+            )
+        return self.advance()[1]
+
+    def atom(self):
+        tok = self.peek()
+        if tok[0] == "int":
+            self.advance()
+            return Poly.const(tok[1])
+        if tok[0] == "ident":
+            self.advance()
+            return Poly.var(tok[1])
+        if tok[0] == "(":
+            self.advance()
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        raise ParseError("expected a value, found %r" % (tok[1],), tok[2])
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        # Right-associative exponent chains fold in the integers.
+        exps = []
+        while self.peek()[0] == "^":
+            self.advance()
+            exps.append(self.exponent())
+        e = exps[-1]
+        for x in reversed(exps[:-1]):
+            e = x**e
+        return base**e
+
+    def unary(self):
+        neg = False
+        while self.peek()[0] in ("+", "-"):
+            if self.advance()[0] == "-":
+                neg = not neg
+        p = self.power()
+        return -p if neg else p
+
+    def term(self):
+        p = self.unary()
+        while self.peek()[0] == "*":
+            self.advance()
+            p = p * self.unary()
+        return p
+
+    def expr(self):
+        p = self.term()
+        while self.peek()[0] in ("+", "-"):
+            if self.advance()[0] == "+":
+                p = p + self.term()
+            else:
+                p = p - self.term()
+        return p

@@ -24,8 +24,16 @@ Coefficients are the values of a Realization (realize.py): SymbolicClass
 over LocRat scalars, or Fraction over Fraction.  The code here touches them
 only through their shared operators: + and - add, scalar * value is the
 scalar action, value * value the external product, bool is false exactly on
-zero (zero entries and strands are never stored) and str renders the text
-that JSON and CSV carry.
+zero (zero entries and strands are never stored) and str renders a value
+for display and for CSV text.
+
+JSON (series_to_json) carries the structure of each coefficient, not its
+text: a counted one as the text of its Fraction, a symbolic one as its
+terms, each with its factor trees (atoms with their order, base and mark;
+convolutions with their kind and operands), its mark and its LocRat scalar
+as numerator pairs [exp, coeff] and denominator factors.  Decoding goes
+through the Atom, ConvNode, LocRat and SymbolicClass constructors, which
+normalize.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ import io
 import json
 import math
 import operator
-import re
 from fractions import Fraction
 
 from .egseq import EGSeq
@@ -44,10 +51,9 @@ from .errors import (
     FitFailed,
     MotzetaError,
     NotLimitNormal,
-    ParseError,
     VariableMismatch,
 )
-from .locring import L_MINUS_1, LocRat, parse_locrat
+from .locring import L_MINUS_1, LaurentPoly, LocRat
 from .motclass import Atom, ConvNode, SymbolicClass, augment, conv, conv0, conv1
 from .realize import count_realization, symbolic_realization
 
@@ -328,10 +334,10 @@ def _closed_hadamard(a, b, mulfn):
     for sa in a.strands:
         for sb in b.strands:
             for s in (sa, sb):
-                if any(s.b) or len(s.factors) != 1 or s.support is not None:
+                if any(s.b) or len(s.factors) != 1:
                     raise MotzetaError(
                         "closed Hadamard products cover single-factor "
-                        "monomial-free unrestricted strands, not %r; expand instead" % (s,)
+                        "monomial-free strands, not %r; expand instead" % (s,)
                     )
             m1, n1 = sa.factors[0]
             m2, n2 = sb.factors[0]
@@ -523,7 +529,7 @@ def project(a, i):
     return ClosedSeries(
         real2,
         a.vars,
-        [Strand(retag(s.coeff), s.b, s.factors, s.support) for s in a.strands],
+        [Strand(retag(s.coeff), s.b, s.factors) for s in a.strands],
     )
 
 
@@ -537,15 +543,12 @@ class Strand:
 
         coeff * X^b * prod_j  L^{m_j} X^{n_j} / (1 - L^{m_j} X^{n_j})
 
-    with every n_j a nonzero exponent vector.  An optional lattice
-    restriction (period, residue) keeps only expansion exponents e with
-    e_i = residue_i (mod period_i) componentwise; a zero period entry pins
-    the coordinate to the residue exactly.
+    with every n_j a nonzero exponent vector.
     """
 
-    __slots__ = ("coeff", "b", "factors", "support")
+    __slots__ = ("coeff", "b", "factors")
 
-    def __init__(self, coeff, b, factors, support=None):
+    def __init__(self, coeff, b, factors):
         b = tuple(int(x) for x in b)
         if any(x < 0 for x in b):
             raise MotzetaError("Strand b: monomial exponent %s is negative" % list(b))
@@ -561,53 +564,17 @@ class Strand:
                 )
             fs.append((int(m), nv))
         fs.sort(key=lambda f: (f[1], f[0]))
-        if support is not None:
-            period, residue = support
-            period = tuple(int(x) for x in period)
-            residue = tuple(int(x) for x in residue)
-            if len(period) != len(b) or len(residue) != len(b):
-                raise VariableMismatch("support arity differs from the monomial")
-            if any(p < 0 for p in period):
-                raise MotzetaError(
-                    "Strand support: periods %s must be >= 0" % list(period)
-                )
-            residue = tuple(
-                r % p if p > 0 else r for p, r in zip(period, residue)
-            )
-            if any(r < 0 for r in residue):
-                raise MotzetaError(
-                    "Strand support: pinned residues %s must be >= 0"
-                    % list(residue)
-                )
-            if all(p == 1 for p in period):
-                support = None
-            else:
-                support = (period, residue)
         self.coeff = coeff
         self.b = b
         self.factors = tuple(fs)
-        self.support = support
 
     def key(self):
-        return (self.b, self.factors, self.support)
-
-    def admits(self, exp):
-        if self.support is None:
-            return True
-        period, residue = self.support
-        for x, p, r in zip(exp, period, residue):
-            if p == 0:
-                if x != r:
-                    return False
-            elif x % p != r:
-                return False
-        return True
+        return (self.b, self.factors)
 
     def __repr__(self):
-        return "Strand(b=%s, factors=%s, support=%s)" % (
+        return "Strand(b=%s, factors=%s)" % (
             list(self.b),
             [(m, list(n)) for m, n in self.factors],
-            self.support,
         )
 
 
@@ -630,7 +597,7 @@ class ClosedSeries:
         for k in sorted(merged):
             c = merged[k]
             if c:
-                out.append(Strand(c, k[0], k[1], k[2]))
+                out.append(Strand(c, k[0], k[1]))
         self.real = real
         self.vars = vars
         self.strands = tuple(out)
@@ -646,7 +613,7 @@ class ClosedSeries:
         return ClosedSeries(
             self.real,
             self.vars,
-            [Strand(-s.coeff, s.b, s.factors, s.support) for s in self.strands],
+            [Strand(-s.coeff, s.b, s.factors) for s in self.strands],
         )
 
     def sub(self, other):
@@ -656,7 +623,7 @@ class ClosedSeries:
         return ClosedSeries(
             self.real,
             self.vars,
-            [Strand(sc * s.coeff, s.b, s.factors, s.support) for s in self.strands],
+            [Strand(sc * s.coeff, s.b, s.factors) for s in self.strands],
         )
 
     def __eq__(self, other):
@@ -707,30 +674,29 @@ class ClosedSeries:
 
 def _strand_terms(real, strand, bound, powers):
     """Terms (exp, value) of one strand up to total degree bound; powers
-    memoizes the scalars of L^mtot by mtot."""
+    memoizes the scalars of L^mtot by mtot.  The exponents are walked
+    factor by factor from an explicit stack, as in expand_chains."""
     out = []
     factors = strand.factors
-
-    def rec(i, exp, mtot):
-        if sum(exp) > bound:
-            return
+    if sum(strand.b) > bound:
+        return out
+    stack = [(0, strand.b, 0)]
+    while stack:
+        i, exp, mtot = stack.pop()
         if i == len(factors):
-            if strand.admits(exp):
-                p = powers.get(mtot)
-                if p is None:
-                    p = powers[mtot] = _L_pow(real, mtot)
-                out.append((exp, p * strand.coeff))
-            return
+            p = powers.get(mtot)
+            if p is None:
+                p = powers[mtot] = _L_pow(real, mtot)
+            out.append((exp, p * strand.coeff))
+            continue
         m, nv = factors[i]
         k = 1
         while True:
             exp2 = tuple(e + k * x for e, x in zip(exp, nv))
             if sum(exp2) > bound:
                 break
-            rec(i + 1, exp2, mtot + m * k)
+            stack.append((i + 1, exp2, mtot + m * k))
             k += 1
-
-    rec(0, strand.b, 0)
     return out
 
 
@@ -742,16 +708,14 @@ def classify(s):
 def lim_infty(a):
     """Value at infinity of a closed form along every variable at once.
 
-    Defined on sums of monomial-free unrestricted strands, where each
-    open factor contributes -1; linear; a strand with a leftover monomial
-    or a lattice restriction has no limit in this calculus.
+    Defined on sums of monomial-free strands, where each open factor
+    contributes -1; linear; a strand with a leftover monomial has no limit
+    in this calculus.
     """
     if not isinstance(a, ClosedSeries):
         raise NotLimitNormal("the limit functional is defined on closed forms")
     total = a.real.zero
     for s in a.strands:
-        if s.support is not None:
-            raise NotLimitNormal("restricted strand has no limit: %r" % (s,))
         num = sum(s.b) + sum(sum(n) for _, n in s.factors)
         den = sum(sum(n) for _, n in s.factors)
         if num > den:
@@ -1170,156 +1134,6 @@ class SeparableSeries:
 
 
 # ---------------------------------------------------------------------------
-# parsing class text
-# ---------------------------------------------------------------------------
-
-_ATOM_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
-def _norm_atom_table(atoms):
-    reg = {}
-    for name, spec in (atoms or {}).items():
-        if isinstance(spec, Atom):
-            reg[name] = (spec.order, spec.base)
-        else:
-            order, base = spec
-            reg[name] = (int(order), base)
-    return reg
-
-
-def _split_top(src, sep):
-    """Split on sep at paren depth 0."""
-    parts = []
-    depth = 0
-    last = 0
-    i = 0
-    L = len(src)
-    s = len(sep)
-    while i < L:
-        ch = src[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced ')'", position=i)
-        elif depth == 0 and src.startswith(sep, i):
-            parts.append(src[last:i])
-            i += s
-            last = i
-            continue
-        i += 1
-    if depth != 0:
-        raise ParseError("unbalanced '('", position=L)
-    parts.append(src[last:])
-    return parts
-
-
-def _parse_factor(tok, reg, base):
-    tok = tok.strip()
-    if not tok:
-        raise ParseError("empty factor")
-    aug = False
-    if tok.endswith("'"):
-        aug = True
-        tok = tok[:-1]
-    if tok.startswith("(") and tok.endswith(")"):
-        inner = tok[1:-1]
-        for kind, op in ((0, " *0 "), (1, " *1 ")):
-            sides = _split_top(inner, op)
-            if len(sides) == 2:
-                left = _parse_factor_list(sides[0], reg, base)
-                right = _parse_factor_list(sides[1], reg, base)
-                return ConvNode(kind, left, right, aug)
-            if len(sides) > 2:
-                raise ParseError("convolution takes exactly two operands")
-        raise ParseError("parenthesized factor is not a convolution: %r" % tok)
-    if not _ATOM_RE.match(tok):
-        raise ParseError("bad atom token %r" % tok)
-    order, atom_base = reg.get(tok, (1, base))
-    return Atom(tok, order, atom_base, aug)
-
-
-def _parse_factor_list(src, reg, base):
-    src = src.strip()
-    if src == "1":
-        return ()
-    return tuple(_parse_factor(tok, reg, base) for tok in _split_top(src, " x "))
-
-
-def _parse_body(body, reg, base):
-    body = body.strip()
-    if body == "1":
-        return (), False
-    if body.startswith("(") and body.endswith(")'"):
-        inner = body[1:-2]
-        depth = 0
-        wraps = True
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    wraps = False
-                    break
-        if wraps and depth == 0:
-            has_conv = any(
-                len(_split_top(inner, op)) > 1 for op in (" *0 ", " *1 ")
-            )
-            if not has_conv:
-                return _parse_factor_list(inner, reg, base), True
-    return _parse_factor_list(body, reg, base), False
-
-
-def parse_class(text, atoms=None, base="pt"):
-    """Parse the rendered form of a symbolic class.
-
-    atoms maps name -> Atom or (order, base); the text itself does not
-    carry orders, so names missing from the table parse as order-1 atoms
-    over the class base.  Round-trips with SymbolicClass.render given the
-    table the serializer writes alongside.
-    """
-    src = text.rstrip()  # error positions index text
-    i = len(src) - len(src.lstrip())
-    if src[i:] == "0":
-        return SymbolicClass.zero(base)
-    reg = _norm_atom_table(atoms)
-    terms = []
-    n = len(src)
-    while True:
-        if i >= n or src[i] != "[":
-            raise ParseError("expected '[' to open a coefficient", position=i)
-        try:
-            j = src.index("]", i + 1)
-        except ValueError:
-            raise ParseError("unterminated coefficient", position=i)
-        coeff = parse_locrat(src[i + 1 : j], i + 1)
-        if j + 1 >= n or src[j + 1] != "*":
-            raise ParseError("expected '*' after the coefficient", position=j + 1)
-        k = j + 2
-        depth = 0
-        end = n
-        m = k
-        while m < n:
-            ch = src[m]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif depth == 0 and src.startswith(" + ", m):
-                end = m
-                break
-            m += 1
-        factors, aug_term = _parse_body(src[k:end], reg, base)
-        terms.append((factors, aug_term, coeff))
-        if end == n:
-            break
-        i = end + 3
-    return SymbolicClass(tuple(terms), base)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -1352,35 +1166,85 @@ def _real_from_dict(d):
     return symbolic_realization(d.get("base", "pt"))
 
 
-def _collect_atoms(values):
-    reg = {}
-
-    def visit(f):
-        if isinstance(f, ConvNode):
-            for sub in f.left + f.right:
-                visit(sub)
-            return
-        prev = reg.get(f.name)
-        cur = (f.order, f.base)
-        if prev is not None and prev != cur:
-            raise MotzetaError(
-                "atom %r appears with conflicting (order, base): %r and %r" % (f.name, prev, cur)
-            )
-        reg[f.name] = cur
-
-    for c in values:
-        for factors, _, _ in c.terms:
-            for f in factors:
-                visit(f)
+def _class_to_data(c):
+    """The terms of a symbolic class as JSON data: factor trees, marks and
+    LocRat scalars, so that decoding needs no text grammar."""
     return [
-        {"name": name, "order": reg[name][0], "base": reg[name][1]}
-        for name in sorted(reg)
+        {
+            "factors": [_factor_to_data(f) for f in factors],
+            "aug": aug,
+            "coeff": {"num": sorted([e, v] for e, v in sc.num.c.items()), "den": list(sc.den)},
+        }
+        for factors, aug, sc in c.terms
     ]
 
 
+def _factor_to_data(f):
+    if isinstance(f, ConvNode):
+        return {
+            "conv": f.kind,
+            "left": [_factor_to_data(x) for x in f.left],
+            "right": [_factor_to_data(x) for x in f.right],
+            "aug": f.aug,
+        }
+    return {"atom": f.name, "order": f.order, "base": f.base, "aug": f.aug}
+
+
+def _list_field(d, where, key):
+    v = d[key]
+    if not isinstance(v, list):
+        raise MotzetaError("%s: %r must be a list, not %r" % (where, key, v))
+    return v
+
+
+def _class_from_data(terms, base):
+    out = []
+    for t in terms:
+        _require_keys(t, "series_from_dict term", "factors", "aug", "coeff")
+        c = t["coeff"]
+        _require_keys(c, "series_from_dict coeff", "num", "den")
+        try:
+            num = LaurentPoly({int(e): int(v) for e, v in c["num"]})
+            den = [int(n) for n in c["den"]]
+        except (TypeError, ValueError):
+            raise MotzetaError(
+                "series_from_dict coeff: num must list [exp, coeff] integer pairs "
+                "and den integers, not %r" % (c,)
+            ) from None
+        factors = _list_field(t, "series_from_dict term", "factors")
+        out.append((tuple(_factor_from_data(f) for f in factors), bool(t["aug"]), LocRat(num, den)))
+    return SymbolicClass(out, base)
+
+
+def _factor_from_data(d):
+    if isinstance(d, dict) and "conv" in d:
+        _require_keys(d, "series_from_dict conv", "left", "right", "aug")
+        if d["conv"] not in (0, 1):
+            raise MotzetaError("series_from_dict conv: kind must be 0 or 1, not %r" % (d["conv"],))
+        left, right = (
+            [_factor_from_data(x) for x in _list_field(d, "series_from_dict conv", k)]
+            for k in ("left", "right")
+        )
+        return ConvNode(d["conv"], left, right, d["aug"])
+    _require_keys(d, "series_from_dict atom", "atom", "order", "base", "aug")
+    if not isinstance(d["order"], int) or d["order"] < 1:
+        raise MotzetaError("series_from_dict atom: order must be an integer >= 1, not %r" % (d["order"],))
+    return Atom(d["atom"], d["order"], d["base"], d["aug"])
+
+
+def _fraction_from_data(text):
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise MotzetaError("series_from_dict coeff: %r is not a fraction" % (text,)) from None
+
+
 def series_to_dict(s):
+    """JSON data of a series.  A counted coefficient is the text of its
+    Fraction; a symbolic one is its list of terms (_class_to_data)."""
     if not isinstance(s, (TruncSeries, ClosedSeries)):
         raise MotzetaError("series_to_dict expects a TruncSeries or ClosedSeries, not %s" % type(s).__name__)
+    enc = str if s.real.tag == "count" else _class_to_data
     d = {
         "vars": list(s.vars),
         "realization": _real_to_dict(s.real),
@@ -1389,27 +1253,18 @@ def series_to_dict(s):
         d["mode"] = "trunc"
         d["bound"] = s.bound
         d["entries"] = [
-            {"exp": list(e), "coeff": str(s.entries[e])} for e in sorted(s.entries)
+            {"exp": list(e), "coeff": enc(s.entries[e])} for e in sorted(s.entries)
         ]
-        if s.real.tag == "symbolic":
-            d["atoms"] = _collect_atoms(s.entries.values())
         return d
     d["mode"] = "closed"
     d["strands"] = [
         {
-            "coeff": str(st.coeff),
+            "coeff": enc(st.coeff),
             "b": list(st.b),
             "factors": [{"m": m, "n": list(n)} for m, n in st.factors],
-            "support": (
-                None
-                if st.support is None
-                else {"period": list(st.support[0]), "residue": list(st.support[1])}
-            ),
         }
         for st in s.strands
     ]
-    if s.real.tag == "symbolic":
-        d["atoms"] = _collect_atoms(st.coeff for st in s.strands)
     return d
 
 
@@ -1421,25 +1276,18 @@ def series_from_dict(d):
         )
     real = _real_from_dict(d["realization"])
     vars = tuple(d["vars"])
-    if real.tag == "count":
-        def parse_coeff(text):
-            return Fraction(text)
-    else:
-        base = real.zero.base
-        table = {}
-        for a in d.get("atoms", []):
-            _require_keys(a, "series_from_dict atoms", "name", "order", "base")
-            table[a["name"]] = (a["order"], a["base"])
 
-        def parse_coeff(text):
-            return parse_class(text, table, base)
+    def coeff(e, where):
+        if real.tag == "count":
+            return _fraction_from_data(e["coeff"])
+        return _class_from_data(_list_field(e, where, "coeff"), real.zero.base)
 
     if d["mode"] == "trunc":
         _require_keys(d, "series_from_dict", "bound", "entries")
         entries = {}
         for e in d["entries"]:
             _require_keys(e, "series_from_dict entries", "exp", "coeff")
-            entries[tuple(e["exp"])] = parse_coeff(e["coeff"])
+            entries[tuple(e["exp"])] = coeff(e, "series_from_dict entries")
         return TruncSeries(real, vars, d["bound"], entries)
     _require_keys(d, "series_from_dict", "strands")
     strands = []
@@ -1447,15 +1295,11 @@ def series_from_dict(d):
         _require_keys(st, "series_from_dict strands", "coeff", "b", "factors")
         for f in st["factors"]:
             _require_keys(f, "series_from_dict factors", "m", "n")
-        sup = st.get("support")
-        if sup is not None:
-            _require_keys(sup, "series_from_dict support", "period", "residue")
         strands.append(
             Strand(
-                parse_coeff(st["coeff"]),
+                coeff(st, "series_from_dict strands"),
                 tuple(st["b"]),
                 [(f["m"], tuple(f["n"])) for f in st["factors"]],
-                None if sup is None else (tuple(sup["period"]), tuple(sup["residue"])),
             )
         )
     return ClosedSeries(real, vars, strands)

@@ -55,7 +55,6 @@ from .errors import (
     FitFailed,
     MotzetaError,
     NotLimitNormal,
-    VariableMismatch,
 )
 from .geomset import (
     GeomSet,
@@ -519,23 +518,23 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     order below n), and Bpair (opposite exact hits), all normalized the
     same way.
 
-    mode picks how each level is counted: "strata" (closed counts of the
-    pair x^a, y^b, or c*x for either, with a, b prime to q), "hist" (the
-    split by leading order, histogram_pair_counts, whose F_q DFS counts
-    any pair; budget caps its candidates per level) or "auto" (strata
-    where it applies, else hist).  c*x counts as x: u -> c*u permutes the
-    jets of each order.
+    mode picks the counted route: "strata" (closed counts of the pair
+    x^a, y^b, or c*x for either, with a, b prime to q), "hist" (any pair)
+    or "auto" (strata where it applies, else hist).  c*x counts as x:
+    u -> c*u permutes the jets of each order.  Without split, hist is
+    zeta_trunc of f + g, one F_q DFS count per level from one expansion,
+    and budget is one cap on the candidates of all levels together; with
+    split it is histogram_pair_counts at every level, and budget caps
+    each level.  A symbolic series is zeta_trunc of f + g.
     """
     _choice("mode", mode, ("auto", "strata", "hist"))
     f, g = _as_poly(f), _as_poly(g)
-    if set(f.vars) & set(g.vars):
-        raise VariableMismatch("summands must use disjoint variables")
+    fg = f.direct_sum(g)
     if real.tag == "symbolic":
         if split:
             raise MotzetaError("symbolic splits are not provided")
-        return zeta_trunc(f.direct_sum(g), D, real, var)
+        return zeta_trunc(fg, D, real, var)
     q = real.q
-    dtot = len(f.vars) + len(g.vars)
     exps = [shape_exponent(h, q) if len(h.vars) == 1 else None for h in (f, g)]
     if mode == "auto":
         mode = "hist" if None in exps else "strata"
@@ -545,6 +544,8 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
             "strata mode counts x^a or c*x with a prime to q; summand %s "
             "is not one at q=%d" % (h.render(), q)
         )
+    if mode == "hist" and not split:
+        return zeta_trunc(fg, D, real, var, budget=budget)
     ent = {}
     splits = {"A1": {}, "A2": {}, "A3": {}, "Bpair": {}}
     for n in range(1, D + 1):
@@ -552,7 +553,7 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
             c = monomial_pair_counts(exps[0], exps[1], n, q)
         else:
             c = histogram_pair_counts(f, g, n, q, budget=budget)
-        den = q ** (dtot * n)
+        den = q ** (len(fg.vars) * n)
         if c["total"]:
             ent[(n,)] = Fraction(c["total"], den)
         for k in splits:

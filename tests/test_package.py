@@ -1,5 +1,6 @@
 """The package as installed: its modules and their dependencies."""
 
+import ast
 import os
 import pkgutil
 import re
@@ -36,4 +37,53 @@ def test_no_bare_python_errors_are_raised():
         if name.endswith(".py"):
             with open(os.path.join(src, name)) as fh:
                 hits += ["%s:%d: %s" % (name, i, line.strip()) for i, line in enumerate(fh, 1) if bare.search(line)]
+    assert not hits, hits
+
+
+def _nested_def_cycles(tree):
+    """Names of the outermost functions in tree whose nested defs reach
+    themselves: one edge where a nested def loads the name of another,
+    self-loops included."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    funcs = [n for n in ast.walk(tree) if isinstance(n, defs)]
+    inner = {id(d) for f in funcs for d in ast.walk(f) if d is not f and isinstance(d, defs)}
+    out = []
+    for f in funcs:
+        if id(f) in inner:
+            continue
+        nested = {d.name: d for d in ast.walk(f) if d is not f and isinstance(d, defs)}
+        edges = {
+            name: {
+                n.id
+                for n in ast.walk(d)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in nested
+            }
+            for name, d in nested.items()
+        }
+        on_cycle = []
+        for start in sorted(edges):
+            seen, todo = set(), list(edges[start])
+            while todo:
+                name = todo.pop()
+                if name not in seen:
+                    seen.add(name)
+                    todo.extend(edges[name])
+            if start in seen:
+                on_cycle.append(start)
+        if on_cycle:
+            out.append("%s (%s)" % (f.name, ", ".join(on_cycle)))
+    return out
+
+
+def test_no_nested_function_reaches_itself():
+    # a closure that calls itself, or two that call each other, hold each
+    # other's cells: every call leaves a reference cycle that only the
+    # cyclic garbage collector frees
+    src = motzeta.__path__[0]
+    hits = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            hits += ["%s: %s" % (name, h) for h in _nested_def_cycles(tree)]
     assert not hits, hits

@@ -15,12 +15,10 @@ from motzeta.errors import (
     FitFailed,
     MotzetaError,
     NotLimitNormal,
-    ParseError,
     TailNotSummable,
-    UnknownToken,
     VariableMismatch,
 )
-from motzeta.locring import LocRat, ONE
+from motzeta.locring import LaurentPoly, LocRat, ONE
 from motzeta.motclass import Atom, SymbolicClass, augment, conv, conv0, external_mul
 from motzeta.realize import count_realization, symbolic_realization
 from motzeta.series import (
@@ -37,7 +35,6 @@ from motzeta.series import (
     hadamard_ext,
     lim_infty,
     monomial_substitute,
-    parse_class,
     project,
     series_from_json,
     series_to_csv,
@@ -93,11 +90,6 @@ def test_lim_constant_and_monomial():
     dressed = ClosedSeries(COUNT, ("T",), [Strand(Fraction(1), (1,), [(-1, (1,))])])
     with pytest.raises(NotLimitNormal):
         lim_infty(dressed)
-    restricted = ClosedSeries(
-        COUNT, ("T",), [Strand(Fraction(1), (0,), [(-1, (1,))], ((2,), (1,)))]
-    )
-    with pytest.raises(NotLimitNormal):
-        lim_infty(restricted)
     with pytest.raises(NotLimitNormal):
         lim_infty(TruncSeries(COUNT, ("T",), 4, {(1,): Fraction(1)}))
 
@@ -141,20 +133,6 @@ def test_expansion_consistency_under_truncation():
         ],
     )
     assert s.expand(12).truncate(7) == s.expand(7)
-
-
-def test_expansion_respects_lattice_restriction():
-    s = ClosedSeries(
-        COUNT, ("T",), [Strand(Fraction(1), (0,), [(-1, (1,))], ((3,), (2,)))]
-    )
-    t = s.expand(10)
-    assert t.support() == [(2,), (5,), (8,)]
-    assert t.coeff((5,)) == Fraction(1, Q**5)
-    pinned = ClosedSeries(
-        COUNT, ("T", "U"),
-        [Strand(Fraction(1), (0, 0), [(-1, (1, 0)), (-1, (0, 1))], ((1, 0), (0, 2)))],
-    )
-    assert pinned.expand(8).support() == [(n, 2) for n in range(1, 7)]
 
 
 def test_bivariate_strand_is_jointly_integrable():
@@ -689,47 +667,73 @@ def test_fit_recovers_random_strand_sums(case):
 
 
 # ---------------------------------------------------------------------------
-# parsing and serialization
+# serialization
 # ---------------------------------------------------------------------------
 
-ATOM_TABLE = {"mu2": (2, "pt"), "mu3": (3, "pt")}
+CLASS_SAMPLES = [
+    SymbolicClass.zero(),
+    UNIT.scale(LocRat.from_int(4)),
+    MU2.scale(LocRat.L(2)) + MU3.scale(LocRat.from_int(-1)),
+    external_mul(MU2, MU3),
+    conv0(MU2, MU3).scale(LocRat.L(-1)) + conv(MU2, MU2),
+    augment(external_mul(MU2, MU3)),
+    augment(conv0(MU2, MU3)),
+    external_mul(MU2, MU2.scale(LocRat.from_int(2))) + UNIT,
+]
 
 
-def test_parse_class_roundtrip():
-    samples = [
-        SymbolicClass.zero(),
-        UNIT.scale(LocRat.from_int(4)),
-        MU2.scale(LocRat.L(2)) + MU3.scale(LocRat.from_int(-1)),
-        external_mul(MU2, MU3),
-        conv0(MU2, MU3).scale(LocRat.L(-1)) + conv(MU2, MU2),
-        augment(external_mul(MU2, MU3)),
-        augment(conv0(MU2, MU3)),
-        external_mul(MU2, MU2.scale(LocRat.from_int(2))) + UNIT,
+def _json_roundtrips(s):
+    text = series_to_json(s)
+    assert series_from_json(text) == s
+    assert series_to_json(series_from_json(text)) == text
+
+
+def test_class_samples_roundtrip_through_json():
+    # every sample as a truncated entry and as a strand coefficient, alone
+    # and all in one series
+    for i, c in enumerate(CLASS_SAMPLES):
+        _json_roundtrips(TruncSeries(SYM, ("T",), 9, {(i + 1,): c}))
+        _json_roundtrips(ClosedSeries(SYM, ("T",), [Strand(c, (0,), [(-1, (i + 1,))])]))
+    _json_roundtrips(
+        TruncSeries(SYM, ("T",), 9, {(i + 1,): c for i, c in enumerate(CLASS_SAMPLES)})
+    )
+    _json_roundtrips(
+        ClosedSeries(
+            SYM, ("T",), [Strand(c, (i,), [(-1, (1,))]) for i, c in enumerate(CLASS_SAMPLES)]
+        )
+    )
+    # scalars with Laurent numerators and (1 - L^n) denominators
+    rng = random.Random(424242)
+    for _ in range(40):
+        num = {rng.randint(-3, 4): rng.randint(-9, 9) for _ in range(rng.randint(0, 4))}
+        den = [rng.choice([1, 1, 2, 3]) for _ in range(rng.randint(0, 2))]
+        c = SymbolicClass([((Atom("mu2", 2),), False, LocRat(LaurentPoly(num), den))])
+        _json_roundtrips(TruncSeries(SYM, ("T",), 2, {(1,): c}))
+
+
+def test_symbolic_coefficients_serialize_as_data():
+    # a term is its factors, its mark and its scalar, never the class text
+    a = TruncSeries(SYM, ("T",), 2, {(1,): external_mul(MU2, MU3).scale(LocRat(LaurentPoly({-1: 2}), (3,)))})
+    (entry,) = json.loads(series_to_json(a))["entries"]
+    assert entry["coeff"] == [
+        {
+            "factors": [
+                {"atom": "mu2", "order": 2, "base": "pt", "aug": False},
+                {"atom": "mu3", "order": 3, "base": "pt", "aug": False},
+            ],
+            "aug": False,
+            "coeff": {"num": [[-1, 2]], "den": [3]},
+        }
     ]
-    for c in samples:
-        assert parse_class(c.render(), ATOM_TABLE) == c
-
-
-def test_parse_class_errors():
-    with pytest.raises(ParseError):
-        parse_class("mu2")  # missing coefficient bracket
-    with pytest.raises(ParseError):
-        parse_class("[1]*((mu2)")
-    with pytest.raises(ParseError):
-        parse_class("[1]*mu2 Y mu3")
-
-
-def test_parse_class_coefficient_errors_report_offsets_into_the_text():
-    # a coefficient's error position counts from the class text, not from
-    # its bracket, in any term and after leading blanks
-    for text, pos, kind in (
-        ("[1 + $]*mu2", 5, UnknownToken),
-        ("  [1 + $]*mu2", 7, UnknownToken),
-        ("[1]*mu2 + [2 + L/ (1-Z)]*mu3", 18, ParseError),
-    ):
-        with pytest.raises(kind) as ei:
-            parse_class(text)
-        assert ei.value.position == pos
+    (term,) = json.loads(series_to_json(TruncSeries(SYM, ("T",), 2, {(1,): conv0(MU2, MU3)})))["entries"][0]["coeff"]
+    assert term["factors"] == [
+        {
+            "conv": 0,
+            "left": [{"atom": "mu2", "order": 2, "base": "pt", "aug": False}],
+            "right": [{"atom": "mu3", "order": 3, "base": "pt", "aug": False}],
+            "aug": False,
+        }
+    ]
 
 
 def test_trunc_serialization_roundtrip_symbolic():
@@ -749,7 +753,7 @@ def test_closed_serialization_roundtrip():
         SYM,
         ("T",),
         [
-            Strand(MU2, (0,), [(-1, (2,))], ((2,), (0,))),
+            Strand(MU2, (0,), [(-1, (2,))]),
             Strand(UNIT.scale(LocRat.from_int(-1)), (1,), []),
         ],
     )
