@@ -742,10 +742,7 @@ def test_trunc_serialization_roundtrip_symbolic():
         (1, 2): conv0(MU2, MU3) + UNIT,
         (0, 3): augment(external_mul(MU2, MU3)),
     }
-    a = TruncSeries(SYM, ("T", "U"), 5, ent)
-    text = series_to_json(a)
-    assert series_from_json(text) == a
-    assert series_to_json(series_from_json(text)) == text
+    _json_roundtrips(TruncSeries(SYM, ("T", "U"), 5, ent))
 
 
 def test_closed_serialization_roundtrip():
@@ -757,9 +754,8 @@ def test_closed_serialization_roundtrip():
             Strand(UNIT.scale(LocRat.from_int(-1)), (1,), []),
         ],
     )
-    assert series_from_json(series_to_json(s)) == s
-    c = ClosedSeries(COUNT, ("T", "U"), [Strand(Fraction(3, 2), (0, 0), [(-1, (1, 1))])])
-    assert series_from_json(series_to_json(c)) == c
+    _json_roundtrips(s)
+    _json_roundtrips(ClosedSeries(COUNT, ("T", "U"), [Strand(Fraction(3, 2), (0, 0), [(-1, (1, 1))])]))
 
 
 def test_serialization_deterministic_across_insertion_order():
