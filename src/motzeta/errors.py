@@ -14,7 +14,12 @@ class DenominatorVanishes(MotzetaError, ZeroDivisionError):
 
 
 class BudgetExceeded(MotzetaError):
-    """A computation exceeds its work budget (candidates, rows or jets)."""
+    """A computation exceeds its work budget (candidates, rows or jets);
+    level is the jet level whose count exceeded it, when one is known."""
+
+    def __init__(self, message, level=None):
+        super().__init__(message)
+        self.level = level
 
 
 class UnboundAtom(MotzetaError):

@@ -976,30 +976,6 @@ def _solve_exact(rows, rhs):
 # ---------------------------------------------------------------------------
 
 
-class Slot:
-    """One axis of a separable series: the value stream plus its
-    action-forgetting companion (underlying plain classes).
-
-    With class coefficients the companion is derived; counted values
-    carry no action data, so it must be supplied.
-    """
-
-    __slots__ = ("seq", "aug")
-
-    def __init__(self, seq, aug=None):
-        if aug is None:
-            if seq.real.tag != "symbolic":
-                raise MotzetaError(
-                    "Slot aug: a counted stream needs an explicit companion"
-                )
-            aug = seq.map_values(augment)
-        self.seq = seq
-        self.aug = aug
-
-    def scale(self, s):
-        return Slot(self.seq.scale(s), self.aug.scale(s))
-
-
 def expand_chains(real, vars, masks, streams, bound):
     """Truncated table through total degree bound of the chain series whose
     coefficient at the strictly increasing axis values w_1 < .. < w_eta is
@@ -1048,21 +1024,25 @@ class SeparableSeries:
 
     The axis values (w_1, .., w_eta) are strictly increasing positive
     integers.  masks[j] converts axis value w_j into output exponents: the
-    exponent of a point is sum_j w_j * masks[j].
+    exponent of a point is sum_j w_j * masks[j].  The chain transforms read
+    each later axis through its action-forgetting companion: the plain
+    classes of a symbolic stream, or a counted stream itself, since counted
+    values carry no action data; so a counted later axis must be
+    action-free, as order-beyond streams and phi/phi_inv outputs are.
     """
 
-    __slots__ = ("real", "vars", "masks", "slots")
+    __slots__ = ("real", "vars", "masks", "streams")
 
-    def __init__(self, real, vars, masks, slots):
+    def __init__(self, real, vars, masks, streams):
         vars = tuple(vars)
         masks = tuple(tuple(int(x) for x in m) for m in masks)
-        slots = tuple(slots)
-        if not slots:
-            raise MotzetaError("SeparableSeries slots: need at least one slot")
-        if len(masks) != len(slots):
+        streams = tuple(streams)
+        if not streams:
+            raise MotzetaError("SeparableSeries streams: need at least one stream")
+        if len(masks) != len(streams):
             raise MotzetaError(
-                "SeparableSeries masks: %d masks for %d slots"
-                % (len(masks), len(slots))
+                "SeparableSeries masks: %d masks for %d streams"
+                % (len(masks), len(streams))
             )
         for m in masks:
             if len(m) != len(vars):
@@ -1075,43 +1055,33 @@ class SeparableSeries:
         self.real = real
         self.vars = vars
         self.masks = masks
-        self.slots = slots
+        self.streams = streams
 
     def value(self, w):
         """Coefficient at the axis point w (admissibility is the caller's
         concern; reading off the chain is meaningful and used)."""
-        if len(w) != len(self.slots):
+        if len(w) != len(self.streams):
             raise VariableMismatch("need one value per axis")
         out = None
-        for wj, slot in zip(w, self.slots):
-            v = slot.seq.value(wj)
+        for wj, seq in zip(w, self.streams):
+            v = seq.value(wj)
             out = v if out is None else out * v
         return out
 
     def expand(self, bound):
         """Truncated table of the block through total degree bound."""
-        return expand_chains(
-            self.real, self.vars, self.masks, [slot.seq for slot in self.slots], bound
-        )
+        return expand_chains(self.real, self.vars, self.masks, self.streams, bound)
 
     def scale(self, s):
-        slots = (self.slots[0].scale(s),) + self.slots[1:]
-        return SeparableSeries(self.real, self.vars, self.masks, slots)
+        streams = (self.streams[0].scale(s),) + self.streams[1:]
+        return SeparableSeries(self.real, self.vars, self.masks, streams)
 
     def phi(self):
         """Forward chain transform, normalizing a strict chain into
         compressed per-axis data: the first axis is rescaled by
         (L-1)^(1-eta) and every later axis becomes the backward difference
         of its action-forgetting companion."""
-        eta = len(self.slots)
-        if eta == 1:
-            return self
-        first = self.slots[0].scale(_Lm1_pow(self.real, 1 - eta))
-        rest = []
-        for slot in self.slots[1:]:
-            d = slot.aug.shift(-1).sub(slot.aug)
-            rest.append(Slot(d, d) if self.real.tag == "count" else Slot(d))
-        return SeparableSeries(self.real, self.vars, self.masks, (first,) + tuple(rest))
+        return self._transformed(1 - len(self.streams), lambda a: a.shift(-1).sub(a))
 
     def phi_inv(self):
         """Inverse chain transform: the first axis is rescaled by
@@ -1119,18 +1089,22 @@ class SeparableSeries:
         its action-forgetting companion.  Inverts phi on chains whose
         later-axis companions decay (no ratio-1 part); a non-decaying
         companion raises TailNotSummable."""
-        eta = len(self.slots)
-        if eta == 1:
+        return self._transformed(len(self.streams) - 1, EGSeq.tail_sum)
+
+    def _transformed(self, k, later):
+        """The first axis times (L-1)^k, every later axis later() of its
+        action-forgetting companion; a one-axis block is its own image."""
+        if len(self.streams) == 1:
             return self
-        first = self.slots[0].scale(_Lm1_pow(self.real, eta - 1))
-        rest = []
-        for slot in self.slots[1:]:
-            t = slot.aug.tail_sum()
-            rest.append(Slot(t, t) if self.real.tag == "count" else Slot(t))
-        return SeparableSeries(self.real, self.vars, self.masks, (first,) + tuple(rest))
+        first = self.streams[0].scale(_Lm1_pow(self.real, k))
+        rest = [
+            later(seq.map_values(augment) if self.real.tag == "symbolic" else seq)
+            for seq in self.streams[1:]
+        ]
+        return SeparableSeries(self.real, self.vars, self.masks, [first] + rest)
 
     def __repr__(self):
-        return "SeparableSeries(vars=%s, axes=%d)" % (list(self.vars), len(self.slots))
+        return "SeparableSeries(vars=%s, axes=%d)" % (list(self.vars), len(self.streams))
 
 
 # ---------------------------------------------------------------------------

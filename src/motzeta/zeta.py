@@ -39,7 +39,11 @@ weight j on the t^j jet coefficient.  This module provides
 
 Counting here is exact integer arithmetic throughout; normalized series
 coefficients are Fractions (count realization) or classes with localized
-scalars (symbolic realization).
+scalars (symbolic realization).  The budget of zeta_trunc, multizeta_trunc
+or sum_zeta_pullback caps the DFS candidates of the whole call: it becomes
+one WorkMeter that every count below it charges, across the functions of
+a family, the zeros of a global zeta and the levels of a split sum.
+dl_eval counts through a motclass.Binding, whose own meter caps it.
 """
 
 from __future__ import annotations
@@ -67,11 +71,10 @@ from .geomset import (
     twisted_count,
 )
 from .locring import L_MINUS_1, LocRat
-from .motclass import Atom, SymbolicClass
+from .motclass import Atom, Binding, SymbolicClass, bind_and_count
 from .poly import JetExpansion, Poly, parse_poly
 from .series import (
     ClosedSeries,
-    Slot,
     SeparableSeries,
     Strand,
     TruncSeries,
@@ -135,7 +138,7 @@ def _jet_locus(vars, cs, n, exact=True, action_order=None):
 # ---------------------------------------------------------------------------
 
 
-def histogram_pair_counts(f, g, n, q, budget=None):
+def histogram_pair_counts(f, g, n, q, meter=None):
     """Level-n jet pairs (phi, psi) with f(phi) + g(psi) = t^n mod t^{n+1},
     split by the two leading orders, plus the opposite-leading pair count.
 
@@ -152,11 +155,13 @@ def histogram_pair_counts(f, g, n, q, budget=None):
     Below n the digits of f and g cancel on a hit, so f's leading order
     l < n is g's too: with N(l) the hits whose f-digits below l vanish,
     A3_by_l[l] = N(l) - N(l+1), and A2 counts the hits with all of f's or
-    all of g's digits through t^n zero.  budget caps the candidates of all
-    the counts at level n together.
+    all of g's digits through t^n zero.  meter (default: a fresh WorkMeter
+    with geomset.DEFAULT_BUDGET) is charged for the candidates of every
+    count, so one meter passed at each level caps them all.
     """
     f, g = _as_poly(f), _as_poly(g)
-    meter = WorkMeter(budget)
+    if meter is None:
+        meter = WorkMeter()
     cf, cg = f.compose_jet(n), g.compose_jet(n)
     hit = _jet_locus(
         f.direct_sum(g).vars, [a + b for a, b in zip(cf, cg)], n, action_order=1
@@ -299,18 +304,18 @@ class AxisCounts:
     one prime, by the F_q DFS of twisted_count on the level-n jet locus.
 
     The loci are built from one expansion of f that grows with the deepest
-    level asked; the count at each (kind, n) is kept.  One WorkMeter caps
-    the DFS candidates of all counts together (budget; default
-    geomset.DEFAULT_BUDGET), and BudgetExceeded names the level that
-    exceeded it.
+    level asked; the count at each (kind, n) is kept.  Every count charges
+    meter (default: a fresh WorkMeter with geomset.DEFAULT_BUDGET), which
+    the caller may share with other counts, and BudgetExceeded names the
+    level that exceeded it.
     """
 
-    def __init__(self, f, q, budget=None):
+    def __init__(self, f, q, meter=None):
         self.f = _as_poly(f)
         _require_prime(q, "AxisCounts")
         self.q = q
         self.dim = len(self.f.vars)
-        self.meter = WorkMeter(budget)
+        self.meter = WorkMeter() if meter is None else meter
         self._jets = JetExpansion(self.f)
         self._counts = {}
 
@@ -324,7 +329,8 @@ class AxisCounts:
             except BudgetExceeded as exc:
                 raise BudgetExceeded(
                     "jet counts of %s at level %d exceed the budget of %d candidates"
-                    % (self.f.render(), n, self.meter.budget)
+                    % (self.f.render(), n, self.meter.budget),
+                    level=n,
                 ) from exc
         return self._counts[kind, n]
 
@@ -356,19 +362,19 @@ class _CountedStream:
         return Fraction(self.count(n), self.scale**n)
 
 
-def _axis_stream(f, real, kind, budget=None):
+def _axis_stream(f, real, kind, meter):
     """The per-axis stream of f, for the exact-hit (kind "exact") or
     order-beyond ("ordgt") loci, normalized by L^{-nd} at its own level.
 
     A recognized shape (shape_exponent) has its closed stream.  Any other
     germ is counted under the count realization, by the F_q DFS of one
-    AxisCounts whose candidates budget caps, and raises FitFailed under
-    the symbolic one.
+    AxisCounts charging the caller's meter, and raises FitFailed under the
+    symbolic one.
     """
     if real.tag == "count":
         _require_prime(real.q, "a counted zeta series")
         if shape_exponent(f, real.q) is None:
-            ax = AxisCounts(f, real.q, budget=budget)
+            ax = AxisCounts(f, real.q, meter)
             return _CountedStream(getattr(ax, kind), real.q**ax.dim)
     return _closed_stream(_strand_exponent(f, real), real, kind)
 
@@ -402,9 +408,10 @@ def zeta_trunc(f, D, real, var="T", base="origin", budget=None):
 
     At base="origin" it is the one-function family, multizeta_trunc((f,),
     ..): the closed stream of a recognized shape, else the F_q DFS counts
-    of AxisCounts (budget caps their candidates), or FitFailed when
-    symbolic.  base="global" (counting only) sums the origin series of f
-    shifted to each F_q-zero of f.
+    of AxisCounts, or FitFailed when symbolic.  base="global" (counting
+    only) sums the origin series of f shifted to each F_q-zero of f.
+    budget caps the DFS candidates of the whole call, every zero together;
+    BudgetExceeded names f, the zero and the level that exceeded it.
     """
     _choice("base", base, ("origin", "global"))
     if base == "origin":
@@ -414,24 +421,32 @@ def zeta_trunc(f, D, real, var="T", base="origin", budget=None):
     f = _as_poly(f)
     q = real.q
     _require_prime(q, "global zeta")
+    meter = WorkMeter(budget)
     out = TruncSeries(real, (var,), D)
     for b in itertools.product(range(q), repeat=len(f.vars)):
-        if _eval_point(f, b, q) == 0:
-            fb = _shift_poly(f, dict(zip(sorted(f.vars), b)))
-            out = out.add(zeta_trunc(fb, D, real, var, budget=budget))
+        point = dict(zip(f.vars, b))
+        if _eval_point(f, point, q) == 0:
+            try:
+                out = out.add(_family_trunc((_shift_poly(f, point),), D, real, (var,), meter))
+            except BudgetExceeded as exc:
+                zero = ", ".join("%s=%d" % vb for vb in point.items())
+                raise BudgetExceeded(
+                    "jet counts of %s at level %d of the zero %s exceed the "
+                    "budget of %d candidates"
+                    % (f.render(), exc.level, zero, meter.budget),
+                    level=exc.level,
+                ) from exc
     return out
 
 
-def _eval_point(f, b, q):
+def _eval_point(f, point, q):
+    """f mod q at point (var -> integer)."""
     val = 0
-    vars_ = sorted(f.vars)
-    pos = {v: i for i, v in enumerate(vars_)}
     for e, c in f.terms.items():
-        t = c % q
         for v, x in zip(f.vars, e):
-            t = (t * pow(b[pos[v]], x, q)) % q
-        val = (val + t) % q
-    return val
+            c *= pow(point[v], x, q)
+        val += c
+    return val % q
 
 
 def _shift_poly(f, shift):
@@ -473,18 +488,11 @@ def multizeta_separable(fs, real, vars=None):
     needs a closed stream, since phi and phi_inv shift and tail-sum them:
     a germ without one raises FitFailed, also when counting."""
     fs, vars = _family(fs, vars)
-    slots = []
-    for i, f in enumerate(fs):
-        a = _strand_exponent(f, real)
-        seq = _closed_stream(a, real, "ordgt" if i else "exact")
-        if real.tag == "symbolic":
-            slots.append(Slot(seq))
-        else:
-            # counted values carry no action: the companion has the unit
-            # for the leading locus, and the trailing conditions do not see
-            # the action on the first factor
-            slots.append(Slot(seq, seq.scale(1 / _lead_coeff(a, real)) if i == 0 else seq))
-    return SeparableSeries(real, vars, _unit_masks(len(fs)), tuple(slots))
+    streams = tuple(
+        _closed_stream(_strand_exponent(f, real), real, "ordgt" if i else "exact")
+        for i, f in enumerate(fs)
+    )
+    return SeparableSeries(real, vars, _unit_masks(len(fs)), streams)
 
 
 def multizeta_trunc(fs, D, real, vars=None, budget=None):
@@ -498,12 +506,18 @@ def multizeta_trunc(fs, D, real, vars=None, budget=None):
     function i at n_i is padded by q^{d_i (|n| - n_i)}, one factor q per
     free digit, and the family normalization divides by q^{d |n|}, so the
     padding cancels axis by axis.  A recognized shape takes its closed
-    stream; any other germ is counted by one AxisCounts (budget caps its
-    DFS candidates), or raises FitFailed when symbolic.
+    stream; any other germ is counted by one AxisCounts, or raises
+    FitFailed when symbolic.  budget caps the DFS candidates of the whole
+    family together.
     """
     fs, vars = _family(fs, vars)
+    return _family_trunc(fs, D, real, vars, WorkMeter(budget))
+
+
+def _family_trunc(fs, D, real, vars, meter):
+    """multizeta_trunc of the Polys fs, every count charging meter."""
     streams = [
-        _axis_stream(f, real, "ordgt" if i else "exact", budget) for i, f in enumerate(fs)
+        _axis_stream(f, real, "ordgt" if i else "exact", meter) for i, f in enumerate(fs)
     ]
     return expand_chains(real, vars, _unit_masks(len(fs)), streams, D)
 
@@ -522,10 +536,10 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     x^a, y^b, or c*x for either, with a, b prime to q), "hist" (any pair)
     or "auto" (strata where it applies, else hist).  c*x counts as x:
     u -> c*u permutes the jets of each order.  Without split, hist is
-    zeta_trunc of f + g, one F_q DFS count per level from one expansion,
-    and budget is one cap on the candidates of all levels together; with
-    split it is histogram_pair_counts at every level, and budget caps
-    each level.  A symbolic series is zeta_trunc of f + g.
+    zeta_trunc of f + g, one F_q DFS count per level from one expansion;
+    with split it is histogram_pair_counts at every level.  Either way
+    budget caps the DFS candidates of all levels together.  A symbolic
+    series is zeta_trunc of f + g.
     """
     _choice("mode", mode, ("auto", "strata", "hist"))
     f, g = _as_poly(f), _as_poly(g)
@@ -546,13 +560,14 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
         )
     if mode == "hist" and not split:
         return zeta_trunc(fg, D, real, var, budget=budget)
+    meter = WorkMeter(budget)
     ent = {}
     splits = {"A1": {}, "A2": {}, "A3": {}, "Bpair": {}}
     for n in range(1, D + 1):
         if mode == "strata":
             c = monomial_pair_counts(exps[0], exps[1], n, q)
         else:
-            c = histogram_pair_counts(f, g, n, q, budget=budget)
+            c = histogram_pair_counts(f, g, n, q, meter)
         den = q ** (len(fg.vars) * n)
         if c["total"]:
             ent[(n,)] = Fraction(c["total"], den)
@@ -668,29 +683,26 @@ def standard_atom_sets(names):
     return table
 
 
-def _stratum_coeff(st, real, binding):
-    kexp = len(st.labels) - 1
+def _stratum_class(st, base):
+    """[atom] (L-1)^(k-1) over base, k the member count of the stratum."""
+    scalar = SymbolicClass.scalar(L_MINUS_1 ** (len(st.labels) - 1), base)
+    return scalar if st.atom is None else SymbolicClass.from_atom(st.atom, base=base) * scalar
+
+
+def _stratum_coeffs(res, real, binding):
+    """The coefficient of each stratum: its class, or when counting the
+    bind_and_count of it through binding (default: one Binding of the
+    builtin presentations of the atoms, standard_atom_sets)."""
     if real.tag == "symbolic":
-        base = real.zero.base
-        cls = (
-            SymbolicClass.from_atom(st.atom, base=base)
-            if st.atom is not None
-            else SymbolicClass.unit(base)
+        return [_stratum_class(st, real.zero.base) for st in res.strata]
+    if binding is None:
+        names = sorted({st.atom.name for st in res.strata if st.atom is not None})
+        binding = Binding(standard_atom_sets(names), real.q)
+    elif not isinstance(binding, Binding) or binding.q != real.q:
+        raise MotzetaError(
+            "binding must be a motclass.Binding at q=%d, not %r" % (real.q, binding)
         )
-        scal = LocRat.from_int(1)
-        for _ in range(kexp):
-            scal = scal * L_MINUS_1
-        return cls.scale(scal)
-    q = real.q
-    if st.atom is None:
-        base = Fraction(1)
-    else:
-        table = binding or {}
-        gs = table.get(st.atom.name)
-        if gs is None:
-            gs = standard_atom_sets([st.atom.name])[st.atom.name]
-        base = Fraction(twisted_count(gs, q, 0))
-    return base * Fraction(q - 1) ** kexp
+    return [bind_and_count(_stratum_class(st, "pt"), binding) for st in res.strata]
 
 
 def _cone_for(stratum_index, cone):
@@ -756,7 +768,10 @@ def dl_eval(res, real, vars=None, cone=None, binding=None):
     of each stratum and closes into one product of geometric factors per
     stratum.  With a cone the sum runs over the supplied pieces, given as
     a ConePieces or a per-stratum list of them; anything else raises
-    ConeNotDecomposed.
+    ConeNotDecomposed.  A stratum of k members has the coefficient
+    [atom] (L-1)^(k-1); when counting, its bind_and_count through binding,
+    a motclass.Binding at the realization's prime whose meter caps every
+    count (default: one Binding of standard_atom_sets).
     """
     if not isinstance(res, ResolutionData):
         res = parse_resolution(res)
@@ -768,8 +783,8 @@ def dl_eval(res, real, vars=None, cone=None, binding=None):
             "cone lists %d strata for %d" % (len(cone), len(res.strata))
         )
     strands = []
-    for si, st in enumerate(res.strata):
-        coeff = _stratum_coeff(st, real, binding)
+    coeffs = _stratum_coeffs(res, real, binding)
+    for si, (st, coeff) in enumerate(zip(res.strata, coeffs)):
         pieces = _cone_for(si, cone)
         if pieces is None:
             factors = tuple((-st.nu[i], st.N[i]) for i in range(len(st.labels)))

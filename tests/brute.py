@@ -27,7 +27,7 @@ from motzeta.zeta import (
     _as_poly,
     _cone_for,
     _default_vars,
-    _stratum_coeff,
+    _stratum_coeffs,
     parse_resolution,
 )
 
@@ -227,7 +227,8 @@ def lattice_sum(res, real, D, vars=None, cone=None, binding=None):
     """Definitional route for resolution data: the lattice sum of each
     stratum over the positive integer vectors (or the points of the
     supplied cone pieces), term by term through total degree D.  The
-    closed strands of dl_eval are checked against it."""
+    closed strands of dl_eval are checked against it.  binding is a
+    motclass.Binding, as for dl_eval."""
     if not isinstance(res, ResolutionData):
         res = parse_resolution(res)
     r = res.width
@@ -240,8 +241,8 @@ def lattice_sum(res, real, D, vars=None, cone=None, binding=None):
             return
         ent[exp] = ent[exp] + val if exp in ent else val
 
-    for si, st in enumerate(res.strata):
-        coeff = _stratum_coeff(st, real, binding)
+    coeffs = _stratum_coeffs(res, real, binding)
+    for si, (st, coeff) in enumerate(zip(res.strata, coeffs)):
         k = len(st.labels)
 
         def emit(kvec):

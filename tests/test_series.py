@@ -25,7 +25,6 @@ from motzeta.series import (
     CellSpec,
     ClosedSeries,
     SeparableSeries,
-    Slot,
     Strand,
     TruncSeries,
     cell_decompose,
@@ -398,7 +397,7 @@ def test_project_retags_class_base():
 # ---------------------------------------------------------------------------
 
 
-def _count_slot(rng, decaying=True):
+def _count_stream(rng, decaying=True):
     q = Fraction(Q)
     period = rng.choice([1, 2])
     modes = [[] for _ in range(period)]
@@ -406,8 +405,7 @@ def _count_slot(rng, decaying=True):
         for _ in range(rng.randint(1, 2)):
             j = rng.randint(1, 3) if decaying else 0
             modes[r].append((q**-j, (Fraction(rng.randint(1, 5)),)))
-    seq = EGSeq(COUNT, period, modes, dom_min=0)
-    return Slot(seq, seq)
+    return EGSeq(COUNT, period, modes, dom_min=0)
 
 
 def test_chain_transforms_invert_on_counted_chains():
@@ -416,8 +414,8 @@ def test_chain_transforms_invert_on_counted_chains():
         eta = rng.choice([2, 3])
         vars = tuple("TUV"[:eta])
         masks = tuple(tuple(1 if j == i else 0 for j in range(eta)) for i in range(eta))
-        slots = tuple(_count_slot(rng) for _ in range(eta))
-        s = SeparableSeries(COUNT, vars, masks, slots)
+        streams = tuple(_count_stream(rng) for _ in range(eta))
+        s = SeparableSeries(COUNT, vars, masks, streams)
         bound = 10
         base = s.expand(bound)
         assert s.phi().phi_inv().expand(bound) == base
@@ -430,29 +428,28 @@ def test_chain_transforms_invert_on_class_chains():
     trail_val = augment(MU2)
     trail = EGSeq(SYM, 1, [[(LocRat.L(-2), (trail_val,))]], dom_min=0)
     s = SeparableSeries(
-        SYM, ("T", "U"), ((1, 0), (0, 1)), (Slot(lead), Slot(trail))
+        SYM, ("T", "U"), ((1, 0), (0, 1)), (lead, trail)
     )
     base = s.expand(8)
     assert s.phi().phi_inv().expand(8) == base
     assert s.phi_inv().phi().expand(8) == base
-    # slot-level agreement well past the expansion window
+    # stream-level agreement well past the expansion window
     rt = s.phi().phi_inv()
-    assert rt.slots[0].seq.agrees_with(s.slots[0].seq, 1, 20)
-    assert rt.slots[1].seq.agrees_with(s.slots[1].seq, 1, 20)
+    assert rt.streams[0].agrees_with(s.streams[0], 1, 20)
+    assert rt.streams[1].agrees_with(s.streams[1], 1, 20)
 
 
 def test_chain_transform_univariate_is_identity():
-    slot = _count_slot(random.Random(1))
-    s = SeparableSeries(COUNT, ("T",), ((1,),), (slot,))
+    s = SeparableSeries(COUNT, ("T",), ((1,),), (_count_stream(random.Random(1)),))
     assert s.phi() is s and s.phi_inv() is s
 
 
 def test_inverse_transform_needs_decay():
     rng = random.Random(2)
-    lead = _count_slot(rng)
+    lead = _count_stream(rng)
     flat = EGSeq(COUNT, 1, [[(Fraction(1), (Fraction(3),))]], dom_min=0)
     s = SeparableSeries(
-        COUNT, ("T", "U"), ((1, 0), (0, 1)), (lead, Slot(flat, flat))
+        COUNT, ("T", "U"), ((1, 0), (0, 1)), (lead, flat)
     )
     with pytest.raises(TailNotSummable):
         s.phi_inv()
@@ -487,37 +484,34 @@ def _separable_blocks(draw):
     eta = draw(st.integers(1, 3))
     mask = st.lists(st.integers(0, 1), min_size=nvars, max_size=nvars).filter(any).map(tuple)
     masks = tuple(draw(mask) for _ in range(eta))
-    slots = []
-    for _ in range(eta):
-        seq = draw(_axis_stream(real))
-        slots.append(Slot(seq, seq) if real.tag == "count" else Slot(seq))
+    streams = tuple(draw(_axis_stream(real)) for _ in range(eta))
     # the least total degree of a point, plus some room
     weights = [sum(m) for m in masks]
     least = sum(wt * (j + 1) for j, wt in enumerate(weights))
     bound = least + draw(st.integers(0, 5 if real.tag == "count" else 3))
-    return SeparableSeries(real, tuple("TUV"[:nvars]), masks, tuple(slots)), bound
+    return SeparableSeries(real, tuple("TUV"[:nvars]), masks, streams), bound
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(_separable_blocks())
 @example((SeparableSeries(
     COUNT, ("T", "U"), ((1, 1), (1, 1)),
-    tuple(Slot(sq, sq) for sq in (EGSeq.single_residue(COUNT, 2, 0, Fraction(1, 7), Fraction(2)),
-                                  EGSeq.constant(COUNT, Fraction(3))))), 12))
+    (EGSeq.single_residue(COUNT, 2, 0, Fraction(1, 7), Fraction(2)),
+     EGSeq.constant(COUNT, Fraction(3)))), 12))
 def test_separable_expand_matches_brute_force(case):
     s, bound = case
     ent = {}
-    for w in itertools.product(range(1, bound + 1), repeat=len(s.slots)):
+    for w in itertools.product(range(1, bound + 1), repeat=len(s.streams)):
         if any(x >= y for x, y in zip(w, w[1:])):
             continue
-        if any(wj < slot.seq.dom_min for wj, slot in zip(w, s.slots)):
+        if any(wj < seq.dom_min for wj, seq in zip(w, s.streams)):
             continue
         exp = tuple(sum(wj * m[i] for wj, m in zip(w, s.masks)) for i in range(len(s.vars)))
         if sum(exp) > bound:
             continue
-        val = s.slots[0].seq.value(w[0])
-        for wj, slot in zip(w[1:], s.slots[1:]):
-            val = val * slot.seq.value(wj)
+        val = s.streams[0].value(w[0])
+        for wj, seq in zip(w[1:], s.streams[1:]):
+            val = val * seq.value(wj)
         ent[exp] = ent[exp] + val if exp in ent else val
     assert s.expand(bound) == TruncSeries(s.real, s.vars, bound, ent)
 
@@ -525,7 +519,7 @@ def test_separable_expand_matches_brute_force(case):
 def test_separable_expand_merges_masked_axes():
     q = Fraction(Q)
     one = EGSeq(COUNT, 1, [[(q**-1, (Fraction(1),))]], dom_min=0)
-    s = SeparableSeries(COUNT, ("T", "U"), ((1, 1),), (Slot(one, one),))
+    s = SeparableSeries(COUNT, ("T", "U"), ((1, 1),), (one,))
     t = s.expand(8)
     assert t.support() == [(w, w) for w in range(1, 5)]
     assert t.coeff((3, 3)) == q**-3

@@ -25,7 +25,7 @@ from motzeta.errors import (
     MotzetaError,
     VariableMismatch,
 )
-from motzeta.geomset import GeomSet, twisted_count
+from motzeta.geomset import GeomSet, WorkMeter, fermat_pair, twisted_count
 from motzeta.locring import LaurentPoly, LocRat
 from motzeta.motclass import Atom, Binding, SymbolicClass, bind_and_count, conv, conv0, conv1
 from motzeta.poly import Poly, parse_poly
@@ -34,7 +34,6 @@ from motzeta.series import (
     CellSpec,
     ClosedSeries,
     SeparableSeries,
-    Slot,
     Strand,
     TruncSeries,
     closed_from_fit,
@@ -397,8 +396,8 @@ def test_axis_sweep_resumes():
 
 def test_axis_sweep_budget_guard():
     # x^2 + x^3 at q=5: the DFS spends no candidate at levels 1-2, 5 at
-    # level 4 and 15 at level 8, against one budget for the whole object
-    ax = AxisCounts("x^2 + x^3", 5, budget=10)
+    # level 4 and 15 at level 8, against the one meter it is given
+    ax = AxisCounts("x^2 + x^3", 5, meter=WorkMeter(10))
     assert ax.exact(2) == mono_exact_count(2, 2, 5, 2)
     assert ax.exact(4) == mono_exact_count(2, 4, 5, 4)
     with pytest.raises(BudgetExceeded, match="level 8 exceed the budget of 10 candidates"):
@@ -464,6 +463,8 @@ def _symbolic_entry(coeff):
                      "cone must be a ConePieces or a per-stratum list of them, not 5", id="dl-cone"),
         pytest.param(lambda: dl_eval(RES, R7, cone=[None, None]),
                      "cone lists 2 strata for 1", id="dl-cone-strata"),
+        pytest.param(lambda: dl_eval(RES, R7, binding={}),
+                     "binding must be a motclass.Binding at q=7, not {}", id="dl-binding"),
         pytest.param(lambda: Stratum(("E",), None, ((0,),), (1,)),
                      "Stratum N: every member needs a positive multiplicity", id="stratum-N"),
         pytest.param(lambda: Stratum(("E",), None, ((1,),), (0,)),
@@ -521,13 +522,11 @@ def _symbolic_entry(coeff):
                      "Strand b: monomial exponent [-1] is negative", id="strand-b"),
         pytest.param(lambda: Strand(Fraction(1), (0,), [(0, (0,))]),
                      "Strand factors: exponent vector [0] must be nonzero and nonnegative", id="strand-factors"),
-        pytest.param(lambda: Slot(ONES7),
-                     "Slot aug: a counted stream needs an explicit companion", id="slot-aug"),
         pytest.param(lambda: SeparableSeries(R7, ("x",), (), ()),
-                     "SeparableSeries slots: need at least one slot", id="separable-slots"),
-        pytest.param(lambda: SeparableSeries(R7, ("x",), ((0,),), (Slot(ONES7, ONES7),)),
+                     "SeparableSeries streams: need at least one stream", id="separable-slots"),
+        pytest.param(lambda: SeparableSeries(R7, ("x",), ((0,),), (ONES7,)),
                      "SeparableSeries masks: [0] must be nonzero and nonnegative", id="separable-zero-mask"),
-        pytest.param(lambda: SeparableSeries(R7, ("x",), ((-1,),), (Slot(ONES7, ONES7),)),
+        pytest.param(lambda: SeparableSeries(R7, ("x",), ((-1,),), (ONES7,)),
                      "SeparableSeries masks: [-1] must be nonzero and nonnegative", id="separable-negative-mask"),
         pytest.param(lambda: CellSpec((0, 0), (2,)),
                      "CellSpec order: [0, 0] is not a permutation of the axes", id="cellspec-order"),
@@ -711,6 +710,20 @@ def test_zeta_global_base_sums_local_contributions():
     assert g == local.scale(Fraction(2))
 
 
+def test_global_zeta_budget_covers_every_zero():
+    # x^2 (x-1)^2 at q=5 vanishes at 0 and 1; each zero's DFS counts spend
+    # 60 candidates through level 8, under one budget for the call
+    f = "x^4 - 2*x^3 + x^2"
+    r5 = count_realization(5)
+    with pytest.raises(
+        BudgetExceeded,
+        match=r"jet counts of x\^4 - 2\*x\^3 \+ x\^2 at level 8 of the zero x=1 "
+        "exceed the budget of 119 candidates",
+    ):
+        zeta_trunc(f, 8, r5, base="global", budget=119)
+    assert zeta_trunc(f, 8, r5, base="global", budget=120) == zeta_trunc(f, 8, r5, base="global")
+
+
 # ---------------------------------------------------------------------------
 # several functions over chains
 # ---------------------------------------------------------------------------
@@ -725,6 +738,17 @@ def test_multizeta_routes_agree_small():
         axes = multizeta_trunc(fs, D, r5)
         direct = multizeta_direct(fs, D, r5)
         assert sep == axes == direct
+
+
+def test_multizeta_budget_covers_the_family():
+    # at q=5 through D=9 the exact-hit counts of x^2+x^3 spend 10 candidates
+    # and the order-beyond counts of y^2+y^3 45, under one budget
+    fs, r5 = ("x^2+x^3", "y^2+y^3"), count_realization(5)
+    with pytest.raises(
+        BudgetExceeded, match=r"jet counts of y\^3 \+ y\^2 at level 7 exceed the budget of 54 "
+    ):
+        multizeta_trunc(fs, 9, r5, budget=54)
+    assert multizeta_trunc(fs, 9, r5, budget=55) == multizeta_trunc(fs, 9, r5)
 
 
 def _chains(r, D):
@@ -808,8 +832,8 @@ def test_closed_streams_match_the_dfs_at_depth(f, q):
     real = count_realization(q)
     d = len(f.vars)
     ax = AxisCounts(f, q)
-    lead = multizeta_separable((f,), real).slots[0].seq
-    trail = multizeta_separable((X, f), real).slots[1].seq
+    lead = multizeta_separable((f,), real).streams[0]
+    trail = multizeta_separable((X, f), real).streams[1]
     for n in range(1, 31):
         assert lead.value(n) == Fraction(ax.exact(n), q ** (d * n)), n
         assert trail.value(n) == Fraction(ax.ordgt(n), q ** (d * n)), n
@@ -907,6 +931,17 @@ def test_pullback_auto_budget_names_the_level():
     assert sum_zeta_pullback("x^2+x^3", "y^2+y^3", 6, count_realization(5), budget=75) == total
 
 
+def test_pullback_split_budget_covers_every_level():
+    # the pair counts of x^2+x^3 and y^2+y^3 at q=5 spend 0, 20, 60 and 100
+    # candidates at levels 1-4, under one budget for the call
+    f, g, r5 = "x^2+x^3", "y^2+y^3", count_realization(5)
+    with pytest.raises(BudgetExceeded, match="pair counts at level 4 exceed the budget of 179 "):
+        sum_zeta_pullback(f, g, 4, r5, split=True, budget=179)
+    assert sum_zeta_pullback(f, g, 4, r5, split=True, budget=180) == sum_zeta_pullback(
+        f, g, 4, r5, split=True
+    )
+
+
 def test_pullback_requires_disjoint_variables():
     with pytest.raises(MotzetaError):
         sum_zeta_pullback(X2, X3, 4, count_realization(5))
@@ -941,6 +976,19 @@ def test_dl_trunc_matches_closed():
     assert lattice_sum(res, r7, 9) == dl_eval(res, r7).expand(9)
     rs = symbolic_realization()
     assert lattice_sum(res, rs, 9) == dl_eval(res, rs).expand(9)
+
+
+def test_dl_counts_through_a_binding():
+    # F bound to u^2 + v^2 = 1 in G_m^2: 4 points at q=7, so the strand
+    # [F] L^-1 T^2 / (1 - L^-1 T^2) opens with 4/7 at T^2; the DFS spends
+    # 6 candidates on the binding's meter
+    res = [{"I": ["E"], "atom": {"name": "F", "order": 2}, "N": [[2]], "nu": [1]}]
+    r7 = count_realization(7)
+    binding = Binding({"F": fermat_pair(1, 2)}, 7)
+    assert dl_eval(res, r7, binding=binding).expand(3).coeff((2,)) == Fraction(4, 7)
+    assert binding.meter.spent == 6
+    with pytest.raises(BudgetExceeded):
+        dl_eval(res, r7, binding=Binding({"F": fermat_pair(1, 2)}, 7, budget=1))
 
 
 def test_dl_two_strata():
