@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MotzetaError, UnboundAtom
+from .errors import BudgetExceeded, MotzetaError, UnboundAtom
 from .geomset import (  # noqa: F401  (re-exported: GeomSet lives with its counts)
     GeomSet,
     WorkMeter,
@@ -440,9 +440,15 @@ class Binding:
         n = gs.action_order
         key = (atom.name, s % n)
         if key not in self._atom_cache:
-            self._atom_cache[key] = twisted_count(
-                gs, self.q, s % n, meter=self.meter
-            )
+            try:
+                self._atom_cache[key] = twisted_count(
+                    gs, self.q, s % n, meter=self.meter
+                )
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(
+                    "the count of atom %r at twist %d exceeds the budget of "
+                    "%d candidates" % (atom.name, s % n, self.meter.budget)
+                ) from exc
         return self._atom_cache[key]
 
     def fermat_twisted(self, kind, N, e_u, e_v):
@@ -450,9 +456,16 @@ class Binding:
         twist only mod N."""
         key = (kind, N, e_u % N, e_v % N)
         if key not in self._fermat_cache:
-            self._fermat_cache[key] = fermat_twisted_count(
-                kind, N, self.q, e_u, e_v, meter=self.meter
-            )
+            try:
+                self._fermat_cache[key] = fermat_twisted_count(
+                    kind, N, self.q, e_u, e_v, meter=self.meter
+                )
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(
+                    "the count of F_%d^%d at twists (%d, %d) exceeds the "
+                    "budget of %d candidates"
+                    % (kind, N, e_u % N, e_v % N, self.meter.budget)
+                ) from exc
         return self._fermat_cache[key]
 
 

@@ -1057,24 +1057,9 @@ class SeparableSeries:
         self.masks = masks
         self.streams = streams
 
-    def value(self, w):
-        """Coefficient at the axis point w (admissibility is the caller's
-        concern; reading off the chain is meaningful and used)."""
-        if len(w) != len(self.streams):
-            raise VariableMismatch("need one value per axis")
-        out = None
-        for wj, seq in zip(w, self.streams):
-            v = seq.value(wj)
-            out = v if out is None else out * v
-        return out
-
     def expand(self, bound):
         """Truncated table of the block through total degree bound."""
         return expand_chains(self.real, self.vars, self.masks, self.streams, bound)
-
-    def scale(self, s):
-        streams = (self.streams[0].scale(s),) + self.streams[1:]
-        return SeparableSeries(self.real, self.vars, self.masks, streams)
 
     def phi(self):
         """Forward chain transform, normalizing a strict chain into

@@ -64,7 +64,9 @@ from .geomset import (
     GeomSet,
     WorkMeter,
     _is_prime,
+    _power_histogram,
     _require_prime,
+    fermat_counts,
     mu_n,
     point,
     torus,
@@ -256,14 +258,11 @@ def _require_prime_to(q, **exponents):
 @functools.cache
 def fermat_affine_counts(a, b, q):
     """(#{u^a + v^b = 0}, #{u^a + v^b = 1}, #{v^b = -1}) over (F_q^*)^2,
-    resp. F_q^* for the last; by direct enumeration, once per (a, b, q)
-    (monomial_pair_counts asks the same triple at every level)."""
-    pow_a = [pow(u, a, q) for u in range(1, q)]
-    pow_b = [pow(v, b, q) for v in range(1, q)]
-    f0 = sum(1 for x in pow_a for y in pow_b if (x + y) % q == 0)
-    f1 = sum(1 for x in pow_a for y in pow_b if (x + y) % q == 1)
-    negb = sum(1 for y in pow_b if (y + 1) % q == 0)
-    return f0, f1, negb
+    resp. F_q^* for the last; from the power tables of geomset.fermat_counts
+    at zero twists (no meter), once per (a, b, q) (monomial_pair_counts asks
+    the same triple at every level)."""
+    f0, f1 = fermat_counts(a, b, q)
+    return f0, f1, _power_histogram(b, q)[q - 1]
 
 
 def monomial_pair_counts(a, b, n, q):

@@ -12,6 +12,9 @@ mono_exact_count and mono_ordgt_count are the closed jet counts of x^a at
 any level, the oracles for x^a past the counters' reach.
 lattice_sum likewise adds up resolution data one lattice point at a time,
 the reference for the closed strands of dl_eval.
+fermat_twisted_dfs counts a twisted Fermat pair by the F_q DFS and
+fermat_affine_brute counts u^a + v^b = c pair by pair, the references for
+the power-table kernel geomset.fermat_counts.
 """
 
 import itertools
@@ -19,7 +22,7 @@ import math
 from fractions import Fraction
 
 from motzeta.errors import BudgetExceeded
-from motzeta.geomset import _require_prime
+from motzeta.geomset import _count_reduced, _prepare, _require_prime, fermat_pair
 from motzeta.locring import LocRat
 from motzeta.series import TruncSeries
 from motzeta.zeta import (
@@ -113,6 +116,24 @@ def mono_ordgt_count(a, n, q, level):
     if math.gcd(a, q) != 1 or level < n // a:
         raise ValueError("need a prime to q and level >= n//a")
     return q ** (level - n // a)
+
+
+def fermat_twisted_dfs(kind, N, q, e_u, e_v, meter):
+    """Twisted count of F_kind^N by the F_q DFS on fermat_pair(kind, N),
+    reduced with the twists (e_u, e_v) as for any GeomSet."""
+    eqs, candidates = _prepare(fermat_pair(kind, N), q, (e_u, e_v))
+    return _count_reduced(eqs, [0, 1], candidates, q, meter)
+
+
+def fermat_affine_brute(a, b, q):
+    """(#{u^a + v^b = 0}, #{u^a + v^b = 1}, #{v^b = -1}) over (F_q^*)^2,
+    resp. F_q^* for the last, one pair (u, v) at a time."""
+    pow_a = [pow(u, a, q) for u in range(1, q)]
+    pow_b = [pow(v, b, q) for v in range(1, q)]
+    f0 = sum(1 for x in pow_a for y in pow_b if (x + y) % q == 0)
+    f1 = sum(1 for x in pow_a for y in pow_b if (x + y) % q == 1)
+    negb = sum(1 for y in pow_b if (y + 1) % q == 0)
+    return f0, f1, negb
 
 
 def direct_pair_counts(f, g, n, q, budget=None):

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brute import fermat_twisted_dfs
 from motzeta.errors import BudgetExceeded, MotzetaError
 from motzeta.geomset import (
     GeomSet,
@@ -176,6 +178,41 @@ def test_fermat_twisted_counts_match_direct():
                 direct = twisted_count(fermat_pair(kind, N), q, 0)
                 helper = fermat_twisted_count(kind, N, q, 0, 0)
                 assert helper == direct
+
+
+@st.composite
+def _twisted_fermat_cases(draw):
+    N = draw(st.integers(1, 8))
+    twist = st.integers(-N, 2 * N - 1)
+    return (
+        draw(st.sampled_from((0, 1))),
+        N,
+        draw(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))),
+        draw(twist),
+        draw(twist),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_twisted_fermat_cases())
+@example((1, 4, 2, 1, 0))  # refused: no 4th roots of unity in characteristic 2
+@example((0, 6, 3, 0, 6))  # counted: both twists are 0 mod K = 12
+def test_fermat_kernel_matches_the_dfs(case):
+    # the power-table count, its q - 1 charge and its refusal (q | N with a
+    # nonzero twist) are those of the DFS on fermat_pair
+    kind, N, q, e_u, e_v = case
+    meter, dfs_meter = WorkMeter(), WorkMeter()
+    K = N * (q - 1)
+    if N % q == 0 and (e_u % K or e_v % K):
+        with pytest.raises(MotzetaError) as dfs_error:
+            fermat_twisted_dfs(kind, N, q, e_u, e_v, dfs_meter)
+        with pytest.raises(MotzetaError, match=re.escape(str(dfs_error.value))):
+            fermat_twisted_count(kind, N, q, e_u, e_v, meter=meter)
+        assert meter.spent == dfs_meter.spent == 0
+        return
+    want = fermat_twisted_dfs(kind, N, q, e_u, e_v, dfs_meter)
+    assert fermat_twisted_count(kind, N, q, e_u, e_v, meter=meter) == want
+    assert meter.spent == dfs_meter.spent == q - 1
 
 
 def test_fermat_f0_parametrization():

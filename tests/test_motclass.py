@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brute import fermat_affine_brute
 from motzeta import motclass
-from motzeta.errors import MotzetaError, UnboundAtom
+from motzeta.errors import BudgetExceeded, MotzetaError, UnboundAtom
 from motzeta.geomset import GeomSet, fermat_twisted_count, mu_n, point, torus
 from motzeta.locring import L, L_MINUS_1, LocRat, ONE
 from motzeta.motclass import (
@@ -23,7 +24,7 @@ from motzeta.motclass import (
     conv1,
     external_mul,
 )
-from motzeta.zeta import fermat_affine_counts
+from motzeta.zeta import standard_atom_sets
 
 UNIT = SymbolicClass.unit()
 
@@ -240,9 +241,8 @@ def test_twist_component_realization():
     )
 
 
-def test_nested_conv_counts_each_fermat_pair_once(monkeypatch):
-    # a Fermat count depends on each twist only mod N, so one Binding
-    # makes it once per (kind, N, e_u mod N, e_v mod N)
+def _record_fermat_keys(monkeypatch):
+    """The Binding cache key of every Fermat count made from now on."""
     keys = []
 
     def counted(kind, N, q, e_u, e_v, meter=None):
@@ -250,6 +250,13 @@ def test_nested_conv_counts_each_fermat_pair_once(monkeypatch):
         return fermat_twisted_count(kind, N, q, e_u, e_v, meter=meter)
 
     monkeypatch.setattr(motclass, "fermat_twisted_count", counted)
+    return keys
+
+
+def test_nested_conv_counts_each_fermat_pair_once(monkeypatch):
+    # a Fermat count depends on each twist only mod N, so one Binding
+    # makes it once per (kind, N, e_u mod N, e_v mod N)
+    keys = _record_fermat_keys(monkeypatch)
     mu2, mu3 = atom("mu2", 2) - UNIT, atom("mu3", 3) - UNIT
     # both bracketings of the triple (mu2, mu3, mu2), inner node either side
     for c in (conv(mu2, conv(mu3, mu2)), conv(conv(mu2, mu3), mu2)):
@@ -258,8 +265,25 @@ def test_nested_conv_counts_each_fermat_pair_once(monkeypatch):
         assert keys and len(keys) == len(set(keys))
 
 
+def test_burnside_work_units_are_pinned(monkeypatch):
+    # the mu_n atoms cost nothing (binomials solved in closed form); each of
+    # the 22 Fermat counts charges q - 1 = 30 units
+    keys = _record_fermat_keys(monkeypatch)
+    binding = Binding(standard_atom_sets(("mu2", "mu3")), 31)
+    assert bind_and_count(conv(atom("mu2", 2) - UNIT, atom("mu3", 3) - UNIT), binding) == -4
+    assert binding.meter.spent == 660
+    assert len(keys) == len(set(keys)) == 22
+
+
+def test_burnside_budget_error_names_the_count():
+    # the first Fermat count, of F_0^2, charges 30 units at q = 31
+    binding = Binding(standard_atom_sets(("mu2", "mu3")), 31, budget=29)
+    with pytest.raises(BudgetExceeded, match=r"F_0\^2 at twists \(0, 0\) exceeds the budget of 29"):
+        bind_and_count(conv(atom("mu2", 2) - UNIT, atom("mu3", 3) - UNIT), binding)
+
+
 def _fermat_diff(a, b, q):
-    f0, f1, _ = fermat_affine_counts(a, b, q)
+    f0, f1, _ = fermat_affine_brute(a, b, q)
     return f0 - f1
 
 

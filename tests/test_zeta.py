@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from brute import (
     direct_pair_counts,
+    fermat_affine_brute,
     jet_count_direct,
     lattice_sum,
     mono_exact_count,
@@ -231,11 +232,18 @@ def test_pair_routes_agree_generic_shape():
     assert histogram_pair_counts("1 + x^2", "4 + y^2", 4, 5)["total"] == 7500
 
 
+def test_fermat_affine_counts_match_brute_force():
+    for q in (2, 3, 5, 7, 13):
+        for a in range(1, 7):
+            for b in range(1, 7):
+                assert fermat_affine_counts(a, b, q) == fermat_affine_brute(a, b, q), (a, b, q)
+
+
 def test_split_values_square_pair():
     # both orders at n=2: leading coefficients solve u^2 + v^2 = 1;
     # mixed orders: one side pinned to t^2, the other of order > 2
     out = monomial_pair_counts(2, 2, 2, 7)
-    f1 = fermat_affine_counts(2, 2, 7)[1]
+    f1 = fermat_affine_brute(2, 2, 7)[1]
     assert out["A1"] == f1 * 7**2
     assert out["A2"] == 4 * 7**2
     assert out["A3"] == 0
@@ -246,7 +254,7 @@ def test_split_values_common_lower_order():
     # (2,3) at n=6 admits a common order l=6k < n only at l divisible by 6;
     # at n=6 the A3 bucket is empty but at n=12 it is not
     out = monomial_pair_counts(2, 3, 12, 7)
-    f0 = fermat_affine_counts(2, 3, 7)[0]
+    f0 = fermat_affine_brute(2, 3, 7)[0]
     assert out["A3_by_l"] == {6: f0 * 7 ** (12 + 6 - 3 - 2)}
     assert out["A3"] == out["A3_by_l"][6]
 
@@ -282,7 +290,7 @@ def test_convolutions_match_fermat_counts(a, b, q, n):
     A, gs_a = _leading_locus("lf", a, n)
     B, gs_b = _leading_locus("lg", b, n)
     binding = Binding({"lf": gs_a, "lg": gs_b}, q)
-    f0, f1, _ = fermat_affine_counts(a, b, q)
+    f0, f1, _ = fermat_affine_brute(a, b, q)
     assert bind_and_count(conv0(A, B), binding) == f0
     assert bind_and_count(conv1(A, B), binding) == f1
 
@@ -987,7 +995,7 @@ def test_dl_counts_through_a_binding():
     binding = Binding({"F": fermat_pair(1, 2)}, 7)
     assert dl_eval(res, r7, binding=binding).expand(3).coeff((2,)) == Fraction(4, 7)
     assert binding.meter.spent == 6
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="atom 'F' at twist 0 exceeds the budget of 1 "):
         dl_eval(res, r7, binding=Binding({"F": fermat_pair(1, 2)}, 7, budget=1))
 
 
