@@ -469,28 +469,30 @@ class Binding:
         return self._fermat_cache[key]
 
 
+def _average(total, n):
+    """total / n: an int when n divides an int total, else a Fraction."""
+    if isinstance(total, int) and total % n == 0:
+        return total // n
+    return Fraction(total, n)
+
+
 def _factor_value(binding, f, s):
-    """Realization of one factor against group exponent s (Fraction)."""
+    """Realization of one factor against group exponent s: an int while the
+    counts and averages stay integral, else a Fraction."""
     if isinstance(f, Atom):
         if f.aug:
             n = binding.geomset_for(f).action_order
-            total = sum(binding.atom_twisted(f, h) for h in range(n))
-            return Fraction(total, n)
-        return Fraction(binding.atom_twisted(f, s))
+            return _average(sum(binding.atom_twisted(f, h) for h in range(n)), n)
+        return binding.atom_twisted(f, s)
     # ConvNode
     N = f.order
     if f.aug:
-        if N == 1:
-            return _conv_value(binding, f, 0, 1)
-        total = Fraction(0)
-        for h in range(N):
-            total += _conv_value(binding, f, h, N)
-        return total / N
+        return _average(sum(_conv_value(binding, f, h, N) for h in range(N)), N)
     return _conv_value(binding, f, s, N)
 
 
 def _operand_value(binding, factors, s):
-    out = Fraction(1)
+    out = 1
     for f in factors:
         out *= _factor_value(binding, f, s)
     return out
@@ -499,7 +501,7 @@ def _operand_value(binding, factors, s):
 def _conv_value(binding, node, s, N):
     """Burnside realization of a convolution node at group exponent s."""
     right = [_operand_value(binding, node.right, beta) for beta in range(N)]
-    total = Fraction(0)
+    total = 0
     for alpha in range(N):
         va = _operand_value(binding, node.left, alpha)
         if va == 0:
@@ -507,9 +509,8 @@ def _conv_value(binding, node, s, N):
         for beta, vb in enumerate(right):
             if vb == 0:
                 continue
-            fcount = binding.fermat_twisted(node.kind, N, alpha - s, beta - s)
-            total += Fraction(fcount) * va * vb
-    return total / (N * N)
+            total += binding.fermat_twisted(node.kind, N, alpha - s, beta - s) * va * vb
+    return _average(total, N * N)
 
 
 def bind_and_count(c, binding, s=0):
@@ -528,10 +529,7 @@ def bind_and_count(c, binding, s=0):
             N = 1
             for f in factors:
                 N = _lcm(N, f.effective_order())
-            acc = Fraction(0)
-            for h in range(N):
-                acc += _operand_value(binding, factors, h)
-            tval = acc / N
+            tval = _average(sum(_operand_value(binding, factors, h) for h in range(N)), N)
         else:
             tval = _operand_value(binding, factors, s)
         total += cval * tval

@@ -7,7 +7,11 @@ monomial times a product of open geometric factors
 L^m X^n / (1 - L^m X^n).  Expansion converts closed to truncated exactly;
 strand_fit finds the minimal recurrence of each residue of a counted stream
 (Berlekamp-Massey) and closed_from_fit reads the closed form off one exact
-solve for its numerator over the q-power denominator the fit fixes.
+solve for its numerator over the q-power denominator B the fit fixes.  Its
+candidate strands come from the factorization of B (a shape divides B iff
+it uses no root more often than B does), not from trial division, and the
+closed form is validated by B's recurrence on the stream, not by expanding
+it.
 
 On top of the two shapes sit the operations the zeta machinery needs:
 Hadamard products (coefficientwise, external or convolution flavored, and
@@ -853,25 +857,61 @@ def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
 def _pmul(a, b):
     """Product of polynomials given lowest coefficient first."""
     out = [Fraction(0)] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in terms:
                 out[i + j] += x * y
     return out
 
 
-def _pquo(a, b):
-    """Exact quotient a / b (b[0] == 1), or None when b does not divide a.
+def _q_binomials(q, Q, powers):
+    """prod_mu (1 - q^mu T^Q)^powers[mu], lowest coefficient first."""
+    out = [Fraction(1)]
+    for mu, k in powers.items():
+        factor = [Fraction(1)] + [Fraction(0)] * (Q - 1) + [-Fraction(q) ** mu]
+        for _ in range(k):
+            out = _pmul(out, factor)
+    return out
 
-    The power series a / b is a polynomial of degree len(a) - len(b) iff its
-    next len(b) - 1 coefficients vanish.
+
+def _strand_candidates(q, Q, mult):
+    """The candidate strands over B = prod_mu (1 - q^mu T^Q)^mult[mu], each
+    with its numerator B * prod L^m T^N/(1 - L^m T^N), lowest coefficient
+    first, len(B) entries.
+
+    The open factors are the (m, N) with N | Q and mu = m Q / N in mult; the
+    shapes are each factor, then each pair.  The roots of 1 - q^m T^N are
+    simple roots of 1 - q^mu T^Q, and every factor with that mu shares the
+    root T = q^(-mu/Q), so B / prod(shape) is a polynomial iff the shape uses
+    no mu more than mult[mu] times.  Then it is
+    prod_mu (1 - q^mu T^Q)^(mult[mu] - used[mu]) times, per factor,
+    sum_{t < Q/N} q^(m t) T^(N t).
     """
-    terms = [(j, c) for j, c in enumerate(b) if j and c]
-    quo = []
-    for i, x in enumerate(a):
-        quo.append(x - sum(c * quo[i - j] for j, c in terms if j <= i))
-    deg = len(a) - len(b) + 1
-    return quo[:deg] if deg > 0 and not any(quo[deg:]) else None
+    steps = [N for N in range(1, Q + 1) if Q % N == 0]
+    factors = sorted({(mu * N // Q, N) for mu in mult for N in steps if mu * N % Q == 0})
+    shapes = [(f,) for f in factors]
+    shapes += [(f1, f2) for i, f1 in enumerate(factors) for f2 in factors[i:]]
+    rests = {}  # the powers left of B -> their product
+    cands = []
+    for shape in shapes:
+        left = dict(mult)
+        for m, N in shape:
+            left[m * Q // N] -= 1
+        if min(left.values()) < 0:
+            continue
+        key = tuple(sorted(left.items()))
+        if key not in rests:
+            rests[key] = _q_binomials(q, Q, left)
+        quo = rests[key]
+        for m, N in shape:
+            geo = [Fraction(0)] * (Q - N + 1)
+            for t in range(Q // N):
+                geo[N * t] = Fraction(q) ** (m * t)
+            quo = _pmul(quo, geo)
+        scale = Fraction(q) ** sum(m for m, _ in shape)
+        cands.append((shape, [Fraction(0)] * sum(N for _, N in shape) + [scale * c for c in quo]))
+    return cands
 
 
 def closed_from_fit(seq, var="T"):
@@ -882,11 +922,13 @@ def closed_from_fit(seq, var="T"):
     stream is P(T)/B(T) with B = prod (1 - q^mu T^Q)^{k_mu}.  The open
     factors L^m T^N/(1 - L^m T^N) are fixed by the data: N | Q and
     m = mu N/Q.  The candidate strands are each such factor and each pair
-    whose denominator divides B exactly; each candidate's numerator
-    B * prod x/(1-x) is an exact polynomial of degree <= deg B, and one
-    exact solve matches them against (sum a_n T^n) * B truncated at deg B.
-    The reconstruction is validated against the stream well past its stable
-    threshold; FitFailed lists the candidate strands it solved over.
+    whose denominator divides B (_strand_candidates reads that, and each
+    numerator B * prod x/(1-x), off the factorization of B); one exact solve
+    matches them against (sum a_n T^n) * B truncated at deg B.  P/B then
+    agrees with the stream below len(B), and past it wherever the stream
+    keeps B's recurrence a_n + sum_{j>=1} B_j a_{n-j} = 0.  That is checked
+    well past the stable threshold; FitFailed names the first n that breaks
+    it and lists the candidate strands it solved over.
     """
     real = seq.real
     if real.tag != "count":
@@ -903,50 +945,37 @@ def closed_from_fit(seq, var="T"):
                 raise FitFailed("mode ratio %s is not a power of q=%d" % (ratio, q))
             mult[mu] = max(mult.get(mu, 0), len(coeffs))
 
-    def denom(factors):
-        out = [Fraction(1)]
-        for m, N in factors:
-            out = _pmul(out, [Fraction(1)] + [Fraction(0)] * (N - 1) + [-Fraction(q) ** m])
-        return out
-
-    B = denom([(mu, Q) for mu, k in mult.items() for _ in range(k)])
-    steps = [N for N in range(1, Q + 1) if Q % N == 0]
-    factors = sorted({(mu * N // Q, N) for mu in mult for N in steps if mu * N % Q == 0})
-    shapes = [(f,) for f in factors]
-    shapes += [(f1, f2) for i, f1 in enumerate(factors) for f2 in factors[i:]]
-    cands = []
-    for shape in shapes:
-        quo = _pquo(B, denom(shape))
-        if quo is not None:
-            scale = Fraction(q) ** sum(m for m, _ in shape)
-            cands.append((shape, [Fraction(0)] * sum(N for _, N in shape) + [scale * c for c in quo]))
+    B = _q_binomials(q, Q, mult)
+    cands = _strand_candidates(q, Q, mult)
     tried = "; ".join("x".join("(%d, %d)" % f for f in shape) for shape, _ in cands)
 
     hi = max(8 * Q, seq.stable_start + 4 * Q, 16)
-    values = seq.values(1, max(hi, len(B) - 1))  # values[n - 1] is a_n
-    target = _pmul([Fraction(0)] + values[: len(B) - 1], B)[: len(B)]
+    a = [real.zero] + seq.values(1, max(hi, len(B) - 1))  # a[n] is a_n
+    terms = [(j, c) for j, c in enumerate(B) if c]
+    target = [sum(c * a[n - j] for j, c in terms if j <= n) for n in range(len(B))]
     sol = _solve_exact([[num[j] for _, num in cands] for j in range(len(B))], target)
     if sol is None:
         raise FitFailed(
             "stream numerator is not a combination of the candidate strands (m, N): %s" % tried
         )
-    closed = ClosedSeries(
-        real,
-        (var,),
-        [Strand(c, (0,), [(m, (N,)) for m, N in shape]) for c, (shape, _) in zip(sol, cands) if c],
-    )
-    table = closed.expand(hi)
-    for n in range(1, hi + 1):
-        if table.coeff((n,)) != values[n - 1]:
+    for n in range(len(B), hi + 1):
+        if sum(c * a[n - j] for j, c in terms):
             raise FitFailed(
                 "reconstruction over the candidate strands (m, N) %s disagrees "
                 "with the stream at n=%d" % (tried, n)
             )
-    return closed
+    return ClosedSeries(
+        real,
+        (var,),
+        [Strand(c, (0,), [(m, (N,)) for m, N in shape]) for c, (shape, _) in zip(sol, cands) if c],
+    )
 
 
 def _solve_exact(rows, rhs):
-    """Particular solution of rows * x = rhs over Fractions, or None."""
+    """Particular solution of rows * x = rhs over Fractions, or None.
+
+    Gauss-Jordan: a pivot row is zero left of its pivot column, so only its
+    nonzero entries from there on are scaled and eliminated with."""
     n = len(rows[0]) if rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     pivots = []
@@ -956,12 +985,16 @@ def _solve_exact(rows, rhs):
         if sel is None:
             continue
         aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
+        prow = aug[r]
+        pv = prow[col]
+        live = [j for j in range(col, n + 1) if prow[j]]
+        for j in live:
+            prow[j] /= pv
         for i, row in enumerate(aug):
-            if i != r and row[col] != 0:
-                f = row[col]
-                aug[i] = [x - f * y for x, y in zip(row, aug[r])]
+            f = row[col]
+            if i != r and f:
+                for j in live:
+                    row[j] -= f * prow[j]
         pivots.append(col)
     if any(row[n] != 0 for row in aug[len(pivots):]):
         return None

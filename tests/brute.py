@@ -15,6 +15,9 @@ the reference for the closed strands of dl_eval.
 fermat_twisted_dfs counts a twisted Fermat pair by the F_q DFS and
 fermat_affine_brute counts u^a + v^b = c pair by pair, the references for
 the power-table kernel geomset.fermat_counts.
+strand_candidates_brute builds the candidate strands of closed_from_fit by
+trial division of B by each shape's denominator, the reference for the
+divisibility rule of series._strand_candidates.
 """
 
 import itertools
@@ -340,3 +343,50 @@ def lattice_sum(res, real, D, vars=None, cone=None, binding=None):
     return TruncSeries(real, tuple(vars), D, ent)
 
 
+def _pmul(a, b):
+    """Product of polynomials given lowest coefficient first."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _pquo(a, b):
+    """Exact quotient a / b (b[0] == 1), or None when b does not divide a.
+
+    The power series a / b is a polynomial of degree len(a) - len(b) iff its
+    next len(b) - 1 coefficients vanish.
+    """
+    terms = [(j, c) for j, c in enumerate(b) if j and c]
+    quo = []
+    for i, x in enumerate(a):
+        quo.append(x - sum(c * quo[i - j] for j, c in terms if j <= i))
+    deg = len(a) - len(b) + 1
+    return quo[:deg] if deg > 0 and not any(quo[deg:]) else None
+
+
+def strand_candidates_brute(q, Q, mult):
+    """[(shape, numerator)] over B = prod_mu (1 - q^mu T^Q)^mult[mu]: each
+    factor (m, N) with N | Q and m Q / N in mult, then each pair, kept when
+    the product of its 1 - q^m T^N divides B, with numerator
+    B * prod q^m T^N / (1 - q^m T^N) lowest coefficient first."""
+
+    def denom(factors):
+        out = [Fraction(1)]
+        for m, N in factors:
+            out = _pmul(out, [Fraction(1)] + [Fraction(0)] * (N - 1) + [-Fraction(q) ** m])
+        return out
+
+    B = denom([(mu, Q) for mu, k in mult.items() for _ in range(k)])
+    steps = [N for N in range(1, Q + 1) if Q % N == 0]
+    factors = sorted({(mu * N // Q, N) for mu in mult for N in steps if mu * N % Q == 0})
+    shapes = [(f,) for f in factors]
+    shapes += [(f1, f2) for i, f1 in enumerate(factors) for f2 in factors[i:]]
+    cands = []
+    for shape in shapes:
+        quo = _pquo(B, denom(shape))
+        if quo is not None:
+            scale = Fraction(q) ** sum(m for m, _ in shape)
+            cands.append((shape, [Fraction(0)] * sum(N for _, N in shape) + [scale * c for c in quo]))
+    return cands

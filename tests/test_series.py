@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from brute import strand_candidates_brute
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from motzeta.series import (
     SeparableSeries,
     Strand,
     TruncSeries,
+    _strand_candidates,
     cell_decompose,
     closed_from_fit,
     extend_const,
@@ -614,6 +616,40 @@ def test_closed_from_fit_rejects_foreign_streams():
     seq = EGSeq.single_residue(COUNT, 1, 0, Fraction(2), Fraction(1))
     with pytest.raises(FitFailed, match="mode ratio 2 is not a power of q=7"):
         closed_from_fit(seq)
+
+
+def test_closed_from_fit_names_the_first_sample_off_the_recurrence():
+    # B = (1 - q^-2 T^2)^2 has len(B) = 5: P is read off a_1..a_4, and each
+    # later a_n must keep B's recurrence; a wrong value at n0 is reported
+    target = ClosedSeries(
+        COUNT,
+        ("T",),
+        [
+            Strand(Fraction(2), (0,), [(-1, (1,))]),
+            Strand(Fraction(1), (0,), [(-2, (2,))]),
+            Strand(Fraction(-1), (0,), [(-1, (1,)), (-2, (2,))]),
+        ],
+    )
+    table = target.expand(40)
+    seq = strand_fit(COUNT, {n: table.coeff((n,)) for n in range(1, 41)}, period=2)
+    assert closed_from_fit(seq) == target
+    hi = 16  # max(8Q, stable_start + 4Q, 16) for Q = 2 and stable_start = 1
+    for n0 in range(5, hi + 1):
+        exc = {n: table.coeff((n,)) for n in range(1, n0 + 1)}
+        exc[n0] += 1
+        bad = EGSeq(COUNT, seq.period, seq.modes, exc, stable_start=n0 + 1)
+        with pytest.raises(FitFailed, match=r"disagrees with the stream at n=%d$" % n0):
+            closed_from_fit(bad)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((2, 3, 5, 7, 11, 13)),
+    st.integers(1, 12),
+    st.dictionaries(st.integers(-14, 14), st.integers(1, 3), min_size=1, max_size=3),
+)
+def test_strand_candidates_match_trial_division(q, Q, mult):
+    assert _strand_candidates(q, Q, mult) == strand_candidates_brute(q, Q, mult)
 
 
 @st.composite
