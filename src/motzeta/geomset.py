@@ -23,11 +23,12 @@ all quotients taken here are by free actions).
 The twisted Fermat pairs of a convolution (fermat_twisted_count) reduce to
 a diagonal equation g^e_u x^N + g^e_v y^N = c over F_q^*, which
 fermat_counts counts from the table of N-th powers of F_q^*, without a
-search.  Every other GeomSet is counted by the DFS below.
+search.  Every other GeomSet is counted by the DFS below, the one search
+over the compiled equations; it counts points and lists none.
 
-Enumeration is a depth-first search over per-coordinate candidate sets with
-partial evaluation of the equations, pruning of contradictions, and dynamic
-detection of coordinates no remaining equation mentions (those contribute a
+The DFS runs over per-coordinate candidate sets with partial evaluation of
+the equations, pruning of contradictions, and dynamic detection of
+coordinates no remaining equation mentions (those contribute a
 multiplicative factor without branching).  Before it branches it solves what
 it can (see _count_reduced): it eliminates a coordinate that ranges over F_q
 and occurs only as c x_j, c constant, in just one equation; it counts the
@@ -47,7 +48,7 @@ import math
 from fractions import Fraction
 
 from .errors import BudgetExceeded, MotzetaError, VariableMismatch
-from .poly import Poly, parse_poly
+from .poly import Poly
 
 DEFAULT_BUDGET = 10**8
 
@@ -156,30 +157,6 @@ class GeomSet:
             if has_const and weight not in (None, 0):
                 return False
         return True
-
-    def to_json_dict(self):
-        return {
-            "dim": self.dim,
-            "coords": list(self.coords),
-            "equations": [eq.render() for eq in self.equations],
-            "nonzero": sorted(self.coords.index(c) for c in self.nonzero),
-            "order": self.action_order,
-            "weights": list(self.weights),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        missing = [k for k in ("coords", "equations", "nonzero", "order", "weights") if k not in d]
-        if missing:
-            raise MotzetaError("GeomSet.from_json_dict: the dict has no %r" % missing[0])
-        coords = tuple(d["coords"])
-        return cls(
-            coords,
-            tuple(parse_poly(s) for s in d["equations"]),
-            frozenset(coords[i] for i in d["nonzero"]),
-            d["order"],
-            tuple(d["weights"]),
-        )
 
     def __repr__(self):
         return "GeomSet(coords=%r, eqs=%d, order=%d)" % (
@@ -435,35 +412,6 @@ def quotient_count(gs, q, meter=None):
         meter = WorkMeter()
     N = gs.action_order
     return Fraction(sum(twisted_count(gs, q, s, meter=meter) for s in range(N)), N)
-
-
-def enumerate_points(gs, q, g_exp=0, meter=None):
-    """All twisted points, as tuples (u_1, .., u_d) of F_q values with
-    x_i = t_i u_i (see _prepare); at g_exp = 0 these are the F_q-points.
-    meter (default as in twisted_count) is charged one unit per candidate
-    value, so each point costs at least one unit per coordinate."""
-    if meter is None:
-        meter = WorkMeter()
-    eqs, candidates = _prepare(gs, q, _sector_exps(gs, g_exp))
-    out = []
-    # depth first from an explicit stack, children pushed in reverse so
-    # the points come out in the order of the candidate lists
-    stack = [((), eqs)]
-    while stack:
-        assignment, current = stack.pop()
-        i = len(assignment)
-        if i == len(gs.coords):
-            if not any(const for const, _ in current):
-                out.append(assignment)
-            continue
-        children = []
-        for value in candidates[i]:
-            meter.spend()
-            nxt = [_specialize(eq, i, value, q) for eq in current]
-            if not any(const and not terms for const, terms in nxt):
-                children.append((assignment + (value,), nxt))
-        stack.extend(reversed(children))
-    return out
 
 
 # --- stock presentations -----------------------------------------------------

@@ -296,9 +296,6 @@ class LocRat:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_one(self):
-        return not self.den and self.num == ONE_P
-
     def __bool__(self):
         return not self.is_zero()
 

@@ -180,26 +180,16 @@ class Poly:
     def __repr__(self):
         return "Poly(%s)" % self.render()
 
-    # -- composition with jet expansions -------------------------------------
-
-    def compose_jet(self, depth):
-        """Coefficients of f(phi(t)) mod t^{depth+1} for generic jets.
-
-        Each variable v is replaced by v_1*t + v_2*t^2 + ... + v_depth*t^depth
-        (jet based at the origin).  Returns a list of Poly of length depth+1:
-        entry m is the coefficient of t^m, a polynomial in the jet variables
-        named "v_j".
-        """
-        return JetExpansion(self).digits(depth)
-
 
 class JetExpansion:
     """The digits of f(phi(t)) for a generic jet phi, each computed once.
 
-    Digit m (the coefficient of t^m) involves only the jet coordinates v_j
-    with j <= m, so a deeper expansion extends a shallower one: digits(n)
-    computes the digits still missing and returns digits 0..n, as
-    f.compose_jet(n) does.  The series phi^e of every exponent vector on
+    Each variable v of f is replaced by v_1*t + v_2*t^2 + ... (a jet based
+    at the origin); digits(n) returns f(phi(t)) mod t^{n+1} as a list of
+    n + 1 Polys, entry m the coefficient of t^m in the jet coordinates
+    named "v_j".  Digit m involves only the v_j with j <= m, so a deeper
+    expansion extends a shallower one: digits(n) computes only the digits
+    still missing.  The series phi^e of every exponent vector on
     the way to a term of f is built from a shorter one times one phi_i, on
     sparse polynomials: dicts from monomials, sorted tuples of coordinate
     ids with one entry per factor (v_j of the i-th variable has id

@@ -669,9 +669,6 @@ class ClosedSeries:
                 ent[exp] = ent[exp] + val if exp in ent else val
         return TruncSeries(self.real, self.vars, bound, ent)
 
-    def lim_infty(self):
-        return lim_infty(self)
-
     def __repr__(self):
         return "ClosedSeries(vars=%s, %d strands)" % (list(self.vars), len(self.strands))
 

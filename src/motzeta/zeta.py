@@ -80,6 +80,7 @@ from .series import (
     SeparableSeries,
     Strand,
     TruncSeries,
+    _solve_exact,
     expand_chains,
     lim_infty,
 )
@@ -114,7 +115,7 @@ def jet_set(f, n, exact=True, action_order=None):
     over the zeros of f instead (zeta_trunc with base="global").
     """
     f = _as_poly(f)
-    return _jet_locus(f.vars, f.compose_jet(n), n, exact, action_order)
+    return _jet_locus(f.vars, JetExpansion(f).digits(n), n, exact, action_order)
 
 
 def _jet_locus(vars, cs, n, exact=True, action_order=None):
@@ -164,7 +165,13 @@ def histogram_pair_counts(f, g, n, q, meter=None):
     f, g = _as_poly(f), _as_poly(g)
     if meter is None:
         meter = WorkMeter()
-    cf, cg = f.compose_jet(n), g.compose_jet(n)
+    return _pair_counts(JetExpansion(f), JetExpansion(g), n, q, meter)
+
+
+def _pair_counts(ef, eg, n, q, meter):
+    """histogram_pair_counts at level n from the expansions ef, eg of f, g."""
+    f, g = ef.f, eg.f
+    cf, cg = ef.digits(n), eg.digits(n)
     hit = _jet_locus(
         f.direct_sum(g).vars, [a + b for a, b in zip(cf, cg)], n, action_order=1
     )
@@ -536,9 +543,9 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     or "auto" (strata where it applies, else hist).  c*x counts as x:
     u -> c*u permutes the jets of each order.  Without split, hist is
     zeta_trunc of f + g, one F_q DFS count per level from one expansion;
-    with split it is histogram_pair_counts at every level.  Either way
-    budget caps the DFS candidates of all levels together.  A symbolic
-    series is zeta_trunc of f + g.
+    with split it is histogram_pair_counts at every level, read off one
+    expansion each of f and g.  Either way budget caps the DFS candidates
+    of all levels together.  A symbolic series is zeta_trunc of f + g.
     """
     _choice("mode", mode, ("auto", "strata", "hist"))
     f, g = _as_poly(f), _as_poly(g)
@@ -560,13 +567,15 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     if mode == "hist" and not split:
         return zeta_trunc(fg, D, real, var, budget=budget)
     meter = WorkMeter(budget)
+    if mode == "hist":
+        ef, eg = JetExpansion(f), JetExpansion(g)
     ent = {}
     splits = {"A1": {}, "A2": {}, "A3": {}, "Bpair": {}}
     for n in range(1, D + 1):
         if mode == "strata":
             c = monomial_pair_counts(exps[0], exps[1], n, q)
         else:
-            c = histogram_pair_counts(f, g, n, q, meter)
+            c = _pair_counts(ef, eg, n, q, meter)
         den = q ** (len(fg.vars) * n)
         if c["total"]:
             ent[(n,)] = Fraction(c["total"], den)
@@ -717,25 +726,42 @@ def _cone_for(stratum_index, cone):
 
 
 class ConePieces:
-    """A lattice set given as disjoint relatively open unimodular
-    simplicial pieces: each piece lists integer generators and an open
-    flag per generator (closed flags attach the face spanned without
-    that generator's positivity); origin=True adds the single point 0."""
+    """A lattice set given as disjoint simplicial pieces.
+
+    Each piece lists nonnegative integer generators, all of one length and
+    linearly independent (some maximal minor is nonzero), and an open flag
+    per generator.  The piece is the set of integer combinations of its
+    generators with coefficient >= 1 on an open generator and >= 0 on a
+    closed one (a closed flag attaches the face spanned without that
+    generator).  The generators need not be unimodular: (1,0),(1,2) is
+    the set of its integer combinations, not every lattice point of its
+    real cone.  That set is what dl_eval, validate_cone and the lattice
+    sum of tests/brute.py all sum, each point once because the generators
+    are independent.  origin=True adds the single point 0.  A malformed
+    piece raises ConeNotDecomposed naming its index."""
 
     __slots__ = ("pieces", "origin")
 
     def __init__(self, pieces, origin=False):
         norm = []
-        for gens, flags in pieces:
+        for i, (gens, flags) in enumerate(pieces):
             gens = tuple(tuple(int(x) for x in g) for g in gens)
             flags = tuple(bool(b) for b in flags)
             if len(gens) != len(flags) or not gens:
-                raise ConeNotDecomposed("piece needs generators with flags")
+                raise ConeNotDecomposed("piece %d needs generators with flags" % i)
             for g in gens:
                 if all(x == 0 for x in g):
-                    raise ConeNotDecomposed("zero generator")
+                    raise ConeNotDecomposed("piece %d has a zero generator" % i)
                 if any(x < 0 for x in g):
-                    raise ConeNotDecomposed("generators must be nonnegative")
+                    raise ConeNotDecomposed("piece %d: generators must be nonnegative" % i)
+            if len({len(g) for g in gens}) != 1:
+                raise ConeNotDecomposed("piece %d: generators %r differ in length" % (i, gens))
+            # independent iff no generator is a combination of those before it
+            if any(
+                _solve_exact(list(zip(*gens[:t])), gens[t]) is not None
+                for t in range(1, len(gens))
+            ):
+                raise ConeNotDecomposed("piece %d: generators %r are linearly dependent" % (i, gens))
             norm.append((gens, flags))
         self.pieces = tuple(norm)
         self.origin = bool(origin)
@@ -835,62 +861,34 @@ def cone_euler(spec):
     return total
 
 
-def _solve_in_piece(gens, flags, pt):
-    """Exact coordinates of pt in the (independent) generator basis, or
-    None when pt is outside the piece."""
-    m = len(gens)
-    dim = len(pt)
-    rows = [[Fraction(gens[t][i]) for t in range(m)] for i in range(dim)]
-    rhs = [Fraction(pt[i]) for i in range(dim)]
-    piv = []
-    r = 0
-    for c in range(m):
-        sel = next((i for i in range(r, dim) if rows[i][c] != 0), None)
-        if sel is None:
-            return None
-        rows[r], rows[sel] = rows[sel], rows[r]
-        rhs[r], rhs[sel] = rhs[sel], rhs[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(dim):
-            if i != r and rows[i][c] != 0:
-                fac = rows[i][c]
-                rows[i] = [x - fac * y for x, y in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - fac * rhs[r]
-        piv.append(c)
-        r += 1
-    for i in range(r, dim):
-        if rhs[i] != 0:
-            return None
-    coeffs = [rhs[i] for i in range(m)]
-    for c, b in zip(coeffs, flags):
-        if c.denominator != 1:
-            return None
-        if b and c < 1:
-            return None
-        if not b and c < 0:
-            return None
-    return coeffs
-
-
 def validate_cone(spec, member, bound, dim=None):
     """Check the supplied decomposition against a membership predicate on
     every lattice point of the [0, bound]^dim box: each member must lie in
     exactly one piece (or be the origin with the origin flag), each
-    non-member in none.  Raises ConeNotDecomposed with a witness."""
+    non-member in none.  A point lies in a piece when its coordinates in
+    the piece's generators, unique because they are independent, are
+    integers, >= 1 on the open and >= 0 on the closed generators.  Raises
+    ConeNotDecomposed with a witness."""
     if not isinstance(spec, ConePieces):
         spec = ConePieces.from_json(spec)
     if dim is None:
         if not spec.pieces:
             raise MotzetaError("dim is needed when there are no pieces")
         dim = len(spec.pieces[0][0][0])
+    for i, (gens, _) in enumerate(spec.pieces):
+        if len(gens[0]) != dim:
+            raise ConeNotDecomposed(
+                "piece %d: generators of length %d in dimension %d" % (i, len(gens[0]), dim)
+            )
     for pt in itertools.product(range(bound + 1), repeat=dim):
         hits = 0
         if spec.origin and not any(pt):
             hits += 1
         for gens, flags in spec.pieces:
-            if _solve_in_piece(gens, flags, pt) is not None:
+            c = _solve_exact(list(zip(*gens)), pt)
+            if c is not None and all(
+                x.denominator == 1 and x >= (1 if b else 0) for x, b in zip(c, flags)
+            ):
                 hits += 1
         want = 1 if member(pt) else 0
         if hits != want:
@@ -918,14 +916,13 @@ def diagonal_closed(s, var="T"):
     return ClosedSeries(s.real, (var,), tuple(strands))
 
 
-def nearby_cycles(s, var="T"):
+def nearby_cycles(s):
     """Minus the limit of the diagonal substitution; closed input only."""
     if not isinstance(s, ClosedSeries):
         raise NotLimitNormal(
             "nearby cycles need a closed series; fit a closed form first"
         )
-    val = lim_infty(diagonal_closed(s, var))
-    return -val
+    return -lim_infty(diagonal_closed(s))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from motzeta.geomset import (
     GeomSet,
     WorkMeter,
     _count_reduced,
-    enumerate_points,
     fermat_pair,
     fermat_twisted_count,
     mu_n,
@@ -249,35 +248,6 @@ def test_twisted_count_refuses_non_semi_invariant_sectors():
 def test_twisted_count_needs_prime_q():
     with pytest.raises(MotzetaError, match="prime"):
         twisted_count(torus(), 4)
-
-
-def test_enumerate_points_spot_equivariance():
-    # Applying the action generator to every solution lands on a solution.
-    gs = fermat_pair(1, 2)
-    q = 5
-    meter = WorkMeter()
-    pts = enumerate_points(gs, q, 0, meter=meter)
-    assert len(pts) == twisted_count(gs, q, 0)
-    z = q - 1  # the primitive square root of unity in F_q
-    ptset = set(pts)
-    for u, v in pts:
-        assert (z * u % q, z * v % q) in ptset
-    # the meter bounds the list: each point costs a candidate per coordinate
-    assert meter.spent >= len(pts) * len(gs.coords)
-    with pytest.raises(BudgetExceeded):
-        enumerate_points(gs, q, 0, meter=WorkMeter(len(pts)))
-
-
-def test_serialization_roundtrip():
-    gs = fermat_pair(1, 3)
-    d = gs.to_json_dict()
-    back = GeomSet.from_json_dict(d)
-    assert back.coords == gs.coords
-    assert back.equations == gs.equations
-    assert back.nonzero == gs.nonzero
-    assert back.action_order == gs.action_order
-    assert back.weights == gs.weights
-    assert twisted_count(back, 7, 1) == twisted_count(gs, 7, 1)
 
 
 def test_quotient_count_is_integral():

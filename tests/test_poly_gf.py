@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from brute import _value_digits
 from motzeta.errors import ParseError, UnknownToken, VariableMismatch
-from motzeta.poly import Poly, parse_poly
+from motzeta.poly import JetExpansion, Poly, parse_poly
 
 
 def test_poly_arithmetic_and_render():
@@ -61,7 +61,7 @@ def test_compose_jet_square():
     # f = x^2 with phi = a1 t + a2 t^2 + a3 t^3:
     # f(phi) = a1^2 t^2 + 2 a1 a2 t^3 + ... exactly.
     f = parse_poly("x^2")
-    coeffs = f.compose_jet(3)
+    coeffs = JetExpansion(f).digits(3)
     a1, a2 = Poly.var("x_1"), Poly.var("x_2")
     assert coeffs[0].is_zero()
     assert coeffs[1].is_zero()
@@ -71,7 +71,7 @@ def test_compose_jet_square():
 
 def test_compose_jet_sum_of_squares():
     f = parse_poly("x^2 + y^2")
-    coeffs = f.compose_jet(2)
+    coeffs = JetExpansion(f).digits(2)
     assert coeffs[2] == Poly.var("x_1") ** 2 + Poly.var("y_1") ** 2
 
 
@@ -103,10 +103,11 @@ def _eval_mod(p, values, q):
 @given(_germs(), st.integers(0, 5))
 def test_compose_jet_deeper_expansion_extends_shallower(f, depth):
     # digit j involves only jet coordinates of index <= j
-    full = f.compose_jet(depth)
+    full = JetExpansion(f).digits(depth)
     assert len(full) == depth + 1
+    resumed = JetExpansion(f)
     for n in range(depth + 1):
-        assert full[: n + 1] == f.compose_jet(n)
+        assert full[: n + 1] == JetExpansion(f).digits(n) == resumed.digits(n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -114,6 +115,6 @@ def test_compose_jet_deeper_expansion_extends_shallower(f, depth):
 def test_compose_jet_digits_evaluate_to_the_brute_digits(f, n, q, rng):
     jets = {v: [rng.randrange(q) for _ in range(n)] for v in f.vars}
     values = {"%s_%d" % (v, j): c for v in f.vars for j, c in enumerate(jets[v], 1)}
-    digits = f.compose_jet(n)
+    digits = JetExpansion(f).digits(n)
     got = [_eval_mod(d, values, q) for d in digits]
     assert got == _value_digits(f, jets, n, q)

@@ -18,6 +18,7 @@ from brute import (
     mono_ordgt_count,
     multizeta_direct,
 )
+from motzeta import zeta
 from motzeta.egseq import EGSeq
 from motzeta.errors import (
     BudgetExceeded,
@@ -511,8 +512,6 @@ def _symbolic_entry(coeff):
                      "GeomSet equations mention unknown coords ['y']", id="geomset-equations"),
         pytest.param(lambda: GeomSet(("x",), (), ("z",)),
                      "GeomSet nonzero names unknown coords ['z']", id="geomset-nonzero"),
-        pytest.param(lambda: GeomSet.from_json_dict({"coords": ["x"], "equations": [], "nonzero": [], "order": 1}),
-                     "GeomSet.from_json_dict: the dict has no 'weights'", id="geomset-json-key"),
         pytest.param(lambda: TruncSeries(R7, ("T",), 3, {(-1,): Fraction(1)}),
                      "TruncSeries entries: exponent [-1] is negative", id="trunc-negative-exponent"),
         pytest.param(lambda: hadamard_conv(zeta_trunc(X2, 4, R7), zeta_trunc(X2, 4, R7)),
@@ -591,6 +590,15 @@ def _symbolic_entry(coeff):
                      "a counted zeta series needs a prime q, got 4", id="zeta-prime"),
         pytest.param(lambda: ConePieces.from_json({"pieces": [{}]}),
                      "ConePieces.from_json: piece 0 has no 'gens'", id="cone-json-gens"),
+        pytest.param(lambda: ConePieces(((((1, 0), (1,)), (True, True)),)),
+                     "piece 0: generators ((1, 0), (1,)) differ in length", id="cone-ragged"),
+        pytest.param(lambda: ConePieces(((((1, 0),), (True,)), (((1, 1), (2, 2)), (True, True)))),
+                     "piece 1: generators ((1, 1), (2, 2)) are linearly dependent", id="cone-parallel"),
+        pytest.param(lambda: ConePieces(((((1, 0), (0, 1), (1, 1)), (True, True, False)),)),
+                     "piece 0: generators ((1, 0), (0, 1), (1, 1)) are linearly dependent",
+                     id="cone-too-many-generators"),
+        pytest.param(lambda: validate_cone(ConePieces(((((1, 0),), (True,)),)), lambda p: False, 2, dim=3),
+                     "piece 0: generators of length 2 in dimension 3", id="validate-dim-mismatch"),
     ],
 )
 def test_argument_errors_name_the_parameter(run, message):
@@ -950,6 +958,33 @@ def test_pullback_split_budget_covers_every_level():
     )
 
 
+def test_pullback_split_expands_each_function_once(monkeypatch):
+    # the split reads every level off one expansion of each function, with
+    # the counts and the meter charges of histogram_pair_counts per level
+    f, g, q, D = parse_poly("x^2+x^3"), parse_poly("y^2+y^3"), 5, 6
+    meter = WorkMeter()
+    levels = [histogram_pair_counts(f, g, n, q, meter) for n in range(1, D + 1)]
+    built = []
+
+    class CountedExpansion(zeta.JetExpansion):
+        def __init__(self, h):
+            built.append(h)
+            super().__init__(h)
+
+    monkeypatch.setattr(zeta, "JetExpansion", CountedExpansion)
+    r5 = count_realization(q)
+    total, parts = sum_zeta_pullback(f, g, D, r5, split=True, budget=meter.spent)
+    assert built == [f, g]
+    for n, c in enumerate(levels, 1):
+        den = q ** (2 * n)
+        assert total.coeff((n,)) == Fraction(c["total"], den)
+        for k, part in parts.items():
+            assert part.coeff((n,)) == Fraction(c[k], den)
+    # the split spends exactly what the per-level counts spent
+    with pytest.raises(BudgetExceeded):
+        sum_zeta_pullback(f, g, D, r5, split=True, budget=meter.spent - 1)
+
+
 def test_pullback_requires_disjoint_variables():
     with pytest.raises(MotzetaError):
         sum_zeta_pullback(X2, X3, 4, count_realization(5))
@@ -1080,6 +1115,32 @@ def test_cone_trunc_matches_closed():
     trunc2 = lattice_sum(res, r7, 6, cone=chain)
     assert trunc2 == closed2.expand(6)
     validate_cone(chain, lambda p: 1 <= p[0] <= p[1], 6, dim=2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.tuples(*[st.tuples(st.integers(0, 3), st.integers(0, 3))] * 2).filter(
+        lambda g: g[0][0] * g[1][1] != g[0][1] * g[1][0]
+    ),
+    st.tuples(st.booleans(), st.booleans()),
+)
+@example(((1, 0), (1, 2)), (True, False))
+def test_independent_pieces_sum_their_integer_combinations(gens, flags):
+    # a piece, unimodular or not, is the set of integer combinations of its
+    # generators: validate_cone accepts the set a search over the
+    # coefficient box finds, and dl_eval sums it as the lattice sum does
+    piece = ConePieces(((gens, flags),))
+    bound = 6
+    lo = [1 if b else 0 for b in flags]
+    members = {
+        tuple(c0 * a + c1 * b for a, b in zip(*gens))
+        for c0 in range(lo[0], bound + 1)
+        for c1 in range(lo[1], bound + 1)
+    }
+    validate_cone(piece, members.__contains__, bound)
+    res = ResolutionData([Stratum(("E1", "E2"), None, ((1, 0), (0, 1)), (1, 1))])
+    r7 = count_realization(7)
+    assert dl_eval(res, r7, cone=piece).expand(6) == lattice_sum(res, r7, 6, cone=piece)
 
 
 def test_cone_json_round_trip():
