@@ -16,7 +16,11 @@ the numerator exactly, so every stored element keeps the invariant that no
 stored denominator factor divides its numerator.  A product by a monomial
 c*L^k (c != 0) relies on it: 1 - L^n is primitive and prime to L, so it divides
 c*L^k*num exactly when it divides num, and the product only shifts and scales
-the numerator.  Evaluation at L = q gives exact rationals and fails with
+the numerator.  It is built without renormalizing either part: every v*c is
+nonzero, so the shifted numerator stores no zero coefficient and needs no
+zero filter, and the denominator is kept as it is.  Zero is not a unit:
+inverting it, or raising it to a negative power, raises NotInvertible.
+Evaluation at L = q gives exact rationals and fails with
 DenominatorVanishes when some q^n = 1.
 """
 
@@ -351,12 +355,15 @@ class LocRat:
     __rmul__ = __mul__
 
     def _times_monomial(self, c, k):
-        """self * c*L^k.  A nonzero c keeps the class invariant (see the
-        module docstring), so the denominator is kept as it is."""
+        """self * c*L^k.  A nonzero c keeps both invariants (see the module
+        docstring), so neither the numerator nor the denominator is
+        renormalized."""
         if not c:
             return LocRat(ZERO_P)
+        num = LaurentPoly.__new__(LaurentPoly)
+        num.c = {e + k: v * c for e, v in self.num.c.items()}
         out = LocRat.__new__(LocRat)
-        out.num = LaurentPoly({e + k: v * c for e, v in self.num.c.items()})
+        out.num = num
         out.den = self.den
         return out
 
@@ -400,7 +407,7 @@ class LocRat:
         raise NotInvertible.
         """
         if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
+            raise NotInvertible("zero is not a unit")
         fac = _factor_cyclotomic(self.num)
         if fac is None:
             raise NotInvertible("not a unit: %s" % self.render())

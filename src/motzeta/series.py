@@ -1006,6 +1006,21 @@ def _solve_exact(rows, rhs):
 # ---------------------------------------------------------------------------
 
 
+def _checked_masks(vars, masks, streams, who):
+    """masks as tuples of ints, one per stream, each of the arity of vars,
+    nonzero and nonnegative; MotzetaError on a count mismatch,
+    VariableMismatch on a bad mask."""
+    out = tuple(tuple(int(x) for x in m) for m in masks)
+    if len(out) != len(streams):
+        raise MotzetaError("%s masks: %d masks for %d streams" % (who, len(out), len(streams)))
+    for m in out:
+        if len(m) != len(vars):
+            raise VariableMismatch("mask arity differs from the variable list")
+        if not any(m) or any(x < 0 for x in m):
+            raise VariableMismatch("%s masks: %s must be nonzero and nonnegative" % (who, list(m)))
+    return out
+
+
 def expand_chains(real, vars, masks, streams, bound):
     """Truncated table through total degree bound of the chain series whose
     coefficient at the strictly increasing axis values w_1 < .. < w_eta is
@@ -1020,31 +1035,45 @@ def expand_chains(real, vars, masks, streams, bound):
     stream is evaluated once per w, into tables local to this call, and a
     zero value skips the whole subtree below it: every product there is
     zero.
+
+    The values axis j may take below the bound form one range: w fits when
+    its cheapest completion (every later axis one step above the last)
+    does, that is w <= (bound - deg - rest_j) // slope_j, with deg the total
+    degree of the prefix, |m| the entry sum of a mask,
+    slope_j = sum_{i>=j} |masks[i]| and rest_j = sum_{i>j} |masks[i]| (i - j).
+    On the last axis each product is added into the table in place.  The
+    variables, the bound and the masks are checked once per call
+    (VariableMismatch), not once per entry; exponents that collide are
+    summed and may cancel, so the result keeps only the zero filter.
     """
-    eta = len(streams)
+    out = TruncSeries(real, vars, bound)
+    masks = _checked_masks(out.vars, masks, streams, "expand_chains")
+    bound, eta = out.bound, len(streams)
     weights = [sum(m) for m in masks]
+    slope = [sum(weights[j:]) for j in range(eta)]
+    rest = [sum(weights[i] * (i - j) for i in range(j + 1, eta)) for j in range(eta)]
     tables = [{} for _ in range(eta)]
     ent = {}
-    stack = [(0, 0, (0,) * len(vars), None)]
+    stack = [(0, 0, (0,) * len(out.vars), 0, None)] if eta else []
     while stack:
-        j, wprev, exp, val = stack.pop()
-        if j == eta:
-            ent[exp] = ent[exp] + val if exp in ent else val
-            continue
-        stream, table = streams[j], tables[j]
-        w = max(stream.dom_min, wprev + 1)
-        while True:
-            exp2 = tuple(e + w * x for e, x in zip(exp, masks[j]))
-            # the cheapest completion: every later axis one step above the last
-            if sum(exp2) + sum(weights[i] * (w + i - j) for i in range(j + 1, eta)) > bound:
-                break
+        j, wprev, exp, deg, val = stack.pop()
+        stream, table, mask, step = streams[j], tables[j], masks[j], weights[j]
+        last = j == eta - 1
+        for w in range(max(stream.dom_min, wprev + 1), (bound - deg - rest[j]) // slope[j] + 1):
             v = table.get(w)
             if v is None:
                 v = table[w] = stream.value(w)
-            if v:
-                stack.append((j + 1, w, exp2, v if val is None else val * v))
-            w += 1
-    return TruncSeries(real, vars, bound, ent)
+            if not v:
+                continue
+            exp2 = tuple(e + w * x for e, x in zip(exp, mask))
+            if val is not None:
+                v = val * v
+            if last:
+                ent[exp2] = ent[exp2] + v if exp2 in ent else v
+            else:
+                stack.append((j + 1, w, exp2, deg + w * step, v))
+    out.entries = {e: v for e, v in ent.items() if v}
+    return out
 
 
 class SeparableSeries:
@@ -1065,23 +1094,10 @@ class SeparableSeries:
 
     def __init__(self, real, vars, masks, streams):
         vars = tuple(vars)
-        masks = tuple(tuple(int(x) for x in m) for m in masks)
         streams = tuple(streams)
         if not streams:
             raise MotzetaError("SeparableSeries streams: need at least one stream")
-        if len(masks) != len(streams):
-            raise MotzetaError(
-                "SeparableSeries masks: %d masks for %d streams"
-                % (len(masks), len(streams))
-            )
-        for m in masks:
-            if len(m) != len(vars):
-                raise VariableMismatch("mask arity differs from the variable list")
-            if not any(m) or any(x < 0 for x in m):
-                raise MotzetaError(
-                    "SeparableSeries masks: %s must be nonzero and nonnegative"
-                    % list(m)
-                )
+        masks = _checked_masks(vars, masks, streams, "SeparableSeries")
         self.real = real
         self.vars = vars
         self.masks = masks

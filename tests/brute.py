@@ -18,6 +18,9 @@ the power-table kernel geomset.fermat_counts.
 strand_candidates_brute builds the candidate strands of closed_from_fit by
 trial division of B by each shape's denominator, the reference for the
 divisibility rule of series._strand_candidates.
+chains_brute multiplies the stream values along every strictly increasing
+tuple of axis values, the reference for the chain walk
+series.expand_chains.
 """
 
 import itertools
@@ -390,3 +393,22 @@ def strand_candidates_brute(q, Q, mult):
             scale = Fraction(q) ** sum(m for m, _ in shape)
             cands.append((shape, [Fraction(0)] * sum(N for _, N in shape) + [scale * c for c in quo]))
     return cands
+
+
+def chains_brute(vars, masks, streams, bound):
+    """Nonzero entries {exponent: value} of the chain series through total
+    degree bound: every strictly increasing tuple w_1 < .. < w_eta with
+    w_j >= streams[j].dom_min, at the exponent sum_j w_j * masks[j], adds
+    the ordered product of the streams[j].value(w_j)."""
+    ent = {}
+    for ws in itertools.combinations(range(1, bound + 1), len(streams)):
+        if any(w < s.dom_min for w, s in zip(ws, streams)):
+            continue
+        exp = tuple(sum(w * m[i] for w, m in zip(ws, masks)) for i in range(len(vars)))
+        if sum(exp) > bound:
+            continue
+        val = streams[0].value(ws[0])
+        for w, s in zip(ws[1:], streams[1:]):
+            val = val * s.value(w)
+        ent[exp] = ent[exp] + val if exp in ent else val
+    return {e: v for e, v in ent.items() if v}

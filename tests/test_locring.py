@@ -102,6 +102,17 @@ def test_inverse_rejects_non_units():
         LocRat(LaurentPoly({0: 1, 1: 3})).inverse()
 
 
+def test_zero_is_not_a_unit():
+    for run in (
+        ZERO.inverse,
+        lambda: ZERO**-1,
+        lambda: LocRat(LaurentPoly(), (3,)) ** -2,
+    ):
+        with pytest.raises(NotInvertible, match="zero is not a unit") as err:
+            run()
+        assert not isinstance(err.value, ZeroDivisionError)
+
+
 def test_inverse_handles_cyclotomic_units():
     # 1 + L = (1-L^2)/(1-L) is a unit even though no (1-L^n) divides it.
     u = ONE + L
@@ -142,11 +153,15 @@ monomials = st.builds(
 @given(locrats(), st.one_of(monomials, st.integers(-9, 9)))
 def test_product_by_a_monomial_is_the_normalized_product(a, m):
     # the product by c*L^k shifts and scales the numerator and keeps the
-    # denominator; the normalizing constructor gives the same representation
+    # denominator, built without the normalizing constructor or the
+    # numerator's zero filter; the general product gives the same
+    # representation
     mr = LocRat(m) if isinstance(m, int) else m
     want = LocRat(a.num * mr.num, a.den + mr.den)
     for got in (a * m, m * a):
         assert got.num == want.num and got.den == want.den
+        assert 0 not in got.num.c.values()
+        assert got.den == (a.den if m else ())
     if not m:
         assert (a * m).num.is_zero() and (a * m).den == ()
 

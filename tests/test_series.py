@@ -3,10 +3,11 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from brute import strand_candidates_brute
+from brute import chains_brute, strand_candidates_brute
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from motzeta.series import (
     _strand_candidates,
     cell_decompose,
     closed_from_fit,
+    expand_chains,
     extend_const,
     hadamard_conv,
     hadamard_ext,
@@ -502,20 +504,7 @@ def _separable_blocks(draw):
      EGSeq.constant(COUNT, Fraction(3)))), 12))
 def test_separable_expand_matches_brute_force(case):
     s, bound = case
-    ent = {}
-    for w in itertools.product(range(1, bound + 1), repeat=len(s.streams)):
-        if any(x >= y for x, y in zip(w, w[1:])):
-            continue
-        if any(wj < seq.dom_min for wj, seq in zip(w, s.streams)):
-            continue
-        exp = tuple(sum(wj * m[i] for wj, m in zip(w, s.masks)) for i in range(len(s.vars)))
-        if sum(exp) > bound:
-            continue
-        val = s.streams[0].value(w[0])
-        for wj, seq in zip(w[1:], s.streams[1:]):
-            val = val * seq.value(wj)
-        ent[exp] = ent[exp] + val if exp in ent else val
-    assert s.expand(bound) == TruncSeries(s.real, s.vars, bound, ent)
+    assert s.expand(bound) == TruncSeries(s.real, s.vars, bound, chains_brute(s.vars, s.masks, s.streams, bound))
 
 
 def test_separable_expand_merges_masked_axes():
@@ -525,6 +514,124 @@ def test_separable_expand_merges_masked_axes():
     t = s.expand(8)
     assert t.support() == [(w, w) for w in range(1, 5)]
     assert t.coeff((3, 3)) == q**-3
+
+
+class _DictStream:
+    """A stream given by its nonzero values from dom_min on."""
+
+    def __init__(self, zero, values, dom_min):
+        self.zero, self.values, self.dom_min = zero, values, dom_min
+
+    def value(self, w):
+        assert w >= self.dom_min
+        return self.values.get(w, self.zero)
+
+
+class _Recorded:
+    """A stream that logs every (axis, w) it is asked for."""
+
+    def __init__(self, stream, axis, log):
+        self.stream, self.axis, self.log = stream, axis, log
+        self.dom_min = stream.dom_min
+
+    def value(self, w):
+        self.log.append((self.axis, w))
+        return self.stream.value(w)
+
+
+def _walk_requests(masks, streams, bound):
+    """(axis, w) pairs the chain walk evaluates: w on axis j lies on a
+    strict chain of positive integers through the bound whose axes up to j
+    are in their domains and whose values before j are nonzero."""
+    out = set()
+    for ws in itertools.combinations(range(1, bound + 1), len(streams)):
+        if sum(w * sum(m) for w, m in zip(ws, masks)) > bound:
+            continue
+        for j, (w, s) in enumerate(zip(ws, streams)):
+            if w < s.dom_min:
+                break
+            out.add((j, w))
+            if not s.value(w):
+                break
+    return out
+
+
+_CHAIN_CLASSES = (
+    MU2, MU3, UNIT, MU2.scale(LocRat.L(-1)), MU3.scale(LocRat.L(2)),
+    UNIT.scale(LocRat.L(-2)), MU2.scale(-ONE), MU3.scale(LocRat.from_int(-2)),
+)
+
+
+@st.composite
+def _chain_cases(draw):
+    real = draw(st.sampled_from((COUNT, SYM)))
+    nvars = draw(st.integers(1, 3))
+    eta = draw(st.integers(1, 3))
+    mask = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).filter(any).map(tuple)
+    masks = tuple(draw(mask) for _ in range(eta))
+    if real.tag == "count":
+        coeff = st.integers(-2, 2).map(Fraction)
+    else:
+        coeff = st.one_of(st.just(SYM.zero), st.sampled_from(_CHAIN_CLASSES))
+    streams = []
+    for _ in range(eta):
+        dom_min = draw(st.integers(1, 3))
+        values = draw(st.dictionaries(st.integers(dom_min, 14), coeff, max_size=10))
+        streams.append(_DictStream(real.zero, values, dom_min))
+    return real, tuple("TUV"[:nvars]), masks, tuple(streams), draw(st.integers(0, 14))
+
+
+def _count_case(masks, values, dom_mins, bound):
+    streams = tuple(
+        _DictStream(COUNT.zero, {w: Fraction(v) for w, v in vals.items()}, d)
+        for vals, d in zip(values, dom_mins)
+    )
+    return COUNT, tuple("TUV"[: len(masks[0])]), masks, streams, bound
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_chain_cases())
+# equal masks: (1,4) and (2,3) both land on T^5 and cancel there
+@example(_count_case(((1,), (1,)), ({1: 1, 2: 1}, {3: -1, 4: 1}), (1, 1), 6))
+# non-unit masks, a later domain start past the cheapest completion
+@example(_count_case(((1, 1), (2, 0), (0, 1)), ({1: 2, 2: -1}, {2: 1, 3: 1}, {5: 3}), (1, 2, 5), 14))
+def test_expand_chains_matches_brute_force(case):
+    real, vars, masks, streams, bound = case
+    log = []
+    recorded = tuple(_Recorded(s, j, log) for j, s in enumerate(streams))
+    got = expand_chains(real, vars, masks, recorded, bound)
+    assert got == TruncSeries(real, vars, bound, chains_brute(vars, masks, streams, bound))
+    assert all(got.entries.values())
+    # each value is asked for once, and exactly where a chain through the
+    # bound can still use it; a counted stream charges its meter per value
+    # asked, so this pins the walk's charges and budget refusals
+    assert len(log) == len(set(log))
+    assert set(log) == _walk_requests(masks, streams, bound)
+
+
+_ONES = EGSeq.constant(COUNT, Fraction(1))
+_ZEROS = _DictStream(COUNT.zero, {}, 1)
+
+
+@pytest.mark.parametrize(
+    "vars, masks, bound, message",
+    [
+        (("T",), ((1,),), -1, "truncation bound must be >= 0, not -1"),
+        (("T", "T"), ((1, 0),), 4, "duplicate variable names: ['T', 'T']"),
+        (("T", "U"), ((1,),), 4, "mask arity differs from the variable list"),
+        (("T", "U"), ((0, 0),), 4, "masks: [0, 0] must be nonzero and nonnegative"),
+        (("T", "U"), ((1, -1),), 4, "masks: [1, -1] must be nonzero and nonnegative"),
+    ],
+    ids=["negative-bound", "duplicate-vars", "mask-arity", "zero-mask", "negative-mask"],
+)
+@pytest.mark.parametrize("stream", [_ONES, _ZEROS], ids=["ones", "zeros"])
+def test_chain_walk_checks_its_arguments_once_per_call(vars, masks, bound, message, stream):
+    # the zero stream gives the walk no entry to check, so these are the
+    # per-call checks, not a check of the entries the walk builds
+    with pytest.raises(VariableMismatch, match=re.escape(message)):
+        expand_chains(COUNT, vars, masks, (stream,), bound)
+    with pytest.raises(VariableMismatch, match=re.escape(message)):
+        SeparableSeries(COUNT, vars, masks, (stream,)).expand(bound)
 
 
 # ---------------------------------------------------------------------------
