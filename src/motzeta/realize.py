@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import MotzetaError
 from .motclass import SymbolicClass
 
 
@@ -36,4 +37,7 @@ def symbolic_realization(base="pt"):
 
 
 def count_realization(q):
+    """Counting over F_q; q must be an int >= 2 (a bool is not one)."""
+    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
+        raise MotzetaError("a count realization needs an int q >= 2, not %r" % (q,))
     return Realization("count", q, Fraction(0), Fraction(1))

@@ -6,12 +6,12 @@ ClosedSeries is a finite sum of strands, each a coefficient times a
 monomial times a product of open geometric factors
 L^m X^n / (1 - L^m X^n).  Expansion converts closed to truncated exactly;
 strand_fit finds the minimal recurrence of each residue of a counted stream
-(Berlekamp-Massey) and closed_from_fit reads the closed form off one exact
-solve for its numerator over the q-power denominator B the fit fixes.  Its
-candidate strands come from the factorization of B (a shape divides B iff
-it uses no root more often than B does), not from trial division, and the
-closed form is validated by B's recurrence on the stream, not by expanding
-it.
+(fraction-free Berlekamp-Massey on the stream scaled to integers) and
+closed_from_fit reads the closed form off one exact solve for its
+numerator over the q-power denominator B the fit fixes.  Its candidate
+strands come from the factorization of B (a shape divides B iff it uses
+no root more often than B does), not from trial division, and the closed
+form is validated by B's recurrence on the stream, not by expanding it.
 
 On top of the two shapes sit the operations the zeta machinery needs:
 Hadamard products (coefficientwise, external or convolution flavored, and
@@ -48,6 +48,7 @@ import json
 import math
 import operator
 from fractions import Fraction
+from numbers import Rational
 
 from .egseq import EGSeq
 from .errors import (
@@ -749,59 +750,94 @@ def _q_log(q, x):
     return k if x == Fraction(q) ** k else None
 
 
-def _berlekamp_massey(s):
-    """Shortest linear recurrence of the Fraction sequence s.
+def _q_pow(q, e):
+    """q^e exactly: an int for e >= 0, a Fraction below."""
+    return q**e if e >= 0 else Fraction(1, q**-e)
 
-    Returns (C, L) with C = [1, c_1, .., c_L] such that
-    s_n + c_1 s_{n-1} + .. + c_L s_{n-L} = 0 for every L <= n < len(s).
+
+def _berlekamp_massey(s):
+    """Shortest linear recurrence of the integer sequence s, fraction-free.
+
+    Returns (C, L), C = [c_0, .., c_L] of content 1 with c_0 > 0, such that
+    c_0 s_n + .. + c_L s_{n-L} = 0 for L <= n < len(s); C / c_0 is the
+    connection polynomial over Q.  Massey's update is taken times the
+    discrepancy b of B, C <- b C - d x^shift B, then divided by its content.
+    Scaling s by a constant, or by lambda^n (C(x) -> C(lambda x)), keeps L,
+    and C too once 2L <= len(s), where the recurrence is unique.
     """
-    C, B = [Fraction(1)], [Fraction(1)]
-    L, shift, b = 0, 1, Fraction(1)
+    C, B = [1], [1]
+    L, shift, b = 0, 1, 1
     for n in range(len(s)):
-        d = s[n] + sum(C[i] * s[n - i] for i in range(1, L + 1))
+        d = sum(C[i] * s[n - i] for i in range(L + 1))
         if d == 0:
             shift += 1
             continue
-        prev = list(C)
-        C += [Fraction(0)] * (len(B) + shift - len(C))
+        prev = C
+        C = [b * x for x in C] + [0] * (len(B) + shift - len(C))
         for i, x in enumerate(B):
-            C[i + shift] -= d / b * x
+            C[i + shift] -= d * x
+        g = math.gcd(*C)
+        if C[0] < 0:
+            g = -g
+        C = [x // g for x in C]
         if 2 * L <= n:
             L, B, b, shift = n + 1 - L, prev, d, 1
         else:
             shift += 1
-        C += [Fraction(0)] * (L + 1 - len(C))
+        C += [0] * (L + 1 - len(C))
     return C[: L + 1], L
 
 
+def _divide_root(poly, a, b):
+    """poly / (b z - a) for an integer polynomial (highest coefficient
+    first) and coprime a, b, or None when b z - a does not divide it (a
+    quotient by a primitive divisor has integer coefficients)."""
+    quo, carry = [], 0
+    for c in poly[:-1]:
+        carry, rem = divmod(c + a * carry, b)
+        if rem:
+            return None
+        quo.append(carry)
+    return quo if poly[-1] + a * carry == 0 else None
+
+
 def _q_power_roots(q, charpoly):
-    """Roots q^k of a monic polynomial (highest coefficient first).
+    """Roots q^k of an integer polynomial (highest coefficient first).
 
     Returns ({k: multiplicity}, cofactor left after dividing them out).
-    Once denominators are cleared, the rational-root theorem bounds k
-    between -v_q(leading coefficient) and v_q(lowest nonzero coefficient).
+    The rational-root theorem bounds k between -v_q(leading coefficient)
+    and v_q(lowest nonzero coefficient).
     """
-    den = math.lcm(*(c.denominator for c in charpoly))
-    ints = [int(c * den) for c in charpoly if c]
+    ends = [c for c in charpoly if c]
     roots = {}
     poly = list(charpoly)
-    for k in range(-_q_valuation(q, ints[0]), _q_valuation(q, ints[-1]) + 1):
-        rho = Fraction(q) ** k
+    for k in range(-_q_valuation(q, ends[0]), _q_valuation(q, ends[-1]) + 1):
+        a, b = (q**k, 1) if k >= 0 else (1, q**-k)
         while len(poly) > 1:
-            quo = [poly[0]]
-            for c in poly[1:]:
-                quo.append(c + rho * quo[-1])
-            if quo.pop():
+            quo = _divide_root(poly, a, b)
+            if quo is None:
                 break
             poly = quo
             roots[k] = roots.get(k, 0) + 1
     return roots, poly
 
 
+def _mode_values(q, modes, t0, t1):
+    """[sum over modes (k, (c_0, ..)) of sum_e c_e t^e q^(k t) for t in t0..t1],
+    each q^(k t) stepped by one multiplication."""
+    pw = [_q_pow(q, k * t0) for k, _ in modes]
+    steps = [_q_pow(q, k) for k, _ in modes]
+    out = []
+    for t in range(t0, t1 + 1):
+        out.append(sum(p * sum(c * t**e for e, c in enumerate(cs)) for p, (_, cs) in zip(pw, modes)))
+        pw = [p * s for p, s in zip(pw, steps)]
+    return out
+
+
 def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
     """Exact per-residue exponential-polynomial fit of a counted stream.
 
-    For each residue r mod period, Berlekamp-Massey over Q finds the minimal
+    For each residue r mod period, Berlekamp-Massey finds the minimal
     linear recurrence of the stable samples (n >= stable_from, consecutive);
     a recurrence of order L needs at least 2L+1 of them.  The roots of its
     characteristic polynomial must be powers of q, as the zeta series are
@@ -809,18 +845,38 @@ def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
     ratio q^k with a t-polynomial of degree < d, and the L coefficients are
     solved from the first L samples.  Every supplied sample must be
     reproduced.  Otherwise FitFailed names the residue and what fell short.
+
+    It runs on integers: in residue r the samples are scaled to
+    a_n q^(c n) m_r, with c >= 0 the least exponent clearing q from every
+    denominator at n >= 1 and m_r the denominator left.  That multiplies
+    each root by q^(c period) and keeps the recurrence (unique with 2L+1
+    samples), so BM, the roots, the solve and the sample check run on the
+    scaled stream, and only the final modes are scaled back.
     """
     if real.tag != "count":
         raise FitFailed("fitting runs over the count realization only")
+    if not isinstance(period, int) or isinstance(period, bool) or period < 1:
+        raise MotzetaError("strand_fit period must be a positive int, not %r" % (period,))
+    for n, v in samples.items():
+        if not isinstance(v, Rational):
+            raise MotzetaError("strand_fit sample at n=%r is not a rational number: %r" % (n, v))
     if stable_from is None:
         stable_from = dom_min
     q = real.q
+    stable = [n for n in samples if n >= stable_from]
+    c = 0
+    for n in stable:
+        while n > 0 and samples[n].denominator % q ** (c * n + 1) == 0:
+            c += 1
+    lam = c * period  # each scaled root is q^(k + lam)
     modes = []
     for r in range(period):
-        ts = sorted(n // period for n in samples if n >= stable_from and n % period == r)
+        ts = sorted(n // period for n in stable if n % period == r)
         if ts and ts[-1] - ts[0] + 1 != len(ts):
             raise FitFailed("residue %d: stable samples are not consecutive" % r)
-        vals = [Fraction(samples[period * t + r]) for t in ts]
+        scaled = [samples[period * t + r] * _q_pow(q, c * (period * t + r)) for t in ts]
+        m = math.lcm(*(x.denominator for x in scaled))
+        vals = [x.numerator * (m // x.denominator) for x in scaled]
         conn, order = _berlekamp_massey(vals)
         if len(vals) < 2 * order + 1:
             raise FitFailed(
@@ -829,26 +885,29 @@ def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
             )
         roots, rest = _q_power_roots(q, conn)
         if len(rest) > 1:
-            terms = ("(%s)z^%d" % (c, order - i) for i, c in enumerate(conn) if c)
+            terms = (
+                "(%s)z^%d" % (Fraction(x, conn[0] * q ** (lam * i)), order - i)
+                for i, x in enumerate(conn)
+                if x
+            )
             raise FitFailed(
                 "residue %d: characteristic polynomial %s has roots that are not powers of q=%d"
                 % (r, " + ".join(terms), q)
             )
-        basis = [(Fraction(q) ** k, e) for k, d in sorted(roots.items()) for e in range(d)]
-        sol = _solve_exact([[rho**t * t**e for rho, e in basis] for t in ts[:order]], vals[:order])
-        res_modes = {}
-        for (rho, e), c in zip(basis, sol):
-            res_modes.setdefault(rho, []).append(c)
-        modes.append(list(res_modes.items()))
+        basis = [(k, e) for k, d in sorted(roots.items()) for e in range(d)]
+        sol = _solve_exact([[_q_pow(q, k * t) * t**e for k, e in basis] for t in ts[:order]], vals[:order])
+        res = {}
+        for (k, _), x in zip(basis, sol):
+            res.setdefault(k, []).append(x)
+        den = math.lcm(*(x.denominator for x in sol))
+        ints = [(k, [x.numerator * (den // x.denominator) for x in xs]) for k, xs in res.items()]
+        for t, v, fit in zip(ts, vals, _mode_values(q, ints, ts[0], ts[-1])):
+            if fit != den * v:
+                raise FitFailed("the fit disagrees with the sample at n=%d" % (period * t + r))
+        back = m * q ** (c * r)
+        modes.append([(Fraction(q) ** (k - lam), [x / back for x in xs]) for k, xs in res.items()])
     exc = {n: v for n, v in samples.items() if n < stable_from}
-    fitted = EGSeq(real, period, modes, exc, dom_min, stable_from)
-    checked = sorted(n for n in samples if n >= dom_min)
-    if checked:
-        values = fitted.values(checked[0], checked[-1])
-        for n in checked:
-            if values[n - checked[0]] != samples[n]:
-                raise FitFailed("the fit disagrees with the sample at n=%d" % n)
-    return fitted
+    return EGSeq(real, period, modes, exc, dom_min, stable_from)
 
 
 def _pmul(a, b):
@@ -926,6 +985,12 @@ def closed_from_fit(seq, var="T"):
     keeps B's recurrence a_n + sum_{j>=1} B_j a_{n-j} = 0.  That is checked
     well past the stable threshold; FitFailed names the first n that breaks
     it and lists the candidate strands it solved over.
+
+    It runs on integers: at q^c T, c = max(0, ceil(-mu/Q)), B_j q^(c j)
+    and the ratios q^(mu + c Q) are integers, and so is M a_n q^(c n) for M
+    the common denominator of the scaled modes and exceptional values.  The
+    modes are evaluated once on that scale; the target and the recurrence
+    check are integer sums, and the target is divided back by M q^(c n).
     """
     real = seq.real
     if real.tag != "count":
@@ -935,28 +1000,52 @@ def closed_from_fit(seq, var="T"):
     q = real.q
     Q = seq.period
     mult = {}
+    logs = []  # per residue: its modes as (mu, coefficients)
     for r in range(Q):
+        logs.append([])
         for ratio, coeffs in seq.modes[r]:
             mu = _q_log(q, ratio)
             if mu is None:
                 raise FitFailed("mode ratio %s is not a power of q=%d" % (ratio, q))
             mult[mu] = max(mult.get(mu, 0), len(coeffs))
+            logs[r].append((mu, coeffs))
 
-    B = _q_binomials(q, Q, mult)
     cands = _strand_candidates(q, Q, mult)
     tried = "; ".join("x".join("(%d, %d)" % f for f in shape) for shape, _ in cands)
+    c = max([0] + [-(mu // Q) for mu in mult])
+    B = [int(x) for x in _q_binomials(q, Q, {mu + c * Q: k for mu, k in mult.items()})]
 
     hi = max(8 * Q, seq.stable_start + 4 * Q, 16)
-    a = [real.zero] + seq.values(1, max(hi, len(B) - 1))  # a[n] is a_n
-    terms = [(j, c) for j, c in enumerate(B) if c]
-    target = [sum(c * a[n - j] for j, c in terms if j <= n) for n in range(len(B))]
+    top = max(hi, len(B) - 1)
+    start = max(seq.stable_start, 1)
+    scaled = [
+        [(mu + c * Q, [Fraction(x) * q ** (c * r) for x in xs]) for mu, xs in logs[r]] for r in range(Q)
+    ]
+    exc = {n: Fraction(v) * q ** (c * n) for n, v in seq.exceptional.items() if 1 <= n < start}
+    M = math.lcm(
+        *(x.denominator for res in scaled for _, xs in res for x in xs),
+        *(v.denominator for v in exc.values()),
+    )
+    a = [0] * (top + 1)  # a[n] is M a_n q^(c n)
+    for n, v in exc.items():
+        a[n] = v.numerator * (M // v.denominator)
+    for r in range(Q):
+        t0, t1 = -((r - start) // Q), (top - r) // Q
+        ints = [(k, [x.numerator * (M // x.denominator) for x in xs]) for k, xs in scaled[r]]
+        for t, v in zip(range(t0, t1 + 1), _mode_values(q, ints, t0, t1)):
+            a[Q * t + r] = v
+    terms = [(j, x) for j, x in enumerate(B) if x]
+    # the coefficients of (sum a_n T^n) * B below len(B), scaled back
+    target = [
+        Fraction(sum(x * a[n - j] for j, x in terms if j <= n), M * q ** (c * n)) for n in range(len(B))
+    ]
     sol = _solve_exact([[num[j] for _, num in cands] for j in range(len(B))], target)
     if sol is None:
         raise FitFailed(
             "stream numerator is not a combination of the candidate strands (m, N): %s" % tried
         )
     for n in range(len(B), hi + 1):
-        if sum(c * a[n - j] for j, c in terms):
+        if sum(x * a[n - j] for j, x in terms):
             raise FitFailed(
                 "reconstruction over the candidate strands (m, N) %s disagrees "
                 "with the stream at n=%d" % (tried, n)
@@ -964,7 +1053,7 @@ def closed_from_fit(seq, var="T"):
     return ClosedSeries(
         real,
         (var,),
-        [Strand(c, (0,), [(m, (N,)) for m, N in shape]) for c, (shape, _) in zip(sol, cands) if c],
+        [Strand(x, (0,), [(m, (N,)) for m, N in shape]) for x, (shape, _) in zip(sol, cands) if x],
     )
 
 

@@ -15,6 +15,8 @@ the reference for the closed strands of dl_eval.
 fermat_twisted_dfs counts a twisted Fermat pair by the F_q DFS and
 fermat_affine_brute counts u^a + v^b = c pair by pair, the references for
 the power-table kernel geomset.fermat_counts.
+berlekamp_massey_brute is Massey's algorithm over Fractions, the reference
+for the fraction-free series._berlekamp_massey.
 strand_candidates_brute builds the candidate strands of closed_from_fit by
 trial division of B by each shape's denominator, the reference for the
 divisibility rule of series._strand_candidates.
@@ -367,6 +369,31 @@ def _pquo(a, b):
         quo.append(x - sum(c * quo[i - j] for j, c in terms if j <= i))
     deg = len(a) - len(b) + 1
     return quo[:deg] if deg > 0 and not any(quo[deg:]) else None
+
+
+def berlekamp_massey_brute(s):
+    """Shortest linear recurrence of the Fraction sequence s.
+
+    Returns (C, L) with C = [1, c_1, .., c_L] such that
+    s_n + c_1 s_{n-1} + .. + c_L s_{n-L} = 0 for every L <= n < len(s).
+    """
+    C, B = [Fraction(1)], [Fraction(1)]
+    L, shift, b = 0, 1, Fraction(1)
+    for n in range(len(s)):
+        d = s[n] + sum(C[i] * s[n - i] for i in range(1, L + 1))
+        if d == 0:
+            shift += 1
+            continue
+        prev = list(C)
+        C += [Fraction(0)] * (len(B) + shift - len(C))
+        for i, x in enumerate(B):
+            C[i + shift] -= d / b * x
+        if 2 * L <= n:
+            L, B, b, shift = n + 1 - L, prev, d, 1
+        else:
+            shift += 1
+        C += [Fraction(0)] * (L + 1 - len(C))
+    return C[: L + 1], L
 
 
 def strand_candidates_brute(q, Q, mult):

@@ -2,12 +2,13 @@
 
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from brute import chains_brute, strand_candidates_brute
+from brute import berlekamp_massey_brute, chains_brute, strand_candidates_brute
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,6 +30,7 @@ from motzeta.series import (
     SeparableSeries,
     Strand,
     TruncSeries,
+    _berlekamp_massey,
     _strand_candidates,
     cell_decompose,
     closed_from_fit,
@@ -689,6 +691,77 @@ def test_strand_fit_rejects_non_stream():
         strand_fit(COUNT, samples)
 
 
+@pytest.mark.parametrize(
+    "samples, period, message",
+    [
+        ({1: Fraction(1), 2: "a"}, 1, "strand_fit sample at n=2 is not a rational number: 'a'"),
+        ({1: None}, 1, "strand_fit sample at n=1 is not a rational number: None"),
+        ({3: 0.5}, 1, "strand_fit sample at n=3 is not a rational number: 0.5"),
+        ({1: Fraction(1)}, "a", "strand_fit period must be a positive int, not 'a'"),
+        ({1: Fraction(1)}, 0, "strand_fit period must be a positive int, not 0"),
+        ({1: Fraction(1)}, 2.0, "strand_fit period must be a positive int, not 2.0"),
+        ({1: Fraction(1)}, True, "strand_fit period must be a positive int, not True"),
+    ],
+)
+def test_strand_fit_refuses_malformed_input(samples, period, message):
+    with pytest.raises(MotzetaError, match=re.escape(message)) as err:
+        strand_fit(COUNT, samples, period=period)
+    assert not isinstance(err.value, (TypeError, ValueError))
+
+
+@pytest.mark.parametrize("q", [1, -1, 0, "a", 5.0, True, None])
+def test_count_realization_refuses_q_that_is_no_int_from_two(q):
+    # q = 1 or -1 would loop forever in the fit's q-valuations, q = 0 divide
+    # by zero, and the rest fail deep inside a count; the JSON loader builds
+    # its realization through the same constructor
+    message = re.escape("a count realization needs an int q >= 2, not %r" % (q,))
+    with pytest.raises(MotzetaError, match=message):
+        count_realization(q)
+    blob = json.dumps(
+        {"vars": ["T"], "realization": {"tag": "count", "q": q}, "mode": "trunc", "bound": 2, "entries": []}
+    )
+    with pytest.raises(MotzetaError, match=message):
+        series_from_json(blob)
+
+
+@st.composite
+def _bm_streams(draw):
+    """Integer or rational streams after a run of leading zeros: free
+    lists, or the first terms of a random recurrence."""
+    value = draw(st.sampled_from((st.integers(-30, 30), st.fractions(-30, 30, max_denominator=12))))
+    if draw(st.booleans()):
+        body = draw(st.lists(value, max_size=12))
+    else:
+        coeffs = draw(st.lists(value, min_size=1, max_size=4))
+        body = draw(st.lists(value, min_size=len(coeffs), max_size=len(coeffs)))
+        while len(body) < 14:
+            body.append(-sum(c * body[-1 - i] for i, c in enumerate(coeffs)))
+    return [0] * draw(st.integers(0, 3)) + body
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_bm_streams())
+@example([])
+@example([0, 0, 0, 0])
+@example([5])
+@example([0, 0, Fraction(2, 3)])
+def test_fraction_free_berlekamp_massey_matches_the_fraction_oracle(s):
+    # a rational stream is cleared of denominators first, as the fit does;
+    # a constant factor, or a geometric one 3^n that maps C(x) to C(3x),
+    # keeps L, and C too once 2L <= len(s), where the recurrence is unique
+    m = math.lcm(*(Fraction(x).denominator for x in s))
+    ints = [int(x * m) for x in s]
+    C, L = _berlekamp_massey(ints)
+    assert C[0] > 0 and math.gcd(*C) == 1
+    assert ([Fraction(c, C[0]) for c in C], L) == berlekamp_massey_brute([Fraction(x) for x in ints])
+    rational_C, rational_L = berlekamp_massey_brute([Fraction(x) for x in s])
+    C3, L3 = _berlekamp_massey([x * 3**n for n, x in enumerate(ints)])
+    assert rational_L == L3 == L
+    if 2 * L <= len(s):
+        assert rational_C == [Fraction(c, C[0]) for c in C]
+        assert [Fraction(c, C3[0]) for c in C3] == [Fraction(c * 3**i, C[0]) for i, c in enumerate(C)]
+
+
 def test_closed_from_fit_recovers_dictionary_forms():
     target = ClosedSeries(
         COUNT,
@@ -775,6 +848,20 @@ def _strand_sums(draw):
     return draw(st.sampled_from((3, 5, 7, 11, 13))), Q, list(zip(coeffs, shapes))
 
 
+def _recurrence_order(Q, terms):
+    """The stream's denominator is prod (1 - q^mu T^Q)^k, mu = m Q / N, with
+    k the most factors one strand has with that mu: each residue mod Q
+    satisfies a recurrence of order at most L = sum k, returned."""
+    mult = {}
+    for _, shape in terms:
+        per = {}
+        for m, N in shape:
+            per[m * Q // N] = per.get(m * Q // N, 0) + 1
+        for mu, k in per.items():
+            mult[mu] = max(mult.get(mu, 0), k)
+    return sum(mult.values())
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_strand_sums())
 def test_fit_recovers_random_strand_sums(case):
@@ -783,19 +870,50 @@ def test_fit_recovers_random_strand_sums(case):
     target = ClosedSeries(
         real, ("T",), [Strand(Fraction(c), (0,), [(m, (N,)) for m, N in shape]) for c, shape in terms]
     )
-    # the stream's denominator is prod (1 - q^mu T^Q)^k, mu = m Q / N, with
-    # k the most factors one strand has with that mu: each residue mod Q
-    # satisfies a recurrence of order at most L = sum k
-    mult = {}
-    for _, shape in terms:
-        per = {}
-        for m, N in shape:
-            per[m * Q // N] = per.get(m * Q // N, 0) + 1
-        for mu, k in per.items():
-            mult[mu] = max(mult.get(mu, 0), k)
-    D = Q * (2 * sum(mult.values()) + 1)
+    D = Q * (2 * _recurrence_order(Q, terms) + 1)
     table = target.expand(max(D, 8 * Q))
     seq = strand_fit(real, {n: table.coeff((n,)) for n in range(1, D + 1)}, period=Q)
+    closed = closed_from_fit(seq)
+    rec = closed.expand(8 * Q)
+    for n in range(1, 8 * Q + 1):
+        assert rec.coeff((n,)) == table.coeff((n,))
+    assert lim_infty(closed) == lim_infty(target)
+
+
+@st.composite
+def _scaled_strand_sums(draw):
+    """A strand sum over m prime to q whose samples below stable_from are
+    exceptional: all exact, or one of them moved by delta."""
+    q, Q, terms = draw(_strand_sums())
+    m = draw(st.integers(1, 30).filter(lambda m: math.gcd(m, q) == 1))
+    stable_from = draw(st.integers(1, 5))
+    moved = draw(st.sampled_from([None] + list(range(1, stable_from))))
+    delta = Fraction(draw(st.integers(1, 9)), draw(st.sampled_from((1, q, q**3, 7 * q))))
+    return q, Q, terms, m, stable_from, moved, delta
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_scaled_strand_sums())
+def test_fit_recovers_scaled_strand_sums_past_exceptional_samples(case):
+    # 1/m leaves a denominator prime to q for the fit to clear; samples
+    # below stable_from are not fitted, but B's recurrence reaches back to
+    # them, so closed_from_fit refuses a stream with one of them moved
+    q, Q, terms, m, stable_from, moved, delta = case
+    real = count_realization(q)
+    target = ClosedSeries(
+        real, ("T",), [Strand(Fraction(c, m), (0,), [(mu, (N,)) for mu, N in shape]) for c, shape in terms]
+    )
+    D = stable_from - 1 + Q * (2 * _recurrence_order(Q, terms) + 1)
+    table = target.expand(max(D, 8 * Q))
+    samples = {n: table.coeff((n,)) for n in range(1, D + 1)}
+    if moved:
+        samples[moved] += delta
+    seq = strand_fit(real, samples, period=Q, stable_from=stable_from)
+    assert seq.values(1, D) == [samples[n] for n in range(1, D + 1)]
+    if moved:
+        with pytest.raises(FitFailed):
+            closed_from_fit(seq)
+        return
     closed = closed_from_fit(seq)
     rec = closed.expand(8 * Q)
     for n in range(1, 8 * Q + 1):
