@@ -63,8 +63,8 @@ def _is_prime(n):
 
 
 def _require_prime(q, who):
-    if not _is_prime(q):
-        raise MotzetaError("%s needs a prime q, got %d" % (who, q))
+    if not isinstance(q, int) or isinstance(q, bool) or not _is_prime(q):
+        raise MotzetaError("%s needs a prime q, got %r" % (who, q))
 
 
 @functools.cache

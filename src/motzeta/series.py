@@ -911,8 +911,8 @@ def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
 
 
 def _pmul(a, b):
-    """Product of polynomials given lowest coefficient first."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    """Product of integer polynomials given lowest coefficient first."""
+    out = [0] * (len(a) + len(b) - 1)
     terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
@@ -922,19 +922,20 @@ def _pmul(a, b):
 
 
 def _q_binomials(q, Q, powers):
-    """prod_mu (1 - q^mu T^Q)^powers[mu], lowest coefficient first."""
-    out = [Fraction(1)]
+    """prod_mu (1 - q^mu T^Q)^powers[mu] for mu >= 0, lowest coefficient
+    first."""
+    out = [1]
     for mu, k in powers.items():
-        factor = [Fraction(1)] + [Fraction(0)] * (Q - 1) + [-Fraction(q) ** mu]
+        factor = [1] + [0] * (Q - 1) + [-(q**mu)]
         for _ in range(k):
             out = _pmul(out, factor)
     return out
 
 
-def _strand_candidates(q, Q, mult):
+def _strand_candidates(q, Q, mult, c):
     """The candidate strands over B = prod_mu (1 - q^mu T^Q)^mult[mu], each
-    with its numerator B * prod L^m T^N/(1 - L^m T^N), lowest coefficient
-    first, len(B) entries.
+    with its numerator B * prod L^m T^N/(1 - L^m T^N) at q^c T, lowest
+    coefficient first, len(B) integer entries.
 
     The open factors are the (m, N) with N | Q and mu = m Q / N in mult; the
     shapes are each factor, then each pair.  The roots of 1 - q^m T^N are
@@ -942,13 +943,16 @@ def _strand_candidates(q, Q, mult):
     root T = q^(-mu/Q), so B / prod(shape) is a polynomial iff the shape uses
     no mu more than mult[mu] times.  Then it is
     prod_mu (1 - q^mu T^Q)^(mult[mu] - used[mu]) times, per factor,
-    sum_{t < Q/N} q^(m t) T^(N t).
+    sum_{t < Q/N} q^(m t) T^(N t).  At q^c T every exponent mu becomes
+    mu + c Q and every m becomes m + c N = N (mu + c Q) / Q, so with
+    c >= ceil(-mu/Q) for every mu all of them are >= 0 and the numerators
+    are integer polynomials.
     """
     steps = [N for N in range(1, Q + 1) if Q % N == 0]
     factors = sorted({(mu * N // Q, N) for mu in mult for N in steps if mu * N % Q == 0})
     shapes = [(f,) for f in factors]
     shapes += [(f1, f2) for i, f1 in enumerate(factors) for f2 in factors[i:]]
-    rests = {}  # the powers left of B -> their product
+    rests = {}  # the powers left of B -> their product at q^c T
     cands = []
     for shape in shapes:
         left = dict(mult)
@@ -958,15 +962,16 @@ def _strand_candidates(q, Q, mult):
             continue
         key = tuple(sorted(left.items()))
         if key not in rests:
-            rests[key] = _q_binomials(q, Q, left)
+            rests[key] = _q_binomials(q, Q, {mu + c * Q: k for mu, k in key})
         quo = rests[key]
         for m, N in shape:
-            geo = [Fraction(0)] * (Q - N + 1)
+            ratio = q ** (m + c * N)
+            geo = [0] * (Q - N + 1)
             for t in range(Q // N):
-                geo[N * t] = Fraction(q) ** (m * t)
+                geo[N * t] = ratio**t
             quo = _pmul(quo, geo)
-        scale = Fraction(q) ** sum(m for m, _ in shape)
-        cands.append((shape, [Fraction(0)] * sum(N for _, N in shape) + [scale * c for c in quo]))
+        scale = q ** sum(m + c * N for m, N in shape)
+        cands.append((shape, [0] * sum(N for _, N in shape) + [scale * x for x in quo]))
     return cands
 
 
@@ -986,11 +991,14 @@ def closed_from_fit(seq, var="T"):
     well past the stable threshold; FitFailed names the first n that breaks
     it and lists the candidate strands it solved over.
 
-    It runs on integers: at q^c T, c = max(0, ceil(-mu/Q)), B_j q^(c j)
-    and the ratios q^(mu + c Q) are integers, and so is M a_n q^(c n) for M
-    the common denominator of the scaled modes and exceptional values.  The
-    modes are evaluated once on that scale; the target and the recurrence
-    check are integer sums, and the target is divided back by M q^(c n).
+    It runs on integers: at q^c T, c = max(0, ceil(-mu/Q)), B_j q^(c j),
+    the ratios q^(mu + c Q) and the candidate numerators are integers, and
+    so is M a_n q^(c n) for M the common denominator of the scaled modes and
+    exceptional values.  The modes are evaluated once on that scale.  Row n
+    of the solve is then q^(c n) times its unscaled candidate row and M
+    q^(c n) times its unscaled target, so the integer solve gives M times
+    the strand coefficients, divided by M once; the recurrence check is
+    integer sums too.
     """
     real = seq.real
     if real.tag != "count":
@@ -1010,10 +1018,10 @@ def closed_from_fit(seq, var="T"):
             mult[mu] = max(mult.get(mu, 0), len(coeffs))
             logs[r].append((mu, coeffs))
 
-    cands = _strand_candidates(q, Q, mult)
-    tried = "; ".join("x".join("(%d, %d)" % f for f in shape) for shape, _ in cands)
     c = max([0] + [-(mu // Q) for mu in mult])
-    B = [int(x) for x in _q_binomials(q, Q, {mu + c * Q: k for mu, k in mult.items()})]
+    cands = _strand_candidates(q, Q, mult, c)
+    tried = "; ".join("x".join("(%d, %d)" % f for f in shape) for shape, _ in cands)
+    B = _q_binomials(q, Q, {mu + c * Q: k for mu, k in mult.items()})
 
     hi = max(8 * Q, seq.stable_start + 4 * Q, 16)
     top = max(hi, len(B) - 1)
@@ -1035,10 +1043,8 @@ def closed_from_fit(seq, var="T"):
         for t, v in zip(range(t0, t1 + 1), _mode_values(q, ints, t0, t1)):
             a[Q * t + r] = v
     terms = [(j, x) for j, x in enumerate(B) if x]
-    # the coefficients of (sum a_n T^n) * B below len(B), scaled back
-    target = [
-        Fraction(sum(x * a[n - j] for j, x in terms if j <= n), M * q ** (c * n)) for n in range(len(B))
-    ]
+    # the coefficients of (sum a_n T^n) * B below len(B), at q^c T and times M
+    target = [sum(x * a[n - j] for j, x in terms if j <= n) for n in range(len(B))]
     sol = _solve_exact([[num[j] for _, num in cands] for j in range(len(B))], target)
     if sol is None:
         raise FitFailed(
@@ -1053,40 +1059,52 @@ def closed_from_fit(seq, var="T"):
     return ClosedSeries(
         real,
         (var,),
-        [Strand(x, (0,), [(m, (N,)) for m, N in shape]) for x, (shape, _) in zip(sol, cands) if x],
+        [Strand(x / M, (0,), [(m, (N,)) for m, N in shape]) for x, (shape, _) in zip(sol, cands) if x],
     )
 
 
 def _solve_exact(rows, rhs):
-    """Particular solution of rows * x = rhs over Fractions, or None.
+    """Particular solution of rows * x = rhs over Q, or None.
 
-    Gauss-Jordan: a pivot row is zero left of its pivot column, so only its
-    nonzero entries from there on are scaled and eliminated with."""
+    rows and rhs hold ints or Fractions; the unknowns off the pivot columns
+    are 0 and the rest come back as Fractions.  Fraction-free Gauss-Jordan
+    (after Bareiss, Math. Comp. 22, 1968): each augmented row is cleared of
+    denominators once, a pivot row eliminates its column from every other
+    row as row <- pv row - f prow, and that row is divided by its content.
+    Scaling a row keeps its zeros, so the pivots, and the solution
+    pivot-row rhs / pivot, are those of the reduced echelon form.  A pivot
+    row is zero left of its pivot column, so only its nonzero entries from
+    there on are eliminated with."""
     n = len(rows[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    aug = []
+    for row, b in zip(rows, rhs):
+        row = [*row, b]
+        den = math.lcm(*(x.denominator for x in row))
+        aug.append([x.numerator * (den // x.denominator) for x in row])
     pivots = []
     for col in range(n):
         r = len(pivots)
-        sel = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        sel = next((i for i in range(r, len(aug)) if aug[i][col]), None)
         if sel is None:
             continue
         aug[r], aug[sel] = aug[sel], aug[r]
         prow = aug[r]
         pv = prow[col]
-        live = [j for j in range(col, n + 1) if prow[j]]
-        for j in live:
-            prow[j] /= pv
+        live = [(j, prow[j]) for j in range(col, n + 1) if prow[j]]
         for i, row in enumerate(aug):
             f = row[col]
             if i != r and f:
-                for j in live:
-                    row[j] -= f * prow[j]
+                row = [pv * x for x in row]
+                for j, y in live:
+                    row[j] -= f * y
+                g = math.gcd(*row)
+                aug[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
-    if any(row[n] != 0 for row in aug[len(pivots):]):
+    if any(row[n] for row in aug[len(pivots):]):
         return None
     sol = [Fraction(0)] * n
     for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
+        sol[col] = Fraction(aug[i][n], aug[i][col])
     return sol
 
 

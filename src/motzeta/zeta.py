@@ -278,6 +278,9 @@ def monomial_pair_counts(a, b, n, q):
     counts, and every condition above the leading position is linear in a
     fresh coordinate pair and contributes a factor q."""
     _require_prime(q, "monomial_pair_counts")
+    for name, v in (("a", a), ("b", b), ("n", n)):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise MotzetaError("monomial_pair_counts: %s must be an int >= 1, not %r" % (name, v))
     _require_prime_to(q, a=a, b=b)
     f0, f1, negb = fermat_affine_counts(a, b, q)
     ga = math.gcd(a, q - 1)
@@ -570,7 +573,7 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     if mode == "hist":
         ef, eg = JetExpansion(f), JetExpansion(g)
     ent = {}
-    splits = {"A1": {}, "A2": {}, "A3": {}, "Bpair": {}}
+    splits = {"A1": {}, "A2": {}, "A3": {}, "Bpair": {}} if split else {}
     for n in range(1, D + 1):
         if mode == "strata":
             c = monomial_pair_counts(exps[0], exps[1], n, q)

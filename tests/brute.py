@@ -20,6 +20,8 @@ for the fraction-free series._berlekamp_massey.
 strand_candidates_brute builds the candidate strands of closed_from_fit by
 trial division of B by each shape's denominator, the reference for the
 divisibility rule of series._strand_candidates.
+solve_exact_brute is Gauss-Jordan elimination over Fractions, the
+reference for the fraction-free solver series._solve_exact.
 chains_brute multiplies the stream values along every strictly increasing
 tuple of axis values, the reference for the chain walk
 series.expand_chains.
@@ -420,6 +422,39 @@ def strand_candidates_brute(q, Q, mult):
             scale = Fraction(q) ** sum(m for m, _ in shape)
             cands.append((shape, [Fraction(0)] * sum(N for _, N in shape) + [scale * c for c in quo]))
     return cands
+
+
+def solve_exact_brute(rows, rhs):
+    """Particular solution of rows * x = rhs over Fractions, or None.
+
+    Gauss-Jordan: a pivot row is zero left of its pivot column, so only its
+    nonzero entries from there on are scaled and eliminated with."""
+    n = len(rows[0]) if rows else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        prow = aug[r]
+        pv = prow[col]
+        live = [j for j in range(col, n + 1) if prow[j]]
+        for j in live:
+            prow[j] /= pv
+        for i, row in enumerate(aug):
+            f = row[col]
+            if i != r and f:
+                for j in live:
+                    row[j] -= f * prow[j]
+        pivots.append(col)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        sol[col] = aug[i][n]
+    return sol
 
 
 def chains_brute(vars, masks, streams, bound):

@@ -8,7 +8,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from brute import berlekamp_massey_brute, chains_brute, strand_candidates_brute
+from brute import berlekamp_massey_brute, chains_brute, solve_exact_brute, strand_candidates_brute
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +31,7 @@ from motzeta.series import (
     Strand,
     TruncSeries,
     _berlekamp_massey,
+    _solve_exact,
     _strand_candidates,
     cell_decompose,
     closed_from_fit,
@@ -762,6 +763,63 @@ def test_fraction_free_berlekamp_massey_matches_the_fraction_oracle(s):
         assert [Fraction(c, C3[0]) for c in C3] == [Fraction(c * 3**i, C[0]) for i, c in enumerate(C)]
 
 
+@st.composite
+def _linear_systems(draw):
+    """(rows, rhs) of ints or Fractions, any shape: free entries, or a
+    product of thin factors (rank below the shape), with a rhs in the column
+    span or drawn freely (inconsistent when the rows are dependent)."""
+    value = draw(st.sampled_from((st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))))
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        rows = [[draw(value) for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        k = draw(st.integers(0, min(nrows, ncols)))
+        left = [[draw(value) for _ in range(k)] for _ in range(nrows)]
+        right = [[draw(value) for _ in range(ncols)] for _ in range(k)]
+        rows = [[sum(a * b[j] for a, b in zip(lr, right)) for j in range(ncols)] for lr in left]
+    if draw(st.booleans()):
+        x = [draw(value) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = [draw(value) for _ in range(nrows)]
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_linear_systems())
+@example(([], []))
+@example(([[], []], [0, 0]))
+@example(([[], []], [0, 1]))
+@example(([[0, 0], [0, 0]], [0, 0]))
+@example(([[1, 2], [2, 4], [3, 6]], [1, 2, 5]))
+@example(([[Fraction(1, 2), 1], [1, 2], [0, 3]], [1, 2, Fraction(3, 4)]))
+def test_fraction_free_solver_matches_the_fraction_oracle(system):
+    # the same particular solution (0 off the pivot columns), or None
+    rows, rhs = system
+    got = _solve_exact(rows, rhs)
+    assert got == solve_exact_brute(rows, rhs)
+    assert got is None or all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((5, 7, 11, 13)),
+    st.lists(st.one_of(st.integers(-50, 50), st.fractions(-5, 5, max_denominator=9)), min_size=9, max_size=9),
+    st.integers(0, 12),
+    st.integers(-2, 2),
+)
+def test_fraction_free_solver_on_the_x2_plus_y3_read_off(q, x, n, bump):
+    # the read-off of x^2 + y^3 at q T: B = (1 - q^0 T^6)(1 - q^1 T^6) has
+    # 13 coefficients and 9 candidate strands; the rhs combines them, bumped
+    # at one row
+    cands = _strand_candidates(q, 6, {-6: 1, -5: 1}, 1)
+    rows = [[num[j] for _, num in cands] for j in range(13)]
+    assert len(cands) == 9
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    rhs[n] += bump
+    assert _solve_exact(rows, rhs) == solve_exact_brute(rows, rhs)
+
+
 def test_closed_from_fit_recovers_dictionary_forms():
     target = ClosedSeries(
         COUNT,
@@ -829,7 +887,15 @@ def test_closed_from_fit_names_the_first_sample_off_the_recurrence():
     st.dictionaries(st.integers(-14, 14), st.integers(1, 3), min_size=1, max_size=3),
 )
 def test_strand_candidates_match_trial_division(q, Q, mult):
-    assert _strand_candidates(q, Q, mult) == strand_candidates_brute(q, Q, mult)
+    # at q^c T, with c the least shift making every mu + c Q >= 0, each
+    # numerator is an integer polynomial: the oracle's coefficients times q^(c j)
+    c = max(0, max(-(mu // Q) for mu in mult))
+    got = _strand_candidates(q, Q, mult, c)
+    want = strand_candidates_brute(q, Q, mult)
+    assert [shape for shape, _ in got] == [shape for shape, _ in want]
+    for (_, num), (_, ref) in zip(got, want):
+        assert all(type(x) is int for x in num)
+        assert num == [x * q ** (c * j) for j, x in enumerate(ref)]
 
 
 @st.composite

@@ -487,6 +487,20 @@ def _symbolic_entry(coeff):
                      "the family fs needs at least one function", id="separable-empty"),
         pytest.param(lambda: monomial_pair_counts(3, 2, 3, 3),
                      "exponent a=3 must be prime to q=3", id="pair-exponent"),
+        pytest.param(lambda: monomial_pair_counts(-2, 3, 4, 7),
+                     "monomial_pair_counts: a must be an int >= 1, not -2", id="pair-a"),
+        pytest.param(lambda: monomial_pair_counts(2, 0, 4, 7),
+                     "monomial_pair_counts: b must be an int >= 1, not 0", id="pair-b"),
+        pytest.param(lambda: monomial_pair_counts(2, 3, 0, 7),
+                     "monomial_pair_counts: n must be an int >= 1, not 0", id="pair-level"),
+        pytest.param(lambda: monomial_pair_counts(2.0, 3, 4, 7),
+                     "monomial_pair_counts: a must be an int >= 1, not 2.0", id="pair-a-int"),
+        pytest.param(lambda: monomial_pair_counts(2, 3, True, 7),
+                     "monomial_pair_counts: n must be an int >= 1, not True", id="pair-level-bool"),
+        pytest.param(lambda: monomial_pair_counts(2, 3, 4, 7.0),
+                     "monomial_pair_counts needs a prime q, got 7.0", id="pair-q-int"),
+        pytest.param(lambda: AxisCounts(X2, 7.5), "AxisCounts needs a prime q, got 7.5", id="axis-q-int"),
+        pytest.param(lambda: AxisCounts(X2, True), "AxisCounts needs a prime q, got True", id="axis-q-bool"),
         pytest.param(lambda: validate_cone(ConePieces(()), lambda p: False, 3),
                      "dim is needed when there are no pieces", id="validate-dim"),
         pytest.param(lambda: dl_eval(RES2, R7, cone=ConePieces(((((1, 0, 0),), (True,)),))),
