@@ -20,11 +20,21 @@ Untwisted coordinates (e_i = 0 mod K) are plain F_q coordinates.  Quotient
 counts follow by averaging twisted counts over the group (Burnside-Frobenius;
 all quotients taken here are by free actions).
 
+Each GeomSet holds its equations in one sparse form, built once at
+construction: an equation is (const, ((monomial, coeff), ...)) with integer
+coefficients, a monomial a tuple of (coordinate index, exponent) sorted by
+index.  GeomSet(coords, equations) builds it from Polys; the jet loci of
+zeta are built in it directly from the digits of poly.JetExpansion, and
+their Poly view (GeomSet.equations) is built only when read.  A count only
+applies its twist to that form (_prepare): each coefficient becomes
+c_a g^{(E(a) - r)/N} mod q, and in an untwisted sector (every e_i = 0 mod K)
+it is just c_a mod q.
+
 The twisted Fermat pairs of a convolution (fermat_twisted_count) reduce to
 a diagonal equation g^e_u x^N + g^e_v y^N = c over F_q^*, which
 fermat_counts counts from the table of N-th powers of F_q^*, without a
 search.  Every other GeomSet is counted by the DFS below, the one search
-over the compiled equations; it counts points and lists none.
+over the twisted equations; it counts points and lists none.
 
 The DFS runs over per-coordinate candidate sets with partial evaluation of
 the equations, pruning of contradictions, and dynamic detection of
@@ -53,6 +63,7 @@ from .poly import Poly
 DEFAULT_BUDGET = 10**8
 
 
+@functools.cache
 def _is_prime(n):
     if n < 2:
         return False
@@ -103,14 +114,42 @@ class WorkMeter:
 
 
 class GeomSet:
-    """Equivariant affine presentation; immutable by convention."""
+    """Equivariant affine presentation; immutable by convention.
 
-    __slots__ = ("coords", "equations", "nonzero", "action_order", "weights")
+    equations is the tuple of Polys; the counts read the sparse form of the
+    module docstring, built once here."""
+
+    __slots__ = ("coords", "nonzero", "action_order", "weights", "_eqs", "_polys")
 
     def __init__(self, coords, equations=(), nonzero=(), action_order=1, weights=None):
-        self.coords = tuple(coords)
-        self.equations = tuple(equations)
+        self._set_action(coords, action_order, weights)
+        self._polys = tuple(equations)
+        index = {c: i for i, c in enumerate(self.coords)}
+        unknown = {v for eq in self._polys for v in eq.vars} - index.keys()
+        if unknown:
+            raise VariableMismatch("GeomSet equations mention unknown coords %s" % sorted(unknown))
+        self._eqs = tuple(_sparse_equation(eq, index) for eq in self._polys)
         self.nonzero = frozenset(nonzero)
+        if not (self.nonzero <= set(self.coords)):
+            raise VariableMismatch(
+                "GeomSet nonzero names unknown coords %s" % sorted(self.nonzero - set(self.coords))
+            )
+
+    @classmethod
+    def _from_sparse(cls, coords, eqs, action_order=1, weights=None):
+        """A GeomSet with no nonzero constraint whose equations eqs are
+        already in the sparse form over coords; its Polys are built when
+        first read."""
+        gs = cls.__new__(cls)
+        gs._set_action(coords, action_order, weights)
+        gs._eqs = tuple(eqs)
+        gs._polys = None
+        gs.nonzero = frozenset()
+        return gs
+
+    def _set_action(self, coords, action_order, weights):
+        """Set and check the coordinates, the action order and the weights."""
+        self.coords = tuple(coords)
         self.action_order = int(action_order)
         if self.action_order < 1:
             raise MotzetaError("GeomSet action_order must be >= 1, not %d" % self.action_order)
@@ -121,15 +160,13 @@ class GeomSet:
             raise VariableMismatch(
                 "GeomSet weights: %d weights for %d coords" % (len(self.weights), len(self.coords))
             )
-        unknown = set()
-        for eq in self.equations:
-            unknown |= set(eq.vars) - set(self.coords)
-        if unknown:
-            raise VariableMismatch("GeomSet equations mention unknown coords %s" % sorted(unknown))
-        if not (self.nonzero <= set(self.coords)):
-            raise VariableMismatch(
-                "GeomSet nonzero names unknown coords %s" % sorted(self.nonzero - set(self.coords))
-            )
+
+    @property
+    def equations(self):
+        """The equations as Polys in the coordinate names."""
+        if self._polys is None:
+            self._polys = tuple(Poly.from_sparse(self.coords, eq) for eq in self._eqs)
+        return self._polys
 
     @property
     def dim(self):
@@ -141,27 +178,16 @@ class GeomSet:
         N = self.action_order
         if N == 1:
             return True
-        widx = {c: w for c, w in zip(self.coords, self.weights)}
-        for eq in self.equations:
-            weight = None
-            has_const = False
-            for e in eq.terms:
-                if not any(e):
-                    has_const = True
-                    continue
-                w = sum(x * widx[v] for v, x in zip(eq.vars, e)) % N
-                if weight is None:
-                    weight = w
-                elif weight != w:
-                    return False
-            if has_const and weight not in (None, 0):
+        for const, terms in self._eqs:
+            ws = {sum(x * self.weights[i] for i, x in mono) % N for mono, _c in terms}
+            if len(ws) > 1 or const and ws - {0}:
                 return False
         return True
 
     def __repr__(self):
         return "GeomSet(coords=%r, eqs=%d, order=%d)" % (
             self.coords,
-            len(self.equations),
+            len(self._eqs),
             self.action_order,
         )
 
@@ -169,36 +195,45 @@ class GeomSet:
 # --- reduction to F_q ----------------------------------------------------------
 
 
-def _compile_equation(eq, coord_index, exps, N, q, g):
-    """Poly -> (const, {monomial: coeff}) over F_q in the coordinates u_i of
-    x_i = zeta_K^{exps[i]} u_i, divided by zeta_K^r (see the module docstring).
-
-    A monomial is a sorted tuple of (coordinate index, exponent).  Raises
-    MotzetaError if the equation is not semi-invariant under the twist.
-    """
-    const = 0
-    terms = {}
-    r = None
+def _sparse_equation(eq, index):
+    """A Poly as (const, ((monomial, coeff), ...)) in the coordinate indices
+    index, its terms in the Poly's order."""
+    const, terms = 0, []
     for e, c in eq.terms.items():
+        mono = tuple(sorted((index[v], x) for v, x in zip(eq.vars, e) if x))
+        if mono:
+            terms.append((mono, c))
+        else:
+            const = c
+    return const, tuple(terms)
+
+
+def _twist(gs, k, exps, N, q, g):
+    """Equation k of gs over F_q in the coordinates u_i of
+    x_i = zeta_K^{exps[i]} u_i, divided by zeta_K^r (see the module
+    docstring): (const, {monomial: coeff}).  Raises MotzetaError if the
+    equation is not semi-invariant under the twist."""
+    const, terms = gs._eqs[k]
+    out = {}
+    r = None
+    for mono, c in terms:
         if c % q == 0:
             continue
-        mono = tuple(sorted((coord_index[v], x) for v, x in zip(eq.vars, e) if x))
-        if not mono:
-            const = c % q
-            continue
-        E = sum(x * exps[i] for i, x in mono)
+        E = 0
+        for i, x in mono:
+            E += x * exps[i]
         if r is None:
             r = E % N
         elif E % N != r:
             raise MotzetaError(
-                "equation %s is not semi-invariant under the twist" % eq.render()
+                "equation %s is not semi-invariant under the twist" % gs.equations[k].render()
             )
-        terms[mono] = c * pow(g, (E - r) // N, q) % q
-    if const and r:
+        out[mono] = c * pow(g, (E - r) // N, q) % q
+    if const % q and r:
         raise MotzetaError(
-            "equation %s is not semi-invariant under the twist" % eq.render()
+            "equation %s is not semi-invariant under the twist" % gs.equations[k].render()
         )
-    return const, terms
+    return const % q, out
 
 
 def _specialize(eq, i, value, q):
@@ -369,16 +404,21 @@ def _prepare(gs, q, exps):
     have x_i = t_i u_i with t_i = zeta_K^{e_i}, K = N (q - 1), and u_i in
     F_q (nonzero where x_i is constrained nonzero).  zeta_K is fixed by
     zeta_K^N = g, g the least primitive root mod q.  Returns the equations in
-    the u_i, compiled and rescaled over F_q, and the candidate values of each
-    u_i.
+    the u_i, the sparse form of gs twisted and reduced over F_q, and the
+    candidate values of each u_i.
     """
     N = gs.action_order
     _check_twist(N, q, exps)
     K = N * (q - 1)
     exps = [e % K for e in exps]
-    g = _primitive_root(q)
-    coord_index = {c: i for i, c in enumerate(gs.coords)}
-    eqs = [_compile_equation(eq, coord_index, exps, N, q, g) for eq in gs.equations]
+    if any(exps):
+        g = _primitive_root(q)
+        eqs = [_twist(gs, k, exps, N, q, g) for k in range(len(gs._eqs))]
+    else:
+        eqs = [
+            (const % q, {mono: c % q for mono, c in terms if c % q})
+            for const, terms in gs._eqs
+        ]
     units = list(range(1, q))
     with_zero = [0] + units
     candidates = [units if c in gs.nonzero else with_zero for c in gs.coords]
@@ -399,6 +439,8 @@ def twisted_count(gs, q, g_exp=0, meter=None):
     x_i^q = xi^{-g_exp * w_i} x_i.  meter (default: a fresh WorkMeter with
     DEFAULT_BUDGET) is charged for the candidates tried.
     """
+    if not isinstance(g_exp, int) or isinstance(g_exp, bool):
+        raise MotzetaError("twisted_count g_exp must be an int, not %r" % (g_exp,))
     if meter is None:
         meter = WorkMeter()
     eqs, candidates = _prepare(gs, q, _sector_exps(gs, g_exp))

@@ -137,6 +137,21 @@ class Poly:
         key = (0,) * len(self.vars)
         return self.terms.get(key, 0)
 
+    @classmethod
+    def from_sparse(cls, names, eq):
+        """The Poly of a sparse equation (const, ((monomial, coeff), ...)),
+        a monomial a tuple of (index into names, exponent)."""
+        const, terms = eq
+        used = sorted({i for mono, _c in terms for i, _x in mono}, key=names.__getitem__)
+        pos = {i: k for k, i in enumerate(used)}
+        out = {(0,) * len(used): const}
+        for mono, c in terms:
+            e = [0] * len(used)
+            for i, x in mono:
+                e[pos[i]] = x
+            out[tuple(e)] = c
+        return cls([names[i] for i in used], out)
+
     def as_monomial(self):
         """Return (coeff, var, exp) when this is c*v^e in one variable."""
         if len(self.terms) != 1 or len(self.vars) != 1:
@@ -185,15 +200,21 @@ class JetExpansion:
     """The digits of f(phi(t)) for a generic jet phi, each computed once.
 
     Each variable v of f is replaced by v_1*t + v_2*t^2 + ... (a jet based
-    at the origin); digits(n) returns f(phi(t)) mod t^{n+1} as a list of
-    n + 1 Polys, entry m the coefficient of t^m in the jet coordinates
-    named "v_j".  Digit m involves only the v_j with j <= m, so a deeper
-    expansion extends a shallower one: digits(n) computes only the digits
-    still missing.  The series phi^e of every exponent vector on
-    the way to a term of f is built from a shorter one times one phi_i, on
-    sparse polynomials: dicts from monomials, sorted tuples of coordinate
-    ids with one entry per factor (v_j of the i-th variable has id
-    j * len(f.vars) + i), to integer coefficients.
+    at the origin).  Digit m, the coefficient of t^m, involves only the v_j
+    with j <= m, so a deeper expansion extends a shallower one: a call
+    computes only the digits still missing.  The series phi^e of every
+    exponent vector on the way to a term of f is built from a shorter one
+    times one phi_i, on sparse polynomials: dicts from monomials, sorted
+    tuples of coordinate ids with one entry per factor (v_j of the i-th
+    variable has id j * len(f.vars) + i), to integer coefficients.
+
+    Each digit is then grouped once into a constant and a tuple of (monomial,
+    coefficient) pairs whose monomials are tuples of (i, j, exponent) sorted
+    by variable i and then by j.  level(n) reads digits 0..n off that form as
+    sparse equations over the level-n jet coordinates, where v_j of the p-th
+    variable has index p*n + j - 1: the index order is the (i, j) order, so
+    no monomial is sorted again at any level.  digits(n) is the same as Polys
+    in the coordinate names "v_j".
     """
 
     def __init__(self, f):
@@ -208,12 +229,29 @@ class JetExpansion:
                 e = prev
         self._steps = sorted(steps.items(), key=lambda s: sum(s[0]))
         self._series = {(0,) * len(f.vars): []}  # e -> digits of phi^e
-        self._digits = []
+        self._digits = []  # digit m as (const, ((((i, j, exponent), ...), coeff), ...))
 
-    def digits(self, n):
+    def level(self, n, vars=None):
+        """Digits 0..n of f(phi) as (const, ((monomial, coeff), ...)) over the
+        level-n jet coordinates of vars: sorted names that include f's
+        (default f.vars), v_j of the p-th one having index p*n + j - 1, and a
+        monomial a sorted tuple of (index, exponent)."""
         while len(self._digits) <= n:
             self._extend()
-        return self._digits[: n + 1]
+        if vars is None:
+            base = [i * n - 1 for i in range(len(self.f.vars))]
+        else:
+            base = [vars.index(v) * n - 1 for v in self.f.vars]
+        return [
+            (const, tuple([(tuple([(base[i] + j, x) for i, j, x in mono]), c) for mono, c in terms]))
+            for const, terms in self._digits[: n + 1]
+        ]
+
+    def digits(self, n):
+        """f(phi(t)) mod t^{n+1} as n + 1 Polys, entry m the coefficient of
+        t^m in the jet coordinates named "v_j"."""
+        names = ["%s_%d" % (v, j) for v in self.f.vars for j in range(1, n + 1)]
+        return [Poly.from_sparse(names, digit) for digit in self.level(n)]
 
     def _extend(self):
         """Compute digit m of every phi^e from the digits below it."""
@@ -232,23 +270,12 @@ class JetExpansion:
         for e, c in self.f.terms.items():
             for mono, v in self._series[e][m].items():
                 total[mono] = total.get(mono, 0) + c * v
-        self._digits.append(self._to_poly(total))
-
-    def _to_poly(self, digit):
-        vars_, k = self.f.vars, len(self.f.vars)
-        name = {
-            v: "%s_%d" % (vars_[v % k], v // k)
-            for v in {v for mono in digit for v in mono}
-        }
-        ids = sorted(name, key=name.get)
-        pos = {v: i for i, v in enumerate(ids)}
-        terms = {}
-        for mono, c in digit.items():
-            e = [0] * len(ids)
-            for v in mono:
-                e[pos[v]] += 1
-            terms[tuple(e)] = c
-        return Poly(tuple(name[v] for v in ids), terms)
+        const = total.pop((), 0)
+        terms = tuple(
+            (tuple(sorted([(v % k, v // k, mono.count(v)) for v in set(mono)])), c)
+            for mono, c in total.items()
+        )
+        self._digits.append((const, terms))
 
 
 # --- parsing (the CLI expression grammar) ------------------------------------

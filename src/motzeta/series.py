@@ -96,6 +96,14 @@ def _check_same_shape(a, b):
 # ---------------------------------------------------------------------------
 
 
+def _require_bound(bound):
+    """Refuse a truncation bound that is not an int >= 0 (a bool is not one)."""
+    if not isinstance(bound, int) or isinstance(bound, bool):
+        raise VariableMismatch("truncation bound must be an int, not %r" % (bound,))
+    if bound < 0:
+        raise VariableMismatch("truncation bound must be >= 0, not %d" % bound)
+
+
 class TruncSeries:
     """Total-degree truncated series.
 
@@ -110,9 +118,7 @@ class TruncSeries:
         vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise VariableMismatch("duplicate variable names: %s" % list(vars))
-        bound = int(bound)
-        if bound < 0:
-            raise VariableMismatch("truncation bound must be >= 0, not %d" % bound)
+        _require_bound(bound)
         items = entries.items() if isinstance(entries, dict) else entries
         merged = {}
         for exp, val in items:

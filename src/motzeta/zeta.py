@@ -80,6 +80,7 @@ from .series import (
     SeparableSeries,
     Strand,
     TruncSeries,
+    _require_bound,
     _solve_exact,
     expand_chains,
     lim_infty,
@@ -115,25 +116,35 @@ def jet_set(f, n, exact=True, action_order=None):
     over the zeros of f instead (zeta_trunc with base="global").
     """
     f = _as_poly(f)
-    return _jet_locus(f.vars, JetExpansion(f).digits(n), n, exact, action_order)
+    _require_level(n)
+    return _jet_locus(f.vars, JetExpansion(f).level(n), n, exact, action_order)
 
 
-def _jet_locus(vars, cs, n, exact=True, action_order=None):
-    """jet_set from the digits cs of f(phi) (cs[j] the t^j digit; digits
-    past t^n are not read) in the jet coordinates of the variables vars."""
+def _require_level(n):
+    """Refuse a jet level that is not an int >= 1 (a bool is not one)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise MotzetaError("jet order n must be an int, not %r" % (n,))
     if n < 1:
         raise MotzetaError("jet order n must be >= 1, not %r" % (n,))
+
+
+def _jet_locus(vars, digits, n, exact=True, action_order=None):
+    """jet_set from the sparse digits of f(phi) over the level-n jet
+    coordinates of the variables vars (JetExpansion.level; digits[j] the
+    t^j digit, digits past t^n not read), built as a GeomSet in its sparse
+    form with no Poly in between."""
     coords = tuple("%s_%d" % (v, j) for v in vars for j in range(1, n + 1))
     weights = tuple(j for _ in vars for j in range(1, n + 1))
-    eqs = [c for c in cs[:n] if not c.is_zero()]
+    eqs = [d for d in digits[:n] if d[0] or d[1]]
+    const, terms = digits[n]
     if exact:
-        eqs.append(cs[n] - 1)
+        eqs.append((const - 1, terms))
         order = n if action_order is None else action_order
     else:
-        if not cs[n].is_zero():
-            eqs.append(cs[n])
+        if const or terms:
+            eqs.append(digits[n])
         order = 1 if action_order is None else action_order
-    return GeomSet(coords, tuple(eqs), (), order, weights)
+    return GeomSet._from_sparse(coords, eqs, order, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -163,28 +174,35 @@ def histogram_pair_counts(f, g, n, q, meter=None):
     count, so one meter passed at each level caps them all.
     """
     f, g = _as_poly(f), _as_poly(g)
+    _require_level(n)
     if meter is None:
         meter = WorkMeter()
     return _pair_counts(JetExpansion(f), JetExpansion(g), n, q, meter)
 
 
 def _pair_counts(ef, eg, n, q, meter):
-    """histogram_pair_counts at level n from the expansions ef, eg of f, g."""
+    """histogram_pair_counts at level n from the expansions ef, eg of f, g.
+
+    f and g share no variable, so over the jet coordinates of f + g a digit
+    of f + g is the constants added and the terms of f's digit followed by
+    those of g's; -g negates each coefficient."""
     f, g = ef.f, eg.f
-    cf, cg = ef.digits(n), eg.digits(n)
+    vars = f.direct_sum(g).vars
+    cf, cg = ef.level(n, vars), eg.level(n, vars)
     hit = _jet_locus(
-        f.direct_sum(g).vars, [a + b for a, b in zip(cf, cg)], n, action_order=1
+        vars, [(a + b, s + t) for (a, s), (b, t) in zip(cf, cg)], n, action_order=1
     )
 
     def count(gs, *extra):
-        eqs = gs.equations + tuple(c for c in extra if not c.is_zero())
-        return twisted_count(GeomSet(gs.coords, eqs), q, meter=meter)
+        eqs = gs._eqs + tuple(d for d in extra if d[0] or d[1])
+        return twisted_count(GeomSet._from_sparse(gs.coords, eqs), q, meter=meter)
 
+    neg_g = [(-c, tuple((mono, -x) for mono, x in terms)) for c, terms in eg.level(n)]
     try:
         N = [None] + [count(hit, *cf[1:l]) for l in range(1, n + 1)]
         a2 = count(hit, *cf[1 : n + 1]) + count(hit, *cg[1 : n + 1])
-        bpair = count(_jet_locus(f.vars, cf, n)) * count(
-            _jet_locus(g.vars, [-c for c in cg], n)
+        bpair = count(_jet_locus(f.vars, ef.level(n), n)) * count(
+            _jet_locus(g.vars, neg_g, n)
         )
     except BudgetExceeded as exc:
         raise BudgetExceeded(
@@ -313,7 +331,11 @@ class AxisCounts:
     one prime, by the F_q DFS of twisted_count on the level-n jet locus.
 
     The loci are built from one expansion of f that grows with the deepest
-    level asked; the count at each (kind, n) is kept.  Every count charges
+    level asked: each digit is expanded and grouped once, and a level only
+    maps the digits it reads onto its own jet coordinates
+    (JetExpansion.level), so no Poly is built or scanned.  The count at each
+    (kind, n) is kept; a level that is not an int >= 1 is refused before
+    the lookup.  Every count charges
     meter (default: a fresh WorkMeter with geomset.DEFAULT_BUDGET), which
     the caller may share with other counts, and BudgetExceeded names the
     level that exceeded it.
@@ -329,9 +351,10 @@ class AxisCounts:
         self._counts = {}
 
     def _count(self, kind, n):
+        _require_level(n)
         if (kind, n) not in self._counts:
             locus = _jet_locus(
-                self.f.vars, self._jets.digits(n), n, kind == "exact", action_order=1
+                self.f.vars, self._jets.level(n), n, kind == "exact", action_order=1
             )
             try:
                 self._counts[kind, n] = twisted_count(locus, self.q, meter=self.meter)
@@ -551,6 +574,7 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     of all levels together.  A symbolic series is zeta_trunc of f + g.
     """
     _choice("mode", mode, ("auto", "strata", "hist"))
+    _require_bound(D)
     f, g = _as_poly(f), _as_poly(g)
     fg = f.direct_sum(g)
     if real.tag == "symbolic":

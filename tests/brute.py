@@ -15,6 +15,12 @@ the reference for the closed strands of dl_eval.
 fermat_twisted_dfs counts a twisted Fermat pair by the F_q DFS and
 fermat_affine_brute counts u^a + v^b = c pair by pair, the references for
 the power-table kernel geomset.fermat_counts.
+compile_equation_brute reads a Poly equation's twisted form over F_q off
+its dense exponent vectors, and prepare_brute reduces a twisted count with
+it: the reference for geomset._prepare, which twists the sparse form each
+GeomSet builds once.  jet_equations_dense builds the equations of a jet
+locus from the Poly digits of poly.JetExpansion, the reference for the
+sparse loci of zeta.jet_set.
 berlekamp_massey_brute is Massey's algorithm over Fractions, the reference
 for the fraction-free series._berlekamp_massey.
 strand_candidates_brute builds the candidate strands of closed_from_fit by
@@ -31,8 +37,16 @@ import itertools
 import math
 from fractions import Fraction
 
-from motzeta.errors import BudgetExceeded
-from motzeta.geomset import _count_reduced, _prepare, _require_prime, fermat_pair
+from motzeta.errors import BudgetExceeded, MotzetaError
+from motzeta.geomset import (
+    _check_twist,
+    _count_reduced,
+    _prepare,
+    _primitive_root,
+    _require_prime,
+    fermat_pair,
+)
+from motzeta.poly import JetExpansion
 from motzeta.locring import LocRat
 from motzeta.series import TruncSeries
 from motzeta.zeta import (
@@ -133,6 +147,68 @@ def fermat_twisted_dfs(kind, N, q, e_u, e_v, meter):
     reduced with the twists (e_u, e_v) as for any GeomSet."""
     eqs, candidates = _prepare(fermat_pair(kind, N), q, (e_u, e_v))
     return _count_reduced(eqs, [0, 1], candidates, q, meter)
+
+
+def compile_equation_brute(eq, coord_index, exps, N, q, g):
+    """Poly -> (const, {monomial: coeff}) over F_q in the coordinates u_i of
+    x_i = zeta_K^{exps[i]} u_i, divided by zeta_K^r (see the geomset module
+    docstring).
+
+    A monomial is a sorted tuple of (coordinate index, exponent).  Raises
+    MotzetaError if the equation is not semi-invariant under the twist.
+    """
+    const = 0
+    terms = {}
+    r = None
+    for e, c in eq.terms.items():
+        if c % q == 0:
+            continue
+        mono = tuple(sorted((coord_index[v], x) for v, x in zip(eq.vars, e) if x))
+        if not mono:
+            const = c % q
+            continue
+        E = sum(x * exps[i] for i, x in mono)
+        if r is None:
+            r = E % N
+        elif E % N != r:
+            raise MotzetaError(
+                "equation %s is not semi-invariant under the twist" % eq.render()
+            )
+        terms[mono] = c * pow(g, (E - r) // N, q) % q
+    if const and r:
+        raise MotzetaError(
+            "equation %s is not semi-invariant under the twist" % eq.render()
+        )
+    return const, terms
+
+
+def prepare_brute(gs, q, exps):
+    """geomset._prepare with every Poly of gs.equations compiled by
+    compile_equation_brute (zeta_K as in the geomset module docstring)."""
+    N = gs.action_order
+    _check_twist(N, q, exps)
+    K = N * (q - 1)
+    exps = [e % K for e in exps]
+    g = _primitive_root(q)
+    coord_index = {c: i for i, c in enumerate(gs.coords)}
+    eqs = [compile_equation_brute(eq, coord_index, exps, N, q, g) for eq in gs.equations]
+    units = list(range(1, q))
+    with_zero = [0] + units
+    candidates = [units if c in gs.nonzero else with_zero for c in gs.coords]
+    return eqs, candidates
+
+
+def jet_equations_dense(f, n, exact=True):
+    """The equations of jet_set(f, n, exact) as Polys: the nonzero digits
+    below t^n of JetExpansion(f).digits(n), then digit n minus 1 (exact) or
+    digit n if nonzero (order beyond n)."""
+    cs = JetExpansion(f).digits(n)
+    eqs = [c for c in cs[:n] if not c.is_zero()]
+    if exact:
+        eqs.append(cs[n] - 1)
+    elif not cs[n].is_zero():
+        eqs.append(cs[n])
+    return tuple(eqs)
 
 
 def fermat_affine_brute(a, b, q):

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import fermat_twisted_dfs
+from brute import fermat_twisted_dfs, prepare_brute
 from motzeta.errors import BudgetExceeded, MotzetaError
 from motzeta.geomset import (
     GeomSet,
     WorkMeter,
     _count_reduced,
+    _prepare,
     fermat_pair,
     fermat_twisted_count,
     mu_n,
@@ -243,6 +244,57 @@ def test_twisted_count_refuses_non_semi_invariant_sectors():
     assert twisted_count(bad, 5, 0) == 5
     with pytest.raises(MotzetaError, match=r"v\^2 \+ u is not semi-invariant"):
         twisted_count(bad, 5, 1)
+
+
+def test_twisted_count_needs_an_int_sector():
+    for g_exp in (0.5, 1.0, "1", True):
+        with pytest.raises(MotzetaError, match="twisted_count g_exp must be an int, not %s" % re.escape(repr(g_exp))):
+            twisted_count(mu_n(2), 5, g_exp)
+
+
+@st.composite
+def _poly_geomsets(draw):
+    """A GeomSet of at most four coordinates with random Poly equations,
+    weights, action order and nonzero set, a prime q and a twist: often a
+    multiple of K = N (q - 1) in every coordinate (an untwisted sector)."""
+    coords = "abcd"[: draw(st.integers(1, 4))]
+    eqs = []
+    for _ in range(draw(st.integers(0, 3))):
+        eq = Poly.const(draw(st.integers(-7, 7)))
+        for _ in range(draw(st.integers(0, 3))):
+            term = Poly.const(draw(st.integers(-7, 7)))
+            for v in coords:
+                term = term * Poly.var(v, draw(st.integers(0, 3)))
+            eq = eq + term
+        eqs.append(eq)
+    N = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(-5, 5), min_size=len(coords), max_size=len(coords)))
+    gs = GeomSet(coords, eqs, draw(st.sets(st.sampled_from(coords))), N, weights)
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    K = N * (q - 1)
+    if draw(st.booleans()):
+        exps = [K * draw(st.integers(-2, 2)) for _ in coords]
+    else:
+        exps = draw(st.lists(st.integers(-30, 30), min_size=len(coords), max_size=len(coords)))
+    return gs, q, exps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_poly_geomsets())
+def test_prepare_twists_the_sparse_form_as_the_dense_oracle(case):
+    # the equations _prepare twists from the sparse form built at
+    # construction are those compiled from the Polys, in the same term
+    # order (the search reads them in that order), with the same refusals
+    gs, q, exps = case
+    try:
+        want = prepare_brute(gs, q, exps)
+    except MotzetaError as exc:
+        with pytest.raises(MotzetaError, match=re.escape(str(exc))):
+            _prepare(gs, q, exps)
+        return
+    got = _prepare(gs, q, exps)
+    assert got == want
+    assert [list(terms.items()) for _, terms in got[0]] == [list(terms.items()) for _, terms in want[0]]
 
 
 def test_twisted_count_needs_prime_q():

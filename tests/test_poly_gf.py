@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import _value_digits
+from brute import _value_digits, jet_count_direct, jet_equations_dense, prepare_brute
 from motzeta.errors import ParseError, UnknownToken, VariableMismatch
+from motzeta.geomset import WorkMeter, _prepare, _sector_exps, twisted_count
 from motzeta.poly import JetExpansion, Poly, parse_poly
+from motzeta.zeta import AxisCounts, jet_set
 
 
 def test_poly_arithmetic_and_render():
@@ -118,3 +120,40 @@ def test_compose_jet_digits_evaluate_to_the_brute_digits(f, n, q, rng):
     digits = JetExpansion(f).digits(n)
     got = [_eval_mod(d, values, q) for d in digits]
     assert got == _value_digits(f, jets, n, q)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_germs(), st.integers(1, 5), st.booleans(), st.sampled_from((2, 3, 5, 7)))
+def test_digit_built_jet_loci_match_the_dense_construction(f, n, exact, q):
+    # jet_set builds its locus from the sparse digits with no Poly; its Poly
+    # view is the locus built from the Poly digits, and every twisted sector
+    # reduces as the dense oracle reduces that view
+    gs = jet_set(f, n, exact)
+    assert gs.equations == jet_equations_dense(f, n, exact)
+    for s in range(gs.action_order):
+        exps = _sector_exps(gs, s)
+        if gs.action_order % q == 0 and s:
+            continue  # refused: no N-th roots of unity in characteristic q
+        got, want = _prepare(gs, q, exps), prepare_brute(gs, q, exps)
+        assert got == want
+        assert [list(t.items()) for _, t in got[0]] == [list(t.items()) for _, t in want[0]]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_germs(), st.sampled_from((2, 3, 5)))
+def test_axis_counts_match_brute_force_and_per_level_counts(f, q):
+    # the levels of one AxisCounts read one expansion; each count is the
+    # brute-force count and charges what a count of the level's own jet_set
+    # charges
+    ax = AxisCounts(f, q)
+    d = len(f.vars)
+    for n in range(1, 6):
+        if q ** (d * n) > 729:
+            break
+        for kind in ("exact", "ordgt"):
+            spent = ax.meter.spent
+            got = getattr(ax, kind)(n)
+            assert got == jet_count_direct(f, n, q, target=kind)
+            meter = WorkMeter()
+            assert twisted_count(jet_set(f, n, kind == "exact", action_order=1), q, meter=meter) == got
+            assert ax.meter.spent - spent == meter.spent

@@ -481,6 +481,23 @@ def _symbolic_entry(coeff):
         pytest.param(lambda: ResolutionData([]),
                      "ResolutionData strata: need at least one stratum", id="resolution-strata"),
         pytest.param(lambda: jet_set(X2, 0), "jet order n must be >= 1, not 0", id="jet-order"),
+        pytest.param(lambda: jet_set(X2, 2.5), "jet order n must be an int, not 2.5", id="jet-order-float"),
+        pytest.param(lambda: jet_set(X2, "3"), "jet order n must be an int, not '3'", id="jet-order-str"),
+        pytest.param(lambda: jet_set(X2, True), "jet order n must be an int, not True", id="jet-order-bool"),
+        pytest.param(lambda: AxisCounts(X2, 5).exact(2.0), "jet order n must be an int, not 2.0",
+                     id="axis-level-float"),
+        pytest.param(lambda: histogram_pair_counts(X2, Y3, 2.5, 5), "jet order n must be an int, not 2.5",
+                     id="pair-counts-level-float"),
+        pytest.param(lambda: zeta_trunc("x^2", 2.5, R7), "truncation bound must be an int, not 2.5",
+                     id="zeta-bound-float"),
+        pytest.param(lambda: zeta_trunc("x^2", "3", R7), "truncation bound must be an int, not '3'",
+                     id="zeta-bound-str"),
+        pytest.param(lambda: TruncSeries(R7, ("T",), True), "truncation bound must be an int, not True",
+                     id="trunc-bound-bool"),
+        pytest.param(lambda: sum_zeta_pullback(X2, Y3, 2.5, R7), "truncation bound must be an int, not 2.5",
+                     id="pullback-bound-float"),
+        pytest.param(lambda: sum_zeta_pullback(X2, Y3, 2.5, R7, mode="hist", split=True),
+                     "truncation bound must be an int, not 2.5", id="pullback-split-bound-float"),
         pytest.param(lambda: multizeta_trunc((), 4, R7),
                      "the family fs needs at least one function", id="multizeta-empty"),
         pytest.param(lambda: multizeta_separable((), R7),
