@@ -67,13 +67,15 @@ def _merge_modes(zero, modes):
 
 
 def _eval_modes(zero, modes_for_residue, powers, t):
-    """Stable value at n = Q*t + r; powers[i] is mode i's ratio^t."""
-    val = zero
+    """Stable value at n = Q*t + r; powers[i] is mode i's ratio^t.  The sum
+    starts at its first nonzero term, and a t^0 term takes ratio^t as it is."""
+    val = None
     for (_, coeffs), rt in zip(modes_for_residue, powers):
         for e, c in enumerate(coeffs):
             if c:
-                val = val + (rt * t**e) * c
-    return val
+                term = (rt * t**e if e else rt) * c
+                val = term if val is None else val + term
+    return zero if val is None else val
 
 
 def _substitute(zero, modes, k, delta):
@@ -234,21 +236,28 @@ class EGSeq:
         ]
 
     def tail_sum(self):
-        """New sequence n -> sum_{l > n} value(l).  Exact; needs all ratios != 1."""
+        """New sequence n -> sum_{l > n} value(l).  Exact; needs all ratios != 1.
+
+        Each mode's tail table (_mode_tail_table, with its inverse of
+        1 - ratio) is built once per call, residue by residue and mode by
+        mode, and every target residue reads it; the first mode whose ratio
+        is not summable raises."""
         zero = self.real.zero
         Q = self.period
         s0 = self.stable_start
         dom2 = self.dom_min - 1
+        tables = [
+            [self._mode_tail_table(rho, len(coeffs) - 1) for rho, coeffs in self.modes[r2]]
+            for r2 in range(Q)
+        ]
         new_modes = [[] for _ in range(Q)]
         for r in range(Q):
             acc = []
             for r2 in range(Q):
                 theta = 1 if r2 <= r else 0
-                for rho, coeffs in self.modes[r2]:
-                    deg = len(coeffs) - 1
-                    Ms = self._mode_tail_table(rho, deg)
+                for (rho, coeffs), Ms in zip(self.modes[r2], tables[r2]):
                     rho_theta = rho**theta
-                    out = [zero] * (deg + 1)
+                    out = [zero] * len(Ms)
                     for e, c in enumerate(coeffs):
                         if not c:
                             continue

@@ -18,8 +18,16 @@ c*L^k (c != 0) relies on it: 1 - L^n is primitive and prime to L, so it divides
 c*L^k*num exactly when it divides num, and the product only shifts and scales
 the numerator.  It is built without renormalizing either part: every v*c is
 nonzero, so the shifted numerator stores no zero coefficient and needs no
-zero filter, and the denominator is kept as it is.  Zero is not a unit:
-inverting it, or raising it to a negative power, raises NotInvertible.
+zero filter, and the denominator is kept as it is.  One test,
+LocRat._monomial, recognizes c*L^k (an empty denominator and one numerator
+term), and one product, LocRat._times_monomial, applies it: both sides of *,
+the power c^k*L^(e*k) of a monomial under **, and the scaling of a class's
+coefficients (motclass._scaled) take that path.
+
+An exponent of ** must be an int (not a bool).  A negative power of a
+monomial is itself a monomial only when c = +-1; any other negative power
+goes through inverse(), so 2*L has none.  Zero is not a unit: inverting it,
+or raising it to a negative power, raises NotInvertible.
 Evaluation at L = q gives exact rationals and fails with
 DenominatorVanishes when some q^n = 1.
 """
@@ -29,6 +37,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DenominatorVanishes, MotzetaError, NotInvertible
+
+
+def _check_exponent(who, k):
+    """Refuse an exponent of ** that is not an int (a bool is not one)."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise MotzetaError("%s power: exponent must be an int, not %r" % (who, k))
 
 
 class LaurentPoly:
@@ -96,6 +110,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        _check_exponent("LaurentPoly", k)
         if k < 0:
             raise MotzetaError("LaurentPoly power: exponent must be >= 0, not %d" % k)
         out = LaurentPoly.const(1)
@@ -306,6 +321,8 @@ class LocRat:
     def __add__(self, other):
         if isinstance(other, int):
             other = LocRat.from_int(other)
+        elif not isinstance(other, LocRat):
+            return NotImplemented
         # Common denominator: per-n maximum multiplicity.
         counts = {}
         for n in self.den:
@@ -334,9 +351,13 @@ class LocRat:
     def __sub__(self, other):
         if isinstance(other, int):
             other = LocRat.from_int(other)
+        elif not isinstance(other, LocRat):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -344,15 +365,22 @@ class LocRat:
             return self._times_monomial(other, 0)
         if not isinstance(other, LocRat):
             return NotImplemented
-        if not other.den and len(other.num.c) == 1:
-            ((k, c),) = other.num.c.items()
-            return self._times_monomial(c, k)
-        if not self.den and len(self.num.c) == 1:
-            ((k, c),) = self.num.c.items()
-            return other._times_monomial(c, k)
+        m = other._monomial()
+        if m is not None:
+            return self._times_monomial(*m)
+        m = self._monomial()
+        if m is not None:
+            return other._times_monomial(*m)
         return LocRat(self.num * other.num, self.den + other.den)
 
     __rmul__ = __mul__
+
+    def _monomial(self):
+        """(c, k) when self is c*L^k with c != 0, else None."""
+        if not self.den and len(self.num.c) == 1:
+            ((k, c),) = self.num.c.items()
+            return c, k
+        return None
 
     def _times_monomial(self, c, k):
         """self * c*L^k.  A nonzero c keeps both invariants (see the module
@@ -368,6 +396,11 @@ class LocRat:
         return out
 
     def __pow__(self, k):
+        _check_exponent("LocRat", k)
+        m = self._monomial()
+        if m is not None and (k >= 0 or m[0] in (1, -1)):
+            # (c*L^e)^k = c^k * L^(e*k); c^k = c^|k| for c = +-1
+            return ONE._times_monomial(m[0] ** abs(k), m[1] * k)
         if k < 0:
             return self.inverse() ** (-k)
         out = LocRat.from_int(1)

@@ -25,7 +25,8 @@ Scaling by a nonzero scalar keeps the normal form: it changes no term's
 factors or marks, hence no key and no sort order, and in the integral domain
 of scalars it makes no coefficient zero.  So scale, and an external product
 with a pure scalar class (the unit times a scalar), reuse the term layout
-instead of normalizing again.
+instead of normalizing again.  A monomial scalar c*L^k goes through the
+scalar ring's one monomial path (locring), coefficient by coefficient.
 
 The count realization maps a class to exact rationals: L goes to q, an atom
 goes to a twisted point count of a bound GeomSet, a convolution goes to the
@@ -262,6 +263,8 @@ class SymbolicClass:
     __hash__ = None
 
     def __add__(self, other):
+        if not isinstance(other, SymbolicClass):
+            return NotImplemented
         if self.base != other.base:
             from .errors import BaseMismatch
 
@@ -276,6 +279,8 @@ class SymbolicClass:
         )
 
     def __sub__(self, other):
+        if not isinstance(other, SymbolicClass):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c):
@@ -288,7 +293,8 @@ class SymbolicClass:
     def __mul__(self, other):
         """External product with a class, scalar action otherwise."""
         if isinstance(other, SymbolicClass):
-            return external_mul(self, other)
+            c = _scalar_of(other) if other.base == self.base else None
+            return external_mul(self, other) if c is None else _scaled(self, c, self.base)
         return self.scale(other)
 
     def render(self):
@@ -310,9 +316,14 @@ class SymbolicClass:
 
 def _scaled(a, c, base):
     """a scaled by the scalar c, over base, in normal form without
-    renormalizing (see the module docstring); c = 0 gives the zero class."""
+    renormalizing (see the module docstring); c = 0 gives the zero class.
+    A monomial c = c0*L^k scales each coefficient by _times_monomial."""
     out = SymbolicClass.__new__(SymbolicClass)
-    out.terms = tuple((f, x, coeff * c) for f, x, coeff in a.terms) if c else ()
+    m = c._monomial() if isinstance(c, LocRat) else None
+    if m is not None:
+        out.terms = tuple([(f, x, coeff._times_monomial(*m)) for f, x, coeff in a.terms])
+    else:
+        out.terms = tuple((f, x, coeff * c) for f, x, coeff in a.terms) if c else ()
     out.base = base
     return out
 

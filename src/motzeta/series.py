@@ -1147,7 +1147,9 @@ def expand_chains(real, vars, masks, streams, bound):
     stream's value at w does not depend on the chain prefix, so each
     stream is evaluated once per w, into tables local to this call, and a
     zero value skips the whole subtree below it: every product there is
-    zero.
+    zero.  The table of axis j holds, per w, the value with its exponent
+    offset w * masks[j], or an empty entry for a zero value, so a point's
+    exponent is one elementwise sum.
 
     The values axis j may take below the bound form one range: w fits when
     its cheapest completion (every later axis one step above the last)
@@ -1173,12 +1175,14 @@ def expand_chains(real, vars, masks, streams, bound):
         stream, table, mask, step = streams[j], tables[j], masks[j], weights[j]
         last = j == eta - 1
         for w in range(max(stream.dom_min, wprev + 1), (bound - deg - rest[j]) // slope[j] + 1):
-            v = table.get(w)
-            if v is None:
-                v = table[w] = stream.value(w)
-            if not v:
+            hit = table.get(w)
+            if hit is None:
+                v = stream.value(w)
+                hit = table[w] = (v, tuple([w * x for x in mask])) if v else ()
+            if not hit:
                 continue
-            exp2 = tuple(e + w * x for e, x in zip(exp, mask))
+            v, off = hit
+            exp2 = tuple(map(operator.add, exp, off))
             if val is not None:
                 v = val * v
             if last:

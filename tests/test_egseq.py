@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from motzeta.egseq import EGSeq
 from motzeta.errors import FitFailed, MotzetaError, TailNotSummable
 from motzeta.locring import LocRat, ONE as LR_ONE
+from motzeta.motclass import Atom, SymbolicClass
 from motzeta.realize import count_realization, symbolic_realization
 from motzeta.series import strand_fit
 
@@ -175,3 +176,83 @@ def test_values_match_value_pointwise(tag, period, raw_modes, shift, n_exc):
     assert seq.values(hi, lo) == []
     with pytest.raises(MotzetaError, match="below the domain start dom_min=%d" % lo):
         seq.values(lo - 1, hi)
+
+
+def _stream_parts(tag):
+    """The realization, a decaying ratio +-q^-k and a coefficient of
+    integer weight (a scalar class, or an atom's class, when symbolic)."""
+    if tag == "count":
+        real = count_realization(5)
+        return real, (lambda s, k: s * Fraction(1, 5**k)), (lambda c, _atom: Fraction(c))
+    real = symbolic_realization()
+    mu2 = SymbolicClass.from_atom(Atom("mu2", 2))
+    return real, (lambda s, k: LocRat.L(-k) * s), (lambda c, atom: (mu2 if atom else real.one).scale(c))
+
+
+@st.composite
+def _decaying_streams(draw):
+    """EGSeqs of period <= 5, up to three modes per residue, each a
+    t-polynomial of degree <= 2 times a decaying ratio, with a few
+    exceptional values."""
+    tag = draw(st.sampled_from(("count", "symbolic")))
+    real, ratio, coeff = _stream_parts(tag)
+    period = draw(st.integers(1, 5))
+    ints = st.integers(-3, 3)
+    modes = [
+        [
+            (ratio(s, k), tuple(coeff(c, atom) for c in cs))
+            for s, k, cs, atom in draw(st.lists(
+                st.tuples(st.sampled_from((1, -1)), st.integers(1, 3),
+                          st.lists(ints, min_size=1, max_size=3), st.booleans()),
+                max_size=3,
+            ))
+        ]
+        for _ in range(period)
+    ]
+    exc = {n: coeff(c, False) for n, c in enumerate(draw(st.lists(ints, max_size=2)), 1)}
+    return EGSeq(real, period, modes, exc, dom_min=1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_decaying_streams(), st.integers(0, 6))
+def test_value_is_values_pointwise_and_tails_telescope(seq, start):
+    Q, lo = seq.period, seq.dom_min
+    hi = lo + 3 * Q + start
+    vals = seq.values(lo, hi)
+    assert all(seq.value(n) == vals[n - lo] for n in range(lo, hi + 1))
+    # tail(n) - tail(N) = sum_{n < l <= N} value(l) for n < N <= n + 3Q
+    tail = seq.tail_sum()
+    n = tail.dom_min + start
+    acc = seq.real.zero
+    for N in range(n + 1, n + 3 * Q + 1):
+        acc = acc + seq.value(N)
+        assert tail.value(n) - tail.value(N) == acc
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_decaying_streams(), st.data())
+def test_ratio_one_mode_is_not_summable(seq, data):
+    # a ratio-1 mode in any residue refuses the tail with the same
+    # message, even with other modes around it
+    one = seq.real.from_locrat(LR_ONE)
+    r = data.draw(st.integers(0, seq.period - 1))
+    modes = [list(m) for m in seq.modes]
+    modes[r].insert(data.draw(st.integers(0, len(modes[r]))), (one, (seq.real.one,)))
+    stuck = EGSeq(seq.real, seq.period, modes, seq.exceptional, seq.dom_min, seq.stable_start)
+    with pytest.raises(TailNotSummable, match="^geometric ratio 1 has no summable tail$"):
+        stuck.tail_sum()
+
+
+def test_tail_sum_refuses_at_the_first_unsummable_mode():
+    # residues and modes are read in order, so the first of a ratio-1 mode
+    # and a ratio whose 1 - ratio is no unit (1 - 3 = -2) names the refusal
+    real = symbolic_realization()
+    one, three = (LR_ONE, (real.one,)), (LocRat.from_int(3), (real.one,))
+    decay = (LocRat.L(-1), (real.one,))
+    for modes, message in (
+        ([[decay, one], [three]], "geometric ratio 1 has no summable tail"),
+        ([[decay], [three, one]], "1 - ratio is not invertible: -2"),
+        ([[decay, three], [one]], "1 - ratio is not invertible: -2"),
+    ):
+        with pytest.raises(TailNotSummable, match="^%s$" % message):
+            EGSeq(real, 2, modes).tail_sum()

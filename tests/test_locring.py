@@ -216,3 +216,30 @@ def test_pow_including_negative():
     u = L * LocRat(one_minus_L(2))
     assert u**-2 * u**2 == ONE
     assert (L**-3) * (L**3) == ONE
+
+
+def test_foreign_operands_raise_type_error():
+    # an operand the ring does not carry leaves the operator to Python's
+    # standard TypeError; ints are still scalars
+    for run in (lambda: L + "x", lambda: L - "x", lambda: "x" - L, lambda: 0.5 + L, lambda: L + 0.5):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run()
+    assert L + 1 == 1 + L and L - 1 == -(1 - L)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-9, 9).filter(bool), st.integers(-4, 4), st.integers(-6, 6))
+def test_power_of_a_monomial_is_repeated_multiplication(c, e, k):
+    # (c*L^e)^k is c^k*L^(e*k), read off the monomial; a negative power
+    # exists only for c = +-1, else 1/c leaves the ring
+    m = LocRat(LaurentPoly.monomial(c, e))
+    if k < 0 and c not in (1, -1):
+        with pytest.raises(NotInvertible):
+            m**k
+        return
+    want = ONE
+    for _ in range(abs(k)):
+        want = want * (m if k > 0 else LocRat(LaurentPoly.monomial(c, -e)))
+    got = m**k
+    assert got == want and got.num == want.num and got.den == ()
+    assert got.num == LaurentPoly.monomial(c ** abs(k), e * k)

@@ -325,14 +325,16 @@ scalars = st.builds(
     st.integers(-2, 2),
     st.lists(st.sampled_from([1, 2, 4]), max_size=2).map(tuple),
 )
+monomials = st.builds(lambda c, k: LocRat.L(k) * c, st.integers(-5, 5).filter(bool), st.integers(-3, 3))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_classes(), st.one_of(scalars, st.integers(-3, 3)))
+@given(_classes(), st.one_of(scalars, monomials, st.integers(-3, 3)))
 def test_scaling_keeps_the_normal_form(a, c):
     # scale and an external product with a scalar class reuse the term
-    # layout; the normalizing constructor over the same scaled terms gives
-    # exactly the same terms
+    # layout (a monomial scales each coefficient by _times_monomial); the
+    # normalizing constructor over the same scaled terms gives exactly the
+    # same terms
     cl = LocRat(c) if isinstance(c, int) else c
     want = SymbolicClass(
         tuple((f, aug, LocRat(x.num * cl.num, x.den + cl.den)) for f, aug, x in a.terms),
@@ -345,7 +347,10 @@ def test_scaling_keeps_the_normal_form(a, c):
     s = SymbolicClass.scalar(c, a.base)
     for got in (external_mul(a, s), external_mul(s, a), a * s, s * a):
         assert _layout(got) == _layout(want) and got.base == a.base
-    assert external_mul(a, SymbolicClass.scalar(c, "Y")).base == "%s*Y" % a.base
+    # over another base the product is external and names the base a*b
+    s = SymbolicClass.scalar(c, "Y")
+    for got, base in ((external_mul(a, s), "%s*Y" % a.base), (a * s, "%s*Y" % a.base), (s * a, "Y*%s" % a.base)):
+        assert got.base == base and _layout(got) == _layout(want)
 
 
 def test_scalar_times_jointly_augmented_class():
@@ -388,3 +393,10 @@ def test_burnside_sum_matches_bilinear_fermat_expansion(case):
         + k * m * _fermat_diff(1, 1, q)
     )
     assert bind_and_count(c, Binding(table, q)) == expect
+
+
+def test_foreign_operands_raise_type_error():
+    a = SymbolicClass.from_atom(Atom("mu2", 2))
+    for run in (lambda: a + 1, lambda: a - 1, lambda: 1 + a, lambda: 1 - a, lambda: a * 0.5, lambda: a + "x"):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run()

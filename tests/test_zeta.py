@@ -604,6 +604,16 @@ def _symbolic_entry(coeff):
                      id="locrat-den"),
         pytest.param(lambda: LaurentPoly.const(2) ** -1, "LaurentPoly power: exponent must be >= 0, not -1",
                      id="laurent-power"),
+        pytest.param(lambda: LaurentPoly({1: 1}) ** 0.5, "LaurentPoly power: exponent must be an int, not 0.5",
+                     id="laurent-power-float"),
+        pytest.param(lambda: LaurentPoly({1: 1}) ** True, "LaurentPoly power: exponent must be an int, not True",
+                     id="laurent-power-bool"),
+        pytest.param(lambda: LocRat.L() ** 0.5, "LocRat power: exponent must be an int, not 0.5",
+                     id="locrat-power-float"),
+        pytest.param(lambda: LocRat.L() ** True, "LocRat power: exponent must be an int, not True",
+                     id="locrat-power-bool"),
+        pytest.param(lambda: LocRat(1, (2,)) ** -1.0, "LocRat power: exponent must be an int, not -1.0",
+                     id="locrat-power-float-non-monomial"),
         pytest.param(lambda: X2 ** -1, "Poly power: exponent must be >= 0, not -1", id="poly-power"),
         pytest.param(lambda: hadamard_ext(TWO_FACTORS7, TWO_FACTORS7),
                      "closed Hadamard products cover single-factor monomial-free strands",
