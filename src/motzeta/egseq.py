@@ -158,9 +158,6 @@ class EGSeq:
             out.append(_eval_modes(zero, modes, pw, t))
         return out
 
-    def agrees_with(self, other, lo, hi):
-        return all(self.value(n) == other.value(n) for n in range(lo, hi + 1))
-
     # ----- structural -----
 
     def re_period(self, new_period):

@@ -64,8 +64,10 @@ class Atom:
     __slots__ = ("name", "base", "order", "aug")
 
     def __init__(self, name, order=1, base="pt", aug=False):
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+            raise MotzetaError("Atom %r order must be an int >= 1, not %r" % (name, order))
         self.name = name
-        self.order = int(order)
+        self.order = order
         self.base = base
         self.aug = bool(aug)
 

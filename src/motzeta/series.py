@@ -29,7 +29,7 @@ over LocRat scalars, or Fraction over Fraction.  The code here touches them
 only through their shared operators: + and - add, scalar * value is the
 scalar action, value * value the external product, bool is false exactly on
 zero (zero entries and strands are never stored) and str renders a value
-for display and for CSV text.
+for display.
 
 JSON (series_to_json) carries the structure of each coefficient, not its
 text: a counted one as the text of its Fraction, a symbolic one as its
@@ -42,8 +42,6 @@ normalize.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import operator
@@ -171,9 +169,6 @@ class TruncSeries:
             self.real, self.vars, self.bound, {e: fn(v) for e, v in self.entries.items()}
         )
 
-    def truncate(self, bound):
-        return TruncSeries(self.real, self.vars, bound, self.entries)
-
     def permuted(self, order):
         """Reorder variables: position i of the result is variable order[i]."""
         order = tuple(order)
@@ -196,16 +191,6 @@ class TruncSeries:
         if set(self.entries) != set(other.entries):
             return False
         return all(v == other.entries[e] for e, v in self.entries.items())
-
-    def agrees_with(self, other, through=None):
-        """Entrywise equality up to total degree `through` (default: the
-        smaller bound)."""
-        _check_same_shape(self, other)
-        if through is None:
-            through = min(self.bound, other.bound)
-        keys = {e for e in self.entries if sum(e) <= through}
-        keys |= {e for e in other.entries if sum(e) <= through}
-        return all(self.coeff(e) == other.coeff(e) for e in keys)
 
     def __repr__(self):
         return "TruncSeries(vars=%s, bound=%d, %d entries)" % (
@@ -708,11 +693,6 @@ def _strand_terms(real, strand, bound, powers):
     return out
 
 
-def classify(s):
-    """int / ssr / sr classification of a closed form."""
-    return s.classify()
-
-
 def lim_infty(a):
     """Value at infinity of a closed form along every variable at once.
 
@@ -1122,7 +1102,9 @@ def _solve_exact(rows, rhs):
 def _checked_masks(vars, masks, streams, who):
     """masks as tuples of ints, one per stream, each of the arity of vars,
     nonzero and nonnegative; MotzetaError on a count mismatch,
-    VariableMismatch on a bad mask."""
+    VariableMismatch on a bad mask or a repeated variable name."""
+    if len(set(vars)) != len(vars):
+        raise VariableMismatch("duplicate variable names: %s" % list(vars))
     out = tuple(tuple(int(x) for x in m) for m in masks)
     if len(out) != len(streams):
         raise MotzetaError("%s masks: %d masks for %d streams" % (who, len(out), len(streams)))
@@ -1349,8 +1331,6 @@ def _factor_from_data(d):
         )
         return ConvNode(d["conv"], left, right, d["aug"])
     _require_keys(d, "series_from_dict atom", "atom", "order", "base", "aug")
-    if not isinstance(d["order"], int) or d["order"] < 1:
-        raise MotzetaError("series_from_dict atom: order must be an integer >= 1, not %r" % (d["order"],))
     return Atom(d["atom"], d["order"], d["base"], d["aug"])
 
 
@@ -1433,19 +1413,3 @@ def series_to_json(s):
 
 def series_from_json(text):
     return series_from_dict(json.loads(text))
-
-
-def series_to_csv(s):
-    """CSV table of a truncated series: one row per entry, exponents then
-    the rendered coefficient.  Closed forms should be expanded first."""
-    if not isinstance(s, TruncSeries):
-        raise MotzetaError(
-            "series_to_csv covers truncated series, not %s; expand closed forms first"
-            % type(s).__name__
-        )
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(list(s.vars) + ["coeff"])
-    for e in sorted(s.entries):
-        w.writerow(list(e) + [str(s.entries[e])])
-    return buf.getvalue()

@@ -34,8 +34,8 @@ weight j on the t^j jet coefficient.  This module provides
     per-axis streams, in both realizations;
   * evaluators for user-supplied resolution data (dl_eval returns the
     closed series of a resolution, over the full orthant or supplied cone
-    pieces; cone_euler, validate_cone) and nearby_cycles as minus the
-    limit of a diagonal substitution.
+    pieces) and nearby_cycles as minus the limit of a diagonal
+    substitution.
 
 Counting here is exact integer arithmetic throughout; normalized series
 coefficients are Fractions (count realization) or classes with localized
@@ -63,7 +63,6 @@ from .errors import (
 from .geomset import (
     GeomSet,
     WorkMeter,
-    _is_prime,
     _power_histogram,
     _require_prime,
     fermat_counts,
@@ -630,8 +629,11 @@ class Stratum:
     __slots__ = ("labels", "atom", "N", "nu")
 
     def __init__(self, labels, atom, N, nu):
-        self.labels = tuple(str(x) for x in labels)
-        self.atom = atom
+        def listed(field, value):
+            try:
+                return tuple(value)
+            except TypeError:
+                raise MotzetaError("Stratum %s: need a list, not %r" % (field, value)) from None
 
         def ints(field, row):
             try:
@@ -639,7 +641,11 @@ class Stratum:
             except (TypeError, ValueError):
                 raise MotzetaError("Stratum %s: entries must be integers, not %r" % (field, row)) from None
 
-        self.N = tuple(ints("N", row) for row in N)
+        if atom is not None and not isinstance(atom, Atom):
+            raise MotzetaError("Stratum atom: need an Atom or None, not %r" % (atom,))
+        self.labels = tuple(str(x) for x in listed("labels", labels))
+        self.atom = atom
+        self.N = tuple(ints("N", row) for row in listed("N", N))
         self.nu = ints("nu", nu)
         k = len(self.labels)
         if k == 0:
@@ -684,22 +690,31 @@ def parse_resolution(obj):
     """Resolution data from JSON-shaped input: a list of
     {"I": [...labels], "atom": {"name":…, "order":…} | "unit" | null,
      "N": [[...]], "nu": [...]}."""
+    if not isinstance(obj, (list, tuple)):
+        raise MotzetaError("parse_resolution: need a list of strata, not %r" % (obj,))
     strata = []
     for i, d in enumerate(obj):
+        if not isinstance(d, dict):
+            raise MotzetaError("parse_resolution: stratum %d is not a dict: %r" % (i, d))
         missing = [k for k in ("I", "N", "nu") if k not in d]
         if missing:
             raise MotzetaError("parse_resolution: stratum %d has no %r" % (i, missing[0]))
         spec = d.get("atom")
-        if spec in (None, "unit", "pt"):
-            atom = None
-        elif isinstance(spec, str):
-            if spec.startswith("mu") and spec[2:].isdigit():
-                atom = Atom(spec, int(spec[2:]))
+        try:
+            if spec in (None, "unit", "pt"):
+                atom = None
+            elif isinstance(spec, str):
+                if spec.startswith("mu") and spec[2:].isdecimal():
+                    atom = Atom(spec, int(spec[2:]))
+                else:
+                    atom = Atom(spec, 1)
+            elif isinstance(spec, dict) and "name" in spec:
+                atom = Atom(str(spec["name"]), spec.get("order", 1))
             else:
-                atom = Atom(spec, 1)
-        else:
-            atom = Atom(str(spec["name"]), int(spec.get("order", 1)))
-        strata.append(Stratum(d["I"], atom, d["N"], d["nu"]))
+                raise MotzetaError("atom must be a name, a dict with a 'name' or null, not %r" % (spec,))
+            strata.append(Stratum(d["I"], atom, d["N"], d["nu"]))
+        except MotzetaError as err:
+            raise MotzetaError("parse_resolution: stratum %d: %s" % (i, err)) from None
     return ResolutionData(strata)
 
 
@@ -711,7 +726,7 @@ def standard_atom_sets(names):
             table[name] = point()
         elif name == "torus":
             table[name] = torus()
-        elif name.startswith("mu") and name[2:].isdigit():
+        elif name.startswith("mu") and name[2:].isdecimal():
             table[name] = mu_n(int(name[2:]))
         else:
             raise MotzetaError("no builtin presentation for atom %r" % name)
@@ -762,18 +777,30 @@ class ConePieces:
     closed one (a closed flag attaches the face spanned without that
     generator).  The generators need not be unimodular: (1,0),(1,2) is
     the set of its integer combinations, not every lattice point of its
-    real cone.  That set is what dl_eval, validate_cone and the lattice
-    sum of tests/brute.py all sum, each point once because the generators
-    are independent.  origin=True adds the single point 0.  A malformed
-    piece raises ConeNotDecomposed naming its index."""
+    real cone.  That set is what dl_eval sums, and what the oracles
+    tests/brute.validate_cone and tests/brute.lattice_sum check it
+    against, each point once because the generators are independent.
+    origin=True adds the single point 0.  A malformed piece raises
+    ConeNotDecomposed naming its index."""
 
     __slots__ = ("pieces", "origin")
 
     def __init__(self, pieces, origin=False):
+        if not isinstance(pieces, (list, tuple)):
+            raise ConeNotDecomposed("ConePieces pieces: need a list of (generators, flags), not %r" % (pieces,))
         norm = []
-        for i, (gens, flags) in enumerate(pieces):
-            gens = tuple(tuple(int(x) for x in g) for g in gens)
-            flags = tuple(bool(b) for b in flags)
+        for i, piece in enumerate(pieces):
+            if not isinstance(piece, (list, tuple)) or len(piece) != 2:
+                raise ConeNotDecomposed("piece %d: needs a (generators, flags) pair, not %r" % (i, piece))
+            gens, flags = piece
+            try:
+                gens = tuple(tuple(int(x) for x in g) for g in gens)
+            except (TypeError, ValueError):
+                raise ConeNotDecomposed("piece %d generators: need integer vectors, not %r" % (i, gens)) from None
+            try:
+                flags = tuple(bool(b) for b in flags)
+            except TypeError:
+                raise ConeNotDecomposed("piece %d flags: need one flag per generator, not %r" % (i, flags)) from None
             if len(gens) != len(flags) or not gens:
                 raise ConeNotDecomposed("piece %d needs generators with flags" % i)
             for g in gens:
@@ -792,24 +819,6 @@ class ConePieces:
             norm.append((gens, flags))
         self.pieces = tuple(norm)
         self.origin = bool(origin)
-
-    @classmethod
-    def from_json(cls, obj):
-        pieces = []
-        for i, p in enumerate(obj.get("pieces", [])):
-            if "gens" not in p:
-                raise ConeNotDecomposed("ConePieces.from_json: piece %d has no 'gens'" % i)
-            pieces.append((p["gens"], p.get("open", [True] * len(p["gens"]))))
-        return cls(pieces, origin=obj.get("origin", False))
-
-    def to_json(self):
-        return {
-            "pieces": [
-                {"gens": [list(g) for g in gens], "open": list(flags)}
-                for gens, flags in self.pieces
-            ],
-            "origin": self.origin,
-        }
 
 
 def dl_eval(res, real, vars=None, cone=None, binding=None):
@@ -872,59 +881,6 @@ def dl_eval(res, real, vars=None, cone=None, binding=None):
     return ClosedSeries(real, tuple(vars), tuple(strands))
 
 
-def cone_euler(spec):
-    """Signed piece count of a relatively open decomposition: each open
-    piece contributes (-1)^{number of generators}; the origin point adds
-    +1.  Closed face flags mean the decomposition is not relatively open."""
-    if not isinstance(spec, ConePieces):
-        spec = ConePieces.from_json(spec)
-    total = 1 if spec.origin else 0
-    for gens, flags in spec.pieces:
-        if not all(flags):
-            raise ConeNotDecomposed(
-                "euler evaluation needs relatively open pieces"
-            )
-        total += (-1) ** len(gens)
-    return total
-
-
-def validate_cone(spec, member, bound, dim=None):
-    """Check the supplied decomposition against a membership predicate on
-    every lattice point of the [0, bound]^dim box: each member must lie in
-    exactly one piece (or be the origin with the origin flag), each
-    non-member in none.  A point lies in a piece when its coordinates in
-    the piece's generators, unique because they are independent, are
-    integers, >= 1 on the open and >= 0 on the closed generators.  Raises
-    ConeNotDecomposed with a witness."""
-    if not isinstance(spec, ConePieces):
-        spec = ConePieces.from_json(spec)
-    if dim is None:
-        if not spec.pieces:
-            raise MotzetaError("dim is needed when there are no pieces")
-        dim = len(spec.pieces[0][0][0])
-    for i, (gens, _) in enumerate(spec.pieces):
-        if len(gens[0]) != dim:
-            raise ConeNotDecomposed(
-                "piece %d: generators of length %d in dimension %d" % (i, len(gens[0]), dim)
-            )
-    for pt in itertools.product(range(bound + 1), repeat=dim):
-        hits = 0
-        if spec.origin and not any(pt):
-            hits += 1
-        for gens, flags in spec.pieces:
-            c = _solve_exact(list(zip(*gens)), pt)
-            if c is not None and all(
-                x.denominator == 1 and x >= (1 if b else 0) for x, b in zip(c, flags)
-            ):
-                hits += 1
-        want = 1 if member(pt) else 0
-        if hits != want:
-            raise ConeNotDecomposed(
-                "point %r covered %d times, membership %d" % (pt, hits, want)
-            )
-    return True
-
-
 # ---------------------------------------------------------------------------
 # nearby cycles
 # ---------------------------------------------------------------------------
@@ -950,41 +906,3 @@ def nearby_cycles(s):
             "nearby cycles need a closed series; fit a closed form first"
         )
     return -lim_infty(diagonal_closed(s))
-
-
-# ---------------------------------------------------------------------------
-# prime selection
-# ---------------------------------------------------------------------------
-
-
-def default_q(orders=(), avoid=()):
-    """Smallest prime q with every listed order dividing q-1 and q
-    coprime to every listed integer."""
-    need = 1
-    for o in orders:
-        if o < 1:
-            raise MotzetaError("default_q orders must be >= 1, not %r" % (o,))
-        need = need * o // math.gcd(need, o)
-    q = 2
-    while True:
-        if (
-            _is_prime(q)
-            and (q - 1) % need == 0
-            and all(math.gcd(q, a) == 1 for a in avoid if a)
-        ):
-            return q
-        q += 1
-
-
-def required_orders(fs):
-    """Action orders and characteristic exclusions for a family (used for
-    automatic prime selection): every term's degree is an order to split
-    and, with every coefficient, a factor to keep prime to q."""
-    orders = set()
-    avoid = set()
-    for f in fs:
-        for e, c in _as_poly(f).terms.items():
-            avoid.add(abs(c))
-            orders.add(max(sum(e), 1))
-            avoid.add(max(sum(e), 1))
-    return sorted(orders), sorted(avoid)

@@ -11,7 +11,8 @@ cases; they exist only to check the library's routes on overlap.
 mono_exact_count and mono_ordgt_count are the closed jet counts of x^a at
 any level, the oracles for x^a past the counters' reach.
 lattice_sum likewise adds up resolution data one lattice point at a time,
-the reference for the closed strands of dl_eval.
+the reference for the closed strands of dl_eval, and validate_cone checks
+a ConePieces point by point against a membership predicate.
 fermat_twisted_dfs counts a twisted Fermat pair by the F_q DFS and
 fermat_affine_brute counts u^a + v^b = c pair by pair, the references for
 the power-table kernel geomset.fermat_counts.
@@ -37,7 +38,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from motzeta.errors import BudgetExceeded, MotzetaError
+from motzeta.errors import BudgetExceeded, ConeNotDecomposed, MotzetaError
 from motzeta.geomset import (
     _check_twist,
     _count_reduced,
@@ -424,6 +425,43 @@ def lattice_sum(res, real, D, vars=None, cone=None, binding=None):
             if pieces.origin:
                 add((0,) * r, coeff)
     return TruncSeries(real, tuple(vars), D, ent)
+
+
+def validate_cone(spec, member, bound, dim=None):
+    """Check a ConePieces against a membership predicate on every lattice
+    point of the [0, bound]^dim box: each member must lie in exactly one
+    piece (or be the origin with the origin flag), each non-member in none.
+    A point lies in a piece when its coordinates in the piece's generators,
+    unique because they are independent, are integers, >= 1 on the open
+    and >= 0 on the closed generators; the coordinates come from
+    solve_exact_brute, so this shares no solver with the independence
+    check of ConePieces.  The reference for the cone pieces dl_eval sums.
+    Raises ConeNotDecomposed with a witness."""
+    if dim is None:
+        if not spec.pieces:
+            raise MotzetaError("dim is needed when there are no pieces")
+        dim = len(spec.pieces[0][0][0])
+    for i, (gens, _) in enumerate(spec.pieces):
+        if len(gens[0]) != dim:
+            raise ConeNotDecomposed(
+                "piece %d: generators of length %d in dimension %d" % (i, len(gens[0]), dim)
+            )
+    for pt in itertools.product(range(bound + 1), repeat=dim):
+        hits = 0
+        if spec.origin and not any(pt):
+            hits += 1
+        for gens, flags in spec.pieces:
+            c = solve_exact_brute(list(zip(*gens)), pt)
+            if c is not None and all(
+                x.denominator == 1 and x >= (1 if b else 0) for x, b in zip(c, flags)
+            ):
+                hits += 1
+        want = 1 if member(pt) else 0
+        if hits != want:
+            raise ConeNotDecomposed(
+                "point %r covered %d times, membership %d" % (pt, hits, want)
+            )
+    return True
 
 
 def _pmul(a, b):

@@ -99,7 +99,7 @@ def test_re_period_preserves_values():
         [[(Fraction(5), (Fraction(1), Fraction(2)))], []],
         dom_min=0, stable_start=0,
     )
-    assert v.re_period(6).agrees_with(v, 0, 18)
+    assert v.re_period(6).values(0, 18) == v.values(0, 18)
 
 
 def test_fit_geometric():

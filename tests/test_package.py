@@ -87,3 +87,54 @@ def test_no_nested_function_reaches_itself():
                 tree = ast.parse(fh.read(), name)
             hits += ["%s: %s" % (name, h) for h in _nested_def_cycles(tree)]
     assert not hits, hits
+
+
+# Public names that need no caller in the package or the benchmark, each
+# with the reason it stays.
+ENTRY_POINTS = {
+    "zeta_closed": "the closed zeta series of one germ, a pipeline entry point",
+    "series_to_json": "the series format a command line reads and writes",
+    "series_from_json": "the series format a command line reads and writes",
+    "fermat_pair": "a Binding presentation, and the DFS side of the Fermat kernel",
+    "extend_const": "cell and substitution calculus, kept until the identity suite names what it needs",
+    "monomial_substitute": "cell and substitution calculus, as extend_const",
+    "cell_decompose": "cell and substitution calculus, as extend_const",
+    "project": "cell and substitution calculus, as extend_const",
+}
+
+
+def test_every_public_name_has_a_caller():
+    # a public module-level function or class is loaded by another
+    # top-level statement of the package, or named in the benchmark's code
+    # (its tracing targets are strings), or listed above; anything else is
+    # API that nothing uses
+    src = motzeta.__path__[0]
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+    bench_text = ""
+    for name in sorted(os.listdir(bench)):
+        if name.endswith(".py") and not name.startswith("test_"):
+            with open(os.path.join(bench, name)) as fh:
+                bench_text += fh.read()
+    defined, used = [], set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined.append((name, own))
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    used.add((own, n.id))
+                elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    used.add((own, n.attr))
+    callers = {loaded for own, loaded in used if own != loaded}
+    uncalled = [
+        "%s: %s" % (module, fn)
+        for module, fn in defined
+        if fn not in callers and fn not in ENTRY_POINTS and not re.search(r"\b%s\b" % fn, bench_text)
+    ]
+    assert not uncalled, uncalled
+    assert set(ENTRY_POINTS) <= {fn for _, fn in defined}

@@ -17,6 +17,7 @@ from brute import (
     mono_exact_count,
     mono_ordgt_count,
     multizeta_direct,
+    validate_cone,
 )
 from motzeta import zeta
 from motzeta.egseq import EGSeq
@@ -54,8 +55,6 @@ from motzeta.zeta import (
     ConePieces,
     ResolutionData,
     Stratum,
-    cone_euler,
-    default_q,
     diagonal_closed,
     dl_eval,
     fermat_affine_counts,
@@ -66,11 +65,9 @@ from motzeta.zeta import (
     multizeta_trunc,
     nearby_cycles,
     parse_resolution,
-    required_orders,
     shape_exponent,
     standard_atom_sets,
     sum_zeta_pullback,
-    validate_cone,
     zeta_closed,
     zeta_trunc,
 )
@@ -591,6 +588,9 @@ def _symbolic_entry(coeff):
         pytest.param(lambda: _symbolic_entry([{"factors": [{"atom": "a", "base": "pt", "aug": False}],
                                                "aug": False, "coeff": ONE_DATA}]),
                      "series_from_dict atom: the dict has no 'order'", id="from-dict-atom-order"),
+        pytest.param(lambda: _symbolic_entry([{"factors": [{"atom": "a", "order": 0, "base": "pt", "aug": False}],
+                                               "aug": False, "coeff": ONE_DATA}]),
+                     "Atom 'a' order must be an int >= 1, not 0", id="from-dict-atom-order-zero"),
         pytest.param(lambda: _symbolic_entry([{"factors": [{"conv": 2, "left": [], "right": [], "aug": False}],
                                                "aug": False, "coeff": ONE_DATA}]),
                      "series_from_dict conv: kind must be 0 or 1, not 2", id="from-dict-conv-kind"),
@@ -626,11 +626,10 @@ def _symbolic_entry(coeff):
                      id="to-dict-type"),
         pytest.param(lambda: standard_atom_sets(["mu0"]), "GeomSet action_order must be >= 1, not 0",
                      id="atom-mu0"),
-        pytest.param(lambda: default_q((0,)), "default_q orders must be >= 1, not 0", id="default-q-order"),
+        pytest.param(lambda: standard_atom_sets(["mu²"]), "no builtin presentation for atom 'mu²'",
+                     id="atom-mu-superscript"),
         pytest.param(lambda: zeta_trunc(X2, 4, count_realization(4)),
                      "a counted zeta series needs a prime q, got 4", id="zeta-prime"),
-        pytest.param(lambda: ConePieces.from_json({"pieces": [{}]}),
-                     "ConePieces.from_json: piece 0 has no 'gens'", id="cone-json-gens"),
         pytest.param(lambda: ConePieces(((((1, 0), (1,)), (True, True)),)),
                      "piece 0: generators ((1, 0), (1,)) differ in length", id="cone-ragged"),
         pytest.param(lambda: ConePieces(((((1, 0),), (True,)), (((1, 1), (2, 2)), (True, True)))),
@@ -640,6 +639,37 @@ def _symbolic_entry(coeff):
                      id="cone-too-many-generators"),
         pytest.param(lambda: validate_cone(ConePieces(((((1, 0),), (True,)),)), lambda p: False, 2, dim=3),
                      "piece 0: generators of length 2 in dimension 3", id="validate-dim-mismatch"),
+        pytest.param(lambda: ConePieces(5), "ConePieces pieces: need a list of (generators, flags), not 5",
+                     id="cone-pieces-type"),
+        pytest.param(lambda: ConePieces([((1, 0),)]),
+                     "piece 0: needs a (generators, flags) pair, not ((1, 0),)", id="cone-no-flags"),
+        pytest.param(lambda: ConePieces([(5, (True,))]), "piece 0 generators: need integer vectors, not 5",
+                     id="cone-gens-type"),
+        pytest.param(lambda: ConePieces([(((1, 0),), 5)]), "piece 0 flags: need one flag per generator, not 5",
+                     id="cone-flags-type"),
+        pytest.param(lambda: Atom("mu2", 0), "Atom 'mu2' order must be an int >= 1, not 0", id="atom-order"),
+        pytest.param(lambda: Atom("a", 2.5), "Atom 'a' order must be an int >= 1, not 2.5", id="atom-order-float"),
+        pytest.param(lambda: Atom("a", True), "Atom 'a' order must be an int >= 1, not True",
+                     id="atom-order-bool"),
+        pytest.param(lambda: parse_resolution(5), "parse_resolution: need a list of strata, not 5",
+                     id="resolution-type"),
+        pytest.param(lambda: parse_resolution([5]), "parse_resolution: stratum 0 is not a dict: 5",
+                     id="resolution-stratum-type"),
+        pytest.param(lambda: parse_resolution([{"I": ["E"], "atom": {"order": 2}, "N": [[1]], "nu": [1]}]),
+                     "parse_resolution: stratum 0: atom must be a name, a dict with a 'name' or null",
+                     id="resolution-atom-name"),
+        pytest.param(lambda: parse_resolution([{"I": ["E"], "atom": {"name": "a", "order": "x"},
+                                                "N": [[1]], "nu": [1]}]),
+                     "parse_resolution: stratum 0: Atom 'a' order must be an int >= 1, not 'x'",
+                     id="resolution-atom-order"),
+        pytest.param(lambda: dl_eval(5, R7), "parse_resolution: need a list of strata, not 5", id="dl-eval-type"),
+        pytest.param(lambda: Stratum(("E",), None, 5, (1,)), "Stratum N: need a list, not 5", id="stratum-N-type"),
+        pytest.param(lambda: Stratum(5, None, ((1,),), (1,)), "Stratum labels: need a list, not 5",
+                     id="stratum-labels-type"),
+        pytest.param(lambda: Stratum(("E",), "mu2", ((1,),), (1,)), "Stratum atom: need an Atom or None, not 'mu2'",
+                     id="stratum-atom-type"),
+        pytest.param(lambda: multizeta_separable((X2, Y3), R7, vars=("T", "T")),
+                     "duplicate variable names: ['T', 'T']", id="separable-duplicate-vars"),
     ],
 )
 def test_argument_errors_name_the_parameter(run, message):
@@ -1130,7 +1160,6 @@ def _quadrant():
 def test_cone_validation_and_euler():
     quad = _quadrant()
     validate_cone(quad, lambda p: all(c >= 0 for c in p), 5, dim=2)
-    assert cone_euler(quad) == 0
     # the same set as one piece: closed flags admit zero coefficients, so
     # the rays and the origin are inside
     glued = ConePieces(((((1, 0), (0, 1)), (False, False)),), origin=False)
@@ -1182,12 +1211,6 @@ def test_independent_pieces_sum_their_integer_combinations(gens, flags):
     res = ResolutionData([Stratum(("E1", "E2"), None, ((1, 0), (0, 1)), (1, 1))])
     r7 = count_realization(7)
     assert dl_eval(res, r7, cone=piece).expand(6) == lattice_sum(res, r7, 6, cone=piece)
-
-
-def test_cone_json_round_trip():
-    quad = _quadrant()
-    again = ConePieces.from_json(quad.to_json())
-    assert again.pieces == quad.pieces and again.origin == quad.origin
 
 
 # ---------------------------------------------------------------------------
@@ -1278,22 +1301,8 @@ def test_pullback_2_5_extrapolates_past_its_samples():
 
 
 # ---------------------------------------------------------------------------
-# prime selection and serialization
+# serialization
 # ---------------------------------------------------------------------------
-
-
-def test_default_q_choices():
-    assert default_q(()) == 2
-    assert default_q((2,)) == 3
-    assert default_q((2, 3)) == 7
-    assert default_q((4,)) == 5
-    assert default_q((5,)) == 11
-    assert default_q((2,), avoid=(3,)) == 5
-
-
-def test_required_orders_feed_default_q():
-    orders, avoid = required_orders((X2, Y3))
-    assert default_q(orders, avoid=avoid) == 7
 
 
 def test_series_round_trip_and_determinism():
