@@ -44,8 +44,10 @@ it can (see _count_reduced): it eliminates a coordinate that ranges over F_q
 and occurs only as c x_j, c constant, in just one equation; it counts the
 roots of a binomial c v^k + d in a coordinate found nowhere else in closed
 form; it branches only over the roots of any other one-coordinate equation;
-and it pivots on a coordinate that leaves the chosen equation linear.  Work is
-metered against a budget, default 10^8: one unit is one candidate value
+and it pivots on a coordinate that leaves the chosen equation linear.  Its
+bookkeeping reads coordinate bitmasks carried by each equation and monomial
+(_masked), so it costs O(equations) per call, and a branch rewrites only
+the monomials that hold its pivot.  Work is metered against a budget, default 10^8: one unit is one candidate value
 tried, either a value the pivot takes in a branch or a candidate at which a
 one-coordinate equation is evaluated.  A Fermat-pair count is charged q - 1
 units, what the DFS spends on it.
@@ -211,8 +213,8 @@ def _sparse_equation(eq, index):
 def _twist(gs, k, exps, N, q, g):
     """Equation k of gs over F_q in the coordinates u_i of
     x_i = zeta_K^{exps[i]} u_i, divided by zeta_K^r (see the module
-    docstring): (const, {monomial: coeff}).  Raises MotzetaError if the
-    equation is not semi-invariant under the twist."""
+    docstring), masked (_masked).  Raises MotzetaError if the equation is
+    not semi-invariant under the twist."""
     const, terms = gs._eqs[k]
     out = {}
     r = None
@@ -233,26 +235,54 @@ def _twist(gs, k, exps, N, q, g):
         raise MotzetaError(
             "equation %s is not semi-invariant under the twist" % gs.equations[k].render()
         )
-    return const % q, out
+    return _masked(const % q, out.items())
+
+
+def _masked(const, terms):
+    """(const, {monomial: (coeff, mask)}, once, twice) from (monomial, coeff)
+    pairs, coeffs nonzero mod q: mask has bit j when the monomial holds x_j;
+    once, resp. twice, has the coordinates one, resp. two, monomials hold."""
+    out, once, twice = {}, 0, 0
+    for mono, c in terms:
+        m = 0
+        for j, _x in mono:
+            m |= 1 << j
+        out[mono] = c, m
+        twice |= once & m
+        once |= m
+    return const, out, once, twice
 
 
 def _specialize(eq, i, value, q):
-    """Substitute coordinate i = value into a compiled equation."""
-    const, terms = eq
-    new_terms = {}
-    for mono, coeff in terms.items():
-        for k, (j, x) in enumerate(mono):
-            if j == i:
-                coeff = coeff * pow(value, x, q) % q
+    """Substitute x_i = value into a reduced equation that holds x_i: value
+    0 drops the monomials that hold x_i, any other value rewrites them, adds
+    each into the monomial it lands on (first place kept), drops 0 sums."""
+    const, terms, _, _ = eq
+    bit = 1 << i
+    if value:
+        out = {}
+        for mono, cm in terms.items():
+            c, m = cm
+            if m & bit:
+                k = (m & (bit - 1)).bit_count()  # x_i's place in the sorted mono
+                c = c * pow(value, mono[k][1], q) % q
                 mono = mono[:k] + mono[k + 1 :]
-                break
-        if not coeff:
-            continue
-        if mono:
-            new_terms[mono] = new_terms.get(mono, 0) + coeff
-        else:
-            const += coeff
-    return const % q, {m: c % q for m, c in new_terms.items() if c % q}
+                if not mono:
+                    const += c
+                    continue
+                m ^= bit
+                cm = c, m
+            old = out.get(mono)
+            out[mono] = cm if old is None else ((old[0] + c) % q, m)
+        if not all(c for c, _m in out.values()):
+            out = {mono: cm for mono, cm in out.items() if cm[0]}
+    else:
+        out = {mono: cm for mono, cm in terms.items() if not cm[1] & bit}
+    once = twice = 0
+    for _c, m in out.values():
+        twice |= once & m
+        once |= m
+    return const % q, out, once, twice
 
 
 def _root_count(k, t, q):
@@ -262,30 +292,41 @@ def _root_count(k, t, q):
     return d if pow(t, (q - 1) // d, q) == 1 else 0
 
 
-def _solve_alone(eq, uses, candidates, q):
+def _solve_alone(eq, alone, candidates, q):
     """(j, n) when the equation leaves n values of a coordinate j, which no
     other monomial of the system mentions, for every value of the rest;
-    else None.  uses[j] counts the monomials of the live equations that
-    mention j."""
-    const, terms = eq
+    else None.  alone masks the coordinates that just one monomial of the
+    live equations holds."""
+    const, terms, once, _ = eq
+    if not once & alone:
+        return None
     if len(terms) == 1:
-        ((mono, c),) = terms.items()
-        if len(mono) == 1 and uses[mono[0][0]] == 1:
+        ((mono, (c, _m)),) = terms.items()
+        if len(mono) == 1:
             j, k = mono[0]
             if const:  # c v^k + d with d != 0: v^k = -d/c
                 return j, _root_count(k, -const * pow(c, q - 2, q) % q, q)
             return j, int(len(candidates[j]) == q)  # c v^k = 0: v = 0
     for mono in terms:
         j, x = mono[0]
-        if len(mono) == 1 and x == 1 and uses[j] == 1 and len(candidates[j]) == q:
+        if len(mono) == 1 and x == 1 and alone >> j & 1 and len(candidates[j]) == q:
             return j, 1  # c x_j + rest = 0 has one root x_j over F_q
     return None
+
+
+def _combined(eqs):
+    """(ONCE, TWICE): the coordinates one, resp. two, monomials of eqs hold."""
+    once = twice = 0
+    for eq in eqs:
+        twice |= eq[3] | once & eq[2]
+        once |= eq[2]
+    return once, twice
 
 
 def _count_reduced(eqs, unassigned, candidates, q, meter):
     """DFS point count.
 
-    eqs: compiled equations, already specialized in assigned coordinates.
+    eqs: reduced equations (_masked), specialized in assigned coordinates.
     unassigned: list of coordinate indices still free, in preference order.
     candidates: per coordinate index, the list of values in F_q.
 
@@ -309,27 +350,25 @@ def _count_reduced(eqs, unassigned, candidates, q, meter):
     One meter unit is one candidate value tried: a value the pivot takes in
     a branch, or a candidate at which a univariate equation is evaluated.
     Dropped equations and coordinates no equation mentions cost nothing.
+
+    The rules read the masks of the live system (_combined): a coordinate
+    just one monomial holds is a bit of ONCE & ~TWICE, one still mentioned a
+    bit of ONCE.  A branch passes the equations without its pivot on as they
+    are.  The search is that of a scan of every term, with the same pivots,
+    values and units (tests/brute.count_reduced_brute).
     """
-    live = []
-    for const, terms in eqs:
-        if not terms:
-            if const:
-                return 0
-        else:
-            live.append((const, terms))
-    uses = {}
-    for _, terms in live:
-        for mono in terms:
-            for j, _x in mono:
-                uses[j] = uses.get(j, 0) + 1
+    if any(eq[0] and not eq[1] for eq in eqs):
+        return 0
+    live = [eq for eq in eqs if eq[1]]
+    once, twice = _combined(live)
     multiplier = 1
-    solved = set()
+    solved = 0
     changed = True
     while changed:
         changed = False
         kept = []
-        for eq in live:
-            hit = _solve_alone(eq, uses, candidates, q)
+        for k, eq in enumerate(live):
+            hit = _solve_alone(eq, once & ~twice, candidates, q)
             if hit is None:
                 kept.append(eq)
                 continue
@@ -337,51 +376,49 @@ def _count_reduced(eqs, unassigned, candidates, q, meter):
             if not n:
                 return 0
             multiplier *= n
-            solved.add(j)
-            for mono in eq[1]:
-                for i, _x in mono:
-                    uses[i] -= 1
+            solved |= 1 << j
+            once, twice = _combined(kept + live[k + 1 :])
             changed = True
         live = kept
     branching = []
     for i in unassigned:
-        if uses.get(i):
+        if once >> i & 1:
             branching.append(i)
-        elif i not in solved:
+        elif not solved >> i & 1:
             multiplier *= len(candidates[i])
     if not live:
         return multiplier
     # The equation with the fewest distinct coordinates, so triangular
     # systems resolve level by level.
-    const, terms = min(live, key=lambda e: len({j for mono in e[1] for j, _ in mono}))
-    eq_vars = {j for mono in terms for j, _ in mono}
-    if len(eq_vars) == 1:
-        (pivot,) = eq_vars
+    const, terms, eq_once, _ = min(live, key=lambda e: e[2].bit_count())
+    if eq_once & (eq_once - 1) == 0:
+        pivot = eq_once.bit_length() - 1
         c = terms.get(((pivot, 1),))
         if len(terms) == 1 and c is not None:
             meter.spend()
-            root = -const * pow(c, q - 2, q) % q
+            root = -const * pow(c[0], q - 2, q) % q
             values = [root] if root or len(candidates[pivot]) == q else []
         else:
             meter.spend(len(candidates[pivot]))
-            powers = [(c, mono[0][1]) for mono, c in terms.items()]
+            powers = [(c, mono[0][1]) for mono, (c, _m) in terms.items()]
             values = [
                 v for v in candidates[pivot]
                 if (const + sum(c * pow(v, k, q) for c, k in powers)) % q == 0
             ]
     else:
-        alone = {mono[0][0] for mono in terms if len(mono) == 1 and mono[0][1] == 1}
-        for mono in terms:
+        other = 0  # the coordinates held other than as c x_j
+        for mono, (_c, m) in terms.items():
             if len(mono) > 1 or mono[0][1] > 1:
-                alone.difference_update(j for j, _x in mono)
-        in_eq = [i for i in branching if i in eq_vars]
-        pivot = next((i for i in in_eq if i not in alone), in_eq[0])
+                other |= m
+        in_eq = [i for i in branching if eq_once >> i & 1]
+        pivot = next((i for i in in_eq if other >> i & 1), in_eq[0])
         values = candidates[pivot]
         meter.spend(len(values))
     rest = [i for i in branching if i != pivot]
+    bit = 1 << pivot
     total = 0
     for value in values:
-        next_eqs = [_specialize(eq, pivot, value, q) for eq in live]
+        next_eqs = [_specialize(eq, pivot, value, q) if eq[2] & bit else eq for eq in live]
         total += _count_reduced(next_eqs, rest, candidates, q, meter)
     return multiplier * total
 
@@ -404,8 +441,8 @@ def _prepare(gs, q, exps):
     have x_i = t_i u_i with t_i = zeta_K^{e_i}, K = N (q - 1), and u_i in
     F_q (nonzero where x_i is constrained nonzero).  zeta_K is fixed by
     zeta_K^N = g, g the least primitive root mod q.  Returns the equations in
-    the u_i, the sparse form of gs twisted and reduced over F_q, and the
-    candidate values of each u_i.
+    the u_i, the sparse form of gs twisted and reduced over F_q with the
+    masks of _masked, and the candidate values of each u_i.
     """
     N = gs.action_order
     _check_twist(N, q, exps)
@@ -416,7 +453,7 @@ def _prepare(gs, q, exps):
         eqs = [_twist(gs, k, exps, N, q, g) for k in range(len(gs._eqs))]
     else:
         eqs = [
-            (const % q, {mono: c % q for mono, c in terms if c % q})
+            _masked(const % q, [(mono, c % q) for mono, c in terms if c % q])
             for const, terms in gs._eqs
         ]
     units = list(range(1, q))

@@ -289,15 +289,15 @@ def _tokenize(src):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             tokens.append(("int", int(src[i:j]), i))
             i = j
         elif "a" <= ch <= "z":
             j = i + 1
-            while j < len(src) and (src[j].isdigit() or "a" <= src[j] <= "z"):
+            while j < len(src) and (src[j].isdecimal() or "a" <= src[j] <= "z"):
                 j += 1
             tokens.append(("ident", src[i:j], i))
             i = j

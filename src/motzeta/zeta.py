@@ -622,6 +622,16 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
 # ---------------------------------------------------------------------------
 
 
+def _int_tuple(row):
+    """row as a tuple of ints, or None when it is not an iterable of ints (a
+    bool is not one)."""
+    try:
+        row = tuple(row)
+    except TypeError:
+        return None
+    return row if all(isinstance(x, int) and not isinstance(x, bool) for x in row) else None
+
+
 class Stratum:
     """One stratum of supplied resolution data: its label set, the class
     atom of its cover, and per-member multiplicity vectors and twists."""
@@ -636,10 +646,10 @@ class Stratum:
                 raise MotzetaError("Stratum %s: need a list, not %r" % (field, value)) from None
 
         def ints(field, row):
-            try:
-                return tuple(int(x) for x in row)
-            except (TypeError, ValueError):
-                raise MotzetaError("Stratum %s: entries must be integers, not %r" % (field, row)) from None
+            out = _int_tuple(row)
+            if out is None:
+                raise MotzetaError("Stratum %s: entries must be integers, not %r" % (field, row))
+            return out
 
         if atom is not None and not isinstance(atom, Atom):
             raise MotzetaError("Stratum atom: need an Atom or None, not %r" % (atom,))
@@ -794,13 +804,18 @@ class ConePieces:
                 raise ConeNotDecomposed("piece %d: needs a (generators, flags) pair, not %r" % (i, piece))
             gens, flags = piece
             try:
-                gens = tuple(tuple(int(x) for x in g) for g in gens)
-            except (TypeError, ValueError):
-                raise ConeNotDecomposed("piece %d generators: need integer vectors, not %r" % (i, gens)) from None
-            try:
-                flags = tuple(bool(b) for b in flags)
+                rows = tuple(_int_tuple(g) for g in gens)
             except TypeError:
-                raise ConeNotDecomposed("piece %d flags: need one flag per generator, not %r" % (i, flags)) from None
+                rows = (None,)
+            if None in rows:
+                raise ConeNotDecomposed("piece %d generators: need integer vectors, not %r" % (i, gens))
+            try:
+                bools = tuple(flags)
+            except TypeError:
+                bools = (None,)
+            if not all(isinstance(b, bool) for b in bools):
+                raise ConeNotDecomposed("piece %d flags: need one flag per generator, not %r" % (i, flags))
+            gens, flags = rows, bools
             if len(gens) != len(flags) or not gens:
                 raise ConeNotDecomposed("piece %d needs generators with flags" % i)
             for g in gens:

@@ -13,6 +13,12 @@ any level, the oracles for x^a past the counters' reach.
 lattice_sum likewise adds up resolution data one lattice point at a time,
 the reference for the closed strands of dl_eval, and validate_cone checks
 a ConePieces point by point against a membership predicate.
+count_reduced_brute is the F_q DFS as it was before its equations carried
+coordinate masks: it rescans every term for the use counts and
+specializes every equation at every branch.  It tries the same candidates
+as geomset._count_reduced, the reference for its counts and its meter
+units; mask_equation_brute gives a (const, {monomial: coeff}) equation the
+masks that search reads.
 fermat_twisted_dfs counts a twisted Fermat pair by the F_q DFS and
 fermat_affine_brute counts u^a + v^b = c pair by pair, the references for
 the power-table kernel geomset.fermat_counts.
@@ -45,6 +51,7 @@ from motzeta.geomset import (
     _prepare,
     _primitive_root,
     _require_prime,
+    _root_count,
     fermat_pair,
 )
 from motzeta.poly import JetExpansion
@@ -143,6 +150,142 @@ def mono_ordgt_count(a, n, q, level):
     return q ** (level - n // a)
 
 
+def _specialize(eq, i, value, q):
+    """Substitute coordinate i = value into a compiled equation."""
+    const, terms = eq
+    new_terms = {}
+    for mono, coeff in terms.items():
+        for k, (j, x) in enumerate(mono):
+            if j == i:
+                coeff = coeff * pow(value, x, q) % q
+                mono = mono[:k] + mono[k + 1 :]
+                break
+        if not coeff:
+            continue
+        if mono:
+            new_terms[mono] = new_terms.get(mono, 0) + coeff
+        else:
+            const += coeff
+    return const % q, {m: c % q for m, c in new_terms.items() if c % q}
+
+
+def _solve_alone(eq, uses, candidates, q):
+    """(j, n) when the equation leaves n values of a coordinate j, which no
+    other monomial of the system mentions, for every value of the rest;
+    else None.  uses[j] counts the monomials of the live equations that
+    mention j."""
+    const, terms = eq
+    if len(terms) == 1:
+        ((mono, c),) = terms.items()
+        if len(mono) == 1 and uses[mono[0][0]] == 1:
+            j, k = mono[0]
+            if const:  # c v^k + d with d != 0: v^k = -d/c
+                return j, _root_count(k, -const * pow(c, q - 2, q) % q, q)
+            return j, int(len(candidates[j]) == q)  # c v^k = 0: v = 0
+    for mono in terms:
+        j, x = mono[0]
+        if len(mono) == 1 and x == 1 and uses[j] == 1 and len(candidates[j]) == q:
+            return j, 1  # c x_j + rest = 0 has one root x_j over F_q
+    return None
+
+
+def count_reduced_brute(eqs, unassigned, candidates, q, meter):
+    """geomset._count_reduced on (const, {monomial: coeff}) equations, the
+    use counts rescanned from every term at every call.
+
+    Same rules, pivots and meter units; see geomset._count_reduced.
+    """
+    live = []
+    for const, terms in eqs:
+        if not terms:
+            if const:
+                return 0
+        else:
+            live.append((const, terms))
+    uses = {}
+    for _, terms in live:
+        for mono in terms:
+            for j, _x in mono:
+                uses[j] = uses.get(j, 0) + 1
+    multiplier = 1
+    solved = set()
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        for eq in live:
+            hit = _solve_alone(eq, uses, candidates, q)
+            if hit is None:
+                kept.append(eq)
+                continue
+            j, n = hit
+            if not n:
+                return 0
+            multiplier *= n
+            solved.add(j)
+            for mono in eq[1]:
+                for i, _x in mono:
+                    uses[i] -= 1
+            changed = True
+        live = kept
+    branching = []
+    for i in unassigned:
+        if uses.get(i):
+            branching.append(i)
+        elif i not in solved:
+            multiplier *= len(candidates[i])
+    if not live:
+        return multiplier
+    # The equation with the fewest distinct coordinates, so triangular
+    # systems resolve level by level.
+    const, terms = min(live, key=lambda e: len({j for mono in e[1] for j, _ in mono}))
+    eq_vars = {j for mono in terms for j, _ in mono}
+    if len(eq_vars) == 1:
+        (pivot,) = eq_vars
+        c = terms.get(((pivot, 1),))
+        if len(terms) == 1 and c is not None:
+            meter.spend()
+            root = -const * pow(c, q - 2, q) % q
+            values = [root] if root or len(candidates[pivot]) == q else []
+        else:
+            meter.spend(len(candidates[pivot]))
+            powers = [(c, mono[0][1]) for mono, c in terms.items()]
+            values = [
+                v for v in candidates[pivot]
+                if (const + sum(c * pow(v, k, q) for c, k in powers)) % q == 0
+            ]
+    else:
+        alone = {mono[0][0] for mono in terms if len(mono) == 1 and mono[0][1] == 1}
+        for mono in terms:
+            if len(mono) > 1 or mono[0][1] > 1:
+                alone.difference_update(j for j, _x in mono)
+        in_eq = [i for i in branching if i in eq_vars]
+        pivot = next((i for i in in_eq if i not in alone), in_eq[0])
+        values = candidates[pivot]
+        meter.spend(len(values))
+    rest = [i for i in branching if i != pivot]
+    total = 0
+    for value in values:
+        next_eqs = [_specialize(eq, pivot, value, q) for eq in live]
+        total += count_reduced_brute(next_eqs, rest, candidates, q, meter)
+    return multiplier * total
+
+
+def mask_equation_brute(const, terms):
+    """(const, {monomial: (coeff, mask)}, once, twice) for an equation
+    (const, {monomial: coeff}): mask has bit j when the monomial holds x_j,
+    and once and twice have the coordinates that at least one, resp. two,
+    of its monomials hold, counted one coordinate at a time."""
+    uses = {}
+    for mono in terms:
+        for j, _x in mono:
+            uses[j] = uses.get(j, 0) + 1
+    masks = {mono: sum(2**j for j, _x in mono) for mono in terms}
+    once = sum(2**j for j in uses)
+    twice = sum(2**j for j, n in uses.items() if n > 1)
+    return const, {mono: (c, masks[mono]) for mono, c in terms.items()}, once, twice
+
+
 def fermat_twisted_dfs(kind, N, q, e_u, e_v, meter):
     """Twisted count of F_kind^N by the F_q DFS on fermat_pair(kind, N),
     reduced with the twists (e_u, e_v) as for any GeomSet."""
@@ -185,14 +328,18 @@ def compile_equation_brute(eq, coord_index, exps, N, q, g):
 
 def prepare_brute(gs, q, exps):
     """geomset._prepare with every Poly of gs.equations compiled by
-    compile_equation_brute (zeta_K as in the geomset module docstring)."""
+    compile_equation_brute (zeta_K as in the geomset module docstring) and
+    masked by mask_equation_brute."""
     N = gs.action_order
     _check_twist(N, q, exps)
     K = N * (q - 1)
     exps = [e % K for e in exps]
     g = _primitive_root(q)
     coord_index = {c: i for i, c in enumerate(gs.coords)}
-    eqs = [compile_equation_brute(eq, coord_index, exps, N, q, g) for eq in gs.equations]
+    eqs = [
+        mask_equation_brute(*compile_equation_brute(eq, coord_index, exps, N, q, g))
+        for eq in gs.equations
+    ]
     units = list(range(1, q))
     with_zero = [0] + units
     candidates = [units if c in gs.nonzero else with_zero for c in gs.coords]

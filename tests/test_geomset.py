@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from brute import fermat_twisted_dfs, prepare_brute
+from brute import count_reduced_brute, fermat_twisted_dfs, mask_equation_brute, prepare_brute
 from motzeta.errors import BudgetExceeded, MotzetaError
 from motzeta.geomset import (
     GeomSet,
@@ -24,7 +24,7 @@ from motzeta.geomset import (
     twisted_count,
 )
 from motzeta.poly import Poly, parse_poly
-from motzeta.zeta import jet_set
+from motzeta.zeta import AxisCounts, jet_set
 
 
 def test_torus_count():
@@ -105,11 +105,35 @@ def test_solving_pins_the_work():
         assert meter.spent <= 31
 
 
+def test_dfs_candidates_are_pinned():
+    # the candidates the search tries on the benchmark's loci and on the
+    # per-axis counts of three germs, exact and ordgt at every level; a
+    # change to the rules, the pivot or the values tried moves them
+    for f, n, q, count, want in (
+        ("x^2+x^3", 16, 7, twisted_count, 49),
+        ("x^2+x^3", 24, 7, twisted_count, 77),
+        ("x^2+y^2", 6, 5, twisted_count, 25),
+        ("x^2+x^3", 8, 5, quotient_count, 120),
+    ):
+        meter = WorkMeter()
+        count(jet_set(parse_poly(f), n), q, meter=meter)
+        assert meter.spent == want, (f, n, q)
+    for f, q, D, want in (("x^2+x^3", 5, 8, 120), ("x^2+x^3", 7, 7, 126), ("x^2+y^3+x*y^2", 5, 24, 2200)):
+        ax = AxisCounts(f, q)
+        for n in range(1, D + 1):
+            ax.exact(n)
+            ax.ordgt(n)
+        assert ax.meter.spent == want, (f, q, D)
+
+
 @st.composite
 def _compiled_systems(draw):
     """Compiled equations over F_q in up to four coordinates: general
     monomials, linear terms c x_j and binomials c v^k + d, with constants and
-    random nonzero constraints."""
+    random nonzero constraints.  Two shapes exercise the masks: a pair of
+    monomials c x_p^e R and -c x_p^f R (e != f, x_p^0 R = R), which cancel
+    where x_p^e = x_p^f, and a binomial in a coordinate of the previous
+    equation, which rule 2 solves only once that equation is dropped."""
     q = draw(st.sampled_from((3, 5, 7)))
     d = draw(st.integers(1, 4))
     coord = st.integers(0, d - 1)
@@ -121,8 +145,21 @@ def _compiled_systems(draw):
 
     eqs = []
     for _ in range(draw(st.integers(1, 3))):
-        shape = draw(st.sampled_from(("general", "linear", "binomial")))
-        if shape == "binomial":
+        shape = draw(st.sampled_from(("general", "linear", "binomial", "cancel", "shared")))
+        if shape == "cancel":
+            p = draw(coord)
+            others = [i for i in range(d) if i != p]
+            rest = draw(st.lists(st.sampled_from(others), max_size=2, unique=True)) if others else []
+            R = tuple((i, draw(st.integers(1, 3))) for i in sorted(rest))
+            e, f = draw(st.lists(st.integers(0 if R else 1, 3), min_size=2, max_size=2, unique=True))
+            c = draw(coeff)
+            terms = {
+                tuple(sorted(R + ((p, x),) if x else R)): a for x, a in ((e, c), (f, q - c))
+            }
+        elif shape == "shared" and eqs:
+            mono = draw(st.sampled_from(sorted(eqs[-1][1])))
+            terms = {((draw(st.sampled_from(mono))[0], draw(st.integers(1, 3))),): draw(coeff)}
+        elif shape == "binomial":
             terms = {((draw(coord), draw(st.integers(1, 4))),): draw(coeff)}
         else:
             terms = {monomial(): draw(coeff) for _ in range(draw(st.integers(0, 2)))}
@@ -136,6 +173,8 @@ def _compiled_systems(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_compiled_systems())
 def test_dfs_rules_match_brute_force(system):
+    # the count is the enumeration's, and the masked search tries the
+    # candidates the unmasked oracle tries
     q, d, eqs, nonzero = system
     candidates = [list(range(1 if i in nonzero else 0, q)) for i in range(d)]
     brute = sum(
@@ -146,7 +185,11 @@ def test_dfs_rules_match_brute_force(system):
         )
         for pt in itertools.product(*candidates)
     )
-    assert _count_reduced(eqs, list(range(d)), candidates, q, WorkMeter()) == brute
+    meter, oracle = WorkMeter(), WorkMeter()
+    masked = [mask_equation_brute(const, terms) for const, terms in eqs]
+    assert _count_reduced(masked, list(range(d)), candidates, q, meter) == brute
+    assert count_reduced_brute(eqs, list(range(d)), candidates, q, oracle) == brute
+    assert meter.spent == oracle.spent
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -294,7 +337,7 @@ def test_prepare_twists_the_sparse_form_as_the_dense_oracle(case):
         return
     got = _prepare(gs, q, exps)
     assert got == want
-    assert [list(terms.items()) for _, terms in got[0]] == [list(terms.items()) for _, terms in want[0]]
+    assert [list(eq[1].items()) for eq in got[0]] == [list(eq[1].items()) for eq in want[0]]
 
 
 def test_twisted_count_needs_prime_q():

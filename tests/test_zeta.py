@@ -668,6 +668,21 @@ def _symbolic_entry(coeff):
                      id="stratum-labels-type"),
         pytest.param(lambda: Stratum(("E",), "mu2", ((1,),), (1,)), "Stratum atom: need an Atom or None, not 'mu2'",
                      id="stratum-atom-type"),
+        pytest.param(lambda: Stratum(("E",), None, ((1.5,),), (2,)), "Stratum N: entries must be integers, not (1.5,)",
+                     id="stratum-N-float"),
+        pytest.param(lambda: Stratum(("E",), None, ((True,),), (2,)), "Stratum N: entries must be integers, not (True,)",
+                     id="stratum-N-bool"),
+        pytest.param(lambda: Stratum(("E",), None, ((1,),), (2.7,)), "Stratum nu: entries must be integers, not (2.7,)",
+                     id="stratum-nu-float"),
+        pytest.param(lambda: parse_resolution([{"I": ["E"], "N": [[1]], "nu": [1]}, {"I": ["F"], "N": [["1"]], "nu": [1]}]),
+                     "parse_resolution: stratum 1: Stratum N: entries must be integers, not ['1']",
+                     id="resolution-N-str"),
+        pytest.param(lambda: ConePieces([(((1, 0),), (True,)), (((1.9, 0),), (True,))]),
+                     "piece 1 generators: need integer vectors, not ((1.9, 0),)", id="cone-gens-float"),
+        pytest.param(lambda: ConePieces([(((1, False),), (True,))]),
+                     "piece 0 generators: need integer vectors, not ((1, False),)", id="cone-gens-bool"),
+        pytest.param(lambda: ConePieces([(((1, 0),), ("no",))]),
+                     "piece 0 flags: need one flag per generator, not ('no',)", id="cone-flags-str"),
         pytest.param(lambda: multizeta_separable((X2, Y3), R7, vars=("T", "T")),
                      "duplicate variable names: ['T', 'T']", id="separable-duplicate-vars"),
     ],
