@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import BaseMismatch, MotzetaError, NotInvertible, TailNotSummable
+from .errors import BaseMismatch, MotzetaError, NotInvertible, TailNotSummable, require_int
 from .locring import ONE
 
 
@@ -103,10 +103,8 @@ class EGSeq:
     __slots__ = ("real", "period", "modes", "exceptional", "dom_min", "stable_start")
 
     def __init__(self, real, period, modes, exceptional=None, dom_min=1, stable_start=None):
-        if period < 1:
-            raise MotzetaError("EGSeq period must be >= 1, not %r" % (period,))
         self.real = real
-        self.period = period
+        self.period = require_int(period, "EGSeq period", 1)
         self.modes = tuple(_merge_modes(real.zero, modes[r]) for r in range(period))
         exc = dict(exceptional or {})
         if stable_start is None:

@@ -2,6 +2,11 @@
 
 Every failure mode that callers are expected to catch has its own class here.
 All inherit from MotzetaError so a CLI or niche caller can catch broadly.
+
+The argument checks every module shares live here too: require_int (an int
+that is not a bool, optionally bounded below) and require_choice (one of a
+few allowed values, type-strict), each naming the parameter and the value
+it refuses.  No entry point coerces an argument with int().
 """
 
 
@@ -67,3 +72,27 @@ class UnknownToken(ParseError):
 
 class NotInvertible(MotzetaError):
     """Inversion requested for a scalar not presented as a unit."""
+
+
+# --- argument checks -----------------------------------------------------------
+
+
+def require_int(value, what, lo=None, error=MotzetaError):
+    """value, when it is an int (a bool is not one) and, if lo is given, at
+    least lo; otherwise error (a MotzetaError class) naming what and value.
+    The type test for a plain int comes first: it is the common case."""
+    if type(value) is not int and (not isinstance(value, int) or isinstance(value, bool)):
+        raise error("%s must be an int, not %r" % (what, value))
+    if lo is not None and value < lo:
+        raise error("%s must be >= %d, not %r" % (what, lo, value))
+    return value
+
+
+def require_choice(what, value, allowed):
+    """value, when it is one of allowed, of the same type (True is not 1);
+    otherwise a MotzetaError naming what, the allowed values and value."""
+    if not any(type(value) is type(a) and value == a for a in allowed):
+        names = [repr(a) for a in allowed]
+        listed = ", ".join(names[:-1]) + " or " + names[-1]
+        raise MotzetaError("%s must be %s, not %r" % (what, listed, value))
+    return value

@@ -59,7 +59,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import BudgetExceeded, MotzetaError, VariableMismatch
+from .errors import BudgetExceeded, MotzetaError, VariableMismatch, require_choice, require_int
 from .poly import Poly
 
 DEFAULT_BUDGET = 10**8
@@ -99,13 +99,14 @@ def _primitive_root(q):
 
 
 class WorkMeter:
-    """Counts candidate evaluations against a budget."""
+    """Counts candidate evaluations against a budget (an int >= 0, or None
+    for DEFAULT_BUDGET)."""
 
     __slots__ = ("spent", "budget")
 
     def __init__(self, budget=DEFAULT_BUDGET):
         self.spent = 0
-        self.budget = budget if budget is not None else DEFAULT_BUDGET
+        self.budget = DEFAULT_BUDGET if budget is None else require_int(budget, "WorkMeter budget", 0)
 
     def spend(self, units=1):
         self.spent += units
@@ -152,12 +153,10 @@ class GeomSet:
     def _set_action(self, coords, action_order, weights):
         """Set and check the coordinates, the action order and the weights."""
         self.coords = tuple(coords)
-        self.action_order = int(action_order)
-        if self.action_order < 1:
-            raise MotzetaError("GeomSet action_order must be >= 1, not %d" % self.action_order)
+        self.action_order = require_int(action_order, "GeomSet action_order", 1)
         if weights is None:
             weights = (0,) * len(self.coords)
-        self.weights = tuple(w % self.action_order for w in weights)
+        self.weights = tuple(require_int(w, "GeomSet weights: weight") % action_order for w in weights)
         if len(self.weights) != len(self.coords):
             raise VariableMismatch(
                 "GeomSet weights: %d weights for %d coords" % (len(self.weights), len(self.coords))
@@ -476,8 +475,7 @@ def twisted_count(gs, q, g_exp=0, meter=None):
     x_i^q = xi^{-g_exp * w_i} x_i.  meter (default: a fresh WorkMeter with
     DEFAULT_BUDGET) is charged for the candidates tried.
     """
-    if not isinstance(g_exp, int) or isinstance(g_exp, bool):
-        raise MotzetaError("twisted_count g_exp must be an int, not %r" % (g_exp,))
+    require_int(g_exp, "twisted_count g_exp")
     if meter is None:
         meter = WorkMeter()
     eqs, candidates = _prepare(gs, q, _sector_exps(gs, g_exp))
@@ -503,6 +501,7 @@ def torus(name="u"):
 
 def mu_n(n, name="u"):
     """The group of n-th roots of unity with its translation action."""
+    require_int(n, "mu_n n", 1)
     return GeomSet(
         (name,),
         (Poly.var(name, n) - 1,),
@@ -517,9 +516,10 @@ def fermat_pair(kind, N, unames=("u", "v")):
 
     Carries the diagonal mu_N action with weight 1 on both coordinates.
     """
+    require_choice("fermat_pair kind", kind, (0, 1))
+    require_int(N, "fermat_pair N", 1)
     u, v = unames
-    rhs = 0 if kind == 0 else 1
-    eq = Poly.var(u, N) + Poly.var(v, N) - rhs
+    eq = Poly.var(u, N) + Poly.var(v, N) - kind
     return GeomSet((u, v), (eq,), (u, v), N, (1, 1))
 
 

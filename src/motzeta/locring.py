@@ -24,7 +24,7 @@ term), and one product, LocRat._times_monomial, applies it: both sides of *,
 the power c^k*L^(e*k) of a monomial under **, and the scaling of a class's
 coefficients (motclass._scaled) take that path.
 
-An exponent of ** must be an int (not a bool).  A negative power of a
+An exponent of ** must be an int (errors.require_int).  A negative power of a
 monomial is itself a monomial only when c = +-1; any other negative power
 goes through inverse(), so 2*L has none.  Zero is not a unit: inverting it,
 or raising it to a negative power, raises NotInvertible.
@@ -36,13 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DenominatorVanishes, MotzetaError, NotInvertible
-
-
-def _check_exponent(who, k):
-    """Refuse an exponent of ** that is not an int (a bool is not one)."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise MotzetaError("%s power: exponent must be an int, not %r" % (who, k))
+from .errors import DenominatorVanishes, MotzetaError, NotInvertible, require_int
 
 
 class LaurentPoly:
@@ -110,9 +104,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        _check_exponent("LaurentPoly", k)
-        if k < 0:
-            raise MotzetaError("LaurentPoly power: exponent must be >= 0, not %d" % k)
+        require_int(k, "LaurentPoly power: exponent", 0)
         out = LaurentPoly.const(1)
         base = self
         while k:
@@ -148,7 +140,7 @@ class LaurentPoly:
     def divexact(self, d):
         """Return self / d when the division is exact over Z, else None."""
         if d.is_zero():
-            raise ZeroDivisionError("division by zero LaurentPoly")
+            raise DenominatorVanishes("LaurentPoly divexact: the divisor is zero")
         if self.is_zero():
             return LaurentPoly()
         # Shift both to ordinary polynomials with valuation 0.
@@ -284,11 +276,13 @@ class LocRat:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=()):
-        if isinstance(num, int):
+        if type(num) is int:
             num = LaurentPoly.const(num)
-        den = tuple(sorted(den))
-        if any(n < 1 for n in den):
-            raise MotzetaError("LocRat den: factors (1-L^n) need n >= 1, not %s" % list(den))
+        elif not isinstance(num, LaurentPoly):
+            raise MotzetaError(
+                "LocRat num must be an int or a LaurentPoly, not %s %r" % (type(num).__name__, num)
+            )
+        den = tuple(sorted([require_int(n, "LocRat den: n of a factor (1-L^n)", 1) for n in den]))
         if num.is_zero():
             den = ()
         else:
@@ -396,7 +390,7 @@ class LocRat:
         return out
 
     def __pow__(self, k):
-        _check_exponent("LocRat", k)
+        require_int(k, "LocRat power: exponent")
         m = self._monomial()
         if m is not None and (k >= 0 or m[0] in (1, -1)):
             # (c*L^e)^k = c^k * L^(e*k); c^k = c^|k| for c = +-1

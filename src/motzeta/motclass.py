@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BudgetExceeded, MotzetaError, UnboundAtom
+from .errors import BudgetExceeded, MotzetaError, UnboundAtom, require_int
 from .geomset import (  # noqa: F401  (re-exported: GeomSet lives with its counts)
     GeomSet,
     WorkMeter,
@@ -64,10 +64,8 @@ class Atom:
     __slots__ = ("name", "base", "order", "aug")
 
     def __init__(self, name, order=1, base="pt", aug=False):
-        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-            raise MotzetaError("Atom %r order must be an int >= 1, not %r" % (name, order))
         self.name = name
-        self.order = order
+        self.order = require_int(order, "Atom %r order" % (name,), 1)
         self.base = base
         self.aug = bool(aug)
 
@@ -225,8 +223,12 @@ class SymbolicClass:
 
     @classmethod
     def scalar(cls, c, base="pt"):
-        if isinstance(c, int):
+        if type(c) is int:
             c = LocRat.from_int(c)
+        elif not isinstance(c, LocRat):
+            raise MotzetaError(
+                "SymbolicClass scalar must be an int or a LocRat, not %s %r" % (type(c).__name__, c)
+            )
         return cls((((), False, c),), base)
 
     @classmethod

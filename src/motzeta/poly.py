@@ -11,7 +11,7 @@ polynomials compare equal structurally.
 
 from __future__ import annotations
 
-from .errors import MotzetaError, ParseError, UnknownToken, VariableMismatch
+from .errors import ParseError, UnknownToken, VariableMismatch, require_int
 
 
 class Poly:
@@ -119,8 +119,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise MotzetaError("Poly power: exponent must be >= 0, not %d" % k)
+        require_int(k, "Poly power: exponent", 0)
         out = Poly.const(1)
         base = self
         while k:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MotzetaError
+from .errors import require_int
 from .motclass import SymbolicClass
 
 
@@ -37,7 +37,6 @@ def symbolic_realization(base="pt"):
 
 
 def count_realization(q):
-    """Counting over F_q; q must be an int >= 2 (a bool is not one)."""
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
-        raise MotzetaError("a count realization needs an int q >= 2, not %r" % (q,))
+    """Counting over F_q; q must be an int >= 2."""
+    require_int(q, "count_realization q", 2)
     return Realization("count", q, Fraction(0), Fraction(1))

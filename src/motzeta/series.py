@@ -55,6 +55,8 @@ from .errors import (
     MotzetaError,
     NotLimitNormal,
     VariableMismatch,
+    require_choice,
+    require_int,
 )
 from .locring import L_MINUS_1, LaurentPoly, LocRat
 from .motclass import Atom, ConvNode, SymbolicClass, augment, conv, conv0, conv1
@@ -94,14 +96,6 @@ def _check_same_shape(a, b):
 # ---------------------------------------------------------------------------
 
 
-def _require_bound(bound):
-    """Refuse a truncation bound that is not an int >= 0 (a bool is not one)."""
-    if not isinstance(bound, int) or isinstance(bound, bool):
-        raise VariableMismatch("truncation bound must be an int, not %r" % (bound,))
-    if bound < 0:
-        raise VariableMismatch("truncation bound must be >= 0, not %d" % bound)
-
-
 class TruncSeries:
     """Total-degree truncated series.
 
@@ -116,17 +110,15 @@ class TruncSeries:
         vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise VariableMismatch("duplicate variable names: %s" % list(vars))
-        _require_bound(bound)
+        require_int(bound, "truncation bound", 0, VariableMismatch)
         items = entries.items() if isinstance(entries, dict) else entries
         merged = {}
         for exp, val in items:
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(require_int(e, "TruncSeries entries: exponent", 0, VariableMismatch) for e in exp)
             if len(exp) != len(vars):
                 raise VariableMismatch(
                     "exponent %s does not match %d variables" % (list(exp), len(vars))
                 )
-            if any(e < 0 for e in exp):
-                raise VariableMismatch("TruncSeries entries: exponent %s is negative" % (list(exp),))
             if sum(exp) > bound:
                 continue
             merged[exp] = merged[exp] + val if exp in merged else val
@@ -136,7 +128,7 @@ class TruncSeries:
         self.entries = {e: v for e, v in merged.items() if v}
 
     def coeff(self, exp):
-        exp = tuple(int(e) for e in exp)
+        exp = tuple(require_int(e, "TruncSeries coeff: exponent", error=VariableMismatch) for e in exp)
         if len(exp) != len(self.vars):
             raise VariableMismatch("exponent arity %d, series arity %d" % (len(exp), len(self.vars)))
         return self.entries.get(exp, self.real.zero)
@@ -236,7 +228,10 @@ def monomial_substitute(a, new_vars, images, bound=None):
     exponents map linearly and colliding entries merge.
     """
     new_vars = tuple(new_vars)
-    images = tuple(tuple(int(x) for x in img) for img in images)
+    images = tuple(
+        tuple(require_int(x, "monomial_substitute images: exponent", error=VariableMismatch) for x in img)
+        for img in images
+    )
     if len(images) != len(a.vars):
         raise VariableMismatch("need one image per variable")
     for img in images:
@@ -280,14 +275,12 @@ def hadamard_conv(a, b, kind=None):
     one flavor.  Needs class coefficients: counted values have already
     forgotten the action data a convolution depends on.
     """
-    fn = {None: conv, 0: conv0, 1: conv1}.get(kind)
-    if fn is None:
-        raise MotzetaError("hadamard_conv kind must be None, 0 or 1, not %r" % (kind,))
+    require_choice("hadamard_conv kind", kind, (None, 0, 1))
     if a.real.tag != "symbolic":
         raise BaseMismatch(
             "hadamard_conv operands must have class coefficients, not %s" % _real_name(a.real)
         )
-    return _hadamard(a, b, fn)
+    return _hadamard(a, b, {None: conv, 0: conv0, 1: conv1}[kind])
 
 
 def _hadamard(a, b, mulfn):
@@ -545,12 +538,10 @@ class Strand:
     __slots__ = ("coeff", "b", "factors")
 
     def __init__(self, coeff, b, factors):
-        b = tuple(int(x) for x in b)
-        if any(x < 0 for x in b):
-            raise MotzetaError("Strand b: monomial exponent %s is negative" % list(b))
+        b = tuple(require_int(x, "Strand b: monomial exponent", 0) for x in b)
         fs = []
         for m, nv in factors:
-            nv = tuple(int(x) for x in nv)
+            nv = tuple(require_int(x, "Strand factors: exponent") for x in nv)
             if len(nv) != len(b):
                 raise VariableMismatch("factor exponent arity differs from the monomial")
             if any(x < 0 for x in nv) or not any(nv):
@@ -558,7 +549,7 @@ class Strand:
                     "Strand factors: exponent vector %s must be nonzero and "
                     "nonnegative" % list(nv)
                 )
-            fs.append((int(m), nv))
+            fs.append((require_int(m, "Strand factors: L exponent m"), nv))
         fs.sort(key=lambda f: (f[1], f[0]))
         self.coeff = coeff
         self.b = b
@@ -841,8 +832,7 @@ def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
     """
     if real.tag != "count":
         raise FitFailed("fitting runs over the count realization only")
-    if not isinstance(period, int) or isinstance(period, bool) or period < 1:
-        raise MotzetaError("strand_fit period must be a positive int, not %r" % (period,))
+    require_int(period, "strand_fit period", 1)
     for n, v in samples.items():
         if not isinstance(v, Rational):
             raise MotzetaError("strand_fit sample at n=%r is not a rational number: %r" % (n, v))
@@ -1105,7 +1095,8 @@ def _checked_masks(vars, masks, streams, who):
     VariableMismatch on a bad mask or a repeated variable name."""
     if len(set(vars)) != len(vars):
         raise VariableMismatch("duplicate variable names: %s" % list(vars))
-    out = tuple(tuple(int(x) for x in m) for m in masks)
+    entry = "%s masks: entry" % who
+    out = tuple(tuple(require_int(x, entry, error=VariableMismatch) for x in m) for m in masks)
     if len(out) != len(streams):
         raise MotzetaError("%s masks: %d masks for %d streams" % (who, len(out), len(streams)))
     for m in out:
@@ -1259,14 +1250,10 @@ def _require_keys(d, where, *keys):
 
 def _real_from_dict(d):
     _require_keys(d, "series_from_dict realization", "tag")
+    require_choice("series_from_dict realization: tag", d["tag"], ("count", "symbolic"))
     if d["tag"] == "count":
         _require_keys(d, "series_from_dict realization", "q")
         return count_realization(d["q"])
-    if d["tag"] != "symbolic":
-        raise MotzetaError(
-            "series_from_dict realization: tag must be 'count' or 'symbolic', "
-            "not %r" % d["tag"]
-        )
     return symbolic_realization(d.get("base", "pt"))
 
 
@@ -1308,23 +1295,25 @@ def _class_from_data(terms, base):
         c = t["coeff"]
         _require_keys(c, "series_from_dict coeff", "num", "den")
         try:
-            num = LaurentPoly({int(e): int(v) for e, v in c["num"]})
-            den = [int(n) for n in c["den"]]
+            num = dict(c["num"])
+            den = list(c["den"])
         except (TypeError, ValueError):
             raise MotzetaError(
                 "series_from_dict coeff: num must list [exp, coeff] integer pairs "
                 "and den integers, not %r" % (c,)
             ) from None
+        for e, v in num.items():
+            require_int(e, "series_from_dict coeff: num exponent")
+            require_int(v, "series_from_dict coeff: num coefficient")
         factors = _list_field(t, "series_from_dict term", "factors")
-        out.append((tuple(_factor_from_data(f) for f in factors), bool(t["aug"]), LocRat(num, den)))
+        out.append((tuple(_factor_from_data(f) for f in factors), bool(t["aug"]), LocRat(LaurentPoly(num), den)))
     return SymbolicClass(out, base)
 
 
 def _factor_from_data(d):
     if isinstance(d, dict) and "conv" in d:
         _require_keys(d, "series_from_dict conv", "left", "right", "aug")
-        if d["conv"] not in (0, 1):
-            raise MotzetaError("series_from_dict conv: kind must be 0 or 1, not %r" % (d["conv"],))
+        require_choice("series_from_dict conv: kind", d["conv"], (0, 1))
         left, right = (
             [_factor_from_data(x) for x in _list_field(d, "series_from_dict conv", k)]
             for k in ("left", "right")
@@ -1372,10 +1361,7 @@ def series_to_dict(s):
 
 def series_from_dict(d):
     _require_keys(d, "series_from_dict", "realization", "vars", "mode")
-    if d["mode"] not in ("trunc", "closed"):
-        raise MotzetaError(
-            "series_from_dict mode: must be 'trunc' or 'closed', not %r" % d["mode"]
-        )
+    require_choice("series_from_dict mode", d["mode"], ("trunc", "closed"))
     real = _real_from_dict(d["realization"])
     vars = tuple(d["vars"])
 
@@ -1412,4 +1398,8 @@ def series_to_json(s):
 
 
 def series_from_json(text):
-    return series_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise MotzetaError("series_from_json: not JSON: %s at position %d" % (err.msg, err.pos)) from None
+    return series_from_dict(data)

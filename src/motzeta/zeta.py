@@ -59,6 +59,9 @@ from .errors import (
     FitFailed,
     MotzetaError,
     NotLimitNormal,
+    VariableMismatch,
+    require_choice,
+    require_int,
 )
 from .geomset import (
     GeomSet,
@@ -79,7 +82,6 @@ from .series import (
     SeparableSeries,
     Strand,
     TruncSeries,
-    _require_bound,
     _solve_exact,
     expand_chains,
     lim_infty,
@@ -89,15 +91,9 @@ from .egseq import EGSeq
 def _as_poly(f):
     if isinstance(f, Poly):
         return f
-    return parse_poly(f)
-
-
-def _choice(param, value, allowed):
-    """Refuse an argument outside its accepted values, naming both."""
-    if value not in allowed:
-        names = [repr(a) for a in allowed]
-        listed = ", ".join(names[:-1]) + " or " + names[-1]
-        raise MotzetaError("%s must be %s, not %r" % (param, listed, value))
+    if isinstance(f, str):
+        return parse_poly(f)
+    raise MotzetaError("germ f must be a Poly or its text, not %s %r" % (type(f).__name__, f))
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +111,8 @@ def jet_set(f, n, exact=True, action_order=None):
     over the zeros of f instead (zeta_trunc with base="global").
     """
     f = _as_poly(f)
-    _require_level(n)
+    require_int(n, "jet order n", 1)
     return _jet_locus(f.vars, JetExpansion(f).level(n), n, exact, action_order)
-
-
-def _require_level(n):
-    """Refuse a jet level that is not an int >= 1 (a bool is not one)."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise MotzetaError("jet order n must be an int, not %r" % (n,))
-    if n < 1:
-        raise MotzetaError("jet order n must be >= 1, not %r" % (n,))
 
 
 def _jet_locus(vars, digits, n, exact=True, action_order=None):
@@ -173,7 +161,7 @@ def histogram_pair_counts(f, g, n, q, meter=None):
     count, so one meter passed at each level caps them all.
     """
     f, g = _as_poly(f), _as_poly(g)
-    _require_level(n)
+    require_int(n, "jet order n", 1)
     if meter is None:
         meter = WorkMeter()
     return _pair_counts(JetExpansion(f), JetExpansion(g), n, q, meter)
@@ -296,8 +284,7 @@ def monomial_pair_counts(a, b, n, q):
     fresh coordinate pair and contributes a factor q."""
     _require_prime(q, "monomial_pair_counts")
     for name, v in (("a", a), ("b", b), ("n", n)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise MotzetaError("monomial_pair_counts: %s must be an int >= 1, not %r" % (name, v))
+        require_int(v, "monomial_pair_counts: " + name, 1)
     _require_prime_to(q, a=a, b=b)
     f0, f1, negb = fermat_affine_counts(a, b, q)
     ga = math.gcd(a, q - 1)
@@ -350,7 +337,7 @@ class AxisCounts:
         self._counts = {}
 
     def _count(self, kind, n):
-        _require_level(n)
+        require_int(n, "jet order n", 1)
         if (kind, n) not in self._counts:
             locus = _jet_locus(
                 self.f.vars, self._jets.level(n), n, kind == "exact", action_order=1
@@ -444,7 +431,7 @@ def zeta_trunc(f, D, real, var="T", base="origin", budget=None):
     budget caps the DFS candidates of the whole call, every zero together;
     BudgetExceeded names f, the zero and the level that exceeded it.
     """
-    _choice("base", base, ("origin", "global"))
+    require_choice("base", base, ("origin", "global"))
     if base == "origin":
         return multizeta_trunc((f,), D, real, (var,), budget)
     if real.tag == "symbolic":
@@ -572,8 +559,8 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     expansion each of f and g.  Either way budget caps the DFS candidates
     of all levels together.  A symbolic series is zeta_trunc of f + g.
     """
-    _choice("mode", mode, ("auto", "strata", "hist"))
-    _require_bound(D)
+    require_choice("mode", mode, ("auto", "strata", "hist"))
+    require_int(D, "truncation bound", 0, VariableMismatch)
     f, g = _as_poly(f), _as_poly(g)
     fg = f.direct_sum(g)
     if real.tag == "symbolic":
@@ -622,41 +609,26 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
 # ---------------------------------------------------------------------------
 
 
-def _int_tuple(row):
-    """row as a tuple of ints, or None when it is not an iterable of ints (a
-    bool is not one)."""
-    try:
-        row = tuple(row)
-    except TypeError:
-        return None
-    return row if all(isinstance(x, int) and not isinstance(x, bool) for x in row) else None
-
-
 class Stratum:
     """One stratum of supplied resolution data: its label set, the class
-    atom of its cover, and per-member multiplicity vectors and twists."""
+    atom of its cover, and per-member multiplicity vectors and twists.
+    labels, N, each row of N and nu are lists or tuples."""
 
     __slots__ = ("labels", "atom", "N", "nu")
 
     def __init__(self, labels, atom, N, nu):
-        def listed(field, value):
-            try:
-                return tuple(value)
-            except TypeError:
-                raise MotzetaError("Stratum %s: need a list, not %r" % (field, value)) from None
-
-        def ints(field, row):
-            out = _int_tuple(row)
-            if out is None:
-                raise MotzetaError("Stratum %s: entries must be integers, not %r" % (field, row))
-            return out
-
         if atom is not None and not isinstance(atom, Atom):
             raise MotzetaError("Stratum atom: need an Atom or None, not %r" % (atom,))
-        self.labels = tuple(str(x) for x in listed("labels", labels))
+        for field, value in (("labels", labels), ("N", N), ("nu", nu)):
+            if not isinstance(value, (list, tuple)):
+                raise MotzetaError("Stratum %s: need a list, not %r" % (field, value))
+        for row in N:
+            if not isinstance(row, (list, tuple)):
+                raise MotzetaError("Stratum N: need a list per member, not %r" % (row,))
+        self.labels = tuple(str(x) for x in labels)
         self.atom = atom
-        self.N = tuple(ints("N", row) for row in listed("N", N))
-        self.nu = ints("nu", nu)
+        self.N = tuple(tuple(require_int(x, "Stratum N: multiplicity", 0) for x in row) for row in N)
+        self.nu = tuple(require_int(v, "Stratum nu: twist", 1) for v in nu)
         k = len(self.labels)
         if k == 0:
             raise MotzetaError("Stratum labels: empty stratum")
@@ -668,12 +640,8 @@ class Stratum:
         for row in self.N:
             if len(row) != width:
                 raise MotzetaError("Stratum N: ragged multiplicity rows")
-            if any(x < 0 for x in row):
-                raise MotzetaError("Stratum N: multiplicities must be >= 0")
             if not any(row):
                 raise MotzetaError("Stratum N: every member needs a positive multiplicity")
-        if any(v < 1 for v in self.nu):
-            raise MotzetaError("Stratum nu: twists must be >= 1")
 
     @property
     def width(self):
@@ -803,26 +771,18 @@ class ConePieces:
             if not isinstance(piece, (list, tuple)) or len(piece) != 2:
                 raise ConeNotDecomposed("piece %d: needs a (generators, flags) pair, not %r" % (i, piece))
             gens, flags = piece
-            try:
-                rows = tuple(_int_tuple(g) for g in gens)
-            except TypeError:
-                rows = (None,)
-            if None in rows:
+            if not isinstance(gens, (list, tuple)) or not all(isinstance(g, (list, tuple)) for g in gens):
                 raise ConeNotDecomposed("piece %d generators: need integer vectors, not %r" % (i, gens))
-            try:
-                bools = tuple(flags)
-            except TypeError:
-                bools = (None,)
-            if not all(isinstance(b, bool) for b in bools):
+            entry = "piece %d generators: entry" % i
+            gens = tuple(tuple(require_int(x, entry, 0, ConeNotDecomposed) for x in g) for g in gens)
+            if not isinstance(flags, (list, tuple)) or not all(isinstance(b, bool) for b in flags):
                 raise ConeNotDecomposed("piece %d flags: need one flag per generator, not %r" % (i, flags))
-            gens, flags = rows, bools
+            flags = tuple(flags)
             if len(gens) != len(flags) or not gens:
                 raise ConeNotDecomposed("piece %d needs generators with flags" % i)
             for g in gens:
-                if all(x == 0 for x in g):
+                if not any(g):
                     raise ConeNotDecomposed("piece %d has a zero generator" % i)
-                if any(x < 0 for x in g):
-                    raise ConeNotDecomposed("piece %d: generators must be nonnegative" % i)
             if len({len(g) for g in gens}) != 1:
                 raise ConeNotDecomposed("piece %d: generators %r differ in length" % (i, gens))
             # independent iff no generator is a combination of those before it

@@ -697,10 +697,10 @@ def test_strand_fit_rejects_non_stream():
         ({1: Fraction(1), 2: "a"}, 1, "strand_fit sample at n=2 is not a rational number: 'a'"),
         ({1: None}, 1, "strand_fit sample at n=1 is not a rational number: None"),
         ({3: 0.5}, 1, "strand_fit sample at n=3 is not a rational number: 0.5"),
-        ({1: Fraction(1)}, "a", "strand_fit period must be a positive int, not 'a'"),
-        ({1: Fraction(1)}, 0, "strand_fit period must be a positive int, not 0"),
-        ({1: Fraction(1)}, 2.0, "strand_fit period must be a positive int, not 2.0"),
-        ({1: Fraction(1)}, True, "strand_fit period must be a positive int, not True"),
+        ({1: Fraction(1)}, "a", "strand_fit period must be an int, not 'a'"),
+        ({1: Fraction(1)}, 0, "strand_fit period must be >= 1, not 0"),
+        ({1: Fraction(1)}, 2.0, "strand_fit period must be an int, not 2.0"),
+        ({1: Fraction(1)}, True, "strand_fit period must be an int, not True"),
     ],
 )
 def test_strand_fit_refuses_malformed_input(samples, period, message):
@@ -709,12 +709,16 @@ def test_strand_fit_refuses_malformed_input(samples, period, message):
     assert not isinstance(err.value, (TypeError, ValueError))
 
 
-@pytest.mark.parametrize("q", [1, -1, 0, "a", 5.0, True, None])
-def test_count_realization_refuses_q_that_is_no_int_from_two(q):
+@pytest.mark.parametrize(
+    "q, rule",
+    [(1, ">= 2"), (-1, ">= 2"), (0, ">= 2"), ("a", "an int"), (5.0, "an int"), (True, "an int"), (None, "an int")],
+    ids=["1", "-1", "0", "a", "5.0", "True", "None"],
+)
+def test_count_realization_refuses_q_that_is_no_int_from_two(q, rule):
     # q = 1 or -1 would loop forever in the fit's q-valuations, q = 0 divide
     # by zero, and the rest fail deep inside a count; the JSON loader builds
     # its realization through the same constructor
-    message = re.escape("a count realization needs an int q >= 2, not %r" % (q,))
+    message = re.escape("count_realization q must be %s, not %r" % (rule, q))
     with pytest.raises(MotzetaError, match=message):
         count_realization(q)
     blob = json.dumps(

@@ -28,7 +28,7 @@ from motzeta.errors import (
     MotzetaError,
     VariableMismatch,
 )
-from motzeta.geomset import GeomSet, WorkMeter, fermat_pair, twisted_count
+from motzeta.geomset import GeomSet, WorkMeter, fermat_pair, mu_n, twisted_count
 from motzeta.locring import LaurentPoly, LocRat
 from motzeta.motclass import Atom, Binding, SymbolicClass, bind_and_count, conv, conv0, conv1
 from motzeta.poly import Poly, parse_poly
@@ -42,6 +42,7 @@ from motzeta.series import (
     closed_from_fit,
     hadamard_conv,
     hadamard_ext,
+    monomial_substitute,
     project,
     series_from_dict,
     series_from_json,
@@ -474,7 +475,7 @@ def _symbolic_entry(coeff):
         pytest.param(lambda: Stratum(("E",), None, ((0,),), (1,)),
                      "Stratum N: every member needs a positive multiplicity", id="stratum-N"),
         pytest.param(lambda: Stratum(("E",), None, ((1,),), (0,)),
-                     "Stratum nu: twists must be >= 1", id="stratum-nu"),
+                     "Stratum nu: twist must be >= 1, not 0", id="stratum-nu"),
         pytest.param(lambda: ResolutionData([]),
                      "ResolutionData strata: need at least one stratum", id="resolution-strata"),
         pytest.param(lambda: jet_set(X2, 0), "jet order n must be >= 1, not 0", id="jet-order"),
@@ -502,15 +503,15 @@ def _symbolic_entry(coeff):
         pytest.param(lambda: monomial_pair_counts(3, 2, 3, 3),
                      "exponent a=3 must be prime to q=3", id="pair-exponent"),
         pytest.param(lambda: monomial_pair_counts(-2, 3, 4, 7),
-                     "monomial_pair_counts: a must be an int >= 1, not -2", id="pair-a"),
+                     "monomial_pair_counts: a must be >= 1, not -2", id="pair-a"),
         pytest.param(lambda: monomial_pair_counts(2, 0, 4, 7),
-                     "monomial_pair_counts: b must be an int >= 1, not 0", id="pair-b"),
+                     "monomial_pair_counts: b must be >= 1, not 0", id="pair-b"),
         pytest.param(lambda: monomial_pair_counts(2, 3, 0, 7),
-                     "monomial_pair_counts: n must be an int >= 1, not 0", id="pair-level"),
+                     "monomial_pair_counts: n must be >= 1, not 0", id="pair-level"),
         pytest.param(lambda: monomial_pair_counts(2.0, 3, 4, 7),
-                     "monomial_pair_counts: a must be an int >= 1, not 2.0", id="pair-a-int"),
+                     "monomial_pair_counts: a must be an int, not 2.0", id="pair-a-int"),
         pytest.param(lambda: monomial_pair_counts(2, 3, True, 7),
-                     "monomial_pair_counts: n must be an int >= 1, not True", id="pair-level-bool"),
+                     "monomial_pair_counts: n must be an int, not True", id="pair-level-bool"),
         pytest.param(lambda: monomial_pair_counts(2, 3, 4, 7.0),
                      "monomial_pair_counts needs a prime q, got 7.0", id="pair-q-int"),
         pytest.param(lambda: AxisCounts(X2, 7.5), "AxisCounts needs a prime q, got 7.5", id="axis-q-int"),
@@ -522,9 +523,9 @@ def _symbolic_entry(coeff):
         pytest.param(lambda: parse_resolution([{"I": ["E"], "N": [[1]]}]),
                      "parse_resolution: stratum 0 has no 'nu'", id="resolution-key"),
         pytest.param(lambda: Stratum(("E",), None, (("a",),), (1,)),
-                     "Stratum N: entries must be integers", id="stratum-N-int"),
+                     "Stratum N: multiplicity must be an int, not 'a'", id="stratum-N-int"),
         pytest.param(lambda: Stratum(("E",), None, ((1,),), ("b",)),
-                     "Stratum nu: entries must be integers", id="stratum-nu-int"),
+                     "Stratum nu: twist must be an int, not 'b'", id="stratum-nu-int"),
         pytest.param(lambda: zeta_trunc(X2, 4, count_realization(5)).add(zeta_trunc(X2, 4, R7)),
                      "operands live over different realizations: count at q=5 vs count at q=7",
                      id="add-realization"),
@@ -541,7 +542,7 @@ def _symbolic_entry(coeff):
         pytest.param(lambda: GeomSet(("x",), (), ("z",)),
                      "GeomSet nonzero names unknown coords ['z']", id="geomset-nonzero"),
         pytest.param(lambda: TruncSeries(R7, ("T",), 3, {(-1,): Fraction(1)}),
-                     "TruncSeries entries: exponent [-1] is negative", id="trunc-negative-exponent"),
+                     "TruncSeries entries: exponent must be >= 0, not -1", id="trunc-negative-exponent"),
         pytest.param(lambda: hadamard_conv(zeta_trunc(X2, 4, R7), zeta_trunc(X2, 4, R7)),
                      "hadamard_conv operands must have class coefficients, not count at q=7",
                      id="hadamard-conv-counted"),
@@ -554,7 +555,7 @@ def _symbolic_entry(coeff):
         pytest.param(lambda: EGSeq.single_residue(R7, 2, 0, Fraction(1, 7), Fraction(1)).re_period(3),
                      "EGSeq re_period: new_period=3 is not a multiple of the period 2", id="egseq-re-period"),
         pytest.param(lambda: Strand(Fraction(1), (-1,), []),
-                     "Strand b: monomial exponent [-1] is negative", id="strand-b"),
+                     "Strand b: monomial exponent must be >= 0, not -1", id="strand-b"),
         pytest.param(lambda: Strand(Fraction(1), (0,), [(0, (0,))]),
                      "Strand factors: exponent vector [0] must be nonzero and nonnegative", id="strand-factors"),
         pytest.param(lambda: SeparableSeries(R7, ("x",), (), ()),
@@ -572,7 +573,7 @@ def _symbolic_entry(coeff):
         pytest.param(lambda: series_from_dict({"realization": COUNT7, "mode": "trunc"}),
                      "series_from_dict: the dict has no 'vars'", id="from-dict-vars"),
         pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "open"}),
-                     "series_from_dict mode: must be 'trunc' or 'closed', not 'open'", id="from-dict-mode"),
+                     "series_from_dict mode must be 'trunc' or 'closed', not 'open'", id="from-dict-mode"),
         pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "trunc", "bound": 2}),
                      "series_from_dict: the dict has no 'entries'", id="from-dict-entries"),
         pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "trunc",
@@ -590,17 +591,17 @@ def _symbolic_entry(coeff):
                      "series_from_dict atom: the dict has no 'order'", id="from-dict-atom-order"),
         pytest.param(lambda: _symbolic_entry([{"factors": [{"atom": "a", "order": 0, "base": "pt", "aug": False}],
                                                "aug": False, "coeff": ONE_DATA}]),
-                     "Atom 'a' order must be an int >= 1, not 0", id="from-dict-atom-order-zero"),
+                     "Atom 'a' order must be >= 1, not 0", id="from-dict-atom-order-zero"),
         pytest.param(lambda: _symbolic_entry([{"factors": [{"conv": 2, "left": [], "right": [], "aug": False}],
                                                "aug": False, "coeff": ONE_DATA}]),
                      "series_from_dict conv: kind must be 0 or 1, not 2", id="from-dict-conv-kind"),
         pytest.param(lambda: _symbolic_entry([{"factors": [], "aug": False,
                                                "coeff": {"num": [[0, 1]], "den": [0]}}]),
-                     "LocRat den: factors (1-L^n) need n >= 1, not [0]", id="from-dict-den"),
+                     "LocRat den: n of a factor (1-L^n) must be >= 1, not 0", id="from-dict-den"),
         pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "trunc", "bound": 2,
                                                "entries": [{"exp": [1], "coeff": "1/x"}]}),
                      "series_from_dict coeff: '1/x' is not a fraction", id="from-dict-fraction"),
-        pytest.param(lambda: LocRat(1, (0,)), "LocRat den: factors (1-L^n) need n >= 1, not [0]",
+        pytest.param(lambda: LocRat(1, (0,)), "LocRat den: n of a factor (1-L^n) must be >= 1, not 0",
                      id="locrat-den"),
         pytest.param(lambda: LaurentPoly.const(2) ** -1, "LaurentPoly power: exponent must be >= 0, not -1",
                      id="laurent-power"),
@@ -624,7 +625,7 @@ def _symbolic_entry(coeff):
                      id="project-type"),
         pytest.param(lambda: series_to_dict(1), "series_to_dict expects a TruncSeries or ClosedSeries, not int",
                      id="to-dict-type"),
-        pytest.param(lambda: standard_atom_sets(["mu0"]), "GeomSet action_order must be >= 1, not 0",
+        pytest.param(lambda: standard_atom_sets(["mu0"]), "mu_n n must be >= 1, not 0",
                      id="atom-mu0"),
         pytest.param(lambda: standard_atom_sets(["mu²"]), "no builtin presentation for atom 'mu²'",
                      id="atom-mu-superscript"),
@@ -647,9 +648,9 @@ def _symbolic_entry(coeff):
                      id="cone-gens-type"),
         pytest.param(lambda: ConePieces([(((1, 0),), 5)]), "piece 0 flags: need one flag per generator, not 5",
                      id="cone-flags-type"),
-        pytest.param(lambda: Atom("mu2", 0), "Atom 'mu2' order must be an int >= 1, not 0", id="atom-order"),
-        pytest.param(lambda: Atom("a", 2.5), "Atom 'a' order must be an int >= 1, not 2.5", id="atom-order-float"),
-        pytest.param(lambda: Atom("a", True), "Atom 'a' order must be an int >= 1, not True",
+        pytest.param(lambda: Atom("mu2", 0), "Atom 'mu2' order must be >= 1, not 0", id="atom-order"),
+        pytest.param(lambda: Atom("a", 2.5), "Atom 'a' order must be an int, not 2.5", id="atom-order-float"),
+        pytest.param(lambda: Atom("a", True), "Atom 'a' order must be an int, not True",
                      id="atom-order-bool"),
         pytest.param(lambda: parse_resolution(5), "parse_resolution: need a list of strata, not 5",
                      id="resolution-type"),
@@ -660,7 +661,7 @@ def _symbolic_entry(coeff):
                      id="resolution-atom-name"),
         pytest.param(lambda: parse_resolution([{"I": ["E"], "atom": {"name": "a", "order": "x"},
                                                 "N": [[1]], "nu": [1]}]),
-                     "parse_resolution: stratum 0: Atom 'a' order must be an int >= 1, not 'x'",
+                     "parse_resolution: stratum 0: Atom 'a' order must be an int, not 'x'",
                      id="resolution-atom-order"),
         pytest.param(lambda: dl_eval(5, R7), "parse_resolution: need a list of strata, not 5", id="dl-eval-type"),
         pytest.param(lambda: Stratum(("E",), None, 5, (1,)), "Stratum N: need a list, not 5", id="stratum-N-type"),
@@ -668,23 +669,103 @@ def _symbolic_entry(coeff):
                      id="stratum-labels-type"),
         pytest.param(lambda: Stratum(("E",), "mu2", ((1,),), (1,)), "Stratum atom: need an Atom or None, not 'mu2'",
                      id="stratum-atom-type"),
-        pytest.param(lambda: Stratum(("E",), None, ((1.5,),), (2,)), "Stratum N: entries must be integers, not (1.5,)",
+        pytest.param(lambda: Stratum(("E",), None, ((1.5,),), (2,)), "Stratum N: multiplicity must be an int, not 1.5",
                      id="stratum-N-float"),
-        pytest.param(lambda: Stratum(("E",), None, ((True,),), (2,)), "Stratum N: entries must be integers, not (True,)",
+        pytest.param(lambda: Stratum(("E",), None, ((True,),), (2,)), "Stratum N: multiplicity must be an int, not True",
                      id="stratum-N-bool"),
-        pytest.param(lambda: Stratum(("E",), None, ((1,),), (2.7,)), "Stratum nu: entries must be integers, not (2.7,)",
+        pytest.param(lambda: Stratum(("E",), None, ((1,),), (2.7,)), "Stratum nu: twist must be an int, not 2.7",
                      id="stratum-nu-float"),
         pytest.param(lambda: parse_resolution([{"I": ["E"], "N": [[1]], "nu": [1]}, {"I": ["F"], "N": [["1"]], "nu": [1]}]),
-                     "parse_resolution: stratum 1: Stratum N: entries must be integers, not ['1']",
+                     "parse_resolution: stratum 1: Stratum N: multiplicity must be an int, not '1'",
                      id="resolution-N-str"),
         pytest.param(lambda: ConePieces([(((1, 0),), (True,)), (((1.9, 0),), (True,))]),
-                     "piece 1 generators: need integer vectors, not ((1.9, 0),)", id="cone-gens-float"),
+                     "piece 1 generators: entry must be an int, not 1.9", id="cone-gens-float"),
         pytest.param(lambda: ConePieces([(((1, False),), (True,))]),
-                     "piece 0 generators: need integer vectors, not ((1, False),)", id="cone-gens-bool"),
+                     "piece 0 generators: entry must be an int, not False", id="cone-gens-bool"),
         pytest.param(lambda: ConePieces([(((1, 0),), ("no",))]),
                      "piece 0 flags: need one flag per generator, not ('no',)", id="cone-flags-str"),
         pytest.param(lambda: multizeta_separable((X2, Y3), R7, vars=("T", "T")),
                      "duplicate variable names: ['T', 'T']", id="separable-duplicate-vars"),
+        # a float, a bool or an out-of-range value where an int or a choice belongs
+        pytest.param(lambda: GeomSet(("x",), action_order=2.5), "GeomSet action_order must be an int, not 2.5",
+                     id="geomset-order-float"),
+        pytest.param(lambda: GeomSet(("x",), action_order=True), "GeomSet action_order must be an int, not True",
+                     id="geomset-order-bool"),
+        pytest.param(lambda: GeomSet(("x",), action_order=2, weights=(2.5,)),
+                     "GeomSet weights: weight must be an int, not 2.5", id="geomset-weight-float"),
+        pytest.param(lambda: GeomSet(("x",), action_order=2, weights=(True,)),
+                     "GeomSet weights: weight must be an int, not True", id="geomset-weight-bool"),
+        pytest.param(lambda: mu_n(2.5), "mu_n n must be an int, not 2.5", id="mu-n-float"),
+        pytest.param(lambda: mu_n(True), "mu_n n must be an int, not True", id="mu-n-bool"),
+        pytest.param(lambda: fermat_pair(2, 3), "fermat_pair kind must be 0 or 1, not 2", id="fermat-kind"),
+        pytest.param(lambda: fermat_pair(2.5, 3), "fermat_pair kind must be 0 or 1, not 2.5", id="fermat-kind-float"),
+        pytest.param(lambda: fermat_pair(True, 3), "fermat_pair kind must be 0 or 1, not True", id="fermat-kind-bool"),
+        pytest.param(lambda: fermat_pair(1, 2.5), "fermat_pair N must be an int, not 2.5", id="fermat-N-float"),
+        pytest.param(lambda: fermat_pair(1, True), "fermat_pair N must be an int, not True", id="fermat-N-bool"),
+        pytest.param(lambda: Strand(Fraction(1), (2.5,), []), "Strand b: monomial exponent must be an int, not 2.5",
+                     id="strand-b-float"),
+        pytest.param(lambda: Strand(Fraction(1), (True,), []), "Strand b: monomial exponent must be an int, not True",
+                     id="strand-b-bool"),
+        pytest.param(lambda: Strand(Fraction(1), (0,), [(-2.5, (1,))]),
+                     "Strand factors: L exponent m must be an int, not -2.5", id="strand-m-float"),
+        pytest.param(lambda: Strand(Fraction(1), (0,), [(True, (1,))]),
+                     "Strand factors: L exponent m must be an int, not True", id="strand-m-bool"),
+        pytest.param(lambda: Strand(Fraction(1), (0,), [(-1, (2.5,))]),
+                     "Strand factors: exponent must be an int, not 2.5", id="strand-nv-float"),
+        pytest.param(lambda: Strand(Fraction(1), (0,), [(-1, (True,))]),
+                     "Strand factors: exponent must be an int, not True", id="strand-nv-bool"),
+        pytest.param(lambda: TruncSeries(R7, ("T",), 3, {(2.5,): Fraction(1)}),
+                     "TruncSeries entries: exponent must be an int, not 2.5", id="trunc-exponent-float"),
+        pytest.param(lambda: TruncSeries(R7, ("T",), 3, {(True,): Fraction(1)}),
+                     "TruncSeries entries: exponent must be an int, not True", id="trunc-exponent-bool"),
+        pytest.param(lambda: TruncSeries(R7, ("T",), 3).coeff((2.5,)),
+                     "TruncSeries coeff: exponent must be an int, not 2.5", id="trunc-coeff-float"),
+        pytest.param(lambda: TruncSeries(R7, ("T",), 3).coeff((True,)),
+                     "TruncSeries coeff: exponent must be an int, not True", id="trunc-coeff-bool"),
+        pytest.param(lambda: SeparableSeries(R7, ("x",), ((2.5,),), (ONES7,)),
+                     "SeparableSeries masks: entry must be an int, not 2.5", id="separable-mask-float"),
+        pytest.param(lambda: SeparableSeries(R7, ("x",), ((True,),), (ONES7,)),
+                     "SeparableSeries masks: entry must be an int, not True", id="separable-mask-bool"),
+        pytest.param(lambda: monomial_substitute(TruncSeries(R7, ("T",), 3), ("U",), ((2.5,),)),
+                     "monomial_substitute images: exponent must be an int, not 2.5", id="substitute-image-float"),
+        pytest.param(lambda: monomial_substitute(TruncSeries(R7, ("T",), 3), ("U",), ((True,),)),
+                     "monomial_substitute images: exponent must be an int, not True", id="substitute-image-bool"),
+        pytest.param(lambda: LocRat(1, (2.5,)), "LocRat den: n of a factor (1-L^n) must be an int, not 2.5",
+                     id="locrat-den-float"),
+        pytest.param(lambda: LocRat(1, (True,)), "LocRat den: n of a factor (1-L^n) must be an int, not True",
+                     id="locrat-den-bool"),
+        pytest.param(lambda: X2 ** 2.5, "Poly power: exponent must be an int, not 2.5", id="poly-power-float"),
+        pytest.param(lambda: X2 ** True, "Poly power: exponent must be an int, not True", id="poly-power-bool"),
+        pytest.param(lambda: EGSeq(R7, 2.5, [[], []]), "EGSeq period must be an int, not 2.5", id="egseq-period-float"),
+        pytest.param(lambda: EGSeq(R7, True, [[]]), "EGSeq period must be an int, not True", id="egseq-period-bool"),
+        pytest.param(lambda: WorkMeter(2.5), "WorkMeter budget must be an int, not 2.5", id="meter-budget-float"),
+        pytest.param(lambda: WorkMeter(True), "WorkMeter budget must be an int, not True", id="meter-budget-bool"),
+        pytest.param(lambda: WorkMeter(-1), "WorkMeter budget must be >= 0, not -1", id="meter-budget-negative"),
+        pytest.param(lambda: hadamard_conv(A2_A3, A2_A3, kind=2.5),
+                     "hadamard_conv kind must be None, 0 or 1, not 2.5", id="hadamard-conv-kind-float"),
+        pytest.param(lambda: hadamard_conv(A2_A3, A2_A3, kind=True),
+                     "hadamard_conv kind must be None, 0 or 1, not True", id="hadamard-conv-kind-bool"),
+        pytest.param(lambda: _symbolic_entry([{"factors": [{"conv": True, "left": [], "right": [], "aug": False}],
+                                               "aug": False, "coeff": ONE_DATA}]),
+                     "series_from_dict conv: kind must be 0 or 1, not True", id="from-dict-conv-kind-bool"),
+        pytest.param(lambda: _symbolic_entry([{"factors": [], "aug": False, "coeff": {"num": [[0, 2.5]], "den": []}}]),
+                     "series_from_dict coeff: num coefficient must be an int, not 2.5", id="from-dict-num-float"),
+        pytest.param(lambda: _symbolic_entry([{"factors": [], "aug": False, "coeff": {"num": [[True, 1]], "den": []}}]),
+                     "series_from_dict coeff: num exponent must be an int, not True", id="from-dict-num-bool"),
+        pytest.param(lambda: _symbolic_entry([{"factors": [], "aug": False, "coeff": {"num": [[0, 1]], "den": [2.5]}}]),
+                     "LocRat den: n of a factor (1-L^n) must be an int, not 2.5", id="from-dict-den-float"),
+        pytest.param(lambda: _symbolic_entry([{"factors": [], "aug": False, "coeff": {"num": [[0, 1]], "den": [True]}}]),
+                     "LocRat den: n of a factor (1-L^n) must be an int, not True", id="from-dict-den-bool"),
+        # inputs of a foreign type, text that is not JSON, division by zero
+        pytest.param(lambda: series_from_json("nope"), "series_from_json: not JSON: Expecting value at position 0",
+                     id="from-json-text"),
+        pytest.param(lambda: LaurentPoly.const(1).divexact(LaurentPoly()),
+                     "LaurentPoly divexact: the divisor is zero", id="laurent-divexact-zero"),
+        pytest.param(lambda: jet_set(3, 2), "germ f must be a Poly or its text, not int 3", id="jet-set-germ-type"),
+        pytest.param(lambda: LocRat(1.5), "LocRat num must be an int or a LaurentPoly, not float 1.5",
+                     id="locrat-num-type"),
+        pytest.param(lambda: SymbolicClass.scalar(1.5), "SymbolicClass scalar must be an int or a LocRat, not float 1.5",
+                     id="class-scalar-type"),
     ],
 )
 def test_argument_errors_name_the_parameter(run, message):
