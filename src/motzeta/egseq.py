@@ -66,11 +66,12 @@ def _merge_modes(zero, modes):
     return tuple((r, tuple(c)) for r, c in out)
 
 
-def _eval_modes(zero, modes_for_residue, powers, t):
-    """Stable value at n = Q*t + r; powers[i] is mode i's ratio^t.  The sum
+def _eval_modes(zero, modes_for_residue, t):
+    """Stable value at n = Q*t + r from the modes of residue r.  The sum
     starts at its first nonzero term, and a t^0 term takes ratio^t as it is."""
     val = None
-    for (_, coeffs), rt in zip(modes_for_residue, powers):
+    for ratio, coeffs in modes_for_residue:
+        rt = ratio**t
         for e, c in enumerate(coeffs):
             if c:
                 term = (rt * t**e if e else rt) * c
@@ -106,9 +107,12 @@ class EGSeq:
         self.real = real
         self.period = require_int(period, "EGSeq period", 1)
         self.modes = tuple(_merge_modes(real.zero, modes[r]) for r in range(period))
+        require_int(dom_min, "EGSeq dom_min")
         exc = dict(exceptional or {})
         if stable_start is None:
             stable_start = max(exc) + 1 if exc else dom_min
+        else:
+            require_int(stable_start, "EGSeq stable_start")
         self.exceptional = {
             n: v for n, v in exc.items() if dom_min <= n < stable_start and v
         }
@@ -118,49 +122,32 @@ class EGSeq:
     # ----- constructors -----
 
     @classmethod
-    def constant(cls, real, v, dom_min=1):
-        return cls(real, 1, [[(real.from_locrat(ONE), (v,))]], dom_min=dom_min)
+    def constant(cls, real, v):
+        return cls(real, 1, [[(real.from_locrat(ONE), (v,))]])
 
     @classmethod
     def single_residue(cls, real, period, residue, ratio, coeff, dom_min=1):
         """value(period*t + residue) = coeff * ratio^t, zero off the residue."""
-        modes = [[] for _ in range(period)]
-        modes[residue % period] = [(ratio, (coeff,))]
+        modes = [[] for _ in range(require_int(period, "EGSeq period", 1))]
+        modes[require_int(residue, "EGSeq single_residue: residue") % period] = [(ratio, (coeff,))]
         return cls(real, period, modes, dom_min=dom_min)
 
     # ----- basic access -----
 
     def value(self, n):
-        return self.values(n, n)[0]
-
-    def values(self, lo, hi):
-        """[value(n) for n in lo..hi]: each residue steps its ratio powers
-        by one multiplication per period instead of raising them afresh."""
-        if lo <= hi and lo < self.dom_min:
-            raise MotzetaError("EGSeq values: n=%d is below the domain start dom_min=%d" % (lo, self.dom_min))
-        zero = self.real.zero
-        powers = {}  # residue -> ratio^t of its modes at the last t visited
-        out = []
-        for n in range(lo, hi + 1):
-            if n < self.stable_start:
-                out.append(self.exceptional.get(n, zero))
-                continue
-            t, r = divmod(n, self.period)
-            modes = self.modes[r]
-            pw = powers.get(r)
-            if pw is None:
-                pw = [ratio**t for ratio, _ in modes]
-            else:
-                pw = [p * ratio for p, (ratio, _) in zip(pw, modes)]
-            powers[r] = pw
-            out.append(_eval_modes(zero, modes, pw, t))
-        return out
+        if n < self.dom_min:
+            raise MotzetaError("EGSeq value: n=%d is below the domain start dom_min=%d" % (n, self.dom_min))
+        if n < self.stable_start:
+            return self.exceptional.get(n, self.real.zero)
+        t, r = divmod(n, self.period)
+        return _eval_modes(self.real.zero, self.modes[r], t)
 
     # ----- structural -----
 
     def re_period(self, new_period):
         """Re-express with a period that is a multiple of the current one."""
         Q = self.period
+        require_int(new_period, "EGSeq re_period: new_period", 1)
         if new_period % Q != 0:
             raise MotzetaError(
                 "EGSeq re_period: new_period=%d is not a multiple of the period %d" % (new_period, Q)
@@ -180,7 +167,7 @@ class EGSeq:
     def add(self, other):
         if self.real.tag != other.real.tag or self.real.q != other.real.q:
             raise BaseMismatch("sequences live over different realizations")
-        P = self.period * other.period // math.gcd(self.period, other.period)
+        P = math.lcm(self.period, other.period)
         a, b = self.re_period(P), other.re_period(P)
         dom = max(a.dom_min, b.dom_min)
         stable = max(a.stable_start, b.stable_start, dom)
@@ -208,6 +195,7 @@ class EGSeq:
 
     def shift(self, d):
         """New sequence n -> value(n + d)."""
+        require_int(d, "EGSeq shift: d")
         Q, zero = self.period, self.real.zero
         modes = [_substitute(zero, self.modes[(r + d) % Q], 1, (r + d) // Q) for r in range(Q)]
         exc = {n - d: v for n, v in self.exceptional.items()}

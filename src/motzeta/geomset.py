@@ -111,9 +111,12 @@ class WorkMeter:
     def spend(self, units=1):
         self.spent += units
         if self.spent > self.budget:
-            raise BudgetExceeded(
-                "enumeration exceeded budget of %d candidates" % self.budget
-            )
+            raise self.exceeded("enumeration")
+
+    def exceeded(self, what, level=None):
+        """The BudgetExceeded saying that what ran over this meter's budget;
+        level is the jet level of the count, when one is known."""
+        return BudgetExceeded("%s exceeded the budget of %d candidates" % (what, self.budget), level=level)
 
 
 class GeomSet:
@@ -494,33 +497,26 @@ def quotient_count(gs, q, meter=None):
 # --- stock presentations -----------------------------------------------------
 
 
-def torus(name="u"):
+def torus():
     """G_m with trivial action."""
-    return GeomSet((name,), (), (name,), 1, (0,))
+    return GeomSet(("u",), (), ("u",), 1, (0,))
 
 
-def mu_n(n, name="u"):
+def mu_n(n):
     """The group of n-th roots of unity with its translation action."""
     require_int(n, "mu_n n", 1)
-    return GeomSet(
-        (name,),
-        (Poly.var(name, n) - 1,),
-        (name,),
-        n,
-        (1,),
-    )
+    return GeomSet(("u",), (Poly.var("u", n) - 1,), ("u",), n, (1,))
 
 
-def fermat_pair(kind, N, unames=("u", "v")):
+def fermat_pair(kind, N):
     """F_0^N: u^N + v^N = 0, or F_1^N: u^N + v^N = 1, inside G_m^2.
 
     Carries the diagonal mu_N action with weight 1 on both coordinates.
     """
     require_choice("fermat_pair kind", kind, (0, 1))
     require_int(N, "fermat_pair N", 1)
-    u, v = unames
-    eq = Poly.var(u, N) + Poly.var(v, N) - kind
-    return GeomSet((u, v), (eq,), (u, v), N, (1, 1))
+    eq = Poly.var("u", N) + Poly.var("v", N) - kind
+    return GeomSet(("u", "v"), (eq,), ("u", "v"), N, (1, 1))
 
 
 def point():

@@ -34,6 +34,7 @@ DenominatorVanishes when some q^n = 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import DenominatorVanishes, MotzetaError, NotInvertible, require_int
@@ -90,6 +91,8 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentPoly({e: v * other for e, v in self.c.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         out = {}
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
@@ -282,6 +285,8 @@ class LocRat:
             raise MotzetaError(
                 "LocRat num must be an int or a LaurentPoly, not %s %r" % (type(num).__name__, num)
             )
+        if not isinstance(den, (list, tuple)):
+            raise MotzetaError("LocRat den must be a list or tuple, not %s %r" % (type(den).__name__, den))
         den = tuple(sorted([require_int(n, "LocRat den: n of a factor (1-L^n)", 1) for n in den]))
         if num.is_zero():
             den = ()
@@ -317,25 +322,11 @@ class LocRat:
             other = LocRat.from_int(other)
         elif not isinstance(other, LocRat):
             return NotImplemented
-        # Common denominator: per-n maximum multiplicity.
-        counts = {}
-        for n in self.den:
-            counts[n] = counts.get(n, 0) + 1
-        extra_self = []
-        other_counts = {}
-        for n in other.den:
-            other_counts[n] = other_counts.get(n, 0) + 1
-        lcm = {}
-        for n in set(counts) | set(other_counts):
-            lcm[n] = max(counts.get(n, 0), other_counts.get(n, 0))
-        den = tuple(sorted(n for n, k in lcm.items() for _ in range(k)))
-        mul_self = []
-        mul_other = []
-        for n, k in lcm.items():
-            mul_self += [n] * (k - counts.get(n, 0))
-            mul_other += [n] * (k - other_counts.get(n, 0))
-        num = self.num * _den_poly(mul_self) + other.num * _den_poly(mul_other)
-        return LocRat(num, den)
+        # Common denominator: the multiset lcm, per-n maximum multiplicity.
+        mine, theirs = Counter(self.den), Counter(other.den)
+        lcm = mine | theirs
+        num = self.num * _den_poly((lcm - mine).elements()) + other.num * _den_poly((lcm - theirs).elements())
+        return LocRat(num, tuple(lcm.elements()))
 
     __radd__ = __add__
 
@@ -397,14 +388,8 @@ class LocRat:
             return ONE._times_monomial(m[0] ** abs(k), m[1] * k)
         if k < 0:
             return self.inverse() ** (-k)
-        out = LocRat.from_int(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        # 1 - L^n is squarefree, so it divides num^k only when it divides num
+        return LocRat(self.num**k, self.den * k)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -37,9 +37,10 @@ inner count, and an augmented class goes to the plain average over its group
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import BudgetExceeded, MotzetaError, UnboundAtom, require_int
+from .errors import BaseMismatch, BudgetExceeded, MotzetaError, UnboundAtom, require_int
 from .geomset import (  # noqa: F401  (re-exported: GeomSet lives with its counts)
     GeomSet,
     WorkMeter,
@@ -50,12 +51,6 @@ from .geomset import (  # noqa: F401  (re-exported: GeomSet lives with its count
 from .locring import L_MINUS_1, LocRat, ONE as SC_ONE
 
 _L_MINUS_2 = L_MINUS_1 - 1
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 class Atom:
@@ -112,10 +107,7 @@ class ConvNode:
 
     @property
     def order(self):
-        n = 1
-        for f in self.left + self.right:
-            n = _lcm(n, f.effective_order())
-        return n
+        return math.lcm(*(f.effective_order() for f in self.left + self.right))
 
     def effective_order(self):
         return 1 if self.aug else self.order
@@ -223,13 +215,7 @@ class SymbolicClass:
 
     @classmethod
     def scalar(cls, c, base="pt"):
-        if type(c) is int:
-            c = LocRat.from_int(c)
-        elif not isinstance(c, LocRat):
-            raise MotzetaError(
-                "SymbolicClass scalar must be an int or a LocRat, not %s %r" % (type(c).__name__, c)
-            )
-        return cls((((), False, c),), base)
+        return cls((((), False, _as_scalar(c)),), base)
 
     @classmethod
     def unit(cls, base="pt"):
@@ -270,8 +256,6 @@ class SymbolicClass:
         if not isinstance(other, SymbolicClass):
             return NotImplemented
         if self.base != other.base:
-            from .errors import BaseMismatch
-
             raise BaseMismatch(
                 "cannot add classes over %r and %r" % (self.base, other.base)
             )
@@ -288,18 +272,19 @@ class SymbolicClass:
         return self + (-other)
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = LocRat.from_int(c)
-        return _scaled(self, c, self.base)
+        return _scaled(self, _as_scalar(c), self.base)
 
-    __rmul__ = scale
+    def __rmul__(self, c):
+        """The scalar action of an int or a LocRat; NotImplemented on any
+        other operand, as + and - do."""
+        return self.scale(c) if type(c) is int or isinstance(c, LocRat) else NotImplemented
 
     def __mul__(self, other):
         """External product with a class, scalar action otherwise."""
         if isinstance(other, SymbolicClass):
             c = _scalar_of(other) if other.base == self.base else None
             return external_mul(self, other) if c is None else _scaled(self, c, self.base)
-        return self.scale(other)
+        return self.__rmul__(other)
 
     def render(self):
         if not self.terms:
@@ -316,6 +301,18 @@ class SymbolicClass:
 
     def __repr__(self):
         return "SymbolicClass(%s)" % self.render()
+
+
+def _as_scalar(c):
+    """c as a scalar of the class algebra: an int is lifted to a LocRat,
+    and any type but int and LocRat is refused."""
+    if type(c) is int:
+        return LocRat.from_int(c)
+    if not isinstance(c, LocRat):
+        raise MotzetaError(
+            "SymbolicClass scalar must be an int or a LocRat, not %s %r" % (type(c).__name__, c)
+        )
+    return c
 
 
 def _scaled(a, c, base):
@@ -340,13 +337,14 @@ def _scalar_of(a):
     return None
 
 
-def external_mul(a, b, base=None):
+def _joint_base(a, b):
+    """The base of a product of classes over a.base and b.base."""
+    return a.base if a.base == b.base else "%s*%s" % (a.base, b.base)
+
+
+def external_mul(a, b):
     """External product; bilinear, commutative, unit = scalar 1."""
-    if base is None:
-        if a.base == b.base:
-            base = a.base
-        else:
-            base = "%s*%s" % (a.base, b.base)
+    base = _joint_base(a, b)
     c = _scalar_of(b)
     if c is not None:
         return _scaled(a, c, base)
@@ -382,20 +380,14 @@ def augment(a):
     )
 
 
-def _conv_terms(kind, a, b, base):
+def _conv_terms(kind, a, b):
     terms = []
     for fa, aa, ca in a.terms:
         for fb, ab, cb in b.terms:
             coeff = ca * cb
             # Effective order of each operand (term-level aug kills actions).
-            oa = 1
-            if not aa:
-                for f in fa:
-                    oa = _lcm(oa, f.effective_order())
-            ob = 1
-            if not ab:
-                for f in fb:
-                    ob = _lcm(ob, f.effective_order())
+            oa = 1 if aa else math.lcm(*(f.effective_order() for f in fa))
+            ob = 1 if ab else math.lcm(*(f.effective_order() for f in fb))
             fa2 = fa if not aa else tuple(f.with_aug(True) for f in fa)
             fb2 = fb if not ab else tuple(f.with_aug(True) for f in fb)
             if oa == 1 and ob == 1:
@@ -406,21 +398,17 @@ def _conv_terms(kind, a, b, base):
     return terms
 
 
-def conv0(a, b, base=None):
-    if base is None:
-        base = a.base if a.base == b.base else "%s*%s" % (a.base, b.base)
-    return SymbolicClass(_conv_terms(0, a, b, base), base)
+def conv0(a, b):
+    return SymbolicClass(_conv_terms(0, a, b), _joint_base(a, b))
 
 
-def conv1(a, b, base=None):
-    if base is None:
-        base = a.base if a.base == b.base else "%s*%s" % (a.base, b.base)
-    return SymbolicClass(_conv_terms(1, a, b, base), base)
+def conv1(a, b):
+    return SymbolicClass(_conv_terms(1, a, b), _joint_base(a, b))
 
 
-def conv(a, b, base=None):
+def conv(a, b):
     """Full convolution: conv0 - conv1."""
-    return conv0(a, b, base) - conv1(a, b, base)
+    return conv0(a, b) - conv1(a, b)
 
 
 # --- count realization -------------------------------------------------------
@@ -460,10 +448,7 @@ class Binding:
                     gs, self.q, s % n, meter=self.meter
                 )
             except BudgetExceeded as exc:
-                raise BudgetExceeded(
-                    "the count of atom %r at twist %d exceeds the budget of "
-                    "%d candidates" % (atom.name, s % n, self.meter.budget)
-                ) from exc
+                raise self.meter.exceeded("the count of atom %r at twist %d" % (atom.name, s % n)) from exc
         return self._atom_cache[key]
 
     def fermat_twisted(self, kind, N, e_u, e_v):
@@ -476,10 +461,8 @@ class Binding:
                     kind, N, self.q, e_u, e_v, meter=self.meter
                 )
             except BudgetExceeded as exc:
-                raise BudgetExceeded(
-                    "the count of F_%d^%d at twists (%d, %d) exceeds the "
-                    "budget of %d candidates"
-                    % (kind, N, e_u % N, e_v % N, self.meter.budget)
+                raise self.meter.exceeded(
+                    "the count of F_%d^%d at twists (%d, %d)" % (kind, N, e_u % N, e_v % N)
                 ) from exc
         return self._fermat_cache[key]
 
@@ -541,9 +524,7 @@ def bind_and_count(c, binding, s=0):
         cval = coeff.eval_at(binding.q)
         if aug_term:
             # Diagonal average over the joint group of the live factors.
-            N = 1
-            for f in factors:
-                N = _lcm(N, f.effective_order())
+            N = math.lcm(*(f.effective_order() for f in factors))
             tval = _average(sum(_operand_value(binding, factors, h) for h in range(N)), N)
         else:
             tval = _operand_value(binding, factors, s)

@@ -295,30 +295,11 @@ def _hadamard(a, b, mulfn):
             % (type(a).__name__, type(b).__name__)
         )
     _check_same_shape(a, b)
-    bound = min(a.bound, b.bound)
-    ent = {}
-    for e, va in a.entries.items():
-        if sum(e) > bound:
-            continue
-        vb = b.entries.get(e)
-        if vb is not None:
-            ent[e] = mulfn(va, vb)
-    return TruncSeries(a.real, a.vars, bound, ent)
-
-
-def _primitive(vec):
-    from math import gcd
-
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g, tuple(x // g for x in vec)
+    return _join(a, b, mulfn)
 
 
 def _closed_hadamard(a, b, mulfn):
     _check_same_shape(a, b)
-    from math import gcd
-
     out = []
     for sa in a.strands:
         for sb in b.strands:
@@ -330,11 +311,11 @@ def _closed_hadamard(a, b, mulfn):
                     )
             m1, n1 = sa.factors[0]
             m2, n2 = sb.factors[0]
-            l1, p1 = _primitive(n1)
-            l2, p2 = _primitive(n2)
-            if p1 != p2:
+            l1, l2 = math.gcd(*n1), math.gcd(*n2)
+            p1 = tuple(x // l1 for x in n1)
+            if p1 != tuple(x // l2 for x in n2):
                 continue  # the two ray supports only meet at the origin
-            lc = l1 * l2 // gcd(l1, l2)
+            lc = math.lcm(l1, l2)
             m = m1 * (lc // l1) + m2 * (lc // l2)
             nv = tuple(lc * x for x in p1)
             out.append(Strand(mulfn(sa.coeff, sb.coeff), (0,) * len(a.vars), [(m, nv)]))
@@ -351,6 +332,13 @@ def v_hadamard(a, b):
     names shared it is the full Hadamard product.
     """
     _check_same_real(a, b)
+    return _join(a, b, operator.mul)
+
+
+def _join(a, b, mulfn):
+    """The partial Hadamard product of v_hadamard with mulfn on
+    coefficients, down to the smaller bound; on equal variable lists it
+    is the full product, over the same variables in the same order."""
     shared = tuple(v for v in a.vars if v in set(b.vars))
     if tuple(v for v in b.vars if v in set(a.vars)) != shared:
         raise VariableMismatch(
@@ -378,7 +366,7 @@ def v_hadamard(a, b):
             exp = head + tail + key_a
             if sum(exp) > bound:
                 continue
-            v = va * vb
+            v = mulfn(va, vb)
             ent[exp] = ent[exp] + v if exp in ent else v
     return TruncSeries(a.real, vars2, bound, ent)
 
@@ -442,14 +430,12 @@ class CellSpec:
             lo = b
         return out
 
-    def masks(self, nvars=None):
+    def masks(self):
         """One 0/1 vector per group: the exponent contribution of the
         group's common value."""
-        if nvars is None:
-            nvars = len(self.order)
         out = []
         for grp in self.groups():
-            m = [0] * nvars
+            m = [0] * len(self.order)
             for i in grp:
                 m[i] = 1
             out.append(tuple(m))

@@ -192,10 +192,7 @@ def _pair_counts(ef, eg, n, q, meter):
             _jet_locus(g.vars, neg_g, n)
         )
     except BudgetExceeded as exc:
-        raise BudgetExceeded(
-            "pair counts at level %d exceed the budget of %d candidates"
-            % (n, meter.budget)
-        ) from exc
+        raise meter.exceeded("pair counts at level %d" % n) from exc
     by_l = {l: N[l] - N[l + 1] for l in range(1, n) if N[l] != N[l + 1]}
     return {
         "total": N[1],
@@ -297,7 +294,7 @@ def monomial_pair_counts(a, b, n, q):
         out["A2"] += ga * q ** (2 * n - n // a - n // b)
     if n % b == 0:
         out["A2"] += gb * q ** (2 * n - n // b - n // a)
-    step = a * b // math.gcd(a, b)
+    step = math.lcm(a, b)
     for l in range(step, n, step):
         cl = f0 * q ** (n + l - l // a - l // b)
         if cl:
@@ -345,11 +342,7 @@ class AxisCounts:
             try:
                 self._counts[kind, n] = twisted_count(locus, self.q, meter=self.meter)
             except BudgetExceeded as exc:
-                raise BudgetExceeded(
-                    "jet counts of %s at level %d exceed the budget of %d candidates"
-                    % (self.f.render(), n, self.meter.budget),
-                    level=n,
-                ) from exc
+                raise self.meter.exceeded("jet counts of %s at level %d" % (self.f.render(), n), level=n) from exc
         return self._counts[kind, n]
 
     def exact(self, n):
@@ -448,11 +441,8 @@ def zeta_trunc(f, D, real, var="T", base="origin", budget=None):
                 out = out.add(_family_trunc((_shift_poly(f, point),), D, real, (var,), meter))
             except BudgetExceeded as exc:
                 zero = ", ".join("%s=%d" % vb for vb in point.items())
-                raise BudgetExceeded(
-                    "jet counts of %s at level %d of the zero %s exceed the "
-                    "budget of %d candidates"
-                    % (f.render(), exc.level, zero, meter.budget),
-                    level=exc.level,
+                raise meter.exceeded(
+                    "jet counts of %s at level %d of the zero %s" % (f.render(), exc.level, zero), level=exc.level
                 ) from exc
     return out
 
@@ -492,10 +482,18 @@ def zeta_closed(f, real, var="T"):
 
 
 def _family(fs, vars):
-    """The family as Polys and its variables (default _default_vars)."""
+    """The family as Polys and its variables (default _default_vars).  Its
+    functions live on disjoint variables, each with its own jets; a family
+    whose functions share a variable is refused, naming it."""
     fs = tuple(_as_poly(f) for f in fs)
     if not fs:
         raise MotzetaError("the family fs needs at least one function")
+    seen = set()
+    for f in fs:
+        shared = seen.intersection(f.vars)
+        if shared:
+            raise VariableMismatch("a family needs disjoint variables; shared: %s" % ", ".join(sorted(shared)))
+        seen.update(f.vars)
     return fs, tuple(_default_vars(len(fs)) if vars is None else vars)
 
 

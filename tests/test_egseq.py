@@ -99,7 +99,8 @@ def test_re_period_preserves_values():
         [[(Fraction(5), (Fraction(1), Fraction(2)))], []],
         dom_min=0, stable_start=0,
     )
-    assert v.re_period(6).values(0, 18) == v.values(0, 18)
+    w = v.re_period(6)
+    assert [w.value(n) for n in range(19)] == [v.value(n) for n in range(19)]
 
 
 def test_fit_geometric():
@@ -155,10 +156,10 @@ def test_exceptional_tail_and_prefix():
     st.integers(-3, 2),
     st.integers(0, 3),
 )
-def test_values_match_value_pointwise(tag, period, raw_modes, shift, n_exc):
-    """values(lo, hi), which steps ratio powers, equals value(n) at every n,
-    across residues, exceptional values, t-polynomial modes and a domain
-    that starts at or below zero (negative t)."""
+def test_value_refuses_below_the_domain_start(tag, period, raw_modes, shift, n_exc):
+    """value(n) refuses every n below dom_min, across residues, exceptional
+    values, t-polynomial modes and a domain that starts at or below zero
+    (negative t)."""
     if tag == "count":
         real = count_realization(5)
         ratio, coeff = (lambda k: Fraction(5) ** k), Fraction
@@ -170,12 +171,10 @@ def test_values_match_value_pointwise(tag, period, raw_modes, shift, n_exc):
         modes[i % period].append((ratio(k), (coeff(c),) * (deg + 1)))
     exc = {n: coeff(n + 7) for n in range(1, 1 + n_exc)}
     seq = EGSeq(real, period, modes, exc, dom_min=1).shift(shift)
-    lo, hi = seq.dom_min, seq.dom_min + 4 * period + 6
-    assert seq.values(lo, hi) == [seq.value(n) for n in range(lo, hi + 1)]
-    assert seq.values(lo + 3, hi) == [seq.value(n) for n in range(lo + 3, hi + 1)]
-    assert seq.values(hi, lo) == []
-    with pytest.raises(MotzetaError, match="below the domain start dom_min=%d" % lo):
-        seq.values(lo - 1, hi)
+    lo = seq.dom_min
+    for n in range(lo - period - 1, lo):
+        with pytest.raises(MotzetaError, match="n=%d is below the domain start dom_min=%d" % (n, lo)):
+            seq.value(n)
 
 
 def _stream_parts(tag):
@@ -215,11 +214,8 @@ def _decaying_streams(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_decaying_streams(), st.integers(0, 6))
-def test_value_is_values_pointwise_and_tails_telescope(seq, start):
-    Q, lo = seq.period, seq.dom_min
-    hi = lo + 3 * Q + start
-    vals = seq.values(lo, hi)
-    assert all(seq.value(n) == vals[n - lo] for n in range(lo, hi + 1))
+def test_tails_telescope(seq, start):
+    Q = seq.period
     # tail(n) - tail(N) = sum_{n < l <= N} value(l) for n < N <= n + 3Q
     tail = seq.tail_sum()
     n = tail.dom_min + start

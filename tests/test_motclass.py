@@ -278,7 +278,7 @@ def test_burnside_work_units_are_pinned(monkeypatch):
 def test_burnside_budget_error_names_the_count():
     # the first Fermat count, of F_0^2, charges 30 units at q = 31
     binding = Binding(standard_atom_sets(("mu2", "mu3")), 31, budget=29)
-    with pytest.raises(BudgetExceeded, match=r"F_0\^2 at twists \(0, 0\) exceeds the budget of 29"):
+    with pytest.raises(BudgetExceeded, match=r"F_0\^2 at twists \(0, 0\) exceeded the budget of 29"):
         bind_and_count(conv(atom("mu2", 2) - UNIT, atom("mu3", 3) - UNIT), binding)
 
 

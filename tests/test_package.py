@@ -140,3 +140,31 @@ def test_every_public_name_has_a_caller():
     ]
     assert not uncalled, uncalled
     assert set(ENTRY_POINTS) <= {fn for _, fn in defined}
+
+
+def test_every_parameter_is_read():
+    # every parameter of a function or lambda in the package, self and cls
+    # aside, is loaded somewhere in its body: one that nothing reads is an
+    # option that does nothing
+    src = motzeta.__path__[0]
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    unread = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for fn in ast.walk(tree):
+            if not isinstance(fn, funcs):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            loaded = {
+                n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            label = getattr(fn, "name", "lambda")
+            unread += [
+                "%s:%d: %s(%s)" % (name, fn.lineno, label, p) for p in params if p not in ("self", "cls") and p not in loaded
+            ]
+    assert not unread, unread

@@ -407,7 +407,7 @@ def test_axis_sweep_budget_guard():
     ax = AxisCounts("x^2 + x^3", 5, meter=WorkMeter(10))
     assert ax.exact(2) == mono_exact_count(2, 2, 5, 2)
     assert ax.exact(4) == mono_exact_count(2, 4, 5, 4)
-    with pytest.raises(BudgetExceeded, match="level 8 exceed the budget of 10 candidates"):
+    with pytest.raises(BudgetExceeded, match="level 8 exceeded the budget of 10 candidates"):
         ax.exact(8)
 
 
@@ -551,7 +551,7 @@ def _symbolic_entry(coeff):
                      id="hadamard-mixed"),
         pytest.param(lambda: EGSeq(R7, 0, []), "EGSeq period must be >= 1, not 0", id="egseq-period"),
         pytest.param(lambda: EGSeq.constant(R7, Fraction(1)).value(0),
-                     "EGSeq values: n=0 is below the domain start dom_min=1", id="egseq-domain"),
+                     "EGSeq value: n=0 is below the domain start dom_min=1", id="egseq-domain"),
         pytest.param(lambda: EGSeq.single_residue(R7, 2, 0, Fraction(1, 7), Fraction(1)).re_period(3),
                      "EGSeq re_period: new_period=3 is not a multiple of the period 2", id="egseq-re-period"),
         pytest.param(lambda: Strand(Fraction(1), (-1,), []),
@@ -766,6 +766,23 @@ def _symbolic_entry(coeff):
                      id="locrat-num-type"),
         pytest.param(lambda: SymbolicClass.scalar(1.5), "SymbolicClass scalar must be an int or a LocRat, not float 1.5",
                      id="class-scalar-type"),
+        pytest.param(lambda: SymbolicClass.unit().scale(1.5),
+                     "SymbolicClass scalar must be an int or a LocRat, not float 1.5", id="class-scale-type"),
+        pytest.param(lambda: LocRat(1, 5), "LocRat den must be a list or tuple, not int 5", id="locrat-den-type"),
+        pytest.param(lambda: EGSeq(R7, 1, [[]], dom_min=1.5), "EGSeq dom_min must be an int, not 1.5",
+                     id="egseq-dom-min-float"),
+        pytest.param(lambda: EGSeq(R7, 1, [[]], stable_start=2.5), "EGSeq stable_start must be an int, not 2.5",
+                     id="egseq-stable-start-float"),
+        pytest.param(lambda: ONES7.re_period(2.5), "EGSeq re_period: new_period must be an int, not 2.5",
+                     id="egseq-re-period-float"),
+        pytest.param(lambda: ONES7.shift(1.5), "EGSeq shift: d must be an int, not 1.5", id="egseq-shift-float"),
+        pytest.param(lambda: EGSeq.single_residue(R7, 2, 2.5, Fraction(1, 7), Fraction(1)),
+                     "EGSeq single_residue: residue must be an int, not 2.5", id="egseq-residue-float"),
+        # a family whose functions share a variable
+        pytest.param(lambda: multizeta_trunc(("x^2", "x^3+y^2"), 8, count_realization(5)),
+                     "a family needs disjoint variables; shared: x", id="family-shared-variable"),
+        pytest.param(lambda: multizeta_separable(("x^2", "x^3"), symbolic_realization()),
+                     "a family needs disjoint variables; shared: x", id="family-shared-variable-symbolic"),
     ],
 )
 def test_argument_errors_name_the_parameter(run, message):
@@ -901,7 +918,7 @@ def test_global_zeta_budget_covers_every_zero():
     with pytest.raises(
         BudgetExceeded,
         match=r"jet counts of x\^4 - 2\*x\^3 \+ x\^2 at level 8 of the zero x=1 "
-        "exceed the budget of 119 candidates",
+        "exceeded the budget of 119 candidates",
     ):
         zeta_trunc(f, 8, r5, base="global", budget=119)
     assert zeta_trunc(f, 8, r5, base="global", budget=120) == zeta_trunc(f, 8, r5, base="global")
@@ -928,7 +945,7 @@ def test_multizeta_budget_covers_the_family():
     # and the order-beyond counts of y^2+y^3 45, under one budget
     fs, r5 = ("x^2+x^3", "y^2+y^3"), count_realization(5)
     with pytest.raises(
-        BudgetExceeded, match=r"jet counts of y\^3 \+ y\^2 at level 7 exceed the budget of 54 "
+        BudgetExceeded, match=r"jet counts of y\^3 \+ y\^2 at level 7 exceeded the budget of 54 "
     ):
         multizeta_trunc(fs, 9, r5, budget=54)
     assert multizeta_trunc(fs, 9, r5, budget=55) == multizeta_trunc(fs, 9, r5)
@@ -980,9 +997,12 @@ FAMILY_JETS = 3**9  # brute-force jets per chain
 
 @st.composite
 def _families(draw):
-    # q and D reach the first chain (level r(r+1)/2) whenever the jet cap
-    # allows it
-    fs = tuple(parse_poly(f) for f in draw(st.lists(st.sampled_from(FAMILY_POOL), min_size=1, max_size=3)))
+    # each function on its own variables (x, y; z, w; u, v); q and D reach
+    # the first chain (level r(r+1)/2) whenever the jet cap allows it
+    fs = tuple(
+        parse_poly(f.replace("x", "xzu"[i]).replace("y", "ywv"[i]))
+        for i, f in enumerate(draw(st.lists(st.sampled_from(FAMILY_POOL), min_size=1, max_size=3)))
+    )
     r, dtot = len(fs), sum(len(f.vars) for f in fs)
     first = r * (r + 1) // 2
     qs = [q for q in (3, 5, 7) if q ** (dtot * first) <= FAMILY_JETS] or [3, 5, 7]
@@ -993,9 +1013,9 @@ def _families(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_families())
-@example(((parse_poly("x^2 - x"), parse_poly("x^2 + x^3")), 4, 3))
-@example(((X, X3), 4, 3))
-@example(((parse_poly("2*x"), parse_poly("x*y")), 3, 3))
+@example(((parse_poly("x^2 - x"), parse_poly("z^2 + z^3")), 4, 3))
+@example(((X, Y3), 4, 3))
+@example(((parse_poly("2*x"), parse_poly("z*w")), 3, 3))
 def test_counted_family_walk_matches_the_definition(case):
     # one walk over mixed closed and DFS streams against the definitional
     # enumeration of the family locus; D is capped so the enumeration stays
@@ -1016,7 +1036,7 @@ def test_closed_streams_match_the_dfs_at_depth(f, q):
     d = len(f.vars)
     ax = AxisCounts(f, q)
     lead = multizeta_separable((f,), real).streams[0]
-    trail = multizeta_separable((X, f), real).streams[1]
+    trail = multizeta_separable(("z", f), real).streams[1]
     for n in range(1, 31):
         assert lead.value(n) == Fraction(ax.exact(n), q ** (d * n)), n
         assert trail.value(n) == Fraction(ax.ordgt(n), q ** (d * n)), n
@@ -1101,11 +1121,11 @@ def test_pullback_auto_budget_names_the_level():
     # generic pair: auto counts the direct sum x^2+x^3+y^2+y^3 by the DFS,
     # under one budget for all levels; its counts spend 0, 5, 10, 15, 20,
     # 25 and 30 candidates at levels 1-7
-    with pytest.raises(BudgetExceeded, match="at level 3 exceed the budget of 10 "):
+    with pytest.raises(BudgetExceeded, match="at level 3 exceeded the budget of 10 "):
         sum_zeta_pullback(
             "x^2+x^3", "y^2+y^3", 4, count_realization(5), budget=10
         )
-    with pytest.raises(BudgetExceeded, match="at level 7 exceed the budget of 100 "):
+    with pytest.raises(BudgetExceeded, match="at level 7 exceeded the budget of 100 "):
         sum_zeta_pullback(
             "x^2+x^3", "y^2+y^3", 7, count_realization(5), budget=100
         )
@@ -1118,7 +1138,7 @@ def test_pullback_split_budget_covers_every_level():
     # the pair counts of x^2+x^3 and y^2+y^3 at q=5 spend 0, 20, 60 and 100
     # candidates at levels 1-4, under one budget for the call
     f, g, r5 = "x^2+x^3", "y^2+y^3", count_realization(5)
-    with pytest.raises(BudgetExceeded, match="pair counts at level 4 exceed the budget of 179 "):
+    with pytest.raises(BudgetExceeded, match="pair counts at level 4 exceeded the budget of 179 "):
         sum_zeta_pullback(f, g, 4, r5, split=True, budget=179)
     assert sum_zeta_pullback(f, g, 4, r5, split=True, budget=180) == sum_zeta_pullback(
         f, g, 4, r5, split=True
@@ -1197,7 +1217,7 @@ def test_dl_counts_through_a_binding():
     binding = Binding({"F": fermat_pair(1, 2)}, 7)
     assert dl_eval(res, r7, binding=binding).expand(3).coeff((2,)) == Fraction(4, 7)
     assert binding.meter.spent == 6
-    with pytest.raises(BudgetExceeded, match="atom 'F' at twist 0 exceeds the budget of 1 "):
+    with pytest.raises(BudgetExceeded, match="atom 'F' at twist 0 exceeded the budget of 1 "):
         dl_eval(res, r7, binding=Binding({"F": fermat_pair(1, 2)}, 7, budget=1))
 
 
