@@ -135,7 +135,7 @@ class EGSeq:
     # ----- basic access -----
 
     def value(self, n):
-        if n < self.dom_min:
+        if require_int(n, "EGSeq value: n") < self.dom_min:
             raise MotzetaError("EGSeq value: n=%d is below the domain start dom_min=%d" % (n, self.dom_min))
         if n < self.stable_start:
             return self.exceptional.get(n, self.real.zero)

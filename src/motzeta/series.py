@@ -83,6 +83,19 @@ def _real_name(real):
     return real.tag if real.q is None else "%s at q=%d" % (real.tag, real.q)
 
 
+def _checked_vars(vars, who):
+    """vars as a tuple of distinct names, each a str; VariableMismatch
+    naming who and the value refused otherwise."""
+    if not isinstance(vars, (list, tuple)):
+        raise VariableMismatch("%s vars: need a list or tuple of names, not %r" % (who, vars))
+    for v in vars:
+        if not isinstance(v, str):
+            raise VariableMismatch("%s vars: a variable name must be a str, not %r" % (who, v))
+    if len(set(vars)) != len(vars):
+        raise VariableMismatch("duplicate variable names: %s" % list(vars))
+    return tuple(vars)
+
+
 def _check_same_shape(a, b):
     if a.vars != b.vars:
         raise VariableMismatch(
@@ -107,9 +120,7 @@ class TruncSeries:
     __slots__ = ("real", "vars", "bound", "entries")
 
     def __init__(self, real, vars, bound, entries=()):
-        vars = tuple(vars)
-        if len(set(vars)) != len(vars):
-            raise VariableMismatch("duplicate variable names: %s" % list(vars))
+        vars = _checked_vars(vars, "TruncSeries")
         require_int(bound, "truncation bound", 0, VariableMismatch)
         items = entries.items() if isinstance(entries, dict) else entries
         merged = {}
@@ -557,9 +568,7 @@ class ClosedSeries:
     __slots__ = ("real", "vars", "strands")
 
     def __init__(self, real, vars, strands=()):
-        vars = tuple(vars)
-        if len(set(vars)) != len(vars):
-            raise VariableMismatch("duplicate variable names: %s" % list(vars))
+        vars = _checked_vars(vars, "ClosedSeries")
         merged = {}
         for s in strands:
             if len(s.b) != len(vars):
@@ -1076,11 +1085,9 @@ def _solve_exact(rows, rhs):
 
 
 def _checked_masks(vars, masks, streams, who):
-    """masks as tuples of ints, one per stream, each of the arity of vars,
-    nonzero and nonnegative; MotzetaError on a count mismatch,
-    VariableMismatch on a bad mask or a repeated variable name."""
-    if len(set(vars)) != len(vars):
-        raise VariableMismatch("duplicate variable names: %s" % list(vars))
+    """masks as tuples of ints, one per stream, each of the arity of the
+    checked vars (_checked_vars), nonzero and nonnegative; MotzetaError on
+    a count mismatch, VariableMismatch on a bad mask."""
     entry = "%s masks: entry" % who
     out = tuple(tuple(require_int(x, entry, error=VariableMismatch) for x in m) for m in masks)
     if len(out) != len(streams):
@@ -1120,8 +1127,9 @@ def expand_chains(real, vars, masks, streams, bound):
     (VariableMismatch), not once per entry; exponents that collide are
     summed and may cancel, so the result keeps only the zero filter.
     """
+    vars = _checked_vars(vars, "expand_chains")
+    masks = _checked_masks(vars, masks, streams, "expand_chains")
     out = TruncSeries(real, vars, bound)
-    masks = _checked_masks(out.vars, masks, streams, "expand_chains")
     bound, eta = out.bound, len(streams)
     weights = [sum(m) for m in masks]
     slope = [sum(weights[j:]) for j in range(eta)]
@@ -1169,7 +1177,7 @@ class SeparableSeries:
     __slots__ = ("real", "vars", "masks", "streams")
 
     def __init__(self, real, vars, masks, streams):
-        vars = tuple(vars)
+        vars = _checked_vars(vars, "SeparableSeries")
         streams = tuple(streams)
         if not streams:
             raise MotzetaError("SeparableSeries streams: need at least one stream")
@@ -1349,7 +1357,7 @@ def series_from_dict(d):
     _require_keys(d, "series_from_dict", "realization", "vars", "mode")
     require_choice("series_from_dict mode", d["mode"], ("trunc", "closed"))
     real = _real_from_dict(d["realization"])
-    vars = tuple(d["vars"])
+    vars = d["vars"]
 
     def coeff(e, where):
         if real.tag == "count":

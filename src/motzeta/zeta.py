@@ -268,40 +268,69 @@ def _require_prime_to(q, **exponents):
 def fermat_affine_counts(a, b, q):
     """(#{u^a + v^b = 0}, #{u^a + v^b = 1}, #{v^b = -1}) over (F_q^*)^2,
     resp. F_q^* for the last; from the power tables of geomset.fermat_counts
-    at zero twists (no meter), once per (a, b, q) (monomial_pair_counts asks
-    the same triple at every level)."""
+    at zero twists (no meter), once per (a, b, q)."""
     f0, f1 = fermat_counts(a, b, q)
     return f0, f1, _power_histogram(b, q)[q - 1]
 
 
+# the order of the counts in each level of _monomial_pair_levels
+_PAIR_KEYS = ("total", "A1", "A2", "A3", "Bpair")
+
+
 def monomial_pair_counts(a, b, n, q):
     """Closed-form counterpart of histogram_pair_counts for the pair
-    (x^a, y^b): the zero set and each leading coefficient reduce to root
-    counts, and every condition above the leading position is linear in a
-    fresh coordinate pair and contributes a factor q."""
+    (x^a, y^b), with the same dict: the zero set and each leading
+    coefficient reduce to root counts, and every condition above the
+    leading position is linear in a fresh coordinate pair and contributes
+    a factor q.  It is level n of _monomial_pair_levels; A3_by_l[l] is the
+    term of common order l, which enters the A3 sum at level l + 1 and
+    gains a factor q per level after it."""
+    levels = _monomial_pair_levels(a, b, n, q)
+    require_int(n, "monomial_pair_counts: n", 1)
+    born, a3 = {}, 0
+    for l, (total, a1, a2, now, bpair) in enumerate(levels):
+        born[l], a3 = now - q * a3, now
+    by_l = {l: t * q ** (n - 1 - l) for l, t in born.items() if t}
+    return {"total": total, "A1": a1, "A2": a2, "A3": a3, "A3_by_l": by_l, "Bpair": bpair}
+
+
+def _monomial_pair_levels(a, b, D, q):
+    """The levels 1..D of monomial_pair_counts(a, b, n, q), from
+    _closed_pair_levels.  q, a and b are checked and the Fermat triple
+    taken here, once, before the first level is asked for."""
     _require_prime(q, "monomial_pair_counts")
-    for name, v in (("a", a), ("b", b), ("n", n)):
+    for name, v in (("a", a), ("b", b)):
         require_int(v, "monomial_pair_counts: " + name, 1)
     _require_prime_to(q, a=a, b=b)
-    f0, f1, negb = fermat_affine_counts(a, b, q)
-    ga = math.gcd(a, q - 1)
-    gb = math.gcd(b, q - 1)
-    out = {"total": 0, "A1": 0, "A2": 0, "A3": 0, "A3_by_l": {}, "Bpair": 0}
-    if n % a == 0 and n % b == 0:
-        out["A1"] = f1 * q ** (2 * n - n // a - n // b)
-        out["Bpair"] = ga * negb * q ** (2 * n - n // a - n // b)
-    if n % a == 0:
-        out["A2"] += ga * q ** (2 * n - n // a - n // b)
-    if n % b == 0:
-        out["A2"] += gb * q ** (2 * n - n // b - n // a)
-    step = math.lcm(a, b)
-    for l in range(step, n, step):
-        cl = f0 * q ** (n + l - l // a - l // b)
-        if cl:
-            out["A3_by_l"][l] = cl
-            out["A3"] += cl
-    out["total"] = out["A1"] + out["A2"] + out["A3"]
-    return out
+    return _closed_pair_levels(a, b, D, q, *fermat_affine_counts(a, b, q))
+
+
+def _closed_pair_levels(a, b, D, q, f0, f1, negb):
+    """The closed pair counts of (x^a, y^b) at levels 1..D, in O(D), one
+    tuple per level in the order of _PAIR_KEYS.
+
+    A hit with both orders n (A1, Bpair) or one of them (A2) pins the
+    leading digits and leaves 2n - n/a - n/b free ones.  A common order
+    l < n (a multiple of lcm(a, b)) adds f0 q^(n + l - l/a - l/b), a factor
+    q more at each later level, so A3 is kept as a running sum: times q,
+    plus the term of l = n - 1."""
+    ga, gb, step = math.gcd(a, q - 1), math.gcd(b, q - 1), math.lcm(a, b)
+    a3 = 0
+    for n in range(1, D + 1):
+        a3 *= q
+        l = n - 1
+        if l and l % step == 0:
+            a3 += f0 * q ** (n + l - l // a - l // b)
+        a1 = a2 = bpair = 0
+        if n % a == 0 or n % b == 0:
+            free = q ** (2 * n - n // a - n // b)
+            if n % a == 0:
+                a2 += ga * free
+            if n % b == 0:
+                a2 += gb * free
+            if n % step == 0:
+                a1, bpair = f1 * free, ga * negb * free
+        yield a1 + a2 + a3, a1, a2, a3, bpair
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +580,14 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     mode picks the counted route: "strata" (closed counts of the pair
     x^a, y^b, or c*x for either, with a, b prime to q), "hist" (any pair)
     or "auto" (strata where it applies, else hist).  c*x counts as x:
-    u -> c*u permutes the jets of each order.  Without split, hist is
-    zeta_trunc of f + g, one F_q DFS count per level from one expansion;
-    with split it is histogram_pair_counts at every level, read off one
-    expansion each of f and g.  Either way budget caps the DFS candidates
-    of all levels together.  A symbolic series is zeta_trunc of f + g.
+    u -> c*u permutes the jets of each order.  Strata reads every level
+    from one stream of the closed counts of monomial_pair_counts, in O(D)
+    with q, a and b checked once (_monomial_pair_levels).  Without split,
+    hist is zeta_trunc of f + g, one F_q DFS count per level from one
+    expansion; with split it is histogram_pair_counts at every level, read
+    off one expansion each of f and g.  Either way budget caps the DFS
+    candidates of all levels together (strata counts none, but a bad
+    budget is still refused).  A symbolic series is zeta_trunc of f + g.
     """
     require_choice("mode", mode, ("auto", "strata", "hist"))
     require_int(D, "truncation bound", 0, VariableMismatch)
@@ -578,28 +610,24 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     if mode == "hist" and not split:
         return zeta_trunc(fg, D, real, var, budget=budget)
     meter = WorkMeter(budget)
-    if mode == "hist":
+    # one series per count kept, in the order of _PAIR_KEYS; each level adds
+    # a nonzero entry within the bound, so it goes into the entries as is
+    out = [TruncSeries(real, (var,), D) for _ in (_PAIR_KEYS if split else _PAIR_KEYS[:1])]
+    if mode == "strata":
+        levels = _monomial_pair_levels(exps[0], exps[1], D, q)
+    else:
         ef, eg = JetExpansion(f), JetExpansion(g)
-    ent = {}
-    splits = {"A1": {}, "A2": {}, "A3": {}, "Bpair": {}} if split else {}
-    for n in range(1, D + 1):
-        if mode == "strata":
-            c = monomial_pair_counts(exps[0], exps[1], n, q)
-        else:
-            c = _pair_counts(ef, eg, n, q, meter)
-        den = q ** (len(fg.vars) * n)
-        if c["total"]:
-            ent[(n,)] = Fraction(c["total"], den)
-        for k in splits:
-            if c[k]:
-                splits[k][(n,)] = Fraction(c[k], den)
-    out = TruncSeries(real, (var,), D, ent)
+        counts = (_pair_counts(ef, eg, n, q, meter) for n in range(1, D + 1))
+        levels = ([c[k] for k in _PAIR_KEYS] for c in counts)
+    scale, den = q ** len(fg.vars), 1
+    for n, level in enumerate(levels, 1):
+        den *= scale
+        for s, c in zip(out, level):
+            if c:
+                s.entries[(n,)] = Fraction(c, den)
     if not split:
-        return out
-    parts = {
-        k: TruncSeries(real, (var,), D, v) for k, v in splits.items()
-    }
-    return out, parts
+        return out[0]
+    return out[0], dict(zip(_PAIR_KEYS[1:], out[1:]))
 
 
 # ---------------------------------------------------------------------------

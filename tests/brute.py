@@ -22,6 +22,9 @@ masks that search reads.
 fermat_twisted_dfs counts a twisted Fermat pair by the F_q DFS and
 fermat_affine_brute counts u^a + v^b = c pair by pair, the references for
 the power-table kernel geomset.fermat_counts.
+monomial_pair_brute computes the closed pair counts of (x^a, y^b) at one
+level, each common-order term in its own power of q, the reference for
+the running sums of the level stream zeta._closed_pair_levels.
 compile_equation_brute reads a Poly equation's twisted form over F_q off
 its dense exponent vectors, and prepare_brute reduces a twisted count with
 it: the reference for geomset._prepare, which twists the sparse form each
@@ -368,6 +371,30 @@ def fermat_affine_brute(a, b, q):
     f1 = sum(1 for x in pow_a for y in pow_b if (x + y) % q == 1)
     negb = sum(1 for y in pow_b if (y + 1) % q == 0)
     return f0, f1, negb
+
+
+def monomial_pair_brute(a, b, n, q):
+    """The closed pair counts of (x^a, y^b) at level n in the dict of
+    histogram_pair_counts, every term computed at level n on its own: each
+    common order l < n in its own power of q, with the Fermat triple of
+    fermat_affine_brute."""
+    f0, f1, negb = fermat_affine_brute(a, b, q)
+    ga, gb = math.gcd(a, q - 1), math.gcd(b, q - 1)
+    free = q ** (2 * n - n // a - n // b)
+    both = n % a == 0 and n % b == 0
+    out = {
+        "A1": f1 * free if both else 0,
+        "A2": (ga * free if n % a == 0 else 0) + (gb * free if n % b == 0 else 0),
+        "A3_by_l": {
+            l: f0 * q ** (n + l - l // a - l // b)
+            for l in range(1, n)
+            if f0 and l % a == 0 and l % b == 0
+        },
+        "Bpair": ga * negb * free if both else 0,
+    }
+    out["A3"] = sum(out["A3_by_l"].values())
+    out["total"] = out["A1"] + out["A2"] + out["A3"]
+    return out
 
 
 def direct_pair_counts(f, g, n, q, budget=None):

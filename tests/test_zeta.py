@@ -14,6 +14,7 @@ from brute import (
     fermat_affine_brute,
     jet_count_direct,
     lattice_sum,
+    monomial_pair_brute,
     mono_exact_count,
     mono_ordgt_count,
     multizeta_direct,
@@ -40,6 +41,7 @@ from motzeta.series import (
     Strand,
     TruncSeries,
     closed_from_fit,
+    expand_chains,
     hadamard_conv,
     hadamard_ext,
     monomial_substitute,
@@ -256,6 +258,49 @@ def test_split_values_common_lower_order():
     f0 = fermat_affine_brute(2, 3, 7)[0]
     assert out["A3_by_l"] == {6: f0 * 7 ** (12 + 6 - 3 - 2)}
     assert out["A3"] == out["A3_by_l"][6]
+
+
+@st.composite
+def _closed_pairs(draw):
+    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    q = draw(st.sampled_from([p for p in (2, 3, 5, 7, 11, 13) if math.gcd(a * b, p) == 1]))
+    return a, b, q, draw(st.integers(1, 40))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_closed_pairs())
+@example((2, 3, 7, 40))
+@example((5, 5, 11, 40))
+def test_pair_level_stream_matches_the_closed_counts(case):
+    # every level of the running sums equals its counts computed on their
+    # own, and so do monomial_pair_counts and the strata split series
+    a, b, q, D = case
+    levels = list(zeta._monomial_pair_levels(a, b, D, q))
+    total, parts = sum_zeta_pullback(Poly.var("x", a), Poly.var("y", b), D, count_realization(q), split=True)
+    assert len(levels) == D
+    for n, level in enumerate(levels, 1):
+        want = monomial_pair_brute(a, b, n, q)
+        assert monomial_pair_counts(a, b, n, q) == want, n
+        assert level == tuple(want[k] for k in zeta._PAIR_KEYS), n
+        assert total.coeff((n,)) == Fraction(want["total"], q ** (2 * n)), n
+        for k, part in parts.items():
+            assert part.coeff((n,)) == Fraction(want[k], q ** (2 * n)), (k, n)
+
+
+def test_strata_pullback_checks_q_once(monkeypatch):
+    # the strata route reads all D levels from one stream: the prime check
+    # and the Fermat triple run once per call, not once per level
+    calls = {}
+    for name in ("_require_prime", "fermat_affine_counts"):
+        def counted(*args, _name=name, _fn=getattr(zeta, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(zeta, name, counted)
+    for split in (False, True):
+        calls.clear()
+        sum_zeta_pullback(X2, Y3, 60, count_realization(7), split=split)
+        assert calls == {"_require_prime": 1, "fermat_affine_counts": 1}, split
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +823,30 @@ def _symbolic_entry(coeff):
         pytest.param(lambda: ONES7.shift(1.5), "EGSeq shift: d must be an int, not 1.5", id="egseq-shift-float"),
         pytest.param(lambda: EGSeq.single_residue(R7, 2, 2.5, Fraction(1, 7), Fraction(1)),
                      "EGSeq single_residue: residue must be an int, not 2.5", id="egseq-residue-float"),
+        pytest.param(lambda: ONES7.value(2.0), "EGSeq value: n must be an int, not 2.0", id="egseq-value-float"),
+        pytest.param(lambda: ONES7.value(True), "EGSeq value: n must be an int, not True", id="egseq-value-bool"),
+        # a variable name that is not a str
+        pytest.param(lambda: TruncSeries(R7, "T", 3), "TruncSeries vars: need a list or tuple of names, not 'T'",
+                     id="trunc-vars-type"),
+        pytest.param(lambda: TruncSeries(R7, (None,), 3), "TruncSeries vars: a variable name must be a str, not None",
+                     id="trunc-var-name"),
+        pytest.param(lambda: ClosedSeries(R7, ("T", 3)), "ClosedSeries vars: a variable name must be a str, not 3",
+                     id="closed-var-name"),
+        pytest.param(lambda: SeparableSeries(R7, (("x",),), ((1,),), (ONES7,)),
+                     "SeparableSeries vars: a variable name must be a str, not ('x',)", id="separable-var-name"),
+        pytest.param(lambda: expand_chains(R7, (1,), ((1,),), (ONES7,), 3),
+                     "expand_chains vars: a variable name must be a str, not 1", id="expand-chains-var-name"),
+        pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, var=("S",)),
+                     "TruncSeries vars: a variable name must be a str, not ('S',)", id="pullback-var-tuple"),
+        pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, var=None),
+                     "TruncSeries vars: a variable name must be a str, not None", id="pullback-var-none"),
+        pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, var=3),
+                     "TruncSeries vars: a variable name must be a str, not 3", id="pullback-var-int"),
+        pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, var=3, mode="hist"),
+                     "expand_chains vars: a variable name must be a str, not 3", id="pullback-hist-var-int"),
+        pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": [["S"]], "mode": "trunc",
+                                               "bound": 2, "entries": []}),
+                     "TruncSeries vars: a variable name must be a str, not ['S']", id="from-dict-var-name"),
         # a family whose functions share a variable
         pytest.param(lambda: multizeta_trunc(("x^2", "x^3+y^2"), 8, count_realization(5)),
                      "a family needs disjoint variables; shared: x", id="family-shared-variable"),
