@@ -160,13 +160,19 @@ class Poly:
 
     def direct_sum(self, other):
         """f(x) + g(y) on disjoint variable sets."""
+        self.direct_sum_vars(other)
+        return self + other
+
+    def direct_sum_vars(self, other):
+        """The variables of f(x) + g(y), sorted, without building the sum;
+        VariableMismatch naming the shared ones if the sets meet."""
         overlap = set(self.vars) & set(other.vars)
         if overlap:
             raise VariableMismatch(
                 "direct sum needs disjoint variables; shared: %s"
                 % ", ".join(sorted(overlap))
             )
-        return self + other
+        return tuple(sorted(self.vars + other.vars))
 
     def render(self):
         if not self.terms:

@@ -22,7 +22,12 @@ coefficient sequence per axis together with the forward and inverse chain
 transforms that exchange strict-chain generating series with their
 compressed normal forms.  expand_chains is the one walk over strict
 chains: it expands a separable block, and every truncated zeta series of
-zeta.py is its expansion over per-axis streams.
+zeta.py is its expansion over per-axis streams.  The walk and the Hadamard
+join multiply each distinct pair of coefficient objects once per call: the
+walk holds a run of equal stream values as one object, so the step-function
+streams of later axes (L^{-floor(n/a)}) repeat operand pairs, and a memo
+local to the call, keyed by the ids of both operands, computes each pair
+once.  Entries may therefore share their (immutable) coefficient objects.
 
 Coefficients are the values of a Realization (realize.py): SymbolicClass
 over LocRat scalars, or Fraction over Fraction.  The code here touches them
@@ -349,7 +354,12 @@ def v_hadamard(a, b):
 def _join(a, b, mulfn):
     """The partial Hadamard product of v_hadamard with mulfn on
     coefficients, down to the smaller bound; on equal variable lists it
-    is the full product, over the same variables in the same order."""
+    is the full product, over the same variables in the same order.
+
+    mulfn runs once per pair of operand objects: a memo local to the call,
+    keyed by the ids of both and holding both (so no id is reused while
+    it runs), serves the repeats.  Operands built by expand_chains share
+    the objects of equal coefficients, so a repeated pair is computed once."""
     shared = tuple(v for v in a.vars if v in set(b.vars))
     if tuple(v for v in b.vars if v in set(a.vars)) != shared:
         raise VariableMismatch(
@@ -369,6 +379,7 @@ def _join(a, b, mulfn):
     for eb, vb in b.entries.items():
         key = tuple(eb[i] for i in b_shared)
         b_by_key.setdefault(key, []).append((tuple(eb[i] for i in b_only), vb))
+    products = {}
     ent = {}
     for ea, va in a.entries.items():
         key_a = tuple(ea[i] for i in a_shared)
@@ -377,7 +388,10 @@ def _join(a, b, mulfn):
             exp = head + tail + key_a
             if sum(exp) > bound:
                 continue
-            v = mulfn(va, vb)
+            memo = products.get((id(va), id(vb)))
+            if memo is None:
+                memo = products[id(va), id(vb)] = (va, vb, mulfn(va, vb))
+            v = memo[2]
             ent[exp] = ent[exp] + v if exp in ent else v
     return TruncSeries(a.real, vars2, bound, ent)
 
@@ -1115,7 +1129,16 @@ def expand_chains(real, vars, masks, streams, bound):
     zero value skips the whole subtree below it: every product there is
     zero.  The table of axis j holds, per w, the value with its exponent
     offset w * masks[j], or an empty entry for a zero value, so a point's
-    exponent is one elementwise sum.
+    exponent is one elementwise sum.  A value equal to the table's value at
+    w - 1 (or else w + 1) reuses that object, at one == per (axis, w), so a
+    step-function stream such as L^{-floor(w/a)} holds one object per run
+    of equal values (the walk widens each axis's range at both ends as the
+    prefix shrinks, so a new w mostly has a filled neighbour; a zero
+    between two equal values splits the run).  Each product prefix * value
+    goes through a memo local to the call, keyed by the ids of both
+    operands and holding both (so no id is reused while the call runs):
+    every distinct pair is multiplied once, and entries may share their
+    (immutable) coefficient objects.
 
     The values axis j may take below the bound form one range: w fits when
     its cheapest completion (every later axis one step above the last)
@@ -1135,6 +1158,7 @@ def expand_chains(real, vars, masks, streams, bound):
     slope = [sum(weights[j:]) for j in range(eta)]
     rest = [sum(weights[i] * (i - j) for i in range(j + 1, eta)) for j in range(eta)]
     tables = [{} for _ in range(eta)]
+    products = {}
     ent = {}
     stack = [(0, 0, (0,) * len(out.vars), 0, None)] if eta else []
     while stack:
@@ -1145,13 +1169,23 @@ def expand_chains(real, vars, masks, streams, bound):
             hit = table.get(w)
             if hit is None:
                 v = stream.value(w)
-                hit = table[w] = (v, tuple([w * x for x in mask])) if v else ()
+                if v:
+                    near = table.get(w - 1) or table.get(w + 1)
+                    if near and near[0] == v:
+                        v = near[0]
+                    hit = (v, tuple([w * x for x in mask]))
+                else:
+                    hit = ()
+                table[w] = hit
             if not hit:
                 continue
             v, off = hit
             exp2 = tuple(map(operator.add, exp, off))
             if val is not None:
-                v = val * v
+                memo = products.get((id(val), id(v)))
+                if memo is None:
+                    memo = products[id(val), id(v)] = (val, v, val * v)
+                v = memo[2]
             if last:
                 ent[exp2] = ent[exp2] + v if exp2 in ent else v
             else:

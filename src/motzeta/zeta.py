@@ -164,17 +164,18 @@ def histogram_pair_counts(f, g, n, q, meter=None):
     require_int(n, "jet order n", 1)
     if meter is None:
         meter = WorkMeter()
-    return _pair_counts(JetExpansion(f), JetExpansion(g), n, q, meter)
+    vars = f.direct_sum_vars(g)
+    return _pair_counts(JetExpansion(f), JetExpansion(g), vars, n, q, meter)
 
 
-def _pair_counts(ef, eg, n, q, meter):
-    """histogram_pair_counts at level n from the expansions ef, eg of f, g.
+def _pair_counts(ef, eg, vars, n, q, meter):
+    """histogram_pair_counts at level n from the expansions ef, eg of f, g
+    and the variables of f + g (Poly.direct_sum_vars, checked by the caller).
 
     f and g share no variable, so over the jet coordinates of f + g a digit
     of f + g is the constants added and the terms of f's digit followed by
     those of g's; -g negates each coefficient."""
     f, g = ef.f, eg.f
-    vars = f.direct_sum(g).vars
     cf, cg = ef.level(n, vars), eg.level(n, vars)
     hit = _jet_locus(
         vars, [(a + b, s + t) for (a, s), (b, t) in zip(cf, cg)], n, action_order=1
@@ -588,15 +589,18 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     off one expansion each of f and g.  Either way budget caps the DFS
     candidates of all levels together (strata counts none, but a bad
     budget is still refused).  A symbolic series is zeta_trunc of f + g.
+    f and g must share no variable (VariableMismatch naming them, checked
+    once per call); the Poly f + g is built only on the two routes that
+    expand it as one germ, symbolic and hist without split.
     """
     require_choice("mode", mode, ("auto", "strata", "hist"))
     require_int(D, "truncation bound", 0, VariableMismatch)
     f, g = _as_poly(f), _as_poly(g)
-    fg = f.direct_sum(g)
+    fg_vars = f.direct_sum_vars(g)
     if real.tag == "symbolic":
         if split:
             raise MotzetaError("symbolic splits are not provided")
-        return zeta_trunc(fg, D, real, var)
+        return zeta_trunc(f + g, D, real, var)
     q = real.q
     exps = [shape_exponent(h, q) if len(h.vars) == 1 else None for h in (f, g)]
     if mode == "auto":
@@ -608,7 +612,7 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
             "is not one at q=%d" % (h.render(), q)
         )
     if mode == "hist" and not split:
-        return zeta_trunc(fg, D, real, var, budget=budget)
+        return zeta_trunc(f + g, D, real, var, budget=budget)
     meter = WorkMeter(budget)
     # one series per count kept, in the order of _PAIR_KEYS; each level adds
     # a nonzero entry within the bound, so it goes into the entries as is
@@ -617,9 +621,9 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
         levels = _monomial_pair_levels(exps[0], exps[1], D, q)
     else:
         ef, eg = JetExpansion(f), JetExpansion(g)
-        counts = (_pair_counts(ef, eg, n, q, meter) for n in range(1, D + 1))
+        counts = (_pair_counts(ef, eg, fg_vars, n, q, meter) for n in range(1, D + 1))
         levels = ([c[k] for k in _PAIR_KEYS] for c in counts)
-    scale, den = q ** len(fg.vars), 1
+    scale, den = q ** len(fg_vars), 1
     for n, level in enumerate(levels, 1):
         den *= scale
         for s, c in zip(out, level):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -260,7 +261,8 @@ def test_v_hadamard_matches_constant_extension_route():
 
 
 def _v_hadamard_oracle(a, b):
-    """Nested loop over entry pairs, matching shared variables by name."""
+    """Nested loop over entry pairs, matching shared variables by name,
+    one product per pair of entries."""
     shared = [v for v in a.vars if v in b.vars]
     vars2 = [v for v in a.vars if v not in shared] + [v for v in b.vars if v not in shared] + shared
     bound = min(a.bound, b.bound)
@@ -272,12 +274,17 @@ def _v_hadamard_oracle(a, b):
             if all(da[v] == db[v] for v in shared):
                 exp = tuple({**da, **db}[v] for v in vars2)
                 if sum(exp) <= bound:
-                    out[exp] = out.get(exp, 0) + va * vb
-    return TruncSeries(COUNT, vars2, bound, out)
+                    out[exp] = out[exp] + va * vb if exp in out else va * vb
+    return TruncSeries(a.real, vars2, bound, out)
 
 
 @st.composite
 def _v_hadamard_operands(draw):
+    real = draw(st.sampled_from((COUNT, SYM)))
+    if real.tag == "count":
+        value = st.integers(-3, 3).filter(bool).map(Fraction)
+    else:
+        value = st.sampled_from((MU2, MU3, UNIT.scale(LocRat.L(-1)), MU2.scale(LocRat.from_int(-2))))
     names = draw(st.permutations("TUVWX"))
     na = draw(st.integers(1, 3))
     a_vars = names[:na]
@@ -294,13 +301,16 @@ def _v_hadamard_operands(draw):
     def series(vars):
         bound = draw(st.integers(2, 6))
         exps = st.tuples(*[st.integers(0, 2)] * len(vars))
-        ent = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool).map(Fraction), min_size=1, max_size=12))
-        return TruncSeries(COUNT, vars, bound, ent)
+        # entries pick from a pool of objects, so one object may sit at
+        # several exponents, as in the series expand_chains builds
+        pool = draw(st.lists(value, min_size=1, max_size=12))
+        ent = draw(st.dictionaries(exps, st.sampled_from(pool), min_size=1, max_size=12))
+        return TruncSeries(real, vars, bound, ent)
 
     return series(a_vars), series(b_vars)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(_v_hadamard_operands())
 def test_v_hadamard_matches_nested_loop_oracle(ab):
     a, b = ab
@@ -572,13 +582,21 @@ def _chain_cases(draw):
     mask = st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars).filter(any).map(tuple)
     masks = tuple(draw(mask) for _ in range(eta))
     if real.tag == "count":
-        coeff = st.integers(-2, 2).map(Fraction)
+        coeff, copy = st.integers(-2, 2).map(Fraction), Fraction
     else:
         coeff = st.one_of(st.just(SYM.zero), st.sampled_from(_CHAIN_CLASSES))
+        copy = operator.methodcaller("scale", ONE)
     streams = []
     for _ in range(eta):
         dom_min = draw(st.integers(1, 3))
-        values = draw(st.dictionaries(st.integers(dom_min, 14), coeff, max_size=10))
+        if draw(st.booleans()):
+            # a step function, as an order-beyond stream is: runs of equal
+            # values, each w holding its own equal copy
+            width = draw(st.integers(2, 4))
+            runs = draw(st.lists(coeff, min_size=1, max_size=5))
+            values = {w: copy(runs[min((w - dom_min) // width, len(runs) - 1)]) for w in range(dom_min, 15)}
+        else:
+            values = draw(st.dictionaries(st.integers(dom_min, 14), coeff, max_size=10))
         streams.append(_DictStream(real.zero, values, dom_min))
     return real, tuple("TUV"[:nvars]), masks, tuple(streams), draw(st.integers(0, 14))
 

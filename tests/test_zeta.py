@@ -1139,6 +1139,48 @@ def test_multizeta_symbolic_realizes_to_counts():
         assert bind_and_count(ms.coeff(e), binding) == mc.coeff(e)
 
 
+def _monomials(names, exps):
+    return tuple(Poly.var(v, a) for v, a in zip(names, exps))
+
+
+@pytest.mark.parametrize("exps, entries, products", [((2, 3, 5), 952, 201), ((2, 3, 4, 5), 1856, 192)])
+def test_chain_walk_multiplies_each_class_pair_once(monkeypatch, exps, entries, products):
+    # The later axes are order-beyond streams L^{-floor(n/a)}, step
+    # functions, so most chain points repeat a (prefix, value) pair the walk
+    # has multiplied already.  One product per point took 1022 and 2071
+    # class products here; the pins are a third of that or less.
+    calls = []
+
+    def counted(self, other, _mul=SymbolicClass.__mul__):
+        calls.append(1)
+        return _mul(self, other)
+
+    monkeypatch.setattr(SymbolicClass, "__mul__", counted)
+    mz = multizeta_trunc(_monomials("xyzw", exps), 45, symbolic_realization())
+    assert len(mz.entries) == entries
+    assert len(calls) == products
+    monkeypatch.undo()
+    # the values, against the closed coefficient [mu_2] L^{-(n1/2 + sum floor(n_i/a_i))}
+    mu2 = SymbolicClass.from_atom(Atom("mu2", 2))
+    for e, c in mz.entries.items():
+        t = e[0] // 2 + sum(n // a for n, a in zip(e[1:], exps[1:]))
+        assert e[0] % 2 == 0 and c == mu2.scale(LocRat.L(-t)), e
+
+
+@pytest.mark.parametrize("kind, fn", [(None, conv), (0, conv0), (1, conv1)])
+def test_hadamard_conv_of_multizeta_operands_is_the_entrywise_conv(kind, fn):
+    # multizeta operands share one object across the entries of a run; the
+    # join computes each pair of objects once, and every entry must still
+    # be its own convolution
+    sym = symbolic_realization()
+    a = multizeta_trunc(_monomials("xy", (2, 3)), 24, sym)
+    b = multizeta_trunc(_monomials("zw", (3, 2)), 24, sym)
+    assert len({id(v) for v in a.entries.values()}) < len(a.entries)
+    want = {e: fn(v, b.entries[e]) for e, v in a.entries.items() if e in b.entries}
+    assert want
+    assert hadamard_conv(a, b, kind) == TruncSeries(sym, a.vars, 24, want)
+
+
 # ---------------------------------------------------------------------------
 # the sum pullback
 # ---------------------------------------------------------------------------
@@ -1242,8 +1284,38 @@ def test_pullback_split_expands_each_function_once(monkeypatch):
 
 
 def test_pullback_requires_disjoint_variables():
-    with pytest.raises(MotzetaError):
-        sum_zeta_pullback(X2, X3, 4, count_realization(5))
+    r5, sym = count_realization(5), symbolic_realization()
+    routes = [
+        (r5, {}),
+        (r5, {"mode": "strata"}),
+        (r5, {"split": True}),
+        (r5, {"mode": "hist"}),
+        (r5, {"mode": "hist", "split": True}),
+        (sym, {}),
+        (sym, {"split": True}),
+    ]
+    for real, kwargs in routes:
+        with pytest.raises(VariableMismatch, match=re.escape("direct sum needs disjoint variables; shared: x")):
+            sum_zeta_pullback(X2, X3, 4, real, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"split": True}, {"mode": "hist", "split": True}],
+                         ids=["strata", "strata-split", "hist-split"])
+def test_counted_pair_routes_build_no_poly_sum(monkeypatch, kwargs):
+    # these routes read only the variables of f + g, never the Poly itself
+    adds = []
+
+    def counted(self, other, _add=Poly.__add__):
+        adds.append((self, other))
+        return _add(self, other)
+
+    f, g = Poly.var("x", 2), Poly.var("y", 3)
+    monkeypatch.setattr(Poly, "__add__", counted)
+    s = sum_zeta_pullback(f, g, 6, count_realization(7), **kwargs)
+    assert adds == []
+    monkeypatch.undo()
+    total = s[0] if kwargs.get("split") else s
+    assert total == sum_zeta_pullback(f, g, 6, count_realization(7), mode="hist")
 
 
 def test_pullback_symbolic_generic_pair_unsupported():
