@@ -8,9 +8,10 @@ the group of N-th roots of unity given by a weight per coordinate
 Counting is exact over F_q (q prime), in int arithmetic mod q.  The twisted
 count of a GeomSet against a group element xi^s is the number of solutions x
 over the algebraic closure with Frob_q(x) = xi^{-s} . x.  Coordinatewise this
-pins x_i to zero or to t_i F_q^*, with t_i = zeta_K^{e_i} a power of one fixed
-primitive K-th root of unity, K = N (q - 1).  Writing x_i = t_i u_i with u_i
-in F_q, a monomial x^a becomes zeta_K^{E(a)} u^a, E(a) = sum a_i e_i.  On a
+pins x_i to zero or to t_i F_q^*, with t_i = zeta_K^{e_i}, e_i = -s w_i, a
+power of one fixed primitive K-th root of unity, K = N (q - 1).  Writing
+x_i = t_i u_i with u_i in F_q, a monomial x^a becomes zeta_K^{E(a)} u^a,
+E(a) = sum a_i e_i = -s w(a), w(a) = sum a_i w_i its weight.  On a
 semi-invariant equation E(a) mod N is one residue r on every non-constant
 monomial (r = 0 if there is a constant term), so dividing by zeta_K^r leaves
 an equation over F_q in the u_i with coefficients c_a g^{(E(a) - r)/N}, where
@@ -26,9 +27,9 @@ coefficients, a monomial a tuple of (coordinate index, exponent) sorted by
 index.  GeomSet(coords, equations) builds it from Polys; the jet loci of
 zeta are built in it directly from the digits of poly.JetExpansion, and
 their Poly view (GeomSet.equations) is built only when read.  A count only
-applies its twist to that form (_prepare): each coefficient becomes
-c_a g^{(E(a) - r)/N} mod q, and in an untwisted sector (every e_i = 0 mod K)
-it is just c_a mod q.
+twists that form, in one pass that also builds the search's masks
+(_prepare): each coefficient becomes c_a g^{(E(a) - r)/N} mod q, E(a) read
+off the monomial's weight, or just c_a mod q in an untwisted sector.
 
 The twisted Fermat pairs of a convolution (fermat_twisted_count) reduce to
 a diagonal equation g^e_u x^N + g^e_v y^N = c over F_q^*, which
@@ -36,21 +37,23 @@ fermat_counts counts from the table of N-th powers of F_q^*, without a
 search.  Every other GeomSet is counted by the DFS below, the one search
 over the twisted equations; it counts points and lists none.
 
-The DFS runs over per-coordinate candidate sets with partial evaluation of
-the equations, pruning of contradictions, and dynamic detection of
-coordinates no remaining equation mentions (those contribute a
-multiplicative factor without branching).  Before it branches it solves what
-it can (see _count_reduced): it eliminates a coordinate that ranges over F_q
-and occurs only as c x_j, c constant, in just one equation; it counts the
-roots of a binomial c v^k + d in a coordinate found nowhere else in closed
-form; it branches only over the roots of any other one-coordinate equation;
-and it pivots on a coordinate that leaves the chosen equation linear.  Its
+The DFS runs over the values F_q of each coordinate (F_q^* where the
+nonzero mask has its bit) with partial evaluation of the
+equations, pruning of contradictions, and dynamic detection of coordinates
+no remaining equation mentions (those contribute a multiplicative factor
+without branching).  Before it branches it solves what it can (see
+_count_reduced): it eliminates a coordinate that ranges over F_q and occurs
+only as c x_j, c constant, in just one equation; it counts the roots of a
+binomial c v^k + d in a coordinate found nowhere else in closed form; it
+branches only over the roots of any other one-coordinate equation; and it
+pivots on a coordinate that leaves the chosen equation linear.  Its
 bookkeeping reads coordinate bitmasks carried by each equation and monomial
-(_masked), so it costs O(equations) per call, and a branch rewrites only
-the monomials that hold its pivot.  Work is metered against a budget, default 10^8: one unit is one candidate value
-tried, either a value the pivot takes in a branch or a candidate at which a
-one-coordinate equation is evaluated.  A Fermat-pair count is charged q - 1
-units, what the DFS spends on it.
+(built by _prepare), so it costs O(equations) per call, and a branch
+rewrites only the monomials that hold its pivot.  Work is metered against a
+budget, default 10^8: one unit is one candidate value tried, either a value
+the pivot takes in a branch or a candidate at which a one-coordinate
+equation is evaluated.  A Fermat-pair count is charged q - 1 units, what
+the DFS spends on it.
 """
 
 from __future__ import annotations
@@ -212,49 +215,6 @@ def _sparse_equation(eq, index):
     return const, tuple(terms)
 
 
-def _twist(gs, k, exps, N, q, g):
-    """Equation k of gs over F_q in the coordinates u_i of
-    x_i = zeta_K^{exps[i]} u_i, divided by zeta_K^r (see the module
-    docstring), masked (_masked).  Raises MotzetaError if the equation is
-    not semi-invariant under the twist."""
-    const, terms = gs._eqs[k]
-    out = {}
-    r = None
-    for mono, c in terms:
-        if c % q == 0:
-            continue
-        E = 0
-        for i, x in mono:
-            E += x * exps[i]
-        if r is None:
-            r = E % N
-        elif E % N != r:
-            raise MotzetaError(
-                "equation %s is not semi-invariant under the twist" % gs.equations[k].render()
-            )
-        out[mono] = c * pow(g, (E - r) // N, q) % q
-    if const % q and r:
-        raise MotzetaError(
-            "equation %s is not semi-invariant under the twist" % gs.equations[k].render()
-        )
-    return _masked(const % q, out.items())
-
-
-def _masked(const, terms):
-    """(const, {monomial: (coeff, mask)}, once, twice) from (monomial, coeff)
-    pairs, coeffs nonzero mod q: mask has bit j when the monomial holds x_j;
-    once, resp. twice, has the coordinates one, resp. two, monomials hold."""
-    out, once, twice = {}, 0, 0
-    for mono, c in terms:
-        m = 0
-        for j, _x in mono:
-            m |= 1 << j
-        out[mono] = c, m
-        twice |= once & m
-        once |= m
-    return const, out, once, twice
-
-
 def _specialize(eq, i, value, q):
     """Substitute x_i = value into a reduced equation that holds x_i: value
     0 drops the monomials that hold x_i, any other value rewrites them, adds
@@ -294,11 +254,11 @@ def _root_count(k, t, q):
     return d if pow(t, (q - 1) // d, q) == 1 else 0
 
 
-def _solve_alone(eq, alone, candidates, q):
+def _solve_alone(eq, alone, nonzero, q):
     """(j, n) when the equation leaves n values of a coordinate j, which no
     other monomial of the system mentions, for every value of the rest;
     else None.  alone masks the coordinates that just one monomial of the
-    live equations holds."""
+    live equations holds, nonzero those constrained nonzero."""
     const, terms, once, _ = eq
     if not once & alone:
         return None
@@ -308,10 +268,10 @@ def _solve_alone(eq, alone, candidates, q):
             j, k = mono[0]
             if const:  # c v^k + d with d != 0: v^k = -d/c
                 return j, _root_count(k, -const * pow(c, q - 2, q) % q, q)
-            return j, int(len(candidates[j]) == q)  # c v^k = 0: v = 0
+            return j, int(not nonzero >> j & 1)  # c v^k = 0: v = 0
     for mono in terms:
         j, x = mono[0]
-        if len(mono) == 1 and x == 1 and alone >> j & 1 and len(candidates[j]) == q:
+        if len(mono) == 1 and x == 1 and alone >> j & 1 and not nonzero >> j & 1:
             return j, 1  # c x_j + rest = 0 has one root x_j over F_q
     return None
 
@@ -325,12 +285,13 @@ def _combined(eqs):
     return once, twice
 
 
-def _count_reduced(eqs, unassigned, candidates, q, meter):
+def _count_reduced(eqs, unassigned, nonzero, q, meter):
     """DFS point count.
 
-    eqs: reduced equations (_masked), specialized in assigned coordinates.
+    eqs: reduced equations (_prepare), specialized in assigned coordinates.
     unassigned: list of coordinate indices still free, in preference order.
-    candidates: per coordinate index, the list of values in F_q.
+    nonzero: the mask of the coordinates constrained nonzero; coordinate i
+    takes the candidate values range(nonzero >> i & 1, q), in that order.
 
     Before it branches, the search applies three rules:
 
@@ -370,7 +331,7 @@ def _count_reduced(eqs, unassigned, candidates, q, meter):
         changed = False
         kept = []
         for k, eq in enumerate(live):
-            hit = _solve_alone(eq, once & ~twice, candidates, q)
+            hit = _solve_alone(eq, once & ~twice, nonzero, q)
             if hit is None:
                 kept.append(eq)
                 continue
@@ -387,7 +348,7 @@ def _count_reduced(eqs, unassigned, candidates, q, meter):
         if once >> i & 1:
             branching.append(i)
         elif not solved >> i & 1:
-            multiplier *= len(candidates[i])
+            multiplier *= q - (nonzero >> i & 1)
     if not live:
         return multiplier
     # The equation with the fewest distinct coordinates, so triangular
@@ -395,16 +356,17 @@ def _count_reduced(eqs, unassigned, candidates, q, meter):
     const, terms, eq_once, _ = min(live, key=lambda e: e[2].bit_count())
     if eq_once & (eq_once - 1) == 0:
         pivot = eq_once.bit_length() - 1
+        nz = nonzero >> pivot & 1
         c = terms.get(((pivot, 1),))
         if len(terms) == 1 and c is not None:
             meter.spend()
             root = -const * pow(c[0], q - 2, q) % q
-            values = [root] if root or len(candidates[pivot]) == q else []
+            values = [root] if root or not nz else []
         else:
-            meter.spend(len(candidates[pivot]))
+            meter.spend(q - nz)
             powers = [(c, mono[0][1]) for mono, (c, _m) in terms.items()]
             values = [
-                v for v in candidates[pivot]
+                v for v in range(nz, q)
                 if (const + sum(c * pow(v, k, q) for c, k in powers)) % q == 0
             ]
     else:
@@ -414,14 +376,15 @@ def _count_reduced(eqs, unassigned, candidates, q, meter):
                 other |= m
         in_eq = [i for i in branching if eq_once >> i & 1]
         pivot = next((i for i in in_eq if other >> i & 1), in_eq[0])
-        values = candidates[pivot]
-        meter.spend(len(values))
+        nz = nonzero >> pivot & 1
+        values = range(nz, q)
+        meter.spend(q - nz)
     rest = [i for i in branching if i != pivot]
     bit = 1 << pivot
     total = 0
     for value in values:
         next_eqs = [_specialize(eq, pivot, value, q) if eq[2] & bit else eq for eq in live]
-        total += _count_reduced(next_eqs, rest, candidates, q, meter)
+        total += _count_reduced(next_eqs, rest, nonzero, q, meter)
     return multiplier * total
 
 
@@ -436,38 +399,49 @@ def _check_twist(N, q, exps):
         )
 
 
-def _prepare(gs, q, exps):
-    """Reduce a twisted count of gs to an F_q count.
-
-    exps[i] is the twist exponent e_i of coordinate i: the twisted points
-    have x_i = t_i u_i with t_i = zeta_K^{e_i}, K = N (q - 1), and u_i in
-    F_q (nonzero where x_i is constrained nonzero).  zeta_K is fixed by
-    zeta_K^N = g, g the least primitive root mod q.  Returns the equations in
-    the u_i, the sparse form of gs twisted and reduced over F_q with the
-    masks of _masked, and the candidate values of each u_i.
-    """
-    N = gs.action_order
-    _check_twist(N, q, exps)
+def _prepare(gs, q, g_exp):
+    """The twisted count of gs in sector g_exp as an F_q count, in one pass
+    over the sparse form, each monomial's twist read off its weight (see
+    the module docstring).  Returns the equations in the u_i, each
+    (const, {monomial: (coeff, mask)}, once, twice) with zero coefficients
+    dropped (mask has bit j when the monomial holds x_j; once, resp. twice,
+    the coordinates one, resp. two, monomials hold), and the mask of the
+    coordinates constrained nonzero.  Raises MotzetaError if an equation is
+    not semi-invariant under the twist."""
+    N, weights = gs.action_order, gs.weights
+    _check_twist(N, q, [g_exp * w for w in weights])
     K = N * (q - 1)
-    exps = [e % K for e in exps]
-    if any(exps):
-        g = _primitive_root(q)
-        eqs = [_twist(gs, k, exps, N, q, g) for k in range(len(gs._eqs))]
-    else:
-        eqs = [
-            _masked(const % q, [(mono, c % q) for mono, c in terms if c % q])
-            for const, terms in gs._eqs
-        ]
-    units = list(range(1, q))
-    with_zero = [0] + units
-    candidates = [units if c in gs.nonzero else with_zero for c in gs.coords]
-    return eqs, candidates
-
-
-def _sector_exps(gs, g_exp):
-    # x_i^{q-1} = zeta_N^{-g w_i} = zeta_K^{-(q-1) g w_i}; a solution
-    # generator is t_i = zeta_K^{-g w_i}.
-    return [-g_exp * w for w in gs.weights]
+    g = _primitive_root(q) if any(g_exp * w % K for w in weights) else None
+    eqs = []
+    for k, (const, terms) in enumerate(gs._eqs):
+        const %= q
+        out, once, twice, r = {}, 0, 0, (0 if const else None)  # a constant forces r = 0
+        for mono, c in terms:
+            c %= q
+            if not c:
+                continue
+            m = 0
+            if g is None:
+                for j, _x in mono:
+                    m |= 1 << j
+            else:
+                wa = 0
+                for j, x in mono:
+                    m |= 1 << j
+                    wa += x * weights[j]
+                E = -g_exp * wa % K
+                if r is None:
+                    r = E % N
+                elif E % N != r:
+                    raise MotzetaError(
+                        "equation %s is not semi-invariant under the twist" % gs.equations[k].render()
+                    )
+                c = c * pow(g, (E - r) // N, q) % q
+            out[mono] = c, m
+            twice |= once & m
+            once |= m
+        eqs.append((const, out, once, twice))
+    return eqs, sum(1 << i for i, c in enumerate(gs.coords) if c in gs.nonzero)
 
 
 def twisted_count(gs, q, g_exp=0, meter=None):
@@ -481,8 +455,8 @@ def twisted_count(gs, q, g_exp=0, meter=None):
     require_int(g_exp, "twisted_count g_exp")
     if meter is None:
         meter = WorkMeter()
-    eqs, candidates = _prepare(gs, q, _sector_exps(gs, g_exp))
-    return _count_reduced(eqs, list(range(len(gs.coords))), candidates, q, meter)
+    eqs, nonzero = _prepare(gs, q, g_exp)
+    return _count_reduced(eqs, list(range(len(gs.coords))), nonzero, q, meter)
 
 
 def quotient_count(gs, q, meter=None):
@@ -561,9 +535,10 @@ def fermat_twisted_count(kind, N, q, e_u, e_v, meter=None):
     Conditions: u^q = zeta_N^{e_u} u and v^q = zeta_N^{e_v} v.  This is the
     inner term of the convolution counting formula, where the two Fermat
     coordinates receive different group twists.  Writing u = zeta_K^{e_u} x
-    and v = zeta_K^{e_v} y with x, y in F_q^* (the reduction of _prepare)
-    leaves g^e_u x^N + g^e_v y^N = kind over F_q, which fermat_counts counts
-    from the N-th power table.  The count charges meter (default as in
+    and v = zeta_K^{e_v} y with x, y in F_q^* (the module docstring's
+    reduction, two exponents where _prepare has one sector) leaves
+    g^e_u x^N + g^e_v y^N = kind over F_q, which fermat_counts counts from
+    the N-th power table.  The count charges meter (default as in
     twisted_count) q - 1 units, what the DFS spends on fermat_pair(kind, N)
     with these twists.  A twist nonzero mod K = N (q - 1) needs q prime to N.
     """

@@ -73,6 +73,8 @@ class LaurentPoly:
         return hash(frozenset(self.c.items()))
 
     def __add__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         out = dict(self.c)
         for e, v in other.c.items():
             w = out.get(e, 0) + v
@@ -86,6 +88,8 @@ class LaurentPoly:
         return LaurentPoly({e: -v for e, v in self.c.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):

@@ -79,6 +79,8 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, int):
             other = Poly.const(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         av, a, b = self._aligned(other)
         for e, c in b.items():
             w = a.get(e, 0) + c
@@ -96,14 +98,20 @@ class Poly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = Poly.const(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
             return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, Poly):
+            return NotImplemented
         av, a, b = self._aligned(other)
         out = {}
         for e1, c1 in a.items():

@@ -1148,7 +1148,9 @@ def expand_chains(real, vars, masks, streams, bound):
     On the last axis each product is added into the table in place.  The
     variables, the bound and the masks are checked once per call
     (VariableMismatch), not once per entry; exponents that collide are
-    summed and may cancel, so the result keeps only the zero filter.
+    summed, and an entry whose sum cancels is deleted.  A zero product is
+    memoized as None and skipped by an identity test, with its subtree on an
+    inner axis, so no entry is tested for zero at the end.
     """
     vars = _checked_vars(vars, "expand_chains")
     masks = _checked_masks(vars, masks, streams, "expand_chains")
@@ -1182,15 +1184,25 @@ def expand_chains(real, vars, masks, streams, bound):
             v, off = hit
             exp2 = tuple(map(operator.add, exp, off))
             if val is not None:
-                memo = products.get((id(val), id(v)))
+                key = id(val), id(v)
+                memo = products.get(key)
                 if memo is None:
-                    memo = products[id(val), id(v)] = (val, v, val * v)
+                    prod = val * v
+                    memo = products[key] = (val, v, prod if prod else None)
                 v = memo[2]
-            if last:
-                ent[exp2] = ent[exp2] + v if exp2 in ent else v
-            else:
+                if v is None:
+                    continue
+            if not last:
                 stack.append((j + 1, w, exp2, deg + w * step, v))
-    out.entries = {e: v for e, v in ent.items() if v}
+            elif exp2 not in ent:
+                ent[exp2] = v
+            else:
+                v = ent[exp2] + v
+                if v:
+                    ent[exp2] = v
+                else:
+                    del ent[exp2]
+    out.entries = ent
     return out
 
 

@@ -19,16 +19,19 @@ specializes every equation at every branch.  It tries the same candidates
 as geomset._count_reduced, the reference for its counts and its meter
 units; mask_equation_brute gives a (const, {monomial: coeff}) equation the
 masks that search reads.
-fermat_twisted_dfs counts a twisted Fermat pair by the F_q DFS and
+fermat_twisted_dfs counts a twisted Fermat pair, reduced by prepare_brute
+with its two independent twists, by the library's F_q DFS, and
 fermat_affine_brute counts u^a + v^b = c pair by pair, the references for
 the power-table kernel geomset.fermat_counts.
 monomial_pair_brute computes the closed pair counts of (x^a, y^b) at one
 level, each common-order term in its own power of q, the reference for
 the running sums of the level stream zeta._closed_pair_levels.
 compile_equation_brute reads a Poly equation's twisted form over F_q off
-its dense exponent vectors, and prepare_brute reduces a twisted count with
-it: the reference for geomset._prepare, which twists the sparse form each
-GeomSet builds once.  jet_equations_dense builds the equations of a jet
+its dense exponent vectors, one twist exponent per coordinate, and
+prepare_brute reduces a twisted count with it into candidate lists: at the
+exponents -s w_i of a sector s, the reference for geomset._prepare, which
+twists the sparse form each GeomSet builds once in one pass, reading each
+monomial's twist off its weight, and returns a nonzero mask.  jet_equations_dense builds the equations of a jet
 locus from the Poly digits of poly.JetExpansion, the reference for the
 sparse loci of zeta.jet_set.
 berlekamp_massey_brute is Massey's algorithm over Fractions, the reference
@@ -51,7 +54,6 @@ from motzeta.errors import BudgetExceeded, ConeNotDecomposed, MotzetaError
 from motzeta.geomset import (
     _check_twist,
     _count_reduced,
-    _prepare,
     _primitive_root,
     _require_prime,
     _root_count,
@@ -291,9 +293,10 @@ def mask_equation_brute(const, terms):
 
 def fermat_twisted_dfs(kind, N, q, e_u, e_v, meter):
     """Twisted count of F_kind^N by the F_q DFS on fermat_pair(kind, N),
-    reduced with the twists (e_u, e_v) as for any GeomSet."""
-    eqs, candidates = _prepare(fermat_pair(kind, N), q, (e_u, e_v))
-    return _count_reduced(eqs, [0, 1], candidates, q, meter)
+    reduced with the independent twists (e_u, e_v) by prepare_brute; both
+    coordinates are nonzero (mask 0b11)."""
+    eqs, _candidates = prepare_brute(fermat_pair(kind, N), q, (e_u, e_v))
+    return _count_reduced(eqs, [0, 1], 0b11, q, meter)
 
 
 def compile_equation_brute(eq, coord_index, exps, N, q, g):
@@ -330,9 +333,12 @@ def compile_equation_brute(eq, coord_index, exps, N, q, g):
 
 
 def prepare_brute(gs, q, exps):
-    """geomset._prepare with every Poly of gs.equations compiled by
-    compile_equation_brute (zeta_K as in the geomset module docstring) and
-    masked by mask_equation_brute."""
+    """A twisted count of gs with the twist exponent exps[i] on coordinate
+    i, reduced to F_q: (equations, candidates), every Poly of gs.equations
+    compiled by compile_equation_brute (zeta_K as in the geomset module
+    docstring) and masked by mask_equation_brute, and per coordinate the
+    list of its values in F_q.  At exps[i] = -s w_i, geomset._prepare(gs,
+    q, s) with its nonzero mask read as those lists."""
     N = gs.action_order
     _check_twist(N, q, exps)
     K = N * (q - 1)

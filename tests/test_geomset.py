@@ -177,6 +177,7 @@ def test_dfs_rules_match_brute_force(system):
     # candidates the unmasked oracle tries
     q, d, eqs, nonzero = system
     candidates = [list(range(1 if i in nonzero else 0, q)) for i in range(d)]
+    mask = sum(1 << i for i in nonzero)
     brute = sum(
         all(
             (const + sum(c * math.prod(pt[i] ** x for i, x in mono) for mono, c in terms.items()))
@@ -187,7 +188,7 @@ def test_dfs_rules_match_brute_force(system):
     )
     meter, oracle = WorkMeter(), WorkMeter()
     masked = [mask_equation_brute(const, terms) for const, terms in eqs]
-    assert _count_reduced(masked, list(range(d)), candidates, q, meter) == brute
+    assert _count_reduced(masked, list(range(d)), mask, q, meter) == brute
     assert count_reduced_brute(eqs, list(range(d)), candidates, q, oracle) == brute
     assert meter.spent == oracle.spent
 
@@ -298,8 +299,8 @@ def test_twisted_count_needs_an_int_sector():
 @st.composite
 def _poly_geomsets(draw):
     """A GeomSet of at most four coordinates with random Poly equations,
-    weights, action order and nonzero set, a prime q and a twist: often a
-    multiple of K = N (q - 1) in every coordinate (an untwisted sector)."""
+    weights, action order and nonzero set, a prime q and a sector s: often a
+    multiple of K = N (q - 1) (an untwisted sector)."""
     coords = "abcd"[: draw(st.integers(1, 4))]
     eqs = []
     for _ in range(draw(st.integers(0, 3))):
@@ -315,34 +316,70 @@ def _poly_geomsets(draw):
     gs = GeomSet(coords, eqs, draw(st.sets(st.sampled_from(coords))), N, weights)
     q = draw(st.sampled_from((2, 3, 5, 7)))
     K = N * (q - 1)
-    if draw(st.booleans()):
-        exps = [K * draw(st.integers(-2, 2)) for _ in coords]
-    else:
-        exps = draw(st.lists(st.integers(-30, 30), min_size=len(coords), max_size=len(coords)))
-    return gs, q, exps
+    s = K * draw(st.integers(-2, 2)) if draw(st.booleans()) else draw(st.integers(-30, 30))
+    return gs, q, s
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_poly_geomsets())
 def test_prepare_twists_the_sparse_form_as_the_dense_oracle(case):
-    # the equations _prepare twists from the sparse form built at
-    # construction are those compiled from the Polys, in the same term
-    # order (the search reads them in that order), with the same refusals
-    gs, q, exps = case
+    # the one-pass reduction of sector s, each monomial's twist read off
+    # its weight, is the reduction of the Polys at the coordinate twists
+    # -s w_i: the same equations in the same term order (the search reads
+    # them in that order), its nonzero mask read as the oracle's candidate
+    # lists, and the same refusals, by message
+    gs, q, s = case
     try:
-        want = prepare_brute(gs, q, exps)
+        want_eqs, want_candidates = prepare_brute(gs, q, [-s * w for w in gs.weights])
     except MotzetaError as exc:
         with pytest.raises(MotzetaError, match=re.escape(str(exc))):
-            _prepare(gs, q, exps)
+            _prepare(gs, q, s)
         return
-    got = _prepare(gs, q, exps)
-    assert got == want
-    assert [list(eq[1].items()) for eq in got[0]] == [list(eq[1].items()) for eq in want[0]]
+    eqs, nonzero = _prepare(gs, q, s)
+    assert eqs == want_eqs
+    assert [list(eq[1].items()) for eq in eqs] == [list(eq[1].items()) for eq in want_eqs]
+    assert [list(range(nonzero >> i & 1, q)) for i in range(gs.dim)] == want_candidates
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        _poly_geomsets(),
+        st.tuples(
+            st.sampled_from(("x^2+x^3", "x^3+x^4", "x^2+y^3", "x*y")).flatmap(
+                lambda f: st.builds(jet_set, st.just(f), st.integers(1, 3), st.booleans())
+            ),
+            st.sampled_from((2, 3, 5, 7)),
+            st.integers(-12, 12),
+        ),
+    )
+)
+@example((mu_n(4), 5, 1))
+@example((mu_n(4), 7, 3))
+@example((fermat_pair(0, 3), 7, 2))
+@example((fermat_pair(1, 2), 5, -1))
+def test_sector_count_depends_on_s_mod_n(case):
+    # xi^N = 1, so sectors s and s +- N count the same points (refusals
+    # included) whenever the N-th roots of unity exist, q prime to N;
+    # their reductions differ by a unit of F_q in each coordinate
+    gs, q, s = case
+    if gs.action_order % q == 0:
+        return
+    counts = []
+    for t in (s, s + gs.action_order, s - gs.action_order):
+        try:
+            counts.append(twisted_count(gs, q, t))
+        except MotzetaError as exc:
+            counts.append(str(exc))
+    assert counts[1:] == counts[:1] * 2
 
 
 def test_twisted_count_needs_prime_q():
-    with pytest.raises(MotzetaError, match="prime"):
-        twisted_count(torus(), 4)
+    # q is checked before any arithmetic on it, in every sector
+    for q in (4, "7", 7.0, None):
+        for gs, s in ((torus(), 0), (mu_n(2), 1)):
+            with pytest.raises(MotzetaError, match="needs a prime q, got %s" % re.escape(repr(q))):
+                twisted_count(gs, q, s)
 
 
 def test_quotient_count_is_integral():

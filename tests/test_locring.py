@@ -222,7 +222,8 @@ def test_foreign_operands_raise_type_error():
     # an operand the ring does not carry leaves the operator to Python's
     # standard TypeError; ints are still scalars
     for run in (lambda: L + "x", lambda: L - "x", lambda: "x" - L, lambda: 0.5 + L, lambda: L + 0.5,
-                lambda: LaurentPoly({1: 1}) * 1.5):
+                lambda: LaurentPoly({1: 1}) * 1.5, lambda: LaurentPoly({1: 1}) + 1,
+                lambda: LaurentPoly({1: 1}) - 1, lambda: 1 - LaurentPoly({1: 1})):
         with pytest.raises(TypeError, match="unsupported operand"):
             run()
     assert L + 1 == 1 + L and L - 1 == -(1 - L)

@@ -1,12 +1,14 @@
 """Polynomials, the expression grammar, jet composition."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import _value_digits, jet_count_direct, jet_equations_dense, prepare_brute
-from motzeta.errors import ParseError, UnknownToken, VariableMismatch
-from motzeta.geomset import WorkMeter, _prepare, _sector_exps, twisted_count
+from motzeta.errors import MotzetaError, ParseError, UnknownToken, VariableMismatch
+from motzeta.geomset import WorkMeter, _prepare, twisted_count
 from motzeta.poly import JetExpansion, Poly, parse_poly
 from motzeta.zeta import AxisCounts, jet_set
 
@@ -19,6 +21,17 @@ def test_poly_arithmetic_and_render():
     assert (x**2 + y**3 - 1).render() == "y^3 + x^2 - 1"
     assert Poly.const(0).is_zero()
     assert parse_poly(f.render()) == f
+
+
+def test_foreign_operands_raise_type_error():
+    # an operand that is neither a Poly nor an int leaves the operator to
+    # Python's standard TypeError; ints are still constants
+    p = parse_poly("x^2+y")
+    for run in (lambda: p + 1.5, lambda: p - 1.5, lambda: p * 1.5, lambda: 1.5 + p, lambda: 1.5 - p,
+                lambda: 1.5 * p, lambda: p + "x", lambda: p * None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run()
+    assert p + 1 == 1 + p == parse_poly("x^2+y+1") and 1 - p == -(p - 1) and 2 * p == p * 2 == p + p
 
 
 def test_parse_grammar():
@@ -129,16 +142,21 @@ def test_compose_jet_digits_evaluate_to_the_brute_digits(f, n, q, rng):
 def test_digit_built_jet_loci_match_the_dense_construction(f, n, exact, q):
     # jet_set builds its locus from the sparse digits with no Poly; its Poly
     # view is the locus built from the Poly digits, and every twisted sector
-    # reduces as the dense oracle reduces that view
+    # s reduces as the dense oracle reduces that view at the twists -s w_i,
+    # or is refused with the oracle's message
     gs = jet_set(f, n, exact)
     assert gs.equations == jet_equations_dense(f, n, exact)
     for s in range(gs.action_order):
-        exps = _sector_exps(gs, s)
-        if gs.action_order % q == 0 and s:
-            continue  # refused: no N-th roots of unity in characteristic q
-        got, want = _prepare(gs, q, exps), prepare_brute(gs, q, exps)
+        try:
+            want, candidates = prepare_brute(gs, q, [-s * w for w in gs.weights])
+        except MotzetaError as exc:
+            with pytest.raises(MotzetaError, match=re.escape(str(exc))):
+                _prepare(gs, q, s)
+            continue
+        got, nonzero = _prepare(gs, q, s)
         assert got == want
-        assert [list(eq[1].items()) for eq in got[0]] == [list(eq[1].items()) for eq in want[0]]
+        assert [list(eq[1].items()) for eq in got] == [list(eq[1].items()) for eq in want]
+        assert [list(range(nonzero >> i & 1, q)) for i in range(gs.dim)] == candidates
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

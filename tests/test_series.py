@@ -629,6 +629,55 @@ def test_expand_chains_matches_brute_force(case):
     assert set(log) == _walk_requests(masks, streams, bound)
 
 
+class _Mod6:
+    """An int mod 6: a ring with zero divisors, so the product of two
+    nonzero stream values can vanish.  Every product is logged."""
+
+    __slots__ = ("n",)
+    log = []
+
+    def __init__(self, n):
+        self.n = n % 6
+
+    def __mul__(self, other):
+        _Mod6.log.append((self.n, other.n))
+        return _Mod6(self.n * other.n)
+
+    def __add__(self, other):
+        return _Mod6(self.n + other.n)
+
+    def __eq__(self, other):
+        return self.n == other.n
+
+    __hash__ = None
+
+    def __bool__(self):
+        return bool(self.n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 2), st.dictionaries(st.integers(1, 12), st.integers(1, 5).map(_Mod6), max_size=8)),
+        min_size=2,
+        max_size=3,
+    ),
+    st.integers(0, 14),
+)
+# 2 * 3 = 0: the chain (1, 2) vanishes on the inner axis, its subtree is skipped
+@example([(1, {1: _Mod6(2), 2: _Mod6(1)}), (1, {2: _Mod6(3), 3: _Mod6(3)}), (1, {3: _Mod6(1), 4: _Mod6(1)})], 12)
+def test_chain_walk_skips_zero_products(axes, bound):
+    # a zero product is neither stored nor multiplied further, and a sum
+    # that cancels on a collision (equal masks) is deleted
+    masks = tuple((m,) for m, _values in axes)
+    streams = tuple(_DictStream(_Mod6(0), values, 1) for _m, values in axes)
+    _Mod6.log.clear()
+    got = expand_chains(COUNT, ("T",), masks, streams, bound)
+    assert all(a and b for a, b in _Mod6.log)
+    assert got.entries == chains_brute(("T",), masks, streams, bound)
+    assert all(got.entries.values())
+
+
 _ONES = EGSeq.constant(COUNT, Fraction(1))
 _ZEROS = _DictStream(COUNT.zero, {}, 1)
 
