@@ -221,26 +221,38 @@ class EGSeq:
     def tail_sum(self):
         """New sequence n -> sum_{l > n} value(l).  Exact; needs all ratios != 1.
 
-        Each mode's tail table (_mode_tail_table, with its inverse of
-        1 - ratio) is built once per call, residue by residue and mode by
-        mode, and every target residue reads it; the first mode whose ratio
-        is not summable raises."""
+        One tail table (_mode_tail_table, with its one inverse of
+        1 - ratio) is built per distinct ratio, at the greatest degree any
+        residue's mode of that ratio has, and every mode of that ratio in
+        every target residue reads its prefix: a table's row j does not
+        depend on the depth it is built to.  Tables are built in the order
+        their ratios first appear, residue by residue and mode by mode, so
+        the first ratio that is not summable raises."""
         zero = self.real.zero
         Q = self.period
         s0 = self.stable_start
         dom2 = self.dom_min - 1
-        tables = [
-            [self._mode_tail_table(rho, len(coeffs) - 1) for rho, coeffs in self.modes[r2]]
-            for r2 in range(Q)
-        ]
+        ratios, depths, which = [], [], []
+        for r2 in range(Q):
+            row = []
+            for rho, coeffs in self.modes[r2]:
+                i = next((k for k, known in enumerate(ratios) if rho == known), len(ratios))
+                if i == len(ratios):
+                    ratios.append(rho)
+                    depths.append(0)
+                depths[i] = max(depths[i], len(coeffs) - 1)
+                row.append(i)
+            which.append(row)
+        tables = [self._mode_tail_table(rho, deg) for rho, deg in zip(ratios, depths)]
         new_modes = [[] for _ in range(Q)]
         for r in range(Q):
             acc = []
             for r2 in range(Q):
                 theta = 1 if r2 <= r else 0
-                for (rho, coeffs), Ms in zip(self.modes[r2], tables[r2]):
+                for (rho, coeffs), i in zip(self.modes[r2], which[r2]):
+                    Ms = tables[i]
                     rho_theta = rho**theta
-                    out = [zero] * len(Ms)
+                    out = [zero] * len(coeffs)
                     for e, c in enumerate(coeffs):
                         if not c:
                             continue

@@ -218,11 +218,16 @@ def _sparse_equation(eq, index):
 def _specialize(eq, i, value, q):
     """Substitute x_i = value into a reduced equation that holds x_i: value
     0 drops the monomials that hold x_i, any other value rewrites them, adds
-    each into the monomial it lands on (first place kept), drops 0 sums."""
+    each into the monomial it lands on (first place kept), drops 0 sums.
+    The once/twice masks are built in the same pass; only a merge can make
+    a 0 sum (a rewritten nonzero coefficient stays nonzero mod q), so only
+    then are the sums scanned, and the masks rebuilt when one is dropped."""
     const, terms, _, _ = eq
     bit = 1 << i
+    once = twice = 0
+    out = {}
     if value:
-        out = {}
+        merged = False
         for mono, cm in terms.items():
             c, m = cm
             if m & bit:
@@ -235,15 +240,26 @@ def _specialize(eq, i, value, q):
                 m ^= bit
                 cm = c, m
             old = out.get(mono)
-            out[mono] = cm if old is None else ((old[0] + c) % q, m)
-        if not all(c for c, _m in out.values()):
+            if old is None:
+                out[mono] = cm
+                twice |= once & m
+                once |= m
+            else:
+                out[mono] = ((old[0] + c) % q, m)
+                merged = True
+        if merged and not all(c for c, _m in out.values()):
             out = {mono: cm for mono, cm in out.items() if cm[0]}
+            once = twice = 0
+            for _c, m in out.values():
+                twice |= once & m
+                once |= m
     else:
-        out = {mono: cm for mono, cm in terms.items() if not cm[1] & bit}
-    once = twice = 0
-    for _c, m in out.values():
-        twice |= once & m
-        once |= m
+        for mono, cm in terms.items():
+            m = cm[1]
+            if not m & bit:
+                out[mono] = cm
+                twice |= once & m
+                once |= m
     return const % q, out, once, twice
 
 

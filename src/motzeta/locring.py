@@ -10,7 +10,10 @@ multiset of positive integers, each entry n standing for one factor (1 - L^n).
 Negative powers of L live in the numerator's Laurent exponents, so the
 denominator stays homogeneous in (1 - L^n) factors.
 
-Equality is decided exactly by cross-multiplication of Laurent polynomials.
+Equality is decided exactly by cross-multiplication of Laurent polynomials;
+two elements over the same denominator compare their numerators, and a sum
+over the same denominator adds the numerators and keeps that denominator,
+with no lcm (the constructor still cancels a factor the sum divides).
 Normalization is lazy: a denominator factor is cancelled only when it divides
 the numerator exactly, so every stored element keeps the invariant that no
 stored denominator factor divides its numerator.  A product by a monomial
@@ -21,8 +24,8 @@ nonzero, so the shifted numerator stores no zero coefficient and needs no
 zero filter, and the denominator is kept as it is.  One test,
 LocRat._monomial, recognizes c*L^k (an empty denominator and one numerator
 term), and one product, LocRat._times_monomial, applies it: both sides of *,
-the power c^k*L^(e*k) of a monomial under **, and the scaling of a class's
-coefficients (motclass._scaled) take that path.
+negation (c = -1), the power c^k*L^(e*k) of a monomial under **, and the
+scaling of a class's coefficients (motclass._scaled) take that path.
 
 An exponent of ** must be an int (errors.require_int).  A negative power of a
 monomial is itself a monomial only when c = +-1; any other negative power
@@ -326,6 +329,8 @@ class LocRat:
             other = LocRat.from_int(other)
         elif not isinstance(other, LocRat):
             return NotImplemented
+        if self.den == other.den:
+            return LocRat(self.num + other.num, self.den)
         # Common denominator: the multiset lcm, per-n maximum multiplicity.
         mine, theirs = Counter(self.den), Counter(other.den)
         lcm = mine | theirs
@@ -335,7 +340,7 @@ class LocRat:
     __radd__ = __add__
 
     def __neg__(self):
-        return LocRat(-self.num, self.den)
+        return self._times_monomial(-1, 0)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -400,6 +405,8 @@ class LocRat:
             other = LocRat.from_int(other)
         if not isinstance(other, LocRat):
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return self.num * _den_poly(other.den) == other.num * _den_poly(self.den)
 
     __hash__ = None  # representations are not canonical

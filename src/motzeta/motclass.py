@@ -23,9 +23,13 @@ not complete for the underlying ring.
 
 Scaling by a nonzero scalar keeps the normal form: it changes no term's
 factors or marks, hence no key and no sort order, and in the integral domain
-of scalars it makes no coefficient zero.  So scale, and an external product
-with a pure scalar class (the unit times a scalar), reuse the term layout
-instead of normalizing again.  A monomial scalar c*L^k goes through the
+of scalars it makes no coefficient zero.  So scale, negation (scaling by -1)
+and an external product with a pure scalar class (the unit times a scalar)
+reuse the term layout instead of normalizing again.  Sums keep the normal
+form too: the terms of each summand are already normalized and sorted by
+key, so + and - merge the two sorted tuples, add the coefficients of equal
+keys and drop the zero sums, giving the constructor's terms without
+normalizing any term again.  A monomial scalar c*L^k goes through the
 scalar ring's one monomial path (locring), coefficient by coefficient.
 
 The count realization maps a class to exact rationals: L goes to q, an atom
@@ -38,6 +42,7 @@ inner count, and an augmented class goes to the plain average over its group
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import BaseMismatch, BudgetExceeded, MotzetaError, UnboundAtom, require_int
@@ -51,33 +56,34 @@ from .geomset import (  # noqa: F401  (re-exported: GeomSet lives with its count
 from .locring import L_MINUS_1, LocRat, ONE as SC_ONE
 
 _L_MINUS_2 = L_MINUS_1 - 1
+_SC_MINUS_ONE = LocRat.from_int(-1)
 
 
 class Atom:
-    """A named equivariant class; aug marks the underlying plain class."""
+    """A named equivariant class; aug marks the underlying plain class.
 
-    __slots__ = ("name", "base", "order", "aug")
+    Immutable: sort_key, the canonical ordering key, is built once here."""
+
+    __slots__ = ("name", "base", "order", "aug", "sort_key")
 
     def __init__(self, name, order=1, base="pt", aug=False):
         self.name = name
         self.order = require_int(order, "Atom %r order" % (name,), 1)
         self.base = base
         self.aug = bool(aug)
+        self.sort_key = ("atom", name, base, self.order, self.aug)
 
     def effective_order(self):
         return 1 if self.aug else self.order
-
-    def sort_key(self):
-        return ("atom", self.name, self.base, self.order, self.aug)
 
     def with_aug(self, aug):
         return Atom(self.name, self.order, self.base, aug)
 
     def __eq__(self, other):
-        return isinstance(other, Atom) and self.sort_key() == other.sort_key()
+        return isinstance(other, Atom) and self.sort_key == other.sort_key
 
     def __hash__(self):
-        return hash(self.sort_key())
+        return hash(self.sort_key)
 
     def render(self):
         return self.name + ("'" if self.aug else "")
@@ -91,44 +97,35 @@ class ConvNode:
 
     kind 0 is the additive Fermat convolution (u^N + v^N = 0), kind 1 the
     affine one (u^N + v^N = 1).  Operands are sorted factor tuples.
+    Immutable: the order and sort_key are built once here.
     """
 
-    __slots__ = ("kind", "left", "right", "aug")
+    __slots__ = ("kind", "left", "right", "aug", "order", "sort_key")
 
     def __init__(self, kind, left, right, aug=False):
-        left = tuple(sorted(left, key=lambda f: f.sort_key()))
-        right = tuple(sorted(right, key=lambda f: f.sort_key()))
-        if _factors_key(right) < _factors_key(left):
-            left, right = right, left
+        left = tuple(sorted(left, key=_sort_key))
+        right = tuple(sorted(right, key=_sort_key))
+        lkey, rkey = _factors_key(left), _factors_key(right)
+        if rkey < lkey:
+            left, right, lkey, rkey = right, left, rkey, lkey
         self.kind = kind
         self.left = left
         self.right = right
         self.aug = bool(aug)
-
-    @property
-    def order(self):
-        return math.lcm(*(f.effective_order() for f in self.left + self.right))
+        self.order = math.lcm(*(f.effective_order() for f in left + right))
+        self.sort_key = ("conv", kind, lkey, rkey, self.aug)
 
     def effective_order(self):
         return 1 if self.aug else self.order
-
-    def sort_key(self):
-        return (
-            "conv",
-            self.kind,
-            _factors_key(self.left),
-            _factors_key(self.right),
-            self.aug,
-        )
 
     def with_aug(self, aug):
         return ConvNode(self.kind, self.left, self.right, aug)
 
     def __eq__(self, other):
-        return isinstance(other, ConvNode) and self.sort_key() == other.sort_key()
+        return isinstance(other, ConvNode) and self.sort_key == other.sort_key
 
     def __hash__(self):
-        return hash(self.sort_key())
+        return hash(self.sort_key)
 
     def render(self):
         op = "*0" if self.kind == 0 else "*1"
@@ -139,8 +136,11 @@ class ConvNode:
         return "ConvNode(%s)" % self.render()
 
 
+_sort_key = operator.attrgetter("sort_key")
+
+
 def _factors_key(factors):
-    return tuple(f.sort_key() for f in factors)
+    return tuple([f.sort_key for f in factors])
 
 
 def _render_factors(factors):
@@ -153,7 +153,7 @@ def _normalize_term(factors, aug_term):
     """Apply factor-level rewrites; returns (factors sorted, aug_term)."""
     out = []
     for f in factors:
-        if f.aug and f.with_aug(False).effective_order() == 1:
+        if f.aug and f.order == 1:
             f = f.with_aug(False)
         out.append(f)
     live = [i for i, f in enumerate(out) if f.effective_order() > 1]
@@ -178,10 +178,10 @@ def _normalize_term(factors, aug_term):
         ]
         k = sum(1 for i in live if out[i].aug)
         if k:
-            live.sort(key=lambda i: out[i].with_aug(False).sort_key())
+            live.sort(key=lambda i: out[i].with_aug(False).sort_key)
             for rank, i in enumerate(live):
                 out[i] = out[i].with_aug(rank < k)
-    out.sort(key=lambda f: f.sort_key())
+    out.sort(key=_sort_key)
     return tuple(out), aug_term
 
 
@@ -259,12 +259,10 @@ class SymbolicClass:
             raise BaseMismatch(
                 "cannot add classes over %r and %r" % (self.base, other.base)
             )
-        return SymbolicClass(self.terms + other.terms, self.base)
+        return _merged(self.terms, other.terms, self.base)
 
     def __neg__(self):
-        return SymbolicClass(
-            tuple((f, a, -c) for f, a, c in self.terms), self.base
-        )
+        return _scaled(self, _SC_MINUS_ONE, self.base)
 
     def __sub__(self, other):
         if not isinstance(other, SymbolicClass):
@@ -325,6 +323,35 @@ def _scaled(a, c, base):
         out.terms = tuple([(f, x, coeff._times_monomial(*m)) for f, x, coeff in a.terms])
     else:
         out.terms = tuple((f, x, coeff * c) for f, x, coeff in a.terms) if c else ()
+    out.base = base
+    return out
+
+
+def _merged(a, b, base):
+    """The sum of the normal-form term tuples a and b, in normal form
+    without renormalizing (see the module docstring): the two sorted tuples
+    are merged by term key, equal keys add their coefficients (a's term
+    first, as the constructor does) and a zero sum is dropped."""
+    ka = [(_factors_key(f), x) for f, x, _c in a]
+    kb = [(_factors_key(f), x) for f, x, _c in b]
+    terms = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        if ka[i] < kb[j]:
+            terms.append(a[i])
+            i += 1
+        elif kb[j] < ka[i]:
+            terms.append(b[j])
+            j += 1
+        else:
+            f, x, c = a[i]
+            c = c + b[j][2]
+            if c:
+                terms.append((f, x, c))
+            i += 1
+            j += 1
+    out = SymbolicClass.__new__(SymbolicClass)
+    out.terms = tuple(terms) + a[i:] + b[j:]
     out.base = base
     return out
 

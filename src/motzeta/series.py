@@ -1134,9 +1134,12 @@ def expand_chains(real, vars, masks, streams, bound):
     step-function stream such as L^{-floor(w/a)} holds one object per run
     of equal values (the walk widens each axis's range at both ends as the
     prefix shrinks, so a new w mostly has a filled neighbour; a zero
-    between two equal values splits the run).  Each product prefix * value
+    between two equal values splits the run).  Per prefix, the axis's table
+    is first filled over the prefix's range of w, in increasing order, and
+    the range is then walked in one loop.  Each product prefix * value
     goes through a memo local to the call, keyed by the ids of both
-    operands and holding both (so no id is reused while the call runs):
+    operands and holding both (so no id is reused while the call runs),
+    and is looked up once per run of one value object along the loop:
     every distinct pair is multiplied once, and entries may share their
     (immutable) coefficient objects.
 
@@ -1162,42 +1165,48 @@ def expand_chains(real, vars, masks, streams, bound):
     tables = [{} for _ in range(eta)]
     products = {}
     ent = {}
+
+    def times(val, v):
+        key = id(val), id(v)
+        memo = products.get(key)
+        if memo is None:
+            prod = val * v
+            memo = products[key] = (val, v, prod if prod else None)
+        return memo[2]
+
     stack = [(0, 0, (0,) * len(out.vars), 0, None)] if eta else []
     while stack:
         j, wprev, exp, deg, val = stack.pop()
         stream, table, mask, step = streams[j], tables[j], masks[j], weights[j]
         last = j == eta - 1
-        for w in range(max(stream.dom_min, wprev + 1), (bound - deg - rest[j]) // slope[j] + 1):
-            hit = table.get(w)
-            if hit is None:
+        span = range(max(stream.dom_min, wprev + 1), (bound - deg - rest[j]) // slope[j] + 1)
+        for w in span:
+            if w not in table:
                 v = stream.value(w)
                 if v:
                     near = table.get(w - 1) or table.get(w + 1)
                     if near and near[0] == v:
                         v = near[0]
-                    hit = (v, tuple([w * x for x in mask]))
+                    table[w] = (v, tuple([w * x for x in mask]))
                 else:
-                    hit = ()
-                table[w] = hit
+                    table[w] = ()
+        run = prod = None
+        for w in span:
+            hit = table[w]
             if not hit:
                 continue
             v, off = hit
+            if v is not run:
+                run, prod = v, v if val is None else times(val, v)
+            if prod is None:
+                continue
             exp2 = tuple(map(operator.add, exp, off))
-            if val is not None:
-                key = id(val), id(v)
-                memo = products.get(key)
-                if memo is None:
-                    prod = val * v
-                    memo = products[key] = (val, v, prod if prod else None)
-                v = memo[2]
-                if v is None:
-                    continue
             if not last:
-                stack.append((j + 1, w, exp2, deg + w * step, v))
+                stack.append((j + 1, w, exp2, deg + w * step, prod))
             elif exp2 not in ent:
-                ent[exp2] = v
+                ent[exp2] = prod
             else:
-                v = ent[exp2] + v
+                v = ent[exp2] + prod
                 if v:
                     ent[exp2] = v
                 else:

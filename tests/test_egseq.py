@@ -16,6 +16,7 @@ from motzeta.locring import LocRat, ONE as LR_ONE
 from motzeta.motclass import Atom, SymbolicClass
 from motzeta.realize import count_realization, symbolic_realization
 from motzeta.series import strand_fit
+from motzeta.zeta import multizeta_separable
 
 
 def test_scalar_adapters():
@@ -252,3 +253,53 @@ def test_tail_sum_refuses_at_the_first_unsummable_mode():
     ):
         with pytest.raises(TailNotSummable, match="^%s$" % message):
             EGSeq(real, 2, modes).tail_sum()
+
+
+def _count_inverses(monkeypatch):
+    calls = [0]
+    inverse = LocRat.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(LocRat, "inverse", counted)
+    return calls
+
+
+def test_tail_tables_are_built_once_per_ratio(monkeypatch):
+    # each later axis of (x^2, y^3, z^5) has one ratio, L^-1, over 3 and 5
+    # residues: phi_inv inverts 1 - L^-1 once per stream
+    block = multizeta_separable(("x^2", "y^3", "z^5"), symbolic_realization())
+    calls = _count_inverses(monkeypatch)
+    block.phi_inv()
+    assert calls[0] == 2
+
+
+def test_tail_table_depth_covers_every_mode_of_its_ratio(monkeypatch):
+    # value(2t) = 3 L^-t + 2 (-L^-2)^t, value(2t + 1) = (1 + 4t) L^-t: two
+    # ratios, and the degree-1 mode of L^-1 comes after its degree-0 mode,
+    # so the one table of L^-1 must reach degree 1.  At L = q the tail is
+    # the exact geometric sum
+    # sum_{t>=a} rho^t = rho^a/(1-rho), sum_{t>=a} t rho^t = rho^a (a/(1-rho) + rho/(1-rho)^2).
+    real = symbolic_realization()
+    r1, r2 = LocRat.L(-1), -LocRat.L(-2)
+    seq = EGSeq(real, 2, [[(r1, (real.one.scale(3),)), (r2, (real.one.scale(2),))],
+                          [(r1, (real.one, real.one.scale(4)))]])
+    calls = _count_inverses(monkeypatch)
+    tail = seq.tail_sum()
+    assert calls[0] == 2
+
+    def geometric(rho, a, deg):
+        if deg == 0:
+            return rho**a / (1 - rho)
+        return rho**a * (a / (1 - rho) + rho / (1 - rho) ** 2)
+
+    for q in (2, 3, 7):
+        p1, p2 = Fraction(1, q), Fraction(-1, q * q)
+        for n in range(0, 9):
+            a0, a1 = n // 2 + 1, (n + 1) // 2  # first t with 2t > n, 2t + 1 > n
+            want = (3 * geometric(p1, a0, 0) + 2 * geometric(p2, a0, 0)
+                    + geometric(p1, a1, 0) + 4 * geometric(p1, a1, 1))
+            ((factors, _aug, total),) = tail.value(n).terms
+            assert factors == () and total.eval_at(q) == want

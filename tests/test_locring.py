@@ -1,6 +1,7 @@
 """Scalar ring: exact arithmetic, cancellation, evaluation, units, display text."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from motzeta.locring import (
     ZERO,
     LaurentPoly,
     LocRat,
+    _den_poly,
     one_minus_L,
 )
 
@@ -199,6 +201,34 @@ def test_equality_across_representations():
     b = LocRat(LaurentPoly({2: 1}) * one_minus_L(3), (1, 3))
     assert a == b
     assert not (a == a + ONE)
+
+
+def _lcm_sum(a, b):
+    """a + b over the multiset lcm of the two denominators."""
+    mine, theirs = Counter(a.den), Counter(b.den)
+    lcm = mine | theirs
+    num = a.num * _den_poly((lcm - mine).elements()) + b.num * _den_poly((lcm - theirs).elements())
+    return LocRat(num, tuple(lcm.elements()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(locrats(), locrats(), st.booleans())
+def test_equal_denominators_add_and_compare_numerators(a, b, share):
+    # over one denominator, + adds the numerators and == compares them;
+    # both agree with the lcm and cross-multiplication routes, and the
+    # constructor still cancels a factor the sum divides
+    if share:
+        b = LocRat(b.num, a.den)
+    for x, y in ((a, b), (b, a), (a, a), (a, -a), (a, a * 2)):
+        got, want = x + y, _lcm_sum(x, y)
+        assert got.num == want.num and got.den == want.den
+        assert (x == y) is (x.num * _den_poly(y.den) == y.num * _den_poly(x.den))
+        diff = x - y
+        assert diff == _lcm_sum(x, -y) and diff.den == _lcm_sum(x, -y).den
+    assert (a - a).den == () and not (a - a)
+    minus = LocRat(LaurentPoly.monomial(-1, 0), (1,))
+    total = L * LocRat(1, (1,)) + minus
+    assert total.den == () and total.num == LaurentPoly.const(-1) and total == -1
 
 
 def test_render_text():

@@ -1,5 +1,6 @@
 """Class algebra: normal forms, rewrites, convolution, count realization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -292,7 +293,7 @@ def _classes(draw):
     """Normalized classes: sums of products of atoms with or without marks,
     jointly-augmented products and convolution nodes, with scalars as
     coefficients."""
-    atoms = st.builds(Atom, st.sampled_from("abc"), st.integers(1, 3), st.just("pt"), st.booleans())
+    atoms = st.builds(Atom, st.sampled_from("abc"), st.integers(1, 4), st.just("pt"), st.booleans())
     conv_nodes = st.builds(
         ConvNode,
         st.integers(0, 1),
@@ -351,6 +352,45 @@ def test_scaling_keeps_the_normal_form(a, c):
     s = SymbolicClass.scalar(c, "Y")
     for got, base in ((external_mul(a, s), "%s*Y" % a.base), (a * s, "%s*Y" % a.base), (s * a, "Y*%s" % a.base)):
         assert got.base == base and _layout(got) == _layout(want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_classes(), _classes(), st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2))))
+def test_sums_keep_the_normal_form(a, b, shared):
+    # + and - merge the two sorted term tuples and -a negates a's
+    # coefficients; the normalizing constructor over the concatenated terms
+    # gives exactly the same terms.  b takes some of a's terms scaled by
+    # -2..2, so equal keys meet and some sums cancel.
+    extra = tuple((a.terms[i][0], a.terms[i][1], a.terms[i][2] * k) for i, k in shared if i < len(a.terms))
+    b = SymbolicClass(b.terms + extra, a.base)
+    neg_b = tuple((f, x, -c) for f, x, c in b.terms)
+    for got, terms in (
+        (a + b, a.terms + b.terms),
+        (b + a, b.terms + a.terms),
+        (a - b, a.terms + neg_b),
+        (-a, tuple((f, x, -c) for f, x, c in a.terms)),
+        (a - a, ()),
+    ):
+        assert _layout(got) == _layout(SymbolicClass(terms, a.base)) and got.base == a.base
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_classes(), st.booleans())
+def test_cached_sort_keys_match_fresh_ones(a, aug):
+    # Atom and ConvNode build sort_key (and a ConvNode its order) once; a
+    # re-marked copy carries the key a fresh build gives
+    for factors, _x, _c in a.terms:
+        for f in factors:
+            g = f.with_aug(aug)
+            if isinstance(g, Atom):
+                assert g.sort_key == ("atom", g.name, g.base, g.order, aug)
+                assert g.sort_key == Atom(g.name, g.order, g.base, aug).sort_key
+                continue
+            fresh = ConvNode(g.kind, g.right[::-1], g.left, aug)
+            assert g.sort_key == fresh.sort_key == (
+                "conv", g.kind, tuple(h.sort_key for h in g.left), tuple(h.sort_key for h in g.right), aug,
+            )
+            assert g.order == fresh.order == math.lcm(*(h.effective_order() for h in g.left + g.right))
 
 
 def test_scalar_times_jointly_augmented_class():
