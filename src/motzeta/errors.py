@@ -91,8 +91,9 @@ def require_int(value, what, lo=None, error=MotzetaError):
 def require_choice(what, value, allowed):
     """value, when it is one of allowed, of the same type (True is not 1);
     otherwise a MotzetaError naming what, the allowed values and value."""
-    if not any(type(value) is type(a) and value == a for a in allowed):
-        names = [repr(a) for a in allowed]
-        listed = ", ".join(names[:-1]) + " or " + names[-1]
-        raise MotzetaError("%s must be %s, not %r" % (what, listed, value))
-    return value
+    for a in allowed:
+        if type(value) is type(a) and value == a:
+            return value
+    names = [repr(a) for a in allowed]
+    listed = ", ".join(names[:-1]) + " or " + names[-1]
+    raise MotzetaError("%s must be %s, not %r" % (what, listed, value))

@@ -22,14 +22,20 @@ counts follow by averaging twisted counts over the group (Burnside-Frobenius;
 all quotients taken here are by free actions).
 
 Each GeomSet holds its equations in one sparse form, built once at
-construction: an equation is (const, ((monomial, coeff), ...)) with integer
+construction with everything that does not depend on a twist: an equation
+is (const, ((monomial, coeff, mask, weight), ...), once, twice) with integer
 coefficients, a monomial a tuple of (coordinate index, exponent) sorted by
-index.  GeomSet(coords, equations) builds it from Polys; the jet loci of
-zeta are built in it directly from the digits of poly.JetExpansion, and
-their Poly view (GeomSet.equations) is built only when read.  A count only
-twists that form, in one pass that also builds the search's masks
-(_prepare): each coefficient becomes c_a g^{(E(a) - r)/N} mod q, E(a) read
-off the monomial's weight, or just c_a mod q in an untwisted sector.
+index, mask its coordinates as bits, weight w(a) over the reduced weights,
+and once, resp. twice, the coordinates one, resp. two, monomials hold; the
+nonzero constraint is kept as a mask too.  GeomSet(coords, equations)
+builds it from Polys (_sparse_equation); the jet loci of zeta are built in
+it directly from the digits of poly.JetExpansion, whose level pass maps
+the masks with the indices, and their Poly view (GeomSet.equations) is
+built only when read.  A sector only reduces and twists the coefficients
+(_prepare): each becomes c_a g^{(E(a) - r)/N} mod q, E(a) read off the
+stored weight with one pow per distinct weight of an equation, or just
+c_a mod q in an untwisted sector; a coefficient that is 0 mod q drops its
+monomial, and only then are once and twice rebuilt.
 
 The twisted Fermat pairs of a convolution (fermat_twisted_count) reduce to
 a diagonal equation g^e_u x^N + g^e_v y^N = c over F_q^*, which
@@ -48,8 +54,11 @@ binomial c v^k + d in a coordinate found nowhere else in closed form; it
 branches only over the roots of any other one-coordinate equation; and it
 pivots on a coordinate that leaves the chosen equation linear.  Its
 bookkeeping reads coordinate bitmasks carried by each equation and monomial
-(built by _prepare), so it costs O(equations) per call, and a branch
-rewrites only the monomials that hold its pivot.  Work is metered against a
+(built at construction), and its free and unassigned coordinates are
+bitmasks too, so it costs O(equations) per call.  A branch rewrites only
+the monomials that hold its pivot: one value at a time when the pivot
+tries one, else split once into the rest and the holders, which each value
+only scales and adds back (_split, _substituted).  Work is metered against a
 budget, default 10^8: one unit is one candidate value tried, either a value
 the pivot takes in a branch or a candidate at which a one-coordinate
 equation is evaluated.  A Fermat-pair count is charged q - 1 units, what
@@ -128,7 +137,7 @@ class GeomSet:
     equations is the tuple of Polys; the counts read the sparse form of the
     module docstring, built once here."""
 
-    __slots__ = ("coords", "nonzero", "action_order", "weights", "_eqs", "_polys")
+    __slots__ = ("coords", "nonzero", "action_order", "weights", "_eqs", "_polys", "_nonzero_mask")
 
     def __init__(self, coords, equations=(), nonzero=(), action_order=1, weights=None):
         self._set_action(coords, action_order, weights)
@@ -137,23 +146,26 @@ class GeomSet:
         unknown = {v for eq in self._polys for v in eq.vars} - index.keys()
         if unknown:
             raise VariableMismatch("GeomSet equations mention unknown coords %s" % sorted(unknown))
-        self._eqs = tuple(_sparse_equation(eq, index) for eq in self._polys)
+        self._eqs = tuple(_sparse_equation(eq, index, self.weights) for eq in self._polys)
         self.nonzero = frozenset(nonzero)
         if not (self.nonzero <= set(self.coords)):
             raise VariableMismatch(
                 "GeomSet nonzero names unknown coords %s" % sorted(self.nonzero - set(self.coords))
             )
+        self._nonzero_mask = sum(1 << i for i, c in enumerate(self.coords) if c in self.nonzero)
 
     @classmethod
     def _from_sparse(cls, coords, eqs, action_order=1, weights=None):
         """A GeomSet with no nonzero constraint whose equations eqs are
-        already in the sparse form over coords; its Polys are built when
+        already in the sparse form over coords, masks, weights (over the
+        reduced weights) and once/twice included; its Polys are built when
         first read."""
         gs = cls.__new__(cls)
         gs._set_action(coords, action_order, weights)
         gs._eqs = tuple(eqs)
         gs._polys = None
         gs.nonzero = frozenset()
+        gs._nonzero_mask = 0
         return gs
 
     def _set_action(self, coords, action_order, weights):
@@ -185,8 +197,8 @@ class GeomSet:
         N = self.action_order
         if N == 1:
             return True
-        for const, terms in self._eqs:
-            ws = {sum(x * self.weights[i] for i, x in mono) % N for mono, _c in terms}
+        for const, terms, _once, _twice in self._eqs:
+            ws = {w % N for _mono, _c, _m, w in terms}
             if len(ws) > 1 or const and ws - {0}:
                 return False
         return True
@@ -202,64 +214,110 @@ class GeomSet:
 # --- reduction to F_q ----------------------------------------------------------
 
 
-def _sparse_equation(eq, index):
-    """A Poly as (const, ((monomial, coeff), ...)) in the coordinate indices
-    index, its terms in the Poly's order."""
+def _sparse_equation(eq, index, weights):
+    """A Poly as (const, ((monomial, coeff, mask, weight), ...), once, twice)
+    in the coordinate indices index, its terms in the Poly's order; weights
+    are the coordinates' reduced weights."""
     const, terms = 0, []
     for e, c in eq.terms.items():
         mono = tuple(sorted((index[v], x) for v, x in zip(eq.vars, e) if x))
         if mono:
-            terms.append((mono, c))
+            mask = sum(1 << i for i, _x in mono)
+            terms.append((mono, c, mask, sum(x * weights[i] for i, x in mono)))
         else:
             const = c
-    return const, tuple(terms)
+    return (const, tuple(terms), *_once_twice(t[2] for t in terms))
+
+
+def _once_twice(masks):
+    """(once, twice): the bits that one, resp. two, of the masks have."""
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    return once, twice
 
 
 def _specialize(eq, i, value, q):
-    """Substitute x_i = value into a reduced equation that holds x_i: value
-    0 drops the monomials that hold x_i, any other value rewrites them, adds
-    each into the monomial it lands on (first place kept), drops 0 sums.
-    The once/twice masks are built in the same pass; only a merge can make
-    a 0 sum (a rewritten nonzero coefficient stays nonzero mod q), so only
-    then are the sums scanned, and the masks rebuilt when one is dropped."""
+    """Substitute x_i = value into a reduced equation that holds x_i, for a
+    pivot that tries this one value: 0 drops the monomials that hold x_i,
+    with the once/twice masks built in the same pass; any other value is
+    _substituted into the equation's _split."""
+    if value:
+        return _substituted(_split(eq, i), value, q)
     const, terms, _, _ = eq
     bit = 1 << i
-    once = twice = 0
     out = {}
-    if value:
-        merged = False
-        for mono, cm in terms.items():
-            c, m = cm
-            if m & bit:
-                k = (m & (bit - 1)).bit_count()  # x_i's place in the sorted mono
-                c = c * pow(value, mono[k][1], q) % q
-                mono = mono[:k] + mono[k + 1 :]
-                if not mono:
-                    const += c
-                    continue
-                m ^= bit
-                cm = c, m
-            old = out.get(mono)
-            if old is None:
-                out[mono] = cm
-                twice |= once & m
-                once |= m
+    once = twice = 0
+    for mono, cm in terms.items():
+        m = cm[1]
+        if not m & bit:
+            out[mono] = cm
+            twice |= once & m
+            once |= m
+    return const, out, once, twice
+
+
+def _split(eq, i):
+    """A reduced equation that holds x_i, split once for the values of its
+    pivot x_i: (const, rest, once, twice, holders, e_max) with rest
+    the terms without x_i and their once/twice masks, and holders
+    (residual, exponent, coeff, residual mask) for the monomials that hold
+    x_i, e_max their largest exponent (see _substituted)."""
+    const, terms, _, _ = eq
+    bit = 1 << i
+    rest, holders = {}, []
+    once = twice = e_max = 0
+    for mono, cm in terms.items():
+        m = cm[1]
+        if m & bit:
+            k = (m & (bit - 1)).bit_count()  # x_i's place in the sorted mono
+            e = mono[k][1]
+            holders.append((mono[:k] + mono[k + 1 :], e, cm[0], m ^ bit))
+            if e > e_max:
+                e_max = e
+        else:
+            rest[mono] = cm
+            twice |= once & m
+            once |= m
+    return const, rest, once, twice, holders, e_max
+
+
+def _substituted(part, value, q):
+    """The reduced equation of a _split at x_i = value: value 0 is the terms
+    without x_i; any other value scales each holder by value^e and adds it
+    into the monomial its residual lands on, or into the constant, a zero
+    sum dropped and the masks then rebuilt (a scaled holder alone stays
+    nonzero mod q).  The terms come in another order than a rewrite in
+    place gives them; the search's pivots, values and units do not depend
+    on that order."""
+    const, rest, once, twice, holders, e_max = part
+    if not value:
+        return const, rest, once, twice
+    powers = [1]
+    for _ in range(e_max):
+        powers.append(powers[-1] * value % q)
+    out = dict(rest)
+    dropped = False
+    for res, e, c, m in holders:
+        c = c * powers[e] % q
+        if not res:
+            const += c
+            continue
+        old = out.get(res)
+        if old is None:
+            out[res] = c, m
+            twice |= once & m
+            once |= m
+        else:
+            c = (old[0] + c) % q
+            if c:
+                out[res] = c, m
             else:
-                out[mono] = ((old[0] + c) % q, m)
-                merged = True
-        if merged and not all(c for c, _m in out.values()):
-            out = {mono: cm for mono, cm in out.items() if cm[0]}
-            once = twice = 0
-            for _c, m in out.values():
-                twice |= once & m
-                once |= m
-    else:
-        for mono, cm in terms.items():
-            m = cm[1]
-            if not m & bit:
-                out[mono] = cm
-                twice |= once & m
-                once |= m
+                del out[res]
+                dropped = True
+    if dropped:
+        once, twice = _once_twice(m for _c, m in out.values())
     return const % q, out, once, twice
 
 
@@ -274,10 +332,9 @@ def _solve_alone(eq, alone, nonzero, q):
     """(j, n) when the equation leaves n values of a coordinate j, which no
     other monomial of the system mentions, for every value of the rest;
     else None.  alone masks the coordinates that just one monomial of the
-    live equations holds, nonzero those constrained nonzero."""
-    const, terms, once, _ = eq
-    if not once & alone:
-        return None
+    live equations holds, one of which the equation holds; nonzero masks
+    those constrained nonzero."""
+    const, terms, _, _ = eq
     if len(terms) == 1:
         ((mono, (c, _m)),) = terms.items()
         if len(mono) == 1:
@@ -305,9 +362,10 @@ def _count_reduced(eqs, unassigned, nonzero, q, meter):
     """DFS point count.
 
     eqs: reduced equations (_prepare), specialized in assigned coordinates.
-    unassigned: list of coordinate indices still free, in preference order.
-    nonzero: the mask of the coordinates constrained nonzero; coordinate i
-    takes the candidate values range(nonzero >> i & 1, q), in that order.
+    unassigned: the mask of the coordinates still free; a lower index is
+    preferred.  nonzero: the mask of the coordinates constrained nonzero;
+    coordinate i takes the candidate values range(nonzero >> i & 1, q), in
+    that order.
 
     Before it branches, the search applies three rules:
 
@@ -332,13 +390,22 @@ def _count_reduced(eqs, unassigned, nonzero, q, meter):
 
     The rules read the masks of the live system (_combined): a coordinate
     just one monomial holds is a bit of ONCE & ~TWICE, one still mentioned a
-    bit of ONCE.  A branch passes the equations without its pivot on as they
-    are.  The search is that of a scan of every term, with the same pivots,
-    values and units (tests/brute.count_reduced_brute).
+    bit of ONCE.  The free coordinates (unassigned, mentioned by no live
+    equation, not solved) multiply in by popcount, and the pivot is the
+    lowest bit of the coordinates it may take.  A branch passes the
+    equations without its pivot on as they are.  A pivot that tries one
+    value rewrites the monomials that hold it (_specialize); one that tries
+    several splits each equation that holds it once (_split), and each
+    value only scales the holders and adds them into the rest
+    (_substituted).  The search is that of a scan of every term, with the
+    same pivots, values and units (tests/brute.count_reduced_brute).
     """
-    if any(eq[0] and not eq[1] for eq in eqs):
-        return 0
-    live = [eq for eq in eqs if eq[1]]
+    live = []
+    for eq in eqs:
+        if eq[1]:
+            live.append(eq)
+        elif eq[0]:
+            return 0  # a nonzero constant = 0
     once, twice = _combined(live)
     multiplier = 1
     solved = 0
@@ -346,8 +413,9 @@ def _count_reduced(eqs, unassigned, nonzero, q, meter):
     while changed:
         changed = False
         kept = []
+        alone = once & ~twice
         for k, eq in enumerate(live):
-            hit = _solve_alone(eq, once & ~twice, nonzero, q)
+            hit = _solve_alone(eq, alone, nonzero, q) if eq[2] & alone else None
             if hit is None:
                 kept.append(eq)
                 continue
@@ -357,21 +425,23 @@ def _count_reduced(eqs, unassigned, nonzero, q, meter):
             multiplier *= n
             solved |= 1 << j
             once, twice = _combined(kept + live[k + 1 :])
+            alone = once & ~twice
             changed = True
         live = kept
-    branching = []
-    for i in unassigned:
-        if once >> i & 1:
-            branching.append(i)
-        elif not solved >> i & 1:
-            multiplier *= q - (nonzero >> i & 1)
+    branching = unassigned & once
+    free = unassigned & ~once & ~solved
+    if free:
+        units = (free & nonzero).bit_count()
+        multiplier *= q ** (free.bit_count() - units) * (q - 1) ** units
     if not live:
         return multiplier
     # The equation with the fewest distinct coordinates, so triangular
     # systems resolve level by level.
-    const, terms, eq_once, _ = min(live, key=lambda e: e[2].bit_count())
+    widths = [eq[2].bit_count() for eq in live]
+    const, terms, eq_once, _ = live[widths.index(min(widths))]
     if eq_once & (eq_once - 1) == 0:
-        pivot = eq_once.bit_length() - 1
+        bit = eq_once
+        pivot = bit.bit_length() - 1
         nz = nonzero >> pivot & 1
         c = terms.get(((pivot, 1),))
         if len(terms) == 1 and c is not None:
@@ -390,17 +460,25 @@ def _count_reduced(eqs, unassigned, nonzero, q, meter):
         for mono, (_c, m) in terms.items():
             if len(mono) > 1 or mono[0][1] > 1:
                 other |= m
-        in_eq = [i for i in branching if eq_once >> i & 1]
-        pivot = next((i for i in in_eq if other >> i & 1), in_eq[0])
+        in_eq = branching & eq_once
+        preferred = in_eq & other or in_eq
+        bit = preferred & -preferred
+        pivot = bit.bit_length() - 1
         nz = nonzero >> pivot & 1
         values = range(nz, q)
         meter.spend(q - nz)
-    rest = [i for i in branching if i != pivot]
-    bit = 1 << pivot
-    total = 0
-    for value in values:
-        next_eqs = [_specialize(eq, pivot, value, q) if eq[2] & bit else eq for eq in live]
-        total += _count_reduced(next_eqs, rest, nonzero, q, meter)
+    rest = branching & ~bit
+    if len(values) > 1:
+        parts = [_split(eq, pivot) if eq[2] & bit else None for eq in live]
+        total = 0
+        for value in values:
+            next_eqs = [eq if part is None else _substituted(part, value, q) for eq, part in zip(live, parts)]
+            total += _count_reduced(next_eqs, rest, nonzero, q, meter)
+    elif values:
+        next_eqs = [_specialize(eq, pivot, values[0], q) if eq[2] & bit else eq for eq in live]
+        total = _count_reduced(next_eqs, rest, nonzero, q, meter)
+    else:
+        return 0
     return multiplier * total
 
 
@@ -417,8 +495,12 @@ def _check_twist(N, q, exps):
 
 def _prepare(gs, q, g_exp):
     """The twisted count of gs in sector g_exp as an F_q count, in one pass
-    over the sparse form, each monomial's twist read off its weight (see
-    the module docstring).  Returns the equations in the u_i, each
+    over the sparse form (see the module docstring).  The masks and weights
+    come from construction; a sector only reduces the coefficients mod q
+    and, when it twists, scales each by g^((E - r)/N), E = -g_exp w(a) mod K
+    read off the monomial's weight, with one pow per distinct weight of an
+    equation; once and twice are rebuilt only when a coefficient is 0 mod
+    q.  Returns the equations in the u_i, each
     (const, {monomial: (coeff, mask)}, once, twice) with zero coefficients
     dropped (mask has bit j when the monomial holds x_j; once, resp. twice,
     the coordinates one, resp. two, monomials hold), and the mask of the
@@ -429,35 +511,36 @@ def _prepare(gs, q, g_exp):
     K = N * (q - 1)
     g = _primitive_root(q) if any(g_exp * w % K for w in weights) else None
     eqs = []
-    for k, (const, terms) in enumerate(gs._eqs):
+    for k, (const, terms, once, twice) in enumerate(gs._eqs):
         const %= q
-        out, once, twice, r = {}, 0, 0, (0 if const else None)  # a constant forces r = 0
-        for mono, c in terms:
-            c %= q
-            if not c:
-                continue
-            m = 0
-            if g is None:
-                for j, _x in mono:
-                    m |= 1 << j
-            else:
-                wa = 0
-                for j, x in mono:
-                    m |= 1 << j
-                    wa += x * weights[j]
-                E = -g_exp * wa % K
-                if r is None:
-                    r = E % N
-                elif E % N != r:
-                    raise MotzetaError(
-                        "equation %s is not semi-invariant under the twist" % gs.equations[k].render()
-                    )
-                c = c * pow(g, (E - r) // N, q) % q
-            out[mono] = c, m
-            twice |= once & m
-            once |= m
+        out = {}
+        if g is None:
+            for mono, c, m, _w in terms:
+                c %= q
+                if c:
+                    out[mono] = c, m
+        else:
+            r = 0 if const else None  # a constant forces r = 0
+            scale = {}  # weight -> g^((E - r)/N)
+            for mono, c, m, w in terms:
+                c %= q
+                if not c:
+                    continue
+                s = scale.get(w)
+                if s is None:
+                    E = -g_exp * w % K
+                    if r is None:
+                        r = E % N
+                    elif E % N != r:
+                        raise MotzetaError(
+                            "equation %s is not semi-invariant under the twist" % gs.equations[k].render()
+                        )
+                    s = scale[w] = pow(g, (E - r) // N, q)
+                out[mono] = c * s % q, m
+        if len(out) < len(terms):  # a coefficient is 0 mod q
+            once, twice = _once_twice(m for _c, m in out.values())
         eqs.append((const, out, once, twice))
-    return eqs, sum(1 << i for i, c in enumerate(gs.coords) if c in gs.nonzero)
+    return eqs, gs._nonzero_mask
 
 
 def twisted_count(gs, q, g_exp=0, meter=None):
@@ -472,7 +555,7 @@ def twisted_count(gs, q, g_exp=0, meter=None):
     if meter is None:
         meter = WorkMeter()
     eqs, nonzero = _prepare(gs, q, g_exp)
-    return _count_reduced(eqs, list(range(len(gs.coords))), nonzero, q, meter)
+    return _count_reduced(eqs, (1 << len(gs.coords)) - 1, nonzero, q, meter)
 
 
 def quotient_count(gs, q, meter=None):
@@ -529,12 +612,25 @@ def fermat_counts(a, b, q, e_u=0, e_v=0):
 
     Each count is sum_z h_a[z] h_b[(c - g^e_u z) g^-e_v] over the histograms
     of a-th and b-th powers of F_q^*: O(q) int operations (Weil 1949 counts
-    diagonal equations from the same tables).
+    diagonal equations from the same tables).  a and b are ints >= 1 and
+    the twists ints; both counts come from one pass, kept per reduced
+    twists (e_u, e_v) mod q - 1, so the two kinds of a twisted Fermat pair
+    cost one.
     """
+    require_int(a, "fermat_counts a", 1)
+    require_int(b, "fermat_counts b", 1)
     _require_prime(q, "fermat_counts")
+    require_int(e_u, "fermat_counts e_u")
+    require_int(e_v, "fermat_counts e_v")
+    return _fermat_pass(a, b, q, e_u % (q - 1), e_v % (q - 1))
+
+
+@functools.lru_cache(maxsize=4096)
+def _fermat_pass(a, b, q, e_u, e_v):
+    """fermat_counts on checked arguments, the twists reduced mod q - 1."""
     h_a, h_b = _power_histogram(a, q), _power_histogram(b, q)
     g = _primitive_root(q)
-    su = pow(g, e_u % (q - 1), q)
+    su = pow(g, e_u, q)
     sv_inv = pow(g, -e_v % (q - 1), q)
     f0 = f1 = 0
     for z, n in enumerate(h_a):
@@ -557,9 +653,15 @@ def fermat_twisted_count(kind, N, q, e_u, e_v, meter=None):
     the N-th power table.  The count charges meter (default as in
     twisted_count) q - 1 units, what the DFS spends on fermat_pair(kind, N)
     with these twists.  A twist nonzero mod K = N (q - 1) needs q prime to N.
+    kind is 0 or 1, N an int >= 1 and the twists ints; both kinds at one
+    pair of twists share one fermat_counts pass.
     """
+    require_choice("fermat_twisted_count kind", kind, (0, 1))
+    require_int(N, "fermat_twisted_count N", 1)
+    require_int(e_u, "fermat_twisted_count e_u")
+    require_int(e_v, "fermat_twisted_count e_v")
     if meter is None:
         meter = WorkMeter()
     _check_twist(N, q, (e_u, e_v))
     meter.spend(q - 1)
-    return fermat_counts(N, N, q, e_u, e_v)[kind]
+    return _fermat_pass(N, N, q, e_u % (q - 1), e_v % (q - 1))[kind]

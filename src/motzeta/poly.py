@@ -11,6 +11,8 @@ polynomials compare equal structurally.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import ParseError, UnknownToken, VariableMismatch, require_int
 
 
@@ -146,13 +148,15 @@ class Poly:
 
     @classmethod
     def from_sparse(cls, names, eq):
-        """The Poly of a sparse equation (const, ((monomial, coeff), ...)),
-        a monomial a tuple of (index into names, exponent)."""
-        const, terms = eq
-        used = sorted({i for mono, _c in terms for i, _x in mono}, key=names.__getitem__)
+        """The Poly of a sparse equation (const, ((monomial, coeff, ...), ...),
+        ...), a monomial a tuple of (index into names, exponent); what the
+        equation holds past its terms, and a term past its coefficient, is
+        not read."""
+        const, terms = eq[0], eq[1]
+        used = sorted({i for mono, *_ in terms for i, _x in mono}, key=names.__getitem__)
         pos = {i: k for k, i in enumerate(used)}
         out = {(0,) * len(used): const}
-        for mono, c in terms:
+        for mono, c, *_ in terms:
             e = [0] * len(used)
             for i, x in mono:
                 e[pos[i]] = x
@@ -217,13 +221,16 @@ class JetExpansion:
     with j <= m, so a deeper expansion extends a shallower one: a call
     computes only the digits still missing.  The series phi^e of every
     exponent vector on the way to a term of f is built from a shorter one
-    times one phi_i, on sparse polynomials: dicts from monomials, sorted
-    tuples of coordinate ids with one entry per factor (v_j of the i-th
-    variable has id j * len(f.vars) + i), to integer coefficients.
+    times one phi_i, on sparse polynomials: dicts from packed monomials to
+    integer coefficients.  A packed monomial is an int holding the exponent
+    of each coordinate in a field of its own (v_j of the i-th variable has
+    id j * len(f.vars) + i, its field at bit width * id), so a product by
+    v_j is one integer addition.  No exponent in phi^e exceeds deg f, so a
+    field of deg f's bit length never carries into the next.
 
-    Each digit is then grouped once into a constant and a tuple of (monomial,
-    coefficient) pairs whose monomials are tuples of (i, j, exponent) sorted
-    by variable i and then by j.  level(n) reads digits 0..n off that form as
+    Each digit is then grouped once, field by field, into a constant and a
+    tuple of terms whose monomials are tuples of (i, j, exponent) sorted by
+    variable i and then by j.  level(n) reads digits 0..n off that form as
     sparse equations over the level-n jet coordinates, where v_j of the p-th
     variable has index p*n + j - 1: the index order is the (i, j) order, so
     no monomial is sorted again at any level.  digits(n) is the same as Polys
@@ -241,24 +248,48 @@ class JetExpansion:
                 steps[e] = (prev, i)
                 e = prev
         self._steps = sorted(steps.items(), key=lambda s: sum(s[0]))
+        self._width = max(f.total_degree(), 1).bit_length()
         self._series = {(0,) * len(f.vars): []}  # e -> digits of phi^e
-        self._digits = []  # digit m as (const, ((((i, j, exponent), ...), coeff), ...))
+        # digit m as (const, ((((i, j, exponent), ...), coeff, jmasks, top), ...),
+        # once, twice): jmasks[i] has bit j - 1 for each v_j of the i-th
+        # variable, top is the largest j, and once[i], resp. twice[i], has the
+        # bits of the i-th variable that one, resp. two, jmasks have
+        self._digits = []
 
-    def level(self, n, vars=None):
-        """Digits 0..n of f(phi) as (const, ((monomial, coeff), ...)) over the
-        level-n jet coordinates of vars: sorted names that include f's
-        (default f.vars), v_j of the p-th one having index p*n + j - 1, and a
-        monomial a sorted tuple of (index, exponent)."""
+    def level(self, n, vars=None, order=1):
+        """Digits 0..n of f(phi) as (const, ((monomial, coeff, mask, weight),
+        ...), once, twice) over the level-n jet coordinates of vars: sorted
+        names that include f's (default f.vars), v_j of the p-th one having
+        index p*n + j - 1, a monomial a sorted tuple of (index, exponent),
+        mask the bits of its indices, weight its weight when v_j weighs
+        j mod order (a digit-m monomial weighs m when every j < order), and
+        once, resp. twice, the indices that one, resp. two, monomials hold.
+        Each variable's bits are those of the grouped digit shifted by p*n."""
         while len(self._digits) <= n:
             self._extend()
-        if vars is None:
-            base = [i * n - 1 for i in range(len(self.f.vars))]
-        else:
-            base = [vars.index(v) * n - 1 for v in self.f.vars]
-        return [
-            (const, tuple([(tuple([(base[i] + j, x) for i, j, x in mono]), c) for mono, c in terms]))
-            for const, terms in self._digits[: n + 1]
-        ]
+        pos = range(len(self.f.vars)) if vars is None else [vars.index(v) for v in self.f.vars]
+        base = [p * n - 1 for p in pos]
+        shift = [p * n for p in pos]
+        # a monomial with every j < cut weighs w, one with a larger j is summed
+        cut = n + 1 if order == 1 else order
+        out = []
+        for m, (const, terms, once, twice) in enumerate(self._digits[: n + 1]):
+            w = 0 if order == 1 else m
+            out.append((
+                const,
+                tuple([
+                    (
+                        tuple([(base[i] + j, x) for i, j, x in mono]),
+                        c,
+                        sum(map(operator.lshift, jmasks, shift)),
+                        w if top < cut else sum([x * (j % order) for _i, j, x in mono]),
+                    )
+                    for mono, c, jmasks, top in terms
+                ]),
+                sum(map(operator.lshift, once, shift)),
+                sum(map(operator.lshift, twice, shift)),
+            ))
+        return out
 
     def digits(self, n):
         """f(phi(t)) mod t^{n+1} as n + 1 Polys, entry m the coefficient of
@@ -268,27 +299,42 @@ class JetExpansion:
 
     def _extend(self):
         """Compute digit m of every phi^e from the digits below it."""
-        m, k = len(self._digits), len(self.f.vars)
-        self._series[(0,) * k].append({(): 1} if m == 0 else {})
+        m, k, width = len(self._digits), len(self.f.vars), self._width
+        self._series[(0,) * k].append({0: 1} if m == 0 else {})
         for e, (prev, i) in self._steps:
             # phi^e = phi^prev * sum_j v_j t^j
             out = {}
+            below = self._series[prev]
             for j in range(1, m + 1):
-                v = (j * k + i,)
-                for mono, c in self._series[prev][m - j].items():
-                    key = tuple(sorted(mono + v))
+                v = 1 << width * (j * k + i)
+                for mono, c in below[m - j].items():
+                    key = mono + v
                     out[key] = out.get(key, 0) + c
             self._series.setdefault(e, []).append(out)
         total = {}
         for e, c in self.f.terms.items():
             for mono, v in self._series[e][m].items():
                 total[mono] = total.get(mono, 0) + c * v
-        const = total.pop((), 0)
-        terms = tuple(
-            (tuple(sorted([(v % k, v // k, mono.count(v)) for v in set(mono)])), c)
-            for mono, c in total.items()
-        )
-        self._digits.append((const, terms))
+        const = total.pop(0, 0)
+        field = (1 << width) - 1
+        terms = []
+        once, twice = [0] * k, [0] * k
+        for key, c in total.items():
+            mono, jmasks = [], [0] * k
+            while key:
+                at = ((key & -key).bit_length() - 1) // width * width
+                x = key >> at & field
+                key ^= x << at
+                j, i = divmod(at // width, k)
+                mono.append((i, j, x))
+                jmasks[i] |= 1 << (j - 1)
+            mono.sort()
+            for i, jm in enumerate(jmasks):
+                twice[i] |= once[i] & jm
+                once[i] |= jm
+            # ids rise with j, so the last field read holds the largest j
+            terms.append((tuple(mono), c, tuple(jmasks), j))
+        self._digits.append((const, tuple(terms), tuple(once), tuple(twice)))
 
 
 # --- parsing (the CLI expression grammar) ------------------------------------

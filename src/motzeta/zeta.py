@@ -112,25 +112,27 @@ def jet_set(f, n, exact=True, action_order=None):
     """
     f = _as_poly(f)
     require_int(n, "jet order n", 1)
-    return _jet_locus(f.vars, JetExpansion(f).level(n), n, exact, action_order)
+    if action_order is None:
+        order = n if exact else 1
+    else:
+        order = require_int(action_order, "GeomSet action_order", 1)
+    return _jet_locus(f.vars, JetExpansion(f).level(n, order=order), n, exact, order)
 
 
-def _jet_locus(vars, digits, n, exact=True, action_order=None):
+def _jet_locus(vars, digits, n, exact, order):
     """jet_set from the sparse digits of f(phi) over the level-n jet
-    coordinates of the variables vars (JetExpansion.level; digits[j] the
-    t^j digit, digits past t^n not read), built as a GeomSet in its sparse
-    form with no Poly in between."""
+    coordinates of the variables vars, their masks and weights read at the
+    action order order (JetExpansion.level; digits[j] the t^j digit, digits
+    past t^n not read), built as a GeomSet in its sparse form with no Poly
+    in between."""
     coords = tuple("%s_%d" % (v, j) for v in vars for j in range(1, n + 1))
     weights = tuple(j for _ in vars for j in range(1, n + 1))
     eqs = [d for d in digits[:n] if d[0] or d[1]]
-    const, terms = digits[n]
+    const, terms, once, twice = digits[n]
     if exact:
-        eqs.append((const - 1, terms))
-        order = n if action_order is None else action_order
-    else:
-        if const or terms:
-            eqs.append(digits[n])
-        order = 1 if action_order is None else action_order
+        eqs.append((const - 1, terms, once, twice))
+    elif const or terms:
+        eqs.append(digits[n])
     return GeomSet._from_sparse(coords, eqs, order, weights)
 
 
@@ -168,29 +170,37 @@ def histogram_pair_counts(f, g, n, q, meter=None):
     return _pair_counts(JetExpansion(f), JetExpansion(g), vars, n, q, meter)
 
 
+def _hit_locus(cf, cg, vars, n):
+    """The level-n locus f(phi) + g(psi) = t^n mod t^{n+1}, with the trivial
+    action, from the digits cf, cg of f and g over the jet coordinates of
+    vars (JetExpansion.level at order 1): f and g share no variable, so a
+    digit of f + g is the constants added and the terms of f's digit
+    followed by those of g's, its masks the union of theirs."""
+    digits = [(a + b, s + t, o | p, u | v) for (a, s, o, u), (b, t, p, v) in zip(cf, cg)]
+    return _jet_locus(vars, digits, n, True, 1)
+
+
 def _pair_counts(ef, eg, vars, n, q, meter):
     """histogram_pair_counts at level n from the expansions ef, eg of f, g
     and the variables of f + g (Poly.direct_sum_vars, checked by the caller).
-
-    f and g share no variable, so over the jet coordinates of f + g a digit
-    of f + g is the constants added and the terms of f's digit followed by
-    those of g's; -g negates each coefficient."""
+    The hit loci read _hit_locus; -g negates each coefficient."""
     f, g = ef.f, eg.f
     cf, cg = ef.level(n, vars), eg.level(n, vars)
-    hit = _jet_locus(
-        vars, [(a + b, s + t) for (a, s), (b, t) in zip(cf, cg)], n, action_order=1
-    )
+    hit = _hit_locus(cf, cg, vars, n)
 
     def count(gs, *extra):
         eqs = gs._eqs + tuple(d for d in extra if d[0] or d[1])
         return twisted_count(GeomSet._from_sparse(gs.coords, eqs), q, meter=meter)
 
-    neg_g = [(-c, tuple((mono, -x) for mono, x in terms)) for c, terms in eg.level(n)]
+    neg_g = [
+        (-c, tuple([(mono, -x, m, w) for mono, x, m, w in terms]), once, twice)
+        for c, terms, once, twice in eg.level(n)
+    ]
     try:
         N = [None] + [count(hit, *cf[1:l]) for l in range(1, n + 1)]
         a2 = count(hit, *cf[1 : n + 1]) + count(hit, *cg[1 : n + 1])
-        bpair = count(_jet_locus(f.vars, ef.level(n), n)) * count(
-            _jet_locus(g.vars, neg_g, n)
+        bpair = count(_jet_locus(f.vars, ef.level(n), n, True, 1)) * count(
+            _jet_locus(g.vars, neg_g, n, True, 1)
         )
     except BudgetExceeded as exc:
         raise meter.exceeded("pair counts at level %d" % n) from exc
@@ -346,9 +356,10 @@ class AxisCounts:
     The loci are built from one expansion of f that grows with the deepest
     level asked: each digit is expanded and grouped once, and a level only
     maps the digits it reads onto its own jet coordinates
-    (JetExpansion.level), so no Poly is built or scanned.  The count at each
-    (kind, n) is kept; a level that is not an int >= 1 is refused before
-    the lookup.  Every count charges
+    (JetExpansion.level), so no Poly is built or scanned; the exact and
+    ordgt loci of one level read one such map, the last one kept.  The
+    count at each (kind, n) is kept; a level that is not an int >= 1 is
+    refused before the lookup.  Every count charges
     meter (default: a fresh WorkMeter with geomset.DEFAULT_BUDGET), which
     the caller may share with other counts, and BudgetExceeded names the
     level that exceeded it.
@@ -361,14 +372,15 @@ class AxisCounts:
         self.dim = len(self.f.vars)
         self.meter = WorkMeter() if meter is None else meter
         self._jets = JetExpansion(self.f)
+        self._level = None, None  # (n, JetExpansion.level(n)) last read
         self._counts = {}
 
     def _count(self, kind, n):
         require_int(n, "jet order n", 1)
         if (kind, n) not in self._counts:
-            locus = _jet_locus(
-                self.f.vars, self._jets.level(n), n, kind == "exact", action_order=1
-            )
+            if self._level[0] != n:
+                self._level = n, self._jets.level(n)
+            locus = _jet_locus(self.f.vars, self._level[1], n, kind == "exact", 1)
             try:
                 self._counts[kind, n] = twisted_count(locus, self.q, meter=self.meter)
             except BudgetExceeded as exc:

@@ -30,8 +30,9 @@ compile_equation_brute reads a Poly equation's twisted form over F_q off
 its dense exponent vectors, one twist exponent per coordinate, and
 prepare_brute reduces a twisted count with it into candidate lists: at the
 exponents -s w_i of a sector s, the reference for geomset._prepare, which
-twists the sparse form each GeomSet builds once in one pass, reading each
-monomial's twist off its weight, and returns a nonzero mask.  jet_equations_dense builds the equations of a jet
+reduces and twists the sparse form each GeomSet builds once, its masks and
+weights included, reading each monomial's twist off its weight, and
+returns the nonzero mask stored with it.  jet_equations_dense builds the equations of a jet
 locus from the Poly digits of poly.JetExpansion, the reference for the
 sparse loci of zeta.jet_set.
 berlekamp_massey_brute is Massey's algorithm over Fractions, the reference
@@ -294,9 +295,9 @@ def mask_equation_brute(const, terms):
 def fermat_twisted_dfs(kind, N, q, e_u, e_v, meter):
     """Twisted count of F_kind^N by the F_q DFS on fermat_pair(kind, N),
     reduced with the independent twists (e_u, e_v) by prepare_brute; both
-    coordinates are nonzero (mask 0b11)."""
+    coordinates are unassigned and nonzero (masks 0b11)."""
     eqs, _candidates = prepare_brute(fermat_pair(kind, N), q, (e_u, e_v))
-    return _count_reduced(eqs, [0, 1], 0b11, q, meter)
+    return _count_reduced(eqs, 0b11, 0b11, q, meter)
 
 
 def compile_equation_brute(eq, coord_index, exps, N, q, g):

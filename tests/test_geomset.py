@@ -15,7 +15,9 @@ from motzeta.geomset import (
     GeomSet,
     WorkMeter,
     _count_reduced,
+    _fermat_pass,
     _prepare,
+    fermat_counts,
     fermat_pair,
     fermat_twisted_count,
     mu_n,
@@ -23,8 +25,8 @@ from motzeta.geomset import (
     torus,
     twisted_count,
 )
-from motzeta.poly import Poly, parse_poly
-from motzeta.zeta import AxisCounts, jet_set
+from motzeta.poly import JetExpansion, Poly, parse_poly
+from motzeta.zeta import AxisCounts, _hit_locus, jet_set
 
 
 def test_torus_count():
@@ -133,7 +135,12 @@ def _compiled_systems(draw):
     random nonzero constraints.  Two shapes exercise the masks: a pair of
     monomials c x_p^e R and -c x_p^f R (e != f, x_p^0 R = R), which cancel
     where x_p^e = x_p^f, and a binomial in a coordinate of the previous
-    equation, which rule 2 solves only once that equation is dropped."""
+    equation, which rule 2 solves only once that equation is dropped.  A
+    third exercises the split of a pivot that tries several values: x_p, the
+    lowest coordinate of its equation, in two monomials c x_p^e R and
+    c' x_p^f R around the monomial R they land on (a constant when R = 1),
+    in any order, with R's coefficient often -(c + c') so that the three
+    cancel at x_p = 1."""
     q = draw(st.sampled_from((3, 5, 7)))
     d = draw(st.integers(1, 4))
     coord = st.integers(0, d - 1)
@@ -145,8 +152,22 @@ def _compiled_systems(draw):
 
     eqs = []
     for _ in range(draw(st.integers(1, 3))):
-        shape = draw(st.sampled_from(("general", "linear", "binomial", "cancel", "shared")))
-        if shape == "cancel":
+        shape = draw(st.sampled_from(("general", "linear", "binomial", "cancel", "shared", "land")))
+        const = draw(st.integers(0, q - 1))
+        if shape == "land":
+            p, *rest = sorted(draw(st.lists(coord, min_size=1, max_size=3, unique=True)))
+            R = tuple((i, draw(st.integers(1, 2))) for i in rest)
+            e, f = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
+            c, c2 = draw(coeff), draw(coeff)
+            c_r = draw(st.sampled_from(((-c - c2) % q, draw(coeff))))
+            terms = {}
+            for mono, a in draw(st.permutations([(R + ((p, e),), c), (R, c_r), (R + ((p, f),), c2)])):
+                mono = tuple(sorted(mono))
+                if not mono:
+                    const = (const + a) % q
+                elif a:
+                    terms[mono] = a
+        elif shape == "cancel":
             p = draw(coord)
             others = [i for i in range(d) if i != p]
             rest = draw(st.lists(st.sampled_from(others), max_size=2, unique=True)) if others else []
@@ -165,16 +186,21 @@ def _compiled_systems(draw):
             terms = {monomial(): draw(coeff) for _ in range(draw(st.integers(0, 2)))}
             if shape == "linear" or not terms:
                 terms[((draw(coord), 1),)] = draw(coeff)
-        eqs.append((draw(st.integers(0, q - 1)), terms))
+        eqs.append((const, terms))
     nonzero = draw(st.sets(coord))
     return q, d, eqs, nonzero
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(_compiled_systems())
+@example((5, 2, [(0, {((0, 1), (1, 1)): 1, ((1, 1),): 3, ((0, 2), (1, 1)): 1})], set()))
+@example((7, 2, [(2, {((0, 2),): 1, ((0, 3),): 4}), (2, {((0, 1), (1, 2)): 3, ((1, 2),): 4})], {1}))
 def test_dfs_rules_match_brute_force(system):
     # the count is the enumeration's, and the masked search tries the
-    # candidates the unmasked oracle tries
+    # candidates the unmasked oracle tries.  In the examples x_0 tries
+    # several values, and a sum cancels at x_0 = 1: x_0 y + x_0^2 y lands on
+    # 3y, resp. 3 x_0 y^2 on 4 y^2 at the roots 1 and 3 of 4 x_0^3 + x_0^2 + 2
+    # (whose own terms land on the constant)
     q, d, eqs, nonzero = system
     candidates = [list(range(1 if i in nonzero else 0, q)) for i in range(d)]
     mask = sum(1 << i for i in nonzero)
@@ -188,7 +214,7 @@ def test_dfs_rules_match_brute_force(system):
     )
     meter, oracle = WorkMeter(), WorkMeter()
     masked = [mask_equation_brute(const, terms) for const, terms in eqs]
-    assert _count_reduced(masked, list(range(d)), mask, q, meter) == brute
+    assert _count_reduced(masked, (1 << d) - 1, mask, q, meter) == brute
     assert count_reduced_brute(eqs, list(range(d)), candidates, q, oracle) == brute
     assert meter.spent == oracle.spent
 
@@ -259,6 +285,49 @@ def test_fermat_kernel_matches_the_dfs(case):
     assert meter.spent == dfs_meter.spent == q - 1
 
 
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (fermat_counts, (2.0, 3, 7), "fermat_counts a must be an int, not 2.0"),
+        (fermat_counts, (2, 3, 7, 1.0), "fermat_counts e_u must be an int, not 1.0"),
+        (fermat_counts, (2, 3, 7, 1, True), "fermat_counts e_v must be an int, not True"),
+        (fermat_counts, (0, 3, 7), "fermat_counts a must be >= 1, not 0"),
+        (fermat_counts, (2, 0, 7), "fermat_counts b must be >= 1, not 0"),
+        (fermat_counts, (2, 3, 9), "fermat_counts needs a prime q, got 9"),
+        (fermat_counts, (2, 3, 7.0), "fermat_counts needs a prime q, got 7.0"),
+        (fermat_twisted_count, (2, 2, 7, 0, 0), "fermat_twisted_count kind must be 0 or 1, not 2"),
+        (fermat_twisted_count, (True, 2, 7, 0, 0), "fermat_twisted_count kind must be 0 or 1, not True"),
+        (fermat_twisted_count, (0, 0, 7, 0, 0), "fermat_twisted_count N must be >= 1, not 0"),
+        (fermat_twisted_count, (0, 2.0, 7, 0, 0), "fermat_twisted_count N must be an int, not 2.0"),
+        (fermat_twisted_count, (0, 2, 7, 1.0, 0), "fermat_twisted_count e_u must be an int, not 1.0"),
+        (fermat_twisted_count, (0, 2, 7, 1, 0.0), "fermat_twisted_count e_v must be an int, not 0.0"),
+        (fermat_twisted_count, (0, 2, 8, 1, 0), "twisted count needs a prime q, got 8"),
+    ],
+)
+def test_fermat_arguments_are_refused_before_any_count(fn, args, message):
+    # the int twin of every refused float is counted first, so that a
+    # refusal cannot be a memoized count read back under an equal key
+    fermat_counts(2, 3, 7, 1, 0)
+    fermat_counts(2, 2, 7, 1, 0)
+    fermat_counts(2, 3, 7)
+    meter = WorkMeter()
+    kwargs = {"meter": meter} if fn is fermat_twisted_count else {}
+    with pytest.raises(MotzetaError, match="^%s$" % re.escape(message)):
+        fn(*args, **kwargs)
+    assert meter.spent == 0
+
+
+def test_both_fermat_kinds_share_one_pass():
+    # each kind is its own count and charges q - 1, but the two read one
+    # power-table pass, kept per twist pair mod q - 1
+    _fermat_pass.cache_clear()
+    meter = WorkMeter()
+    got = [fermat_twisted_count(kind, 3, 13, e, 1, meter=meter) for e in (2, 14) for kind in (0, 1)]
+    assert got[:2] == got[2:] == list(fermat_counts(3, 3, 13, 2, 1))
+    assert meter.spent == 4 * 12
+    assert _fermat_pass.cache_info().misses == 1
+
+
 def test_fermat_f0_parametrization():
     # F_0^N: u^N = -v^N; over F_q with N | q-1 and q odd the count is
     # N(q-1) when -1 is an N-th power times ... check against brute force.
@@ -320,25 +389,50 @@ def _poly_geomsets(draw):
     return gs, q, s
 
 
+@st.composite
+def _digit_loci(draw):
+    """A jet locus built from the digits of JetExpansion, a prime q and
+    every sector of its action: the exact locus of a germ with a linear
+    term (c v_n sits in digit n with weight n = 0 mod n), an order-beyond
+    locus, trivial or twisted, or the hit locus of a direct sum that
+    zeta._pair_counts counts."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("linear", "ordgt", "hit")))
+    if kind == "linear":
+        gs = jet_set(draw(st.sampled_from(("2*x+x^2", "x-3*y^2+x*y", "3*x+x^3"))), n)
+    elif kind == "ordgt":
+        f = draw(st.sampled_from(("x^2+x^3", "x^2+y^3+x*y^2", "x*y", "x+y^2")))
+        gs = jet_set(f, n, exact=False, action_order=draw(st.sampled_from((None, n, 2))))
+    else:
+        f, g = draw(st.sampled_from((("x^2+x^3", "y^2"), ("x+x^2", "y^3"), ("x*z", "y^2+y"))))
+        ef, eg = JetExpansion(parse_poly(f)), JetExpansion(parse_poly(g))
+        vars = ef.f.direct_sum_vars(eg.f)
+        gs = _hit_locus(ef.level(n, vars), eg.level(n, vars), vars, n)
+    return gs, q, range(gs.action_order)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_poly_geomsets())
+@given(st.one_of(_poly_geomsets().map(lambda c: (c[0], c[1], (c[2],))), _digit_loci()))
 def test_prepare_twists_the_sparse_form_as_the_dense_oracle(case):
-    # the one-pass reduction of sector s, each monomial's twist read off
-    # its weight, is the reduction of the Polys at the coordinate twists
-    # -s w_i: the same equations in the same term order (the search reads
-    # them in that order), its nonzero mask read as the oracle's candidate
-    # lists, and the same refusals, by message
-    gs, q, s = case
-    try:
-        want_eqs, want_candidates = prepare_brute(gs, q, [-s * w for w in gs.weights])
-    except MotzetaError as exc:
-        with pytest.raises(MotzetaError, match=re.escape(str(exc))):
-            _prepare(gs, q, s)
-        return
-    eqs, nonzero = _prepare(gs, q, s)
-    assert eqs == want_eqs
-    assert [list(eq[1].items()) for eq in eqs] == [list(eq[1].items()) for eq in want_eqs]
-    assert [list(range(nonzero >> i & 1, q)) for i in range(gs.dim)] == want_candidates
+    # the one-pass reduction of each sector s, each monomial's twist read
+    # off the weight built at construction, is the reduction of the Polys
+    # at the coordinate twists -s w_i: the same coefficients and masks in
+    # the same term order (the search reads them in that order), its
+    # nonzero mask read as the oracle's candidate lists, and the same
+    # refusals, by message
+    gs, q, sectors = case
+    for s in sectors:
+        try:
+            want_eqs, want_candidates = prepare_brute(gs, q, [-s * w for w in gs.weights])
+        except MotzetaError as exc:
+            with pytest.raises(MotzetaError, match=re.escape(str(exc))):
+                _prepare(gs, q, s)
+            continue
+        eqs, nonzero = _prepare(gs, q, s)
+        assert eqs == want_eqs
+        assert [list(eq[1].items()) for eq in eqs] == [list(eq[1].items()) for eq in want_eqs]
+        assert [list(range(nonzero >> i & 1, q)) for i in range(gs.dim)] == want_candidates
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
