@@ -163,13 +163,6 @@ class Poly:
             out[tuple(e)] = c
         return cls([names[i] for i in used], out)
 
-    def as_monomial(self):
-        """Return (coeff, var, exp) when this is c*v^e in one variable."""
-        if len(self.terms) != 1 or len(self.vars) != 1:
-            return None
-        (e,), c = next(iter(self.terms.items()))
-        return (c, self.vars[0], e)
-
     def direct_sum(self, other):
         """f(x) + g(y) on disjoint variable sets."""
         self.direct_sum_vars(other)

@@ -19,12 +19,13 @@ weight j on the t^j jet coefficient.  This module provides
     against the brute-force enumeration in tests/brute.py.  The loci of
     one function are built from one expansion of f(phi)
     (poly.JetExpansion), sliced per level;
-  * per-axis streams, decided in one place (_axis_stream): a recognized
-    shape, found by shape_exponent (x^a, or a sum of distinct linear
-    variables with a = 1), has the one strand [mu_a] L^{-k} T^{ak} and
-    its closed stream, read off a and its leading coefficient; any other
-    germ has the stream of its AxisCounts counts when counting, and no
-    stream (FitFailed) symbolically;
+  * per-axis streams, decided in one place (_axis_stream): a germ that a
+    change of coordinates fixing the origin carries onto x^a, found by
+    shape_exponent (a smooth germ with a = 1, or x^a times a unit of
+    constant term 1 in one variable), has the one strand [mu_a] L^{-k}
+    T^{ak} of x^a and its closed stream, read off a alone; any other germ
+    has the stream of its AxisCounts counts when counting, and no stream
+    (FitFailed) symbolically;
   * generating series: zeta_trunc / zeta_closed for one function,
     multizeta_trunc / multizeta_separable for an ordered family with
     order conditions on the trailing functions, sum_zeta_pullback for a
@@ -66,6 +67,7 @@ from .errors import (
 from .geomset import (
     GeomSet,
     WorkMeter,
+    _is_prime,
     _power_histogram,
     _require_prime,
     fermat_counts,
@@ -221,25 +223,36 @@ def _pair_counts(ef, eg, vars, n, q, meter):
 
 
 def shape_exponent(f, q=None):
-    """The exponent a of a recognized shape's one strand [mu_a] L^{-k} T^{ak}:
-    a for a monic x^a, 1 for a sum of distinct linear variables (c*x among
-    them), None for any other germ.  At a prime q (None: symbolic) it is
-    also None when q shares a factor with a or divides a linear
-    coefficient, since the closed streams need both invertible mod q."""
+    """The exponent a of the one strand [mu_a] L^{-k} T^{ak} of a germ that
+    a change of coordinates fixing the origin carries onto x^a, or None.
+
+    Such a change leaves every jet locus, and its root-of-unity action, as
+    it is, so the germ has the closed stream of x^a.  The rule reads f, at a
+    prime q (None: symbolic, where "prime to q" reads "nonzero"):
+
+      * 1 for a smooth germ: constant term 0 and some degree-one
+        coefficient prime to q, since f itself is then a coordinate;
+      * a for a one-variable germ x^a u(x) with u(0) = 1 and a prime to q,
+        since x -> x u(x)^{1/a} carries it onto x^a;
+      * None otherwise: a nonzero constant term, a lowest coefficient other
+        than 1 with a >= 2, q dividing a, or no linear part in two or more
+        variables.
+
+    q other than None or a prime is refused, naming it.
+    """
     f = _as_poly(f)
-    mono = f.as_monomial()
-    if mono is not None and mono[0] == 1 and mono[2] >= 1:
-        a = mono[2]
-        return a if q is None or math.gcd(a, q) == 1 else None
-    # degree-one exponent vectors are unit vectors: distinct keys, one per
-    # variable, make a sum of distinct linear variables
-    if not f.vars or len(f.terms) != len(f.vars):
+    if q is not None and (type(q) is not int or not _is_prime(q)):
+        raise MotzetaError("shape_exponent q must be None or a prime, not %r" % (q,))
+    if not f.vars or f.constant_term():
         return None
-    if any(sum(e) != 1 for e in f.terms):
+    if any(sum(e) == 1 and (q is None or c % q) for e, c in f.terms.items()):
+        return 1
+    if len(f.vars) != 1:
         return None
-    if q is not None and any(c % q == 0 for c in f.terms.values()):
+    a = min(e for e, in f.terms)
+    if f.terms[(a,)] != 1 or (q is not None and a % q == 0):
         return None
-    return 1
+    return a
 
 
 def _lead_coeff(a, real):
@@ -253,14 +266,17 @@ def _lead_coeff(a, real):
 
 
 def _strand_exponent(f, real):
-    """shape_exponent at the realization's prime; FitFailed when f has no
-    closed strand there."""
+    """shape_exponent at the realization's prime, which a counted series
+    needs to be one; FitFailed when f has no closed strand there."""
+    if real.tag == "count":
+        _require_prime(real.q, "a counted zeta series")
     a = shape_exponent(f, real.q)
     if a is None:
         at = "" if real.q is None else " at q=%d" % real.q
         raise FitFailed(
-            "no closed form for %s%s: not x^a or a sum of distinct linear "
-            "variables with a and the coefficients prime to q"
+            "no closed form for %s%s: no change of coordinates found that "
+            "carries it onto x^a with a prime to q (a smooth germ, or x^a "
+            "times a unit of constant term 1 in one variable)"
             % (_as_poly(f).render(), at)
         )
     return a
@@ -419,16 +435,18 @@ def _axis_stream(f, real, kind, meter):
     """The per-axis stream of f, for the exact-hit (kind "exact") or
     order-beyond ("ordgt") loci, normalized by L^{-nd} at its own level.
 
-    A recognized shape (shape_exponent) has its closed stream.  Any other
-    germ is counted under the count realization, by the F_q DFS of one
-    AxisCounts charging the caller's meter, and raises FitFailed under the
-    symbolic one.
+    A germ that shape_exponent carries onto x^a has the closed stream of
+    x^a.  Any other germ is counted under the count realization, by the
+    F_q DFS of one AxisCounts charging the caller's meter, and raises
+    FitFailed under the symbolic one.
     """
     if real.tag == "count":
         _require_prime(real.q, "a counted zeta series")
-        if shape_exponent(f, real.q) is None:
+        a = shape_exponent(f, real.q)
+        if a is None:
             ax = AxisCounts(f, real.q, meter)
             return _CountedStream(getattr(ax, kind), real.q**ax.dim)
+        return _closed_stream(a, real, kind)
     return _closed_stream(_strand_exponent(f, real), real, kind)
 
 
@@ -460,11 +478,12 @@ def zeta_trunc(f, D, real, var="T", base="origin", budget=None):
     exact-hit class of level-n jets normalized by L^{-nd}.
 
     At base="origin" it is the one-function family, multizeta_trunc((f,),
-    ..): the closed stream of a recognized shape, else the F_q DFS counts
-    of AxisCounts, or FitFailed when symbolic.  base="global" (counting
-    only) sums the origin series of f shifted to each F_q-zero of f.
-    budget caps the DFS candidates of the whole call, every zero together;
-    BudgetExceeded names f, the zero and the level that exceeded it.
+    ..): the closed stream of a germ shape_exponent recognizes, else the
+    F_q DFS counts of AxisCounts, or FitFailed when symbolic.
+    base="global" (counting only) sums the origin series of f shifted to
+    each F_q-zero of f.  budget caps the DFS candidates of the whole call,
+    every zero together; BudgetExceeded names f, the zero and the level
+    that exceeded it.
     """
     require_choice("base", base, ("origin", "global"))
     if base == "origin":
@@ -511,12 +530,11 @@ def _shift_poly(f, shift):
 
 
 def zeta_closed(f, real, var="T"):
-    """Closed zeta series for recognized shapes.
+    """Closed zeta series of a germ that shape_exponent carries onto x^a.
 
-    The exponent-a strand (see shape_exponent) is the leading-locus class
-    times L^{-k} T^{a k} summed over k >= 1.  Any other germ, or one
-    whose a or linear coefficients q divides, raises FitFailed (fit a
-    truncation instead).
+    The exponent-a strand is the leading-locus class times L^{-k} T^{a k}
+    summed over k >= 1.  Any other germ, at the realization's prime, raises
+    FitFailed (fit a truncation instead).
     """
     a = _strand_exponent(f, real)
     strand = Strand(_lead_coeff(a, real), (0,), ((-1, (a,)),))
@@ -563,10 +581,10 @@ def multizeta_trunc(fs, D, real, vars=None, budget=None):
     normalized at its own level.  That is exact: at level |n| the count of
     function i at n_i is padded by q^{d_i (|n| - n_i)}, one factor q per
     free digit, and the family normalization divides by q^{d |n|}, so the
-    padding cancels axis by axis.  A recognized shape takes its closed
-    stream; any other germ is counted by one AxisCounts, or raises
-    FitFailed when symbolic.  budget caps the DFS candidates of the whole
-    family together.
+    padding cancels axis by axis.  A germ shape_exponent recognizes takes
+    its closed stream; any other germ is counted by one AxisCounts, or
+    raises FitFailed when symbolic.  budget caps the DFS candidates of the
+    whole family together.
     """
     fs, vars = _family(fs, vars)
     return _family_trunc(fs, D, real, vars, WorkMeter(budget))
@@ -591,9 +609,11 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     same way.
 
     mode picks the counted route: "strata" (closed counts of the pair
-    x^a, y^b, or c*x for either, with a, b prime to q), "hist" (any pair)
-    or "auto" (strata where it applies, else hist).  c*x counts as x:
-    u -> c*u permutes the jets of each order.  Strata reads every level
+    x^a, y^b, for two one-variable summands that shape_exponent carries
+    onto them at q), "hist" (any pair) or "auto" (strata where it applies,
+    else hist).  A change of coordinates in x alone keeps the values
+    f(phi), so the pair counts of f, g are those of x^a, y^b: c*x + x^2
+    counts as x, x^2 + x^3 as x^2.  Strata reads every level
     from one stream of the closed counts of monomial_pair_counts, in O(D)
     with q, a and b checked once (_monomial_pair_levels).  Without split,
     hist is zeta_trunc of f + g, one F_q DFS count per level from one
@@ -620,7 +640,8 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     elif mode == "strata" and None in exps:
         h = (f, g)[exps.index(None)]
         raise MotzetaError(
-            "strata mode counts x^a or c*x with a prime to q; summand %s "
+            "strata mode counts one-variable germs that a change of "
+            "coordinates carries onto x^a with a prime to q; summand %s "
             "is not one at q=%d" % (h.render(), q)
         )
     if mode == "hist" and not split:

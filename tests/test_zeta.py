@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brute import (
@@ -152,19 +152,49 @@ def test_jet_sets_carry_good_actions():
         assert jet_set(f, n, exact=False).check_action_invariance()
 
 
+# (germ, shape_exponent symbolically, at q=3, at q=5): a coordinate change
+# fixing the origin carries a smooth germ onto x, and x^a u(x) with
+# u(0) = 1 and a prime to q onto x^a (x -> x u(x)^(1/a))
+SHAPE_TABLE = [
+    ("x^2", 2, 2, 2),
+    ("x^3", 3, None, 3),
+    ("x", 1, 1, 1),
+    ("3*x", 1, None, 1),
+    ("x + y", 1, 1, 1),
+    ("2*x + 3*y + z", 1, 1, 1),
+    # smooth: some degree-one coefficient prime to q
+    ("x + y^2", 1, 1, 1),
+    ("x + x^2", 1, 1, 1),
+    ("x^2 - x", 1, 1, 1),
+    ("3*x + 5*y + x*y", 1, 1, 1),
+    ("5*x + 5*y", 1, 1, None),
+    ("5*x + x^2", 1, 1, None),
+    # one variable, lowest term x^a with coefficient 1
+    ("x^2 + x^3", 2, 2, 2),
+    ("x^2 - 4*x^5", 2, 2, 2),
+    ("x^3 + x^4", 3, None, 3),
+    ("x^5 + 2*x^6", 5, 5, None),
+    # none of the rules: a lowest coefficient other than 1 with a >= 2, a
+    # nonzero constant, no linear part in two or more variables
+    ("2*x^2", None, None, None),
+    ("2*x^2 + x^3", None, None, None),
+    ("1 + x", None, None, None),
+    ("x*y", None, None, None),
+    ("x^2 + y^3 + x*y^2", None, None, None),
+    ("x^2 + y^2", None, None, None),
+]
+
+
 def test_shape_exponent():
-    assert shape_exponent(X2) == 2
-    assert shape_exponent(X) == 1
-    assert shape_exponent(XY) == 1
-    assert shape_exponent("3*x") == 1
-    assert shape_exponent("2*x + 3*y + z") == 1
-    for f in ("x^2 + x^3", "x + y^2", "2*x^2", "x*y", "x + x^2"):
-        assert shape_exponent(f) is None, f
-    # a prime dividing the exponent or a linear coefficient has no strand
-    assert shape_exponent(X3, 3) is None
-    assert shape_exponent(X3, 5) == 3
-    assert shape_exponent("5*x + 5*y", 5) is None
-    assert shape_exponent("5*x + 5*y", 7) == 1
+    for f, sym, at3, at5 in SHAPE_TABLE:
+        assert (shape_exponent(f), shape_exponent(f, 3), shape_exponent(f, 5)) == (sym, at3, at5), f
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, -5, 1.5, 7.0, "7", True, (5,)], ids=repr)
+def test_shape_exponent_refuses_q(q):
+    # q is None (symbolic) or a prime; anything else names q
+    with pytest.raises(MotzetaError, match=re.escape("shape_exponent q must be None or a prime, not %r" % (q,))):
+        shape_exponent("x + y", q)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +426,9 @@ def test_axis_routes_agree():
         (X2, 5, 5, 2),
         (X3, 7, 4, 3),
         (XY, 5, 3, 1),
-        (parse_poly("x^2 + x^3"), 5, 5, None),
+        (parse_poly("x^2 + x^3"), 5, 5, 2),
+        (parse_poly("x + y^2"), 3, 4, 1),
+        (parse_poly("2*x^2 + x^3"), 7, 4, None),
         (parse_poly("x*y"), 3, 4, None),
     ]
     for f, q, top, a in cases:
@@ -406,7 +438,8 @@ def test_axis_routes_agree():
             assert ax.exact(n) == jet_count_direct(f, n, q), (f, n)
             assert ax.ordgt(n) == jet_count_direct(f, n, q, target="ordgt"), (f, n)
     # past the oracle's jet space, DFS counts against closed forms: x^2 + x^3
-    # is x^2 after the change of coordinate x -> x (1 + x)^(1/2)
+    # is x^2 after the change of coordinate x -> x (1 + x)^(1/2), which is
+    # why shape_exponent gives it the closed stream of x^2
     ax = AxisCounts("x^2 + x^3", 7)
     xy = AxisCounts("x*y", 5)
     for n in range(1, 13):
@@ -507,8 +540,8 @@ def _symbolic_entry(coeff):
     [
         pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, mode="direct"),
                      "mode must be 'auto', 'strata' or 'hist', not 'direct'", id="pullback-mode"),
-        pytest.param(lambda: sum_zeta_pullback("x^2+x^3", "y^2", 2, count_realization(5), mode="strata"),
-                     "summand x^3 + x^2 is not one at q=5", id="pullback-strata-generic"),
+        pytest.param(lambda: sum_zeta_pullback("2*x^2+x^3", "y^2", 2, count_realization(5), mode="strata"),
+                     "summand x^3 + 2*x^2 is not one at q=5", id="pullback-strata-generic"),
         pytest.param(lambda: sum_zeta_pullback("x^3", "y^2", 3, count_realization(3), mode="strata"),
                      "summand x^3 is not one at q=3", id="pullback-strata-exponent"),
         pytest.param(lambda: dl_eval(RES, R7, cone=5),
@@ -676,6 +709,10 @@ def _symbolic_entry(coeff):
                      id="atom-mu-superscript"),
         pytest.param(lambda: zeta_trunc(X2, 4, count_realization(4)),
                      "a counted zeta series needs a prime q, got 4", id="zeta-prime"),
+        pytest.param(lambda: zeta_closed("x^3", count_realization(4)),
+                     "a counted zeta series needs a prime q, got 4", id="zeta-closed-prime"),
+        pytest.param(lambda: multizeta_separable(("x^2", "y"), count_realization(9)),
+                     "a counted zeta series needs a prime q, got 9", id="separable-prime"),
         pytest.param(lambda: ConePieces(((((1, 0), (1,)), (True, True)),)),
                      "piece 0: generators ((1, 0), (1,)) differ in length", id="cone-ragged"),
         pytest.param(lambda: ConePieces(((((1, 0),), (True,)), (((1, 1), (2, 2)), (True, True)))),
@@ -881,8 +918,9 @@ def test_negative_bound_is_a_variable_mismatch():
 
 def test_zeta_trunc_reaches_past_the_jet_space_budget():
     # the DFS counts the locus (2*5^6 points) without enumerating the 5^12
-    # level-12 jets
-    z = zeta_trunc("x^2 + x^3", 12, count_realization(5))
+    # level-12 jets.  The lowest coefficient 4 leaves 4x^2 + x^3 to the
+    # DFS; it is (2x)^2 (1 + x/4), so its counts are those of x^2
+    z = zeta_trunc("4*x^2 + x^3", 12, count_realization(5))
     for n in range(1, 13):
         want = Fraction(2 * 5 ** (n // 2), 5**n) if n % 2 == 0 else 0
         assert z.coeff((n,)) == want
@@ -953,10 +991,14 @@ def test_leading_classes_live_over_the_realization_base():
 
 
 def test_zeta_closed_rejects_generic():
-    with pytest.raises(FitFailed):
-        zeta_closed(parse_poly("x^2 + x^3"), symbolic_realization())
+    # germs the coordinate-change rule of shape_exponent leaves to the DFS
+    for f in ("2*x^2 + x^3", "x*y", "1 + x"):
+        with pytest.raises(FitFailed, match="no closed form for"):
+            zeta_closed(f, symbolic_realization())
     with pytest.raises(FitFailed, match="x\\^3 at q=3"):
         zeta_closed(X3, count_realization(3))
+    with pytest.raises(FitFailed, match="x\\^4 \\+ x\\^3 at q=3"):
+        zeta_closed("x^3 + x^4", count_realization(3))
 
 
 def test_linear_sum_with_coefficients_divisible_by_q():
@@ -980,17 +1022,24 @@ def test_zeta_global_base_sums_local_contributions():
 
 
 def test_global_zeta_budget_covers_every_zero():
-    # x^2 (x-1)^2 at q=5 vanishes at 0 and 1; each zero's DFS counts spend
-    # 60 candidates through level 8, under one budget for the call
-    f = "x^4 - 2*x^3 + x^2"
-    r5 = count_realization(5)
+    # 2 x^2 (x-1)^2 at q=7 vanishes at 0 and 1, as 2x^2 times a unit at
+    # each, which the DFS counts: 84 candidates per zero through level 8,
+    # under one budget for the call
+    f = "2*x^4 - 4*x^3 + 2*x^2"
+    r7 = count_realization(7)
     with pytest.raises(
         BudgetExceeded,
-        match=r"jet counts of x\^4 - 2\*x\^3 \+ x\^2 at level 8 of the zero x=1 "
-        "exceeded the budget of 119 candidates",
+        match=r"jet counts of 2\*x\^4 - 4\*x\^3 \+ 2\*x\^2 at level 8 of the zero x=1 "
+        "exceeded the budget of 167 candidates",
     ):
-        zeta_trunc(f, 8, r5, base="global", budget=119)
-    assert zeta_trunc(f, 8, r5, base="global", budget=120) == zeta_trunc(f, 8, r5, base="global")
+        zeta_trunc(f, 8, r7, base="global", budget=167)
+    full = zeta_trunc(f, 8, r7, base="global")
+    assert not full.is_zero()
+    assert zeta_trunc(f, 8, r7, base="global", budget=168) == full
+    # x^2 (x-1)^2 is x^2 times a unit of constant term 1 at both zeros:
+    # closed streams, no candidate
+    g = "x^4 - 2*x^3 + x^2"
+    assert zeta_trunc(g, 8, r7, base="global", budget=0) == zeta_trunc(X2, 8, r7).scale(Fraction(2))
 
 
 # ---------------------------------------------------------------------------
@@ -1010,14 +1059,16 @@ def test_multizeta_routes_agree_small():
 
 
 def test_multizeta_budget_covers_the_family():
-    # at q=5 through D=9 the exact-hit counts of x^2+x^3 spend 10 candidates
-    # and the order-beyond counts of y^2+y^3 45, under one budget
-    fs, r5 = ("x^2+x^3", "y^2+y^3"), count_realization(5)
+    # at q=7 through D=9 the exact-hit counts of 2x^2+x^3 spend 14 candidates
+    # and the order-beyond counts of 2y^2+y^3 63, under one budget
+    fs, r7 = ("2*x^2+x^3", "2*y^2+y^3"), count_realization(7)
     with pytest.raises(
-        BudgetExceeded, match=r"jet counts of y\^3 \+ y\^2 at level 7 exceeded the budget of 54 "
+        BudgetExceeded, match=r"jet counts of y\^3 \+ 2\*y\^2 at level 7 exceeded the budget of 76 "
     ):
-        multizeta_trunc(fs, 9, r5, budget=54)
-    assert multizeta_trunc(fs, 9, r5, budget=55) == multizeta_trunc(fs, 9, r5)
+        multizeta_trunc(fs, 9, r7, budget=76)
+    full = multizeta_trunc(fs, 9, r7)
+    assert not full.is_zero()
+    assert multizeta_trunc(fs, 9, r7, budget=77) == full
 
 
 def _chains(r, D):
@@ -1029,15 +1080,16 @@ def test_multizeta_counted_chains_match_the_chain_block_deep():
     # the one chain walk against the product, at level |n|, of the closed
     # x^a jet counts of tests/brute.py (the oracle pads every axis to the
     # family level, the walk normalizes each at its own level), far past
-    # the brute-force enumeration's reach.  x^2 + x^3 is x^2 after the
-    # change of coordinate x -> x (1 + x)^(1/2), so its DFS stream meets
-    # the same oracle, as a leading or as a trailing axis.
+    # the brute-force enumeration's reach.  4x^2 + x^3 is x^2 after the
+    # change of coordinate x -> 2x (1 + x/4)^(1/2), but its lowest
+    # coefficient is not 1, so its DFS stream meets the same oracle, as a
+    # leading or as a trailing axis.
     cases = [
         ((X2, Y3), (2, 3), 40, 7),
         ((X2, Y3, "z^5"), (2, 3, 5), 45, 31),
         ((X, "y^2"), (1, 2), 30, 5),
-        (("x^2 + x^3", Y3), (2, 3), 30, 7),
-        ((X, "y^2 + y^3", "z^3"), (1, 2, 3), 30, 7),
+        (("4*x^2 + x^3", Y3), (2, 3), 30, 7),
+        ((X, "4*y^2 + y^3", "z^3"), (1, 2, 3), 30, 7),
     ]
     for fs, exps, D, q in cases:
         real = count_realization(q)
@@ -1055,11 +1107,13 @@ def test_multizeta_counted_chains_match_the_chain_block_deep():
             assert counted == multizeta_separable(fs, real).expand(D)
 
 
-# germs for the family property: recognized shapes (closed streams) and
-# other germs (DFS streams), among them a constant term and x^3 at q=3
+# germs for the family property: recognized germs (closed streams) and
+# other germs (DFS streams), among them a constant term, a lowest
+# coefficient other than 1 and x^3 + x^4 at q=3
 FAMILY_POOL = [
     "x", "2*x", "x^2", "x^3", "x + y",
     "x^2 + x^3", "x*y", "x^3 + x^4", "1 + x", "x^2 - x", "x - x^3",
+    "2*x^2 + x^3",
 ]
 FAMILY_JETS = 3**9  # brute-force jets per chain
 
@@ -1109,6 +1163,109 @@ def test_closed_streams_match_the_dfs_at_depth(f, q):
     for n in range(1, 31):
         assert lead.value(n) == Fraction(ax.exact(n), q ** (d * n)), n
         assert trail.value(n) == Fraction(ax.ordgt(n), q ** (d * n)), n
+
+
+# germs that a change of coordinates fixing the origin carries onto x^a:
+# shape_exponent gives them the closed stream of x^a, the DFS is the oracle
+
+
+@st.composite
+def _monic_germs(draw, q, var):
+    """x^a u(x) in the one variable var, u(0) = 1 and a prime to q: the
+    lowest term x^a, up to three higher terms with small coefficients."""
+    a = draw(st.sampled_from([a for a in range(1, 5) if a % q]))
+    f = Poly.var(var, a)
+    for k in sorted(draw(st.sets(st.integers(a + 1, a + 4), max_size=3))):
+        f = f + Poly.var(var, k) * draw(st.integers(-3, 3))
+    return f
+
+
+@st.composite
+def _smooth_germs(draw, q, names):
+    """Constant term 0 and a degree-one coefficient prime to q on one of
+    names, any linear coefficients on the others, and up to two terms of
+    degree 2 or 3 in names."""
+    lead = draw(st.sampled_from(names))
+    f = Poly.var(lead) * draw(st.sampled_from([c for c in range(-q, q + 1) if c % q]))
+    for v in names:
+        if v != lead:
+            f = f + Poly.var(v) * draw(st.integers(-q, q))
+    for _ in range(draw(st.integers(0, 2))):
+        term = Poly.const(draw(st.sampled_from((-2, -1, 1, 2, 3))))
+        for v in draw(st.lists(st.sampled_from(names), min_size=2, max_size=3)):
+            term = term * Poly.var(v)
+        f = f + term
+    return f
+
+
+@st.composite
+def _recognized_germs(draw):
+    # one-variable germs with a monic lowest term and smooth germs in up to
+    # three variables, at q in {3, 5, 7}, through D <= 8
+    q = draw(st.sampled_from((3, 5, 7)))
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    f = draw(st.one_of(_monic_germs(q, "x"), _smooth_germs(q, names)))
+    return f, q, draw(st.integers(1, 8))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_recognized_germs())
+@example((parse_poly("x^2 + x^3"), 5, 8))
+@example((parse_poly("x^4 + x^6 - 3*x^7 + 3*x^8"), 3, 8))
+@example((parse_poly("3*x + y*z + x*y^2"), 7, 8))
+@example((parse_poly("5*y + 2*z + x*y - x*y*z"), 5, 8))
+def test_closed_route_matches_the_dfs(case):
+    # the closed exact-hit and order-beyond streams of a recognized germ,
+    # read without a DFS candidate, against the AxisCounts DFS of the germ
+    f, q, D = case
+    real = count_realization(q)
+    assert shape_exponent(f, q) is not None
+    ax, d = AxisCounts(f, q), len(f.vars)
+    want = {(n,): Fraction(ax.exact(n), q ** (d * n)) for n in range(1, D + 1) if ax.exact(n)}
+    z = zeta_trunc(f, D, real, budget=0)
+    assert z == TruncSeries(real, ("T",), D, want) == zeta_closed(f, real).expand(D)
+    trail = multizeta_separable(("w", f), real).streams[1]
+    for n in range(1, D + 1):
+        assert trail.value(n) == Fraction(ax.ordgt(n), q ** (d * n)), n
+
+
+@st.composite
+def _recognized_pairs(draw):
+    # two one-variable summands the strata route reads as x^a, y^b: monic
+    # lowest terms or smooth, at least one of them not a monomial
+    q = draw(st.sampled_from((3, 5, 7)))
+    f, g = (draw(st.one_of(_monic_germs(q, v), _smooth_germs(q, (v,)))) for v in "xy")
+    assume(len(f.terms) > 1 or len(g.terms) > 1)
+    return f, g, q, draw(st.integers(1, 6))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_recognized_pairs())
+@example((parse_poly("x^2 + x^3"), parse_poly("3*y - y^2"), 7, 6))
+def test_strata_pullback_matches_the_hist_split(case):
+    # the closed pair counts of (x^a, y^b) against the DFS pair counts of
+    # f and g, every part of the split by leading orders
+    f, g, q, D = case
+    real = count_realization(q)
+    strata = sum_zeta_pullback(f, g, D, real, mode="strata", split=True)
+    assert strata == sum_zeta_pullback(f, g, D, real, mode="hist", split=True)
+    assert sum_zeta_pullback(f, g, D, real, split=True, budget=0) == strata
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_recognized_germs())
+@example((parse_poly("x^3 - x^5"), 7, 8))
+def test_symbolic_closed_route_realizes_to_counts(case):
+    # the symbolic closed series of a recognized germ, each coefficient
+    # counted through a binding at q, against the counted closed series
+    f, q, D = case
+    a = shape_exponent(f, q)
+    zs = zeta_closed(f, symbolic_realization()).expand(D)
+    zc = zeta_closed(f, count_realization(q)).expand(D)
+    binding = Binding(standard_atom_sets(("mu%d" % a,)) if a > 1 else {}, q)
+    assert zs.support() == zc.support()
+    for e in zs.support():
+        assert bind_and_count(zs.coeff(e), binding) == zc.coeff(e), e
 
 
 def test_multizeta_definitional_check_at_q3():
@@ -1229,37 +1386,35 @@ def test_pullback_split_sums_to_total():
 
 
 def test_pullback_auto_budget_names_the_level():
-    # generic pair: auto counts the direct sum x^2+x^3+y^2+y^3 by the DFS,
-    # under one budget for all levels; its counts spend 0, 5, 10, 15, 20,
-    # 25 and 30 candidates at levels 1-7
+    # a pair without the strata route: auto counts the direct sum
+    # 2x^2+x^3+2y^2+y^3 by the DFS, under one budget for all levels; at q=7
+    # its counts spend 0, 7, 14, 21, 28, 35 and 42 candidates at levels 1-7
+    f, g, r7 = "2*x^2+x^3", "2*y^2+y^3", count_realization(7)
     with pytest.raises(BudgetExceeded, match="at level 3 exceeded the budget of 10 "):
-        sum_zeta_pullback(
-            "x^2+x^3", "y^2+y^3", 4, count_realization(5), budget=10
-        )
-    with pytest.raises(BudgetExceeded, match="at level 7 exceeded the budget of 100 "):
-        sum_zeta_pullback(
-            "x^2+x^3", "y^2+y^3", 7, count_realization(5), budget=100
-        )
-    # 75 candidates reach level 6, with the totals of the split by leading order
-    total, _ = sum_zeta_pullback("x^2+x^3", "y^2+y^3", 6, count_realization(5), split=True)
-    assert sum_zeta_pullback("x^2+x^3", "y^2+y^3", 6, count_realization(5), budget=75) == total
+        sum_zeta_pullback(f, g, 4, r7, budget=10)
+    with pytest.raises(BudgetExceeded, match="at level 7 exceeded the budget of 140 "):
+        sum_zeta_pullback(f, g, 7, r7, budget=140)
+    # 105 candidates reach level 6, with the totals of the split by leading order
+    total, _ = sum_zeta_pullback(f, g, 6, r7, split=True)
+    assert not total.is_zero()
+    assert sum_zeta_pullback(f, g, 6, r7, budget=105) == total
 
 
 def test_pullback_split_budget_covers_every_level():
-    # the pair counts of x^2+x^3 and y^2+y^3 at q=5 spend 0, 20, 60 and 100
-    # candidates at levels 1-4, under one budget for the call
-    f, g, r5 = "x^2+x^3", "y^2+y^3", count_realization(5)
-    with pytest.raises(BudgetExceeded, match="pair counts at level 4 exceeded the budget of 179 "):
-        sum_zeta_pullback(f, g, 4, r5, split=True, budget=179)
-    assert sum_zeta_pullback(f, g, 4, r5, split=True, budget=180) == sum_zeta_pullback(
-        f, g, 4, r5, split=True
+    # the pair counts of 2x^2+x^3 and 2y^2+y^3 at q=7 spend 0, 28, 84 and
+    # 140 candidates at levels 1-4, under one budget for the call
+    f, g, r7 = "2*x^2+x^3", "2*y^2+y^3", count_realization(7)
+    with pytest.raises(BudgetExceeded, match="pair counts at level 4 exceeded the budget of 251 "):
+        sum_zeta_pullback(f, g, 4, r7, split=True, budget=251)
+    assert sum_zeta_pullback(f, g, 4, r7, split=True, budget=252) == sum_zeta_pullback(
+        f, g, 4, r7, split=True
     )
 
 
 def test_pullback_split_expands_each_function_once(monkeypatch):
     # the split reads every level off one expansion of each function, with
     # the counts and the meter charges of histogram_pair_counts per level
-    f, g, q, D = parse_poly("x^2+x^3"), parse_poly("y^2+y^3"), 5, 6
+    f, g, q, D = parse_poly("2*x^2+x^3"), parse_poly("2*y^2+y^3"), 7, 6
     meter = WorkMeter()
     levels = [histogram_pair_counts(f, g, n, q, meter) for n in range(1, D + 1)]
     built = []
@@ -1270,8 +1425,8 @@ def test_pullback_split_expands_each_function_once(monkeypatch):
             super().__init__(h)
 
     monkeypatch.setattr(zeta, "JetExpansion", CountedExpansion)
-    r5 = count_realization(q)
-    total, parts = sum_zeta_pullback(f, g, D, r5, split=True, budget=meter.spent)
+    rq = count_realization(q)
+    total, parts = sum_zeta_pullback(f, g, D, rq, split=True, budget=meter.spent)
     assert built == [f, g]
     for n, c in enumerate(levels, 1):
         den = q ** (2 * n)
@@ -1280,7 +1435,7 @@ def test_pullback_split_expands_each_function_once(monkeypatch):
             assert part.coeff((n,)) == Fraction(c[k], den)
     # the split spends exactly what the per-level counts spent
     with pytest.raises(BudgetExceeded):
-        sum_zeta_pullback(f, g, D, r5, split=True, budget=meter.spent - 1)
+        sum_zeta_pullback(f, g, D, rq, split=True, budget=meter.spent - 1)
 
 
 def test_pullback_requires_disjoint_variables():
