@@ -22,7 +22,6 @@ import math
 import operator
 
 from .errors import BaseMismatch, MotzetaError, NotInvertible, TailNotSummable, require_int
-from .locring import ONE
 
 
 def _stirling2_row(j):
@@ -122,15 +121,11 @@ class EGSeq:
     # ----- constructors -----
 
     @classmethod
-    def constant(cls, real, v):
-        return cls(real, 1, [[(real.from_locrat(ONE), (v,))]])
-
-    @classmethod
-    def single_residue(cls, real, period, residue, ratio, coeff, dom_min=1):
+    def single_residue(cls, real, period, residue, ratio, coeff):
         """value(period*t + residue) = coeff * ratio^t, zero off the residue."""
         modes = [[] for _ in range(require_int(period, "EGSeq period", 1))]
         modes[require_int(residue, "EGSeq single_residue: residue") % period] = [(ratio, (coeff,))]
-        return cls(real, period, modes, dom_min=dom_min)
+        return cls(real, period, modes)
 
     # ----- basic access -----
 

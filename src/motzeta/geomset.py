@@ -187,22 +187,6 @@ class GeomSet:
             self._polys = tuple(Poly.from_sparse(self.coords, eq) for eq in self._eqs)
         return self._polys
 
-    @property
-    def dim(self):
-        return len(self.coords)
-
-    def check_action_invariance(self):
-        """Symbolic invariance: each equation's non-constant monomials share
-        one weight mod N, and a constant term forces that weight to be 0."""
-        N = self.action_order
-        if N == 1:
-            return True
-        for const, terms, _once, _twice in self._eqs:
-            ws = {w % N for _mono, _c, _m, w in terms}
-            if len(ws) > 1 or const and ws - {0}:
-                return False
-        return True
-
     def __repr__(self):
         return "GeomSet(coords=%r, eqs=%d, order=%d)" % (
             self.coords,

@@ -142,10 +142,6 @@ class Poly:
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def constant_term(self):
-        key = (0,) * len(self.vars)
-        return self.terms.get(key, 0)
-
     @classmethod
     def from_sparse(cls, names, eq):
         """The Poly of a sparse equation (const, ((monomial, coeff, ...), ...),
@@ -162,11 +158,6 @@ class Poly:
                 e[pos[i]] = x
             out[tuple(e)] = c
         return cls([names[i] for i in used], out)
-
-    def direct_sum(self, other):
-        """f(x) + g(y) on disjoint variable sets."""
-        self.direct_sum_vars(other)
-        return self + other
 
     def direct_sum_vars(self, other):
         """The variables of f(x) + g(y), sorted, without building the sum;
@@ -226,8 +217,7 @@ class JetExpansion:
     variable i and then by j.  level(n) reads digits 0..n off that form as
     sparse equations over the level-n jet coordinates, where v_j of the p-th
     variable has index p*n + j - 1: the index order is the (i, j) order, so
-    no monomial is sorted again at any level.  digits(n) is the same as Polys
-    in the coordinate names "v_j".
+    no monomial is sorted again at any level.
     """
 
     def __init__(self, f):
@@ -283,12 +273,6 @@ class JetExpansion:
                 sum(map(operator.lshift, twice, shift)),
             ))
         return out
-
-    def digits(self, n):
-        """f(phi(t)) mod t^{n+1} as n + 1 Polys, entry m the coefficient of
-        t^m in the jet coordinates named "v_j"."""
-        names = ["%s_%d" % (v, j) for v in self.f.vars for j in range(1, n + 1)]
-        return [Poly.from_sparse(names, digit) for digit in self.level(n)]
 
     def _extend(self):
         """Compute digit m of every phi^e from the digits below it."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import require_int
+from .geomset import _require_prime
 from .motclass import SymbolicClass
 
 
@@ -37,6 +38,7 @@ def symbolic_realization(base="pt"):
 
 
 def count_realization(q):
-    """Counting over F_q; q must be an int >= 2."""
+    """Counting over F_q; q must be a prime."""
     require_int(q, "count_realization q", 2)
+    _require_prime(q, "count_realization")
     return Realization("count", q, Fraction(0), Fraction(1))

@@ -149,9 +149,6 @@ class TruncSeries:
             raise VariableMismatch("exponent arity %d, series arity %d" % (len(exp), len(self.vars)))
         return self.entries.get(exp, self.real.zero)
 
-    def support(self):
-        return sorted(self.entries)
-
     def is_zero(self):
         return not self.entries
 
@@ -176,15 +173,6 @@ class TruncSeries:
         return TruncSeries(
             self.real, self.vars, self.bound, {e: fn(v) for e, v in self.entries.items()}
         )
-
-    def permuted(self, order):
-        """Reorder variables: position i of the result is variable order[i]."""
-        order = tuple(order)
-        if sorted(order) != list(range(len(self.vars))):
-            raise VariableMismatch("not a permutation: %s" % (list(order),))
-        vars2 = tuple(self.vars[i] for i in order)
-        ent = {tuple(e[i] for i in order): v for e, v in self.entries.items()}
-        return TruncSeries(self.real, vars2, self.bound, ent)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -465,9 +453,6 @@ class CellSpec:
                 m[i] = 1
             out.append(tuple(m))
         return out
-
-    def contains(self, exp):
-        return CellSpec.from_point(exp) == self
 
     def __eq__(self, other):
         if not isinstance(other, CellSpec):

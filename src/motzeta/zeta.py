@@ -30,7 +30,9 @@ weight j on the t^j jet coefficient.  This module provides
     multizeta_trunc / multizeta_separable for an ordered family with
     order conditions on the trailing functions, sum_zeta_pullback for a
     direct sum f(x) + g(y) on a product space, with diagnostic splits of
-    each coefficient by the two leading orders.  Every truncated family
+    each coefficient by the two leading orders; its mode is "auto" (the
+    closed pair stream of two recognized one-variable summands, else the
+    DFS) or "hist" (the DFS for every pair).  Every truncated family
     series, one function included, is series.expand_chains over the
     per-axis streams, in both realizations;
   * evaluators for user-supplied resolution data (dl_eval returns the
@@ -227,30 +229,33 @@ def shape_exponent(f, q=None):
     a change of coordinates fixing the origin carries onto x^a, or None.
 
     Such a change leaves every jet locus, and its root-of-unity action, as
-    it is, so the germ has the closed stream of x^a.  The rule reads f, at a
-    prime q (None: symbolic, where "prime to q" reads "nonzero"):
+    it is, so the germ has the closed stream of x^a.  The rule reads f mod
+    the prime q (None: symbolic, where "prime to q" reads "nonzero"):
 
       * 1 for a smooth germ: constant term 0 and some degree-one
         coefficient prime to q, since f itself is then a coordinate;
       * a for a one-variable germ x^a u(x) with u(0) = 1 and a prime to q,
         since x -> x u(x)^{1/a} carries it onto x^a;
-      * None otherwise: a nonzero constant term, a lowest coefficient other
-        than 1 with a >= 2, q dividing a, or no linear part in two or more
-        variables.
+      * None otherwise: a germ that is zero mod q, a nonzero constant term,
+        a lowest coefficient other than 1 with a >= 2, q dividing a, or no
+        linear part in two or more variables.
 
     q other than None or a prime is refused, naming it.
     """
     f = _as_poly(f)
-    if q is not None and (type(q) is not int or not _is_prime(q)):
-        raise MotzetaError("shape_exponent q must be None or a prime, not %r" % (q,))
-    if not f.vars or f.constant_term():
+    terms = f.terms
+    if q is not None:
+        if type(q) is not int or not _is_prime(q):
+            raise MotzetaError("shape_exponent q must be None or a prime, not %r" % (q,))
+        terms = {e: c % q for e, c in terms.items() if c % q}
+    if not terms or (0,) * len(f.vars) in terms:
         return None
-    if any(sum(e) == 1 and (q is None or c % q) for e, c in f.terms.items()):
+    if any(sum(e) == 1 for e in terms):
         return 1
     if len(f.vars) != 1:
         return None
-    a = min(e for e, in f.terms)
-    if f.terms[(a,)] != 1 or (q is not None and a % q == 0):
+    a = min(e for e, in terms)
+    if terms[(a,)] != 1 or (q is not None and a % q == 0):
         return None
     return a
 
@@ -266,10 +271,8 @@ def _lead_coeff(a, real):
 
 
 def _strand_exponent(f, real):
-    """shape_exponent at the realization's prime, which a counted series
-    needs to be one; FitFailed when f has no closed strand there."""
-    if real.tag == "count":
-        _require_prime(real.q, "a counted zeta series")
+    """shape_exponent at the realization's prime; FitFailed when f has no
+    closed strand there."""
     a = shape_exponent(f, real.q)
     if a is None:
         at = "" if real.q is None else " at q=%d" % real.q
@@ -441,7 +444,6 @@ def _axis_stream(f, real, kind, meter):
     FitFailed under the symbolic one.
     """
     if real.tag == "count":
-        _require_prime(real.q, "a counted zeta series")
         a = shape_exponent(f, real.q)
         if a is None:
             ax = AxisCounts(f, real.q, meter)
@@ -492,7 +494,6 @@ def zeta_trunc(f, D, real, var="T", base="origin", budget=None):
         raise MotzetaError("symbolic zeta is local at the origin")
     f = _as_poly(f)
     q = real.q
-    _require_prime(q, "global zeta")
     meter = WorkMeter(budget)
     out = TruncSeries(real, (var,), D)
     for b in itertools.product(range(q), repeat=len(f.vars)):
@@ -608,24 +609,24 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     order below n), and Bpair (opposite exact hits), all normalized the
     same way.
 
-    mode picks the counted route: "strata" (closed counts of the pair
-    x^a, y^b, for two one-variable summands that shape_exponent carries
-    onto them at q), "hist" (any pair) or "auto" (strata where it applies,
-    else hist).  A change of coordinates in x alone keeps the values
-    f(phi), so the pair counts of f, g are those of x^a, y^b: c*x + x^2
-    counts as x, x^2 + x^3 as x^2.  Strata reads every level
-    from one stream of the closed counts of monomial_pair_counts, in O(D)
-    with q, a and b checked once (_monomial_pair_levels).  Without split,
-    hist is zeta_trunc of f + g, one F_q DFS count per level from one
-    expansion; with split it is histogram_pair_counts at every level, read
-    off one expansion each of f and g.  Either way budget caps the DFS
-    candidates of all levels together (strata counts none, but a bad
+    mode picks the counted route: "auto" takes strata, the closed counts
+    of the pair x^a, y^b, for two one-variable summands that
+    shape_exponent carries onto them at q, and hist for any other pair;
+    "hist" takes hist for every pair.  A change of coordinates in x alone
+    keeps the values f(phi), so the pair counts of f, g are those of x^a,
+    y^b: c*x + x^2 counts as x, x^2 + x^3 as x^2.  Strata reads every
+    level from one stream of the closed counts of monomial_pair_counts, in
+    O(D) with q, a and b checked once (_monomial_pair_levels).  Without
+    split, hist is zeta_trunc of f + g, one F_q DFS count per level from
+    one expansion; with split it is histogram_pair_counts at every level,
+    read off one expansion each of f and g.  Either way budget caps the
+    DFS candidates of all levels together (strata counts none, but a bad
     budget is still refused).  A symbolic series is zeta_trunc of f + g.
     f and g must share no variable (VariableMismatch naming them, checked
     once per call); the Poly f + g is built only on the two routes that
     expand it as one germ, symbolic and hist without split.
     """
-    require_choice("mode", mode, ("auto", "strata", "hist"))
+    require_choice("mode", mode, ("auto", "hist"))
     require_int(D, "truncation bound", 0, VariableMismatch)
     f, g = _as_poly(f), _as_poly(g)
     fg_vars = f.direct_sum_vars(g)
@@ -635,23 +636,15 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
         return zeta_trunc(f + g, D, real, var)
     q = real.q
     exps = [shape_exponent(h, q) if len(h.vars) == 1 else None for h in (f, g)]
-    if mode == "auto":
-        mode = "hist" if None in exps else "strata"
-    elif mode == "strata" and None in exps:
-        h = (f, g)[exps.index(None)]
-        raise MotzetaError(
-            "strata mode counts one-variable germs that a change of "
-            "coordinates carries onto x^a with a prime to q; summand %s "
-            "is not one at q=%d" % (h.render(), q)
-        )
-    if mode == "hist" and not split:
+    strata = mode == "auto" and None not in exps
+    if not strata and not split:
         return zeta_trunc(f + g, D, real, var, budget=budget)
     meter = WorkMeter(budget)
     # one series per count kept, in the order of _PAIR_KEYS; each level adds
     # a nonzero entry within the bound, so it goes into the entries as is
     out = [TruncSeries(real, (var,), D) for _ in (_PAIR_KEYS if split else _PAIR_KEYS[:1])]
-    if mode == "strata":
-        levels = _monomial_pair_levels(exps[0], exps[1], D, q)
+    if strata:
+        levels = _monomial_pair_levels(*exps, D, q)
     else:
         ef, eg = JetExpansion(f), JetExpansion(g)
         counts = (_pair_counts(ef, eg, fg_vars, n, q, meter) for n in range(1, D + 1))
@@ -924,9 +917,9 @@ def dl_eval(res, real, vars=None, cone=None, binding=None):
 # ---------------------------------------------------------------------------
 
 
-def diagonal_closed(s, var="T"):
+def diagonal_closed(s):
     """Diagonal substitution of a closed series: every variable becomes
-    the same one; factor exponent vectors collapse to their totals."""
+    the one variable T; factor exponent vectors collapse to their totals."""
     if not isinstance(s, ClosedSeries):
         raise NotLimitNormal("diagonal substitution needs a closed series")
     strands = []
@@ -934,7 +927,7 @@ def diagonal_closed(s, var="T"):
         b = (sum(st.b),)
         factors = tuple((m, (sum(nv),)) for m, nv in st.factors)
         strands.append(Strand(st.coeff, b, factors))
-    return ClosedSeries(s.real, (var,), tuple(strands))
+    return ClosedSeries(s.real, ("T",), tuple(strands))
 
 
 def nearby_cycles(s):

@@ -32,9 +32,10 @@ prepare_brute reduces a twisted count with it into candidate lists: at the
 exponents -s w_i of a sector s, the reference for geomset._prepare, which
 reduces and twists the sparse form each GeomSet builds once, its masks and
 weights included, reading each monomial's twist off its weight, and
-returns the nonzero mask stored with it.  jet_equations_dense builds the equations of a jet
-locus from the Poly digits of poly.JetExpansion, the reference for the
-sparse loci of zeta.jet_set.
+returns the nonzero mask stored with it.  jet_digits reads the digits of
+a poly.JetExpansion as Polys, and jet_equations_dense builds the equations
+of a jet locus from them, the reference for the sparse loci of
+zeta.jet_set.
 berlekamp_massey_brute is Massey's algorithm over Fractions, the reference
 for the fraction-free series._berlekamp_massey.
 strand_candidates_brute builds the candidate strands of closed_from_fit by
@@ -60,7 +61,7 @@ from motzeta.geomset import (
     _root_count,
     fermat_pair,
 )
-from motzeta.poly import JetExpansion
+from motzeta.poly import JetExpansion, Poly
 from motzeta.locring import LocRat
 from motzeta.series import TruncSeries
 from motzeta.zeta import (
@@ -99,7 +100,7 @@ def _value_digits(f, jets, n, q):
         for m in range(n + 1):
             out[m] = (out[m] + term[m]) % q
     if not f.vars and f.terms:
-        out[0] = f.constant_term() % q
+        out[0] = f.terms.get((0,) * len(f.vars), 0) % q
     return out
 
 
@@ -356,11 +357,18 @@ def prepare_brute(gs, q, exps):
     return eqs, candidates
 
 
+def jet_digits(jets, n):
+    """f(phi(t)) mod t^{n+1} for the JetExpansion jets of f, as n + 1 Polys,
+    entry m the coefficient of t^m in the jet coordinates named "v_j"."""
+    names = ["%s_%d" % (v, j) for v in jets.f.vars for j in range(1, n + 1)]
+    return [Poly.from_sparse(names, digit) for digit in jets.level(n)]
+
+
 def jet_equations_dense(f, n, exact=True):
     """The equations of jet_set(f, n, exact) as Polys: the nonzero digits
-    below t^n of JetExpansion(f).digits(n), then digit n minus 1 (exact) or
-    digit n if nonzero (order beyond n)."""
-    cs = JetExpansion(f).digits(n)
+    below t^n of jet_digits, then digit n minus 1 (exact) or digit n if
+    nonzero (order beyond n)."""
+    cs = jet_digits(JetExpansion(f), n)
     eqs = [c for c in cs[:n] if not c.is_zero()]
     if exact:
         eqs.append(cs[n] - 1)

@@ -64,7 +64,7 @@ def test_tail_telescoping_symbolic():
 
 def test_tail_not_summable():
     for real in (count_realization(5), symbolic_realization()):
-        v = EGSeq.constant(real, real.one)
+        v = EGSeq(real, 1, [[(real.from_locrat(LR_ONE), (real.one,))]])
         with pytest.raises(TailNotSummable):
             v.tail_sum()
 
@@ -72,7 +72,7 @@ def test_tail_not_summable():
 def test_mixed_period_add():
     real = count_realization(7)
     v1 = EGSeq.single_residue(real, 2, 1, Fraction(3), Fraction(1))
-    v2 = EGSeq.constant(real, Fraction(5))
+    v2 = EGSeq(real, 1, [[(Fraction(1), (Fraction(5),))]])
     s = v1.add(v2)
     for n in range(1, 13):
         expect = Fraction(5) + (Fraction(3) ** (n // 2) if n % 2 == 1 else 0)
@@ -81,7 +81,7 @@ def test_mixed_period_add():
 
 def test_shift_both_directions():
     real = count_realization(7)
-    v = EGSeq.single_residue(real, 2, 1, Fraction(3), Fraction(1), dom_min=0)
+    v = EGSeq(real, 2, [[], [(Fraction(3), (Fraction(1),))]], dom_min=0)
     fwd = v.shift(3)
     for n in range(0, 10):
         assert fwd.value(n) == v.value(n + 3)

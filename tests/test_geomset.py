@@ -344,11 +344,13 @@ def test_fermat_f0_parametrization():
 
 
 def test_equivariance_symbolic_check():
-    assert fermat_pair(0, 3).check_action_invariance()
-    assert fermat_pair(1, 3).check_action_invariance()
-    assert mu_n(4).check_action_invariance()
+    # sector 1 at a prime q prime to N checks the weights mod N: the
+    # monomials of each equation share one weight, 0 if it has a constant
+    for gs in (fermat_pair(0, 3), fermat_pair(1, 3), mu_n(4)):
+        _prepare(gs, 7, 1)
     bad = GeomSet(("u", "v"), (parse_poly("u + v^2"),), (), 2, (1, 1))
-    assert not bad.check_action_invariance()
+    with pytest.raises(MotzetaError, match="not semi-invariant"):
+        _prepare(bad, 5, 1)
 
 
 def test_twisted_count_refuses_non_semi_invariant_sectors():
@@ -432,7 +434,7 @@ def test_prepare_twists_the_sparse_form_as_the_dense_oracle(case):
         eqs, nonzero = _prepare(gs, q, s)
         assert eqs == want_eqs
         assert [list(eq[1].items()) for eq in eqs] == [list(eq[1].items()) for eq in want_eqs]
-        assert [list(range(nonzero >> i & 1, q)) for i in range(gs.dim)] == want_candidates
+        assert [list(range(nonzero >> i & 1, q)) for i in range(len(gs.coords))] == want_candidates
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

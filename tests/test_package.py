@@ -91,6 +91,17 @@ def test_no_nested_function_reaches_itself():
     assert not hits, hits
 
 
+def _bench_text():
+    """The code of the benchmark's non-test files, one string."""
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+    text = ""
+    for name in sorted(os.listdir(bench)):
+        if name.endswith(".py") and not name.startswith("test_"):
+            with open(os.path.join(bench, name)) as fh:
+                text += fh.read()
+    return text
+
+
 # Public names that need no caller in the package or the benchmark, each
 # with the reason it stays.
 ENTRY_POINTS = {
@@ -111,12 +122,7 @@ def test_every_public_name_has_a_caller():
     # (its tracing targets are strings), or listed above; anything else is
     # API that nothing uses
     src = motzeta.__path__[0]
-    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
-    bench_text = ""
-    for name in sorted(os.listdir(bench)):
-        if name.endswith(".py") and not name.startswith("test_"):
-            with open(os.path.join(bench, name)) as fh:
-                bench_text += fh.read()
+    bench_text = _bench_text()
     defined, used = [], set()
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
@@ -140,6 +146,55 @@ def test_every_public_name_has_a_caller():
     ]
     assert not uncalled, uncalled
     assert set(ENTRY_POINTS) <= {fn for _, fn in defined}
+
+
+# Public methods that need no caller in the package or the benchmark, each
+# with the reason it stays.
+METHOD_ENTRY_POINTS = {
+    "ClosedSeries.classify": "the one integrability test, kept for the closed products of rational series",
+}
+
+
+def test_every_public_method_has_a_caller():
+    # a public method or property of a top-level class is loaded as an
+    # attribute, or named in a string constant (a getattr dispatch), by
+    # another function of the package, or named in the benchmark's code,
+    # or listed above; the check goes by name alone, so a method that
+    # shares its name with a called one passes
+    src = motzeta.__path__[0]
+    bench_text = _bench_text()
+    defined, owners = [], {}  # owners: attribute or string -> who loads it
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        # each node with its owner: the method (Class.name) or the
+        # top-level statement it sits in
+        owned = []
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    owned.append(("%s.%s" % (stmt.name, getattr(item, "name", "")), item))
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defined.append((name, "%s.%s" % (stmt.name, item.name), item.name))
+            else:
+                owned.append((getattr(stmt, "name", None), stmt))
+        for own, node in owned:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    owners.setdefault(n.attr, set()).add(own)
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    owners.setdefault(n.value, set()).add(own)
+    uncalled = [
+        "%s: %s" % (module, qual)
+        for module, qual, attr in defined
+        if not owners.get(attr, set()) - {qual}
+        and qual not in METHOD_ENTRY_POINTS
+        and not re.search(r"\b%s\b" % attr, bench_text)
+    ]
+    assert not uncalled, uncalled
+    assert set(METHOD_ENTRY_POINTS) <= {qual for _, qual, _ in defined}
 
 
 def test_every_parameter_is_read():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import _value_digits, jet_count_direct, jet_equations_dense, prepare_brute
+from brute import _value_digits, jet_count_direct, jet_digits, jet_equations_dense, prepare_brute
 from motzeta.errors import MotzetaError, ParseError, UnknownToken, VariableMismatch
 from motzeta.geomset import WorkMeter, _prepare, twisted_count
 from motzeta.poly import JetExpansion, Poly, parse_poly
@@ -69,16 +69,17 @@ def test_unknown_token_reports_its_offset():
 
 def test_direct_sum_disjointness():
     f, g = parse_poly("x^2"), parse_poly("y^3")
-    assert f.direct_sum(g) == parse_poly("x^2 + y^3")
+    assert f.direct_sum_vars(g) == ("x", "y")
+    assert f + g == parse_poly("x^2 + y^3")
     with pytest.raises(VariableMismatch):
-        f.direct_sum(parse_poly("x + 1"))
+        f.direct_sum_vars(parse_poly("x + 1"))
 
 
 def test_compose_jet_square():
     # f = x^2 with phi = a1 t + a2 t^2 + a3 t^3:
     # f(phi) = a1^2 t^2 + 2 a1 a2 t^3 + ... exactly.
     f = parse_poly("x^2")
-    coeffs = JetExpansion(f).digits(3)
+    coeffs = jet_digits(JetExpansion(f), 3)
     a1, a2 = Poly.var("x_1"), Poly.var("x_2")
     assert coeffs[0].is_zero()
     assert coeffs[1].is_zero()
@@ -88,7 +89,7 @@ def test_compose_jet_square():
 
 def test_compose_jet_sum_of_squares():
     f = parse_poly("x^2 + y^2")
-    coeffs = JetExpansion(f).digits(2)
+    coeffs = jet_digits(JetExpansion(f), 2)
     assert coeffs[2] == Poly.var("x_1") ** 2 + Poly.var("y_1") ** 2
 
 
@@ -120,11 +121,11 @@ def _eval_mod(p, values, q):
 @given(_germs(), st.integers(0, 5))
 def test_compose_jet_deeper_expansion_extends_shallower(f, depth):
     # digit j involves only jet coordinates of index <= j
-    full = JetExpansion(f).digits(depth)
+    full = jet_digits(JetExpansion(f), depth)
     assert len(full) == depth + 1
     resumed = JetExpansion(f)
     for n in range(depth + 1):
-        assert full[: n + 1] == JetExpansion(f).digits(n) == resumed.digits(n)
+        assert full[: n + 1] == jet_digits(JetExpansion(f), n) == jet_digits(resumed, n)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -132,7 +133,7 @@ def test_compose_jet_deeper_expansion_extends_shallower(f, depth):
 def test_compose_jet_digits_evaluate_to_the_brute_digits(f, n, q, rng):
     jets = {v: [rng.randrange(q) for _ in range(n)] for v in f.vars}
     values = {"%s_%d" % (v, j): c for v in f.vars for j, c in enumerate(jets[v], 1)}
-    digits = JetExpansion(f).digits(n)
+    digits = jet_digits(JetExpansion(f), n)
     got = [_eval_mod(d, values, q) for d in digits]
     assert got == _value_digits(f, jets, n, q)
 
@@ -156,7 +157,7 @@ def test_digit_built_jet_loci_match_the_dense_construction(f, n, exact, q):
         got, nonzero = _prepare(gs, q, s)
         assert got == want
         assert [list(eq[1].items()) for eq in got] == [list(eq[1].items()) for eq in want]
-        assert [list(range(nonzero >> i & 1, q)) for i in range(gs.dim)] == candidates
+        assert [list(range(nonzero >> i & 1, q)) for i in range(len(gs.coords))] == candidates
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
