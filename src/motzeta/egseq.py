@@ -2,14 +2,14 @@
 
 An EGSeq models a sequence n -> value in a coefficient module, given by
 finitely many "modes" per residue class r mod Q: writing n = Q*t + r, the
-stable part of the sequence is
+sequence is
 
     value(n) = sum over modes (ratio, (c_0, .., c_d)) of
                sum_e c_e * t^e * ratio^t
 
-with finitely many exceptional values below a stable threshold.  Sums,
-scalings, shifts, re-periodizations and tail sums are closed on this shape
-and exact; tails of a mode use
+at every n from the domain start dom_min on.  Sums, scalings, shifts,
+re-periodizations and tail sums are closed on this shape and exact; tails
+of a mode use
 
     sum_{u>=0} u^j rho^u = sum_i S(j,i) i! rho^i / (1-rho)^(i+1)
 
@@ -98,25 +98,16 @@ def _substitute(zero, modes, k, delta):
 
 
 class EGSeq:
-    """Sequence with exponential-polynomial stable part, exact throughout."""
+    """Sequence with exponential-polynomial modes from dom_min on, exact
+    throughout."""
 
-    __slots__ = ("real", "period", "modes", "exceptional", "dom_min", "stable_start")
+    __slots__ = ("real", "period", "modes", "dom_min")
 
-    def __init__(self, real, period, modes, exceptional=None, dom_min=1, stable_start=None):
+    def __init__(self, real, period, modes, dom_min=1):
         self.real = real
         self.period = require_int(period, "EGSeq period", 1)
         self.modes = tuple(_merge_modes(real.zero, modes[r]) for r in range(period))
-        require_int(dom_min, "EGSeq dom_min")
-        exc = dict(exceptional or {})
-        if stable_start is None:
-            stable_start = max(exc) + 1 if exc else dom_min
-        else:
-            require_int(stable_start, "EGSeq stable_start")
-        self.exceptional = {
-            n: v for n, v in exc.items() if dom_min <= n < stable_start and v
-        }
-        self.dom_min = dom_min
-        self.stable_start = stable_start
+        self.dom_min = require_int(dom_min, "EGSeq dom_min")
 
     # ----- constructors -----
 
@@ -132,8 +123,6 @@ class EGSeq:
     def value(self, n):
         if require_int(n, "EGSeq value: n") < self.dom_min:
             raise MotzetaError("EGSeq value: n=%d is below the domain start dom_min=%d" % (n, self.dom_min))
-        if n < self.stable_start:
-            return self.exceptional.get(n, self.real.zero)
         t, r = divmod(n, self.period)
         return _eval_modes(self.real.zero, self.modes[r], t)
 
@@ -152,10 +141,7 @@ class EGSeq:
             return self
         zero = self.real.zero
         new_modes = [_substitute(zero, self.modes[s % Q], k, s // Q) for s in range(new_period)]
-        return EGSeq(
-            self.real, new_period, new_modes, self.exceptional,
-            self.dom_min, self.stable_start,
-        )
+        return EGSeq(self.real, new_period, new_modes, self.dom_min)
 
     # ----- linear ops -----
 
@@ -164,11 +150,8 @@ class EGSeq:
             raise BaseMismatch("sequences live over different realizations")
         P = math.lcm(self.period, other.period)
         a, b = self.re_period(P), other.re_period(P)
-        dom = max(a.dom_min, b.dom_min)
-        stable = max(a.stable_start, b.stable_start, dom)
-        exc = {n: a.value(n) + b.value(n) for n in range(dom, stable)}
         modes = [list(a.modes[r]) + list(b.modes[r]) for r in range(P)]
-        return EGSeq(self.real, P, modes, exc, dom, stable)
+        return EGSeq(self.real, P, modes, max(a.dom_min, b.dom_min))
 
     def neg(self):
         return self.map_values(operator.neg)
@@ -185,16 +168,14 @@ class EGSeq:
             [(ratio, tuple(fn(c) for c in coeffs)) for ratio, coeffs in self.modes[r]]
             for r in range(self.period)
         ]
-        exc = {n: fn(v) for n, v in self.exceptional.items()}
-        return EGSeq(self.real, self.period, modes, exc, self.dom_min, self.stable_start)
+        return EGSeq(self.real, self.period, modes, self.dom_min)
 
     def shift(self, d):
         """New sequence n -> value(n + d)."""
         require_int(d, "EGSeq shift: d")
         Q, zero = self.period, self.real.zero
         modes = [_substitute(zero, self.modes[(r + d) % Q], 1, (r + d) // Q) for r in range(Q)]
-        exc = {n - d: v for n, v in self.exceptional.items()}
-        return EGSeq(self.real, Q, modes, exc, self.dom_min - d, self.stable_start - d)
+        return EGSeq(self.real, Q, modes, self.dom_min - d)
 
     # ----- summation -----
 
@@ -225,8 +206,6 @@ class EGSeq:
         the first ratio that is not summable raises."""
         zero = self.real.zero
         Q = self.period
-        s0 = self.stable_start
-        dom2 = self.dom_min - 1
         ratios, depths, which = [], [], []
         for r2 in range(Q):
             row = []
@@ -260,13 +239,4 @@ class EGSeq:
                                 out[w] = out[w] + (rho_theta * (k * Ms[j])) * c
                     acc.append((rho, tuple(out)))
             new_modes[r] = acc
-        s0p = max(s0 - 1, dom2)
-        result = EGSeq(self.real, Q, new_modes, None, s0p, s0p)
-        if s0p > dom2:
-            exc = {}
-            cur = result.value(s0p)
-            for n in range(s0p - 1, dom2 - 1, -1):
-                cur = cur + self.value(n + 1)
-                exc[n] = cur
-            result = EGSeq(self.real, Q, new_modes, exc, dom2, s0p)
-        return result
+        return EGSeq(self.real, Q, new_modes, self.dom_min - 1)

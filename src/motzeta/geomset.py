@@ -39,9 +39,10 @@ monomial, and only then are once and twice rebuilt.
 
 The twisted Fermat pairs of a convolution (fermat_twisted_count) reduce to
 a diagonal equation g^e_u x^N + g^e_v y^N = c over F_q^*, which
-fermat_counts counts from the table of N-th powers of F_q^*, without a
-search.  Every other GeomSet is counted by the DFS below, the one search
-over the twisted equations; it counts points and lists none.
+_fermat_pass counts from the table of N-th powers of F_q^*, without a
+search; fermat_counts is its untwisted pass.  Every other GeomSet is
+counted by the DFS below, the one search over the twisted equations; it
+counts points and lists none.
 
 The DFS runs over the values F_q of each coordinate (F_q^* where the
 nonzero mask has its bit) with partial evaluation of the
@@ -590,28 +591,27 @@ def _power_histogram(a, q):
     return tuple(h)
 
 
-def fermat_counts(a, b, q, e_u=0, e_v=0):
-    """(#{g^e_u x^a + g^e_v y^b = 0}, #{g^e_u x^a + g^e_v y^b = 1}) over
-    (F_q^*)^2, g the least primitive root mod q.
-
-    Each count is sum_z h_a[z] h_b[(c - g^e_u z) g^-e_v] over the histograms
-    of a-th and b-th powers of F_q^*: O(q) int operations (Weil 1949 counts
-    diagonal equations from the same tables).  a and b are ints >= 1 and
-    the twists ints; both counts come from one pass, kept per reduced
-    twists (e_u, e_v) mod q - 1, so the two kinds of a twisted Fermat pair
-    cost one.
-    """
+def fermat_counts(a, b, q):
+    """(#{x^a + y^b = 0}, #{x^a + y^b = 1}) over (F_q^*)^2: the untwisted
+    _fermat_pass, once a and b are checked as ints >= 1 and q as a prime."""
     require_int(a, "fermat_counts a", 1)
     require_int(b, "fermat_counts b", 1)
     _require_prime(q, "fermat_counts")
-    require_int(e_u, "fermat_counts e_u")
-    require_int(e_v, "fermat_counts e_v")
-    return _fermat_pass(a, b, q, e_u % (q - 1), e_v % (q - 1))
+    return _fermat_pass(a, b, q, 0, 0)
 
 
 @functools.lru_cache(maxsize=4096)
 def _fermat_pass(a, b, q, e_u, e_v):
-    """fermat_counts on checked arguments, the twists reduced mod q - 1."""
+    """(#{g^e_u x^a + g^e_v y^b = 0}, #{g^e_u x^a + g^e_v y^b = 1}) over
+    (F_q^*)^2, g the least primitive root mod q, on checked arguments with
+    the twists reduced mod q - 1.
+
+    Each count is sum_z h_a[z] h_b[(c - g^e_u z) g^-e_v] over the histograms
+    of a-th and b-th powers of F_q^*: O(q) int operations (Weil 1949 counts
+    diagonal equations from the same tables).  Both counts come from one
+    pass, kept per reduced twists, so the two kinds of a twisted Fermat pair
+    cost one.
+    """
     h_a, h_b = _power_histogram(a, q), _power_histogram(b, q)
     g = _primitive_root(q)
     su = pow(g, e_u, q)
@@ -633,12 +633,12 @@ def fermat_twisted_count(kind, N, q, e_u, e_v, meter=None):
     coordinates receive different group twists.  Writing u = zeta_K^{e_u} x
     and v = zeta_K^{e_v} y with x, y in F_q^* (the module docstring's
     reduction, two exponents where _prepare has one sector) leaves
-    g^e_u x^N + g^e_v y^N = kind over F_q, which fermat_counts counts from
+    g^e_u x^N + g^e_v y^N = kind over F_q, which _fermat_pass counts from
     the N-th power table.  The count charges meter (default as in
     twisted_count) q - 1 units, what the DFS spends on fermat_pair(kind, N)
     with these twists.  A twist nonzero mod K = N (q - 1) needs q prime to N.
     kind is 0 or 1, N an int >= 1 and the twists ints; both kinds at one
-    pair of twists share one fermat_counts pass.
+    pair of twists share one _fermat_pass.
     """
     require_choice("fermat_twisted_count kind", kind, (0, 1))
     require_int(N, "fermat_twisted_count N", 1)

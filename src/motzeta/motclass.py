@@ -49,6 +49,7 @@ from .errors import BaseMismatch, BudgetExceeded, MotzetaError, UnboundAtom, req
 from .geomset import (  # noqa: F401  (re-exported: GeomSet lives with its counts)
     GeomSet,
     WorkMeter,
+    _require_prime,
     fermat_twisted_count,
     quotient_count,
     twisted_count,
@@ -443,10 +444,12 @@ def conv(a, b):
 
 class Binding:
     """Maps atom names to GeomSet presentations for counting at the prime
-    q.  One WorkMeter (budget) caps every count the binding makes, and the
-    binding caches each atom and Fermat-pair count it has made."""
+    q, refused at construction when not prime.  One WorkMeter (budget) caps
+    every count the binding makes, and the binding caches each atom and
+    Fermat-pair count it has made."""
 
     def __init__(self, table, q, budget=None):
+        _require_prime(q, "Binding")
         self.table = dict(table)
         self.q = q
         self.meter = WorkMeter(budget)

@@ -11,7 +11,7 @@ closed_from_fit reads the closed form off one exact solve for its
 numerator over the q-power denominator B the fit fixes.  Its candidate
 strands come from the factorization of B (a shape divides B iff it uses
 no root more often than B does), not from trial division, and the closed
-form is validated by B's recurrence on the stream, not by expanding it.
+form needs no check by expansion: the fitted modes keep B's recurrence.
 
 On top of the two shapes sit the operations the zeta machinery needs:
 Hadamard products (coefficientwise, external or convolution flavored, and
@@ -805,17 +805,19 @@ def _mode_values(q, modes, t0, t1):
     return out
 
 
-def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
+def strand_fit(real, samples, period=1):
     """Exact per-residue exponential-polynomial fit of a counted stream.
 
-    For each residue r mod period, Berlekamp-Massey finds the minimal
-    linear recurrence of the stable samples (n >= stable_from, consecutive);
-    a recurrence of order L needs at least 2L+1 of them.  The roots of its
-    characteristic polynomial must be powers of q, as the zeta series are
-    rational with q-power poles: a root q^k of multiplicity d gives the mode
-    ratio q^k with a t-polynomial of degree < d, and the L coefficients are
-    solved from the first L samples.  Every supplied sample must be
-    reproduced.  Otherwise FitFailed names the residue and what fell short.
+    The samples are indexed by n >= 1 (an index that is not such an int is
+    refused), and the fit holds at every n >= 1.  For each residue r mod
+    period, Berlekamp-Massey finds the minimal linear recurrence of its
+    samples, which must be consecutive; a recurrence of order L needs at
+    least 2L+1 of them.  The roots of its characteristic polynomial must
+    be powers of q, as the zeta series are rational with q-power poles: a
+    root q^k of multiplicity d gives the mode ratio q^k with a t-polynomial
+    of degree < d, and the L coefficients are solved from the first L
+    samples.  Every supplied sample must be reproduced.  Otherwise
+    FitFailed names the residue and what fell short.
 
     It runs on integers: in residue r the samples are scaled to
     a_n q^(c n) m_r, with c >= 0 the least exponent clearing q from every
@@ -828,29 +830,27 @@ def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
         raise FitFailed("fitting runs over the count realization only")
     require_int(period, "strand_fit period", 1)
     for n, v in samples.items():
+        require_int(n, "strand_fit sample index", 1)
         if not isinstance(v, Rational):
             raise MotzetaError("strand_fit sample at n=%r is not a rational number: %r" % (n, v))
-    if stable_from is None:
-        stable_from = dom_min
     q = real.q
-    stable = [n for n in samples if n >= stable_from]
     c = 0
-    for n in stable:
-        while n > 0 and samples[n].denominator % q ** (c * n + 1) == 0:
+    for n in samples:
+        while samples[n].denominator % q ** (c * n + 1) == 0:
             c += 1
     lam = c * period  # each scaled root is q^(k + lam)
     modes = []
     for r in range(period):
-        ts = sorted(n // period for n in stable if n % period == r)
+        ts = sorted(n // period for n in samples if n % period == r)
         if ts and ts[-1] - ts[0] + 1 != len(ts):
-            raise FitFailed("residue %d: stable samples are not consecutive" % r)
+            raise FitFailed("residue %d: samples are not consecutive" % r)
         scaled = [samples[period * t + r] * _q_pow(q, c * (period * t + r)) for t in ts]
         m = math.lcm(*(x.denominator for x in scaled))
         vals = [x.numerator * (m // x.denominator) for x in scaled]
         conn, order = _berlekamp_massey(vals)
         if len(vals) < 2 * order + 1:
             raise FitFailed(
-                "residue %d: recurrence of order %d needs %d stable samples, has %d"
+                "residue %d: recurrence of order %d needs %d samples, has %d"
                 % (r, order, 2 * order + 1, len(vals))
             )
         roots, rest = _q_power_roots(q, conn)
@@ -876,8 +876,7 @@ def strand_fit(real, samples, period=1, dom_min=1, stable_from=None):
                 raise FitFailed("the fit disagrees with the sample at n=%d" % (period * t + r))
         back = m * q ** (c * r)
         modes.append([(Fraction(q) ** (k - lam), [x / back for x in xs]) for k, xs in res.items()])
-    exc = {n: v for n, v in samples.items() if n < stable_from}
-    return EGSeq(real, period, modes, exc, dom_min, stable_from)
+    return EGSeq(real, period, modes)
 
 
 def _pmul(a, b):
@@ -945,8 +944,8 @@ def _strand_candidates(q, Q, mult, c):
     return cands
 
 
-def closed_from_fit(seq, var="T"):
-    """Recover a validated closed form from a fitted counted stream.
+def closed_from_fit(seq):
+    """The closed form of a fitted counted stream.
 
     Every mode ratio must be a power q^mu.  With k_mu its largest
     multiplicity (t-degree + 1) over the residues and Q the period, the
@@ -955,20 +954,20 @@ def closed_from_fit(seq, var="T"):
     m = mu N/Q.  The candidate strands are each such factor and each pair
     whose denominator divides B (_strand_candidates reads that, and each
     numerator B * prod x/(1-x), off the factorization of B); one exact solve
-    matches them against (sum a_n T^n) * B truncated at deg B.  P/B then
-    agrees with the stream below len(B), and past it wherever the stream
-    keeps B's recurrence a_n + sum_{j>=1} B_j a_{n-j} = 0.  That is checked
-    well past the stable threshold; FitFailed names the first n that breaks
-    it and lists the candidate strands it solved over.
+    matches them against (sum a_n T^n) * B truncated at deg B, a_0 = 0, or
+    FitFailed lists the candidate strands it solved over.  P/B then agrees
+    with the stream below len(B), and past it too: every residue's modes
+    keep B's recurrence a_n + sum_{j>=1} B_j a_{n-j} = 0 at every
+    n >= len(B), since B holds each q^mu to its largest multiplicity.  The
+    series is in the one variable T.
 
     It runs on integers: at q^c T, c = max(0, ceil(-mu/Q)), B_j q^(c j),
     the ratios q^(mu + c Q) and the candidate numerators are integers, and
-    so is M a_n q^(c n) for M the common denominator of the scaled modes and
-    exceptional values.  The modes are evaluated once on that scale.  Row n
+    so is M a_n q^(c n) for M the common denominator of the scaled modes.
+    The modes are evaluated once on that scale, at n = 1 .. deg B.  Row n
     of the solve is then q^(c n) times its unscaled candidate row and M
     q^(c n) times its unscaled target, so the integer solve gives M times
-    the strand coefficients, divided by M once; the recurrence check is
-    integer sums too.
+    the strand coefficients, divided by M once.
     """
     real = seq.real
     if real.tag != "count":
@@ -990,25 +989,15 @@ def closed_from_fit(seq, var="T"):
 
     c = max([0] + [-(mu // Q) for mu in mult])
     cands = _strand_candidates(q, Q, mult, c)
-    tried = "; ".join("x".join("(%d, %d)" % f for f in shape) for shape, _ in cands)
     B = _q_binomials(q, Q, {mu + c * Q: k for mu, k in mult.items()})
 
-    hi = max(8 * Q, seq.stable_start + 4 * Q, 16)
-    top = max(hi, len(B) - 1)
-    start = max(seq.stable_start, 1)
     scaled = [
         [(mu + c * Q, [Fraction(x) * q ** (c * r) for x in xs]) for mu, xs in logs[r]] for r in range(Q)
     ]
-    exc = {n: Fraction(v) * q ** (c * n) for n, v in seq.exceptional.items() if 1 <= n < start}
-    M = math.lcm(
-        *(x.denominator for res in scaled for _, xs in res for x in xs),
-        *(v.denominator for v in exc.values()),
-    )
-    a = [0] * (top + 1)  # a[n] is M a_n q^(c n)
-    for n, v in exc.items():
-        a[n] = v.numerator * (M // v.denominator)
+    M = math.lcm(*(x.denominator for res in scaled for _, xs in res for x in xs))
+    a = [0] * len(B)  # a[n] is M a_n q^(c n)
     for r in range(Q):
-        t0, t1 = -((r - start) // Q), (top - r) // Q
+        t0, t1 = -((r - 1) // Q), (len(B) - 1 - r) // Q
         ints = [(k, [x.numerator * (M // x.denominator) for x in xs]) for k, xs in scaled[r]]
         for t, v in zip(range(t0, t1 + 1), _mode_values(q, ints, t0, t1)):
             a[Q * t + r] = v
@@ -1017,18 +1006,11 @@ def closed_from_fit(seq, var="T"):
     target = [sum(x * a[n - j] for j, x in terms if j <= n) for n in range(len(B))]
     sol = _solve_exact([[num[j] for _, num in cands] for j in range(len(B))], target)
     if sol is None:
-        raise FitFailed(
-            "stream numerator is not a combination of the candidate strands (m, N): %s" % tried
-        )
-    for n in range(len(B), hi + 1):
-        if sum(x * a[n - j] for j, x in terms):
-            raise FitFailed(
-                "reconstruction over the candidate strands (m, N) %s disagrees "
-                "with the stream at n=%d" % (tried, n)
-            )
+        tried = "; ".join("x".join("(%d, %d)" % f for f in shape) for shape, _ in cands)
+        raise FitFailed("stream numerator is not a combination of the candidate strands (m, N): %s" % tried)
     return ClosedSeries(
         real,
-        (var,),
+        ("T",),
         [Strand(x / M, (0,), [(m, (N,)) for m, N in shape]) for x, (shape, _) in zip(sol, cands) if x],
     )
 
@@ -1407,21 +1389,22 @@ def series_from_dict(d):
     if d["mode"] == "trunc":
         _require_keys(d, "series_from_dict", "bound", "entries")
         entries = {}
-        for e in d["entries"]:
+        for e in _list_field(d, "series_from_dict", "entries"):
             _require_keys(e, "series_from_dict entries", "exp", "coeff")
-            entries[tuple(e["exp"])] = coeff(e, "series_from_dict entries")
+            entries[tuple(_list_field(e, "series_from_dict entries", "exp"))] = coeff(e, "series_from_dict entries")
         return TruncSeries(real, vars, d["bound"], entries)
     _require_keys(d, "series_from_dict", "strands")
     strands = []
-    for st in d["strands"]:
+    for st in _list_field(d, "series_from_dict", "strands"):
         _require_keys(st, "series_from_dict strands", "coeff", "b", "factors")
-        for f in st["factors"]:
+        factors = _list_field(st, "series_from_dict strands", "factors")
+        for f in factors:
             _require_keys(f, "series_from_dict factors", "m", "n")
         strands.append(
             Strand(
                 coeff(st, "series_from_dict strands"),
-                tuple(st["b"]),
-                [(f["m"], tuple(f["n"])) for f in st["factors"]],
+                tuple(_list_field(st, "series_from_dict strands", "b")),
+                [(f["m"], tuple(_list_field(f, "series_from_dict factors", "n"))) for f in factors],
             )
         )
     return ClosedSeries(real, vars, strands)

@@ -530,8 +530,9 @@ def _shift_poly(f, shift):
     return out
 
 
-def zeta_closed(f, real, var="T"):
-    """Closed zeta series of a germ that shape_exponent carries onto x^a.
+def zeta_closed(f, real):
+    """Closed zeta series in T of a germ that shape_exponent carries onto
+    x^a.
 
     The exponent-a strand is the leading-locus class times L^{-k} T^{a k}
     summed over k >= 1.  Any other germ, at the realization's prime, raises
@@ -539,7 +540,7 @@ def zeta_closed(f, real, var="T"):
     """
     a = _strand_exponent(f, real)
     strand = Strand(_lead_coeff(a, real), (0,), ((-1, (a,)),))
-    return ClosedSeries(real, (var,), (strand,))
+    return ClosedSeries(real, ("T",), (strand,))
 
 
 def _family(fs, vars):
@@ -558,13 +559,14 @@ def _family(fs, vars):
     return fs, tuple(_default_vars(len(fs)) if vars is None else vars)
 
 
-def multizeta_separable(fs, real, vars=None):
-    """The ordered-family zeta as a separable chain block: first axis the
-    exact-hit stream, trailing axes the order-beyond streams, each
-    normalized at its own level (see multizeta_trunc).  Every function
-    needs a closed stream, since phi and phi_inv shift and tail-sum them:
-    a germ without one raises FitFailed, also when counting."""
-    fs, vars = _family(fs, vars)
+def multizeta_separable(fs, real):
+    """The ordered-family zeta as a separable chain block in the variables
+    _default_vars: first axis the exact-hit stream, trailing axes the
+    order-beyond streams, each normalized at its own level (see
+    multizeta_trunc).  Every function needs a closed stream, since phi and
+    phi_inv shift and tail-sum them: a germ without one raises FitFailed,
+    also when counting."""
+    fs, vars = _family(fs, None)
     streams = tuple(
         _closed_stream(_strand_exponent(f, real), real, "ordgt" if i else "exact")
         for i, f in enumerate(fs)
@@ -599,9 +601,9 @@ def _family_trunc(fs, D, real, vars, meter):
     return expand_chains(real, vars, _unit_masks(len(fs)), streams, D)
 
 
-def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=None):
+def sum_zeta_pullback(f, g, D, real, mode="auto", split=False, budget=None):
     """Zeta series of the direct sum f(x) + g(y) restricted to the product
-    base point, in one variable; the caller substitutes the variable by a
+    base point, in the one variable S; the caller substitutes S by a
     monomial when embedding into a larger exponent space.
 
     split=True additionally returns the per-coefficient decomposition by
@@ -633,16 +635,16 @@ def sum_zeta_pullback(f, g, D, real, var="S", mode="auto", split=False, budget=N
     if real.tag == "symbolic":
         if split:
             raise MotzetaError("symbolic splits are not provided")
-        return zeta_trunc(f + g, D, real, var)
+        return zeta_trunc(f + g, D, real, "S")
     q = real.q
     exps = [shape_exponent(h, q) if len(h.vars) == 1 else None for h in (f, g)]
     strata = mode == "auto" and None not in exps
     if not strata and not split:
-        return zeta_trunc(f + g, D, real, var, budget=budget)
+        return zeta_trunc(f + g, D, real, "S", budget=budget)
     meter = WorkMeter(budget)
     # one series per count kept, in the order of _PAIR_KEYS; each level adds
     # a nonzero entry within the bound, so it goes into the entries as is
-    out = [TruncSeries(real, (var,), D) for _ in (_PAIR_KEYS if split else _PAIR_KEYS[:1])]
+    out = [TruncSeries(real, ("S",), D) for _ in (_PAIR_KEYS if split else _PAIR_KEYS[:1])]
     if strata:
         levels = _monomial_pair_levels(*exps, D, q)
     else:
@@ -852,9 +854,10 @@ class ConePieces:
         self.origin = bool(origin)
 
 
-def dl_eval(res, real, vars=None, cone=None, binding=None):
-    """Evaluate supplied resolution data to its closed zeta series; expand
-    the result for a truncation.
+def dl_eval(res, real, cone=None, binding=None):
+    """Evaluate supplied resolution data to its closed zeta series in the
+    variables _default_vars of its width; expand the result for a
+    truncation.
 
     Without a cone the lattice sum runs over all positive integer vectors
     of each stratum and closes into one product of geometric factors per
@@ -868,8 +871,6 @@ def dl_eval(res, real, vars=None, cone=None, binding=None):
     if not isinstance(res, ResolutionData):
         res = parse_resolution(res)
     r = res.width
-    if vars is None:
-        vars = _default_vars(r)
     if isinstance(cone, (list, tuple)) and len(cone) != len(res.strata):
         raise ConeNotDecomposed(
             "cone lists %d strata for %d" % (len(cone), len(res.strata))
@@ -909,7 +910,7 @@ def dl_eval(res, real, vars=None, cone=None, binding=None):
                 strands.append(Strand(coeff, (0,) * r, tuple(factors)))
         if pieces.origin:
             strands.append(Strand(coeff, (0,) * r, ()))
-    return ClosedSeries(real, tuple(vars), tuple(strands))
+    return ClosedSeries(real, _default_vars(r), tuple(strands))
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_re_period_preserves_values():
     v = EGSeq(
         real, 2,
         [[(Fraction(5), (Fraction(1), Fraction(2)))], []],
-        dom_min=0, stable_start=0,
+        dom_min=0,
     )
     w = v.re_period(6)
     assert [w.value(n) for n in range(19)] == [v.value(n) for n in range(19)]
@@ -117,13 +117,16 @@ def test_fit_geometric():
 def test_fit_period_and_exceptional():
     # the ratio 3 must be a power of q, so the stream is counted at q=3
     real = count_realization(3)
-    samples = {1: Fraction(99), 2: Fraction(-4)}
-    for n in range(3, 20):
-        t = n // 2
-        samples[n] = Fraction(3) ** t if n % 2 == 0 else 5 * Fraction(3) ** t
-    seq = strand_fit(real, samples, period=2, stable_from=3)
+    samples = {n: Fraction(3) ** (n // 2) * (1 if n % 2 == 0 else 5) for n in range(1, 20)}
+    seq = strand_fit(real, samples, period=2)
     for n, y in samples.items():
         assert seq.value(n) == y
+    assert seq.value(31) == 5 * Fraction(3) ** 15
+    # the fit holds from n = 1 on: exceptional first values give each
+    # residue's recurrence the root 0, which is no power of q
+    samples[1], samples[2] = Fraction(99), Fraction(-4)
+    with pytest.raises(FitFailed, match=r"^residue 0: characteristic polynomial \(1\)z\^2 \+ \(-3\)z\^1 has roots"):
+        strand_fit(real, samples, period=2)
 
 
 def test_fit_validation_failure():
@@ -134,32 +137,16 @@ def test_fit_validation_failure():
         strand_fit(real, samples)
 
 
-def test_exceptional_tail_and_prefix():
-    # tail sums reach back through the exceptional prefix n < stable_start
-    real = count_realization(7)
-    v = EGSeq(
-        real, 1,
-        [[(Fraction(1, 7), (Fraction(1),))]],
-        exceptional={1: Fraction(99), 2: Fraction(-4)},
-        dom_min=1, stable_start=3,
-    )
-    t = v.tail_sum()
-    assert t.value(2) == Fraction(1, 6 * 7**2)
-    assert t.value(1) == Fraction(-4) + Fraction(1, 6 * 7**2)
-    assert t.value(0) == Fraction(95) + Fraction(1, 6 * 7**2)
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     st.sampled_from(("count", "symbolic")),
     st.integers(1, 4),
     st.lists(st.tuples(st.integers(-2, 1), st.integers(1, 3), st.integers(0, 1)), min_size=1, max_size=6),
     st.integers(-3, 2),
-    st.integers(0, 3),
 )
-def test_value_refuses_below_the_domain_start(tag, period, raw_modes, shift, n_exc):
-    """value(n) refuses every n below dom_min, across residues, exceptional
-    values, t-polynomial modes and a domain that starts at or below zero
+def test_value_refuses_below_the_domain_start(tag, period, raw_modes, shift):
+    """value(n) refuses every n below dom_min, across residues,
+    t-polynomial modes and a domain that starts at or below zero
     (negative t)."""
     if tag == "count":
         real = count_realization(5)
@@ -170,8 +157,7 @@ def test_value_refuses_below_the_domain_start(tag, period, raw_modes, shift, n_e
     modes = [[] for _ in range(period)]
     for i, (k, c, deg) in enumerate(raw_modes):
         modes[i % period].append((ratio(k), (coeff(c),) * (deg + 1)))
-    exc = {n: coeff(n + 7) for n in range(1, 1 + n_exc)}
-    seq = EGSeq(real, period, modes, exc, dom_min=1).shift(shift)
+    seq = EGSeq(real, period, modes).shift(shift)
     lo = seq.dom_min
     for n in range(lo - period - 1, lo):
         with pytest.raises(MotzetaError, match="n=%d is below the domain start dom_min=%d" % (n, lo)):
@@ -192,8 +178,7 @@ def _stream_parts(tag):
 @st.composite
 def _decaying_streams(draw):
     """EGSeqs of period <= 5, up to three modes per residue, each a
-    t-polynomial of degree <= 2 times a decaying ratio, with a few
-    exceptional values."""
+    t-polynomial of degree <= 2 times a decaying ratio."""
     tag = draw(st.sampled_from(("count", "symbolic")))
     real, ratio, coeff = _stream_parts(tag)
     period = draw(st.integers(1, 5))
@@ -209,8 +194,7 @@ def _decaying_streams(draw):
         ]
         for _ in range(period)
     ]
-    exc = {n: coeff(c, False) for n, c in enumerate(draw(st.lists(ints, max_size=2)), 1)}
-    return EGSeq(real, period, modes, exc, dom_min=1)
+    return EGSeq(real, period, modes)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -235,7 +219,7 @@ def test_ratio_one_mode_is_not_summable(seq, data):
     r = data.draw(st.integers(0, seq.period - 1))
     modes = [list(m) for m in seq.modes]
     modes[r].insert(data.draw(st.integers(0, len(modes[r]))), (one, (seq.real.one,)))
-    stuck = EGSeq(seq.real, seq.period, modes, seq.exceptional, seq.dom_min, seq.stable_start)
+    stuck = EGSeq(seq.real, seq.period, modes, seq.dom_min)
     with pytest.raises(TailNotSummable, match="^geometric ratio 1 has no summable tail$"):
         stuck.tail_sum()
 

@@ -659,6 +659,24 @@ def _symbolic_entry(coeff):
         pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "trunc",
                                                "bound": 2, "entries": [5]}),
                      "series_from_dict entries: expected a dict, not 5", id="from-dict-entry"),
+        pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "trunc",
+                                               "bound": 2, "entries": 5}),
+                     "series_from_dict: 'entries' must be a list, not 5", id="from-dict-entries-type"),
+        pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "trunc",
+                                               "bound": 2, "entries": [{"exp": 5, "coeff": "1"}]}),
+                     "series_from_dict entries: 'exp' must be a list, not 5", id="from-dict-exp-type"),
+        pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "closed",
+                                               "strands": 3}),
+                     "series_from_dict: 'strands' must be a list, not 3", id="from-dict-strands-type"),
+        pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "closed",
+                                               "strands": [{"coeff": "1", "b": 0, "factors": []}]}),
+                     "series_from_dict strands: 'b' must be a list, not 0", id="from-dict-b-type"),
+        pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "closed",
+                                               "strands": [{"coeff": "1", "b": [0], "factors": 3}]}),
+                     "series_from_dict strands: 'factors' must be a list, not 3", id="from-dict-factors-type"),
+        pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": ["T"], "mode": "closed",
+                                               "strands": [{"coeff": "1", "b": [0], "factors": [{"m": -1, "n": 2}]}]}),
+                     "series_from_dict factors: 'n' must be a list, not 2", id="from-dict-n-type"),
         pytest.param(lambda: series_from_dict({"realization": {"tag": "count"}, "vars": ["T"], "mode": "closed"}),
                      "series_from_dict realization: the dict has no 'q'", id="from-dict-q"),
         pytest.param(lambda: series_from_dict({"realization": {"tag": "p"}, "vars": ["T"], "mode": "closed"}),
@@ -717,6 +735,11 @@ def _symbolic_entry(coeff):
                      "count_realization needs a prime q, got 9", id="separable-prime"),
         pytest.param(lambda: sum_zeta_pullback("x^2", "y^3", 3, count_realization(4)),
                      "count_realization needs a prime q, got 4", id="pullback-prime"),
+        pytest.param(lambda: Binding({}, 4), "Binding needs a prime q, got 4", id="binding-prime"),
+        pytest.param(lambda: Binding({}, 1), "Binding needs a prime q, got 1", id="binding-prime-one"),
+        pytest.param(lambda: Binding({}, 2.5), "Binding needs a prime q, got 2.5", id="binding-prime-float"),
+        pytest.param(lambda: Binding({}, True), "Binding needs a prime q, got True", id="binding-prime-bool"),
+        pytest.param(lambda: Binding({}, "7"), "Binding needs a prime q, got '7'", id="binding-prime-str"),
         pytest.param(lambda: ConePieces(((((1, 0), (1,)), (True, True)),)),
                      "piece 0: generators ((1, 0), (1,)) differ in length", id="cone-ragged"),
         pytest.param(lambda: ConePieces(((((1, 0),), (True,)), (((1, 1), (2, 2)), (True, True)))),
@@ -770,8 +793,6 @@ def _symbolic_entry(coeff):
                      "piece 0 generators: entry must be an int, not False", id="cone-gens-bool"),
         pytest.param(lambda: ConePieces([(((1, 0),), ("no",))]),
                      "piece 0 flags: need one flag per generator, not ('no',)", id="cone-flags-str"),
-        pytest.param(lambda: multizeta_separable((X2, Y3), R7, vars=("T", "T")),
-                     "duplicate variable names: ['T', 'T']", id="separable-duplicate-vars"),
         # a float, a bool or an out-of-range value where an int or a choice belongs
         pytest.param(lambda: GeomSet(("x",), action_order=2.5), "GeomSet action_order must be an int, not 2.5",
                      id="geomset-order-float"),
@@ -857,8 +878,14 @@ def _symbolic_entry(coeff):
         pytest.param(lambda: LocRat(1, 5), "LocRat den must be a list or tuple, not int 5", id="locrat-den-type"),
         pytest.param(lambda: EGSeq(R7, 1, [[]], dom_min=1.5), "EGSeq dom_min must be an int, not 1.5",
                      id="egseq-dom-min-float"),
-        pytest.param(lambda: EGSeq(R7, 1, [[]], stable_start=2.5), "EGSeq stable_start must be an int, not 2.5",
-                     id="egseq-stable-start-float"),
+        pytest.param(lambda: strand_fit(R7, {0: Fraction(1), 1: Fraction(1)}),
+                     "strand_fit sample index must be >= 1, not 0", id="fit-index-zero"),
+        pytest.param(lambda: strand_fit(R7, {-3: Fraction(1), 1: Fraction(1)}),
+                     "strand_fit sample index must be >= 1, not -3", id="fit-index-negative"),
+        pytest.param(lambda: strand_fit(R7, {2.0: Fraction(1), 1: Fraction(1)}),
+                     "strand_fit sample index must be an int, not 2.0", id="fit-index-float"),
+        pytest.param(lambda: strand_fit(R7, {True: Fraction(1), 2: Fraction(1)}),
+                     "strand_fit sample index must be an int, not True", id="fit-index-bool"),
         pytest.param(lambda: ONES7.re_period(2.5), "EGSeq re_period: new_period must be an int, not 2.5",
                      id="egseq-re-period-float"),
         pytest.param(lambda: ONES7.shift(1.5), "EGSeq shift: d must be an int, not 1.5", id="egseq-shift-float"),
@@ -877,14 +904,6 @@ def _symbolic_entry(coeff):
                      "SeparableSeries vars: a variable name must be a str, not ('x',)", id="separable-var-name"),
         pytest.param(lambda: expand_chains(R7, (1,), ((1,),), (ONES7,), 3),
                      "expand_chains vars: a variable name must be a str, not 1", id="expand-chains-var-name"),
-        pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, var=("S",)),
-                     "TruncSeries vars: a variable name must be a str, not ('S',)", id="pullback-var-tuple"),
-        pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, var=None),
-                     "TruncSeries vars: a variable name must be a str, not None", id="pullback-var-none"),
-        pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, var=3),
-                     "TruncSeries vars: a variable name must be a str, not 3", id="pullback-var-int"),
-        pytest.param(lambda: sum_zeta_pullback(X2, Y3, 4, R7, var=3, mode="hist"),
-                     "expand_chains vars: a variable name must be a str, not 3", id="pullback-hist-var-int"),
         pytest.param(lambda: series_from_dict({"realization": COUNT7, "vars": [["S"]], "mode": "trunc",
                                                "bound": 2, "entries": []}),
                      "TruncSeries vars: a variable name must be a str, not ['S']", id="from-dict-var-name"),
@@ -1548,7 +1567,7 @@ def test_dl_two_strata():
     )
     r7 = count_realization(7)
     out = lattice_sum(res, r7, 3, vars=("T", "U"))
-    assert out == dl_eval(res, r7, vars=("T", "U")).expand(3)
+    assert out == dl_eval(res, r7).expand(3)
     q = Fraction(7)
     assert out.coeff((1, 0)) == 1 / q
     assert out.coeff((0, 1)) == 1 / q
@@ -1663,7 +1682,7 @@ def test_diagonal_collapses_variables():
         [Stratum(("E1", "E2"), None, ((1, 0), (0, 1)), (1, 1))]
     )
     r7 = count_realization(7)
-    diag = diagonal_closed(dl_eval(res, r7, vars=("T", "U")))
+    diag = diagonal_closed(dl_eval(res, r7))
     assert diag.vars == ("T",)
     two_var = lattice_sum(res, r7, 8, vars=("T", "U"))
     folded = {}
